@@ -164,7 +164,7 @@ fn main() {
     let eval_ns = median_ns(reps, || {
         let mut alive = 0u64;
         for client in 0..EVALS {
-            alive += u64::from(population.is_available(client, (client % 97) as u64));
+            alive += u64::from(population.is_available(client, client % 97));
         }
         std::hint::black_box(alive);
     });

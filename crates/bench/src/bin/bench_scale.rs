@@ -3,9 +3,8 @@
 //! Measures how the event-driven round engine holds up as the cohort
 //! grows: end-to-end rounds per second and process resident memory at
 //! n ∈ {64, 1 000, 10 000} simulated participants over the in-memory
-//! transport, all driven by the reactor engine's bounded thread pool
-//! (the per-participant-thread engines stop being viable long before
-//! 10k). Every scale runs against a standalone [`RpcBackend`] with a
+//! transport, all driven by the engine's bounded thread pools. Every
+//! scale runs against a standalone [`RpcBackend`] with a
 //! fixed mask set, the same harness as the engine's buffer-reuse test,
 //! so the numbers isolate the round path itself.
 //!

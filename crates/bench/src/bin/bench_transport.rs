@@ -17,16 +17,16 @@
 //!   when the upload travels encoded;
 //! * `rounds_per_sec`: end-to-end warm-up rounds at n = 64 participants
 //!   under shaped bandwidth (`real_time_scale = 10`, the slow-link regime
-//!   the paper targets), serial vs pipelined
-//!   engine with the same seed — the trajectories are asserted identical,
-//!   so the speedup is pure overlap.
+//!   the paper targets), the serial oracle vs the engine with the same
+//!   seed — the trajectories are asserted identical, so the speedup is
+//!   pure overlap of shaped sends.
 //!
 //! Usage: `cargo run --release -p fedrlnas-bench --bin bench_transport`
 //! (writes `BENCH_transport.json` in the current directory; pass `--out
-//! <path>` to override). `--quick` runs fewer reps and skips the
-//! `rounds_per_sec` group (the CI perf-smoke configuration); `--check
-//! <floor.json>` exits non-zero if a measured codec throughput falls
-//! below the committed floor.
+//! <path>` to override). `--quick` runs fewer reps and one round per
+//! engine mode (the CI perf-smoke configuration); `--check <floor.json>`
+//! exits non-zero if a measured codec throughput or the engine speedup
+//! falls below the committed floor.
 
 use fedrlnas_codec::{CodecSpec, EncodeScratch};
 use fedrlnas_controller::Alpha;
@@ -166,20 +166,20 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
 }
 
 /// End-to-end `rounds_per_sec` at n participants under shaped bandwidth:
-/// the same seeded warm-up run under both engine modes. The warm-up
-/// curves and communication stats must be bit-identical — the measured
-/// speedup is pure send/wait overlap, not a different computation.
-fn rounds_per_sec_group(json: &mut String) {
+/// the same seeded warm-up run under the serial oracle and the engine.
+/// The warm-up curves and communication stats must be bit-identical — the
+/// measured speedup is pure send/wait overlap, not a different
+/// computation. Returns engine ÷ serial.
+fn rounds_per_sec_group(json: &mut String, rounds: usize) -> f64 {
     const N: usize = 64;
-    const ROUNDS: usize = 3;
     // stretch simulated transmission times 10x so the bench runs in the
     // bandwidth-bound regime federated search actually lives in; the
-    // pipelined engine overlaps those sends, the serial engine sums them
+    // engine overlaps those sends, the serial oracle sums them
     const TIME_SCALE: f64 = 10.0;
     let mut results = Vec::new();
     for (label, mode) in [
         ("serial", EngineMode::Serial),
-        ("pipelined", EngineMode::Pipelined),
+        ("engine", EngineMode::default()),
     ] {
         eprintln!("benchmarking rounds_per_sec n={N} engine={label}...");
         let config = SearchConfig::tiny().with_participants(N);
@@ -197,36 +197,38 @@ fn rounds_per_sec_group(json: &mut String) {
             },
         );
         let start = Instant::now();
-        search.server_mut().run_warmup(&dataset, ROUNDS, &mut rng);
+        search.server_mut().run_warmup(&dataset, rounds, &mut rng);
         let secs = start.elapsed().as_secs_f64();
         let curve = search.server_mut().warmup_curve().clone();
-        let comm = search.server_mut().comm().clone();
+        let comm = *search.server_mut().comm();
         results.push((label, secs, curve, comm));
     }
     assert_eq!(
         results[0].2, results[1].2,
-        "serial and pipelined warm-up curves must be bit-identical"
+        "serial and engine warm-up curves must be bit-identical"
     );
     assert_eq!(
         results[0].3, results[1].3,
-        "serial and pipelined CommStats must be bit-identical"
+        "serial and engine CommStats must be bit-identical"
     );
-    let serial_rps = ROUNDS as f64 / results[0].1;
-    let pipelined_rps = ROUNDS as f64 / results[1].1;
+    let serial_rps = rounds as f64 / results[0].1;
+    let engine_rps = rounds as f64 / results[1].1;
+    let speedup = engine_rps / serial_rps;
     writeln!(json, "  \"rounds_per_sec\": {{").unwrap();
     writeln!(
         json,
-        "    \"participants\": {N}, \"rounds\": {ROUNDS}, \"real_time_scale\": {TIME_SCALE},"
+        "    \"participants\": {N}, \"rounds\": {rounds}, \"real_time_scale\": {TIME_SCALE}, \"pool_threads\": {},",
+        fedrlnas_tensor::num_threads().min(N)
     )
     .unwrap();
     writeln!(
         json,
-        "    \"serial\": {serial_rps:.3}, \"pipelined\": {pipelined_rps:.3}, \"speedup\": {:.2},",
-        pipelined_rps / serial_rps
+        "    \"serial\": {serial_rps:.3}, \"engine\": {engine_rps:.3}, \"speedup\": {speedup:.2},"
     )
     .unwrap();
     writeln!(json, "    \"identical_trajectory\": true").unwrap();
     writeln!(json, "  }}").unwrap();
+    speedup
 }
 
 fn main() {
@@ -376,11 +378,9 @@ fn main() {
         )
         .unwrap();
     }
-    writeln!(json, "  ]{}", if quick { "" } else { "," }).unwrap();
+    writeln!(json, "  ],").unwrap();
 
-    if !quick {
-        rounds_per_sec_group(&mut json);
-    }
+    let engine_speedup = rounds_per_sec_group(&mut json, if quick { 1 } else { 3 });
     writeln!(json, "}}").unwrap();
 
     std::fs::write(&out_path, &json).expect("write BENCH_transport.json");
@@ -409,6 +409,16 @@ fn main() {
                 failed = true;
             } else {
                 eprintln!("ok: {codec} encode {got:.1} MB/s >= floor {floor:.1}");
+            }
+        }
+        if let Some(floor) = json_number(&floors, "engine_speedup_floor") {
+            if engine_speedup < floor {
+                eprintln!(
+                    "FAIL: engine speedup {engine_speedup:.2}x below committed floor {floor:.1}x"
+                );
+                failed = true;
+            } else {
+                eprintln!("ok: engine speedup {engine_speedup:.2}x >= floor {floor:.1}x");
             }
         }
         if failed {

@@ -1,13 +1,18 @@
-//! Concurrent, deadline-driven round engine.
+//! Deadline-driven round engine.
 //!
-//! Each participant runs on its own long-lived worker thread behind its
-//! own [`Transport`]. Per round the engine serializes each sub-model into
-//! a [`Message::DownloadSubmodel`] frame, ships it, then collects
+//! Participants live behind their own [`Transport`] links and are driven
+//! from one bounded pool of worker threads (see `crate::reactor`). Per
+//! round the engine serializes each sub-model into a
+//! [`Message::DownloadSubmodel`] frame, ships it, then collects
 //! [`Message::UploadUpdate`] replies under a per-participant deadline with
 //! bounded, backed-off retries. Replies that surface after their round's
 //! deadline are attributed to the round they were computed in and handed
 //! to the server as *late* reports, which flow into the soft-sync
 //! staleness path.
+//!
+//! A round is four phases over one `RoundCtx`: `service_evicted`,
+//! `stage_downloads`, `collect` (the event loop of `crate::reactor`, or
+//! the blocking in-order oracle of [`EngineMode::Serial`]) and `commit`.
 //!
 //! Graceful degradation: with [`RpcConfig::quorum_frac`] below `1.0` a
 //! round commits as soon as the quorum of eligible workers has reported;
@@ -48,7 +53,6 @@
 //! adversarial side of that contract.
 
 use std::collections::{HashMap, HashSet};
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -66,9 +70,7 @@ use rand::{rngs::StdRng, SeedableRng};
 
 use crate::adversary::{apply_attack, Attack};
 use crate::fault::{mix, FaultPlan, FaultyTransport};
-use crate::transport::{
-    ChannelTransport, ShapedTransport, TcpTransport, Transport, TransportError,
-};
+use crate::transport::{ShapedTransport, Transport, TransportError};
 use crate::wire::{
     decode, encode, encode_download_into, encode_into, encode_upload_coded_into, Message,
 };
@@ -97,35 +99,25 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// Which round-execution strategy drives phases 1 and 2.
-///
-/// Both modes produce bit-identical round outcomes for the same inputs
-/// (same reports, same byte counts, same `CommStats`): the outcome
-/// depends only on the *set* of on-time replies and the per-link content
-/// order, never on the interleaving in which different links were
-/// serviced. See DESIGN.md "Pipelined round lifecycle".
+/// How phase 2 (ship + collect) of a round is driven. Both run over the
+/// same pooled worker fleet and the same frame path, and commit in
+/// participant order, so the round outcome (reports, byte counts,
+/// `CommStats`) depends only on the *set* of on-time replies and each
+/// link's content order — see DESIGN.md "Round engine".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// The reference barrier implementation: ship every download, then
-    /// collect replies strictly in participant order, decoding and
-    /// validating each one after its blocking wait returns.
+    /// The test oracle: ship every download (sleeping each shaped send),
+    /// then block on one link at a time in participant order. Kept only
+    /// as the reference the equivalence suites and benches compare
+    /// against.
     Serial,
-    /// The overlapped implementation: each eligible worker gets a scoped
-    /// collector thread that ships its download, waits on its link, and
-    /// decodes + validates replies as they arrive — compute overlaps
-    /// every in-flight network wait, and shaped send delays overlap each
-    /// other instead of summing.
+    /// The engine: a bounded pool of collector threads (see
+    /// [`RpcConfig::reactor_threads`]) drives every participant link
+    /// through nonblocking [`Transport::poll_recv`] sweeps. Shaped sends,
+    /// retransmit backoff, deadlines and the quorum drain are per-link
+    /// timers, so they overlap across links and no pool thread ever
+    /// blocks on one of them (see `crate::reactor`).
     #[default]
-    Pipelined,
-    /// The event-driven implementation: a bounded pool of collector
-    /// threads (see [`RpcConfig::reactor_threads`]) drives *all*
-    /// participant links through nonblocking [`Transport::poll_recv`]
-    /// readiness sweeps, with per-link deadline/retry/drain state
-    /// machines replacing per-link blocking waits — thread count stays
-    /// flat as the cohort grows to 10k. Same quorum, drain and eviction
-    /// semantics; effects still commit in participant order, so
-    /// fault-free full-quorum rounds are bit-identical to the other two
-    /// modes (see `crate::reactor`).
     Reactor,
 }
 
@@ -134,8 +126,8 @@ pub enum EngineMode {
 pub struct RpcConfig {
     /// Transport implementation to use.
     pub transport: TransportKind,
-    /// Round-execution strategy (pipelined by default; serial is the
-    /// reference the determinism suites compare against).
+    /// Round-execution strategy (serial is the reference the determinism
+    /// suites compare against).
     pub engine: EngineMode,
     /// How long to wait for each participant's reply per attempt.
     pub deadline: Duration,
@@ -156,9 +148,9 @@ pub struct RpcConfig {
     /// met (defaults to the legacy 5ms constant, so existing byte-identity
     /// suites are unaffected).
     pub quorum_drain: Duration,
-    /// Collector/worker pool size for [`EngineMode::Reactor`]. `0` (the
+    /// Size of the worker-fleet pool and of the collector pool. `0` (the
     /// default) resolves from `FEDRLNAS_NUM_THREADS`, falling back to the
-    /// machine's available parallelism. Ignored by the other modes.
+    /// machine's available parallelism; never more than one per link.
     pub reactor_threads: usize,
     /// Consecutive missed rounds after which a worker is evicted
     /// (`0` disables eviction).
@@ -206,8 +198,10 @@ pub struct ScriptedFault {
     /// Worker exits silently upon receiving this round's download,
     /// simulating a permanent participant crash mid-round.
     pub die_at_round: Option<usize>,
-    /// Worker sleeps this long before computing the given round's update,
-    /// so the reply misses the deadline and arrives in a later round.
+    /// Worker holds the given round's download this long before computing
+    /// its update, so the reply misses the deadline and arrives in a
+    /// later round. Only this link waits: its pool thread keeps serving
+    /// the rest of the shard.
     pub delay: Option<(usize, Duration)>,
     /// `(crash_round, rounds_down)` — the worker crashes upon receiving
     /// `crash_round`'s download (losing its reply cache), stays silent for
@@ -262,7 +256,6 @@ pub(crate) type Link = ShapedTransport<FaultyTransport<Box<dyn Transport>>>;
 
 pub(crate) struct WorkerHandle {
     pub(crate) transport: Option<Link>,
-    pub(crate) join: Option<JoinHandle<()>>,
     /// `false` once the link itself is dead (peer hung up / socket error);
     /// a dead worker never comes back.
     pub(crate) alive: bool,
@@ -277,11 +270,23 @@ pub(crate) struct WorkerHandle {
     pub(crate) reject_streak: usize,
 }
 
+impl WorkerHandle {
+    pub(crate) fn new(link: Link) -> Self {
+        WorkerHandle {
+            transport: Some(link),
+            alive: true,
+            evicted: false,
+            miss_streak: 0,
+            reject_streak: 0,
+        }
+    }
+}
+
 /// The server-side round engine; implements [`RoundBackend`].
 pub struct RpcBackend {
     workers: Vec<WorkerHandle>,
-    /// Join handles for the reactor's pooled worker-fleet threads (one per
-    /// pool thread, not per participant); empty in the other modes.
+    /// Join handles for the pooled worker-fleet threads (one per pool
+    /// thread, not per participant).
     pool_joins: Vec<JoinHandle<()>>,
     config: RpcConfig,
     /// Mask and expected flat-gradient length shipped to each
@@ -313,7 +318,8 @@ pub struct RpcBackend {
 }
 
 impl RpcBackend {
-    /// Spawns one worker per participant and wires the transports.
+    /// Spawns the pooled worker fleet and wires one transport per
+    /// participant.
     ///
     /// Workers clone the participant state (data-loader cursor included)
     /// and rebuild the supernet *structure* locally; weights always arrive
@@ -343,46 +349,15 @@ impl RpcBackend {
             .collect();
         let growth = Arc::new(AtomicU64::new(0));
         let n = participants.len();
-        // the reactor drives all participants from a bounded pool; the
-        // other modes keep the legacy thread-per-participant fleet
-        let (workers, pool_joins) = if config.engine == EngineMode::Reactor {
-            crate::reactor::spawn_pooled_workers(
-                participants,
-                net,
-                dataset,
-                faults,
-                &config.fault,
-                &residuals,
-                &growth,
-                config.real_time_scale,
-                config.transport,
-                config.reactor_threads,
-            )
-        } else {
-            let workers = match config.transport {
-                TransportKind::InMemory => spawn_channel_workers(
-                    participants,
-                    net,
-                    dataset,
-                    faults,
-                    &config.fault,
-                    &residuals,
-                    &growth,
-                    config.real_time_scale,
-                ),
-                TransportKind::Tcp => spawn_tcp_workers(
-                    participants,
-                    net,
-                    dataset,
-                    faults,
-                    &config.fault,
-                    &residuals,
-                    &growth,
-                    config.real_time_scale,
-                ),
-            };
-            (workers, Vec::new())
-        };
+        let (workers, pool_joins) = crate::reactor::spawn_pooled_workers(
+            participants,
+            net,
+            dataset,
+            faults,
+            &config,
+            &residuals,
+            &growth,
+        );
         RpcBackend {
             workers,
             pool_joins,
@@ -400,8 +375,7 @@ impl RpcBackend {
         }
     }
 
-    /// Number of live worker threads (evicted ones included — their links
-    /// are still up).
+    /// Number of workers whose link is up (evicted ones included).
     pub fn live_workers(&self) -> usize {
         self.workers.iter().filter(|w| w.alive).count()
     }
@@ -445,155 +419,20 @@ pub(crate) fn wrap_link(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn spawn_one(
-    transport: Box<dyn Transport>,
-    participant: Participant,
-    net: SupernetConfig,
-    dataset: SyntheticDataset,
-    fault: ScriptedFault,
-    residual: Arc<Mutex<Vec<f32>>>,
-    growth: Arc<AtomicU64>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        worker_loop(
-            transport,
-            participant,
-            net,
-            dataset,
-            fault,
-            residual,
-            growth,
-        )
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_channel_workers(
-    participants: &[Participant],
-    net: &SupernetConfig,
-    dataset: &SyntheticDataset,
-    faults: &[ScriptedFault],
-    plan: &FaultPlan,
-    residuals: &[Arc<Mutex<Vec<f32>>>],
-    growth: &Arc<AtomicU64>,
-    time_scale: f64,
-) -> Vec<WorkerHandle> {
-    participants
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let (server_end, worker_end) = ChannelTransport::pair();
-            let join = spawn_one(
-                Box::new(worker_end),
-                p.clone(),
-                net.clone(),
-                dataset.clone(),
-                faults.get(i).copied().unwrap_or_default(),
-                residuals[i].clone(),
-                growth.clone(),
-            );
-            WorkerHandle {
-                transport: Some(wrap_link(Box::new(server_end), i, plan, time_scale)),
-                join: Some(join),
-                alive: true,
-                evicted: false,
-                miss_streak: 0,
-                reject_streak: 0,
-            }
-        })
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_tcp_workers(
-    participants: &[Participant],
-    net: &SupernetConfig,
-    dataset: &SyntheticDataset,
-    faults: &[ScriptedFault],
-    plan: &FaultPlan,
-    residuals: &[Arc<Mutex<Vec<f32>>>],
-    growth: &Arc<AtomicU64>,
-    time_scale: f64,
-) -> Vec<WorkerHandle> {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-    let addr = listener.local_addr().expect("listener address");
-    let joins: Vec<JoinHandle<()>> = participants
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let participant = p.clone();
-            let net = net.clone();
-            let dataset = dataset.clone();
-            let fault = faults.get(i).copied().unwrap_or_default();
-            let residual = residuals[i].clone();
-            let growth = growth.clone();
-            let id = p.id();
-            std::thread::spawn(move || {
-                let stream = std::net::TcpStream::connect(addr).expect("connect loopback");
-                let mut transport: Box<dyn Transport> =
-                    Box::new(TcpTransport::new(stream).expect("wrap stream"));
-                // handshake: identify this connection to the server
-                let _ = transport.send(&encode(&Message::Heartbeat {
-                    participant: id as u32,
-                }));
-                worker_loop(
-                    transport,
-                    participant,
-                    net,
-                    dataset,
-                    fault,
-                    residual,
-                    growth,
-                );
-            })
-        })
-        .collect();
-    // accept one connection per participant; the handshake heartbeat says
-    // which worker is on the other end
-    let mut slots: Vec<Option<Link>> = (0..participants.len()).map(|_| None).collect();
-    for _ in 0..participants.len() {
-        let (stream, _) = listener.accept().expect("accept worker connection");
-        let mut t = TcpTransport::new(stream).expect("wrap accepted stream");
-        let frame = t
-            .recv_timeout(Duration::from_secs(10))
-            .expect("handshake frame");
-        let id = match decode(&frame) {
-            Ok(Message::Heartbeat { participant }) => participant as usize,
-            other => panic!("expected handshake heartbeat, got {other:?}"),
-        };
-        slots[id] = Some(wrap_link(
-            Box::new(t) as Box<dyn Transport>,
-            id,
-            plan,
-            time_scale,
-        ));
-    }
-    slots
-        .into_iter()
-        .zip(joins)
-        .map(|(transport, join)| WorkerHandle {
-            transport: Some(transport.expect("every worker handshook")),
-            join: Some(join),
-            alive: true,
-            evicted: false,
-            miss_streak: 0,
-            reject_streak: 0,
-        })
-        .collect()
-}
-
 /// What [`WorkerState::handle_frame`] tells the worker's drive loop to do.
 pub(crate) enum FrameOutcome {
     /// Keep servicing this participant's link.
     Continue,
     /// The scripted `die_at_round` fired: drop the link, no reply.
     Exit,
+    /// The scripted `delay` fired: hold this frame, serve nothing else
+    /// from this link meanwhile, and hand the same frame back once the
+    /// duration has passed (the delay is spent; the second call trains).
+    Delay(Duration),
 }
 
-/// The participant side of one link, factored out of the per-worker
-/// thread loop so the reactor's pooled fleet can drive many participants
-/// from one thread. All per-participant state lives here (reply cache,
+/// The participant side of one link; the pooled fleet drives many of
+/// these from one thread. All per-participant state lives here (reply cache,
 /// codec scratch, crash script, attack memory); the supernet *structure*
 /// is shared by every participant on a pool thread because weights always
 /// arrive over the wire — nothing training-relevant ever persists in it.
@@ -742,7 +581,8 @@ impl WorkerState {
         }
         if let Some((r, d)) = self.fault.delay {
             if r == round as usize {
-                std::thread::sleep(d);
+                self.fault.delay = None;
+                return FrameOutcome::Delay(d);
             }
         }
         let mut sub = supernet.extract_submodel(&mask);
@@ -851,34 +691,6 @@ impl WorkerState {
     }
 }
 
-/// The per-participant worker thread: blocks on downloads and drives a
-/// dedicated [`WorkerState`]. The reactor's pooled fleet replaces this
-/// blocking loop with readiness sweeps over many states per thread.
-fn worker_loop(
-    mut transport: Box<dyn Transport>,
-    participant: Participant,
-    net: SupernetConfig,
-    dataset: SyntheticDataset,
-    fault: ScriptedFault,
-    residual: Arc<Mutex<Vec<f32>>>,
-    growth: Arc<AtomicU64>,
-) {
-    let id = participant.id();
-    // structure only — every weight is overwritten from the wire
-    let mut structure_rng = StdRng::seed_from_u64(0x5EED ^ id as u64);
-    let mut supernet = Supernet::new(net, &mut structure_rng);
-    let theta_len = supernet.param_count();
-    let mut state = WorkerState::new(participant, fault, residual, growth);
-    // loop ends when the server hangs up or the socket dies
-    while let Ok(frame) = transport.recv() {
-        if let FrameOutcome::Exit =
-            state.handle_frame(&mut supernet, theta_len, &dataset, &mut transport, &frame)
-        {
-            return;
-        }
-    }
-}
-
 /// A classified upload reply.
 enum Reply {
     /// A usable update: legacy fp32, or a codec run that decoded cleanly
@@ -973,8 +785,8 @@ fn classify_reply(msg: Message, sent: &HashMap<(usize, usize), (ArchMask, usize)
 
 /// Everything one worker's phase-2 interaction produced. Committed into
 /// the round outcome strictly in participant order by
-/// [`merge_worker_round`], so the pipelined engine updates every data
-/// structure the next round reads exactly as the serial reference would.
+/// [`merge_worker_round`], so the event loop updates every data structure
+/// the next round reads exactly as the serial oracle would.
 #[derive(Default)]
 pub(crate) struct WorkerRound {
     pub(crate) reports: Vec<BackendReport>,
@@ -997,12 +809,17 @@ pub(crate) struct WorkerRound {
     pub(crate) validate_ns: u64,
 }
 
-/// Synchronizes concurrent collectors on the set of successful downloads
-/// so the quorum target is derived from the same population the serial
-/// engine sees: workers that were eligible at ship time *and* whose
-/// download actually went out. Every spawned collector records its send
-/// outcome; [`SendGate::target`] blocks until all have, then computes the
-/// target from the survivors — exactly serial's post-ship `eligible`.
+/// The commit-on-quorum rule both modes share: the fraction is taken of
+/// the workers whose download actually went out.
+fn quorum_target(frac: f64, shipped: usize) -> usize {
+    ((frac * shipped as f64).ceil() as usize).clamp(1, shipped.max(1))
+}
+
+/// Lets concurrent collectors agree on the quorum population the serial
+/// oracle sees: workers eligible at ship time *and* whose download
+/// actually went out. Every eligible link records its first send's
+/// outcome; until all have, the target is unknown and no link's wait may
+/// expire.
 pub(crate) struct SendGate {
     spawned: usize,
     frac: f64,
@@ -1027,84 +844,31 @@ impl SendGate {
         self.done.fetch_add(1, Ordering::Release);
     }
 
-    pub(crate) fn target(&self) -> usize {
-        // sends are bounded by the shaped-link sleep, so this settles in
-        // at most one download's transmission time
-        while self.done.load(Ordering::Acquire) < self.spawned {
-            std::thread::sleep(Duration::from_micros(50));
+    /// The quorum target, or `None` while some link's first send is still
+    /// on its timer.
+    pub(crate) fn target(&self) -> Option<usize> {
+        if self.done.load(Ordering::Acquire) < self.spawned {
+            return None;
         }
-        let eligible = self.spawned - self.failed.load(Ordering::Relaxed);
-        ((self.frac * eligible as f64).ceil() as usize).clamp(1, eligible.max(1))
+        let shipped = self.spawned - self.failed.load(Ordering::Relaxed);
+        Some(quorum_target(self.frac, shipped))
     }
 }
 
-/// Where [`collect_worker`] gets its quorum target from.
-#[derive(Clone, Copy)]
-enum QuorumSource<'a> {
-    /// Precomputed by the caller (serial mode: after the ship loop).
-    Fixed(usize),
-    /// Resolved from a [`SendGate`] once every concurrent download has
-    /// been attempted (pipelined mode).
-    Gate(&'a SendGate),
-}
-
-/// How [`collect_worker`] waits for a reply.
-#[derive(Clone, Copy)]
-enum WaitMode {
-    /// One blocking `recv_timeout` per logical wait; the quorum counter
-    /// is consulted once up front — the serial reference behaviour.
-    Blocking,
-    /// Millisecond-sliced waits that re-check the shared quorum counter
-    /// between slices, so a concurrent collector notices a quorum met by
-    /// its peers and collapses its remaining budget to the drain window.
-    Sliced,
-}
-
-/// One logical wait for a reply frame under the quorum rule: a worker
-/// whose quorum is already met only gets the short `drain` window
-/// ([`RpcConfig::quorum_drain`]); otherwise the full per-attempt deadline.
-fn wait_reply(
-    link: &mut Link,
-    mode: WaitMode,
-    on_time: &AtomicUsize,
-    quorum_target: usize,
-    deadline: Duration,
-    drain: Duration,
-) -> Result<Vec<u8>, TransportError> {
-    match mode {
-        WaitMode::Blocking => {
-            let met = on_time.load(Ordering::Relaxed) >= quorum_target;
-            let wait = if met { drain } else { deadline };
-            link.recv_timeout(wait)
-        }
-        WaitMode::Sliced => {
-            const SLICE: Duration = Duration::from_millis(1);
-            let mut elapsed = Duration::ZERO;
-            // the drain clock starts when the quorum transition is first
-            // observed — a straggler gets the full drain window of fresh
-            // waiting from that moment, mirroring the serial engine's
-            // fresh drain window per straggler
-            let mut met_at: Option<Duration> = None;
-            loop {
-                if met_at.is_none() && on_time.load(Ordering::Relaxed) >= quorum_target {
-                    met_at = Some(elapsed);
-                }
-                let (budget, base) = match met_at {
-                    Some(m) => (drain, m),
-                    None => (deadline, Duration::ZERO),
-                };
-                let spent = elapsed - base;
-                if spent >= budget {
-                    return Err(TransportError::Timeout);
-                }
-                let wait = (budget - spent).min(SLICE);
-                match link.recv_timeout(wait) {
-                    Err(TransportError::Timeout) => elapsed += wait,
-                    other => return other,
-                }
-            }
-        }
-    }
+/// What every collector of one round reads: the staged download frames,
+/// what was shipped to whom, the attribution books as of the start of
+/// phase 2 (complete for each link's own keys, because only that link
+/// delivers them) and the shared on-time counter.
+pub(crate) struct Staged<'a> {
+    pub(crate) t: usize,
+    pub(crate) config: &'a RpcConfig,
+    pub(crate) frames: &'a [Vec<u8>],
+    pub(crate) expected_lens: &'a [usize],
+    pub(crate) masks: &'a [ArchMask],
+    pub(crate) bandwidths: &'a [f64],
+    pub(crate) sent_masks: &'a HashMap<(usize, usize), (ArchMask, usize)>,
+    pub(crate) delivered: &'a HashSet<(usize, usize)>,
+    pub(crate) on_time: &'a AtomicUsize,
 }
 
 /// What [`absorb_reply_frame`] tells the caller to do next.
@@ -1117,28 +881,24 @@ pub(crate) enum FrameStep {
     KeepWaiting,
 }
 
-/// Absorbs one received reply frame into a [`WorkerRound`]: decode,
-/// classify, deduplicate, late-attribute, and run the validation gate on
-/// on-time reports. This is the single shared frame path for all three
-/// engine modes — blocking collectors call it from their wait loop, the
-/// reactor calls it from its readiness sweep — so classification and gate
-/// semantics cannot drift between modes.
-#[allow(clippy::too_many_arguments)]
+/// Absorbs one reply frame received on participant `p`'s link into its
+/// [`WorkerRound`]: decode, classify, deduplicate, late-attribute, and
+/// run the validation gate on on-time reports. The single frame path of
+/// both modes — the serial oracle calls it from its blocking wait, the
+/// event loop from its readiness sweep — so classification and gate
+/// semantics cannot drift between them.
 pub(crate) fn absorb_reply_frame(
     wr: &mut WorkerRound,
     frame_in: &[u8],
-    t: usize,
-    expected_len: usize,
-    mask: &ArchMask,
-    sent_masks: &HashMap<(usize, usize), (ArchMask, usize)>,
-    delivered: &HashSet<(usize, usize)>,
-    on_time: &AtomicUsize,
-    update_norm_bound: Option<f32>,
+    p: usize,
+    s: &Staged<'_>,
 ) -> FrameStep {
+    let t = s.t;
+    let delivered = s.delivered;
     wr.bytes_up += frame_in.len() as u64;
     let decode_start = Instant::now();
     let classified = match decode(frame_in) {
-        Ok(msg) => classify_reply(msg, sent_masks),
+        Ok(msg) => classify_reply(msg, s.sent_masks),
         Err(_) => Reply::Noise, // corruption: drop
     };
     wr.decode_ns = wr
@@ -1177,7 +937,11 @@ pub(crate) fn absorb_reply_frame(
             // aggregation would consume.
             let gate_start = Instant::now();
             let verdict = if report.accuracy.is_finite() && report.loss.is_finite() {
-                validate_update(&report.grads, expected_len, update_norm_bound)
+                validate_update(
+                    &report.grads,
+                    s.expected_lens[p],
+                    s.config.update_norm_bound,
+                )
             } else {
                 Err(UpdateRejection::NonFinite)
             };
@@ -1187,11 +951,11 @@ pub(crate) fn absorb_reply_frame(
             match verdict {
                 Ok(()) => {
                     wr.reports.push(BackendReport {
-                        mask: mask.clone(),
+                        mask: s.masks[p].clone(),
                         ..report
                     });
                     wr.got = true;
-                    on_time.fetch_add(1, Ordering::Relaxed);
+                    s.on_time.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(UpdateRejection::ShapeMismatch { .. }) => {
                     wr.rejected = true;
@@ -1211,7 +975,7 @@ pub(crate) fn absorb_reply_frame(
         std::cmp::Ordering::Less => {
             // a reply that missed an earlier deadline; attribute it and
             // keep waiting for round t
-            if let Some((late_mask, _)) = sent_masks.get(&(r, pid)) {
+            if let Some((late_mask, _)) = s.sent_masks.get(&(r, pid)) {
                 wr.delivered.push((r, pid));
                 if let Some(c) = comp {
                     wr.comp.push(c);
@@ -1227,100 +991,52 @@ pub(crate) fn absorb_reply_frame(
     }
 }
 
-/// Phase 2 for a single worker: (optionally) ship its download, then wait
-/// for its reply under deadline + quorum + bounded retry, decoding and
-/// validating whatever arrives. Mutates only this worker's handle; every
-/// cross-worker effect is returned in the [`WorkerRound`] and committed
-/// by [`merge_worker_round`] in participant order. `delivered` is the
-/// global set as of the start of phase 2 — complete for this link's keys
-/// because only this link delivers them (local additions are tracked in
-/// the result).
-#[allow(clippy::too_many_arguments)]
+/// The serial oracle's phase 2 for one worker: block on its link for the
+/// reply under deadline + quorum + bounded retry, decoding and validating
+/// whatever arrives. The quorum is consulted once per wait — a worker
+/// reached after the quorum reported only gets the drain window — and
+/// both the backoff and the shaped resend sleep.
 fn collect_worker(
     p: usize,
-    t: usize,
     w: &mut WorkerHandle,
-    config: &RpcConfig,
-    frame: &[u8],
-    expected_len: usize,
-    mask: &ArchMask,
-    sent_masks: &HashMap<(usize, usize), (ArchMask, usize)>,
-    delivered: &HashSet<(usize, usize)>,
-    on_time: &AtomicUsize,
-    quorum: QuorumSource<'_>,
-    bandwidth_mbps: f64,
-    wait: WaitMode,
-    send_first: bool,
-) -> WorkerRound {
-    let mut wr = WorkerRound::default();
-    let transport = w.transport.as_mut().expect("live worker has transport");
-    if send_first {
-        let ship_start = Instant::now();
-        transport.set_mbps(bandwidth_mbps);
-        let sent = transport.send(frame);
-        if let QuorumSource::Gate(gate) = quorum {
-            gate.record(sent.is_ok());
-        }
-        match sent {
-            Ok(()) => wr.bytes_down += frame.len() as u64,
-            Err(_) => {
-                w.alive = false;
-                return wr;
-            }
-        }
-        wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
-    }
-    let quorum_target = match quorum {
-        QuorumSource::Fixed(n) => n,
-        QuorumSource::Gate(gate) => gate.target(),
-    };
+    wr: &mut WorkerRound,
+    s: &Staged<'_>,
+    quorum_target: usize,
+) {
+    let link = w.transport.as_mut().expect("live worker has transport");
+    let quorum_met = || s.on_time.load(Ordering::Relaxed) >= quorum_target;
     let mut attempts = 0usize;
     loop {
+        let wait = if quorum_met() {
+            s.config.quorum_drain
+        } else {
+            s.config.deadline
+        };
         let wait_start = Instant::now();
-        let received = wait_reply(
-            transport,
-            wait,
-            on_time,
-            quorum_target,
-            config.deadline,
-            config.quorum_drain,
-        );
+        let received = link.recv_timeout(wait);
         wr.collect_ns = wr
             .collect_ns
             .saturating_add(wait_start.elapsed().as_nanos() as u64);
         match received {
             Ok(frame_in) => {
-                match absorb_reply_frame(
-                    &mut wr,
-                    &frame_in,
-                    t,
-                    expected_len,
-                    mask,
-                    sent_masks,
-                    delivered,
-                    on_time,
-                    config.update_norm_bound,
-                ) {
-                    FrameStep::Done => break,
-                    FrameStep::KeepWaiting => {}
+                if absorb_reply_frame(wr, &frame_in, p, s) == FrameStep::Done {
+                    break;
                 }
             }
             Err(TransportError::Timeout) => {
-                let quorum_met = on_time.load(Ordering::Relaxed) >= quorum_target;
-                if !quorum_met && attempts < config.max_retries {
-                    let salt = ((t as u64) << 32) | p as u64;
-                    std::thread::sleep(backoff_delay(config.retry_backoff, attempts, salt));
-                    attempts += 1;
-                    wr.retransmits += 1;
-                    match transport.send(frame) {
-                        Ok(()) => wr.bytes_down += frame.len() as u64,
-                        Err(_) => {
-                            w.alive = false;
-                            break;
-                        }
-                    }
-                } else {
+                if quorum_met() || attempts >= s.config.max_retries {
                     break; // late: the reply, if any, surfaces next round
+                }
+                let salt = ((s.t as u64) << 32) | p as u64;
+                std::thread::sleep(backoff_delay(s.config.retry_backoff, attempts, salt));
+                attempts += 1;
+                wr.retransmits += 1;
+                match link.send(&s.frames[p]) {
+                    Ok(()) => wr.bytes_down += s.frames[p].len() as u64,
+                    Err(_) => {
+                        w.alive = false;
+                        break;
+                    }
                 }
             }
             Err(_) => {
@@ -1329,7 +1045,39 @@ fn collect_worker(
             }
         }
     }
-    wr
+}
+
+/// [`EngineMode::Serial`]: ship every download up front (workers train in
+/// parallel), then collect strictly in participant order.
+fn collect_serial(
+    workers: &mut [WorkerHandle],
+    eligible: &[bool],
+    s: &Staged<'_>,
+) -> Vec<(usize, WorkerRound)> {
+    let mut rounds = Vec::new();
+    for (p, w) in workers.iter_mut().enumerate() {
+        if !eligible[p] {
+            continue;
+        }
+        let mut wr = WorkerRound::default();
+        let link = w.transport.as_mut().expect("live worker has transport");
+        let ship_start = Instant::now();
+        link.set_mbps(s.bandwidths[p]);
+        match link.send(&s.frames[p]) {
+            Ok(()) => wr.bytes_down += s.frames[p].len() as u64,
+            Err(_) => w.alive = false,
+        }
+        wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
+        rounds.push((p, wr));
+    }
+    let shipped = rounds.iter().filter(|(p, _)| workers[*p].alive).count();
+    let target = quorum_target(s.config.quorum_frac, shipped);
+    for (p, wr) in rounds.iter_mut() {
+        if workers[*p].alive {
+            collect_worker(*p, &mut workers[*p], wr, s, target);
+        }
+    }
+    rounds
 }
 
 /// Re-admits an evicted worker after a heartbeat. Re-admission is a
@@ -1347,8 +1095,7 @@ fn readmit(w: &mut WorkerHandle, out: &mut RoundOutcome) {
 }
 
 /// Commits one worker's phase-2 results into the round outcome and
-/// applies the miss/reject streak + eviction transition — the same state
-/// commit the serial engine performs inline after each worker's loop.
+/// applies the miss/reject streak + eviction transition.
 fn merge_worker_round(
     out: &mut RoundOutcome,
     delivered: &mut HashSet<(usize, usize)>,
@@ -1392,47 +1139,40 @@ fn merge_worker_round(
     }
 }
 
-impl RoundBackend for RpcBackend {
-    fn run_round(&mut self, request: RoundRequest<'_>) -> RoundOutcome {
-        let t = request.round;
-        let k = request.masks.len();
-        let masks = request.masks;
-        let bandwidths = request.bandwidths_mbps;
-        let active_slots = request.active;
-        let is_active = |p: usize| active_slots.is_none_or(|a| a.get(p).copied().unwrap_or(true));
-        let mut out = RoundOutcome {
-            download_frame_bytes: vec![0; k],
-            ..Default::default()
-        };
-        let RpcBackend {
-            workers,
-            config,
-            sent_masks,
-            delivered,
-            download_frames,
-            weights_buf,
-            buffers_buf,
-            expected_lens,
-            growth,
-            ..
-        } = self;
-        let config: &RpcConfig = config;
-        // prune attribution history beyond the late-reply horizon
-        sent_masks.retain(|&(r, _), _| r + HISTORY_ROUNDS > t);
-        delivered.retain(|&(r, _)| r + HISTORY_ROUNDS > t);
-        // --- phase 0: service evicted workers ---
-        // Drain whatever their links buffered (late replies are attributed,
-        // a heartbeat re-admits), then probe the still-evicted for life.
-        // Slots whose sampled client is out this round are skipped: an
-        // unavailable client can neither be probed nor heartbeat back, so
-        // re-admission composes with the availability schedule.
-        for (p, w) in workers.iter_mut().enumerate() {
-            if !w.alive || !w.evicted || !is_active(p) {
+/// One round in flight — the request and the outcome under construction —
+/// handed through the phases in order: [`RpcBackend::service_evicted`],
+/// [`RpcBackend::stage_downloads`], [`RpcBackend::collect`],
+/// [`RpcBackend::commit`].
+struct RoundCtx<'a> {
+    req: RoundRequest<'a>,
+    out: RoundOutcome,
+}
+
+impl RoundCtx<'_> {
+    /// `false` when slot `p`'s sampled client is out this round.
+    fn is_active(&self, p: usize) -> bool {
+        let active = self.req.active;
+        active.is_none_or(|a| a.get(p).copied().unwrap_or(true))
+    }
+}
+
+impl RpcBackend {
+    /// Phase 0: drain whatever the evicted workers' links buffered (late
+    /// replies are attributed, a heartbeat re-admits), then probe the
+    /// still-evicted for life. Slots whose sampled client is out this
+    /// round are skipped: an unavailable client can neither be probed nor
+    /// heartbeat back, so re-admission composes with the availability
+    /// schedule.
+    fn service_evicted(&mut self, ctx: &mut RoundCtx<'_>) {
+        let t = ctx.req.round;
+        for (p, w) in self.workers.iter_mut().enumerate() {
+            if !w.alive || !w.evicted || !ctx.is_active(p) {
                 continue;
             }
+            let out = &mut ctx.out;
             loop {
-                let transport = w.transport.as_mut().expect("live worker has transport");
-                let Ok(frame) = transport.recv_timeout(EVICTED_DRAIN) else {
+                let link = w.transport.as_mut().expect("live worker has transport");
+                let Ok(frame) = link.recv_timeout(EVICTED_DRAIN) else {
                     break;
                 };
                 out.bytes_up += frame.len() as u64;
@@ -1441,278 +1181,166 @@ impl RoundBackend for RpcBackend {
                     Err(_) => continue,
                 };
                 if let Message::Heartbeat { .. } = msg {
-                    readmit(w, &mut out);
+                    readmit(w, out);
                     continue;
                 }
-                if let Reply::Report { r, report, comp } = classify_reply(msg, sent_masks) {
-                    let pid = report.participant;
-                    if r < t && !delivered.contains(&(r, pid)) {
-                        if let Some((mask, _)) = sent_masks.get(&(r, pid)) {
-                            delivered.insert((r, pid));
-                            if let Some((c, raw, enc)) = comp {
-                                out.compression.record(c, raw, enc);
-                            }
-                            out.late.push(BackendReport {
-                                mask: mask.clone(),
-                                ..report
-                            });
-                        }
+                let Reply::Report { r, report, comp } = classify_reply(msg, &self.sent_masks)
+                else {
+                    continue;
+                };
+                let key = (r, report.participant);
+                if r >= t || self.delivered.contains(&key) {
+                    continue;
+                }
+                if let Some((mask, _)) = self.sent_masks.get(&key) {
+                    self.delivered.insert(key);
+                    if let Some((c, raw, enc)) = comp {
+                        out.compression.record(c, raw, enc);
                     }
+                    out.late.push(BackendReport {
+                        mask: mask.clone(),
+                        ..report
+                    });
                 }
             }
             if w.evicted {
-                let transport = w.transport.as_mut().expect("live worker has transport");
+                let link = w.transport.as_mut().expect("live worker has transport");
                 let probe = encode(&Message::Ack { round: t as u64 });
-                match transport.send(&probe) {
+                match link.send(&probe) {
                     Ok(()) => out.bytes_down += probe.len() as u64,
                     Err(_) => w.alive = false,
                 }
             }
         }
-        // --- phase 1: encode downloads into reusable frame buffers ---
-        // All frames are staged before anything ships, so the pipelined
-        // mode can hand each collector thread an immutable `&[u8]` and the
-        // serial mode replays the exact legacy send loop over them.
+    }
+
+    /// Phase 1: encode every active slot's download into its reusable
+    /// frame buffer and book what was shipped to whom. All frames are
+    /// staged before anything ships, so collectors share them as
+    /// immutable `&[u8]`s.
+    fn stage_downloads(&mut self, ctx: &mut RoundCtx<'_>) {
         let prep_start = Instant::now();
-        if download_frames.len() < k {
-            download_frames.resize_with(k, Vec::new);
+        let t = ctx.req.round;
+        let k = ctx.req.masks.len();
+        if self.download_frames.len() < k {
+            self.download_frames.resize_with(k, Vec::new);
         }
-        let mut submodels = request.submodels;
+        let mut submodels = std::mem::take(&mut ctx.req.submodels);
         // a reply's gradient vector must match the shipped sub-model's
         // parameter count exactly; the gate checks against this
-        expected_lens.clear();
+        self.expected_lens.clear();
         for (p, sub) in submodels.iter_mut().enumerate() {
-            if !is_active(p) {
+            if !ctx.is_active(p) {
                 // nothing ships to an inactive slot: no frame, no
                 // sent-mask entry (there is no reply to attribute), zero
                 // measured download bytes
-                expected_lens.push(0);
+                self.expected_lens.push(0);
                 continue;
             }
-            let w_cap = weights_buf.capacity();
-            let b_cap = buffers_buf.capacity();
-            let f_cap = download_frames[p].capacity();
-            weights_buf.clear();
-            sub.visit_params(&mut |pp| weights_buf.extend_from_slice(pp.value.as_slice()));
-            expected_lens.push(weights_buf.len());
-            buffers_buf.clear();
-            sub.visit_buffers(&mut |b| buffers_buf.extend_from_slice(b));
+            let (weights, buffers) = (&mut self.weights_buf, &mut self.buffers_buf);
+            let frame = &mut self.download_frames[p];
+            let caps = [weights.capacity(), buffers.capacity(), frame.capacity()];
+            weights.clear();
+            sub.visit_params(&mut |pp| weights.extend_from_slice(pp.value.as_slice()));
+            self.expected_lens.push(weights.len());
+            buffers.clear();
+            sub.visit_buffers(&mut |b| buffers.extend_from_slice(b));
             // fp32 stays byte-identical to the pre-codec protocol;
             // otherwise the codec is resolved per participant from this
             // round's sampled link speed
-            let codec = if config.codec.is_fp32() {
+            let codec = if self.config.codec.is_fp32() {
                 None
             } else {
-                let spec = resolve_codec(config.codec, bandwidths[p]);
+                let spec = resolve_codec(self.config.codec, ctx.req.bandwidths_mbps[p]);
                 Some((spec.tag(), spec.param()))
             };
             encode_download_into(
-                &mut download_frames[p],
+                frame,
                 t as u64,
-                request.seed_base,
-                &masks[p],
-                weights_buf,
-                buffers_buf,
-                request.alpha_logits,
+                ctx.req.seed_base,
+                &ctx.req.masks[p],
+                weights,
+                buffers,
+                ctx.req.alpha_logits,
                 codec,
             );
-            note_growth(growth, w_cap, weights_buf.capacity());
-            note_growth(growth, b_cap, buffers_buf.capacity());
-            note_growth(growth, f_cap, download_frames[p].capacity());
-            out.download_frame_bytes[p] = download_frames[p].len() as u64;
-            sent_masks.insert((t, p), (masks[p].clone(), expected_lens[p]));
+            note_growth(&self.growth, caps[0], weights.capacity());
+            note_growth(&self.growth, caps[1], buffers.capacity());
+            note_growth(&self.growth, caps[2], frame.capacity());
+            ctx.out.download_frame_bytes[p] = frame.len() as u64;
+            let shipped = (ctx.req.masks[p].clone(), self.expected_lens[p]);
+            self.sent_masks.insert((t, p), shipped);
         }
-        out.timings.ship_ns = out
-            .timings
-            .ship_ns
-            .saturating_add(prep_start.elapsed().as_nanos() as u64);
-        let frames: &[Vec<u8>] = download_frames;
-        if config.engine == EngineMode::Serial {
-            // serial reference: ship every download up front, workers
-            // train in parallel, then collect strictly in participant
-            // order below
-            let ship_start = Instant::now();
-            for (p, w) in workers.iter_mut().enumerate().take(k) {
-                if w.alive && !w.evicted && is_active(p) {
-                    let transport = w.transport.as_mut().expect("live worker has transport");
-                    transport.set_mbps(bandwidths[p]);
-                    match transport.send(&frames[p]) {
-                        Ok(()) => out.bytes_down += frames[p].len() as u64,
-                        Err(_) => w.alive = false,
-                    }
-                }
-            }
-            out.timings.ship_ns = out
-                .timings
-                .ship_ns
-                .saturating_add(ship_start.elapsed().as_nanos() as u64);
-        }
-        // --- phase 2: collect replies under deadline + quorum + retry ---
-        // once the quorum has reported, stragglers only get a short drain
-        // window and no retransmissions
-        let eligible = workers
+        ctx.out.timings.ship_ns = prep_start.elapsed().as_nanos() as u64;
+    }
+
+    /// Phase 2: ship the staged downloads and collect replies under
+    /// deadline + quorum + retry — once the quorum has reported,
+    /// stragglers only get a short drain window and no retransmissions.
+    /// Returns each eligible worker's results in participant order.
+    fn collect(&mut self, ctx: &RoundCtx<'_>) -> Vec<(usize, WorkerRound)> {
+        let k = ctx.req.masks.len().min(self.workers.len());
+        let workers = &mut self.workers[..k];
+        let eligible: Vec<bool> = workers
             .iter()
             .enumerate()
-            .take(k)
-            .filter(|(p, w)| w.alive && !w.evicted && is_active(*p))
-            .count();
-        let quorum_target =
-            ((config.quorum_frac * eligible as f64).ceil() as usize).clamp(1, eligible.max(1));
+            .map(|(p, w)| w.alive && !w.evicted && ctx.is_active(p))
+            .collect();
         let on_time = AtomicUsize::new(0);
-        match config.engine {
-            EngineMode::Serial => {
-                for (p, w) in workers.iter_mut().enumerate().take(k) {
-                    if !w.alive || w.evicted || !is_active(p) {
-                        continue;
-                    }
-                    let wr = collect_worker(
-                        p,
-                        t,
-                        w,
-                        config,
-                        &frames[p],
-                        expected_lens[p],
-                        &masks[p],
-                        sent_masks,
-                        delivered,
-                        &on_time,
-                        QuorumSource::Fixed(quorum_target),
-                        bandwidths[p],
-                        WaitMode::Blocking,
-                        false,
-                    );
-                    merge_worker_round(&mut out, delivered, w, wr, config);
-                }
-            }
-            EngineMode::Pipelined => {
-                // one scoped collector per eligible worker: the shaped
-                // send, the deadline wait, decode and the validation gate
-                // all overlap across links. Collectors read the global
-                // `sent_masks`/`delivered` snapshots immutably — link p
-                // only ever carries participant p's replies, so local
-                // additions are disjoint — and results are committed in
-                // participant order below, bit-identically to serial.
-                let sent_ref: &HashMap<(usize, usize), (ArchMask, usize)> = sent_masks;
-                let delivered_ref: &HashSet<(usize, usize)> = delivered;
-                let on_time_ref = &on_time;
-                // `eligible` here is the pre-send population — the gate
-                // subtracts failed sends so every collector derives the
-                // same post-ship quorum target the serial engine computes
-                let gate = SendGate::new(eligible, config.quorum_frac);
-                let gate_ref = &gate;
-                let rounds: Vec<Option<WorkerRound>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = workers
-                        .iter_mut()
-                        .enumerate()
-                        .take(k)
-                        .map(|(p, w)| {
-                            if !w.alive || w.evicted || !is_active(p) {
-                                return None;
-                            }
-                            let frame = &frames[p];
-                            let expected_len = expected_lens[p];
-                            let mask = &masks[p];
-                            let mbps = bandwidths[p];
-                            Some(scope.spawn(move || {
-                                collect_worker(
-                                    p,
-                                    t,
-                                    w,
-                                    config,
-                                    frame,
-                                    expected_len,
-                                    mask,
-                                    sent_ref,
-                                    delivered_ref,
-                                    on_time_ref,
-                                    QuorumSource::Gate(gate_ref),
-                                    mbps,
-                                    WaitMode::Sliced,
-                                    true,
-                                )
-                            }))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.map(|h| h.join().expect("collector thread panicked")))
-                        .collect()
-                });
-                for (p, wr) in rounds.into_iter().enumerate() {
-                    if let Some(wr) = wr {
-                        merge_worker_round(&mut out, delivered, &mut workers[p], wr, config);
-                    }
-                }
-            }
-            EngineMode::Reactor => {
-                // bounded collector pool: T scoped threads, each driving a
-                // contiguous chunk of links through nonblocking readiness
-                // sweeps with per-link deadline/retry/drain state machines.
-                // Shared snapshots and the send gate work exactly as in
-                // pipelined mode; chunks are contiguous and each returns
-                // its results in participant order, so the commit loop
-                // below is the same in-order merge as the other modes.
-                let kk = k.min(workers.len());
-                let eligibility: Vec<bool> = workers
-                    .iter()
-                    .enumerate()
-                    .take(kk)
-                    .map(|(p, w)| w.alive && !w.evicted && is_active(p))
-                    .collect();
-                let threads = crate::reactor::pool_size(config.reactor_threads, eligible.max(1));
-                let chunk_len = kk.div_ceil(threads).max(1);
-                let sent_ref: &HashMap<(usize, usize), (ArchMask, usize)> = sent_masks;
-                let delivered_ref: &HashSet<(usize, usize)> = delivered;
-                let on_time_ref = &on_time;
-                let gate = SendGate::new(eligible, config.quorum_frac);
-                let gate_ref = &gate;
-                let lens: &[usize] = expected_lens;
-                let elig_ref: &[bool] = &eligibility;
-                let rounds: Vec<(usize, WorkerRound)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = workers[..kk]
-                        .chunks_mut(chunk_len)
-                        .enumerate()
-                        .map(|(ci, chunk)| {
-                            let base = ci * chunk_len;
-                            scope.spawn(move || {
-                                crate::reactor::collect_chunk(
-                                    chunk,
-                                    base,
-                                    t,
-                                    config,
-                                    frames,
-                                    lens,
-                                    masks,
-                                    sent_ref,
-                                    delivered_ref,
-                                    on_time_ref,
-                                    gate_ref,
-                                    bandwidths,
-                                    elig_ref,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("reactor collector panicked"))
-                        .collect()
-                });
-                for (p, wr) in rounds {
-                    merge_worker_round(&mut out, delivered, &mut workers[p], wr, config);
-                }
-            }
+        let staged = Staged {
+            t: ctx.req.round,
+            config: &self.config,
+            frames: &self.download_frames,
+            expected_lens: &self.expected_lens,
+            masks: ctx.req.masks,
+            bandwidths: ctx.req.bandwidths_mbps,
+            sent_masks: &self.sent_masks,
+            delivered: &self.delivered,
+            on_time: &on_time,
+        };
+        match self.config.engine {
+            EngineMode::Serial => collect_serial(workers, &eligible, &staged),
+            EngineMode::Reactor => crate::reactor::collect(workers, &eligible, &staged),
         }
-        // fold per-link injected-fault counters into the round outcome
-        for w in workers.iter_mut() {
+    }
+
+    /// Phase 3: commit every worker's results in participant order, fold
+    /// the per-link injected-fault counters in, and sort the reports into
+    /// the in-process path's aggregation order.
+    fn commit(&mut self, ctx: &mut RoundCtx<'_>, rounds: Vec<(usize, WorkerRound)>) {
+        let out = &mut ctx.out;
+        for (p, wr) in rounds {
+            let w = &mut self.workers[p];
+            merge_worker_round(out, &mut self.delivered, w, wr, &self.config);
+        }
+        for w in self.workers.iter_mut() {
             if let Some(link) = w.transport.as_mut() {
                 out.faults.merge(&link.inner_mut().take_tally());
             }
         }
-        // aggregation order must match the in-process path exactly
         out.reports.sort_by_key(|r| r.participant);
         out.late.sort_by_key(|r| (r.computed_at, r.participant));
-        out
+    }
+}
+
+impl RoundBackend for RpcBackend {
+    fn run_round(&mut self, request: RoundRequest<'_>) -> RoundOutcome {
+        let t = request.round;
+        let mut ctx = RoundCtx {
+            out: RoundOutcome {
+                download_frame_bytes: vec![0; request.masks.len()],
+                ..Default::default()
+            },
+            req: request,
+        };
+        // prune attribution history beyond the late-reply horizon
+        self.sent_masks.retain(|&(r, _), _| r + HISTORY_ROUNDS > t);
+        self.delivered.retain(|&(r, _)| r + HISTORY_ROUNDS > t);
+        self.service_evicted(&mut ctx);
+        self.stage_downloads(&mut ctx);
+        let rounds = self.collect(&ctx);
+        self.commit(&mut ctx, rounds);
+        ctx.out
     }
 
     fn describe(&self) -> String {
@@ -1737,17 +1365,11 @@ impl RoundBackend for RpcBackend {
 
 impl Drop for RpcBackend {
     fn drop(&mut self) {
-        // closing the transports unblocks every worker's recv() with
-        // `Closed`; then the threads can be joined
+        // closing the transports makes every fleet link report `Closed`;
+        // a pool thread exits once all of its links have
         for w in &mut self.workers {
             w.transport = None;
         }
-        for w in &mut self.workers {
-            if let Some(join) = w.join.take() {
-                let _ = join.join();
-            }
-        }
-        // the reactor's pooled fleet exits once every link reports Closed
         for join in self.pool_joins.drain(..) {
             let _ = join.join();
         }
@@ -1842,7 +1464,6 @@ mod tests {
         };
         let mut w = WorkerHandle {
             transport: None,
-            join: None,
             alive: true,
             evicted: false,
             miss_streak: 0,

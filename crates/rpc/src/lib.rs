@@ -21,9 +21,11 @@
 //!   scaling, Gaussian noise, collusion, stale replay, NaN floods) applied
 //!   to the uploaded model update only, so the server-side validation gate
 //!   and robust aggregators are exercised under reproducible attacks.
-//! * [`engine`] — one worker thread per participant behind a per-round
-//!   deadline with bounded saturating/jittered retry backoff; late replies
-//!   flow into the server's soft-synchronization staleness path. Quorum
+//! * [`engine`] — a bounded pool of worker threads serving every
+//!   participant, and an event loop collecting their replies under a
+//!   per-round deadline with bounded saturating/jittered retry backoff;
+//!   late replies flow into the server's soft-synchronization staleness
+//!   path. Quorum
 //!   commit, eviction of repeatedly silent workers and heartbeat
 //!   re-admission degrade gracefully under faults. Implements the
 //!   [`RoundBackend`](fedrlnas_core::RoundBackend) seam, so

@@ -1,66 +1,91 @@
-//! Event-driven scale engine: a bounded reactor instead of a thread per
-//! participant.
+//! The round engine's event loops: bounded pools instead of a thread per
+//! participant, timers instead of sleeps.
 //!
-//! The legacy modes cost two OS threads per participant (one worker, one
-//! pipelined collector) — fine at 64, hopeless at 10k. This module drives
-//! both sides of every link from bounded pools sized by
+//! Both sides of every link are driven from pools sized by
 //! [`RpcConfig::reactor_threads`] (default: the `FEDRLNAS_NUM_THREADS`
-//! convention, falling back to the machine's parallelism):
+//! convention, falling back to the machine's parallelism; never more than
+//! one thread per link):
 //!
 //! * **Worker fleet** — participants are split into contiguous shards, one
 //!   pool thread per shard. Each thread owns *one* supernet structure
 //!   (weights always arrive over the wire, so nothing training-relevant
 //!   lives in it) plus a [`WorkerState`] per participant, and sweeps its
-//!   links with the nonblocking [`Transport::poll_recv`] readiness probe,
-//!   sleeping briefly only when a full sweep finds nothing. A thread exits
-//!   once every one of its links has closed.
-//! * **Server collector** — phase 2 partitions the eligible links into
-//!   contiguous chunks, one scoped pool thread per chunk. Each link gets a
-//!   small state machine (attempt count, wait-window start, quorum-drain
-//!   clock, scheduled retransmit time) that reproduces the sliced wait's
-//!   semantics — full per-attempt deadline before the quorum, a fresh
-//!   [`RpcConfig::quorum_drain`] window from the moment the quorum
-//!   transition is observed, bounded backed-off retransmits — without ever
-//!   blocking on a single link.
+//!   links with the nonblocking [`Transport::poll_recv`] readiness probe.
+//!   A scripted `delay` parks that one link on a timer; the thread keeps
+//!   serving its shard-mates. A thread exits once every one of its links
+//!   has closed. [`EngineMode::Serial`](crate::EngineMode) runs over the
+//!   same fleet.
+//! * **Server collector** — phase 2 partitions the links into contiguous
+//!   chunks, one scoped pool thread per chunk. Each link is a small state
+//!   machine ([`LinkCtx`]) whose waits are all timers: when its frame
+//!   reaches the wire (shaped transmission time, or retransmit backoff
+//!   plus it), when its per-attempt deadline runs out, when its
+//!   [`RpcConfig::quorum_drain`] window — opened the moment the quorum
+//!   transition is observed — closes. Shaped sends therefore overlap
+//!   across a chunk instead of summing, and no link can stall another.
+//!
+//! The only blocking call in either loop is [`idle_nap`]: a sweep that
+//! made no progress sleeps until the next due timer, or [`IDLE_NAP`] if
+//! that is sooner.
 //!
 //! Determinism: the round outcome depends only on the *set* of on-time
 //! replies and the per-link content order (see `EngineMode`), both of
 //! which are preserved — every reply frame flows through the same
-//! `absorb_reply_frame` path as the other modes, links are shipped and
-//! committed in participant order, and the quorum target comes from the
-//! same [`SendGate`]. Fault-free full-quorum rounds are therefore
-//! bit-identical to serial and pipelined; under partial quorum or injected
-//! faults the reactor inherits exactly the timing sensitivity the sliced
-//! pipelined wait already has. Scripted per-worker `delay` faults sleep on
-//! the pool thread and so stall that *shard*, not just one participant —
-//! test-harness scripting, not a production path.
+//! `absorb_reply_frame` path as the serial oracle, a link is never read
+//! while its own frame is still in flight, results commit in participant
+//! order, and the quorum target comes from the [`SendGate`]. Fault-free
+//! full-quorum rounds are therefore bit-identical to serial; under partial
+//! quorum or injected faults which stragglers make the cut is timing
+//! dependent in either mode.
 
-use std::collections::{HashMap, HashSet};
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fedrlnas_darts::{ArchMask, Supernet, SupernetConfig};
+use fedrlnas_darts::{Supernet, SupernetConfig};
 use fedrlnas_data::SyntheticDataset;
 use fedrlnas_fed::Participant;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::engine::{
     absorb_reply_frame, backoff_delay, wrap_link, FrameOutcome, FrameStep, Link, RpcConfig,
-    ScriptedFault, SendGate, WorkerHandle, WorkerRound, WorkerState,
+    ScriptedFault, SendGate, Staged, WorkerHandle, WorkerRound, WorkerState,
 };
-use crate::fault::FaultPlan;
 use crate::transport::{ChannelTransport, TcpTransport, Transport};
 use crate::wire::{decode, encode, Message};
 use crate::TransportKind;
 
-/// How long an idle sweep sleeps before re-polling its links. Far below
-/// both the quorum-drain window (5ms) and any realistic deadline, so the
-/// added wait-detection latency is noise; high enough that an idle pool
-/// thread costs ~no CPU.
-const IDLE_SWEEP: Duration = Duration::from_micros(200);
+/// The longest an idle sweep sleeps while it has links to listen on:
+/// what a reply or download that arrives mid-nap waits to be noticed. Far
+/// below the quorum-drain window (5ms) and any realistic deadline.
+/// Chosen from the `shaped_links` and `lossy_tcp` benchmark workloads:
+/// 200 µs costs a CPU-bound round ~10 % when the machine is busy (every
+/// wake-up preempts a training thread), 400 µs and 800 µs measure the
+/// same, and doubling per idle sweep buys nothing over a constant.
+const IDLE_NAP: Duration = Duration::from_micros(400);
+
+/// The event loops' one blocking call. An idle sweep sleeps until
+/// `next_due`, the earliest timer it saw; if it is also `listening` on
+/// some link — a frame could arrive before any timer fires — no longer
+/// than [`IDLE_NAP`].
+fn idle_nap(next_due: Option<Instant>, listening: bool) {
+    let until_due = next_due.map(|due| due.saturating_duration_since(Instant::now()));
+    let nap = match until_due {
+        Some(d) if listening => d.min(IDLE_NAP),
+        Some(d) => d,
+        None => IDLE_NAP,
+    };
+    if !nap.is_zero() {
+        std::thread::sleep(nap);
+    }
+}
+
+/// Folds one more timer into the earliest seen so far.
+fn earliest(next_due: &mut Option<Instant>, at: Instant) {
+    *next_due = Some(next_due.map_or(at, |due| due.min(at)));
+}
 
 /// Resolves the reactor pool size: an explicit [`RpcConfig::reactor_threads`]
 /// wins; `0` defers to the process-wide `FEDRLNAS_NUM_THREADS` convention
@@ -88,29 +113,24 @@ type FleetMember = (
 /// connects its own sockets).
 type PendingMember = (Participant, ScriptedFault, Arc<Mutex<Vec<f32>>>);
 
-/// Spawns the pooled worker fleet for [`EngineMode::Reactor`]
-/// (`EngineMode` in [`crate::engine`]): participants are partitioned into
+/// Spawns the pooled worker fleet: participants are partitioned into
 /// contiguous shards, each driven by one pool thread. Returns the
-/// server-side handles (all with `join: None`) plus the pool threads'
-/// join handles.
-#[allow(clippy::too_many_arguments)]
+/// server-side handles plus the pool threads' join handles.
 pub(crate) fn spawn_pooled_workers(
     participants: &[Participant],
     net: &SupernetConfig,
     dataset: &SyntheticDataset,
     faults: &[ScriptedFault],
-    plan: &FaultPlan,
+    config: &RpcConfig,
     residuals: &[Arc<Mutex<Vec<f32>>>],
     growth: &Arc<AtomicU64>,
-    time_scale: f64,
-    transport: TransportKind,
-    configured_threads: usize,
 ) -> (Vec<WorkerHandle>, Vec<JoinHandle<()>>) {
     let n = participants.len();
-    let threads = pool_size(configured_threads, n);
+    let threads = pool_size(config.reactor_threads, n);
     let shard_len = n.div_ceil(threads).max(1);
+    let (plan, time_scale) = (&config.fault, config.real_time_scale);
     let mut joins: Vec<JoinHandle<()>> = Vec::new();
-    match transport {
+    match config.transport {
         TransportKind::InMemory => {
             let mut handles: Vec<WorkerHandle> = Vec::with_capacity(n);
             for lo in (0..n).step_by(shard_len) {
@@ -118,14 +138,8 @@ pub(crate) fn spawn_pooled_workers(
                 let mut fleet: Vec<FleetMember> = Vec::with_capacity(hi - lo);
                 for (i, p) in participants.iter().enumerate().take(hi).skip(lo) {
                     let (server_end, worker_end) = ChannelTransport::pair();
-                    handles.push(WorkerHandle {
-                        transport: Some(wrap_link(Box::new(server_end), i, plan, time_scale)),
-                        join: None,
-                        alive: true,
-                        evicted: false,
-                        miss_streak: 0,
-                        reject_streak: 0,
-                    });
+                    let link = wrap_link(Box::new(server_end), i, plan, time_scale);
+                    handles.push(WorkerHandle::new(link));
                     fleet.push((
                         Box::new(worker_end),
                         p.clone(),
@@ -200,26 +214,26 @@ pub(crate) fn spawn_pooled_workers(
             }
             let handles = slots
                 .into_iter()
-                .map(|transport| WorkerHandle {
-                    transport: Some(transport.expect("every worker handshook")),
-                    join: None,
-                    alive: true,
-                    evicted: false,
-                    miss_streak: 0,
-                    reject_streak: 0,
-                })
+                .map(|link| WorkerHandle::new(link.expect("every worker handshook")))
                 .collect();
             (handles, joins)
         }
     }
 }
 
+/// One fleet member: its link (`None` once closed), its participant-side
+/// state, and a download held back by a scripted `delay` until it is due.
+struct Member {
+    link: Option<Box<dyn Transport>>,
+    state: WorkerState,
+    held: Option<(Instant, Vec<u8>)>,
+}
+
 /// Drives one shard of the worker fleet: readiness-sweeps every open link,
-/// handling frames through the same [`WorkerState`] path as the dedicated
-/// worker threads, and exits once all links have closed. One supernet
-/// *structure* serves the whole shard — every weight is overwritten from
-/// the wire before use, so sharing it cannot leak state across
-/// participants.
+/// handing frames to its [`WorkerState`], and exits once all links have
+/// closed. One supernet *structure* serves the whole shard — every weight
+/// is overwritten from the wire before use, so sharing it cannot leak
+/// state across participants.
 fn fleet_loop(
     fleet: Vec<FleetMember>,
     net: SupernetConfig,
@@ -233,259 +247,249 @@ fn fleet_loop(
     let mut structure_rng = StdRng::seed_from_u64(0x5EED ^ first_id as u64);
     let mut supernet = Supernet::new(net, &mut structure_rng);
     let theta_len = supernet.param_count();
-    let mut links: Vec<Option<Box<dyn Transport>>> = Vec::with_capacity(fleet.len());
-    let mut states: Vec<WorkerState> = Vec::with_capacity(fleet.len());
-    for (transport, participant, fault, residual) in fleet {
-        links.push(Some(transport));
-        states.push(WorkerState::new(
-            participant,
-            fault,
-            residual,
-            growth.clone(),
-        ));
-    }
-    let mut open = links.len();
+    let mut members: Vec<Member> = fleet
+        .into_iter()
+        .map(|(link, participant, fault, residual)| Member {
+            link: Some(link),
+            state: WorkerState::new(participant, fault, residual, growth.clone()),
+            held: None,
+        })
+        .collect();
+    let mut open = members.len();
     while open > 0 {
         let mut progressed = false;
-        for (i, slot) in links.iter_mut().enumerate() {
-            let mut close = false;
-            if let Some(transport) = slot.as_mut() {
-                // drain everything this link has ready before moving on —
-                // per-link content order is what determinism rests on
-                loop {
-                    match transport.poll_recv() {
-                        Ok(Some(frame)) => {
-                            progressed = true;
-                            if let FrameOutcome::Exit = states[i].handle_frame(
-                                &mut supernet,
-                                theta_len,
-                                &dataset,
-                                &mut **transport,
-                                &frame,
-                            ) {
-                                close = true;
-                                break;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            close = true;
-                            break;
-                        }
+        let mut listening = false;
+        let mut next_due = None;
+        for m in members.iter_mut() {
+            let Some(link) = m.link.as_mut() else {
+                continue;
+            };
+            // a held download comes first, and nothing behind it is read
+            // until it is due — per-link content order is what
+            // determinism rests on
+            if let Some((due, _)) = m.held {
+                if Instant::now() < due {
+                    earliest(&mut next_due, due);
+                    continue;
+                }
+            }
+            let mut next = match m.held.take() {
+                Some((_, frame)) => Ok(Some(frame)),
+                None => link.poll_recv(),
+            };
+            listening = true;
+            // drain everything this link has ready before moving on
+            let closed = loop {
+                let frame = match next {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break false,
+                    Err(_) => break true,
+                };
+                progressed = true;
+                match m
+                    .state
+                    .handle_frame(&mut supernet, theta_len, &dataset, &mut **link, &frame)
+                {
+                    FrameOutcome::Continue => {}
+                    FrameOutcome::Exit => break true,
+                    FrameOutcome::Delay(d) => {
+                        m.held = Some((Instant::now() + d, frame));
+                        break false;
                     }
                 }
-            } else {
-                continue;
-            }
-            if close {
-                *slot = None;
+                next = link.poll_recv();
+            };
+            if closed {
+                m.link = None;
                 open -= 1;
             }
         }
         if open > 0 && !progressed {
-            std::thread::sleep(IDLE_SWEEP);
+            idle_nap(next_due, listening);
         }
     }
 }
 
-/// Per-link collector state machine, the reactor's replacement for one
-/// blocking `collect_worker` call.
+/// Per-link collector state machine: everything the serial oracle's
+/// blocking `collect_worker` keeps on its stack and in its sleeps.
 struct LinkCtx {
-    /// Index within the chunk (`p - base`).
-    idx: usize,
-    /// Absolute participant index.
+    /// Participant index (`base +` the link's index within the chunk).
     p: usize,
     wr: WorkerRound,
-    /// Retransmissions performed so far.
+    /// Retransmissions scheduled so far (`0` while the initial download
+    /// is still in flight).
     attempts: usize,
-    /// Start of the current wait window (initial ship or last resend) —
-    /// the per-attempt deadline is measured from here, exactly like one
-    /// `wait_reply` call.
+    /// When the frame in flight — initial download or retransmit — reaches
+    /// the wire: now plus any backoff plus the shaped transmission time.
+    /// While set the link is not read, like the oracle, which sleeps
+    /// through both.
+    send_at: Option<Instant>,
+    /// When the frame last went out; the per-attempt deadline runs from
+    /// here (or from when the quorum target became known, if later).
     window_start: Instant,
     /// When this link first observed the quorum transition; from that
-    /// moment it gets a fresh [`RpcConfig::quorum_drain`] budget,
-    /// mirroring the sliced wait's fresh drain clock.
+    /// moment it gets a fresh [`RpcConfig::quorum_drain`] budget.
     met_at: Option<Instant>,
-    /// A scheduled retransmit (backoff in progress). While set, the link
-    /// is not polled — the blocking path sleeps through its backoff too.
-    resend_at: Option<Instant>,
     done: bool,
 }
 
-/// Phase 2 for one contiguous chunk of workers: ship each eligible
-/// download in participant order, then drive every link's state machine
-/// through nonblocking readiness sweeps until all are settled. Returns
-/// `(participant, WorkerRound)` pairs in participant order; the caller
-/// commits them with `merge_worker_round` exactly like the other modes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn collect_chunk(
+/// [`EngineMode::Reactor`](crate::EngineMode)'s phase 2: one scoped pool
+/// thread per contiguous chunk of links, results in participant order.
+pub(crate) fn collect(
+    workers: &mut [WorkerHandle],
+    eligible: &[bool],
+    s: &Staged<'_>,
+) -> Vec<(usize, WorkerRound)> {
+    let links = eligible.iter().filter(|e| **e).count();
+    let threads = pool_size(s.config.reactor_threads, links);
+    let chunk_len = workers.len().div_ceil(threads).max(1);
+    // every collector derives the same post-ship quorum target from it
+    let gate = &SendGate::new(links, s.config.quorum_frac);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .chunks_mut(chunk_len)
+            .enumerate()
+            .map(|(ci, chunk)| {
+                scope.spawn(move || collect_chunk(chunk, ci * chunk_len, eligible, s, gate))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("reactor collector panicked"))
+            .collect()
+    })
+}
+
+/// Phase 2 for one contiguous chunk of workers: put each eligible
+/// download on its link's send timer, then drive every link's state
+/// machine through nonblocking sweeps until all are settled. Returns
+/// `(participant, WorkerRound)` pairs in participant order.
+fn collect_chunk(
     chunk: &mut [WorkerHandle],
     base: usize,
-    t: usize,
-    config: &RpcConfig,
-    frames: &[Vec<u8>],
-    expected_lens: &[usize],
-    masks: &[ArchMask],
-    sent_masks: &HashMap<(usize, usize), (ArchMask, usize)>,
-    delivered: &HashSet<(usize, usize)>,
-    on_time: &AtomicUsize,
-    gate: &SendGate,
-    bandwidths: &[f64],
     eligible: &[bool],
+    s: &Staged<'_>,
+    gate: &SendGate,
 ) -> Vec<(usize, WorkerRound)> {
-    let mut results: Vec<(usize, WorkerRound)> = Vec::with_capacity(chunk.len());
+    let config = s.config;
+    let start = Instant::now();
     let mut ctxs: Vec<LinkCtx> = Vec::with_capacity(chunk.len());
-    // --- ship, in participant order within the chunk ---
     for (i, w) in chunk.iter_mut().enumerate() {
         let p = base + i;
         if !eligible[p] {
             continue;
         }
-        let mut wr = WorkerRound::default();
-        let transport = w.transport.as_mut().expect("live worker has transport");
-        let ship_start = Instant::now();
-        transport.set_mbps(bandwidths[p]);
-        let sent = transport.send(&frames[p]);
-        gate.record(sent.is_ok());
-        match sent {
-            Ok(()) => {
-                wr.bytes_down += frames[p].len() as u64;
-                wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
-                ctxs.push(LinkCtx {
-                    idx: i,
-                    p,
-                    wr,
-                    attempts: 0,
-                    window_start: Instant::now(),
-                    met_at: None,
-                    resend_at: None,
-                    done: false,
-                });
-            }
-            Err(_) => {
-                w.alive = false;
-                results.push((p, wr));
-            }
-        }
+        let link = w.transport.as_mut().expect("live worker has transport");
+        link.set_mbps(s.bandwidths[p]);
+        ctxs.push(LinkCtx {
+            p,
+            wr: WorkerRound::default(),
+            attempts: 0,
+            send_at: Some(start + link.send_delay(s.frames[p].len())),
+            window_start: start,
+            met_at: None,
+            done: false,
+        });
     }
-    // same post-ship quorum target every other collector derives
-    let target = gate.target();
-    // --- event loop: sweep all undone links until each settles ---
+    // the quorum target and when it became known: no wait expires before
+    let mut quorum: Option<(usize, Instant)> = None;
     let mut remaining = ctxs.len();
     while remaining > 0 {
         let mut progressed = false;
-        for c in ctxs.iter_mut() {
-            if c.done {
-                continue;
-            }
-            let w = &mut chunk[c.idx];
-            let transport = w.transport.as_mut().expect("live worker has transport");
-            if let Some(at) = c.resend_at {
+        let mut listening = false;
+        let mut next_due = None;
+        if quorum.is_none() {
+            quorum = gate.target().map(|target| (target, Instant::now()));
+        }
+        for c in ctxs.iter_mut().filter(|c| !c.done) {
+            let w = &mut chunk[c.p - base];
+            let link = w.transport.as_mut().expect("live worker has transport");
+            let frame = &s.frames[c.p];
+            if let Some(at) = c.send_at {
                 if Instant::now() < at {
-                    continue; // backoff in progress: not listening, like the blocking path
+                    earliest(&mut next_due, at);
+                    continue;
                 }
-                c.resend_at = None;
-                c.attempts += 1;
-                c.wr.retransmits += 1;
-                match transport.send(&frames[c.p]) {
-                    Ok(()) => c.wr.bytes_down += frames[c.p].len() as u64,
-                    Err(_) => {
-                        w.alive = false;
-                        c.done = true;
-                        remaining -= 1;
-                        continue;
-                    }
+                c.send_at = None;
+                progressed = true;
+                let ship_start = Instant::now();
+                let sent = link.send_now(frame);
+                if c.attempts == 0 {
+                    gate.record(sent.is_ok());
+                    c.wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
                 }
-                // a resend opens a fresh wait window, like each
-                // `wait_reply` call does in `collect_worker`
+                if sent.is_err() {
+                    w.alive = false;
+                    c.done = true;
+                    remaining -= 1;
+                    continue;
+                }
+                c.wr.bytes_down += frame.len() as u64;
+                // every send opens a fresh wait window
                 c.window_start = Instant::now();
                 c.met_at = None;
-                progressed = true;
             }
+            listening = true;
             let poll_start = Instant::now();
-            let polled = transport.poll_recv();
+            let polled = link.poll_recv();
             c.wr.collect_ns =
                 c.wr.collect_ns
                     .saturating_add(poll_start.elapsed().as_nanos() as u64);
-            match polled {
-                Ok(Some(frame_in)) => {
-                    progressed = true;
-                    if absorb_reply_frame(
-                        &mut c.wr,
-                        &frame_in,
-                        t,
-                        expected_lens[c.p],
-                        &masks[c.p],
-                        sent_masks,
-                        delivered,
-                        on_time,
-                        config.update_norm_bound,
-                    ) == FrameStep::Done
-                    {
-                        c.done = true;
-                        remaining -= 1;
-                    }
-                }
+            let frame_in = match polled {
+                Ok(Some(frame_in)) => Some(frame_in),
                 Ok(None) => {
+                    let Some((target, known_at)) = quorum else {
+                        continue;
+                    };
                     let now = Instant::now();
-                    if c.met_at.is_none() && on_time.load(Ordering::Relaxed) >= target {
+                    let quorum_met = s.on_time.load(Ordering::Relaxed) >= target;
+                    if quorum_met && c.met_at.is_none() {
                         c.met_at = Some(now);
                     }
-                    let expired = match c.met_at {
-                        Some(m) => now.duration_since(m) >= config.quorum_drain,
-                        None => now.duration_since(c.window_start) >= config.deadline,
+                    let expires = match c.met_at {
+                        Some(met) => met + config.quorum_drain,
+                        None => c.window_start.max(known_at) + config.deadline,
                     };
-                    if !expired {
+                    if now < expires {
+                        earliest(&mut next_due, expires);
                         continue;
                     }
-                    // the blocking path releases a reorder-held frame when
-                    // its recv deadline expires; mirror that before
-                    // declaring the attempt timed out
-                    if let Some(held) = transport.inner_mut().release_held() {
-                        progressed = true;
-                        if absorb_reply_frame(
-                            &mut c.wr,
-                            &held,
-                            t,
-                            expected_lens[c.p],
-                            &masks[c.p],
-                            sent_masks,
-                            delivered,
-                            on_time,
-                            config.update_norm_bound,
-                        ) == FrameStep::Done
-                        {
-                            c.done = true;
+                    // like the oracle's `recv_timeout`, release a
+                    // reorder-held frame before declaring the wait over
+                    let held = link.inner_mut().release_held();
+                    if held.is_none() {
+                        if !quorum_met && c.attempts < config.max_retries {
+                            let salt = ((s.t as u64) << 32) | c.p as u64;
+                            let backoff = backoff_delay(config.retry_backoff, c.attempts, salt);
+                            c.send_at = Some(now + backoff + link.send_delay(frame.len()));
+                            c.attempts += 1;
+                            c.wr.retransmits += 1;
+                        } else {
+                            c.done = true; // late: the reply, if any, surfaces next round
                             remaining -= 1;
                         }
-                        continue;
+                        progressed = true;
                     }
-                    let quorum_met = on_time.load(Ordering::Relaxed) >= target;
-                    if !quorum_met && c.attempts < config.max_retries {
-                        let salt = ((t as u64) << 32) | c.p as u64;
-                        c.resend_at =
-                            Some(now + backoff_delay(config.retry_backoff, c.attempts, salt));
-                    } else {
-                        c.done = true; // late: the reply, if any, surfaces next round
-                        remaining -= 1;
-                    }
+                    held
                 }
                 Err(_) => {
                     w.alive = false;
+                    c.done = true;
+                    remaining -= 1;
+                    continue;
+                }
+            };
+            if let Some(frame_in) = frame_in {
+                progressed = true;
+                if absorb_reply_frame(&mut c.wr, &frame_in, c.p, s) == FrameStep::Done {
                     c.done = true;
                     remaining -= 1;
                 }
             }
         }
         if remaining > 0 && !progressed {
-            std::thread::sleep(IDLE_SWEEP);
+            idle_nap(next_due, listening);
         }
     }
-    for c in ctxs {
-        results.push((c.p, c.wr));
-    }
-    // ship failures were pushed eagerly; interleave them back into
-    // participant order for the in-order commit
-    results.sort_by_key(|(p, _)| *p);
-    results
+    ctxs.into_iter().map(|c| (c.p, c.wr)).collect()
 }

@@ -50,7 +50,7 @@ pub trait Transport: Send {
 
     /// Readiness probe: returns a complete frame if one is already
     /// available, `Ok(None)` if the link is idle, without ever blocking.
-    /// The reactor engine drives every link through this method from a
+    /// The round engine drives every link through this method from a
     /// bounded poll loop; partially received bytes are kept across calls
     /// exactly as for [`Transport::recv_timeout`].
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError>;
@@ -116,6 +116,10 @@ pub struct TcpTransport {
     stream: TcpStream,
     /// Bytes received so far of the frame currently being assembled.
     pending: Vec<u8>,
+    /// The mode the socket was last put in. [`Transport::poll_recv`]
+    /// leaves it nonblocking and the blocking calls switch it back, so a
+    /// sweep of polls costs one syscall per idle link instead of three.
+    nonblocking: bool,
 }
 
 impl TcpTransport {
@@ -126,7 +130,18 @@ impl TcpTransport {
         Ok(TcpTransport {
             stream,
             pending: Vec::new(),
+            nonblocking: false,
         })
+    }
+
+    fn set_nonblocking(&mut self, on: bool) -> Result<(), TransportError> {
+        if self.nonblocking != on {
+            self.stream
+                .set_nonblocking(on)
+                .map_err(TransportError::Io)?;
+            self.nonblocking = on;
+        }
+        Ok(())
     }
 
     /// Splits one complete frame off `self.pending` if the bytes for it
@@ -146,6 +161,7 @@ impl TcpTransport {
     /// Reads until `self.pending` holds one complete frame, or the
     /// deadline passes, or the peer closes. `None` timeout blocks forever.
     fn fill_frame(&mut self, timeout: Option<Duration>) -> Result<Vec<u8>, TransportError> {
+        self.set_nonblocking(false)?;
         let deadline = timeout.map(|t| std::time::Instant::now() + t);
         let mut chunk = [0u8; 64 * 1024];
         loop {
@@ -182,6 +198,13 @@ impl TcpTransport {
     /// mode must already be set), stopping early once a complete frame
     /// has been assembled so one chatty peer cannot starve the poll loop.
     fn drain_ready(&mut self) -> Result<(), TransportError> {
+        // an idle link is the common case of a sweep: ask with a one-byte
+        // peek before paying for the chunk buffer's 64 KiB zero-fill
+        if let Err(e) = self.stream.peek(&mut [0u8; 1]) {
+            if e.kind() == ErrorKind::WouldBlock {
+                return Ok(());
+            }
+        }
         let mut chunk = [0u8; 64 * 1024];
         loop {
             match self.stream.read(&mut chunk) {
@@ -208,6 +231,8 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        // a nonblocking `write_all` would fail on a full socket buffer
+        self.set_nonblocking(false)?;
         self.stream.write_all(frame).map_err(|e| {
             if e.kind() == ErrorKind::BrokenPipe || e.kind() == ErrorKind::ConnectionReset {
                 TransportError::Closed
@@ -227,18 +252,14 @@ impl Transport for TcpTransport {
 
     // A zero `recv_timeout` cannot serve as a readiness probe here: the
     // deadline check fires before any read, and the std library rejects a
-    // zero socket read-timeout outright — so the poll path toggles the
+    // zero socket read-timeout outright — so the poll path puts the
     // socket into nonblocking mode instead.
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         if let Some(frame) = self.take_assembled()? {
             return Ok(Some(frame));
         }
-        self.stream
-            .set_nonblocking(true)
-            .map_err(TransportError::Io)?;
+        self.set_nonblocking(true)?;
         let drained = self.drain_ready();
-        let restored = self.stream.set_nonblocking(false);
-        restored.map_err(TransportError::Io)?;
         if let Some(frame) = self.take_assembled()? {
             return Ok(Some(frame));
         }
@@ -280,6 +301,25 @@ impl<T: Transport> ShapedTransport<T> {
         fedrlnas_netsim::transmission_secs(bytes, self.mbps)
     }
 
+    /// How long [`Transport::send`] holds a frame of `bytes` back: its
+    /// transmission time at the current bandwidth stretched by
+    /// `time_scale`, capped at five seconds. An event loop arms a timer
+    /// with this and then calls [`ShapedTransport::send_now`].
+    pub fn send_delay(&self, bytes: usize) -> Duration {
+        let secs = self.transmission_secs(bytes) * self.time_scale;
+        if secs > 0.0 {
+            Duration::from_secs_f64(secs.min(5.0))
+        } else {
+            Duration::ZERO
+        }
+    }
+
+    /// Sends without the shaping delay, for a caller that has already
+    /// waited [`ShapedTransport::send_delay`] out.
+    pub fn send_now(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        self.inner.send(frame)
+    }
+
     /// The wrapped transport (for reaching fault counters and other
     /// wrapper-specific state through the shaping layer).
     pub fn inner_mut(&mut self) -> &mut T {
@@ -289,11 +329,11 @@ impl<T: Transport> ShapedTransport<T> {
 
 impl<T: Transport> Transport for ShapedTransport<T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let secs = self.transmission_secs(frame.len()) * self.time_scale;
-        if secs > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(secs.min(5.0)));
+        let delay = self.send_delay(frame.len());
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
         }
-        self.inner.send(frame)
+        self.send_now(frame)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
@@ -396,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn tcp_poll_recv_assembles_and_restores_blocking_mode() {
+    fn tcp_poll_recv_assembles_and_blocking_calls_still_block() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let frame = encode(&Message::Heartbeat { participant: 2 });
@@ -425,7 +465,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         };
         assert_eq!(polled, frame);
-        // the socket must be back in blocking mode for timed receives
+        // a timed receive after polling must wait for the frame, not
+        // fail with the poll's WouldBlock
         assert_eq!(t.recv_timeout(Duration::from_secs(2)).unwrap(), frame);
         writer.join().unwrap();
     }

@@ -6,7 +6,7 @@
 //! server-side eviction and re-admission — is a pure function of the
 //! availability seed, so same-seed runs are bit-identical; (2) the
 //! schedule is server-authoritative, so in-process, RPC-over-memory,
-//! RPC-over-TCP, serial and pipelined engines all walk the identical
+//! RPC-over-TCP, the serial oracle and the engine all walk the identical
 //! trajectory; (3) a search killed mid-run resumes from checkpoint v5
 //! (sampler cursor + per-slot streaks) with an identical trajectory; and
 //! (4) a flapping fleet still completes every round.
@@ -149,25 +149,17 @@ fn churned_search_is_identical_in_process_and_over_both_transports() {
 }
 
 #[test]
-fn serial_and_pipelined_engines_agree_under_churn() {
+fn serial_and_default_engines_agree_under_churn() {
     let config = churned(10_000, 8, stormy());
     let serial = run_search(
         config.clone(),
         Some(RpcConfig {
-            transport: TransportKind::InMemory,
             engine: EngineMode::Serial,
             ..RpcConfig::default()
         }),
     );
-    let pipelined = run_search(
-        config,
-        Some(RpcConfig {
-            transport: TransportKind::InMemory,
-            engine: EngineMode::Pipelined,
-            ..RpcConfig::default()
-        }),
-    );
-    assert_same_trajectory(&serial, &pipelined);
+    let engine = run_search(config, Some(RpcConfig::default()));
+    assert_same_trajectory(&serial, &engine);
     assert!(serial.comm.churn.any());
 }
 

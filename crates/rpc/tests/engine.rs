@@ -1,0 +1,377 @@
+//! Round-engine suite. The event loop (the default engine: a bounded pool
+//! of collectors sweeping nonblocking `poll_recv` links, a pooled worker
+//! fleet on the other side) must be bit-identical to the serial oracle for
+//! the same seed — same genotype, same curves, same measured `CommStats` —
+//! over both transports, under codecs, recoverable fault plans, crashes
+//! and adversaries, with the pool deliberately smaller than the cohort so
+//! every thread drives several links. Plus what makes it an event loop:
+//! shaped sends overlap on one thread, a scripted delay holds back one
+//! link and not its shard, and the hot path stops allocating.
+
+use std::time::{Duration, Instant};
+
+use fedrlnas_codec::{CodecConfig, CodecSpec};
+use fedrlnas_controller::Alpha;
+use fedrlnas_core::{
+    FederatedModelSearch, RoundBackend, RoundOutcome, RoundRequest, SearchConfig, SearchOutcome,
+};
+use fedrlnas_darts::{ArchMask, Supernet};
+use fedrlnas_rpc::{
+    install_with_faults, Attack, EngineMode, FaultPlan, RpcBackend, RpcConfig, ScriptedFault,
+    TransportKind,
+};
+use fedrlnas_sync::{StalenessModel, StalenessStrategy};
+use rand::{rngs::StdRng, SeedableRng};
+
+const SEED: u64 = 42;
+
+fn run_search(config: SearchConfig, rpc: RpcConfig, faults: &[ScriptedFault]) -> SearchOutcome {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut search = FederatedModelSearch::new(config, &mut rng);
+    let dataset = search.dataset().clone();
+    install_with_faults(search.server_mut(), &dataset, rpc, faults);
+    search.run(&mut rng)
+}
+
+/// Runs the identical scenario under the serial oracle and the default
+/// engine and asserts the full outcome — trajectory *and* measured
+/// communication accounting — is bit-identical.
+fn assert_engine_matches_serial(
+    name: &str,
+    config: SearchConfig,
+    rpc: RpcConfig,
+    faults: &[ScriptedFault],
+) {
+    let serial = run_search(
+        config.clone(),
+        RpcConfig {
+            engine: EngineMode::Serial,
+            ..rpc.clone()
+        },
+        faults,
+    );
+    let engine = run_search(config, rpc, faults);
+    assert_eq!(serial.genotype, engine.genotype, "{name}: genotypes");
+    assert_eq!(serial.warmup_curve, engine.warmup_curve, "{name}: warm-up");
+    assert_eq!(serial.search_curve, engine.search_curve, "{name}: search");
+    assert_eq!(serial.comm, engine.comm, "{name}: comm accounting");
+}
+
+/// An in-memory config on a two-thread pool: every pool thread drives
+/// several links on both the worker and collector sides.
+fn mem() -> RpcConfig {
+    RpcConfig {
+        reactor_threads: 2,
+        ..RpcConfig::default()
+    }
+}
+
+type Scenario = (&'static str, SearchConfig, RpcConfig, Vec<ScriptedFault>);
+
+fn scenarios() -> Vec<Scenario> {
+    // worker 0 crashes mid-run (its link closes under the sweep, and the
+    // send gate's post-ship quorum population shrinks), worker 1 mounts a
+    // scaling attack the norm gate must reject identically in both modes
+    let gated = SearchConfig::tiny()
+        .with_staleness(StalenessModel::fresh(), StalenessStrategy::Use)
+        .with_update_norm_bound(1e3);
+    let mut crash_and_attack = vec![ScriptedFault::default(); gated.num_participants];
+    crash_and_attack[0].die_at_round = Some(3);
+    crash_and_attack[1].attack = Some(Attack::Scale(1e6));
+    vec![
+        ("in memory", SearchConfig::tiny(), mem(), vec![]),
+        (
+            "loopback tcp",
+            SearchConfig::tiny(),
+            RpcConfig {
+                transport: TransportKind::Tcp,
+                ..mem()
+            },
+            vec![],
+        ),
+        (
+            "auto codec",
+            SearchConfig::tiny().with_codec(CodecConfig::Auto),
+            mem(),
+            vec![],
+        ),
+        // the seeded fault schedule is a per-link pure function of the
+        // frames crossing that link, and with full quorum the retry
+        // decisions are per-worker — so even retransmission counts must
+        // agree exactly
+        (
+            "recoverable fault plan",
+            SearchConfig::tiny(),
+            RpcConfig {
+                deadline: Duration::from_millis(500),
+                max_retries: 6,
+                retry_backoff: Duration::from_millis(2),
+                fault: FaultPlan::light(7),
+                ..mem()
+            },
+            vec![],
+        ),
+        (
+            "crash + adversary",
+            gated,
+            RpcConfig {
+                deadline: Duration::from_millis(300),
+                max_retries: 1,
+                retry_backoff: Duration::from_millis(5),
+                update_norm_bound: Some(1e3),
+                ..mem()
+            },
+            crash_and_attack,
+        ),
+    ]
+}
+
+#[test]
+fn engine_matches_serial_on_every_scenario() {
+    for (name, config, rpc, faults) in scenarios() {
+        assert_engine_matches_serial(name, config, rpc, &faults);
+    }
+}
+
+#[test]
+fn single_thread_pool_still_completes_rounds() {
+    // degenerate pool: one thread drives the whole cohort on each side
+    let rpc = RpcConfig {
+        reactor_threads: 1,
+        ..RpcConfig::default()
+    };
+    assert_engine_matches_serial("one thread", SearchConfig::tiny(), rpc, &[]);
+}
+
+#[test]
+fn defaults_are_the_event_loop_and_the_legacy_drain() {
+    assert_eq!(RpcConfig::default().engine, EngineMode::Reactor);
+    assert_eq!(RpcConfig::default().quorum_drain, Duration::from_millis(5));
+}
+
+#[test]
+fn repeated_reactor_runs_are_bit_identical() {
+    // the sweeps interleave links nondeterministically at the
+    // OS-scheduling level; the round outcome must not notice
+    let a = run_search(SearchConfig::tiny(), mem(), &[]);
+    let b = run_search(SearchConfig::tiny(), mem(), &[]);
+    assert_eq!(a.genotype, b.genotype, "genotypes diverged across runs");
+    assert_eq!(a.search_curve, b.search_curve, "curves diverged");
+    assert_eq!(a.comm, b.comm, "comm accounting diverged across runs");
+}
+
+/// A standalone backend driven with a fixed mask set, so payload sizes
+/// are constant across rounds and every link sees the same bandwidth.
+struct Rig {
+    backend: RpcBackend,
+    supernet: Supernet,
+    alpha_logits: Vec<f32>,
+    masks: Vec<ArchMask>,
+    bandwidths: Vec<f64>,
+}
+
+impl Rig {
+    fn new(config: SearchConfig, mbps: f64, rpc: RpcConfig, faults: &[ScriptedFault]) -> Rig {
+        let n = config.num_participants;
+        let mut rng = StdRng::seed_from_u64(SEED);
+        // only built to borrow seeded participants + dataset
+        let mut search = FederatedModelSearch::new(config.clone(), &mut rng);
+        let dataset = search.dataset().clone();
+        let backend = RpcBackend::with_faults(
+            search.server_mut().participants(),
+            &config.net,
+            &dataset,
+            rpc,
+            faults,
+        );
+        Rig {
+            backend,
+            supernet: Supernet::new(config.net.clone(), &mut rng),
+            alpha_logits: Alpha::new(&config.net).logits().as_slice().to_vec(),
+            masks: (0..n)
+                .map(|_| ArchMask::uniform_random(&config.net, &mut rng))
+                .collect(),
+            bandwidths: vec![mbps; n],
+        }
+    }
+
+    fn round(&mut self, t: usize) -> RoundOutcome {
+        let submodels = self
+            .masks
+            .iter()
+            .map(|m| self.supernet.extract_submodel(m))
+            .collect();
+        self.backend.run_round(RoundRequest {
+            round: t,
+            masks: &self.masks,
+            submodels,
+            alpha_logits: &self.alpha_logits,
+            bandwidths_mbps: &self.bandwidths,
+            seed_base: SEED ^ t as u64,
+            active: None,
+        })
+    }
+}
+
+/// The engine's hot-path buffers (download frames, staging vectors,
+/// worker-side encode scratch and reply frames) are grow-only and reused
+/// — after a warm-up the growth counter must stop moving, i.e. the
+/// steady-state round path performs no buffer reallocation.
+#[test]
+fn scratch_buffers_stop_growing_after_warmup() {
+    let codec = CodecConfig::Fixed(CodecSpec::TopK { k_frac: 0.25 });
+    let config = SearchConfig::tiny().with_codec(codec);
+    let k = config.num_participants;
+    let rpc = RpcConfig {
+        codec,
+        ..RpcConfig::default()
+    };
+    let mut rig = Rig::new(config, 50.0, rpc, &[]);
+    let mut growth_after_warmup = 0;
+    for t in 0..12 {
+        let out = rig.round(t);
+        assert_eq!(out.reports.len(), k, "round {t} must be full strength");
+        if t == 3 {
+            growth_after_warmup = rig.backend.buffer_growth_count();
+            assert!(
+                growth_after_warmup > 0,
+                "initial rounds must populate the grow-only buffers"
+            );
+        }
+    }
+    assert_eq!(
+        rig.backend.buffer_growth_count(),
+        growth_after_warmup,
+        "steady-state rounds must not grow any hot-path buffer"
+    );
+}
+
+/// Eight shaped links on a one-thread pool: the transmission times are
+/// timers on the links, so they overlap and a round costs about one of
+/// them. (When the collector slept each send, this took eight.)
+#[test]
+fn shaped_sends_overlap_on_a_single_pool_thread() {
+    const MBPS: f64 = 10.0;
+    const SCALE: f64 = 20.0;
+    let rpc = RpcConfig {
+        reactor_threads: 1,
+        real_time_scale: SCALE,
+        deadline: Duration::from_secs(30),
+        ..RpcConfig::default()
+    };
+    let mut rig = Rig::new(SearchConfig::tiny().with_participants(8), MBPS, rpc, &[]);
+    // the faster of two rounds, so one scheduling hiccup cannot fail it
+    let mut fastest = Duration::MAX;
+    let mut send = Duration::ZERO;
+    for t in 0..2 {
+        let start = Instant::now();
+        let out = rig.round(t);
+        fastest = fastest.min(start.elapsed());
+        assert_eq!(out.reports.len(), 8, "round {t} must be full strength");
+        let longest = *out.download_frame_bytes.iter().max().expect("8 frames");
+        send = Duration::from_secs_f64(longest as f64 * 8.0 / (MBPS * 1e6) * SCALE);
+    }
+    assert!(
+        send > Duration::from_millis(200),
+        "sends too short: {send:?}"
+    );
+    assert!(fastest >= send, "a round cannot beat its own link");
+    assert!(
+        fastest < 3 * send,
+        "8 shaped sends of {send:?} must overlap, round took {fastest:?}"
+    );
+}
+
+/// A scripted delay longer than the deadline on one participant of a
+/// one-thread pool: only that participant is late. (When the fleet thread
+/// slept the delay, the whole shard behind it missed the deadline.)
+#[test]
+fn scripted_delay_holds_back_one_link_not_its_shard() {
+    const N: usize = 4;
+    let rpc = RpcConfig {
+        reactor_threads: 1,
+        deadline: Duration::from_millis(400),
+        max_retries: 0,
+        ..RpcConfig::default()
+    };
+    // participant 0 is first in the fleet's sweep order, so every
+    // shard-mate's download sits behind the delayed one
+    let sleeper = ScriptedFault {
+        delay: Some((1, Duration::from_millis(1000))),
+        ..ScriptedFault::default()
+    };
+    let config = SearchConfig::tiny().with_participants(N);
+    let mut rig = Rig::new(config, 50.0, rpc, &[sleeper]);
+    assert_eq!(rig.round(0).reports.len(), N, "round 0 is full strength");
+    let out = rig.round(1);
+    let on_time: Vec<usize> = out.reports.iter().map(|r| r.participant).collect();
+    assert_eq!(on_time, [1, 2, 3], "only the sleeper may miss round 1");
+    // its reply is late, not lost: it surfaces once the delay has passed
+    let mut late = out.late;
+    for t in 2..6 {
+        late.extend(rig.round(t).late);
+    }
+    assert!(
+        late.iter()
+            .any(|r| (r.participant, r.computed_at) == (0, 1)),
+        "the delayed round-1 reply must surface as a late report"
+    );
+}
+
+/// Order-sensitive digest of everything determinism-relevant a round
+/// produces: report order, training results, gradient bits, late-reply
+/// attribution and measured byte counts.
+fn round_digest(mut h: u64, out: &RoundOutcome) -> u64 {
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x100_0000_01b3); // FNV-1a step
+    };
+    for report in out.reports.iter().chain(out.late.iter()) {
+        mix(report.participant as u64);
+        mix(report.computed_at as u64);
+        mix(u64::from(report.accuracy.to_bits()));
+        mix(u64::from(report.loss.to_bits()));
+        for g in &report.grads {
+            mix(u64::from(g.to_bits()));
+        }
+    }
+    mix(out.bytes_down);
+    mix(out.bytes_up);
+    h
+}
+
+/// Drives two fixed-mask rounds at a 64-participant cohort and digests
+/// the outcomes.
+fn width64_digest(transport: TransportKind, engine: EngineMode) -> u64 {
+    const N: usize = 64;
+    let rpc = RpcConfig {
+        transport,
+        engine,
+        deadline: Duration::from_secs(30),
+        ..RpcConfig::default()
+    };
+    let mut rig = Rig::new(SearchConfig::tiny().with_participants(N), 50.0, rpc, &[]);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
+    for t in 0..2 {
+        let out = rig.round(t);
+        assert_eq!(out.reports.len(), N, "round {t} must be full strength");
+        digest = round_digest(digest, &out);
+    }
+    digest
+}
+
+/// The pool-vs-fleet shape the scale bench runs at, over both transports:
+/// a 64-wide cohort where every pool thread drives many links must still
+/// match the serial oracle bit for bit.
+#[test]
+#[ignore = "wide-cohort equivalence; slow in debug, exercised in release by CI"]
+fn reactor_matches_serial_at_width_64_over_both_transports() {
+    for transport in [TransportKind::InMemory, TransportKind::Tcp] {
+        let serial = width64_digest(transport, EngineMode::Serial);
+        let reactor = width64_digest(transport, EngineMode::Reactor);
+        assert_eq!(
+            serial, reactor,
+            "serial and reactor diverged at n=64 over {transport:?}"
+        );
+    }
+}

@@ -300,7 +300,6 @@ fn install_backend(spec: &JobSpec, search: &mut FederatedModelSearch) {
         let dataset = search.dataset().clone();
         let config = RpcConfig {
             transport: TransportKind::InMemory,
-            engine: spec.engine,
             ..RpcConfig::default()
         };
         install(search.server_mut(), &dataset, config);

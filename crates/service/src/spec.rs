@@ -9,33 +9,12 @@ use fedrlnas_core::{PopulationConfig, Scale, SearchConfig};
 use fedrlnas_data::{DatasetSpec, SyntheticDataset};
 use fedrlnas_fed::ShardTopology;
 use fedrlnas_netsim::{AvailabilitySpec, Environment};
-use fedrlnas_rpc::EngineMode;
 use rand::{rngs::StdRng, SeedableRng};
 
-/// Current spec encoding version. v2 appends the optional population-churn
-/// block after the backend code; v3 appends the round-engine code and the
-/// aggregation shard count after that. Older bodies still decode, with
-/// `population: None`, the pipelined engine and the flat topology.
-const SPEC_VERSION: u8 = 3;
-
-/// Wire code for a round-engine mode (v3 spec tail).
-fn engine_code(engine: EngineMode) -> u8 {
-    match engine {
-        EngineMode::Serial => 0,
-        EngineMode::Pipelined => 1,
-        EngineMode::Reactor => 2,
-    }
-}
-
-/// Decodes a round-engine wire code.
-fn engine_from_code(code: u8) -> Option<EngineMode> {
-    match code {
-        0 => Some(EngineMode::Serial),
-        1 => Some(EngineMode::Pipelined),
-        2 => Some(EngineMode::Reactor),
-        _ => None,
-    }
-}
+/// Current spec encoding version: v3 without its round-engine byte (there
+/// is one engine). Like checkpoints, only the current version decodes —
+/// nothing writes the older layouts and no deployed peer holds one.
+const SPEC_VERSION: u8 = 4;
 
 /// Which synthetic dataset family the job trains on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +49,9 @@ pub enum BackendKind {
     /// fault-free RPC run is bit-identical to an in-process one, results
     /// match a `--rpc` single run too.
     InProcess,
-    /// A dedicated in-memory RPC engine per job: one worker thread per
-    /// participant, private reply caches and error-feedback residual
-    /// namespace — jobs never share engine state.
+    /// A dedicated in-memory RPC engine per job: its own worker pool,
+    /// private reply caches and error-feedback residual namespace — jobs
+    /// never share engine state.
     RpcMem,
 }
 
@@ -118,13 +97,9 @@ pub struct JobSpec {
     pub backend: BackendKind,
     /// Population churn: enroll a simulated fleet and sample a fresh
     /// cohort every round under a deterministic availability model.
-    /// `None` (and every v1 spec) keeps the fixed historical fleet.
+    /// `None` keeps the fixed historical fleet.
     pub population: Option<PopulationConfig>,
-    /// Round engine for RPC-backed jobs (ignored by
-    /// [`BackendKind::InProcess`]). Pre-v3 bodies decode as
-    /// [`EngineMode::Pipelined`], the historical RpcMem engine.
-    pub engine: EngineMode,
-    /// Two-tier aggregation topology; pre-v3 bodies decode as flat.
+    /// Two-tier aggregation topology.
     pub topology: ShardTopology,
 }
 
@@ -141,7 +116,6 @@ impl JobSpec {
             environments: None,
             backend: BackendKind::InProcess,
             population: None,
-            engine: EngineMode::Pipelined,
             topology: ShardTopology::flat(),
         }
     }
@@ -233,8 +207,6 @@ impl JobSpec {
             None => out.push(0),
         }
         out.push(self.backend.code());
-        // v2: population-churn block, appended after the v1 tail so old
-        // fields keep their offsets
         match &self.population {
             Some(p) => {
                 out.push(1);
@@ -251,8 +223,6 @@ impl JobSpec {
             }
             None => out.push(0),
         }
-        // v3: round engine and aggregation shard count
-        out.push(engine_code(self.engine));
         out.extend_from_slice(&(self.topology.shards as u32).to_le_bytes());
         out
     }
@@ -267,8 +237,10 @@ impl JobSpec {
     pub fn decode(bytes: &[u8]) -> Result<JobSpec, String> {
         let mut r = SpecReader { bytes, pos: 0 };
         let version = r.u8()?;
-        if !(1..=SPEC_VERSION).contains(&version) {
-            return Err(format!("unsupported job spec version {version}"));
+        if version != SPEC_VERSION {
+            return Err(format!(
+                "unsupported job spec version {version} (this build reads only v{SPEC_VERSION}; resubmit the job)"
+            ));
         }
         let seed = r.u64()?;
         let scale = match r.u8()? {
@@ -314,53 +286,38 @@ impl JobSpec {
             other => return Err(format!("bad environments marker {other}")),
         };
         let backend = BackendKind::from_code(r.u8()?).ok_or("unknown backend code")?;
-        // v1 bodies end here; v2 appends the population-churn block
-        let population = if version == 1 {
-            None
-        } else {
-            match r.u8()? {
-                0 => None,
-                1 => {
-                    let size = r.u64()?;
-                    let cohort = r.u32()? as usize;
-                    let availability = AvailabilitySpec {
-                        seed: r.u64()?,
-                        base: r.f64()?,
-                        amplitude: r.f64()?,
-                        period: r.u64()?,
-                        dropout_every: r.u64()?,
-                        dropout_len: r.u64()?,
-                        churn: r.f64()?,
-                        flap: r.f64()?,
-                    };
-                    availability
-                        .validate()
-                        .map_err(|e| format!("bad availability spec: {e}"))?;
-                    Some(PopulationConfig {
-                        size,
-                        cohort,
-                        availability,
-                    })
-                }
-                other => return Err(format!("bad population marker {other}")),
+        let population = match r.u8()? {
+            0 => None,
+            1 => {
+                let size = r.u64()?;
+                let cohort = r.u32()? as usize;
+                let availability = AvailabilitySpec {
+                    seed: r.u64()?,
+                    base: r.f64()?,
+                    amplitude: r.f64()?,
+                    period: r.u64()?,
+                    dropout_every: r.u64()?,
+                    dropout_len: r.u64()?,
+                    churn: r.f64()?,
+                    flap: r.f64()?,
+                };
+                availability
+                    .validate()
+                    .map_err(|e| format!("bad availability spec: {e}"))?;
+                Some(PopulationConfig {
+                    size,
+                    cohort,
+                    availability,
+                })
             }
+            other => return Err(format!("bad population marker {other}")),
         };
-        // v2 bodies end here; v3 appends the engine and shard count
-        let (engine, topology) = if version < 3 {
-            (EngineMode::Pipelined, ShardTopology::flat())
-        } else {
-            let engine = {
-                let code = r.u8()?;
-                engine_from_code(code).ok_or_else(|| format!("unknown engine code {code}"))?
-            };
-            let topology = ShardTopology {
-                shards: r.u32()? as usize,
-            };
-            topology
-                .validate()
-                .map_err(|e| format!("bad shard topology: {e}"))?;
-            (engine, topology)
+        let topology = ShardTopology {
+            shards: r.u32()? as usize,
         };
+        topology
+            .validate()
+            .map_err(|e| format!("bad shard topology: {e}"))?;
         if r.remaining() != 0 {
             return Err("trailing bytes after job spec".into());
         }
@@ -374,7 +331,6 @@ impl JobSpec {
             environments,
             backend,
             population,
-            engine,
             topology,
         })
     }
@@ -441,7 +397,6 @@ mod tests {
                 cohort: 6,
                 availability: AvailabilitySpec::default(),
             }),
-            engine: EngineMode::Reactor,
             topology: ShardTopology::sharded(2),
         }
     }
@@ -465,9 +420,9 @@ mod tests {
         assert!(JobSpec::decode(&long).is_err());
     }
 
-    /// v3 bodies end with `[engine u8][shards u32]`, preceded by the
-    /// population marker when no population block is present.
-    const V3_TAIL: usize = 5;
+    /// Bodies end with `[shards u32]`, preceded by the population marker
+    /// when no population block is present.
+    const TAIL: usize = 4;
 
     #[test]
     fn bad_codes_are_errors() {
@@ -479,48 +434,29 @@ mod tests {
             ..sample()
         };
         let mut bytes = fixed.encode();
-        let backend_at = bytes.len() - 2 - V3_TAIL; // backend code precedes the population marker
+        let backend_at = bytes.len() - 2 - TAIL; // backend code precedes the population marker
         bytes[backend_at] = 7;
         assert!(JobSpec::decode(&bytes).is_err());
         let mut bytes = fixed.encode();
-        let marker_at = bytes.len() - 1 - V3_TAIL; // population marker
+        let marker_at = bytes.len() - 1 - TAIL; // population marker
         bytes[marker_at] = 9;
         assert!(JobSpec::decode(&bytes).is_err());
         let mut bytes = fixed.encode();
-        let engine_at = bytes.len() - V3_TAIL; // engine code
-        bytes[engine_at] = 7;
-        assert!(JobSpec::decode(&bytes).is_err());
-        let mut bytes = fixed.encode();
-        let shards_at = bytes.len() - 4; // shard count; zero is invalid
+        let shards_at = bytes.len() - TAIL; // shard count; zero is invalid
         bytes[shards_at..].copy_from_slice(&0u32.to_le_bytes());
         assert!(JobSpec::decode(&bytes).is_err());
     }
 
     #[test]
-    fn v1_bodies_decode_as_fixed_fleet() {
-        let spec = JobSpec {
-            population: None,
-            engine: EngineMode::Pipelined,
-            topology: ShardTopology::flat(),
-            ..sample()
-        };
-        let mut bytes = spec.encode();
-        bytes.truncate(bytes.len() - 1 - V3_TAIL); // v1 bodies end at the backend code
-        bytes[0] = 1;
-        assert_eq!(JobSpec::decode(&bytes).expect("v1 body"), spec);
-    }
-
-    #[test]
-    fn v2_bodies_decode_with_the_pipelined_engine_and_flat_topology() {
-        let spec = JobSpec {
-            engine: EngineMode::Pipelined,
-            topology: ShardTopology::flat(),
-            ..sample()
-        };
-        let mut bytes = spec.encode();
-        bytes.truncate(bytes.len() - V3_TAIL); // v2 bodies end at the population block
-        bytes[0] = 2;
-        assert_eq!(JobSpec::decode(&bytes).expect("v2 body"), spec);
+    fn every_version_but_the_current_one_is_refused() {
+        let bytes = sample().encode();
+        assert_eq!(bytes[0], SPEC_VERSION);
+        for version in (0..=u8::MAX).filter(|v| *v != SPEC_VERSION) {
+            let mut other = bytes.clone();
+            other[0] = version;
+            let err = JobSpec::decode(&other).expect_err("foreign version");
+            assert!(err.contains("unsupported job spec version"), "{err}");
+        }
     }
 
     #[test]

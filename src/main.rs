@@ -12,7 +12,7 @@
 //!                  [--checkpoint-path PATH] [--checkpoint-every N]
 //!                  [--stats-json PATH]
 //!                  [--rpc] [--rpc-transport mem|tcp] [--rpc-deadline-ms N]
-//!                  [--rpc-engine serial|pipelined|reactor] [--reactor-threads N]
+//!                  [--reactor-threads N]
 //!                  [--quorum-frac F] [--quorum-drain-ms N] [--evict-after N]
 //!                  [--fault-seed N] [--fault-drop P] [--fault-corrupt P]
 //!                  [--fault-dup P] [--fault-reorder P] [--fault-delay P]
@@ -34,11 +34,10 @@
 //! merged at a root — bit-identical for the weighted mean, and the path
 //! large cohorts take; robust rules then apply their outlier bound per
 //! shard (see the design notes).
-//! `--rpc-engine reactor` drives all participant links from a bounded
-//! pool of event-loop threads (`--reactor-threads`, default: the
-//! `FEDRLNAS_NUM_THREADS` heuristic) instead of a thread per participant;
-//! fault-free runs are bit-identical across engines. `--quorum-drain-ms`
-//! tunes the grace window granted to in-flight stragglers once the round
+//! `--rpc` drives all participant links from a bounded pool of event-loop
+//! threads (`--reactor-threads`, default: the `FEDRLNAS_NUM_THREADS`
+//! heuristic); the result does not depend on the pool size.
+//! `--quorum-drain-ms` tunes the grace window granted to in-flight stragglers once the round
 //! quorum is met (default 5 ms).
 //! `--codec` compresses uploaded model updates: `fp16` and `int8` quantize,
 //! `topk:<f>` keeps the largest fraction `f` of entries with error feedback,
@@ -90,7 +89,7 @@ use fedrlnas::core::{
 use fedrlnas::darts::Genotype;
 use fedrlnas::data::{DatasetSpec, SyntheticDataset};
 use fedrlnas::fed::{AggregatorConfig, FedAvgConfig};
-use fedrlnas::rpc::{EngineMode, FaultPlan, RpcConfig, TransportKind};
+use fedrlnas::rpc::{FaultPlan, RpcConfig, TransportKind};
 use fedrlnas::service::{
     comm_stats_json, install_shutdown_handler, serve_tcp, shutdown_requested, JobManager,
     JobQuotas, JobState, ServeOptions,
@@ -222,6 +221,9 @@ fn write_stats_json(argv: &[String], search: &FederatedModelSearch) -> Result<()
 }
 
 fn cmd_search(argv: &[String]) -> Result<(), String> {
+    if present(argv, "--rpc-engine") {
+        return Err("--rpc-engine is gone: there is one round engine".to_string());
+    }
     install_shutdown_handler();
     let seed: u64 = flag(argv, "--seed")
         .map_or(Ok(42), |s| s.parse())
@@ -280,12 +282,6 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
             Some("tcp") => TransportKind::Tcp,
             Some(other) => return Err(format!("unknown rpc transport {other:?}")),
         };
-        let engine = match flag(argv, "--rpc-engine").as_deref() {
-            None | Some("pipelined") => EngineMode::Pipelined,
-            Some("serial") => EngineMode::Serial,
-            Some("reactor") => EngineMode::Reactor,
-            Some(other) => return Err(format!("unknown rpc engine {other:?}")),
-        };
         let reactor_threads: usize = flag(argv, "--reactor-threads")
             .map_or(Ok(0), |s| s.parse())
             .map_err(|e| format!("bad reactor thread count: {e}"))?;
@@ -339,7 +335,6 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
         };
         let rpc_config = RpcConfig {
             transport,
-            engine,
             reactor_threads,
             deadline: std::time::Duration::from_millis(deadline_ms),
             quorum_frac,
@@ -352,7 +347,7 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
         let worker_dataset = search.dataset().clone();
         fedrlnas::rpc::install(search.server_mut(), &worker_dataset, rpc_config);
         println!(
-            "rpc runtime: {} transport, {engine:?} engine, {} worker threads, {deadline_ms} ms deadline, quorum {quorum_frac}",
+            "rpc runtime: {} transport, {} participants, {deadline_ms} ms deadline, quorum {quorum_frac}",
             search
                 .server_mut()
                 .backend_description()

@@ -32,7 +32,8 @@ fn bad_flag_values_are_rejected() {
         vec!["search", "--scale", "huge"],
         vec!["search", "--staleness", "extreme"],
         vec!["search", "--strategy", "yolo"],
-        vec!["retrain"], // missing --genotype
+        vec!["search", "--rpc", "--rpc-engine", "reactor"], // removed flag
+        vec!["retrain"],                                    // missing --genotype
         vec!["retrain", "--genotype", "not-a-genotype"],
     ] {
         let out = bin().args(&args).output().expect("spawn");
