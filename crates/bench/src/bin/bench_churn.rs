@@ -24,24 +24,13 @@
 //! exits non-zero if a measured throughput falls below the committed
 //! floor.
 
+use fedrlnas_bench::{json_number, median_ns};
 use fedrlnas_core::{FederatedModelSearch, PopulationConfig, SearchConfig};
 use fedrlnas_netsim::{AvailabilitySpec, CohortSampler, Population};
 use fedrlnas_rpc::{install, RpcConfig, TransportKind};
 use rand::{rngs::StdRng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
-    f(); // warmup
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[reps / 2]
-}
 
 /// The availability model exercised everywhere below: diurnal swing,
 /// correlated dropouts, device churn and mid-round flaps all armed.
@@ -56,18 +45,6 @@ fn stormy() -> AvailabilitySpec {
         churn: 0.05,
         flap: 0.1,
     }
-}
-
-/// Extracts `"key": <number>` from a flat JSON text (the committed floor
-/// file is written by this repo, so a full parser is unnecessary).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// End-to-end warm-up rounds/s: churned 64-of-100k cohort vs the

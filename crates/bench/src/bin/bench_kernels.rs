@@ -1,40 +1,48 @@
-//! Before/after kernel benchmark emitting `BENCH_kernels.json`.
+//! Kernel benchmark emitting `BENCH_kernels.json`: the convolutions a search
+//! actually runs.
 //!
-//! Compares the seed's scalar kernels ("before": [`gemm_naive`] plus
-//! per-call column-buffer allocation and a separate bias pass) against the
-//! packed, SIMD-dispatched GEMM with fused bias and reusable workspaces
-//! ("after": [`gemm`]/[`gemm_bias`] through [`Conv2d`]), at
-//! supernet-realistic shapes (DARTS cells on 32x32 inputs with 16/32/64
-//! channels). Reports the median of `REPS` timed runs per shape, in
-//! nanoseconds, as JSON.
+//! Four of the paper's eight candidate operations are a depthwise `k x k`
+//! followed by a pointwise `1x1`, so those two shapes — not the dense 3x3 of
+//! the stem — are where a participant's local update spends its time. Each
+//! row times one `nn::Conv2d` layer ("after") against the `im2col` + GEMM
+//! lowering every convolution used to take ("before",
+//! [`fedrlnas_bench::lowering`], the same code the layer is tested
+//! bit-identical to), forward alone and as a forward + backward training
+//! step, at the three stages of the `small` preset (8 ch 12x12, 16 ch 6x6,
+//! 32 ch 3x3, batch 16) and one `paper`-preset shape (16 ch 32x32, batch 8).
+//! The GEMM rows are absolute throughput of the packed kernel at the shapes
+//! the remaining lowered convolutions produce.
 //!
 //! Usage: `cargo run --release -p fedrlnas-bench --bin bench_kernels`
 //! (writes `BENCH_kernels.json` in the current directory; pass `--out
-//! <path>` to override).
+//! <path>` to override). `--quick` runs fewer reps (the CI configuration);
+//! `--check <floor.json>` exits non-zero if a section's smallest speedup
+//! falls below the committed floor.
 
+use fedrlnas_bench::lowering::{lowered_backward, lowered_forward, ConvShape};
+use fedrlnas_bench::{flag_present, flag_value, json_number, median_ns};
 use fedrlnas_nn::{Conv2d, Layer, Mode};
-use fedrlnas_tensor::{gemm, gemm_naive, im2col, Conv2dGeometry, Tensor};
+use fedrlnas_tensor::{gemm, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::time::Instant;
 
-const REPS: usize = 15;
+/// `(label, channels, height = width, batch)`: the `small` preset's three
+/// stages, then the first stage of the `paper` preset.
+const STAGES: [(&str, usize, usize, usize); 4] = [
+    ("small", 8, 12, 16),
+    ("small", 16, 6, 16),
+    ("small", 32, 3, 16),
+    ("paper", 16, 32, 8),
+];
 
-fn median_ns(mut f: impl FnMut()) -> u64 {
-    f(); // warmup: page in buffers, resolve the SIMD dispatch, grow arenas
-    let mut samples = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[REPS / 2]
-}
-
-fn randv(len: usize, rng: &mut StdRng) -> Vec<f32> {
-    (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
-}
+/// `(name, kernel, dilation)` of the depthwise stage of `sep_conv_3x3`,
+/// `sep_conv_5x5`, `dil_conv_3x3`, `dil_conv_5x5` (paper Fig. 1).
+const DEPTHWISE: [(&str, usize, usize); 4] = [
+    ("dw3x3", 3, 1),
+    ("dw5x5", 5, 1),
+    ("dw3x3_dil2", 3, 2),
+    ("dw5x5_dil2", 5, 2),
+];
 
 struct Row {
     label: String,
@@ -48,9 +56,145 @@ impl Row {
     }
 }
 
-/// GEMM shapes as the conv lowering produces them: `m` = output channels per
-/// group, `n` = spatial positions, `k` = `cin/groups * kh * kw`.
-fn bench_gemm_shapes(rng: &mut StdRng) -> Vec<Row> {
+/// Times `shape` on a post-ReLU batch: `(forward, forward + backward)` rows.
+fn bench_conv(
+    label: String,
+    shape: ConvShape,
+    (batch, hw): (usize, usize),
+    reps: usize,
+    rng: &mut StdRng,
+) -> (Row, Row) {
+    let mut conv = Conv2d::new(
+        shape.in_channels,
+        shape.out_channels,
+        shape.kernel,
+        shape.stride,
+        shape.padding,
+        shape.dilation,
+        shape.groups,
+        rng,
+    );
+    let mut params = Vec::new();
+    conv.visit_params(&mut |p| params.push(p.value.as_slice().to_vec()));
+    let (weight, bias) = (&params[0], &params[1]);
+    // what a depthwise stage sees: the output of a ReLU, about half zeros
+    let x = Tensor::randn(&[batch, shape.in_channels, hw, hw], 1.0, rng).map(|v| v.max(0.0));
+    let dims = (batch, hw, hw);
+    let y = conv.forward(&x, Mode::Eval);
+    let grad = Tensor::randn(y.dims(), 1.0, rng);
+    let mut dweight = vec![0.0f32; weight.len()];
+    let mut dbias = vec![0.0f32; bias.len()];
+
+    let forward = Row {
+        label: label.clone(),
+        before_ns: median_ns(reps, || {
+            std::hint::black_box(lowered_forward(&shape, x.as_slice(), dims, weight, bias));
+        }),
+        after_ns: median_ns(reps, || {
+            std::hint::black_box(conv.forward(&x, Mode::Eval));
+        }),
+    };
+    let train = Row {
+        label,
+        before_ns: median_ns(reps, || {
+            let y = lowered_forward(&shape, x.as_slice(), dims, weight, bias);
+            std::hint::black_box(lowered_backward(
+                &shape,
+                x.as_slice(),
+                dims,
+                weight,
+                grad.as_slice(),
+                &mut dweight,
+                &mut dbias,
+            ));
+            std::hint::black_box(y);
+        }),
+        after_ns: median_ns(reps, || {
+            let y = conv.forward(&x, Mode::Train);
+            std::hint::black_box(conv.backward(&grad));
+            std::hint::black_box(y);
+        }),
+    };
+    (forward, train)
+}
+
+/// One named group of rows and the floor key its smallest speedup is held to.
+struct Section {
+    name: &'static str,
+    rows: Vec<Row>,
+}
+
+impl Section {
+    fn min_speedup(&self) -> f64 {
+        self.rows
+            .iter()
+            .map(Row::speedup)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    fn write(&self, out: &mut String) {
+        writeln!(out, "  \"{}\": [", self.name).unwrap();
+        for (i, r) in self.rows.iter().enumerate() {
+            let comma = if i + 1 == self.rows.len() { "" } else { "," };
+            writeln!(
+                out,
+                "    {{\"shape\": \"{}\", \"before_ns\": {}, \"after_ns\": {}, \"speedup\": {:.2}}}{comma}",
+                r.label, r.before_ns, r.after_ns, r.speedup()
+            )
+            .unwrap();
+        }
+        writeln!(out, "  ],").unwrap();
+    }
+}
+
+fn conv_sections(reps: usize, rng: &mut StdRng) -> Vec<Section> {
+    let mut sections: Vec<Section> = [
+        "depthwise_forward",
+        "depthwise_forward_backward",
+        "pointwise_forward",
+        "pointwise_forward_backward",
+    ]
+    .map(|name| Section {
+        name,
+        rows: Vec::new(),
+    })
+    .into();
+    for (preset, ch, hw, batch) in STAGES {
+        let at = format!("{preset}_{ch}ch_{hw}x{hw}_b{batch}");
+        for (name, kernel, dilation) in DEPTHWISE {
+            let shape = ConvShape {
+                in_channels: ch,
+                out_channels: ch,
+                kernel,
+                stride: 1,
+                padding: dilation * (kernel - 1) / 2,
+                dilation,
+                groups: ch,
+            };
+            let (fwd, train) = bench_conv(format!("{name}_{at}"), shape, (batch, hw), reps, rng);
+            sections[0].rows.push(fwd);
+            sections[1].rows.push(train);
+        }
+        let shape = ConvShape {
+            in_channels: ch,
+            out_channels: ch,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+            dilation: 1,
+            groups: 1,
+        };
+        let (fwd, train) = bench_conv(format!("pw1x1_{at}"), shape, (batch, hw), reps, rng);
+        sections[2].rows.push(fwd);
+        sections[3].rows.push(train);
+    }
+    sections
+}
+
+/// Packed-GEMM throughput at the shapes the lowered convolutions still
+/// produce: `m` = output channels per group, `n` = spatial positions, `k` =
+/// `cin / groups * kh * kw`. Returns `(label, median ns, GFLOP/s)`.
+fn bench_gemm_shapes(reps: usize, rng: &mut StdRng) -> Vec<(String, u64, f64)> {
     let shapes: &[(usize, usize, usize)] = &[
         (16, 1024, 144), // 16ch 3x3 cell on 32x32
         (32, 256, 288),  // 32ch 3x3 cell on 16x16
@@ -61,227 +205,94 @@ fn bench_gemm_shapes(rng: &mut StdRng) -> Vec<Row> {
     shapes
         .iter()
         .map(|&(m, n, k)| {
-            let a = randv(m * k, rng);
-            let b = randv(k * n, rng);
+            let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let mut c = vec![0.0f32; m * n];
-            let before_ns = median_ns(|| {
-                c.fill(0.0);
-                gemm_naive(m, n, k, &a, &b, &mut c);
-                std::hint::black_box(&c);
-            });
-            let after_ns = median_ns(|| {
+            let ns = median_ns(reps, || {
                 c.fill(0.0);
                 gemm(m, n, k, &a, &b, &mut c);
                 std::hint::black_box(&c);
             });
-            Row {
-                label: format!("gemm_{m}x{n}x{k}"),
-                before_ns,
-                after_ns,
-            }
+            let gflops = 2.0 * (m * n * k) as f64 / ns.max(1) as f64;
+            (format!("gemm_{m}x{n}x{k}"), ns, gflops)
         })
         .collect()
 }
 
-/// The seed's conv-forward code shape: allocate the column buffer per call,
-/// broadcast the bias in a separate pass, then accumulate with the scalar
-/// GEMM. Kept here (not in the library) purely as the "before" measurement.
-#[allow(clippy::too_many_arguments)]
-fn conv_forward_baseline(
-    x: &Tensor,
-    weight: &[f32],
-    bias: &[f32],
-    cout: usize,
-    cin: usize,
-    kernel: usize,
-    geom: &Conv2dGeometry,
-    out: &mut [f32],
-) {
-    let dims = x.dims();
-    let (n, _c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let col_rows = cin * kernel * kernel;
-    let positions = geom.out_positions();
-    let mut cols = vec![0.0f32; col_rows * positions];
-    let img_len = cin * h * w;
-    for i in 0..n {
-        let image = &x.as_slice()[i * img_len..(i + 1) * img_len];
-        im2col(image, cin, geom, &mut cols).expect("valid geometry");
-        let dst = &mut out[i * cout * positions..(i + 1) * cout * positions];
-        for oc in 0..cout {
-            dst[oc * positions..(oc + 1) * positions].fill(bias[oc]);
-        }
-        gemm_naive(cout, positions, col_rows, weight, &cols, dst);
-    }
-}
-
-/// The seed's conv-backward code shape: per-call `cols`/`dcols`/`wt`
-/// allocations, explicit dW loops, scalar GEMM for the column gradient.
-#[allow(clippy::too_many_arguments)]
-fn conv_backward_baseline(
-    x: &Tensor,
-    weight: &[f32],
-    grad_out: &[f32],
-    cout: usize,
-    cin: usize,
-    kernel: usize,
-    geom: &Conv2dGeometry,
-    dweight: &mut [f32],
-    dbias: &mut [f32],
-    dx: &mut [f32],
-) {
-    let dims = x.dims();
-    let (n, _c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let col_rows = cin * kernel * kernel;
-    let positions = geom.out_positions();
-    let mut cols = vec![0.0f32; col_rows * positions];
-    let mut dcols = vec![0.0f32; col_rows * positions];
-    let mut wt = vec![0.0f32; col_rows * cout];
-    for r in 0..cout {
-        for q in 0..col_rows {
-            wt[q * cout + r] = weight[r * col_rows + q];
-        }
-    }
-    let img_len = cin * h * w;
-    for i in 0..n {
-        let image = &x.as_slice()[i * img_len..(i + 1) * img_len];
-        im2col(image, cin, geom, &mut cols).expect("valid geometry");
-        let go = &grad_out[i * cout * positions..(i + 1) * cout * positions];
-        for oc in 0..cout {
-            let go_row = &go[oc * positions..(oc + 1) * positions];
-            let dw_row = &mut dweight[oc * col_rows..(oc + 1) * col_rows];
-            for (q, dwv) in dw_row.iter_mut().enumerate() {
-                let col_row = &cols[q * positions..(q + 1) * positions];
-                let mut acc = 0.0f32;
-                for p in 0..positions {
-                    acc += go_row[p] * col_row[p];
-                }
-                *dwv += acc;
-            }
-            dbias[oc] += go_row.iter().sum::<f32>();
-        }
-        dcols.fill(0.0);
-        gemm_naive(col_rows, positions, cout, &wt, go, &mut dcols);
-        let dgin = &mut dx[i * img_len..(i + 1) * img_len];
-        fedrlnas_tensor::col2im(&dcols, cin, geom, dgin).expect("valid geometry");
-    }
-}
-
-/// Dense (groups = 1) supernet convolutions: `(channels, spatial, batch)`.
-fn bench_conv_shapes(rng: &mut StdRng) -> (Vec<Row>, Vec<Row>) {
-    let shapes: &[(usize, usize, usize)] = &[(16, 32, 8), (32, 16, 8), (64, 8, 8)];
-    let mut fwd = Vec::new();
-    let mut fwd_bwd = Vec::new();
-    for &(ch, hw, batch) in shapes {
-        let label = format!("conv3x3_{ch}ch_{hw}x{hw}_b{batch}");
-        let geom = Conv2dGeometry::new(hw, hw, 3, 1, 1, 1);
-        let x = Tensor::randn(&[batch, ch, hw, hw], 1.0, rng);
-        let weight = randv(ch * ch * 9, rng);
-        let bias = randv(ch, rng);
-        let mut out = vec![0.0f32; batch * ch * geom.out_positions()];
-        let before_ns = median_ns(|| {
-            conv_forward_baseline(&x, &weight, &bias, ch, ch, 3, &geom, &mut out);
-            std::hint::black_box(&out);
-        });
-
-        let mut conv = Conv2d::new(ch, ch, 3, 1, 1, 1, 1, rng);
-        let after_ns = median_ns(|| {
-            std::hint::black_box(conv.forward(&x, Mode::Eval));
-        });
-        fwd.push(Row {
-            label: label.clone(),
-            before_ns,
-            after_ns,
-        });
-
-        // Training step (forward + backward): seed code shape vs the layer.
-        let grad = Tensor::ones(&[batch, ch, geom.out_h, geom.out_w]);
-        let mut dweight = vec![0.0f32; weight.len()];
-        let mut dbias = vec![0.0f32; bias.len()];
-        let mut dx = vec![0.0f32; x.len()];
-        let before_train_ns = median_ns(|| {
-            conv_forward_baseline(&x, &weight, &bias, ch, ch, 3, &geom, &mut out);
-            conv_backward_baseline(
-                &x,
-                &weight,
-                grad.as_slice(),
-                ch,
-                ch,
-                3,
-                &geom,
-                &mut dweight,
-                &mut dbias,
-                &mut dx,
-            );
-            std::hint::black_box((&out, &dx));
-        });
-        let after_train_ns = median_ns(|| {
-            let y = conv.forward(&x, Mode::Train);
-            std::hint::black_box(conv.backward(&grad));
-            std::hint::black_box(y);
-        });
-        fwd_bwd.push(Row {
-            label,
-            before_ns: before_train_ns,
-            after_ns: after_train_ns,
-        });
-    }
-    (fwd, fwd_bwd)
-}
-
-fn section(out: &mut String, name: &str, rows: &[Row], last: bool) {
-    writeln!(out, "  \"{name}\": [").unwrap();
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"shape\": \"{}\", \"before_ns\": {}, \"after_ns\": {}, \"speedup\": {:.2}}}{comma}",
-            r.label, r.before_ns, r.after_ns, r.speedup()
-        )
-        .unwrap();
-    }
-    writeln!(out, "  ]{}", if last { "" } else { "," }).unwrap();
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let out_path = argv
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| argv.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
+    let out_path = flag_value(&argv, "--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
+    let check_path = flag_value(&argv, "--check");
+    let reps = if flag_present("--quick") { 7 } else { 31 };
 
     let mut rng = StdRng::seed_from_u64(42);
-    eprintln!("timing gemm shapes (median of {REPS})...");
-    let gemm_rows = bench_gemm_shapes(&mut rng);
-    eprintln!("timing conv shapes (median of {REPS})...");
-    let (fwd_rows, train_rows) = bench_conv_shapes(&mut rng);
+    eprintln!("timing gemm shapes (median of {reps})...");
+    let gemm_rows = bench_gemm_shapes(reps, &mut rng);
+    eprintln!("timing depthwise and pointwise layers against the lowering (median of {reps})...");
+    let sections = conv_sections(reps, &mut rng);
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
     writeln!(
         json,
-        "  \"description\": \"median ns per kernel; before = seed scalar GEMM + per-call allocation, after = packed SIMD GEMM + fused bias + reused workspace\","
+        "  \"description\": \"median ns per call; before = im2col + GEMM lowering of the same convolution (crates/bench/src/lowering.rs), after = nn::Conv2d (direct depthwise kernels, copy-free pointwise); gemm rows are absolute packed-GEMM throughput\","
     )
     .unwrap();
-    writeln!(json, "  \"reps\": {REPS},").unwrap();
-    section(&mut json, "gemm", &gemm_rows, false);
-    section(&mut json, "conv_forward", &fwd_rows, false);
-    section(&mut json, "conv_forward_backward", &train_rows, true);
+    writeln!(json, "  \"reps\": {reps},").unwrap();
+    for section in &sections {
+        section.write(&mut json);
+    }
+    writeln!(json, "  \"gemm\": [").unwrap();
+    for (i, (label, ns, gflops)) in gemm_rows.iter().enumerate() {
+        let comma = if i + 1 == gemm_rows.len() { "" } else { "," };
+        writeln!(
+            json,
+            "    {{\"shape\": \"{label}\", \"ns\": {ns}, \"gflops\": {gflops:.2}}}{comma}"
+        )
+        .unwrap();
+    }
+    writeln!(json, "  ]").unwrap();
     writeln!(json, "}}").unwrap();
 
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");
     print!("{json}");
     eprintln!("wrote {out_path}");
+    for row in sections.iter().flat_map(|s| &s.rows) {
+        eprintln!(
+            "{:42} {:>10} -> {:>10} ns  ({:.2}x)",
+            row.label,
+            row.before_ns,
+            row.after_ns,
+            row.speedup()
+        );
+    }
 
-    for rows in [&gemm_rows, &fwd_rows, &train_rows] {
-        for r in rows {
-            eprintln!(
-                "{:38} {:>10} -> {:>10} ns  ({:.2}x)",
-                r.label,
-                r.before_ns,
-                r.after_ns,
-                r.speedup()
-            );
+    // --- committed-floor regression gate (CI perf-smoke) ---
+    if let Some(path) = check_path {
+        let floors = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read floor file {path}: {e}"));
+        let mut failed = false;
+        for section in &sections {
+            let key = format!("{}_min_speedup_floor", section.name);
+            let Some(floor) = json_number(&floors, &key) else {
+                continue;
+            };
+            let got = section.min_speedup();
+            if got < floor {
+                eprintln!(
+                    "FAIL: {} slowest row is {got:.2}x the lowering, below committed floor {floor:.2}x",
+                    section.name
+                );
+                failed = true;
+            } else {
+                eprintln!(
+                    "ok: {} slowest row {got:.2}x >= floor {floor:.2}x",
+                    section.name
+                );
+            }
+        }
+        if failed {
+            std::process::exit(1);
         }
     }
 }

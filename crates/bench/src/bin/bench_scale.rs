@@ -26,6 +26,7 @@
 //! measured rounds/s falls below its committed floor or the 10k resident
 //! set exceeds its committed ceiling.
 
+use fedrlnas_bench::json_number;
 use fedrlnas_controller::Alpha;
 use fedrlnas_core::{FederatedModelSearch, RoundBackend, RoundOutcome, RoundRequest, SearchConfig};
 use fedrlnas_darts::{ArchMask, Supernet};
@@ -274,16 +275,4 @@ fn main() {
             std::process::exit(1);
         }
     }
-}
-
-/// Extracts `"key": <number>` from a flat JSON text (the committed floor
-/// file is written by this repo, so a full parser is unnecessary).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

@@ -28,6 +28,7 @@
 //! exits non-zero if a measured codec throughput or the engine speedup
 //! falls below the committed floor.
 
+use fedrlnas_bench::{json_number, median_ns};
 use fedrlnas_codec::{CodecSpec, EncodeScratch};
 use fedrlnas_controller::Alpha;
 use fedrlnas_core::{FederatedModelSearch, SearchConfig};
@@ -39,18 +40,6 @@ use fedrlnas_rpc::{
 use rand::{rngs::StdRng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
-    f(); // warmup
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[reps / 2]
-}
 
 struct Payload {
     label: String,
@@ -151,18 +140,6 @@ fn echo_loop(transport: &mut dyn Transport, reply: Vec<u8>) {
             break;
         }
     }
-}
-
-/// Extracts `"key": <number>` from a flat JSON text (the committed floor
-/// file is written by this repo, so a full parser is unnecessary).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// End-to-end `rounds_per_sec` at n participants under shaped bandwidth:

@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod lowering;
 pub mod protocol;
 
 use fedrlnas_core::Scale;
@@ -52,6 +53,34 @@ pub fn flag_value(argv: &[String], name: &str) -> Option<String> {
 /// Returns `true` if the bare flag `name` is present in the process args.
 pub fn flag_present(name: &str) -> bool {
     std::env::args().any(|a| a == name)
+}
+
+/// Median wall-clock nanoseconds of `reps` timed calls of `f`, after one
+/// untimed warm-up call (pages in buffers, resolves SIMD dispatch, grows
+/// arenas). The one timer of the `bench_*` binaries.
+pub fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
+    f();
+    let mut samples: Vec<u64> = (0..reps)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_nanos() as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[reps / 2]
+}
+
+/// Extracts `"key": <number>` from a flat JSON text (the committed floor
+/// files are written by this repo, so a full parser is unnecessary).
+pub fn json_number(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\"");
+    let at = text.find(&needle)? + needle.len();
+    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 /// Directory experiment outputs are written to (`target/experiments`).
@@ -224,6 +253,23 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(error_pct(0.9737), "2.63");
         assert_eq!(mb(1_930_000), "1.930");
+    }
+
+    #[test]
+    fn json_number_reads_flat_floor_files() {
+        let text = r#"{ "description": "x", "a_floor": 3.5, "b": -2e3,"c":7 }"#;
+        assert_eq!(json_number(text, "a_floor"), Some(3.5));
+        assert_eq!(json_number(text, "b"), Some(-2000.0));
+        assert_eq!(json_number(text, "c"), Some(7.0));
+        assert_eq!(json_number(text, "missing"), None);
+        assert_eq!(json_number(text, "description"), None);
+    }
+
+    #[test]
+    fn median_ns_runs_the_warm_up_and_every_rep() {
+        let mut calls = 0;
+        median_ns(5, || calls += 1);
+        assert_eq!(calls, 6);
     }
 
     #[test]

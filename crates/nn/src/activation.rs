@@ -20,12 +20,26 @@ impl ReLU {
 
 impl Layer for ReLU {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Train {
-            self.mask = x.as_slice().iter().map(|v| *v > 0.0).collect();
-        }
         // `f32::max(NaN, 0.0)` would return 0.0, silently swallowing NaN;
         // this form propagates NaN like PyTorch's relu
-        x.map(|v| if v < 0.0 { 0.0 } else { v })
+        let relu = |v: f32| if v < 0.0 { 0.0 } else { v };
+        if mode != Mode::Train {
+            return x.map(relu);
+        }
+        // One pass writes the output and the backward mask (whose allocation
+        // is kept from step to step).
+        let mut out = Tensor::zeros(x.dims());
+        self.mask.resize(x.len(), false);
+        for ((o, keep), &v) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(self.mask.iter_mut())
+            .zip(x.as_slice())
+        {
+            *o = relu(v);
+            *keep = v > 0.0;
+        }
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -34,11 +48,16 @@ impl Layer for ReLU {
             self.mask.len(),
             "relu backward called before forward or with wrong shape"
         );
-        let mut dx = grad_out.clone();
-        for (v, keep) in dx.as_mut_slice().iter_mut().zip(self.mask.iter()) {
-            if !keep {
-                *v = 0.0;
-            }
+        let mut dx = Tensor::zeros(grad_out.dims());
+        // A select per element, not a branch: about half the mask is set, in
+        // no pattern a predictor could learn.
+        for ((d, &g), &keep) in dx
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad_out.as_slice())
+            .zip(&self.mask)
+        {
+            *d = if keep { g } else { 0.0 };
         }
         dx
     }

@@ -7,16 +7,31 @@
 
 use crate::init::he_std;
 use crate::layer::{Layer, Mode, Param};
-use fedrlnas_tensor::{col2im, gemm, gemm_bias, im2col, Conv2dGeometry, Tensor, Workspace};
+use fedrlnas_tensor::{
+    col2im, depthwise_backward, depthwise_forward, gemm, gemm_bias, im2col, Conv2dGeometry, Tensor,
+    Workspace,
+};
 use rand::Rng;
 
 /// A grouped 2-D convolution over NCHW tensors with bias.
 ///
-/// Weight layout is `[out_channels, in_channels / groups * k * k]`; the
-/// forward pass lowers each sample and group to GEMM via `im2col`. The
-/// column/transpose scratch lives in a per-layer [`Workspace`] so repeated
-/// steps with the same geometry allocate nothing; cloning the layer (e.g.
-/// for a federated participant thread) starts with an empty workspace.
+/// Weight layout is `[out_channels, in_channels / groups * k * k]`. How a
+/// layer computes depends on its shape, never on a setting:
+///
+/// * **depthwise** (`groups == in_channels == out_channels`) runs the direct
+///   kernels [`depthwise_forward`]/[`depthwise_backward`]: no lowering, no
+///   scratch;
+/// * **pointwise** (`1x1`, stride 1, no padding, one group) hands each
+///   sample's `[in_channels, positions]` plane to GEMM as it lies in memory —
+///   its `im2col` would be a copy and its `col2im` an add into zeros;
+/// * everything else (dense `k x k`, strided `1x1`, `1 < groups < channels`)
+///   lowers each sample and group to GEMM via `im2col`.
+///
+/// All three give the same bits as the `im2col` lowering (for depthwise, see
+/// the range stated in the kernels' docs). GEMM scratch lives in a per-layer
+/// [`Workspace`] so repeated steps with the same geometry allocate nothing;
+/// cloning the layer (e.g. for a federated participant thread) starts with
+/// an empty workspace.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     in_channels: usize,
@@ -95,66 +110,109 @@ impl Conv2d {
             self.dilation,
         )
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let dims = x.dims();
-        assert_eq!(dims.len(), 4, "conv2d expects NCHW input, got {dims:?}");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        assert_eq!(c, self.in_channels, "conv2d channel mismatch");
-        let geom = self.geometry(h, w);
+    fn is_depthwise(&self) -> bool {
+        self.groups == self.in_channels && self.groups == self.out_channels
+    }
+
+    fn is_pointwise(&self) -> bool {
+        self.kernel == 1 && self.stride == 1 && self.padding == 0 && self.groups == 1
+    }
+
+    /// Pointwise forward: per sample, `out = W x image + bias`.
+    fn forward_pointwise(&self, x: &Tensor, positions: usize, out: &mut Tensor) {
+        let (cin, cout) = (self.in_channels, self.out_channels);
+        for (image, dst) in x
+            .as_slice()
+            .chunks_exact(cin * positions)
+            .zip(out.as_mut_slice().chunks_exact_mut(cout * positions))
+        {
+            gemm_bias(
+                cout,
+                positions,
+                cin,
+                self.weight.value.as_slice(),
+                image,
+                self.bias.value.as_slice(),
+                dst,
+            );
+        }
+    }
+
+    /// Pointwise backward: the same three GEMMs per sample as the lowering,
+    /// reading `x` and writing `dx` (zeroed by the caller) in place of the
+    /// column buffers.
+    fn backward_pointwise(
+        &mut self,
+        x: &Tensor,
+        grad_out: &Tensor,
+        positions: usize,
+        dx: &mut Tensor,
+    ) {
+        let (cin, cout) = (self.in_channels, self.out_channels);
+        // Stale contents are fine: `wt` and `got` are fully written below,
+        // `dwt` is zeroed.
+        let [wt, got, dwt] = self
+            .workspace
+            .buffers([cin * cout, positions * cout, cin * cout]);
+        transpose(self.weight.value.as_slice(), cout, cin, wt);
+        dwt.fill(0.0);
+        for ((image, go), dimage) in x
+            .as_slice()
+            .chunks_exact(cin * positions)
+            .zip(grad_out.as_slice().chunks_exact(cout * positions))
+            .zip(dx.as_mut_slice().chunks_exact_mut(cin * positions))
+        {
+            transpose(go, cout, positions, got);
+            add_row_sums(go, positions, self.bias.grad.as_mut_slice());
+            // dW^T += image [cin, P] x go^T [P, cout]; dimage = W^T x go
+            gemm(cin, cout, positions, image, got, dwt);
+            gemm(cin, positions, cout, wt, go, dimage);
+        }
+        add_transposed(dwt, cin, cout, self.weight.grad.as_mut_slice());
+    }
+
+    /// General forward: `im2col` each sample and group, then GEMM.
+    fn forward_lowered(&mut self, x: &Tensor, geom: &Conv2dGeometry, out: &mut Tensor) {
+        let (h, w) = (geom.in_h, geom.in_w);
         let cin_g = self.in_channels / self.groups;
         let cout_g = self.out_channels / self.groups;
-        let kk = self.kernel * self.kernel;
-        let col_rows = cin_g * kk;
+        let col_rows = geom.col_rows(cin_g);
         let positions = geom.out_positions();
-        let mut out = Tensor::zeros(&[n, self.out_channels, geom.out_h, geom.out_w]);
         // Reused scratch: `im2col` writes every element (padding included), so
         // stale contents from the previous step are harmless.
         let cols = self.workspace.buffer(col_rows * positions);
-        let img_len = c * h * w;
-        for i in 0..n {
-            let image = &x.as_slice()[i * img_len..(i + 1) * img_len];
+        for (image, oimage) in x.as_slice().chunks_exact(self.in_channels * h * w).zip(
+            out.as_mut_slice()
+                .chunks_exact_mut(self.out_channels * positions),
+        ) {
             for g in 0..self.groups {
                 let gin = &image[g * cin_g * h * w..(g + 1) * cin_g * h * w];
-                im2col(gin, cin_g, &geom, cols).expect("im2col geometry verified above");
+                im2col(gin, cin_g, geom, cols).expect("im2col geometry verified above");
                 let w_g = &self.weight.value.as_slice()
                     [g * cout_g * col_rows..(g + 1) * cout_g * col_rows];
                 let bias_g = &self.bias.value.as_slice()[g * cout_g..(g + 1) * cout_g];
-                let out_base = i * self.out_channels * positions + g * cout_g * positions;
-                let dst = &mut out.as_mut_slice()[out_base..out_base + cout_g * positions];
+                let dst = &mut oimage[g * cout_g * positions..(g + 1) * cout_g * positions];
                 // Bias is fused into the GEMM epilogue: one pass over dst.
                 gemm_bias(cout_g, positions, col_rows, w_g, cols, bias_g, dst);
             }
         }
-        if mode == Mode::Train {
-            self.cached_input = Some(x.clone());
-        } else {
-            self.cached_input = None;
-        }
-        out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("conv2d backward called before forward (Train mode)");
-        let dims = x.dims().to_vec();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let geom = self.geometry(h, w);
+    /// General backward: per group, `dW^T` accumulated over the batch by
+    /// GEMM, `dx` through `W^T x go` and `col2im`.
+    fn backward_lowered(
+        &mut self,
+        x: &Tensor,
+        grad_out: &Tensor,
+        geom: &Conv2dGeometry,
+        dx: &mut Tensor,
+    ) {
+        let (h, w) = (geom.in_h, geom.in_w);
         let cin_g = self.in_channels / self.groups;
         let cout_g = self.out_channels / self.groups;
-        let kk = self.kernel * self.kernel;
-        let col_rows = cin_g * kk;
+        let col_rows = geom.col_rows(cin_g);
         let positions = geom.out_positions();
-        assert_eq!(
-            grad_out.dims(),
-            &[n, self.out_channels, geom.out_h, geom.out_w],
-            "conv2d backward gradient shape mismatch"
-        );
-        let mut dx = Tensor::zeros(&dims);
         // Reused scratch (stale contents fine): `cols` is fully written by
         // im2col, `wt` and `got` are fully written per group/sample below,
         // `dcols` is zeroed before each accumulate-GEMM and `dwt` at each
@@ -167,15 +225,12 @@ impl Layer for Conv2d {
             positions * cout_g,
             col_rows * cout_g,
         ]);
-        let img_len = c * h * w;
+        let img_len = self.in_channels * h * w;
+        let n = x.len() / img_len;
         for g in 0..self.groups {
             let w_g =
                 &self.weight.value.as_slice()[g * cout_g * col_rows..(g + 1) * cout_g * col_rows];
-            for r in 0..cout_g {
-                for q in 0..col_rows {
-                    wt[q * cout_g + r] = w_g[r * col_rows + q];
-                }
-            }
+            transpose(w_g, cout_g, col_rows, wt);
             // dW_g += go [cout_g, P] x cols^T [P, col_rows], computed in its
             // transposed form dW_g^T += cols [col_rows, P] x go^T [P, cout_g]
             // so the packed GEMM does the reduction over positions; `dwt`
@@ -185,34 +240,141 @@ impl Layer for Conv2d {
             for i in 0..n {
                 let image = &x.as_slice()[i * img_len..(i + 1) * img_len];
                 let gin = &image[g * cin_g * h * w..(g + 1) * cin_g * h * w];
-                im2col(gin, cin_g, &geom, cols).expect("geometry verified in forward");
+                im2col(gin, cin_g, geom, cols).expect("geometry verified in forward");
                 let go_base = i * self.out_channels * positions + g * cout_g * positions;
                 let go = &grad_out.as_slice()[go_base..go_base + cout_g * positions];
-                for oc in 0..cout_g {
-                    let go_row = &go[oc * positions..(oc + 1) * positions];
-                    for (p, &v) in go_row.iter().enumerate() {
-                        got[p * cout_g + oc] = v;
-                    }
-                    // db += sum over positions
-                    self.bias.grad.as_mut_slice()[g * cout_g + oc] += go_row.iter().sum::<f32>();
-                }
+                transpose(go, cout_g, positions, got);
+                let db = &mut self.bias.grad.as_mut_slice()[g * cout_g..(g + 1) * cout_g];
+                add_row_sums(go, positions, db);
                 gemm(col_rows, cout_g, positions, cols, got, dwt);
                 // dcols = W^T x go, then scatter with col2im
                 dcols.fill(0.0);
                 gemm(col_rows, positions, cout_g, wt, go, dcols);
                 let dgin = &mut dx.as_mut_slice()
                     [i * img_len + g * cin_g * h * w..i * img_len + (g + 1) * cin_g * h * w];
-                col2im(dcols, cin_g, &geom, dgin).expect("geometry verified in forward");
+                col2im(dcols, cin_g, geom, dgin).expect("geometry verified in forward");
             }
             let dwg = &mut self.weight.grad.as_mut_slice()
                 [g * cout_g * col_rows..(g + 1) * cout_g * col_rows];
-            for oc in 0..cout_g {
-                let dw_row = &mut dwg[oc * col_rows..(oc + 1) * col_rows];
-                for (q, dwv) in dw_row.iter_mut().enumerate() {
-                    *dwv += dwt[q * cout_g + oc];
-                }
+            add_transposed(dwt, col_rows, cout_g, dwg);
+        }
+    }
+}
+
+/// `sums[r] += Σ_p rows[r, p]` — the bias gradient of one sample. Each sum is
+/// sequential over `p` (as `Iterator::sum`, from -0.0), one chain of
+/// dependent adds; four rows' chains run side by side to fill the adder's
+/// pipeline, which reorders nothing within a chain.
+fn add_row_sums(rows: &[f32], row_len: usize, sums: &mut [f32]) {
+    const TOGETHER: usize = 4;
+    let mut blocks = rows.chunks_exact(TOGETHER * row_len);
+    let mut sum_blocks = sums.chunks_exact_mut(TOGETHER);
+    for (block, out) in (&mut blocks).zip(&mut sum_blocks) {
+        let lanes: [&[f32]; TOGETHER] =
+            std::array::from_fn(|l| &block[l * row_len..(l + 1) * row_len]);
+        let mut acc = [-0.0f32; TOGETHER];
+        for p in 0..row_len {
+            for (a, lane) in acc.iter_mut().zip(&lanes) {
+                *a += lane[p];
             }
         }
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o += a;
+        }
+    }
+    for (row, o) in blocks
+        .remainder()
+        .chunks_exact(row_len)
+        .zip(sum_blocks.into_remainder())
+    {
+        *o += row.iter().sum::<f32>();
+    }
+}
+
+/// `dst[c, r] = src[r, c]` for a row-major `rows x cols` `src`.
+fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
+        }
+    }
+}
+
+/// `dst[c, r] += src[r, c]` for a row-major `rows x cols` `src`.
+fn add_transposed(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (c, drow) in dst.chunks_exact_mut(rows).enumerate() {
+        for (r, d) in drow.iter_mut().enumerate() {
+            *d += src[r * cols + c];
+        }
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let dims = x.dims();
+        assert_eq!(dims.len(), 4, "conv2d expects NCHW input, got {dims:?}");
+        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        assert_eq!(c, self.in_channels, "conv2d channel mismatch");
+        let geom = self.geometry(h, w);
+        let mut out = Tensor::zeros(&[n, self.out_channels, geom.out_h, geom.out_w]);
+        if self.is_depthwise() {
+            depthwise_forward(
+                x.as_slice(),
+                c,
+                &geom,
+                self.weight.value.as_slice(),
+                self.bias.value.as_slice(),
+                out.as_mut_slice(),
+            );
+        } else if self.is_pointwise() {
+            self.forward_pointwise(x, geom.out_positions(), &mut out);
+        } else {
+            self.forward_lowered(x, &geom, &mut out);
+        }
+        match (&mut self.cached_input, mode) {
+            // Same shape as last step: keep the allocation, replace the data.
+            (Some(cached), Mode::Train) if cached.dims() == dims => {
+                cached.as_mut_slice().copy_from_slice(x.as_slice());
+            }
+            (slot, Mode::Train) => *slot = Some(x.clone()),
+            (slot, Mode::Eval) => *slot = None,
+        }
+        out
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        // Taken out for the duration so the helpers can borrow `self`
+        // mutably; put back below (a second backward may follow).
+        let x = self
+            .cached_input
+            .take()
+            .expect("conv2d backward called before forward (Train mode)");
+        let dims = x.dims();
+        let (n, h, w) = (dims[0], dims[2], dims[3]);
+        let geom = self.geometry(h, w);
+        assert_eq!(
+            grad_out.dims(),
+            &[n, self.out_channels, geom.out_h, geom.out_w],
+            "conv2d backward gradient shape mismatch"
+        );
+        let mut dx = Tensor::zeros(dims);
+        if self.is_depthwise() {
+            depthwise_backward(
+                x.as_slice(),
+                self.in_channels,
+                &geom,
+                self.weight.value.as_slice(),
+                grad_out.as_slice(),
+                self.weight.grad.as_mut_slice(),
+                self.bias.grad.as_mut_slice(),
+                dx.as_mut_slice(),
+            );
+        } else if self.is_pointwise() {
+            self.backward_pointwise(&x, grad_out, geom.out_positions(), &mut dx);
+        } else {
+            self.backward_lowered(&x, grad_out, &geom, &mut dx);
+        }
+        self.cached_input = Some(x);
         dx
     }
 
@@ -276,6 +438,42 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 10.0], &[1, 2, 1, 1]).unwrap();
         let y = conv.forward(&x, Mode::Eval);
         assert_eq!(y.as_slice(), &[2.0, 30.0]);
+    }
+
+    #[test]
+    fn depthwise_and_pointwise_request_no_column_buffers() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let x = Tensor::randn(&[2, 4, 6, 6], 1.0, &mut rng);
+        // depthwise: direct kernels, no workspace at all
+        let mut dw = Conv2d::new(4, 4, 5, 1, 4, 2, 4, &mut rng);
+        let y = dw.forward(&x, Mode::Train);
+        dw.backward(&Tensor::ones(y.dims()));
+        assert_eq!(dw.workspace.capacity(), 0);
+        // pointwise: W^T, go^T and dW^T for the GEMMs, nothing `positions`
+        // times `k * k` wide
+        let mut pw = Conv2d::new(4, 3, 1, 1, 0, 1, 1, &mut rng);
+        let y = pw.forward(&x, Mode::Train);
+        assert_eq!(pw.workspace.capacity(), 0);
+        pw.backward(&Tensor::ones(y.dims()));
+        assert_eq!(pw.workspace.capacity(), 4 * 3 + 36 * 3 + 4 * 3);
+    }
+
+    #[test]
+    fn forward_keeps_its_backward_cache_allocation() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut conv = Conv2d::new(2, 2, 3, 1, 1, 1, 1, &mut rng);
+        let cached = |conv: &Conv2d| conv.cached_input.as_ref().map(|t| t.as_slice().as_ptr());
+        let x1 = Tensor::randn(&[2, 2, 4, 4], 1.0, &mut rng);
+        let x2 = Tensor::randn(&[2, 2, 4, 4], 1.0, &mut rng);
+        conv.forward(&x1, Mode::Train);
+        let first = cached(&conv);
+        conv.forward(&x2, Mode::Train);
+        assert_eq!(cached(&conv), first, "same shape: same allocation");
+        assert_eq!(conv.cached_input.as_ref().unwrap(), &x2, "new contents");
+        conv.backward(&Tensor::ones(&[2, 2, 4, 4]));
+        assert_eq!(cached(&conv), first, "backward hands the cache back");
+        conv.forward(&x1, Mode::Eval);
+        assert!(conv.cached_input.is_none());
     }
 
     #[test]

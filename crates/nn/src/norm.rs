@@ -56,6 +56,116 @@ impl BatchNorm2d {
     }
 }
 
+/// Channels whose reductions advance together. A channel's sums are
+/// sequential — each is one chain of dependent adds over `(sample, position)`
+/// in order, and reordering a chain would change its rounding — but
+/// different channels' chains are independent, so running `GROUP` of them
+/// side by side fills the adder's pipeline without touching any chain's
+/// order.
+const GROUP: usize = 4;
+
+/// Per-channel results of a reduction that handles `G` neighbouring channels
+/// at once (given the first): [`GROUP`] at a time, the rest one by one.
+fn by_groups<T>(
+    c: usize,
+    group: impl Fn(usize) -> [T; GROUP],
+    single: impl Fn(usize) -> [T; 1],
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(c);
+    let grouped = c - c % GROUP;
+    for first in (0..grouped).step_by(GROUP) {
+        out.extend(group(first));
+    }
+    for first in grouped..c {
+        out.extend(single(first));
+    }
+    out
+}
+
+/// Sample `i`'s planes of the `G` channels from `first` on.
+fn planes<const G: usize>(
+    t: &[f32],
+    (c, plane): (usize, usize),
+    i: usize,
+    first: usize,
+) -> [&[f32]; G] {
+    std::array::from_fn(|l| &t[(i * c + first + l) * plane..][..plane])
+}
+
+/// Batch `(mean, biased variance)` of every channel of the NCHW `x`.
+fn batch_stats(x: &[f32], n: usize, c: usize, plane: usize) -> Vec<(f32, f32)> {
+    fn of<const G: usize>(
+        x: &[f32],
+        n: usize,
+        dims: (usize, usize),
+        first: usize,
+    ) -> [(f32, f32); G] {
+        let plane = dims.1;
+        let count = (n * plane) as f32;
+        let mut mean = [0.0f32; G];
+        for i in 0..n {
+            let rows = planes::<G>(x, dims, i, first);
+            // `Iterator::sum` of `f32`, which this replaces, starts from -0.0.
+            let mut sum = [-0.0f32; G];
+            for j in 0..plane {
+                for (s, row) in sum.iter_mut().zip(&rows) {
+                    *s += row[j];
+                }
+            }
+            for (m, s) in mean.iter_mut().zip(sum) {
+                *m += s;
+            }
+        }
+        mean.iter_mut().for_each(|m| *m /= count);
+        let mut var = [0.0f32; G];
+        for i in 0..n {
+            let rows = planes::<G>(x, dims, i, first);
+            for j in 0..plane {
+                for ((v, row), m) in var.iter_mut().zip(&rows).zip(&mean) {
+                    let d = row[j] - m;
+                    *v += d * d;
+                }
+            }
+        }
+        std::array::from_fn(|l| (mean[l], var[l] / count))
+    }
+    by_groups(
+        c,
+        |first| of::<GROUP>(x, n, (c, plane), first),
+        |first| of::<1>(x, n, (c, plane), first),
+    )
+}
+
+/// Per channel `(Σ dout, Σ dout · x_hat)` over the batch.
+fn grad_sums(dout: &[f32], x_hat: &[f32], n: usize, c: usize, plane: usize) -> Vec<(f32, f32)> {
+    fn of<const G: usize>(
+        dout: &[f32],
+        x_hat: &[f32],
+        n: usize,
+        dims: (usize, usize),
+        first: usize,
+    ) -> [(f32, f32); G] {
+        let mut sums = [(0.0f32, 0.0f32); G];
+        for i in 0..n {
+            let d_rows = planes::<G>(dout, dims, i, first);
+            let x_rows = planes::<G>(x_hat, dims, i, first);
+            for j in 0..dims.1 {
+                for ((sum, d_row), x_row) in sums.iter_mut().zip(&d_rows).zip(&x_rows) {
+                    let d = d_row[j];
+                    sum.0 += d;
+                    sum.1 += d * x_row[j];
+                }
+            }
+        }
+        sums
+    }
+    by_groups(
+        c,
+        |first| of::<GROUP>(dout, x_hat, n, (c, plane), first),
+        |first| of::<1>(dout, x_hat, n, (c, plane), first),
+    )
+}
+
 impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let dims = x.dims();
@@ -63,7 +173,6 @@ impl Layer for BatchNorm2d {
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         assert_eq!(c, self.channels, "batchnorm channel mismatch");
         let plane = h * w;
-        let count = (n * plane) as f32;
         let mut out = Tensor::zeros(dims);
         match mode {
             Mode::Train => {
@@ -73,22 +182,9 @@ impl Layer for BatchNorm2d {
                     Some(cache) if cache.dims == dims => (cache.x_hat, cache.inv_std),
                     _ => (Tensor::zeros(dims), vec![0.0f32; c]),
                 };
+                let stats = batch_stats(x.as_slice(), n, c, plane);
                 for (ch, istd_slot) in inv_std.iter_mut().enumerate() {
-                    let mut mean = 0.0f32;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        mean += x.as_slice()[base..base + plane].iter().sum::<f32>();
-                    }
-                    mean /= count;
-                    let mut var = 0.0f32;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for v in &x.as_slice()[base..base + plane] {
-                            let d = v - mean;
-                            var += d * d;
-                        }
-                    }
-                    var /= count;
+                    let (mean, var) = stats[ch];
                     let istd = 1.0 / (var + self.eps).sqrt();
                     *istd_slot = istd;
                     self.running_mean[ch] =
@@ -98,11 +194,15 @@ impl Layer for BatchNorm2d {
                     let g = self.gamma.value.as_slice()[ch];
                     let b = self.beta.value.as_slice()[ch];
                     for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for j in 0..plane {
-                            let xh = (x.as_slice()[base + j] - mean) * istd;
-                            x_hat.as_mut_slice()[base + j] = xh;
-                            out.as_mut_slice()[base + j] = g * xh + b;
+                        let at = (i * c + ch) * plane..(i * c + ch + 1) * plane;
+                        for ((o, h), v) in out.as_mut_slice()[at.clone()]
+                            .iter_mut()
+                            .zip(&mut x_hat.as_mut_slice()[at.clone()])
+                            .zip(&x.as_slice()[at])
+                        {
+                            let xh = (v - mean) * istd;
+                            *h = xh;
+                            *o = g * xh + b;
                         }
                     }
                 }
@@ -119,10 +219,12 @@ impl Layer for BatchNorm2d {
                     let g = self.gamma.value.as_slice()[ch];
                     let b = self.beta.value.as_slice()[ch];
                     for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for j in 0..plane {
-                            out.as_mut_slice()[base + j] =
-                                g * (x.as_slice()[base + j] - mean) * istd + b;
+                        let at = (i * c + ch) * plane..(i * c + ch + 1) * plane;
+                        for (o, v) in out.as_mut_slice()[at.clone()]
+                            .iter_mut()
+                            .zip(&x.as_slice()[at])
+                        {
+                            *o = g * (v - mean) * istd + b;
                         }
                     }
                 }
@@ -147,30 +249,21 @@ impl Layer for BatchNorm2d {
         let plane = h * w;
         let count = (n * plane) as f32;
         let mut dx = Tensor::zeros(dims);
-        for ch in 0..c {
+        let sums = grad_sums(grad_out.as_slice(), cache.x_hat.as_slice(), n, c, plane);
+        for (ch, &(sum_dout, sum_dout_xhat)) in sums.iter().enumerate() {
             let g = self.gamma.value.as_slice()[ch];
             let istd = cache.inv_std[ch];
-            // reductions: sum(dout), sum(dout * x_hat)
-            let mut sum_dout = 0.0f32;
-            let mut sum_dout_xhat = 0.0f32;
-            for i in 0..n {
-                let base = (i * c + ch) * plane;
-                for j in 0..plane {
-                    let d = grad_out.as_slice()[base + j];
-                    sum_dout += d;
-                    sum_dout_xhat += d * cache.x_hat.as_slice()[base + j];
-                }
-            }
             self.beta.grad.as_mut_slice()[ch] += sum_dout;
             self.gamma.grad.as_mut_slice()[ch] += sum_dout_xhat;
             let scale = g * istd / count;
             for i in 0..n {
-                let base = (i * c + ch) * plane;
-                for j in 0..plane {
-                    let d = grad_out.as_slice()[base + j];
-                    let xh = cache.x_hat.as_slice()[base + j];
-                    dx.as_mut_slice()[base + j] =
-                        scale * (count * d - sum_dout - xh * sum_dout_xhat);
+                let at = (i * c + ch) * plane..(i * c + ch + 1) * plane;
+                for ((o, d), xh) in dx.as_mut_slice()[at.clone()]
+                    .iter_mut()
+                    .zip(&grad_out.as_slice()[at.clone()])
+                    .zip(&cache.x_hat.as_slice()[at])
+                {
+                    *o = scale * (count * d - sum_dout - xh * sum_dout_xhat);
                 }
             }
         }

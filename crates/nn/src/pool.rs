@@ -39,52 +39,93 @@ impl MaxPool2d {
     }
 }
 
+/// Writes the `w`-wide `image` into `plane` (rows `plane_w` wide), element
+/// `(y, x)` at `(origin + y * step, origin + x * step)`; the rest of `plane`
+/// is the caller's border and is left alone.
+fn place(plane: &mut [f32], plane_w: usize, origin: usize, step: usize, image: &[f32], w: usize) {
+    for (y, src) in image.chunks_exact(w).enumerate() {
+        let at = (origin + y * step) * plane_w + origin;
+        if step == 1 {
+            plane[at..at + w].copy_from_slice(src);
+        } else {
+            for (d, &v) in plane[at..].iter_mut().step_by(step).zip(src) {
+                *d = v;
+            }
+        }
+    }
+}
+
+/// Marks a window position that no tap has claimed yet in [`scan_tap`]'s
+/// `winner`.
+const UNCLAIMED: u32 = u32::MAX;
+
+/// One tap of the pooling window against every window position at once:
+/// position `q` takes `vals[q]`, and records `tap` as its winner, if that
+/// beats its running `best`. NaN inputs propagate (matching PyTorch) instead
+/// of silently vanishing to -inf: a NaN always takes over, and nothing but a
+/// later NaN beats it.
+fn scan_tap(best: &mut [f32], winner: &mut [u32], vals: &[f32], tap: u32) {
+    for ((b, t), &v) in best.iter_mut().zip(winner.iter_mut()).zip(vals) {
+        // All ones if `v` takes over. Blending bits keeps this a select: as
+        // `if take { .. }` it compiles to a branch per element, and which
+        // neighbour holds the maximum is not something a predictor learns.
+        let take = (((v > *b) | v.is_nan()) as u32).wrapping_neg();
+        *b = f32::from_bits((v.to_bits() & take) | (b.to_bits() & !take));
+        *t = (tap & take) | (*t & !take);
+    }
+}
+
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "maxpool expects NCHW");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let geom = self.geometry(h, w);
-        let mut out = Tensor::zeros(&[n, c, geom.out_h, geom.out_w]);
+        let (out_h, out_w) = (geom.out_h, geom.out_w);
+        let (k, stride, pad) = (self.kernel, self.stride, self.padding);
+        let mut out = Tensor::zeros(&[n, c, out_h, out_w]);
         // Reuse the argmax cache allocation across steps; only Train mode
         // records it (Eval forwards leave the previous cache untouched).
         let track = mode == Mode::Train;
         if track {
             self.argmax.resize(out.len(), 0);
         }
-        let mut o = 0usize;
-        for i in 0..n {
-            for ch in 0..c {
-                let plane_base = (i * c + ch) * h * w;
-                let plane = &x.as_slice()[plane_base..plane_base + h * w];
-                for oy in 0..geom.out_h {
-                    for ox in 0..geom.out_w {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for ky in 0..self.kernel {
-                            let iy = (oy * self.stride + ky) as isize - self.padding as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..self.kernel {
-                                let ix = (ox * self.stride + kx) as isize - self.padding as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let idx = iy as usize * w + ix as usize;
-                                // NaN inputs propagate (matching PyTorch)
-                                // instead of silently vanishing to -inf
-                                if plane[idx] > best || plane[idx].is_nan() {
-                                    best = plane[idx];
-                                    best_idx = plane_base + idx;
-                                }
-                            }
-                        }
-                        out.as_mut_slice()[o] = best;
-                        if track {
-                            self.argmax[o] = best_idx;
-                        }
-                        o += 1;
+        // Each plane is copied inside a border of -inf, which no comparison
+        // lets win, so a tap needs no bounds test; and each tap is scanned
+        // against the window at *every* position of the bordered plane in one
+        // flat run (`stride` only picks which positions are outputs). Every
+        // output still sees its taps in (ky, kx) order.
+        let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+        let run = (ph - k) * pw + (pw - k) + 1;
+        let mut bordered = vec![f32::NEG_INFINITY; ph * pw];
+        let mut best = vec![0.0f32; run];
+        let mut winner = vec![0u32; run];
+        // Tap `t` of a window is `tap_index[t]` input elements past the
+        // window's origin.
+        let tap_index: Vec<usize> = (0..k * k).map(|t| (t / k) * w + t % k).collect();
+        for (p, plane) in x.as_slice().chunks_exact(h * w).enumerate() {
+            place(&mut bordered, pw, pad, 1, plane, w);
+            best.fill(f32::NEG_INFINITY);
+            winner.fill(UNCLAIMED);
+            for t in 0..k * k {
+                let off = (t / k) * pw + t % k;
+                scan_tap(&mut best, &mut winner, &bordered[off..off + run], t as u32);
+            }
+            for oy in 0..out_h {
+                let o = (p * out_h + oy) * out_w;
+                let picks = (oy * stride * pw..).step_by(stride).take(out_w);
+                for (ox, q) in picks.enumerate() {
+                    out.as_mut_slice()[o + ox] = best[q];
+                    if track {
+                        // Window origin in the input, border removed last so
+                        // the sum never dips below zero. A window nothing
+                        // claimed (all -inf) keeps the index 0 it has always
+                        // reported.
+                        let origin = p * h * w + oy * stride * w + ox * stride;
+                        self.argmax[o + ox] = match winner[q] {
+                            UNCLAIMED => 0,
+                            t => origin + tap_index[t as usize] - (pad * w + pad),
+                        };
                     }
                 }
             }
@@ -150,10 +191,8 @@ impl AvgPool2d {
         Conv2dGeometry::new(h, w, self.kernel, self.stride, self.padding, 1)
     }
 
-    /// In-bounds input coordinates covered by the window at output position
-    /// `o` along one axis of extent `extent`: computed analytically so the
-    /// hot loops run over exact ranges with no bounds branches and no
-    /// allocation.
+    /// Kernel offsets whose input coordinate is in bounds for the window at
+    /// output position `o` along one axis of extent `extent`.
     fn axis_range(&self, extent: usize, o: usize) -> std::ops::Range<usize> {
         let start = o * self.stride; // input coord = start + k - padding
         let lo = self.padding.saturating_sub(start);
@@ -161,6 +200,19 @@ impl AvgPool2d {
             .saturating_sub(start)
             .min(self.kernel);
         lo..hi.max(lo)
+    }
+
+    /// What each output's window sum is divided by: its in-bounds cells (1
+    /// for a window that lies in the padding altogether).
+    fn divisors(&self, h: usize, w: usize, geom: &Conv2dGeometry) -> Vec<f32> {
+        let mut divisor = Vec::with_capacity(geom.out_positions());
+        for oy in 0..geom.out_h {
+            let rows = self.axis_range(h, oy).len();
+            divisor.extend(
+                (0..geom.out_w).map(|ox| (rows * self.axis_range(w, ox).len()).max(1) as f32),
+            );
+        }
+        divisor
     }
 }
 
@@ -170,29 +222,38 @@ impl Layer for AvgPool2d {
         assert_eq!(dims.len(), 4, "avgpool expects NCHW");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let geom = self.geometry(h, w);
+        let (k, stride, pad) = (self.kernel, self.stride, self.padding);
         let mut out = Tensor::zeros(&[n, c, geom.out_h, geom.out_w]);
-        let mut o = 0usize;
-        for i in 0..n {
-            for ch in 0..c {
-                let plane_base = (i * c + ch) * h * w;
-                let plane = &x.as_slice()[plane_base..plane_base + h * w];
-                for oy in 0..geom.out_h {
-                    let ys = self.axis_range(h, oy);
-                    for ox in 0..geom.out_w {
-                        let xs = self.axis_range(w, ox);
-                        let len = ys.len() * xs.len();
-                        let mut sum = 0.0f32;
-                        for ky in ys.clone() {
-                            let iy = oy * self.stride + ky - self.padding;
-                            let row = &plane[iy * w..(iy + 1) * w];
-                            for kx in xs.clone() {
-                                sum += row[ox * self.stride + kx - self.padding];
-                            }
-                        }
-                        out.as_mut_slice()[o] = sum / len.max(1) as f32;
-                        o += 1;
-                    }
+        // As in `MaxPool2d::forward`: the plane inside a border (of zeros —
+        // a sum that starts at +0.0 is never -0.0, so adding them changes no
+        // bit), each tap added to the window sum at every position in one
+        // flat run, taps in (ky, kx) order.
+        let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+        let run = (ph - k) * pw + (pw - k) + 1;
+        let mut bordered = vec![0.0f32; ph * pw];
+        let mut sums = vec![0.0f32; run];
+        let divisor = self.divisors(h, w, &geom);
+        for (plane, oplane) in x
+            .as_slice()
+            .chunks_exact(h * w)
+            .zip(out.as_mut_slice().chunks_exact_mut(geom.out_positions()))
+        {
+            place(&mut bordered, pw, pad, 1, plane, w);
+            sums.fill(0.0);
+            for t in 0..k * k {
+                let off = (t / k) * pw + t % k;
+                for (s, v) in sums.iter_mut().zip(&bordered[off..off + run]) {
+                    *s += v;
                 }
+            }
+            for (oy, orow) in oplane.chunks_exact_mut(geom.out_w).enumerate() {
+                let picks = sums[oy * stride * pw..].iter().step_by(stride);
+                for (o, sum) in orow.iter_mut().zip(picks) {
+                    *o = *sum;
+                }
+            }
+            for (o, d) in oplane.iter_mut().zip(&divisor) {
+                *o /= d;
             }
         }
         if mode == Mode::Train {
@@ -206,34 +267,42 @@ impl Layer for AvgPool2d {
             !self.in_dims.is_empty(),
             "avgpool backward called before forward"
         );
-        let (n, c, h, w) = (
-            self.in_dims[0],
-            self.in_dims[1],
-            self.in_dims[2],
-            self.in_dims[3],
-        );
+        let (h, w) = (self.in_dims[2], self.in_dims[3]);
         let geom = self.geometry(h, w);
+        let (k, stride, pad) = (self.kernel, self.stride, self.padding);
         let mut dx = Tensor::zeros(&self.in_dims);
-        let mut o = 0usize;
-        for i in 0..n {
-            for ch in 0..c {
-                let plane_base = (i * c + ch) * h * w;
-                for oy in 0..geom.out_h {
-                    let ys = self.axis_range(h, oy);
-                    for ox in 0..geom.out_w {
-                        let xs = self.axis_range(w, ox);
-                        let g = grad_out.as_slice()[o];
-                        let share = g / (ys.len() * xs.len()).max(1) as f32;
-                        for ky in ys.clone() {
-                            let iy = oy * self.stride + ky - self.padding;
-                            for kx in xs.clone() {
-                                let ix = ox * self.stride + kx - self.padding;
-                                dx.as_mut_slice()[plane_base + iy * w + ix] += share;
-                            }
-                        }
-                        o += 1;
-                    }
+        // dx[y] = Σ_ky share[(y + pad - ky) / stride]: with each output's
+        // share spread `stride` apart from row `lead` of a zeroed plane, tap
+        // `ky` of dx row `y` reads row `y + flip - ky`, never negative. An
+        // input collects its shares in (oy, ox) order, i.e. taps descending.
+        let lead = (k - 1).saturating_sub(pad);
+        let flip = pad + lead;
+        let extent =
+            |input: usize, output: usize| (input + flip).max(lead + (output - 1) * stride + 1);
+        let (gh, gw) = (extent(h, geom.out_h), extent(w, geom.out_w));
+        let run = (h - 1) * gw + w;
+        let mut spread = vec![0.0f32; gh * gw];
+        let mut shares = vec![0.0f32; geom.out_positions()];
+        let mut sums = vec![0.0f32; run];
+        let divisor = self.divisors(h, w, &geom);
+        for (go, dplane) in grad_out
+            .as_slice()
+            .chunks_exact(geom.out_positions())
+            .zip(dx.as_mut_slice().chunks_exact_mut(h * w))
+        {
+            for ((s, g), d) in shares.iter_mut().zip(go).zip(&divisor) {
+                *s = g / d;
+            }
+            place(&mut spread, gw, lead, stride, &shares, geom.out_w);
+            sums.fill(0.0);
+            for t in (0..k * k).rev() {
+                let off = (flip - t / k) * gw + flip - t % k;
+                for (s, v) in sums.iter_mut().zip(&spread[off..off + run]) {
+                    *s += v;
                 }
+            }
+            for (drow, srow) in dplane.chunks_exact_mut(w).zip(sums.chunks(gw)) {
+                drow.copy_from_slice(&srow[..w]);
             }
         }
         dx

@@ -146,3 +146,511 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Bit-equality of the direct layer paths with the code they replaced.
+//
+// Depthwise and pointwise `Conv2d` no longer go through `im2col` + GEMM, and
+// ReLU / MaxPool2d / AvgPool2d / BatchNorm2d had their loops restructured for
+// speed. None of that may move a single bit (every committed curve, digest
+// and checkpoint was produced by the old code), so each is compared here with
+// the old computation kept in test form: the lowering lives in
+// `crates/bench/src/lowering.rs` (also `bench_kernels`' "before"), the old
+// element-wise loops below.
+// ---------------------------------------------------------------------------
+
+#[path = "../../bench/src/lowering.rs"]
+mod lowering;
+
+use lowering::{lowered_backward, lowered_forward, ConvShape};
+use rand::Rng;
+
+/// Bit patterns with `-0.0` mapped to `+0.0`: the one difference the direct
+/// kernels may show (see `tensor::depthwise`'s notes on numerics) and one
+/// that no later arithmetic can turn into a different value. All NaNs count
+/// as one (which operand's payload an add keeps is the compiler's choice).
+fn bits(values: &[f32]) -> Vec<u32> {
+    let canonical = |v: &f32| match v {
+        v if v.is_nan() => f32::NAN.to_bits(),
+        v if *v == 0.0 => 0,
+        v => v.to_bits(),
+    };
+    values.iter().map(canonical).collect()
+}
+
+/// About half exact zeros, as after a ReLU; the rest positive.
+fn post_relu(dims: &[usize], rng: &mut StdRng) -> Tensor {
+    Tensor::randn(dims, 1.0, rng).map(|v| v.max(0.0))
+}
+
+fn param_values(layer: &mut dyn Layer, grads: bool) -> Vec<Vec<f32>> {
+    let mut out = Vec::new();
+    layer.visit_params(&mut |p| {
+        let t = if grads { &p.grad } else { &p.value };
+        out.push(t.as_slice().to_vec());
+    });
+    out
+}
+
+/// Runs `Conv2d` and the lowering side by side on the same parameters: one
+/// forward, then two backward passes accumulating into the same gradients.
+fn assert_conv_equals_lowering(
+    shape: ConvShape,
+    (n, h, w): (usize, usize, usize),
+    rng: &mut StdRng,
+) {
+    let mut conv = Conv2d::new(
+        shape.in_channels,
+        shape.out_channels,
+        shape.kernel,
+        shape.stride,
+        shape.padding,
+        shape.dilation,
+        shape.groups,
+        rng,
+    );
+    // Non-zero bias, and some weights exactly zero: both kernels skip those.
+    conv.visit_params(&mut |p| {
+        for v in p.value.as_mut_slice() {
+            *v = if rng.gen_bool(0.15) {
+                0.0
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            };
+        }
+    });
+    let values = param_values(&mut conv, false);
+    let (weight, bias) = (&values[0], &values[1]);
+    let x = post_relu(&[n, shape.in_channels, h, w], rng);
+    let case = format!("{shape:?} on {n}x{h}x{w}");
+
+    let y = conv.forward(&x, Mode::Train);
+    let y_ref = lowered_forward(&shape, x.as_slice(), (n, h, w), weight, bias);
+    assert_eq!(bits(y.as_slice()), bits(&y_ref), "forward of {case}");
+
+    let mut dweight = vec![0.0f32; weight.len()];
+    let mut dbias = vec![0.0f32; bias.len()];
+    for pass in 0..2 {
+        let mut go = Tensor::randn(y.dims(), 1.0, rng);
+        if pass == 1 && rng.gen_bool(0.25) {
+            // A blown-up gradient: where the input is 0.0 the lowering skips
+            // the term, and `0.0 * inf` must not turn up as NaN instead.
+            let at = rng.gen_range(0..go.len());
+            go.as_mut_slice()[at] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][at % 3];
+        }
+        let dx = conv.backward(&go);
+        let dx_ref = lowered_backward(
+            &shape,
+            x.as_slice(),
+            (n, h, w),
+            weight,
+            go.as_slice(),
+            &mut dweight,
+            &mut dbias,
+        );
+        assert_eq!(bits(dx.as_slice()), bits(&dx_ref), "dx {pass} of {case}");
+        let grads = param_values(&mut conv, true);
+        assert_eq!(bits(&grads[0]), bits(&dweight), "dW {pass} of {case}");
+        assert_eq!(bits(&grads[1]), bits(&dbias), "db {pass} of {case}");
+    }
+}
+
+fn depthwise(c: usize, kernel: usize, stride: usize, dilation: usize) -> ConvShape {
+    ConvShape {
+        in_channels: c,
+        out_channels: c,
+        kernel,
+        stride,
+        // DARTS "same" padding, as `SepConvOp` / `DilConvOp` set it
+        padding: dilation * (kernel - 1) / 2,
+        dilation,
+        groups: c,
+    }
+}
+
+#[test]
+fn depthwise_conv_equals_im2col_gemm_lowering_bit_for_bit() {
+    // Every case keeps m·n·k = k² · positions within 16 384, the range in
+    // which the lowering ran on `gemm_naive` (separate multiply and add, k
+    // ascending) — the arithmetic the direct kernels reproduce. Above it the
+    // lowering used the packed FMA kernel and the last ulp differs; no
+    // `tiny`/`small` shape is up there (DESIGN, "Kernel numerics").
+    let mut rng = StdRng::seed_from_u64(14);
+    for kernel in [3, 5] {
+        for stride in [1, 2] {
+            for dilation in [1, 2] {
+                for _ in 0..12 {
+                    let (h, w) = (rng.gen_range(1..=13), rng.gen_range(1..=13));
+                    let (n, c) = (rng.gen_range(1..=4), rng.gen_range(1..=5));
+                    let shape = depthwise(c, kernel, stride, dilation);
+                    let positions = shape.geometry(h, w).out_positions();
+                    assert!(kernel * kernel * positions <= 16 * 1024);
+                    assert_conv_equals_lowering(shape, (n, h, w), &mut rng);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn depthwise_conv_of_other_shapes_equals_the_lowering() {
+    // Off the DARTS shapes the kernels take their general routes: a 1x1 and
+    // a 7x7 filter, dilation 3, stride 3, padding above and below "same".
+    let mut rng = StdRng::seed_from_u64(15);
+    for (kernel, stride, padding, dilation) in [
+        (1, 1, 0, 1),
+        (1, 2, 1, 1),
+        (3, 1, 0, 1),
+        (3, 3, 1, 1),
+        (3, 1, 4, 1),
+        (3, 1, 3, 3),
+        (5, 2, 1, 1),
+        (5, 1, 6, 3),
+        (7, 1, 3, 1),
+        (2, 1, 1, 1),
+        (4, 2, 2, 2),
+    ] {
+        for (n, c, h, w) in [(1, 1, 7, 7), (2, 3, 8, 5), (3, 2, 13, 9)] {
+            let shape = ConvShape {
+                padding,
+                ..depthwise(c, kernel, stride, dilation)
+            };
+            assert_conv_equals_lowering(shape, (n, h, w), &mut rng);
+        }
+    }
+}
+
+#[test]
+fn pointwise_conv_equals_im2col_gemm_lowering_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(16);
+    let pointwise = |cin, cout| ConvShape {
+        in_channels: cin,
+        out_channels: cout,
+        kernel: 1,
+        stride: 1,
+        padding: 0,
+        dilation: 1,
+        groups: 1,
+    };
+    for _ in 0..40 {
+        let (h, w) = (rng.gen_range(1..=13), rng.gen_range(1..=13));
+        let (n, cin, cout) = (
+            rng.gen_range(1..=4),
+            rng.gen_range(1..=6),
+            rng.gen_range(1..=6),
+        );
+        assert_conv_equals_lowering(pointwise(cin, cout), (n, h, w), &mut rng);
+    }
+    // The pointwise path makes the lowering's own GEMM calls on the same
+    // values, so unlike depthwise it also holds where the packed kernel
+    // takes over (16 · 169 · 16 > 16 384).
+    assert_conv_equals_lowering(pointwise(16, 16), (2, 13, 13), &mut rng);
+}
+
+#[test]
+fn depthwise_conv_on_maps_smaller_than_its_kernel() {
+    // The last stage of the `small` preset (12 -> 6 -> 3) and below: most
+    // taps of a dilated 5x5 (effective 9, padding 4) lie wholly in padding —
+    // `tensor::conv`'s `tap_entirely_in_padding_is_zero` case, for the direct
+    // kernels. Must not panic, must agree with finite differences and with
+    // the lowering.
+    let mut rng = StdRng::seed_from_u64(17);
+    for (kernel, dilation) in [(5, 2), (3, 1), (3, 2), (5, 1)] {
+        for hw in [3, 2, 1] {
+            for stride in [1, 2] {
+                let shape = depthwise(2, kernel, stride, dilation);
+                assert_conv_equals_lowering(shape, (2, hw, hw), &mut rng);
+                let mut conv =
+                    Conv2d::new(2, 2, kernel, stride, shape.padding, dilation, 2, &mut rng);
+                let x = Tensor::randn(&[2, 2, hw, hw], 1.0, &mut rng);
+                let err = fedrlnas_nn::grad_check_input(&mut conv, &x, 1e-2);
+                assert!(
+                    err < 1e-2,
+                    "k{kernel} d{dilation} s{stride} on {hw}x{hw}: input grad error {err}"
+                );
+            }
+        }
+    }
+}
+
+/// Random activations with exact zeros, exact ties and — if asked — NaN and
+/// infinities sprinkled in.
+fn awkward(dims: &[usize], non_finite: bool, rng: &mut StdRng) -> Tensor {
+    let mut t = Tensor::randn(dims, 1.0, rng).map(|v| (v * 4.0).round() / 4.0);
+    if non_finite {
+        for v in t.as_mut_slice() {
+            match rng.gen_range(0..40) {
+                0 => *v = f32::NAN,
+                1 => *v = f32::NEG_INFINITY,
+                2 => *v = f32::INFINITY,
+                _ => {}
+            }
+        }
+    }
+    t
+}
+
+/// Exact bit patterns (NaN payloads and zero signs included).
+fn raw_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn relu_equals_the_loops_it_replaced_including_nan() {
+    let mut rng = StdRng::seed_from_u64(18);
+    for non_finite in [false, true] {
+        let x = awkward(&[3, 4, 5, 7], non_finite, &mut rng);
+        let go = awkward(x.dims(), non_finite, &mut rng);
+        let mut relu = ReLU::new();
+        let y = relu.forward(&x, Mode::Train);
+        let dx = relu.backward(&go);
+        // the old forward: mask of `v > 0`, `v < 0 -> 0` else v (NaN stays)
+        let y_old: Vec<f32> = x
+            .as_slice()
+            .iter()
+            .map(|&v| if v < 0.0 { 0.0 } else { v })
+            .collect();
+        // the old backward: clone, then zero where the mask (`v > 0`, so
+        // unset for NaN) is unset
+        let mut dx_old = go.as_slice().to_vec();
+        for (d, &v) in dx_old.iter_mut().zip(x.as_slice()) {
+            let keep = v > 0.0;
+            if !keep {
+                *d = 0.0;
+            }
+        }
+        assert_eq!(raw_bits(y.as_slice()), raw_bits(&y_old));
+        assert_eq!(raw_bits(dx.as_slice()), raw_bits(&dx_old));
+        if non_finite {
+            assert!(y.as_slice().iter().any(|v| v.is_nan()), "NaN must survive");
+        }
+    }
+}
+
+/// `MaxPool2d::forward` as it was: one output at a time, every tap bounds
+/// tested, first maximum wins, NaN takes over. Returns outputs and argmax.
+fn max_pool_old(x: &Tensor, k: usize, stride: usize, pad: usize) -> (Vec<f32>, Vec<usize>) {
+    let d = x.dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (out_h, out_w) = (
+        (h + 2 * pad - k) / stride + 1,
+        (w + 2 * pad - k) / stride + 1,
+    );
+    let (mut out, mut arg) = (Vec::new(), Vec::new());
+    for plane_idx in 0..n * c {
+        let base = plane_idx * h * w;
+        let plane = &x.as_slice()[base..base + h * w];
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0usize);
+                for ky in 0..k {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    for kx in 0..k {
+                        let ix = (ox * stride + kx) as isize - pad as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        let idx = iy as usize * w + ix as usize;
+                        if plane[idx] > best || plane[idx].is_nan() {
+                            best = plane[idx];
+                            best_idx = base + idx;
+                        }
+                    }
+                }
+                out.push(best);
+                arg.push(best_idx);
+            }
+        }
+    }
+    (out, arg)
+}
+
+#[test]
+fn max_pool_equals_the_loop_it_replaced_including_nan() {
+    let mut rng = StdRng::seed_from_u64(19);
+    for non_finite in [false, true] {
+        for (k, stride, pad) in [
+            (3, 1, 1),
+            (3, 2, 1),
+            (2, 2, 0),
+            (3, 1, 0),
+            (5, 2, 2),
+            (3, 1, 3),
+        ] {
+            for (h, w) in [(1, 1), (2, 3), (3, 3), (6, 6), (7, 12), (12, 5)] {
+                if h + 2 * pad < k || w + 2 * pad < k {
+                    continue;
+                }
+                let x = awkward(&[2, 3, h, w], non_finite, &mut rng);
+                let mut pool = MaxPool2d::new(k, stride, pad);
+                let y = pool.forward(&x, Mode::Train);
+                let (y_old, arg_old) = max_pool_old(&x, k, stride, pad);
+                let case = format!("k{k} s{stride} p{pad} on {h}x{w}");
+                assert_eq!(raw_bits(y.as_slice()), raw_bits(&y_old), "{case}");
+                // the argmax is private; backward routes by it
+                let go = awkward(y.dims(), false, &mut rng);
+                let dx = pool.backward(&go);
+                let mut dx_old = vec![0.0f32; x.len()];
+                for (g, &idx) in go.as_slice().iter().zip(&arg_old) {
+                    dx_old[idx] += g;
+                }
+                assert_eq!(raw_bits(dx.as_slice()), raw_bits(&dx_old), "{case}");
+            }
+        }
+    }
+}
+
+/// `AvgPool2d` as it was: per output the in-bounds taps summed in (ky, kx)
+/// order and divided by their count; backward one share per tap, outputs in
+/// (oy, ox) order.
+fn avg_pool_old(
+    x: &Tensor,
+    go: Option<&Tensor>,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let d = x.dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (out_h, out_w) = (
+        (h + 2 * pad - k) / stride + 1,
+        (w + 2 * pad - k) / stride + 1,
+    );
+    let range = |extent: usize, o: usize| {
+        let start = o * stride;
+        let lo = pad.saturating_sub(start);
+        let hi = (extent + pad).saturating_sub(start).min(k);
+        lo..hi.max(lo)
+    };
+    let mut out = Vec::new();
+    let mut dx = vec![0.0f32; x.len()];
+    let mut o = 0;
+    for plane_idx in 0..n * c {
+        let base = plane_idx * h * w;
+        for oy in 0..out_h {
+            let ys = range(h, oy);
+            for ox in 0..out_w {
+                let xs = range(w, ox);
+                let len = (ys.len() * xs.len()).max(1) as f32;
+                let mut sum = 0.0f32;
+                for ky in ys.clone() {
+                    for kx in xs.clone() {
+                        let at = (oy * stride + ky - pad) * w + ox * stride + kx - pad;
+                        sum += x.as_slice()[base + at];
+                        if let Some(go) = go {
+                            dx[base + at] += go.as_slice()[o] / len;
+                        }
+                    }
+                }
+                out.push(sum / len);
+                o += 1;
+            }
+        }
+    }
+    (out, dx)
+}
+
+#[test]
+fn avg_pool_equals_the_loops_it_replaced() {
+    let mut rng = StdRng::seed_from_u64(20);
+    for (k, stride, pad) in [
+        (3, 1, 1),
+        (3, 2, 1),
+        (2, 2, 0),
+        (3, 1, 0),
+        (5, 2, 2),
+        (3, 1, 3),
+    ] {
+        for (h, w) in [(1, 1), (2, 3), (3, 3), (6, 6), (7, 12), (12, 5)] {
+            if h + 2 * pad < k || w + 2 * pad < k {
+                continue;
+            }
+            let x = Tensor::randn(&[2, 3, h, w], 1.0, &mut rng);
+            let mut pool = AvgPool2d::new(k, stride, pad);
+            let y = pool.forward(&x, Mode::Train);
+            let go = Tensor::randn(y.dims(), 1.0, &mut rng);
+            let dx = pool.backward(&go);
+            let (y_old, dx_old) = avg_pool_old(&x, Some(&go), k, stride, pad);
+            let case = format!("k{k} s{stride} p{pad} on {h}x{w}");
+            assert_eq!(bits(y.as_slice()), bits(&y_old), "forward {case}");
+            assert_eq!(bits(dx.as_slice()), bits(&dx_old), "backward {case}");
+        }
+    }
+}
+
+#[test]
+fn batch_norm_equals_the_loops_it_replaced() {
+    // Channel counts on both sides of the group of four whose sums advance
+    // together; the old code summed one channel at a time.
+    let mut rng = StdRng::seed_from_u64(21);
+    for c in [1, 3, 4, 5, 8, 11] {
+        let (n, h, w) = (3, 4, 5);
+        let plane = h * w;
+        let count = (n * plane) as f32;
+        let x = Tensor::randn(&[n, c, h, w], 2.0, &mut rng).map(|v| v + 0.5);
+        let go = Tensor::randn(x.dims(), 1.0, &mut rng);
+        let mut bn = BatchNorm2d::new(c);
+        let mut k = 0;
+        bn.visit_params(&mut |p| {
+            for v in p.value.as_mut_slice() {
+                k += 1;
+                *v = 0.5 + 0.25 * k as f32;
+            }
+        });
+        let affine = param_values(&mut bn, false);
+        let y = bn.forward(&x, Mode::Train);
+        let dx = bn.backward(&go);
+        let grads = param_values(&mut bn, true);
+
+        let mut y_old = vec![0.0f32; x.len()];
+        let mut dx_old = vec![0.0f32; x.len()];
+        let (mut dgamma, mut dbeta) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for ch in 0..c {
+            let planes = |t: &Tensor, i: usize| {
+                let base = (i * c + ch) * plane;
+                t.as_slice()[base..base + plane].to_vec()
+            };
+            let mut mean = 0.0f32;
+            for i in 0..n {
+                mean += planes(&x, i).iter().sum::<f32>();
+            }
+            mean /= count;
+            let mut var = 0.0f32;
+            for i in 0..n {
+                for v in planes(&x, i) {
+                    let d = v - mean;
+                    var += d * d;
+                }
+            }
+            var /= count;
+            let istd = 1.0 / (var + 1e-5).sqrt();
+            let (g, b) = (affine[0][ch], affine[1][ch]);
+            let (mut sum_dout, mut sum_dout_xhat) = (0.0f32, 0.0f32);
+            for i in 0..n {
+                for (j, (v, d)) in planes(&x, i).iter().zip(planes(&go, i)).enumerate() {
+                    let xh = (v - mean) * istd;
+                    y_old[(i * c + ch) * plane + j] = g * xh + b;
+                    sum_dout += d;
+                    sum_dout_xhat += d * xh;
+                }
+            }
+            dbeta[ch] += sum_dout;
+            dgamma[ch] += sum_dout_xhat;
+            let scale = g * istd / count;
+            for i in 0..n {
+                for (j, (v, d)) in planes(&x, i).iter().zip(planes(&go, i)).enumerate() {
+                    let xh = (v - mean) * istd;
+                    dx_old[(i * c + ch) * plane + j] =
+                        scale * (count * d - sum_dout - xh * sum_dout_xhat);
+                }
+            }
+        }
+        assert_eq!(raw_bits(y.as_slice()), raw_bits(&y_old), "forward c={c}");
+        assert_eq!(raw_bits(dx.as_slice()), raw_bits(&dx_old), "backward c={c}");
+        assert_eq!(raw_bits(&grads[0]), raw_bits(&dgamma), "dgamma c={c}");
+        assert_eq!(raw_bits(&grads[1]), raw_bits(&dbeta), "dbeta c={c}");
+    }
+}

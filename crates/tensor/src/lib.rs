@@ -13,6 +13,8 @@
 //!   `FEDRLNAS_NUM_THREADS`),
 //! * [`im2col`]/[`col2im`] — the lowering used to express convolutions (with
 //!   stride, padding, dilation and groups) as GEMM,
+//! * [`depthwise_forward`]/[`depthwise_backward`] — direct kernels for the
+//!   one-filter-per-channel convolutions that gain nothing from that lowering,
 //! * [`Workspace`] — a grow-only scratch arena layers reuse across steps so
 //!   the hot path performs no per-call allocations,
 //! * reductions, softmax and argmax kernels.
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod conv;
+mod depthwise;
 mod gemm;
 mod ops;
 mod shape;
@@ -40,6 +43,7 @@ mod threading;
 mod workspace;
 
 pub use conv::{col2im, im2col, Conv2dGeometry};
+pub use depthwise::{depthwise_backward, depthwise_forward};
 pub use gemm::{gemm, gemm_bias, gemm_naive};
 pub use ops::{argmax_rows, log_softmax_rows, softmax_inplace, softmax_rows};
 pub use shape::{Shape, ShapeError};
