@@ -15,7 +15,7 @@
 //! round `t` is stored in a per-participant residual vector (in supernet-flat
 //! coordinates) and added onto the raw update of round `t+1` *before* it is
 //! encoded, so quantization/sparsification error accumulates into later
-//! uploads instead of being lost ([`compensate`] / [`absorb_residual`]).
+//! uploads instead of being lost ([`CodecSpec::encode_with_feedback`]).
 //!
 //! Decoding is **total**: truncation, hostile length fields and malformed
 //! chunk scales map to typed [`CodecError`]s, and no allocation is ever
@@ -805,41 +805,52 @@ fn decode_topk_into(
 // error feedback
 // ---------------------------------------------------------------------------
 
-/// Adds the residual's slots for the given supernet-flat `(offset, len)`
-/// ranges onto `update` (which is the concatenation of those ranges, in
-/// order). Call *before* encoding an upload.
-pub fn compensate(update: &mut [f32], residual: &[f32], ranges: &[(usize, usize)]) {
-    let mut cursor = 0;
-    for &(offset, len) in ranges {
-        assert!(offset + len <= residual.len(), "range outside residual");
-        for i in 0..len {
-            update[cursor + i] += residual[offset + i];
+impl CodecSpec {
+    /// One error-compensated upload, participant side: folds `residual`
+    /// (supernet-flat) into `update` (the concatenation of the `(offset,
+    /// len)` `ranges`, in order), encodes the compensated update into
+    /// `coded`, decodes that into `decoded` — exactly what the receiver
+    /// will reconstruct — and stores what the encoding lost back into the
+    /// covered `residual` slots (the others keep their accumulated error).
+    /// The worker ships `coded`; the in-process server hands `decoded`
+    /// downstream; both run this one function, which is why they agree bit
+    /// for bit. `scratch`, `coded` and `decoded` are caller-owned and
+    /// grow-only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranges` do not tile `update` or reach past `residual`.
+    pub fn encode_with_feedback(
+        &self,
+        update: &mut [f32],
+        residual: &mut [f32],
+        ranges: &[(usize, usize)],
+        scratch: &mut EncodeScratch,
+        coded: &mut Vec<u8>,
+        decoded: &mut Vec<f32>,
+    ) {
+        let covered: usize = ranges.iter().map(|&(_, len)| len).sum();
+        assert_eq!(covered, update.len(), "ranges must tile the update");
+        let mut cursor = 0;
+        for &(offset, len) in ranges {
+            let slots = &residual[offset..offset + len];
+            for (u, r) in update[cursor..cursor + len].iter_mut().zip(slots) {
+                *u += r;
+            }
+            cursor += len;
         }
-        cursor += len;
-    }
-    assert_eq!(cursor, update.len(), "ranges must tile the update exactly");
-}
-
-/// Stores this round's encoding error back into the residual:
-/// `residual[range] = compensated − decoded` for every covered slot.
-/// Call with the *compensated* (pre-encode) update and the decode of its
-/// own encoding. Slots outside `ranges` keep their accumulated error.
-pub fn absorb_residual(
-    residual: &mut [f32],
-    compensated: &[f32],
-    decoded: &[f32],
-    ranges: &[(usize, usize)],
-) {
-    assert_eq!(compensated.len(), decoded.len());
-    let mut cursor = 0;
-    for &(offset, len) in ranges {
-        assert!(offset + len <= residual.len(), "range outside residual");
-        for i in 0..len {
-            residual[offset + i] = compensated[cursor + i] - decoded[cursor + i];
+        self.encode_into(update, scratch, coded);
+        self.decode_into(coded, update.len(), decoded)
+            .expect("a codec must decode its own encoding");
+        let mut cursor = 0;
+        for &(offset, len) in ranges {
+            let sent = update[cursor..cursor + len].iter().zip(&decoded[cursor..]);
+            for (r, (u, d)) in residual[offset..offset + len].iter_mut().zip(sent) {
+                *r = u - d;
+            }
+            cursor += len;
         }
-        cursor += len;
     }
-    assert_eq!(cursor, compensated.len(), "ranges must tile the update");
 }
 
 #[cfg(test)]
@@ -993,11 +1004,17 @@ mod tests {
         let spec = CodecSpec::TopK { k_frac: 0.25 };
         let mut residual = vec![0.0f32; raw.len()];
         let mut delivered = vec![0.0f32; raw.len()];
+        let (mut scratch, mut coded, mut decoded) = Default::default();
         for _ in 0..8 {
             let mut update = raw.clone();
-            compensate(&mut update, &residual, &ranges);
-            let decoded = spec.decode(&spec.encode(&update), update.len()).unwrap();
-            absorb_residual(&mut residual, &update, &decoded, &ranges);
+            spec.encode_with_feedback(
+                &mut update,
+                &mut residual,
+                &ranges,
+                &mut scratch,
+                &mut coded,
+                &mut decoded,
+            );
             for (d, v) in delivered.iter_mut().zip(&decoded) {
                 *d += v;
             }
@@ -1080,7 +1097,7 @@ mod tests {
             -3.5,
             0.49999997,
             -0.49999997,
-            0.500000059604645,
+            0.500_000_06, // 0.5 + 2^-24, the f32 just above the half
             f32::NAN,
             -0.0,
             126.5,

@@ -1,17 +1,27 @@
 //! Pluggable round-execution backends.
 //!
 //! [`SearchServer`](crate::SearchServer) owns Algorithm 1 — sampling,
-//! adaptive assignment, soft synchronization, aggregation — but the part
-//! that moves sub-models to participants and gradients back can run in two
-//! ways:
+//! adaptive assignment, soft synchronization, aggregation — and everything
+//! in it is written once, except the one step that moves sub-models to
+//! participants and gradients back. That step, `SearchServer::train`, is
+//! the round's single fork:
 //!
-//! * **in-process** (the default): participants are trained on scoped
-//!   threads inside the server's address space and byte counts are
-//!   *estimated* from parameter counts;
+//! * **in-process** (no backend installed): participants run
+//!   [`Participant::train_round`](fedrlnas_fed::Participant::train_round)
+//!   on scoped threads inside the server's address space;
 //! * **over a [`RoundBackend`]**: every payload is serialized into the
 //!   `fedrlnas-rpc` wire format, crosses a real transport (in-memory duplex
-//!   or loopback TCP) to a long-lived worker thread, and byte counts are
-//!   *measured* from the frames that actually crossed.
+//!   or loopback TCP) to a pooled worker running the same
+//!   `Participant::train_round`.
+//!
+//! Both arms hand back a [`RoundOutcome`], and they differ in exactly three
+//! things: byte counts are *estimated* from parameter counts in-process and
+//! *measured* from frames over a backend; download latency is the
+//! assignment's estimate in-process (`download_frame_bytes` left empty) and
+//! measured frame bytes over the sampled bandwidth otherwise; and the
+//! server's own participants draw the batches in-process, while over a
+//! backend the workers' clones do and the server mirrors the loader
+//! transition.
 //!
 //! The trait lives here, one layer below the implementation, so the server
 //! never depends on the transport crate; `fedrlnas-rpc` depends on this
@@ -22,9 +32,9 @@ use fedrlnas_fed::{ChurnTally, CompressionTally, FaultTally, RejectTally, RoundT
 
 /// One participant's completed local update as delivered by a backend.
 ///
-/// The in-process path produces the same shape (with estimated byte
-/// counts and an empty `delta_alpha`), so everything downstream of
-/// training — staleness, compensation, aggregation — is identical across
+/// The in-process path produces the same shape (with an empty
+/// `delta_alpha`), so everything downstream of training — the gate,
+/// staleness, compensation, aggregation — is one piece of code for both
 /// execution modes.
 #[derive(Debug, Clone)]
 pub struct BackendReport {
@@ -60,16 +70,23 @@ pub struct RoundRequest<'a> {
     /// This round's sampled downlink bandwidth per participant in Mbps
     /// (drives transport shaping).
     pub bandwidths_mbps: &'a [f64],
-    /// Base seed for participant-side RNGs; worker `p` must derive its
-    /// stream exactly like the in-process path so both modes are
-    /// bit-identical.
+    /// Base seed for participant-side RNGs; every worker derives its
+    /// stream with `Participant::round_rng`, like the in-process path, so
+    /// both modes are bit-identical.
     pub seed_base: u64,
-    /// Per-slot participation mask from the population/churn layer.
-    /// `active[p] == false` means slot `p`'s sampled client is out for
-    /// this round: the backend must not ship to it, wait on it, or count
-    /// it toward quorum. `None` means every slot participates (the
-    /// historical fixed-fleet behaviour).
+    /// Per-slot participation mask from the population/churn layer, one
+    /// entry per slot. `active[p] == false` means slot `p`'s sampled
+    /// client is out for this round: the backend must not ship to it, wait
+    /// on it, or count it toward quorum. `None` means every slot
+    /// participates (the historical fixed-fleet behaviour).
     pub active: Option<&'a [bool]>,
+}
+
+impl RoundRequest<'_> {
+    /// Whether slot `p` participates this round.
+    pub fn is_active(&self, p: usize) -> bool {
+        self.active.is_none_or(|active| active[p])
+    }
 }
 
 /// What a backend hands back after driving one round.
@@ -89,7 +106,8 @@ pub struct RoundOutcome {
     pub bytes_up: u64,
     /// Measured size of the download frame first sent to each participant;
     /// divided by the sampled bandwidth this yields the round's
-    /// transmission latency.
+    /// transmission latency. Empty when nothing was measured (the
+    /// in-process path): the assignment's estimates stand.
     pub download_frame_bytes: Vec<u64>,
     /// Transport faults observed/injected this round plus the recovery
     /// actions (retransmits, evictions) they triggered; folded into

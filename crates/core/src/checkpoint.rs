@@ -37,6 +37,7 @@
 //! same directory, fsync, rename) so a crash mid-write never destroys the
 //! previous good checkpoint.
 
+use crate::crc::crc32;
 use crate::metrics::StepMetric;
 use crate::server::{LatencyStats, PendingUpdate, SearchServer};
 use fedrlnas_codec::{CodecConfig, CodecSpec};
@@ -1133,36 +1134,6 @@ impl<'a> Reader<'a> {
             Err(CheckpointError::Malformed("trailing bytes after body"))
         }
     }
-}
-
-/// CRC-32 (IEEE 802.3), identical polynomial to the wire format's trailer.
-/// Duplicated here because `fedrlnas-core` sits below `fedrlnas-rpc` in the
-/// dependency graph.
-fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@
 mod backend;
 mod checkpoint;
 mod config;
+mod crc;
 mod metrics;
 mod phases;
 mod runner;
@@ -39,6 +40,7 @@ pub use checkpoint::{
     Checkpoint, CheckpointError, ChurnEntry, ParticipantEntry, PendingEntry, PoolEntry,
 };
 pub use config::{PopulationConfig, Scale, SearchConfig};
+pub use crc::crc32;
 pub use metrics::{CurveRecorder, StepMetric};
 pub use phases::{retrain_centralized, retrain_federated, test_error_percent, RetrainReport};
 pub use runner::{CheckpointPolicy, FederatedModelSearch, SearchOutcome};

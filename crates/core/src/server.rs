@@ -1,15 +1,14 @@
 //! The search server: Algorithm 1 with adaptive transmission and
 //! delay-compensated soft synchronization.
 
-use crate::backend::{BackendReport, RoundBackend, RoundRequest};
+use crate::backend::{BackendReport, RoundBackend, RoundOutcome, RoundRequest};
 use crate::config::{PopulationConfig, SearchConfig};
 use crate::metrics::{CurveRecorder, StepMetric};
-use fedrlnas_codec::{absorb_residual, compensate, Codec};
 use fedrlnas_controller::{Alpha, ReinforceController};
-use fedrlnas_darts::{ArchMask, Genotype, Supernet};
+use fedrlnas_darts::{ArchMask, Genotype, SubModel, Supernet};
 use fedrlnas_data::{dirichlet_partition, iid_partition, SyntheticDataset};
 use fedrlnas_fed::{
-    validate_update, ChurnTally, CommStats, Participant, RejectTally, RoundTimings,
+    validate_report, ChurnTally, CommStats, LocalReport, Participant, RoundTimings,
     ShardedAccumulator, SparseUpdate,
 };
 use fedrlnas_netsim::{
@@ -21,7 +20,8 @@ use fedrlnas_sync::{
     StalenessStrategy,
 };
 use fedrlnas_tensor::Tensor;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+use std::time::Instant;
 
 /// Per-round transmission latency summary (the Fig. 7 metrics).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -53,6 +53,35 @@ pub(crate) struct PendingUpdate {
     pub(crate) mask: ArchMask,
     pub(crate) sub_grads: Vec<f32>,
     pub(crate) accuracy: f32,
+}
+
+impl PendingUpdate {
+    /// Queues `report` to arrive in round `arrival`.
+    fn deferred(report: BackendReport, arrival: usize) -> Self {
+        PendingUpdate {
+            arrival,
+            computed_at: report.computed_at,
+            participant: report.participant,
+            mask: report.mask,
+            sub_grads: report.grads,
+            accuracy: report.accuracy,
+        }
+    }
+
+    /// The queued update as an arrival for aggregation. The queue carries
+    /// neither the loss (only an on-time report's enters the curve) nor the
+    /// participant's own ∇α log p(g) (a cross-check for fresh reports).
+    fn into_report(self) -> BackendReport {
+        BackendReport {
+            participant: self.participant,
+            computed_at: self.computed_at,
+            mask: self.mask,
+            accuracy: self.accuracy,
+            loss: 0.0,
+            grads: self.sub_grads,
+            delta_alpha: Vec::new(),
+        }
+    }
 }
 
 /// Consecutive flapped rounds after which a cohort slot is evicted from
@@ -139,23 +168,35 @@ impl ChurnState {
     }
 }
 
-/// Whether cohort slot `p` participates this round (`true` when no
-/// population is configured — the historical fixed fleet).
-fn slot_active(mask: &Option<Vec<bool>>, p: usize) -> bool {
-    mask.as_ref()
-        .is_none_or(|m| m.get(p).copied().unwrap_or(false))
+/// One round in flight: what [`SearchServer::sample_and_assign`] decided
+/// before training, read by every later phase. All vectors are indexed by
+/// cohort slot `p`.
+struct RoundCtx {
+    /// Round index `t`.
+    t: usize,
+    /// Search (α moves) or warm-up (α frozen).
+    update_alpha: bool,
+    /// The architecture each slot trains.
+    masks: Vec<ArchMask>,
+    /// Estimated payload bytes of each slot's sub-model.
+    sizes: Vec<usize>,
+    /// This round's sampled downlink per slot, Mbps.
+    bandwidths: Vec<f64>,
+    /// Download seconds per slot: the assignment's estimate (zero for a
+    /// slot sitting out) until `account_time` replaces it with measured
+    /// frame bytes over the same bandwidths.
+    latencies: Vec<f64>,
+    /// Whether each slot participates (all `true` without a population).
+    active: Vec<bool>,
+    /// Base seed of the participants' per-round RNG streams.
+    seed_base: u64,
 }
 
-/// One computed local update ready for aggregation.
-struct Arrival {
-    computed_at: usize,
-    mask: ArchMask,
-    sub_grads: Vec<f32>,
-    accuracy: f32,
-    /// Participant-computed `∇α log p(g)` when the update crossed a wire
-    /// backend; empty in-process. Cross-checked against the server's own
-    /// computation, never trusted directly.
-    delta_alpha: Vec<f32>,
+/// Every parameter value of the supernet in structural visit order.
+fn flat_theta(supernet: &mut Supernet, len: usize) -> Vec<f32> {
+    let mut theta = Vec::with_capacity(len);
+    supernet.visit_params(&mut |p| theta.extend_from_slice(p.value.as_slice()));
+    theta
 }
 
 /// The RL federated model-search server (Algorithm 1).
@@ -235,8 +276,7 @@ impl SearchServer {
                 )
             })
             .collect();
-        let mut initial_theta = Vec::new();
-        supernet.visit_params(&mut |p| initial_theta.extend_from_slice(p.value.as_slice()));
+        let initial_theta = flat_theta(&mut supernet, 0);
         let theta_sgd = Sgd::new(config.theta_sgd);
         let churn = config.population.as_ref().map(ChurnState::new);
         SearchServer {
@@ -398,422 +438,398 @@ impl SearchServer {
         self.controller.alpha().argmax_mask()
     }
 
-    /// The validation gate in front of Algorithm 1's aggregate step:
-    /// refuses reports whose gradients are the wrong length for their
-    /// architecture, contain NaN/Inf anywhere (gradients, accuracy or
-    /// loss), or exceed the configured L2 norm bound — before they can
-    /// touch the staleness draws, the reward baseline, the training curve
-    /// or θ. Causes are tallied into [`CommStats::rejects`]. With honest
-    /// reports nothing is filtered and the round is byte-identical to the
-    /// ungated path.
-    fn gate_reports(&mut self, reports: Vec<BackendReport>) -> Vec<BackendReport> {
-        let bound = self.config.update_norm_bound;
-        let mut tally = RejectTally::default();
-        let mut kept = Vec::with_capacity(reports.len());
-        for r in reports {
-            let expected: usize = self
-                .supernet
-                .submodel_param_ranges(&r.mask)
-                .iter()
-                .map(|&(_, len)| len)
-                .sum();
-            let verdict = if r.accuracy.is_finite() && r.loss.is_finite() {
-                validate_update(&r.grads, expected, bound)
-            } else {
-                Err(fedrlnas_fed::UpdateRejection::NonFinite)
-            };
-            match verdict {
-                Ok(()) => kept.push(r),
-                Err(fedrlnas_fed::UpdateRejection::ShapeMismatch { .. }) => {
-                    tally.rejected_shape += 1;
-                }
-                Err(fedrlnas_fed::UpdateRejection::NonFinite) => {
-                    tally.rejected_nonfinite += 1;
-                }
-                Err(fedrlnas_fed::UpdateRejection::NormExceeded { .. }) => {
-                    tally.rejected_norm += 1;
-                }
-            }
-        }
-        if tally.any() {
-            self.comm.record_rejects(&tally);
-        }
-        kept
-    }
-
-    /// One full server round of Algorithm 1. `update_alpha` distinguishes
-    /// warm-up (false) from search (true).
+    /// One full server round of Algorithm 1: the phases below, in this
+    /// order, over one [`RoundCtx`]. `update_alpha` distinguishes warm-up
+    /// (false) from search (true).
+    ///
+    /// In-process and over a wire backend the round is bit-identical, and
+    /// a resumed search replays it exactly; both rest on two orders that
+    /// must not change.
+    ///
+    /// *Draws on `rng`, per round:* K × `controller.sample`; K ×
+    /// `next_bandwidth_mbps` in participant order; `assign` (draws only
+    /// under `Random`); one `gen()` for `seed_base`; then one
+    /// `staleness.sample` per report that survived the gate, in report
+    /// order (none under `Hard`). The cohort sampler owns its own stream
+    /// and runs first; each participant trains on the stream
+    /// `Participant::round_rng` derives from `seed_base`.
+    ///
+    /// *f32 accumulation:* arrivals are the fresh reports in participant
+    /// order, then the due pending updates in queue order (stale pushes in
+    /// report order, then late reports; `partition` keeps that order).
+    /// `baselined_rewards` runs once over all arrivals; the θ fold and the
+    /// α-gradient sum take arrivals in that order; the curve's means are
+    /// summed over the gated on-time reports in order.
     pub fn run_round<R: Rng + ?Sized>(
         &mut self,
         dataset: &SyntheticDataset,
         update_alpha: bool,
         rng: &mut R,
     ) {
-        let t = self.round;
-        let k = self.participants.len();
-        // --- population churn: sample this round's cohort and resolve
-        // scheduled participation. Runs before any draw on the main RNG
-        // (the sampler owns its own stream), so fixed-fleet runs keep
-        // their historical RNG shape bit for bit. ---
-        let (active_mask, mut churn_tally) = match self.churn.as_mut() {
+        let active = self.begin_churn();
+        self.reset_unshared_weights();
+        let mut ctx = self.sample_and_assign(active, update_alpha, rng);
+        self.save_pools(&ctx);
+        let mut out = self.train(&ctx, dataset);
+        self.gate(&mut out);
+        self.account_time(&mut ctx, &out);
+        let on_time_means = curve_means(&out.reports);
+        let arrivals = self.route_staleness(&ctx, out.reports, out.late, rng);
+        let m = arrivals.len();
+        let (theta_grad, alpha_grad) = self.aggregate(&ctx, arrivals);
+        self.apply(&ctx, theta_grad, alpha_grad, m);
+        self.record(&ctx, on_time_means, m);
+    }
+
+    /// Population churn: samples this round's cohort and resolves
+    /// scheduled participation. The sampler owns its RNG stream, so
+    /// fixed-fleet runs keep their historical draws on the main one.
+    fn begin_churn(&mut self) -> Vec<bool> {
+        match self.churn.as_mut() {
             Some(churn) => {
-                let (active, tally) = churn.begin_round(t as u64);
-                (Some(active), tally)
+                let (active, tally) = churn.begin_round(self.round as u64);
+                self.comm.record_churn(&tally);
+                active
             }
-            None => (None, ChurnTally::default()),
-        };
-        // Ablation: without weight sharing, every round starts from the
-        // initial (untrained) supernet weights.
-        if !self.config.weight_sharing {
-            let init = self.initial_theta.clone();
-            let mut cursor = 0usize;
-            self.supernet.visit_params(&mut |p| {
-                let n = p.value.len();
-                p.value
-                    .as_mut_slice()
-                    .copy_from_slice(&init[cursor..cursor + n]);
-                cursor += n;
-            });
+            None => vec![true; self.participants.len()],
         }
-        // --- sample masks and extract sub-models (Alg. 1 lines 5–9) ---
-        let masks: Vec<ArchMask> = (0..k).map(|_| self.controller.sample(rng)).collect();
-        let sizes: Vec<usize> = masks
+    }
+
+    /// The weight-sharing ablation: without it every round starts from
+    /// the initial (untrained) supernet weights.
+    fn reset_unshared_weights(&mut self) {
+        if self.config.weight_sharing {
+            return;
+        }
+        let init = &self.initial_theta;
+        let mut cursor = 0usize;
+        self.supernet.visit_params(&mut |p| {
+            let n = p.value.len();
+            p.value
+                .as_mut_slice()
+                .copy_from_slice(&init[cursor..cursor + n]);
+            cursor += n;
+        });
+    }
+
+    /// Alg. 1 lines 5–11: samples one architecture per slot, sizes them,
+    /// advances every bandwidth trace and pairs sub-models with links
+    /// (adaptive transmission). Draws the round's `seed_base` last.
+    fn sample_and_assign<R: Rng + ?Sized>(
+        &mut self,
+        active: Vec<bool>,
+        update_alpha: bool,
+        rng: &mut R,
+    ) -> RoundCtx {
+        let k = self.participants.len();
+        let sampled: Vec<ArchMask> = (0..k).map(|_| self.controller.sample(rng)).collect();
+        let sampled_sizes: Vec<usize> = sampled
             .iter()
             .map(|m| self.supernet.submodel_bytes(m))
             .collect();
-        // --- adaptive transmission (lines 10–11) ---
         let bandwidths: Vec<f64> = self
             .participants
             .iter_mut()
             .map(|p| p.next_bandwidth_mbps(rng))
             .collect();
-        let outcome = assign(self.config.assignment, &sizes, &bandwidths, rng);
-        // Per-participant download latency this round. In-process these are
-        // the assignment estimates; a wire backend replaces them below with
-        // measured frame bytes over the same sampled bandwidths.
-        let mut latencies = outcome.latencies.clone();
-        // inactive slots ship nothing, so they contribute no latency (the
+        let outcome = assign(self.config.assignment, &sampled_sizes, &bandwidths, rng);
+        let (masks, sizes): (Vec<ArchMask>, Vec<usize>) = outcome
+            .model_for_participant
+            .iter()
+            .map(|&m| (sampled[m].clone(), sampled_sizes[m]))
+            .unzip();
+        // inactive slots ship nothing, so they contribute no latency (a
         // wire backend reaches the same numbers via zero measured frames)
-        if let Some(active) = &active_mask {
-            for (p, latency) in latencies.iter_mut().enumerate() {
-                if !active.get(p).copied().unwrap_or(false) {
-                    *latency = 0.0;
-                }
+        let mut latencies = outcome.latencies;
+        for (latency, active) in latencies.iter_mut().zip(&active) {
+            if !active {
+                *latency = 0.0;
             }
         }
-        // mask each participant actually trains
-        let assigned_masks: Vec<ArchMask> = (0..k)
-            .map(|p| masks[outcome.model_for_participant[p]].clone())
-            .collect();
-        // --- memory pools (lines 4, 6–7) ---
-        if matches!(
-            self.config.strategy,
-            StalenessStrategy::DelayCompensated { .. }
-        ) || matches!(self.config.strategy, StalenessStrategy::Use)
-        {
-            let mut theta = Vec::with_capacity(self.initial_theta.len());
-            self.supernet
-                .visit_params(&mut |p| theta.extend_from_slice(p.value.as_slice()));
-            self.pools.save(
-                t,
-                RoundSnapshot {
-                    theta,
-                    alpha: self.controller.alpha().logits().as_slice().to_vec(),
-                    masks: assigned_masks.clone(),
-                },
-            );
+        RoundCtx {
+            t: self.round,
+            update_alpha,
+            masks,
+            sizes,
+            bandwidths,
+            latencies,
+            active,
+            seed_base: rng.gen(),
         }
-        // --- participants train in parallel (lines 12–14, 37–42), either
-        // in-process or over the installed wire backend ---
-        let mut submodels: Vec<_> = assigned_masks
+    }
+
+    /// Whether the strategy aggregates updates that arrive late.
+    fn uses_stale_updates(&self) -> bool {
+        matches!(
+            self.config.strategy,
+            StalenessStrategy::Use | StalenessStrategy::DelayCompensated { .. }
+        )
+    }
+
+    /// Memory pools (lines 4, 6–7): strategies that use stale updates
+    /// keep this round's θ, α and masks to compensate them against later.
+    fn save_pools(&mut self, ctx: &RoundCtx) {
+        if !self.uses_stale_updates() {
+            return;
+        }
+        let theta = flat_theta(&mut self.supernet, self.initial_theta.len());
+        let alpha = self.controller.alpha().logits().as_slice().to_vec();
+        let masks = ctx.masks.clone();
+        self.pools.save(
+            ctx.t,
+            RoundSnapshot {
+                theta,
+                alpha,
+                masks,
+            },
+        );
+    }
+
+    /// Participants train (lines 12–14, 37–42) — the round's one fork.
+    /// Over an installed backend the sub-models cross its transport and
+    /// the byte counts are measured; otherwise the server's own
+    /// participants train on scoped threads and the counts are estimates.
+    /// Either way the result is a [`RoundOutcome`], tallied here once.
+    fn train(&mut self, ctx: &RoundCtx, dataset: &SyntheticDataset) -> RoundOutcome {
+        let submodels: Vec<SubModel> = ctx
+            .masks
             .iter()
             .map(|m| self.supernet.extract_submodel(m))
             .collect();
-        let seed_base: u64 = rng.gen();
-        let alpha_logits = self.controller.alpha().logits().as_slice().to_vec();
-        let mut round_timings = RoundTimings::default();
-        let (reports, late_reports) = if let Some(backend) = self.backend.as_mut() {
-            let out = backend.run_round(RoundRequest {
-                round: t,
-                masks: &assigned_masks,
-                submodels,
-                alpha_logits: &alpha_logits,
-                bandwidths_mbps: &bandwidths,
-                seed_base,
-                active: active_mask.as_deref(),
-            });
-            // communication: the bytes that actually crossed the wire,
-            // including retransmissions and late uploads
-            self.comm.record_down(out.bytes_down as usize);
-            self.comm.record_up(out.bytes_up as usize);
-            self.comm.record_faults(&out.faults);
-            self.comm.record_rejects(&out.rejects);
-            self.comm.record_compression(&out.compression);
-            churn_tally.merge(&out.churn);
-            round_timings.merge(&out.timings);
-            // transmission latency: measured download frame bytes over the
-            // sampled link bandwidth
-            for (p, latency) in latencies.iter_mut().enumerate().take(k) {
-                let bytes = out.download_frame_bytes.get(p).copied().unwrap_or(0);
-                *latency = transmission_secs(bytes as usize, bandwidths[p]);
-            }
-            // The workers drew this round's batches on their own clones, so
-            // mirror the loader-state transition here (same per-participant
-            // RNG derivation; shuffle draws precede augmentation draws in
-            // `next_batch`, so replaying only the pick loop lands on the
-            // same state). This keeps the server's participants
-            // authoritative for checkpoint/resume in backend mode.
-            for p in self.participants.iter_mut() {
-                if !slot_active(&active_mask, p.id()) {
-                    continue; // no worker trained for this slot this round
+        let out = match self.backend.as_mut() {
+            Some(backend) => {
+                // The workers draw this round's batches on their own
+                // clones; mirroring the loader transition on the same
+                // derived streams keeps the server's participants
+                // authoritative for checkpoint/resume.
+                for p in self.participants.iter_mut().filter(|p| ctx.active[p.id()]) {
+                    let mut stream = p.round_rng(ctx.seed_base);
+                    p.advance_data(&mut stream);
                 }
-                let mut prng = rand::rngs::StdRng::seed_from_u64(
-                    seed_base ^ (p.id() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                p.advance_data(&mut prng);
-            }
-            (out.reports, out.late)
-        } else {
-            let raw: Vec<(usize, f32, f32, Vec<f32>)> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .participants
-                    .iter_mut()
-                    .zip(submodels.iter_mut())
-                    .filter(|(p, _)| slot_active(&active_mask, p.id()))
-                    .map(|(p, sub)| {
-                        scope.spawn(move |_| {
-                            let mut prng = rand::rngs::StdRng::seed_from_u64(
-                                seed_base ^ (p.id() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                            );
-                            let report = p.local_update(sub, dataset, &mut prng);
-                            let mut grads = Vec::new();
-                            sub.visit_params(&mut |pp| grads.extend_from_slice(pp.grad.as_slice()));
-                            (p.id(), report.accuracy, report.loss, grads)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("participant thread panicked"))
-                    .collect()
-            })
-            .expect("scoped threads join");
-            let mut reports: Vec<BackendReport> = raw
-                .into_iter()
-                .map(|(participant, accuracy, loss, grads)| BackendReport {
-                    participant,
-                    computed_at: t,
-                    mask: assigned_masks[participant].clone(),
-                    accuracy,
-                    loss,
-                    grads,
-                    delta_alpha: Vec::new(),
+                backend.run_round(RoundRequest {
+                    round: ctx.t,
+                    masks: &ctx.masks,
+                    submodels,
+                    alpha_logits: self.controller.alpha().logits().as_slice(),
+                    bandwidths_mbps: &ctx.bandwidths,
+                    seed_base: ctx.seed_base,
+                    active: self.churn.as_ref().map(|_| &ctx.active[..]),
                 })
-                .collect();
-            // downlink (estimated): one sub-model per *participating* slot
-            match &active_mask {
-                None => {
-                    for size in &sizes {
-                        self.comm.record_down(*size);
-                    }
-                }
-                Some(active) => {
-                    for p in 0..k {
-                        if active[p] {
-                            self.comm
-                                .record_down(sizes[outcome.model_for_participant[p]]);
-                        }
-                    }
-                }
             }
-            if self.config.codec.is_fp32() {
-                // uplink (estimated): raw gradients + reward
-                match &active_mask {
-                    None => {
-                        for size in &sizes {
-                            self.comm.record_up(*size + 4);
-                        }
-                    }
-                    Some(active) => {
-                        for p in 0..k {
-                            if active[p] {
-                                self.comm
-                                    .record_up(sizes[outcome.model_for_participant[p]] + 4);
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Simulate the codec each upload would cross the wire with:
-                // compensate with the participant's error-feedback residual,
-                // encode, decode, absorb the loss back into the residual, and
-                // hand the *decoded* gradients downstream — exactly what the
-                // rpc engine does, so both execution modes stay bit-identical.
-                // The uplink tally is the encoded size, not the raw one.
-                let theta_len = self.initial_theta.len();
-                for r in &mut reports {
-                    let p = r.participant;
-                    let spec = resolve_codec(self.config.codec, bandwidths[p]);
-                    let ranges = self.supernet.submodel_param_ranges(&r.mask);
-                    compensate(
-                        &mut r.grads,
-                        self.participants[p].residual_mut_sized(theta_len),
-                        &ranges,
-                    );
-                    let encoded = spec.encode(&r.grads);
-                    let decoded = spec
-                        .decode(&encoded, r.grads.len())
-                        .expect("a codec must decode its own encoding");
-                    absorb_residual(
-                        self.participants[p].residual_mut_sized(theta_len),
-                        &r.grads,
-                        &decoded,
-                        &ranges,
-                    );
-                    self.comm.compression.record(
-                        spec.tag() as usize,
-                        (r.grads.len() * 4) as u64,
-                        encoded.len() as u64,
-                    );
-                    self.comm.record_up(encoded.len() + 4);
-                    r.grads = decoded;
-                }
-            }
-            (reports, Vec::new())
+            None => self.train_in_process(ctx, submodels, dataset),
         };
-        // --- validation gate: nothing unverified reaches staleness,
-        // rewards, the curve, or aggregation (the engine gates its own
-        // replies too; this covers the in-process path and defends in
-        // depth against a buggy backend) ---
-        let reports = self.gate_reports(reports);
-        let late_reports = self.gate_reports(late_reports);
-        if churn_tally.any() {
-            self.comm.record_churn(&churn_tally);
+        self.comm.record_down(out.bytes_down as usize);
+        self.comm.record_up(out.bytes_up as usize);
+        self.comm.record_faults(&out.faults);
+        self.comm.record_compression(&out.compression);
+        self.comm.record_churn(&out.churn);
+        self.comm.record_timing(&out.timings);
+        out
+    }
+
+    /// The in-process arm of [`SearchServer::train`]: every participating
+    /// slot runs `Participant::train_round` on its own scoped thread, then
+    /// each upload goes through the codec it would cross the wire with —
+    /// the function the RPC worker calls, so the server hands the same
+    /// *decoded* gradients downstream. Bytes are estimates: one sub-model
+    /// down, and up its gradients (raw, or as encoded) plus the reward.
+    fn train_in_process(
+        &mut self,
+        ctx: &RoundCtx,
+        mut submodels: Vec<SubModel>,
+        dataset: &SyntheticDataset,
+    ) -> RoundOutcome {
+        let seed_base = ctx.seed_base;
+        let trained: Vec<(LocalReport, Vec<f32>)> = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .participants
+                .iter_mut()
+                .zip(submodels.iter_mut())
+                .filter(|(p, _)| ctx.active[p.id()])
+                .map(|(p, sub)| scope.spawn(move |_| p.train_round(sub, dataset, seed_base)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("participant thread panicked"))
+                .collect()
+        })
+        .expect("scoped threads join");
+        let mut out = RoundOutcome::default();
+        let codec = self.config.codec;
+        let theta_len = self.initial_theta.len();
+        let (mut scratch, mut coded, mut decoded) = Default::default();
+        for (report, mut grads) in trained {
+            let p = report.participant;
+            let mask = ctx.masks[p].clone();
+            let mut upload = ctx.sizes[p];
+            if !codec.is_fp32() {
+                let spec = resolve_codec(codec, ctx.bandwidths[p]);
+                spec.encode_with_feedback(
+                    &mut grads,
+                    self.participants[p].residual_mut_sized(theta_len),
+                    &self.supernet.submodel_param_ranges(&mask),
+                    &mut scratch,
+                    &mut coded,
+                    &mut decoded,
+                );
+                let (raw, encoded) = (grads.len() * 4, coded.len());
+                out.compression
+                    .record(spec.tag() as usize, raw as u64, encoded as u64);
+                grads.copy_from_slice(&decoded);
+                upload = encoded;
+            }
+            out.bytes_down = out.bytes_down.saturating_add(ctx.sizes[p] as u64);
+            out.bytes_up = out.bytes_up.saturating_add(upload as u64 + 4);
+            out.reports.push(BackendReport {
+                participant: p,
+                computed_at: ctx.t,
+                mask,
+                accuracy: report.accuracy,
+                loss: report.loss,
+                grads,
+                delta_alpha: Vec::new(),
+            });
         }
+        out
+    }
+
+    /// The validation gate in front of everything downstream: drops
+    /// reports whose gradients are the wrong length for their
+    /// architecture, contain NaN/Inf anywhere (gradients, accuracy or
+    /// loss), or exceed the configured L2 norm bound — before they can
+    /// touch the staleness draws, the reward baseline, the training curve
+    /// or θ. The engine gates its own replies too; this covers the
+    /// in-process path and defends in depth against a buggy backend.
+    /// Causes join the backend's own in [`CommStats::rejects`]. With honest
+    /// reports nothing is filtered.
+    fn gate(&mut self, out: &mut RoundOutcome) {
+        let bound = self.config.update_norm_bound;
+        let (supernet, rejects) = (&mut self.supernet, &mut out.rejects);
+        let mut admit = |r: &BackendReport| {
+            let ranges = supernet.submodel_param_ranges(&r.mask);
+            let expected = ranges.iter().map(|&(_, len)| len).sum();
+            match validate_report(&r.grads, r.accuracy, r.loss, expected, bound) {
+                Ok(()) => true,
+                Err(why) => {
+                    rejects.record(&why);
+                    false
+                }
+            }
+        };
+        out.reports.retain(&mut admit);
+        out.late.retain(&mut admit);
+        self.comm.record_rejects(&out.rejects);
+    }
+
+    /// Fig. 7 latency and Table V simulated seconds. Frame sizes a backend
+    /// measured replace the assignment's estimates; the round then lasts
+    /// as long as its slowest participating slot (compute + download)
+    /// plus the server's overhead.
+    fn account_time(&mut self, ctx: &mut RoundCtx, out: &RoundOutcome) {
+        if !out.download_frame_bytes.is_empty() {
+            for (p, latency) in ctx.latencies.iter_mut().enumerate() {
+                let bytes = out.download_frame_bytes.get(p).copied().unwrap_or(0);
+                *latency = transmission_secs(bytes as usize, ctx.bandwidths[p]);
+            }
+        }
+        let latencies = &ctx.latencies;
         self.latency
             .max_per_round
             .push(latencies.iter().copied().fold(0.0, f64::max));
         self.latency
             .mean_per_round
             .push(latencies.iter().sum::<f64>() / latencies.len().max(1) as f64);
-        // simulated time: slowest participant (compute + download) + server
-        // overhead
         let mut round_secs = 0.0f64;
-        for (p, mask) in assigned_masks.iter().enumerate().take(k) {
-            if !slot_active(&active_mask, p) {
-                continue; // sat the round out: no compute, no transmission
-            }
-            let macs = self.supernet.flops_masked(mask) * self.config.batch_size as u64;
+        for p in (0..ctx.masks.len()).filter(|&p| ctx.active[p]) {
+            let macs = self.supernet.flops_masked(&ctx.masks[p]) * self.config.batch_size as u64;
             let compute =
                 self.config.device.train_step_secs(macs) / self.participants[p].speed_factor();
-            let total = compute + latencies[p];
-            if total > round_secs {
-                round_secs = total;
-            }
+            round_secs = round_secs.max(compute + latencies[p]);
         }
         self.sim_seconds += round_secs + self.config.device.round_overhead_secs;
-        // --- staleness: decide when each update arrives (soft sync) ---
-        let mut arrivals: Vec<Arrival> = Vec::with_capacity(k);
-        for r in &reports {
-            let draw = if matches!(self.config.strategy, StalenessStrategy::Hard) {
+    }
+
+    /// Soft synchronization (lines 16–31): decides when each on-time
+    /// report arrives — now, in a later round, or never — queues the
+    /// backend's real late replies on the same path, and returns this
+    /// round's arrivals: the fresh reports, then every queued update that
+    /// is due and still usable.
+    fn route_staleness<R: Rng + ?Sized>(
+        &mut self,
+        ctx: &RoundCtx,
+        reports: Vec<BackendReport>,
+        late: Vec<BackendReport>,
+        rng: &mut R,
+    ) -> Vec<BackendReport> {
+        let t = ctx.t;
+        let hard = matches!(self.config.strategy, StalenessStrategy::Hard);
+        let mut arrivals = Vec::with_capacity(reports.len());
+        for r in reports {
+            let draw = if hard {
                 StalenessDraw::Fresh
             } else {
                 self.config.staleness.sample(rng)
             };
             match draw {
-                StalenessDraw::Fresh => arrivals.push(Arrival {
-                    computed_at: t,
-                    mask: r.mask.clone(),
-                    sub_grads: r.grads.clone(),
-                    accuracy: r.accuracy,
-                    delta_alpha: r.delta_alpha.clone(),
-                }),
-                StalenessDraw::Stale(tau) => self.pending.push(PendingUpdate {
-                    arrival: t + tau,
-                    computed_at: t,
-                    participant: r.participant,
-                    mask: r.mask.clone(),
-                    sub_grads: r.grads.clone(),
-                    accuracy: r.accuracy,
-                }),
+                StalenessDraw::Fresh => arrivals.push(r),
+                StalenessDraw::Stale(tau) => self.pending.push(PendingUpdate::deferred(r, t + tau)),
                 StalenessDraw::Dropped => {}
             }
         }
-        // real late arrivals — replies that missed their round's deadline on
-        // the wire — enter the same soft-sync path as simulated staleness
-        for r in late_reports {
-            self.pending.push(PendingUpdate {
-                arrival: t,
-                computed_at: r.computed_at,
-                participant: r.participant,
-                mask: r.mask,
-                sub_grads: r.grads,
-                accuracy: r.accuracy,
-            });
-        }
-        // late updates arriving this round (lines 16–31)
+        // replies that missed their round's deadline on the wire are due now
+        self.pending
+            .extend(late.into_iter().map(|r| PendingUpdate::deferred(r, t)));
         let (due, still_pending): (Vec<PendingUpdate>, Vec<PendingUpdate>) =
             std::mem::take(&mut self.pending)
                 .into_iter()
                 .partition(|u| u.arrival <= t);
         self.pending = still_pending;
-        for u in due {
-            let tau = t - u.computed_at;
-            if StalenessDraw::from_delay(tau, self.config.staleness_threshold)
-                == StalenessDraw::Dropped
-            {
-                continue; // line 23: ignore update
-            }
-            let _ = u.participant;
-            match self.config.strategy {
-                StalenessStrategy::Throw => {} // discard stale data
-                StalenessStrategy::Use | StalenessStrategy::DelayCompensated { .. } => {
-                    arrivals.push(Arrival {
-                        computed_at: u.computed_at,
-                        mask: u.mask,
-                        sub_grads: u.sub_grads,
-                        accuracy: u.accuracy,
-                        delta_alpha: Vec::new(),
-                    });
-                }
-                StalenessStrategy::Hard => unreachable!("hard sync never defers"),
-            }
-        }
-        // --- aggregate (lines 17–33) ---
+        // `Throw` discards stale data, and so does `Hard`: it never defers
+        // an update itself, but a reply can still miss a deadline
+        let uses_stale = self.uses_stale_updates();
+        let threshold = self.config.staleness_threshold;
+        arrivals.extend(
+            due.into_iter()
+                // line 23: ignore an update older than the threshold
+                .filter(|u| {
+                    uses_stale
+                        && StalenessDraw::from_delay(t - u.computed_at, threshold)
+                            != StalenessDraw::Dropped
+                })
+                .map(PendingUpdate::into_report),
+        );
+        arrivals
+    }
+
+    /// Aggregation (lines 17–33): repairs each stale arrival (Eq. 13 on
+    /// its θ gradient, Eq. 15 on its α gradient), folds the θ gradients
+    /// into the configured aggregator and sums `R_m ∇α log p(g_m)`.
+    ///
+    /// The fold is streaming: the plain/clipped mean folds each arrival
+    /// immediately, order-sensitive rules buffer internally, and under a
+    /// sharded topology arrivals go round-robin to shard aggregators with
+    /// a root merge (see `ShardedAccumulator`). Compensation runs before
+    /// the fold, so robust merging composes with Eq. 13 for free.
+    ///
+    /// Returns the merged θ gradient (supernet-flat) and the α gradient,
+    /// neither yet divided by the number of arrivals.
+    fn aggregate(&mut self, ctx: &RoundCtx, arrivals: Vec<BackendReport>) -> (Vec<f32>, Tensor) {
         let theta_len = self.initial_theta.len();
-        // Streaming aggregation front-end: each arrival folds into the
-        // accumulator as soon as its staleness handling completes (the
-        // plain/clipped mean folds immediately; order-sensitive rules
-        // buffer internally). Pushes happen in arrival order — the same
-        // order the old batch call saw — so the result is bit-identical.
-        // Under a sharded topology the arrivals are partitioned round-robin
-        // across shard aggregators with a root merge (flat + mean rules
-        // route through the identical flat fold — see `ShardedAccumulator`).
         let mut theta_acc =
             ShardedAccumulator::new(&self.config.aggregator, self.config.topology, theta_len);
-        let mut aggregate_ns = 0u64;
         let mut alpha_grad = Tensor::zeros(self.controller.alpha().logits().dims());
-        let mut m = 0usize;
-        let accuracies: Vec<f32> = arrivals.iter().map(|a| a.accuracy).collect();
-        let rewards = if update_alpha {
+        let mut aggregate_ns = 0u64;
+        let rewards = if ctx.update_alpha {
+            let accuracies: Vec<f32> = arrivals.iter().map(|a| a.accuracy).collect();
             self.controller.baselined_rewards(&accuracies)
         } else {
             vec![0.0; arrivals.len()]
         };
-        let lambda = match self.config.strategy {
-            StalenessStrategy::DelayCompensated { lambda } => lambda,
-            _ => 0.0,
-        };
-        // current flat theta for compensation
-        let mut current_theta = Vec::with_capacity(theta_len);
-        self.supernet
-            .visit_params(&mut |p| current_theta.extend_from_slice(p.value.as_slice()));
-        let current_alpha = self.controller.alpha().logits().as_slice().to_vec();
-        let edges = self.config.net.topology().num_edges();
-        for (arrival, reward) in arrivals.into_iter().zip(rewards) {
+        // flattened only if a stale arrival needs Eq. 13
+        let mut current_theta = None;
+        for (mut arrival, reward) in arrivals.into_iter().zip(rewards) {
             let ranges = self.supernet.submodel_param_ranges(&arrival.mask);
-            let mut grads = arrival.sub_grads;
-            let mut glog = if arrival.computed_at == t {
+            let mut glog = if arrival.computed_at == ctx.t {
                 let g = self.controller.alpha().grad_log_prob(&arrival.mask);
                 // A wire backend ships the participant's own ∇α log p(g);
                 // never trusted directly, but it must agree bit-for-bit with
@@ -824,110 +840,129 @@ impl SearchServer {
                 );
                 g
             } else {
-                // stale: gradients relate to the old α and θ (lines 24–28)
-                let stale_alpha_logits = self
-                    .pools
-                    .get(arrival.computed_at)
-                    .map(|s| s.alpha.clone())
-                    .unwrap_or_else(|| current_alpha.clone());
-                let stale_alpha = Alpha::from_logits(
-                    Tensor::from_vec(stale_alpha_logits.clone(), &[stale_alpha_logits.len()])
-                        .expect("flat logits"),
-                    edges,
-                );
-                let mut glog = stale_alpha.grad_log_prob(&arrival.mask);
-                if lambda > 0.0 {
-                    // Eq. (13) on θ
-                    let fresh_w: Vec<f32> = ranges
-                        .iter()
-                        .flat_map(|&(off, len)| current_theta[off..off + len].iter().copied())
-                        .collect();
-                    if let Some(stale_w) = self.pools.pruned_theta(arrival.computed_at, &ranges) {
-                        compensate_gradient(&mut grads, &fresh_w, &stale_w, lambda);
-                    }
-                    // Eq. (15) on α
-                    compensate_alpha_gradient(
-                        glog.as_mut_slice(),
-                        &current_alpha,
-                        &stale_alpha_logits,
-                        lambda,
-                    );
-                }
-                glog
+                self.compensate_stale(&mut arrival, &ranges, &mut current_theta)
             };
-            // fold the θ gradient at the sub-model's slots into the
-            // streaming accumulator (the default mean reproduces the
-            // legacy running sum bit for bit, delay compensation above
-            // already repaired stale values, so robust merging composes
-            // with Eq. 13 for free)
-            let fold_start = std::time::Instant::now();
+            let fold_start = Instant::now();
             theta_acc.push(SparseUpdate {
                 ranges,
-                values: grads,
+                values: arrival.grads,
             });
             aggregate_ns = aggregate_ns.saturating_add(fold_start.elapsed().as_nanos() as u64);
-            // accumulate α gradient: R_m ∇ log p(g_m)
             glog.scale(reward);
             alpha_grad.add_assign(&glog).expect("alpha shapes agree");
-            m += 1;
         }
-        let finish_start = std::time::Instant::now();
+        let finish_start = Instant::now();
         let theta_grad = theta_acc.finish();
         aggregate_ns = aggregate_ns.saturating_add(finish_start.elapsed().as_nanos() as u64);
-        round_timings.aggregate_ns = round_timings.aggregate_ns.saturating_add(aggregate_ns);
-        self.comm.record_timing(&round_timings);
+        self.comm.record_timing(&RoundTimings {
+            aggregate_ns,
+            ..RoundTimings::default()
+        });
         debug_assert!(
             theta_grad.iter().all(|v| v.is_finite()),
             "aggregated θ gradient contains non-finite values; the \
              validation gate should have rejected the offending update"
         );
-        if m > 0 {
-            let inv_m = 1.0 / m as f32;
-            // θ update (line 32–33)
-            if !self.config.freeze_theta {
-                let mut cursor = 0usize;
-                self.supernet.visit_params(&mut |p| {
-                    let n = p.grad.len();
-                    for (g, v) in p
-                        .grad
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(&theta_grad[cursor..cursor + n])
-                    {
-                        *g = v * inv_m;
-                    }
-                    cursor += n;
-                });
-                let supernet = &mut self.supernet;
-                self.theta_sgd.step_visitor(|f| supernet.visit_params(f));
-                supernet.zero_grad();
-            }
-            // α update (line 33)
-            if update_alpha {
-                alpha_grad.scale(inv_m);
-                self.controller.ascend(&alpha_grad);
+        (theta_grad, alpha_grad)
+    }
+
+    /// A stale arrival's gradients relate to the α and θ of the round it
+    /// was computed in (lines 24–28): returns `∇α log p(g)` under that
+    /// round's α and, under delay compensation, applies Eq. 13 to the θ
+    /// gradient in place and Eq. 15 to the returned α gradient.
+    fn compensate_stale(
+        &mut self,
+        arrival: &mut BackendReport,
+        ranges: &[(usize, usize)],
+        current_theta: &mut Option<Vec<f32>>,
+    ) -> Tensor {
+        let current_alpha = self.controller.alpha().logits().as_slice();
+        let stale_alpha = self
+            .pools
+            .get(arrival.computed_at)
+            .map_or(current_alpha, |s| s.alpha.as_slice());
+        let mut glog = Alpha::from_logits(
+            Tensor::from_vec(stale_alpha.to_vec(), &[stale_alpha.len()]).expect("flat logits"),
+            self.config.net.topology().num_edges(),
+        )
+        .grad_log_prob(&arrival.mask);
+        if let StalenessStrategy::DelayCompensated { lambda } = self.config.strategy {
+            if lambda > 0.0 {
+                let theta_len = self.initial_theta.len();
+                let theta =
+                    current_theta.get_or_insert_with(|| flat_theta(&mut self.supernet, theta_len));
+                let fresh_w: Vec<f32> = ranges
+                    .iter()
+                    .flat_map(|&(off, len)| theta[off..off + len].iter().copied())
+                    .collect();
+                if let Some(stale_w) = self.pools.pruned_theta(arrival.computed_at, ranges) {
+                    compensate_gradient(&mut arrival.grads, &fresh_w, &stale_w, lambda);
+                }
+                compensate_alpha_gradient(glog.as_mut_slice(), current_alpha, stale_alpha, lambda);
             }
         }
-        // --- record the curve over this round's computed updates ---
-        let n_reports = reports.len().max(1) as f32;
-        let mean_acc = reports.iter().map(|r| r.accuracy).sum::<f32>() / n_reports;
-        let mean_loss = reports.iter().map(|r| r.loss).sum::<f32>() / n_reports;
+        glog
+    }
+
+    /// The θ step and the α step (lines 32–33) on the mean of the round's
+    /// `m` arrivals; a round nothing arrived in moves neither.
+    fn apply(&mut self, ctx: &RoundCtx, theta_grad: Vec<f32>, mut alpha_grad: Tensor, m: usize) {
+        if m == 0 {
+            return;
+        }
+        let inv_m = 1.0 / m as f32;
+        if !self.config.freeze_theta {
+            let mut cursor = 0usize;
+            self.supernet.visit_params(&mut |p| {
+                let n = p.grad.len();
+                for (g, v) in p
+                    .grad
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(&theta_grad[cursor..cursor + n])
+                {
+                    *g = v * inv_m;
+                }
+                cursor += n;
+            });
+            let supernet = &mut self.supernet;
+            self.theta_sgd.step_visitor(|f| supernet.visit_params(f));
+            supernet.zero_grad();
+        }
+        if ctx.update_alpha {
+            alpha_grad.scale(inv_m);
+            self.controller.ascend(&alpha_grad);
+        }
+    }
+
+    /// Records the curve point over this round's on-time reports, evicts
+    /// memory-pool entries past the threshold (lines 34–35) and closes
+    /// the round.
+    fn record(&mut self, ctx: &RoundCtx, (mean_accuracy, mean_loss): (f32, f32), m: usize) {
         let metric = StepMetric {
-            step: t,
-            mean_accuracy: mean_acc,
+            step: ctx.t,
+            mean_accuracy,
             mean_loss,
             contributors: m,
         };
-        if update_alpha {
+        if ctx.update_alpha {
             self.search_curve.record(metric);
         } else {
             self.warmup_curve.record(metric);
         }
-        // --- eviction (lines 34–35) ---
-        self.pools.evict(t, self.config.staleness_threshold);
+        self.pools.evict(ctx.t, self.config.staleness_threshold);
         self.comm.end_round();
         self.round += 1;
     }
+}
+
+/// Mean accuracy and mean loss over `reports`, summed in order.
+fn curve_means(reports: &[BackendReport]) -> (f32, f32) {
+    let n = reports.len().max(1) as f32;
+    (
+        reports.iter().map(|r| r.accuracy).sum::<f32>() / n,
+        reports.iter().map(|r| r.loss).sum::<f32>() / n,
+    )
 }
 
 #[cfg(test)]
@@ -936,7 +971,7 @@ mod tests {
     use crate::config::SearchConfig;
     use fedrlnas_data::DatasetSpec;
     use fedrlnas_sync::StalenessModel;
-    use rand::rngs::StdRng;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn dataset(rng: &mut StdRng) -> SyntheticDataset {
         SyntheticDataset::generate(&DatasetSpec::svhn_like().with_sizes(12, 4), rng)
@@ -1050,9 +1085,13 @@ mod tests {
             report(vec![1e6; expected], 0.5),       // norm bomb
             report(vec![0.01; expected], f32::NAN), // poisoned reward
         ];
-        let kept = server.gate_reports(batch);
-        assert_eq!(kept.len(), 1, "only the honest report survives");
-        assert!(kept[0].grads.iter().all(|g| g.is_finite()));
+        let mut out = RoundOutcome {
+            reports: batch,
+            ..RoundOutcome::default()
+        };
+        server.gate(&mut out);
+        assert_eq!(out.reports.len(), 1, "only the honest report survives");
+        assert!(out.reports[0].grads.iter().all(|g| g.is_finite()));
         let r = server.comm().rejects;
         assert_eq!(r.rejected_nonfinite, 2);
         assert_eq!(r.rejected_shape, 1);

@@ -82,10 +82,13 @@ pub fn write_atomic(vfs: &mut dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<
     vfs.write_file(&tmp, bytes)?;
     vfs.fsync(&tmp)?;
     vfs.rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        vfs.fsync_dir(dir)?;
+    // a bare file name has the empty path as its parent: that is the
+    // current directory, and opening "" fails with ENOENT
+    match path.parent() {
+        Some(dir) if dir.as_os_str().is_empty() => vfs.fsync_dir(Path::new(".")),
+        Some(dir) => vfs.fsync_dir(dir),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The production filesystem: a thin veneer over `std::fs`.
@@ -634,6 +637,19 @@ mod tests {
             results.push(ok);
         }
         (results, *vfs.tally())
+    }
+
+    #[test]
+    fn bare_file_name_syncs_the_current_directory() {
+        // `Path::new("x.bin").parent()` is `Some("")`, which cannot be
+        // opened; the write used to land and then report ENOENT
+        let name = format!("fedrlnas-vfs-bare-{}.bin", std::process::id());
+        let path = Path::new(&name);
+        let result = write_atomic(&mut StdVfs, path, b"durable");
+        let read_back = std::fs::read(path);
+        let _ = std::fs::remove_file(path);
+        result.expect("a bare file name is written next to the process");
+        assert_eq!(read_back.expect("file in place"), b"durable");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Communication accounting.
 
+use crate::robust::UpdateRejection;
 use serde::{Deserialize, Serialize};
 
 /// Per-round tally of injected or observed transport faults and the
@@ -82,6 +83,16 @@ impl RejectTally {
         self.suspected_byzantine = self
             .suspected_byzantine
             .saturating_add(other.suspected_byzantine);
+    }
+
+    /// Counts one refused update under its cause (saturating).
+    pub fn record(&mut self, why: &UpdateRejection) {
+        let counter = match why {
+            UpdateRejection::ShapeMismatch { .. } => &mut self.rejected_shape,
+            UpdateRejection::NonFinite => &mut self.rejected_nonfinite,
+            UpdateRejection::NormExceeded { .. } => &mut self.rejected_norm,
+        };
+        *counter = counter.saturating_add(1);
     }
 
     /// Returns `true` when any counter is non-zero.

@@ -3,9 +3,12 @@
 //!
 //! The paper runs its system over PyTorch Distributed RPC between real
 //! machines; this crate provides the in-process substitute. Participants
-//! own a shard of the training data and run real local training — on
-//! worker threads when [`FedAvgTrainer::run_round_parallel`] is used — and
-//! the server aggregates weights or gradients exactly as FedAvg specifies.
+//! own a shard of the training data and run real local training, and the
+//! server aggregates weights or gradients exactly as FedAvg specifies.
+//! [`FedAvgTrainer`] (retraining and the fixed-model baselines) visits its
+//! participants one after another; the search server is the threaded
+//! caller, running [`Participant::train_round`] — the one participant step
+//! the in-process arm and the RPC worker share — on scoped threads.
 //! Every byte that would cross the network is tallied in [`CommStats`].
 //!
 //! # Example
@@ -30,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod comm;
-mod fedsgd;
 mod participant;
 mod robust;
 mod rounds;
@@ -41,11 +43,11 @@ pub use comm::{
     ChurnTally, CommStats, CompressionTally, FaultTally, IoFaultTally, RejectTally, RoundTimings,
     CODEC_NAMES, NUM_CODECS,
 };
-pub use fedsgd::{FedSgdConfig, FedSgdTrainer};
 pub use participant::{LocalReport, Participant};
 pub use robust::{
-    clip_l2, l2_norm, validate_update, Aggregator, AggregatorConfig, AggregatorKind, CoordMedian,
-    Krum, NormClip, SparseUpdate, StreamingAccumulator, TrimmedMean, UpdateRejection, WeightedMean,
+    clip_l2, l2_norm, validate_report, validate_update, Aggregator, AggregatorConfig,
+    AggregatorKind, CoordMedian, Krum, NormClip, SparseUpdate, StreamingAccumulator, TrimmedMean,
+    UpdateRejection, WeightedMean,
 };
 pub use rounds::{FedAvgConfig, FedAvgTrainer, RoundMetrics};
 pub use shard::{ShardTopology, ShardedAccumulator};

@@ -4,7 +4,7 @@ use crate::trainable::TrainableModel;
 use fedrlnas_data::{AugmentConfig, Loader, SyntheticDataset};
 use fedrlnas_netsim::{BandwidthTrace, Environment};
 use fedrlnas_nn::{CrossEntropy, Mode, Sgd, SgdConfig};
-use rand::Rng;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// What a participant returns to the server after one local update
 /// (Algorithm 1 lines 37–42): the reward — training accuracy computed in
@@ -136,10 +136,38 @@ impl Participant {
     /// Advances the loader's shuffle/cursor state exactly as one
     /// [`Participant::local_update`] would, without training. The round
     /// engine ships the actual batch drawing to remote workers; the server
-    /// mirrors their loader-state transitions through this call so its own
-    /// participants stay authoritative for checkpointing.
+    /// mirrors their loader-state transitions through this call (on
+    /// [`Participant::round_rng`]) so its own participants stay
+    /// authoritative for checkpointing.
     pub fn advance_data<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.loader.advance(rng);
+    }
+
+    /// This participant's private RNG stream for the round whose base seed
+    /// is `seed_base`: `seed_base ^ id·φ64`. The only definition of that
+    /// derivation — the in-process server, the RPC worker and the server's
+    /// loader mirror all come here, which is what keeps the execution
+    /// modes bit-identical.
+    pub fn round_rng(&self, seed_base: u64) -> StdRng {
+        StdRng::seed_from_u64(seed_base ^ (self.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// The participant's whole step in one search round (Algorithm 1 lines
+    /// 37–42): derive the round's stream, run one
+    /// [`Participant::local_update`] on the shipped `model`, and flatten
+    /// the gradients it left there, in structural visit order, into the
+    /// vector that is uploaded.
+    pub fn train_round(
+        &mut self,
+        model: &mut dyn TrainableModel,
+        dataset: &SyntheticDataset,
+        seed_base: u64,
+    ) -> (LocalReport, Vec<f32>) {
+        let mut rng = self.round_rng(seed_base);
+        let report = self.local_update(model, dataset, &mut rng);
+        let mut grads = Vec::new();
+        model.visit_params(&mut |p| grads.extend_from_slice(p.grad.as_slice()));
+        (report, grads)
     }
 
     /// One local update (the paper's participant side of Algorithm 1):
@@ -209,7 +237,6 @@ mod tests {
     use super::*;
     use fedrlnas_darts::{ArchMask, Supernet, SupernetConfig};
     use fedrlnas_data::DatasetSpec;
-    use rand::{rngs::StdRng, SeedableRng};
 
     fn setup() -> (SyntheticDataset, Participant, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
@@ -264,7 +291,9 @@ mod tests {
     #[test]
     fn advance_data_mirrors_local_update() {
         // a ghost participant that only advances loader state must track a
-        // real one training with the same per-round RNG derivation
+        // real one training on the same derived per-round stream — this is
+        // how the server keeps its participants authoritative while RPC
+        // workers do the training
         let (data, real, _) = setup();
         let mut real = real;
         let mut ghost = real.clone();
@@ -273,11 +302,13 @@ mod tests {
         let net = Supernet::new(config.clone(), &mut net_rng);
         let mask = ArchMask::uniform_random(&config, &mut net_rng);
         for round in 0..5u64 {
+            let seed_base = round.wrapping_mul(0xD1B5_4A32_D192_ED03);
             let mut sub = net.extract_submodel(&mask);
-            let mut r1 = StdRng::seed_from_u64(round);
-            let mut r2 = StdRng::seed_from_u64(round);
-            let _ = real.local_update(&mut sub, &data, &mut r1);
-            ghost.advance_data(&mut r2);
+            let (report, grads) = real.train_round(&mut sub, &data, seed_base);
+            assert_eq!(report.participant, 3);
+            assert!(grads.iter().any(|g| *g != 0.0), "round {round}");
+            let mut stream = ghost.round_rng(seed_base);
+            ghost.advance_data(&mut stream);
             assert_eq!(real.data_indices(), ghost.data_indices(), "round {round}");
             assert_eq!(real.data_cursor(), ghost.data_cursor(), "round {round}");
         }

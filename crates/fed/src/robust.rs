@@ -280,6 +280,27 @@ pub fn validate_update(
     Ok(())
 }
 
+/// The whole gate on one participant report: a NaN/Inf reward or loss is
+/// refused like a non-finite gradient, then [`validate_update`] judges the
+/// gradients. The server and the RPC engine both gate through this one
+/// function, so a report is accepted by both or by neither.
+///
+/// # Errors
+///
+/// The typed [`UpdateRejection`] cause.
+pub fn validate_report(
+    grads: &[f32],
+    accuracy: f32,
+    loss: f32,
+    expected_len: usize,
+    norm_bound: Option<f32>,
+) -> Result<(), UpdateRejection> {
+    if !(accuracy.is_finite() && loss.is_finite()) {
+        return Err(UpdateRejection::NonFinite);
+    }
+    validate_update(grads, expected_len, norm_bound)
+}
+
 /// One sparse update: flat values covering the ascending, non-overlapping
 /// `(offset, len)` supernet slots its mask selects
 /// (`Supernet::submodel_param_ranges` order).
@@ -1125,7 +1146,7 @@ mod tests {
                     SparseUpdate { ranges, values: vals[..total].to_vec() }
                 })
                 .collect();
-            let config = all_rules()[rule_sel].clone();
+            let config = all_rules()[rule_sel];
             let batch = config.build().accumulate_sparse(updates.clone(), THETA);
             let mut stream = StreamingAccumulator::new(&config, THETA);
             for u in updates {

@@ -11,7 +11,7 @@ use fedrlnas_codec::{Codec, CodecConfig};
 use fedrlnas_data::{dirichlet_partition, iid_partition, AugmentConfig, SyntheticDataset};
 use fedrlnas_netsim::{resolve_codec, Environment};
 use fedrlnas_nn::SgdConfig;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// FedAvg hyperparameters (the P3/FL column of Table I).
@@ -81,7 +81,7 @@ pub struct FedAvgTrainer<M> {
     round: usize,
 }
 
-impl<M: TrainableModel + Clone + Send> FedAvgTrainer<M> {
+impl<M: TrainableModel + Clone> FedAvgTrainer<M> {
     /// Creates a trainer with `k` participants, partitioning the dataset
     /// i.i.d. or by `Dir(beta)` according to the config, and assigning
     /// mobility environments round-robin.
@@ -159,7 +159,7 @@ impl<M: TrainableModel + Clone + Send> FedAvgTrainer<M> {
         self.participants.len()
     }
 
-    /// Runs one sequential FedAvg round: every participant trains a copy of
+    /// Runs one FedAvg round: every participant in turn trains a copy of
     /// the global model locally; the server replaces the global weights
     /// with the shard-size-weighted average.
     pub fn run_round<R: Rng + ?Sized>(
@@ -222,93 +222,6 @@ impl<M: TrainableModel + Clone + Send> FedAvgTrainer<M> {
         metrics
     }
 
-    /// Runs one FedAvg round with participants on OS threads — the
-    /// concurrent analogue of the paper's RPC deployment. Deterministic
-    /// given `seed` regardless of thread interleaving (each participant
-    /// derives its own RNG stream).
-    pub fn run_round_parallel(&mut self, dataset: &SyntheticDataset, seed: u64) -> RoundMetrics {
-        let model_bytes = self.global.param_bytes();
-        let global_flat = if self.config.codec.is_fp32() {
-            Vec::new()
-        } else {
-            flat_state(&mut self.global)
-        };
-        let global = &self.global;
-        let config = self.config;
-        let round = self.round;
-        let results: Vec<(Vec<f32>, f32, f32, usize)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .participants
-                .iter_mut()
-                .map(|p| {
-                    let mut local = global.clone();
-                    scope.spawn(move |_| {
-                        let mut rng = rand::rngs::StdRng::seed_from_u64(
-                            seed ^ (p.id() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                                ^ (round as u64) << 32,
-                        );
-                        let report = p.local_sgd_steps(
-                            &mut local,
-                            dataset,
-                            config.local_steps,
-                            config.sgd,
-                            &mut rng,
-                        );
-                        (
-                            flat_state(&mut local),
-                            report.loss,
-                            report.accuracy,
-                            p.shard_len(),
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("participant thread panicked"))
-                .collect()
-        })
-        .expect("scoped threads join");
-        let mut locals = Vec::with_capacity(results.len());
-        let mut weights = Vec::with_capacity(results.len());
-        let mut loss = 0.0f32;
-        let mut acc = 0.0f32;
-        for (i, (mut flat, l, a, shard)) in results.into_iter().enumerate() {
-            weights.push(shard as f32);
-            loss += l;
-            acc += a;
-            self.comm.record_down(model_bytes);
-            if self.config.codec.is_fp32() {
-                self.comm.record_up(model_bytes);
-            } else {
-                let up = code_upload(
-                    self.config.codec,
-                    self.participants[i].bandwidth_mbps(),
-                    &global_flat,
-                    &mut flat,
-                    &mut self.comm,
-                );
-                self.comm.record_up(up);
-            }
-            locals.push(flat);
-        }
-        let avg = self
-            .config
-            .aggregator
-            .build()
-            .aggregate_dense(locals, &weights);
-        set_flat_state(&mut self.global, &avg);
-        self.comm.end_round();
-        let k = self.participants.len() as f32;
-        let metrics = RoundMetrics {
-            round: self.round,
-            train_loss: loss / k,
-            train_accuracy: acc / k,
-        };
-        self.round += 1;
-        metrics
-    }
-
     /// Evaluates the global model on the dataset's test split.
     pub fn evaluate(&mut self, dataset: &SyntheticDataset) -> f32 {
         evaluate_model(&mut self.global, dataset, 64)
@@ -350,7 +263,7 @@ mod tests {
     use super::*;
     use fedrlnas_darts::{DerivedModel, Genotype, SupernetConfig, NUM_OPS};
     use fedrlnas_data::DatasetSpec;
-    use rand::rngs::StdRng;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn build() -> (SyntheticDataset, DerivedModel, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
@@ -387,16 +300,6 @@ mod tests {
         };
         let trainer = FedAvgTrainer::new(model, &data, 5, config, &mut rng);
         assert_eq!(trainer.num_participants(), 5);
-    }
-
-    #[test]
-    fn parallel_round_matches_structure_of_sequential() {
-        let (data, model, mut rng) = build();
-        let mut trainer = FedAvgTrainer::new(model, &data, 4, FedAvgConfig::default(), &mut rng);
-        let m = trainer.run_round_parallel(&data, 42);
-        assert!(m.train_loss.is_finite());
-        assert!((0.0..=1.0).contains(&m.train_accuracy));
-        assert_eq!(trainer.comm().rounds, 1);
     }
 
     #[test]
@@ -483,22 +386,6 @@ mod tests {
         );
         assert_eq!(plain.comm(), coded.comm());
         assert!(!coded.comm().compression.any(), "fp32 tallies nothing");
-    }
-
-    #[test]
-    fn parallel_coded_round_matches_sequential_codec_choice() {
-        use fedrlnas_codec::CodecSpec;
-        let (data, model, mut rng) = build();
-        let config = FedAvgConfig {
-            codec: CodecConfig::Fixed(CodecSpec::Fp16),
-            ..FedAvgConfig::default()
-        };
-        let mut trainer = FedAvgTrainer::new(model, &data, 4, config, &mut rng);
-        let m = trainer.run_round_parallel(&data, 42);
-        assert!(m.train_loss.is_finite());
-        let tally = trainer.comm().compression;
-        assert_eq!(tally.frames[CodecSpec::Fp16.tag() as usize], 4);
-        assert_eq!(tally.encoded_bytes * 2, tally.raw_bytes);
     }
 
     #[test]

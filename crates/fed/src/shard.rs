@@ -491,7 +491,7 @@ mod tests {
             for (i, u) in updates.iter().enumerate() {
                 slices[topology.shard_of(i)].push(u.clone());
             }
-            let mut expected = vec![0.0f32; 4];
+            let mut expected = [0.0f32; 4];
             for slice in slices.into_iter().filter(|s| !s.is_empty()) {
                 let partial = rule.accumulate_sparse(slice, 4);
                 for (e, p) in expected.iter_mut().zip(&partial) {

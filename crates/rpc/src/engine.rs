@@ -33,11 +33,11 @@
 //! because an evicted worker's link is only serviced on rounds its slot
 //! is active. Re-admission itself is a fresh start — see [`readmit`].
 //!
-//! Determinism: worker `p` derives its training RNG exactly like the
-//! in-process path (`seed_base ^ p · φ64`), performs the same
-//! `local_update` call on the same shipped weights, and reports are sorted
-//! by participant id before aggregation — so a fault-free RPC search is
-//! bit-identical to an in-process one. Injected faults come from the
+//! Determinism: worker `p` runs the step the in-process path runs —
+//! `Participant::train_round`, which derives the round's RNG stream from
+//! the shipped `seed_base` — on the same shipped weights, and reports are
+//! sorted by participant id before aggregation — so a fault-free RPC
+//! search is bit-identical to an in-process one. Injected faults come from the
 //! seeded schedule of [`FaultPlan`], and every *recoverable* fault is
 //! masked by the retry/idempotence machinery, so the search result is
 //! unchanged under a recoverable fault plan too.
@@ -58,15 +58,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fedrlnas_codec::{absorb_residual, compensate, Codec, CodecConfig, CodecSpec, EncodeScratch};
+use fedrlnas_codec::{Codec, CodecConfig, CodecSpec, EncodeScratch};
 use fedrlnas_controller::Alpha;
 use fedrlnas_core::{BackendReport, RoundBackend, RoundOutcome, RoundRequest, SearchServer};
 use fedrlnas_darts::{ArchMask, Supernet, SupernetConfig};
 use fedrlnas_data::SyntheticDataset;
-use fedrlnas_fed::{validate_update, Participant, RejectTally, UpdateRejection};
+use fedrlnas_fed::{validate_report, Participant, RejectTally};
 use fedrlnas_netsim::resolve_codec;
 use fedrlnas_tensor::Tensor;
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::adversary::{apply_attack, Attack};
 use crate::fault::{mix, FaultPlan, FaultyTransport};
@@ -605,12 +604,8 @@ impl WorkerState {
             b.copy_from_slice(&buffers[bc..bc + n]);
             bc += n;
         });
-        // identical RNG derivation to the in-process path
-        let mut prng =
-            StdRng::seed_from_u64(seed_base ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let report = self.participant.local_update(&mut sub, dataset, &mut prng);
-        let mut grads = Vec::new();
-        sub.visit_params(&mut |p| grads.extend_from_slice(p.grad.as_slice()));
+        // the step the in-process path runs, on the same derived stream
+        let (report, mut grads) = self.participant.train_round(&mut sub, dataset, seed_base);
         if let Some(attack) = self.fault.attack {
             let honest = std::mem::replace(&mut self.last_honest, grads.clone());
             apply_attack(attack, round, id as u64, &mut grads, &honest);
@@ -642,22 +637,25 @@ impl WorkerState {
             Some(spec) => {
                 // error feedback: fold the residual of every previous lossy
                 // round into this update before encoding, then remember
-                // what this round's encoding lost. Same math, same visit
-                // order as the in-process simulation, so the two execution
-                // modes stay bit-identical.
+                // what this round's encoding lost — the function the
+                // in-process server runs, so the two execution modes stay
+                // bit-identical.
                 let ranges = supernet.submodel_param_ranges(&mask);
                 let mut res = self.residual.lock().expect("residual lock");
                 if res.len() != theta_len {
                     res.resize(theta_len, 0.0);
                 }
-                compensate(&mut grads, &res, &ranges);
                 let keys_cap = self.enc_scratch.capacity();
                 let coded_cap = self.coded_buf.capacity();
                 let dec_cap = self.decoded_buf.capacity();
-                spec.encode_into(&grads, &mut self.enc_scratch, &mut self.coded_buf);
-                spec.decode_into(&self.coded_buf, grads.len(), &mut self.decoded_buf)
-                    .expect("a codec must decode its own encoding");
-                absorb_residual(&mut res, &grads, &self.decoded_buf, &ranges);
+                spec.encode_with_feedback(
+                    &mut grads,
+                    &mut res,
+                    &ranges,
+                    &mut self.enc_scratch,
+                    &mut self.coded_buf,
+                    &mut self.decoded_buf,
+                );
                 drop(res);
                 note_growth(&self.growth, keys_cap, self.enc_scratch.capacity());
                 note_growth(&self.growth, coded_cap, self.coded_buf.capacity());
@@ -936,15 +934,13 @@ pub(crate) fn absorb_reply_frame(
             // replies were decoded above, so the gate sees exactly what
             // aggregation would consume.
             let gate_start = Instant::now();
-            let verdict = if report.accuracy.is_finite() && report.loss.is_finite() {
-                validate_update(
-                    &report.grads,
-                    s.expected_lens[p],
-                    s.config.update_norm_bound,
-                )
-            } else {
-                Err(UpdateRejection::NonFinite)
-            };
+            let verdict = validate_report(
+                &report.grads,
+                report.accuracy,
+                report.loss,
+                s.expected_lens[p],
+                s.config.update_norm_bound,
+            );
             wr.validate_ns = wr
                 .validate_ns
                 .saturating_add(gate_start.elapsed().as_nanos() as u64);
@@ -957,17 +953,9 @@ pub(crate) fn absorb_reply_frame(
                     wr.got = true;
                     s.on_time.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(UpdateRejection::ShapeMismatch { .. }) => {
+                Err(why) => {
                     wr.rejected = true;
-                    wr.rejects.rejected_shape += 1;
-                }
-                Err(UpdateRejection::NonFinite) => {
-                    wr.rejected = true;
-                    wr.rejects.rejected_nonfinite += 1;
-                }
-                Err(UpdateRejection::NormExceeded { .. }) => {
-                    wr.rejected = true;
-                    wr.rejects.rejected_norm += 1;
+                    wr.rejects.record(&why);
                 }
             }
             FrameStep::Done
@@ -1148,14 +1136,6 @@ struct RoundCtx<'a> {
     out: RoundOutcome,
 }
 
-impl RoundCtx<'_> {
-    /// `false` when slot `p`'s sampled client is out this round.
-    fn is_active(&self, p: usize) -> bool {
-        let active = self.req.active;
-        active.is_none_or(|a| a.get(p).copied().unwrap_or(true))
-    }
-}
-
 impl RpcBackend {
     /// Phase 0: drain whatever the evicted workers' links buffered (late
     /// replies are attributed, a heartbeat re-admits), then probe the
@@ -1166,7 +1146,7 @@ impl RpcBackend {
     fn service_evicted(&mut self, ctx: &mut RoundCtx<'_>) {
         let t = ctx.req.round;
         for (p, w) in self.workers.iter_mut().enumerate() {
-            if !w.alive || !w.evicted || !ctx.is_active(p) {
+            if !w.alive || !w.evicted || !ctx.req.is_active(p) {
                 continue;
             }
             let out = &mut ctx.out;
@@ -1230,7 +1210,7 @@ impl RpcBackend {
         // parameter count exactly; the gate checks against this
         self.expected_lens.clear();
         for (p, sub) in submodels.iter_mut().enumerate() {
-            if !ctx.is_active(p) {
+            if !ctx.req.is_active(p) {
                 // nothing ships to an inactive slot: no frame, no
                 // sent-mask entry (there is no reply to attribute), zero
                 // measured download bytes
@@ -1284,7 +1264,7 @@ impl RpcBackend {
         let eligible: Vec<bool> = workers
             .iter()
             .enumerate()
-            .map(|(p, w)| w.alive && !w.evicted && ctx.is_active(p))
+            .map(|(p, w)| w.alive && !w.evicted && ctx.req.is_active(p))
             .collect();
         let on_time = AtomicUsize::new(0);
         let staged = Staged {

@@ -18,6 +18,9 @@
 
 use fedrlnas_darts::{ArchMask, NUM_OPS};
 
+/// The frame trailer's checksum: the workspace's one CRC-32.
+pub use fedrlnas_core::crc32;
+
 /// Frame magic: `b"FRLN"`.
 pub const MAGIC: [u8; 4] = *b"FRLN";
 /// Highest protocol version this build speaks. Version 1 carries the
@@ -88,37 +91,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-const CRC_TABLE: [u32; 256] = crc32_table();
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 (IEEE 802.3 polynomial) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Everything that crosses the federation wire.
 #[derive(Debug, Clone, PartialEq)]

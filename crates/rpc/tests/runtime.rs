@@ -121,16 +121,14 @@ fn kill_one_participant_mid_round() {
     }
 }
 
-#[test]
-fn delayed_reply_flows_through_staleness_path() {
-    let config =
-        SearchConfig::tiny().with_staleness(StalenessModel::fresh(), StalenessStrategy::Use);
+/// Warm-up contributors per round when worker 1 oversleeps round 1 by far
+/// more than the deadline, so its reply surfaces in a later round.
+fn contributors_with_a_delayed_reply(strategy: StalenessStrategy) -> (Vec<usize>, usize) {
+    let config = SearchConfig::tiny().with_staleness(StalenessModel::fresh(), strategy);
     let k = config.num_participants;
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut search = FederatedModelSearch::new(config, &mut rng);
     let dataset = search.dataset().clone();
-    // worker 1 oversleeps round 1 by far more than the deadline; its reply
-    // must surface in a later round and be aggregated as a stale update
     let faults = vec![
         ScriptedFault::default(),
         ScriptedFault {
@@ -149,18 +147,21 @@ fn delayed_reply_flows_through_staleness_path() {
         },
         &faults,
     );
-    let warmup_rounds = 6;
-    search
-        .server_mut()
-        .run_warmup(&dataset, warmup_rounds, &mut rng);
-    let contributors: Vec<usize> = search
+    search.server_mut().run_warmup(&dataset, 6, &mut rng);
+    let contributors = search
         .server_mut()
         .warmup_curve()
         .steps()
         .iter()
         .map(|s| s.contributors)
         .collect();
-    assert_eq!(contributors.len(), warmup_rounds);
+    (contributors, k)
+}
+
+#[test]
+fn delayed_reply_flows_through_staleness_path() {
+    let (contributors, k) = contributors_with_a_delayed_reply(StalenessStrategy::Use);
+    assert_eq!(contributors.len(), 6);
     // the delayed round is one contributor short...
     assert_eq!(contributors[1], k - 1, "round 1 must miss the sleeper");
     // ...but the reply lands late within the staleness threshold, so no
@@ -168,7 +169,7 @@ fn delayed_reply_flows_through_staleness_path() {
     let total: usize = contributors.iter().sum();
     assert_eq!(
         total,
-        warmup_rounds * k,
+        6 * k,
         "late reply must be aggregated through the staleness path ({contributors:?})"
     );
     // and some round after the delay carries the extra stale arrival
@@ -176,6 +177,16 @@ fn delayed_reply_flows_through_staleness_path() {
         contributors.iter().skip(2).any(|&c| c > k),
         "a later round must absorb the late update ({contributors:?})"
     );
+
+    // hard sync uses no stale update: the late reply is discarded (the
+    // round loop used to hit an `unreachable!` here)
+    let (contributors, k) = contributors_with_a_delayed_reply(StalenessStrategy::Hard);
+    assert_eq!(contributors[1], k - 1, "round 1 must miss the sleeper");
+    assert!(
+        contributors.iter().all(|&c| c <= k),
+        "no round may absorb a late update ({contributors:?})"
+    );
+    assert_eq!(contributors[5], k, "the sleeper is back on time by the end");
 }
 
 /// Satellite: the legacy size accounting (`param_count × 4`, what

@@ -81,6 +81,10 @@
 //!                  [--federated] [--non-iid] [--steps N] [--dataset ...]
 //! fedrlnas info    [--scale ...]
 //! ```
+//!
+//! Every subcommand refuses a `--flag` it does not know (and `search`
+//! refuses the RPC-only flags without `--rpc`), so a typo is an error
+//! instead of a run with the default value.
 
 use fedrlnas::core::{
     retrain_centralized, retrain_federated, Checkpoint, CheckpointPolicy, FaultyVfs,
@@ -107,6 +111,98 @@ fn flag(argv: &[String], name: &str) -> Option<String> {
 
 fn present(argv: &[String], name: &str) -> bool {
     argv.iter().any(|a| a == name)
+}
+
+/// A flag a subcommand knows: its name and whether a value follows it.
+type FlagSpec = (&'static str, bool);
+
+/// What `build_config` reads — every subcommand builds a `SearchConfig`.
+const CONFIG_FLAGS: &[FlagSpec] = &[
+    ("--scale", true),
+    ("--non-iid", false),
+    ("--participants", true),
+    ("--staleness", true),
+    ("--strategy", true),
+    ("--assignment", true),
+    ("--aggregator", true),
+    ("--topology", true),
+    ("--reject-norm", true),
+    ("--codec", true),
+    ("--population", true),
+    ("--cohort", true),
+    ("--availability", true),
+];
+
+const SEARCH_FLAGS: &[FlagSpec] = &[
+    ("--seed", true),
+    ("--dataset", true),
+    ("--checkpoint", true),
+    ("--curve", true),
+    ("--checkpoint-path", true),
+    ("--checkpoint-every", true),
+    ("--stats-json", true),
+    ("--rpc", false),
+];
+
+/// `search` flags that only mean something next to `--rpc`.
+const RPC_FLAGS: &[FlagSpec] = &[
+    ("--rpc-transport", true),
+    ("--rpc-deadline-ms", true),
+    ("--reactor-threads", true),
+    ("--quorum-frac", true),
+    ("--quorum-drain-ms", true),
+    ("--evict-after", true),
+    ("--fault-seed", true),
+    ("--fault-drop", true),
+    ("--fault-corrupt", true),
+    ("--fault-dup", true),
+    ("--fault-reorder", true),
+    ("--fault-delay", true),
+    ("--fault-max-delay-ms", true),
+];
+
+const SERVE_FLAGS: &[FlagSpec] = &[
+    ("--store", true),
+    ("--listen", true),
+    ("--checkpoint-every", true),
+    ("--max-rounds-in-flight", true),
+    ("--thread-budget", true),
+    ("--byte-budget", true),
+    ("--round-delay-ms", true),
+    ("--exit-when-idle", false),
+    ("--io-fault-seed", true),
+    ("--io-fault-spec", true),
+];
+
+const RETRAIN_FLAGS: &[FlagSpec] = &[
+    ("--seed", true),
+    ("--dataset", true),
+    ("--genotype", true),
+    ("--steps", true),
+    ("--federated", false),
+];
+
+/// Refuses any `--flag` the subcommand's tables do not list, so a typo
+/// fails before any work starts instead of silently running the default.
+fn check_flags(argv: &[String], known: &[&[FlagSpec]]) -> Result<(), String> {
+    let mut args = argv.iter().skip(1);
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let spec = known
+            .iter()
+            .copied()
+            .flatten()
+            .find(|(name, _)| name == arg);
+        let Some((_, takes_value)) = spec else {
+            return Err(format!("unknown flag {arg}"));
+        };
+        if *takes_value {
+            args.next();
+        }
+    }
+    Ok(())
 }
 
 fn usage() -> ExitCode {
@@ -221,8 +317,11 @@ fn write_stats_json(argv: &[String], search: &FederatedModelSearch) -> Result<()
 }
 
 fn cmd_search(argv: &[String]) -> Result<(), String> {
-    if present(argv, "--rpc-engine") {
-        return Err("--rpc-engine is gone: there is one round engine".to_string());
+    check_flags(argv, &[CONFIG_FLAGS, SEARCH_FLAGS, RPC_FLAGS])?;
+    if !present(argv, "--rpc") {
+        if let Some((name, _)) = RPC_FLAGS.iter().find(|(name, _)| present(argv, name)) {
+            return Err(format!("{name} requires --rpc"));
+        }
     }
     install_shutdown_handler();
     let seed: u64 = flag(argv, "--seed")
@@ -408,6 +507,7 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(argv: &[String]) -> Result<(), String> {
+    check_flags(argv, &[SERVE_FLAGS])?;
     install_shutdown_handler();
     let store = flag(argv, "--store").ok_or("serve requires --store DIR")?;
     let listen = flag(argv, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
@@ -493,6 +593,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_retrain(argv: &[String]) -> Result<(), String> {
+    check_flags(argv, &[CONFIG_FLAGS, RETRAIN_FLAGS])?;
     let seed: u64 = flag(argv, "--seed")
         .map_or(Ok(42), |s| s.parse())
         .map_err(|e| format!("bad seed: {e}"))?;
@@ -535,6 +636,7 @@ fn cmd_retrain(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(argv: &[String]) -> Result<(), String> {
+    check_flags(argv, &[CONFIG_FLAGS])?;
     let config = build_config(argv)?;
     println!("{config:#?}");
     Ok(())

@@ -33,8 +33,13 @@ fn bad_flag_values_are_rejected() {
         vec!["search", "--staleness", "extreme"],
         vec!["search", "--strategy", "yolo"],
         vec!["search", "--rpc", "--rpc-engine", "reactor"], // removed flag
+        vec!["search", "--scale", "tiny", "--particpants", "3"], // typo
+        vec!["search", "--scale", "tiny", "--rpc-transport", "tcp"], // needs --rpc
         vec!["retrain"],                                    // missing --genotype
         vec!["retrain", "--genotype", "not-a-genotype"],
+        vec!["retrain", "--genotype", "x", "--checkpoint", "y"], // search-only flag
+        vec!["info", "--seed", "1"],
+        vec!["serve", "--store", "unused", "--scale", "tiny"],
     ] {
         let out = bin().args(&args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?} should fail");
@@ -81,4 +86,48 @@ fn search_then_retrain_round_trip() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("test error"), "{text}");
+}
+
+#[test]
+fn unknown_flags_are_named_before_any_work_starts() {
+    let out = bin()
+        .args(["search", "--particpants", "3"])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: unknown flag --particpants"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing may run before the check");
+}
+
+#[test]
+fn bare_checkpoint_name_is_written_and_resumed() {
+    // a path with no directory component has the empty path as its parent;
+    // the snapshot's directory fsync used to fail on it
+    let dir = std::env::temp_dir().join(format!("fedrlnas-cli-bare-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp cwd");
+    let run = || {
+        bin()
+            .current_dir(&dir)
+            .args([
+                "search",
+                "--scale",
+                "tiny",
+                "--checkpoint-path",
+                "bare.ckpt",
+            ])
+            .args(["--checkpoint-every", "2"])
+            .output()
+            .expect("spawn search")
+    };
+    let first = run();
+    let err = String::from_utf8_lossy(&first.stderr);
+    assert!(first.status.success(), "{err}");
+    assert!(dir.join("bare.ckpt").is_file());
+    let second = run();
+    assert!(second.status.success());
+    let text = String::from_utf8_lossy(&second.stdout);
+    assert!(text.contains("resumed from checkpoint bare.ckpt"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
