@@ -120,7 +120,8 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
         },
         &[],
     );
-    let supernet = Supernet::new(config.net.clone(), &mut rng);
+    let mut supernet = Supernet::new(config.net.clone(), &mut rng);
+    let (theta, buffers) = (supernet.flat_params(), supernet.flat_buffers());
     let alpha = Alpha::new(&config.net);
     let alpha_logits = alpha.logits().as_slice().to_vec();
     let masks: Vec<ArchMask> = (0..n)
@@ -131,11 +132,12 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
     let mut growth_warm = 0;
     let start = Instant::now();
     for t in 0..rounds {
-        let submodels = masks.iter().map(|m| supernet.extract_submodel(m)).collect();
         let out = backend.run_round(RoundRequest {
             round: t,
             masks: &masks,
-            submodels,
+            layout: supernet.layout(),
+            theta: &theta,
+            buffers: &buffers,
             alpha_logits: &alpha_logits,
             bandwidths_mbps: &bandwidths,
             seed_base: SEED ^ t as u64,

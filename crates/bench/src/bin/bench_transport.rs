@@ -25,8 +25,9 @@
 //! (writes `BENCH_transport.json` in the current directory; pass `--out
 //! <path>` to override). `--quick` runs fewer reps and one round per
 //! engine mode (the CI perf-smoke configuration); `--check <floor.json>`
-//! exits non-zero if a measured codec throughput or the engine speedup
-//! falls below the committed floor.
+//! exits non-zero if the sub-model frame's wire encode/decode throughput,
+//! a measured codec throughput or the engine speedup falls below the
+//! committed floor.
 
 use fedrlnas_bench::{json_number, median_ns};
 use fedrlnas_codec::{CodecSpec, EncodeScratch};
@@ -233,6 +234,8 @@ fn main() {
     )
     .unwrap();
     writeln!(json, "  \"payloads\": [").unwrap();
+    // (floor key, what it measures, measured MB/s) for `--check`
+    let mut measured: Vec<(&str, String, f64)> = Vec::new();
     for (i, p) in payloads.iter().enumerate() {
         eprintln!(
             "benchmarking {} ({} byte frames)...",
@@ -256,14 +259,24 @@ fn main() {
         drop(tcp_server);
         tcp_join.join().expect("tcp echo worker");
 
+        let (encode_mb_s, decode_mb_s) = (
+            mbps(p.frame_bytes, encode_ns),
+            mbps(p.frame_bytes, decode_ns),
+        );
+        if p.label == "submodel" {
+            // the frame every participant gets every round: CRC-bound
+            let label = |what| format!("{} frame {what}", p.label);
+            measured.push(("wire_encode_mb_s_floor", label("encode"), encode_mb_s));
+            measured.push(("wire_decode_mb_s_floor", label("decode"), decode_mb_s));
+        }
         let comma = if i + 1 == payloads.len() { "" } else { "," };
         writeln!(
             json,
             "    {{\"payload\": \"{}\", \"frame_bytes\": {}, \"encode_mb_s\": {:.1}, \"decode_mb_s\": {:.1}, \"round_in_memory_us\": {:.1}, \"round_loopback_tcp_us\": {:.1}}}{comma}",
             p.label,
             p.frame_bytes,
-            mbps(p.frame_bytes, encode_ns),
-            mbps(p.frame_bytes, decode_ns),
+            encode_mb_s,
+            decode_mb_s,
             mem_round_ns as f64 / 1e3,
             tcp_round_ns as f64 / 1e3,
         )
@@ -287,7 +300,6 @@ fn main() {
         CodecSpec::Int8,
         CodecSpec::TopK { k_frac: 0.1 },
     ];
-    let mut measured: Vec<(String, f64)> = Vec::new();
     writeln!(json, "  \"codecs\": [").unwrap();
     for (i, spec) in specs.iter().enumerate() {
         eprintln!("benchmarking codec {spec}...");
@@ -342,7 +354,14 @@ fn main() {
         let mem_round_ns = round_trip_ns(reps, &mut mem_server, &frame);
         drop(mem_server);
         mem_join.join().expect("codec echo worker");
-        measured.push((format!("{spec}"), mbps(raw_bytes, encode_ns)));
+        let floor_key = match spec {
+            CodecSpec::TopK { .. } => Some("topk_encode_mb_s_floor"),
+            CodecSpec::Fp16 => Some("fp16_encode_mb_s_floor"),
+            _ => None,
+        };
+        if let Some(key) = floor_key {
+            measured.push((key, format!("{spec} encode"), mbps(raw_bytes, encode_ns)));
+        }
         let comma = if i + 1 == specs.len() { "" } else { "," };
         writeln!(
             json,
@@ -369,23 +388,15 @@ fn main() {
         let floors = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read floor file {path}: {e}"));
         let mut failed = false;
-        for (key, codec) in [
-            ("topk_encode_mb_s_floor", "topk:0.1"),
-            ("fp16_encode_mb_s_floor", "fp16"),
-        ] {
+        for (key, what, got) in &measured {
             let Some(floor) = json_number(&floors, key) else {
                 continue;
             };
-            let got = measured
-                .iter()
-                .find(|(name, _)| name == codec)
-                .map(|(_, v)| *v)
-                .unwrap_or(0.0);
-            if got < floor {
-                eprintln!("FAIL: {codec} encode {got:.1} MB/s below committed floor {floor:.1}");
+            if *got < floor {
+                eprintln!("FAIL: {what} {got:.1} MB/s below committed floor {floor:.1}");
                 failed = true;
             } else {
-                eprintln!("ok: {codec} encode {got:.1} MB/s >= floor {floor:.1}");
+                eprintln!("ok: {what} {got:.1} MB/s >= floor {floor:.1}");
             }
         }
         if let Some(floor) = json_number(&floors, "engine_speedup_floor") {

@@ -27,7 +27,7 @@
 //! never depends on the transport crate; `fedrlnas-rpc` depends on this
 //! crate and installs itself via [`SearchServer::set_backend`](crate::SearchServer::set_backend).
 
-use fedrlnas_darts::{ArchMask, SubModel};
+use fedrlnas_darts::{ArchMask, SupernetLayout};
 use fedrlnas_fed::{ChurnTally, CompressionTally, FaultTally, RejectTally, RoundTimings};
 
 /// One participant's completed local update as delivered by a backend.
@@ -62,9 +62,16 @@ pub struct RoundRequest<'a> {
     pub round: usize,
     /// `masks[p]` is the architecture assigned to participant `p`.
     pub masks: &'a [ArchMask],
-    /// `submodels[p]` is the extracted sub-model for participant `p`
-    /// (weights and BatchNorm buffers to ship).
-    pub submodels: Vec<SubModel>,
+    /// Where each structural unit's weights sit in `theta` and `buffers`:
+    /// participant `p` is shipped the ranges `layout` names for
+    /// `masks[p]`, so no sub-model is built on the server.
+    pub layout: &'a SupernetLayout,
+    /// This round's supernet parameters, flat in `Supernet::visit_params`
+    /// order (read-only for the whole round).
+    pub theta: &'a [f32],
+    /// This round's BatchNorm running statistics, flat in
+    /// `Supernet::visit_buffers` order.
+    pub buffers: &'a [f32],
     /// Current flat controller logits, shipped alongside each sub-model.
     pub alpha_logits: &'a [f32],
     /// This round's sampled downlink bandwidth per participant in Mbps

@@ -251,10 +251,7 @@ impl Checkpoint {
         // a wire backend's workers hold the authoritative error-feedback
         // residuals; fold them into the server's participants first
         server.sync_backend_residuals();
-        let mut theta = Vec::new();
-        server
-            .supernet
-            .visit_params(&mut |p| theta.extend_from_slice(p.value.as_slice()));
+        let theta = server.supernet.flat_params();
         Checkpoint {
             round: server.round as u64,
             sim_seconds: server.sim_seconds,
@@ -1168,6 +1165,111 @@ mod tests {
         let loaded = Checkpoint::from_bytes(&bytes).expect("read back");
         assert_eq!(loaded, cp);
         assert_eq!(loaded.round, 4);
+    }
+
+    /// A v5 checkpoint as the commit before the slicing-by-8 CRC wrote it
+    /// (every section populated): it must still load, and the same state
+    /// must still serialize to the same bytes.
+    #[test]
+    fn checkpoint_written_before_the_fast_crc_is_unchanged() {
+        let frozen: Vec<u8> = {
+            let hex = concat!(
+                "46524c4e434b5054050000001303000000000000030000000000000000000000",
+                "000029400000803e020000000000000001000000000000000200000000000000",
+                "0300000000000000040000000000000003000000000000000000003f0000a0bf",
+                "0000404002000000000000000000003e000000bf030000000000000000000000",
+                "0000403f00000080e80300000000000084030000000000000100000000000000",
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "000000000000000000000000000000000100000000000000000000000000e03f",
+                "0100000000000000000000000000d03f01000000000000000000000000000000",
+                "cdcccc3d00002040020000000000000001000000000000000100000000000000",
+                "cdcc4c3e00001040010000000000000001000000000000000200000000000000",
+                "03000000000000000000803f000000400000404002000000000000000000003f",
+                "0000003f01000000000000000200000000000000010700030100000000000000",
+                "0400000000000000020000000000000001000000000000000200000000000000",
+                "0107000302000000000000000000803e000040bf0000003f0100000000000000",
+                "0300000000000000030000000000000001000000000000000200000000000000",
+                "010000000000000000000000004045400300000000000000000000000000003f",
+                "000000000100000000000000000100002041010000c8420003cdcccc3d000000",
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "000000000001280000000000000001000000000000000000000000000000cdcc",
+                "cccccccce43f000000000000d03f180000000000000000000000000000000000",
+                "0000000000009a9999999999b93f9a9999999999c93f05000000000000000600",
+                "0000000000000700000000000000080000000000000001000000000000000100",
+                "00000000000000fb4d0a48",
+            );
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+                .collect()
+        };
+        let mask = ArchMask::new(vec![1, 7], vec![0, 3]);
+        let mut comm = CommStats::new();
+        comm.record_down(1000);
+        comm.record_up(900);
+        comm.end_round();
+        let step = |step, mean_accuracy, mean_loss, contributors| StepMetric {
+            step,
+            mean_accuracy,
+            mean_loss,
+            contributors,
+        };
+        let cp = Checkpoint {
+            round: 3,
+            sim_seconds: 12.5,
+            baseline: 0.25,
+            controller_updates: 2,
+            rng_state: [1, 2, 3, 4],
+            theta: vec![0.5, -1.25, 3.0],
+            alpha: vec![0.125, -0.5],
+            velocity: vec![0.0, 0.75, -0.0],
+            comm,
+            latency: LatencyStats {
+                max_per_round: vec![0.5],
+                mean_per_round: vec![0.25],
+            },
+            warmup_curve: vec![step(0, 0.1, 2.5, 2)],
+            search_curve: vec![step(1, 0.2, 2.25, 1)],
+            pools: vec![PoolEntry {
+                round: 2,
+                theta: vec![1.0, 2.0, 3.0],
+                alpha: vec![0.5, 0.5],
+                masks: vec![mask.clone()],
+            }],
+            pending: vec![PendingEntry {
+                arrival: 4,
+                computed_at: 2,
+                participant: 1,
+                mask,
+                sub_grads: vec![0.25, -0.75],
+                accuracy: 0.5,
+            }],
+            participants: vec![ParticipantEntry {
+                indices: vec![3, 1, 2],
+                cursor: 1,
+                bandwidth_mbps: 42.5,
+                residual: vec![0.0, 0.5, 0.0],
+            }],
+            aggregator: AggregatorConfig::parse("clip:10+median").unwrap(),
+            update_norm_bound: Some(100.0),
+            codec: CodecConfig::parse("topk:0.1").unwrap(),
+            churn: Some(ChurnEntry {
+                population: 40,
+                cohort: 1,
+                spec: AvailabilitySpec::parse("flap=0.2,churn=0.1").unwrap(),
+                sampler_state: [5, 6, 7, 8],
+                miss_streak: vec![1],
+                evicted: vec![false],
+            }),
+        };
+        let loaded = Checkpoint::from_bytes(&frozen).expect("frozen checkpoint loads");
+        // `-0.0 == 0.0`: compare the velocity's bits too
+        assert_eq!(loaded.velocity[2].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(loaded, cp);
+        assert_eq!(cp.to_bytes(), frozen);
     }
 
     #[test]

@@ -192,13 +192,6 @@ struct RoundCtx {
     seed_base: u64,
 }
 
-/// Every parameter value of the supernet in structural visit order.
-fn flat_theta(supernet: &mut Supernet, len: usize) -> Vec<f32> {
-    let mut theta = Vec::with_capacity(len);
-    supernet.visit_params(&mut |p| theta.extend_from_slice(p.value.as_slice()));
-    theta
-}
-
 /// The RL federated model-search server (Algorithm 1).
 ///
 /// Fields are `pub(crate)` so the checkpoint module can capture and restore
@@ -276,7 +269,7 @@ impl SearchServer {
                 )
             })
             .collect();
-        let initial_theta = flat_theta(&mut supernet, 0);
+        let initial_theta = supernet.flat_params();
         let theta_sgd = Sgd::new(config.theta_sgd);
         let churn = config.population.as_ref().map(ChurnState::new);
         SearchServer {
@@ -572,7 +565,7 @@ impl SearchServer {
         if !self.uses_stale_updates() {
             return;
         }
-        let theta = flat_theta(&mut self.supernet, self.initial_theta.len());
+        let theta = self.supernet.flat_params();
         let alpha = self.controller.alpha().logits().as_slice().to_vec();
         let masks = ctx.masks.clone();
         self.pools.save(
@@ -591,11 +584,6 @@ impl SearchServer {
     /// participants train on scoped threads and the counts are estimates.
     /// Either way the result is a [`RoundOutcome`], tallied here once.
     fn train(&mut self, ctx: &RoundCtx, dataset: &SyntheticDataset) -> RoundOutcome {
-        let submodels: Vec<SubModel> = ctx
-            .masks
-            .iter()
-            .map(|m| self.supernet.extract_submodel(m))
-            .collect();
         let out = match self.backend.as_mut() {
             Some(backend) => {
                 // The workers draw this round's batches on their own
@@ -606,17 +594,23 @@ impl SearchServer {
                     let mut stream = p.round_rng(ctx.seed_base);
                     p.advance_data(&mut stream);
                 }
+                // the workers are shipped ranges of this round's weights;
+                // nothing is extracted on this side of the wire
+                let theta = self.supernet.flat_params();
+                let buffers = self.supernet.flat_buffers();
                 backend.run_round(RoundRequest {
                     round: ctx.t,
                     masks: &ctx.masks,
-                    submodels,
+                    layout: self.supernet.layout(),
+                    theta: &theta,
+                    buffers: &buffers,
                     alpha_logits: self.controller.alpha().logits().as_slice(),
                     bandwidths_mbps: &ctx.bandwidths,
                     seed_base: ctx.seed_base,
                     active: self.churn.as_ref().map(|_| &ctx.active[..]),
                 })
             }
-            None => self.train_in_process(ctx, submodels, dataset),
+            None => self.train_in_process(ctx, dataset),
         };
         self.comm.record_down(out.bytes_down as usize);
         self.comm.record_up(out.bytes_up as usize);
@@ -633,19 +627,18 @@ impl SearchServer {
     /// the function the RPC worker calls, so the server hands the same
     /// *decoded* gradients downstream. Bytes are estimates: one sub-model
     /// down, and up its gradients (raw, or as encoded) plus the reward.
-    fn train_in_process(
-        &mut self,
-        ctx: &RoundCtx,
-        mut submodels: Vec<SubModel>,
-        dataset: &SyntheticDataset,
-    ) -> RoundOutcome {
+    fn train_in_process(&mut self, ctx: &RoundCtx, dataset: &SyntheticDataset) -> RoundOutcome {
         let seed_base = ctx.seed_base;
+        let mut submodels: Vec<SubModel> = (0..ctx.masks.len())
+            .filter(|&p| ctx.active[p])
+            .map(|p| self.supernet.extract_submodel(&ctx.masks[p]))
+            .collect();
         let trained: Vec<(LocalReport, Vec<f32>)> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .participants
                 .iter_mut()
+                .filter(|p| ctx.active[p.id()])
                 .zip(submodels.iter_mut())
-                .filter(|(p, _)| ctx.active[p.id()])
                 .map(|(p, sub)| scope.spawn(move |_| p.train_round(sub, dataset, seed_base)))
                 .collect();
             handles
@@ -704,10 +697,9 @@ impl SearchServer {
     /// reports nothing is filtered.
     fn gate(&mut self, out: &mut RoundOutcome) {
         let bound = self.config.update_norm_bound;
-        let (supernet, rejects) = (&mut self.supernet, &mut out.rejects);
+        let (supernet, rejects) = (&self.supernet, &mut out.rejects);
         let mut admit = |r: &BackendReport| {
-            let ranges = supernet.submodel_param_ranges(&r.mask);
-            let expected = ranges.iter().map(|&(_, len)| len).sum();
+            let expected = supernet.submodel_param_count(&r.mask);
             match validate_report(&r.grads, r.accuracy, r.loss, expected, bound) {
                 Ok(()) => true,
                 Err(why) => {
@@ -888,9 +880,7 @@ impl SearchServer {
         .grad_log_prob(&arrival.mask);
         if let StalenessStrategy::DelayCompensated { lambda } = self.config.strategy {
             if lambda > 0.0 {
-                let theta_len = self.initial_theta.len();
-                let theta =
-                    current_theta.get_or_insert_with(|| flat_theta(&mut self.supernet, theta_len));
+                let theta = current_theta.get_or_insert_with(|| self.supernet.flat_params());
                 let fresh_w: Vec<f32> = ranges
                     .iter()
                     .flat_map(|&(off, len)| theta[off..off + len].iter().copied())
@@ -1063,12 +1053,7 @@ mod tests {
         let config = SearchConfig::tiny().with_update_norm_bound(1e3);
         let mut server = SearchServer::new(config, &data, &mut rng);
         let mask = server.controller().sample(&mut rng);
-        let expected: usize = server
-            .supernet
-            .submodel_param_ranges(&mask)
-            .iter()
-            .map(|&(_, len)| len)
-            .sum();
+        let expected = server.supernet.submodel_param_count(&mask);
         let report = |grads: Vec<f32>, accuracy: f32| BackendReport {
             participant: 0,
             computed_at: 0,

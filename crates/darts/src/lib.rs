@@ -28,6 +28,7 @@
 
 mod cell;
 mod genotype;
+mod layout;
 mod model;
 mod ops;
 mod submodel;
@@ -35,6 +36,7 @@ mod supernet;
 
 pub use cell::{concat_channels, split_channels, CellKind, CellTopology};
 pub use genotype::{Genotype, GenotypeEdge};
+pub use layout::SupernetLayout;
 pub use model::DerivedModel;
 pub use ops::{
     CandidateOp, DilConvOp, FactorizedReduce, IdentityOp, OpKind, ReluConvBn, SepConvOp, ZeroOp,

@@ -10,6 +10,7 @@
 //! of all `N` operations (Eq. 3).
 
 use crate::cell::{dag_backward, dag_forward, CellKind, CellTopology, EdgeRun};
+use crate::layout::SupernetLayout;
 use crate::ops::{CandidateOp, OpKind, ReluConvBn, NUM_OPS};
 use crate::submodel::{ArchMask, SubCell, SubModel};
 use fedrlnas_nn::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, Mode, Param};
@@ -343,6 +344,16 @@ impl SuperCell {
             }
         }
     }
+
+    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.pre0.visit_buffers(f);
+        self.pre1.visit_buffers(f);
+        for edge in &mut self.edges {
+            for op in edge {
+                op.visit_buffers(f);
+            }
+        }
+    }
 }
 
 /// The weight-sharing supernet: stem → cells → global pool → classifier.
@@ -353,6 +364,9 @@ pub struct Supernet {
     cells: Vec<SuperCell>,
     gap: GlobalAvgPool,
     classifier: Linear,
+    /// Where every unit's tensors sit in the flat vectors; fixed at
+    /// construction because the structure never changes.
+    layout: SupernetLayout,
     last_mask: Option<ArchMask>,
     last_mixed: bool,
 }
@@ -379,8 +393,8 @@ impl Supernet {
         config.validate().expect("invalid supernet config");
         let topology = config.topology();
         let stem_c = config.init_channels * config.stem_multiplier;
-        let stem_conv = Conv2d::new(config.input_channels, stem_c, 3, 1, 1, 1, 1, rng);
-        let stem_bn = BatchNorm2d::new(stem_c);
+        let mut stem_conv = Conv2d::new(config.input_channels, stem_c, 3, 1, 1, 1, 1, rng);
+        let mut stem_bn = BatchNorm2d::new(stem_c);
         let mut cells = Vec::with_capacity(config.num_cells);
         let mut c_prev_prev = stem_c;
         let mut c_prev = stem_c;
@@ -405,7 +419,14 @@ impl Supernet {
             c_prev = c_cur * topology.nodes();
             cells.push(cell);
         }
-        let classifier = Linear::new(c_prev, config.num_classes, rng);
+        let mut classifier = Linear::new(c_prev, config.num_classes, rng);
+        let layout = SupernetLayout::of(
+            &config,
+            &mut stem_conv,
+            &mut stem_bn,
+            &mut cells,
+            &mut classifier,
+        );
         Supernet {
             config,
             stem_conv,
@@ -413,6 +434,7 @@ impl Supernet {
             cells,
             gap: GlobalAvgPool::new(),
             classifier,
+            layout,
             last_mask: None,
             last_mixed: false,
         }
@@ -568,6 +590,40 @@ impl Supernet {
         self.classifier.visit_params(f);
     }
 
+    /// Visits every non-trainable buffer (BatchNorm running statistics) of
+    /// the supernet in the same structural order as
+    /// [`Supernet::visit_params`].
+    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.stem_conv.visit_buffers(f);
+        self.stem_bn.visit_buffers(f);
+        for cell in &mut self.cells {
+            cell.visit_buffers(f);
+        }
+        self.classifier.visit_buffers(f);
+    }
+
+    /// Every parameter value, flat in [`Supernet::visit_params`] order — the
+    /// θ that [`SupernetLayout::param_ranges`] indexes.
+    pub fn flat_params(&mut self) -> Vec<f32> {
+        let mut theta = Vec::with_capacity(self.layout.param_len());
+        self.visit_params(&mut |p| theta.extend_from_slice(p.value.as_slice()));
+        theta
+    }
+
+    /// Every BatchNorm buffer, flat in [`Supernet::visit_buffers`] order —
+    /// the vector that [`SupernetLayout::buffer_ranges`] indexes.
+    pub fn flat_buffers(&mut self) -> Vec<f32> {
+        let mut buffers = Vec::with_capacity(self.layout.buffer_len());
+        self.visit_buffers(&mut |b| buffers.extend_from_slice(b));
+        buffers
+    }
+
+    /// The layout table: where each structural unit's weights sit in
+    /// [`Supernet::flat_params`] and [`Supernet::flat_buffers`].
+    pub fn layout(&self) -> &SupernetLayout {
+        &self.layout
+    }
+
     /// Zeroes every parameter gradient.
     pub fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());
@@ -663,98 +719,21 @@ impl Supernet {
     /// The concatenation of these ranges matches the order of the
     /// sub-model's own `visit_params`, which is what lets the
     /// delay-compensation memory pool prune a stored flat θ snapshot with a
-    /// stored mask (Alg. 1 line 26).
-    pub fn submodel_param_ranges(&mut self, mask: &ArchMask) -> Vec<(usize, usize)> {
-        let mask = mask.clone();
-        let mut offset = 0usize;
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        let mut include = |p: &mut Param, keep: bool, ranges: &mut Vec<(usize, usize)>| {
-            if keep {
-                ranges.push((offset, p.len()));
-            }
-            offset += p.len();
-        };
-        self.stem_conv
-            .visit_params(&mut |p| include(p, true, &mut ranges));
-        self.stem_bn
-            .visit_params(&mut |p| include(p, true, &mut ranges));
-        for cell in &mut self.cells {
-            cell.pre0
-                .visit_params(&mut |p| include(p, true, &mut ranges));
-            cell.pre1
-                .visit_params(&mut |p| include(p, true, &mut ranges));
-            let ops = mask.ops(cell.kind);
-            for (e, edge_ops) in cell.edges.iter_mut().enumerate() {
-                for (o, op) in edge_ops.iter_mut().enumerate() {
-                    let keep = o == ops[e];
-                    op.visit_params(&mut |p| include(p, keep, &mut ranges));
-                }
-            }
-        }
-        self.classifier
-            .visit_params(&mut |p| include(p, true, &mut ranges));
-        ranges
+    /// stored mask (Alg. 1 line 26) and the round engine fill a download
+    /// frame without extracting anything.
+    pub fn submodel_param_ranges(&self, mask: &ArchMask) -> Vec<(usize, usize)> {
+        self.layout.param_ranges(mask).collect()
     }
 
     /// Multiply–accumulate count of one masked forward pass per sample.
     pub fn flops_masked(&self, mask: &ArchMask) -> u64 {
-        let mut shape = vec![
-            self.config.input_channels,
-            self.config.image_hw,
-            self.config.image_hw,
-        ];
-        let mut total = self.stem_conv.flops(&shape);
-        shape = self.stem_conv.output_shape(&shape);
-        total += self.stem_bn.flops(&shape);
-        let mut s0 = shape.clone();
-        let mut s1 = shape;
-        for cell in &self.cells {
-            let ops = mask.ops(cell.kind);
-            let pre_out = cell.pre1.output_shape(&s1);
-            total += cell.pre0.flops(&s0) + cell.pre1.flops(&s1);
-            // Every edge's op runs once on a node state of pre_out shape
-            // (strided edges see the full-resolution input states).
-            let mut node_shape = pre_out.clone();
-            for (e, edge_ops) in cell.edges.iter().enumerate() {
-                let op = &edge_ops[ops[e]];
-                total += op.flops(&pre_out);
-                node_shape = op.output_shape(&pre_out);
-            }
-            let out_c = cell.channels * cell.topology.nodes();
-            s0 = s1;
-            s1 = vec![out_c, node_shape[1], node_shape[2]];
-        }
-        total += self.classifier.flops(&s1);
-        total
+        self.layout.submodel_flops(mask)
     }
 
     /// Number of parameter scalars in the sub-model selected by `mask`
     /// (stem + preprocessors + chosen ops + classifier).
     pub fn submodel_param_count(&self, mask: &ArchMask) -> usize {
-        let mut n = 0usize;
-        let count = |op: &CandidateOp| {
-            let mut c = op.clone();
-            let mut k = 0;
-            c.visit_params(&mut |p| k += p.len());
-            k
-        };
-        let mut stem_conv = self.stem_conv.clone();
-        stem_conv.visit_params(&mut |p| n += p.len());
-        let mut stem_bn = self.stem_bn.clone();
-        stem_bn.visit_params(&mut |p| n += p.len());
-        for cell in &self.cells {
-            let mut pre0 = cell.pre0.clone();
-            pre0.visit_params(&mut |p| n += p.len());
-            let mut pre1 = cell.pre1.clone();
-            pre1.visit_params(&mut |p| n += p.len());
-            let ops = mask.ops(cell.kind);
-            for (e, edge_ops) in cell.edges.iter().enumerate() {
-                n += count(&edge_ops[ops[e]]);
-            }
-        }
-        let mut classifier = self.classifier.clone();
-        classifier.visit_params(&mut |p| n += p.len());
-        n
+        self.layout.submodel_param_count(mask)
     }
 
     /// Serialized size in bytes of the sub-model selected by `mask`.
@@ -886,20 +865,105 @@ mod tests {
         assert!(total > 0.0);
     }
 
+    /// The layout table's ordering guarantee on every preset: for random
+    /// masks, its ranges over the flat vectors are the extracted
+    /// sub-model's parameters and buffers, tensor by tensor, in the
+    /// sub-model's own visit order — and its count is their sum.
     #[test]
     fn param_ranges_reconstruct_submodel_weights() {
-        let (mut net, mask, _) = tiny_net(7);
-        let mut flat = Vec::new();
-        net.visit_params(&mut |p| flat.extend_from_slice(p.value.as_slice()));
-        let ranges = net.submodel_param_ranges(&mask);
-        let pruned: Vec<f32> = ranges
-            .iter()
-            .flat_map(|&(off, len)| flat[off..off + len].iter().copied())
-            .collect();
-        let mut sub = net.extract_submodel(&mask);
-        let mut sub_flat = Vec::new();
-        sub.visit_params(&mut |p| sub_flat.extend_from_slice(p.value.as_slice()));
-        assert_eq!(pruned, sub_flat);
+        for config in [
+            SupernetConfig::tiny(),
+            SupernetConfig::small(),
+            SupernetConfig::paper(),
+        ] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut net = Supernet::new(config.clone(), &mut rng);
+            // fresh BatchNorm statistics are all 0 or 1: number them, so a
+            // range pointing at the wrong buffer cannot pass
+            let mut next = 0.0f32;
+            net.visit_buffers(&mut |b| {
+                for v in b {
+                    *v = next;
+                    next += 1.0;
+                }
+            });
+            let (theta, buffers) = (net.flat_params(), net.flat_buffers());
+            assert_eq!(theta.len(), net.layout().param_len());
+            assert_eq!(buffers.len(), net.layout().buffer_len());
+            assert_eq!(buffers.len(), next as usize);
+            for _ in 0..200 {
+                let mask = ArchMask::uniform_random(&config, &mut rng);
+                let mut sub = net.extract_submodel(&mask);
+                let mut sub_params: Vec<Vec<f32>> = Vec::new();
+                sub.visit_params(&mut |p| sub_params.push(p.value.as_slice().to_vec()));
+                let mut sub_buffers: Vec<Vec<f32>> = Vec::new();
+                sub.visit_buffers(&mut |b| sub_buffers.push(b.to_vec()));
+                let gather = |flat: &[f32], ranges: Vec<(usize, usize)>| -> Vec<Vec<f32>> {
+                    ranges
+                        .into_iter()
+                        .map(|(off, len)| flat[off..off + len].to_vec())
+                        .collect()
+                };
+                assert_eq!(gather(&theta, net.submodel_param_ranges(&mask)), sub_params);
+                assert_eq!(
+                    gather(&buffers, net.layout().buffer_ranges(&mask).collect()),
+                    sub_buffers
+                );
+                assert_eq!(
+                    net.submodel_param_count(&mask),
+                    sub_params.iter().map(Vec::len).sum::<usize>()
+                );
+            }
+        }
+    }
+
+    /// The walk `flops_masked` was before the layout table answered it:
+    /// shapes threaded through the selected operations only.
+    fn flops_by_walk(net: &Supernet, mask: &ArchMask) -> u64 {
+        let mut shape = vec![
+            net.config.input_channels,
+            net.config.image_hw,
+            net.config.image_hw,
+        ];
+        let mut total = net.stem_conv.flops(&shape);
+        shape = net.stem_conv.output_shape(&shape);
+        total += net.stem_bn.flops(&shape);
+        let mut s0 = shape.clone();
+        let mut s1 = shape;
+        for cell in &net.cells {
+            let ops = mask.ops(cell.kind);
+            let pre_out = cell.pre1.output_shape(&s1);
+            total += cell.pre0.flops(&s0) + cell.pre1.flops(&s1);
+            // Every edge's op runs once on a node state of pre_out shape
+            // (strided edges see the full-resolution input states).
+            let mut node_shape = pre_out.clone();
+            for (e, edge_ops) in cell.edges.iter().enumerate() {
+                let op = &edge_ops[ops[e]];
+                total += op.flops(&pre_out);
+                node_shape = op.output_shape(&pre_out);
+            }
+            let out_c = cell.channels * cell.topology.nodes();
+            s0 = s1;
+            s1 = vec![out_c, node_shape[1], node_shape[2]];
+        }
+        total += net.classifier.flops(&s1);
+        total
+    }
+
+    #[test]
+    fn flops_table_matches_the_shape_walk() {
+        for config in [
+            SupernetConfig::tiny(),
+            SupernetConfig::small(),
+            SupernetConfig::paper(),
+        ] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let net = Supernet::new(config.clone(), &mut rng);
+            for _ in 0..200 {
+                let mask = ArchMask::uniform_random(&config, &mut rng);
+                assert_eq!(net.flops_masked(&mask), flops_by_walk(&net, &mask));
+            }
+        }
     }
 
     #[test]

@@ -283,7 +283,8 @@ impl CompressionTally {
 /// traffic and different speeds still compare equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RoundTimings {
-    /// Encoding and shipping the download frames (phase 1).
+    /// Booking the downloads, then encoding and first-sending each frame
+    /// (per-link thread time, summed over links).
     pub ship_ns: u64,
     /// Waiting for and receiving upload replies (phase 2 wall-clock).
     pub collect_ns: u64,

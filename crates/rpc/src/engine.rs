@@ -2,8 +2,8 @@
 //!
 //! Participants live behind their own [`Transport`] links and are driven
 //! from one bounded pool of worker threads (see `crate::reactor`). Per
-//! round the engine serializes each sub-model into a
-//! [`Message::DownloadSubmodel`] frame, ships it, then collects
+//! round the engine gathers each sub-model's weights out of the round's
+//! flat θ into a [`Message::DownloadSubmodel`] frame, ships it, then collects
 //! [`Message::UploadUpdate`] replies under a per-participant deadline with
 //! bounded, backed-off retries. Replies that surface after their round's
 //! deadline are attributed to the round they were computed in and handed
@@ -11,8 +11,9 @@
 //! staleness path.
 //!
 //! A round is four phases over one `RoundCtx`: `service_evicted`,
-//! `stage_downloads`, `collect` (the event loop of `crate::reactor`, or
-//! the blocking in-order oracle of [`EngineMode::Serial`]) and `commit`.
+//! `book_downloads`, `collect` (the event loop of `crate::reactor`, or
+//! the blocking in-order oracle of [`EngineMode::Serial`]; either stages
+//! each download frame right before its link ships it) and `commit`.
 //!
 //! Graceful degradation: with [`RpcConfig::quorum_frac`] below `1.0` a
 //! round commits as soon as the quorum of eligible workers has reported;
@@ -71,7 +72,8 @@ use crate::adversary::{apply_attack, Attack};
 use crate::fault::{mix, FaultPlan, FaultyTransport};
 use crate::transport::{ShapedTransport, Transport, TransportError};
 use crate::wire::{
-    decode, encode, encode_download_into, encode_into, encode_upload_coded_into, Message,
+    coded_download_frame_len, decode, download_frame_len, encode, encode_download_ranges_into,
+    encode_into, encode_upload_coded_into, Message,
 };
 
 /// How many rounds of sent-mask / delivery history to keep for late-reply
@@ -299,18 +301,17 @@ pub struct RpcBackend {
     /// threads; the authoritative copy for checkpointing.
     residuals: Vec<Arc<Mutex<Vec<f32>>>>,
     /// Grow-only per-participant download frame buffers, reused across
-    /// rounds so the steady-state encode path allocates nothing.
+    /// rounds so the steady-state encode path allocates nothing. Phase 2
+    /// lends each collector the slice that belongs to its links.
     download_frames: Vec<Vec<u8>>,
-    /// Grow-only staging buffers for the flat weights/BN-buffers of the
-    /// sub-model currently being encoded.
-    weights_buf: Vec<f32>,
-    buffers_buf: Vec<f32>,
     /// Per-participant expected flat-gradient lengths, reused across
     /// rounds so phase 1 allocates nothing at steady state even at 10k
     /// participants.
     expected_lens: Vec<usize>,
-    /// Times any reusable hot-path buffer (server download frames and
-    /// staging above, worker codec/frame scratch) grew its capacity;
+    /// Distinct architectures among the slots the last round shipped to.
+    distinct_masks: usize,
+    /// Times any reusable hot-path buffer (server download frames above,
+    /// worker codec/frame scratch) grew its capacity;
     /// shared with every worker thread. Debug observability for the
     /// zero-steady-state-allocation contract.
     growth: Arc<AtomicU64>,
@@ -367,9 +368,8 @@ impl RpcBackend {
             delivered: HashSet::with_capacity(2 * n),
             residuals,
             download_frames: vec![Vec::new(); n],
-            weights_buf: Vec::new(),
-            buffers_buf: Vec::new(),
             expected_lens: Vec::with_capacity(n),
+            distinct_masks: 0,
             growth,
         }
     }
@@ -385,8 +385,8 @@ impl RpcBackend {
     }
 
     /// How many times any reusable hot-path buffer — the server-side
-    /// download frame/staging buffers and every worker's codec and reply
-    /// frame scratch — had to grow its capacity since the backend was
+    /// download frame buffers and every worker's codec and reply frame
+    /// scratch — had to grow its capacity since the backend was
     /// created. All those buffers are grow-only, so after the first few
     /// rounds (once each has seen its largest payload) this count must
     /// stop increasing: the encode/decode/frame hot path has reached
@@ -394,6 +394,15 @@ impl RpcBackend {
     /// the buffer-reuse test.
     pub fn buffer_growth_count(&self) -> u64 {
         self.growth.load(Ordering::Relaxed)
+    }
+
+    /// How many distinct architectures the last round shipped (inactive
+    /// slots excluded) — the number an encode-once-per-mask scheme would
+    /// have to beat the cohort size by. Early in a search the policy is
+    /// near-uniform and this sits at the cohort size. Debug observability,
+    /// outside `CommStats` and checkpoints.
+    pub fn distinct_masks_last_round(&self) -> usize {
+        self.distinct_masks
     }
 }
 
@@ -689,6 +698,39 @@ impl WorkerState {
     }
 }
 
+/// Fills `frame` with slot `p`'s download for this round: the ranges the
+/// layout names for `masks[p]`, copied out of the round's flat θ and
+/// buffer snapshot. Those ranges' concatenation is the extracted
+/// sub-model's own visit order (see
+/// [`SupernetLayout`](fedrlnas_darts::SupernetLayout)), so the frame is
+/// byte for byte the one encoded from `extract_submodel(masks[p])`. Both
+/// modes stage through here, each frame on the thread that ships it.
+pub(crate) fn stage_download(frame: &mut Vec<u8>, p: usize, s: &Staged<'_>) {
+    let req = s.req;
+    let mask = &req.masks[p];
+    // fp32 stays byte-identical to the pre-codec protocol; otherwise the
+    // codec is resolved per participant from this round's sampled link
+    // speed
+    let codec = (!s.config.codec.is_fp32()).then(|| {
+        let spec = resolve_codec(s.config.codec, req.bandwidths_mbps[p]);
+        (spec.tag(), spec.param())
+    });
+    let cap = frame.capacity();
+    encode_download_ranges_into(
+        frame,
+        req.round as u64,
+        req.seed_base,
+        mask,
+        req.theta,
+        req.layout.param_ranges(mask),
+        req.buffers,
+        req.layout.buffer_ranges(mask),
+        req.alpha_logits,
+        codec,
+    );
+    note_growth(s.growth, cap, frame.capacity());
+}
+
 /// A classified upload reply.
 enum Reply {
     /// A usable update: legacy fp32, or a codec run that decoded cleanly
@@ -853,20 +895,18 @@ impl SendGate {
     }
 }
 
-/// What every collector of one round reads: the staged download frames,
-/// what was shipped to whom, the attribution books as of the start of
-/// phase 2 (complete for each link's own keys, because only that link
-/// delivers them) and the shared on-time counter.
+/// What every collector of one round reads: the request its downloads
+/// are staged from, what was booked for whom, the attribution books as of
+/// the start of phase 2 (complete for each link's own keys, because only
+/// that link delivers them) and the shared on-time counter.
 pub(crate) struct Staged<'a> {
-    pub(crate) t: usize,
     pub(crate) config: &'a RpcConfig,
-    pub(crate) frames: &'a [Vec<u8>],
+    pub(crate) req: &'a RoundRequest<'a>,
     pub(crate) expected_lens: &'a [usize],
-    pub(crate) masks: &'a [ArchMask],
-    pub(crate) bandwidths: &'a [f64],
     pub(crate) sent_masks: &'a HashMap<(usize, usize), (ArchMask, usize)>,
     pub(crate) delivered: &'a HashSet<(usize, usize)>,
     pub(crate) on_time: &'a AtomicUsize,
+    pub(crate) growth: &'a AtomicU64,
 }
 
 /// What [`absorb_reply_frame`] tells the caller to do next.
@@ -891,7 +931,7 @@ pub(crate) fn absorb_reply_frame(
     p: usize,
     s: &Staged<'_>,
 ) -> FrameStep {
-    let t = s.t;
+    let t = s.req.round;
     let delivered = s.delivered;
     wr.bytes_up += frame_in.len() as u64;
     let decode_start = Instant::now();
@@ -947,7 +987,7 @@ pub(crate) fn absorb_reply_frame(
             match verdict {
                 Ok(()) => {
                     wr.reports.push(BackendReport {
-                        mask: s.masks[p].clone(),
+                        mask: s.req.masks[p].clone(),
                         ..report
                     });
                     wr.got = true;
@@ -988,6 +1028,7 @@ fn collect_worker(
     p: usize,
     w: &mut WorkerHandle,
     wr: &mut WorkerRound,
+    frame: &[u8],
     s: &Staged<'_>,
     quorum_target: usize,
 ) {
@@ -1015,12 +1056,12 @@ fn collect_worker(
                 if quorum_met() || attempts >= s.config.max_retries {
                     break; // late: the reply, if any, surfaces next round
                 }
-                let salt = ((s.t as u64) << 32) | p as u64;
+                let salt = ((s.req.round as u64) << 32) | p as u64;
                 std::thread::sleep(backoff_delay(s.config.retry_backoff, attempts, salt));
                 attempts += 1;
                 wr.retransmits += 1;
-                match link.send(&s.frames[p]) {
-                    Ok(()) => wr.bytes_down += s.frames[p].len() as u64,
+                match link.send(frame) {
+                    Ok(()) => wr.bytes_down += frame.len() as u64,
                     Err(_) => {
                         w.alive = false;
                         break;
@@ -1039,6 +1080,7 @@ fn collect_worker(
 /// parallel), then collect strictly in participant order.
 fn collect_serial(
     workers: &mut [WorkerHandle],
+    frames: &mut [Vec<u8>],
     eligible: &[bool],
     s: &Staged<'_>,
 ) -> Vec<(usize, WorkerRound)> {
@@ -1050,9 +1092,10 @@ fn collect_serial(
         let mut wr = WorkerRound::default();
         let link = w.transport.as_mut().expect("live worker has transport");
         let ship_start = Instant::now();
-        link.set_mbps(s.bandwidths[p]);
-        match link.send(&s.frames[p]) {
-            Ok(()) => wr.bytes_down += s.frames[p].len() as u64,
+        stage_download(&mut frames[p], p, s);
+        link.set_mbps(s.req.bandwidths_mbps[p]);
+        match link.send(&frames[p]) {
+            Ok(()) => wr.bytes_down += frames[p].len() as u64,
             Err(_) => w.alive = false,
         }
         wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
@@ -1062,7 +1105,7 @@ fn collect_serial(
     let target = quorum_target(s.config.quorum_frac, shipped);
     for (p, wr) in rounds.iter_mut() {
         if workers[*p].alive {
-            collect_worker(*p, &mut workers[*p], wr, s, target);
+            collect_worker(*p, &mut workers[*p], wr, &frames[*p], s, target);
         }
     }
     rounds
@@ -1129,7 +1172,7 @@ fn merge_worker_round(
 
 /// One round in flight — the request and the outcome under construction —
 /// handed through the phases in order: [`RpcBackend::service_evicted`],
-/// [`RpcBackend::stage_downloads`], [`RpcBackend::collect`],
+/// [`RpcBackend::book_downloads`], [`RpcBackend::collect`],
 /// [`RpcBackend::commit`].
 struct RoundCtx<'a> {
     req: RoundRequest<'a>,
@@ -1194,69 +1237,51 @@ impl RpcBackend {
         }
     }
 
-    /// Phase 1: encode every active slot's download into its reusable
-    /// frame buffer and book what was shipped to whom. All frames are
-    /// staged before anything ships, so collectors share them as
-    /// immutable `&[u8]`s.
-    fn stage_downloads(&mut self, ctx: &mut RoundCtx<'_>) {
-        let prep_start = Instant::now();
-        let t = ctx.req.round;
-        let k = ctx.req.masks.len();
+    /// Phase 1: book what ships to whom, from the layout alone — the
+    /// architecture and the gradient length a reply must have (the gate
+    /// checks against it), the exact size of the frame, and how many
+    /// distinct architectures the round carries. Nothing ships to an
+    /// inactive slot: no sent-mask entry (there is no reply to
+    /// attribute), zero measured download bytes. The frames themselves are
+    /// filled in phase 2, each by the collector that owns its link.
+    fn book_downloads(&mut self, ctx: &mut RoundCtx<'_>) {
+        let book_start = Instant::now();
+        let req = &ctx.req;
+        let k = req.masks.len();
         if self.download_frames.len() < k {
             self.download_frames.resize_with(k, Vec::new);
         }
-        let mut submodels = std::mem::take(&mut ctx.req.submodels);
-        // a reply's gradient vector must match the shipped sub-model's
-        // parameter count exactly; the gate checks against this
+        let frame_len = if self.config.codec.is_fp32() {
+            download_frame_len
+        } else {
+            coded_download_frame_len
+        };
         self.expected_lens.clear();
-        for (p, sub) in submodels.iter_mut().enumerate() {
-            if !ctx.req.is_active(p) {
-                // nothing ships to an inactive slot: no frame, no
-                // sent-mask entry (there is no reply to attribute), zero
-                // measured download bytes
+        let mut distinct = HashSet::with_capacity(k);
+        for (p, mask) in req.masks.iter().enumerate() {
+            if !req.is_active(p) {
                 self.expected_lens.push(0);
                 continue;
             }
-            let (weights, buffers) = (&mut self.weights_buf, &mut self.buffers_buf);
-            let frame = &mut self.download_frames[p];
-            let caps = [weights.capacity(), buffers.capacity(), frame.capacity()];
-            weights.clear();
-            sub.visit_params(&mut |pp| weights.extend_from_slice(pp.value.as_slice()));
-            self.expected_lens.push(weights.len());
-            buffers.clear();
-            sub.visit_buffers(&mut |b| buffers.extend_from_slice(b));
-            // fp32 stays byte-identical to the pre-codec protocol;
-            // otherwise the codec is resolved per participant from this
-            // round's sampled link speed
-            let codec = if self.config.codec.is_fp32() {
-                None
-            } else {
-                let spec = resolve_codec(self.config.codec, ctx.req.bandwidths_mbps[p]);
-                Some((spec.tag(), spec.param()))
-            };
-            encode_download_into(
-                frame,
-                t as u64,
-                ctx.req.seed_base,
-                &ctx.req.masks[p],
-                weights,
-                buffers,
-                ctx.req.alpha_logits,
-                codec,
-            );
-            note_growth(&self.growth, caps[0], weights.capacity());
-            note_growth(&self.growth, caps[1], buffers.capacity());
-            note_growth(&self.growth, caps[2], frame.capacity());
-            ctx.out.download_frame_bytes[p] = frame.len() as u64;
-            let shipped = (ctx.req.masks[p].clone(), self.expected_lens[p]);
-            self.sent_masks.insert((t, p), shipped);
+            let weights = req.layout.submodel_param_count(mask);
+            let buffers = req.layout.submodel_buffer_count(mask);
+            let bytes = frame_len(mask.num_edges(), weights, buffers, req.alpha_logits.len());
+            ctx.out.download_frame_bytes[p] = bytes as u64;
+            self.expected_lens.push(weights);
+            self.sent_masks
+                .insert((req.round, p), (mask.clone(), weights));
+            distinct.insert(mask);
         }
-        ctx.out.timings.ship_ns = prep_start.elapsed().as_nanos() as u64;
+        self.distinct_masks = distinct.len();
+        ctx.out.timings.ship_ns = book_start.elapsed().as_nanos() as u64;
     }
 
-    /// Phase 2: ship the staged downloads and collect replies under
-    /// deadline + quorum + retry — once the quorum has reported,
+    /// Phase 2: stage and ship the booked downloads and collect replies
+    /// under deadline + quorum + retry — once the quorum has reported,
     /// stragglers only get a short drain window and no retransmissions.
+    /// Every frame is staged by [`stage_download`] on the thread that
+    /// drives its link, so the collector pool fills the cohort's frames in
+    /// parallel.
     /// Returns each eligible worker's results in participant order.
     fn collect(&mut self, ctx: &RoundCtx<'_>) -> Vec<(usize, WorkerRound)> {
         let k = ctx.req.masks.len().min(self.workers.len());
@@ -1267,20 +1292,19 @@ impl RpcBackend {
             .map(|(p, w)| w.alive && !w.evicted && ctx.req.is_active(p))
             .collect();
         let on_time = AtomicUsize::new(0);
+        let frames = &mut self.download_frames[..k];
         let staged = Staged {
-            t: ctx.req.round,
             config: &self.config,
-            frames: &self.download_frames,
+            req: &ctx.req,
             expected_lens: &self.expected_lens,
-            masks: ctx.req.masks,
-            bandwidths: ctx.req.bandwidths_mbps,
             sent_masks: &self.sent_masks,
             delivered: &self.delivered,
             on_time: &on_time,
+            growth: &self.growth,
         };
         match self.config.engine {
-            EngineMode::Serial => collect_serial(workers, &eligible, &staged),
-            EngineMode::Reactor => crate::reactor::collect(workers, &eligible, &staged),
+            EngineMode::Serial => collect_serial(workers, frames, &eligible, &staged),
+            EngineMode::Reactor => crate::reactor::collect(workers, frames, &eligible, &staged),
         }
     }
 
@@ -1317,7 +1341,7 @@ impl RoundBackend for RpcBackend {
         self.sent_masks.retain(|&(r, _), _| r + HISTORY_ROUNDS > t);
         self.delivered.retain(|&(r, _)| r + HISTORY_ROUNDS > t);
         self.service_evicted(&mut ctx);
-        self.stage_downloads(&mut ctx);
+        self.book_downloads(&mut ctx);
         let rounds = self.collect(&ctx);
         self.commit(&mut ctx, rounds);
         ctx.out
@@ -1387,6 +1411,81 @@ pub fn install_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_download_into;
+    use fedrlnas_fed::flat_params;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// A frame staged from the layout's ranges over the round's flat
+    /// vectors is byte for byte the frame encoded from the extracted
+    /// sub-model — for random masks, trained-looking BatchNorm statistics,
+    /// and both download flavours.
+    #[test]
+    fn staged_frame_equals_the_extracted_submodels_frame() {
+        let net = SupernetConfig::tiny();
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut supernet = Supernet::new(net.clone(), &mut rng);
+        // fresh running statistics are all 0 or 1: make every buffer
+        // value distinct so a misplaced range cannot pass
+        let mut next = 0.0f32;
+        supernet.visit_buffers(&mut |b| {
+            for v in b {
+                *v = next;
+                next += 0.5;
+            }
+        });
+        let masks: Vec<ArchMask> = (0..200)
+            .map(|_| ArchMask::uniform_random(&net, &mut rng))
+            .collect();
+        let bandwidths: Vec<f64> = masks.iter().map(|_| rng.gen_range(1.0..100.0)).collect();
+        let alpha: Vec<f32> = (0..24).map(|_| rng.gen()).collect();
+        let (theta, buffers) = (supernet.flat_params(), supernet.flat_buffers());
+        let req = RoundRequest {
+            round: 5,
+            masks: &masks,
+            layout: supernet.layout(),
+            theta: &theta,
+            buffers: &buffers,
+            alpha_logits: &alpha,
+            bandwidths_mbps: &bandwidths,
+            seed_base: 0xFEED,
+            active: None,
+        };
+        for codec in [CodecConfig::default(), CodecConfig::Auto] {
+            let config = RpcConfig {
+                codec,
+                ..RpcConfig::default()
+            };
+            let staged = Staged {
+                config: &config,
+                req: &req,
+                expected_lens: &[],
+                sent_masks: &HashMap::new(),
+                delivered: &HashSet::new(),
+                on_time: &AtomicUsize::new(0),
+                growth: &AtomicU64::new(0),
+            };
+            let (mut frame, mut want) = (Vec::new(), Vec::new());
+            for (p, mask) in masks.iter().enumerate() {
+                stage_download(&mut frame, p, &staged);
+                let mut sub = supernet.extract_submodel(mask);
+                let weights = flat_params(&mut sub);
+                let mut sub_buffers = Vec::new();
+                sub.visit_buffers(&mut |b| sub_buffers.extend_from_slice(b));
+                let spec = resolve_codec(codec, bandwidths[p]);
+                encode_download_into(
+                    &mut want,
+                    5,
+                    0xFEED,
+                    mask,
+                    &weights,
+                    &sub_buffers,
+                    &alpha,
+                    (!codec.is_fp32()).then(|| (spec.tag(), spec.param())),
+                );
+                assert_eq!(frame, want, "slot {p}, codec {codec:?}");
+            }
+        }
+    }
 
     #[test]
     fn backoff_saturates_and_stays_bounded() {

@@ -67,6 +67,7 @@ pub use fault::{FaultInjector, FaultPlan, FaultyTransport, FrameFault, Partition
 pub use transport::{ChannelTransport, ShapedTransport, TcpTransport, Transport, TransportError};
 pub use wire::{
     coded_download_frame_len, coded_upload_frame_len, crc32, decode, download_frame_len, encode,
-    encode_download_into, encode_into, encode_upload_coded_into, frame_len, upload_frame_len,
-    Message, WireError, FRAME_OVERHEAD, HEADER_LEN, MAGIC, MIN_VERSION, TRAILER_LEN, VERSION,
+    encode_download_into, encode_download_ranges_into, encode_into, encode_upload_coded_into,
+    frame_len, upload_frame_len, Message, WireError, FRAME_OVERHEAD, HEADER_LEN, MAGIC,
+    MIN_VERSION, TRAILER_LEN, VERSION,
 };

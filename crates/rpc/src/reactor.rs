@@ -16,7 +16,8 @@
 //!   has closed. [`EngineMode::Serial`](crate::EngineMode) runs over the
 //!   same fleet.
 //! * **Server collector** — phase 2 partitions the links into contiguous
-//!   chunks, one scoped pool thread per chunk. Each link is a small state
+//!   chunks, one scoped pool thread per chunk, which first stages its own
+//!   links' download frames. Each link is a small state
 //!   machine ([`LinkCtx`]) whose waits are all timers: when its frame
 //!   reaches the wire (shaped transmission time, or retransmit backoff
 //!   plus it), when its per-attempt deadline runs out, when its
@@ -50,8 +51,8 @@ use fedrlnas_fed::Participant;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::engine::{
-    absorb_reply_frame, backoff_delay, wrap_link, FrameOutcome, FrameStep, Link, RpcConfig,
-    ScriptedFault, SendGate, Staged, WorkerHandle, WorkerRound, WorkerState,
+    absorb_reply_frame, backoff_delay, stage_download, wrap_link, FrameOutcome, FrameStep, Link,
+    RpcConfig, ScriptedFault, SendGate, Staged, WorkerHandle, WorkerRound, WorkerState,
 };
 use crate::transport::{ChannelTransport, TcpTransport, Transport};
 use crate::wire::{decode, encode, Message};
@@ -337,6 +338,7 @@ struct LinkCtx {
 /// thread per contiguous chunk of links, results in participant order.
 pub(crate) fn collect(
     workers: &mut [WorkerHandle],
+    frames: &mut [Vec<u8>],
     eligible: &[bool],
     s: &Staged<'_>,
 ) -> Vec<(usize, WorkerRound)> {
@@ -348,9 +350,10 @@ pub(crate) fn collect(
     std::thread::scope(|scope| {
         let handles: Vec<_> = workers
             .chunks_mut(chunk_len)
+            .zip(frames.chunks_mut(chunk_len))
             .enumerate()
-            .map(|(ci, chunk)| {
-                scope.spawn(move || collect_chunk(chunk, ci * chunk_len, eligible, s, gate))
+            .map(|(ci, (chunk, frames))| {
+                scope.spawn(move || collect_chunk(chunk, frames, ci * chunk_len, eligible, s, gate))
             })
             .collect();
         handles
@@ -360,38 +363,47 @@ pub(crate) fn collect(
     })
 }
 
-/// Phase 2 for one contiguous chunk of workers: put each eligible
-/// download on its link's send timer, then drive every link's state
-/// machine through nonblocking sweeps until all are settled. Returns
-/// `(participant, WorkerRound)` pairs in participant order.
+/// Phase 2 for one contiguous chunk of workers: stage each eligible
+/// download into the chunk's own slice of frame buffers — the collectors
+/// fill the cohort's frames in parallel — put it on its link's send
+/// timer, then drive every link's state machine through nonblocking
+/// sweeps until all are settled. Returns `(participant, WorkerRound)`
+/// pairs in participant order.
 fn collect_chunk(
     chunk: &mut [WorkerHandle],
+    frames: &mut [Vec<u8>],
     base: usize,
     eligible: &[bool],
     s: &Staged<'_>,
     gate: &SendGate,
 ) -> Vec<(usize, WorkerRound)> {
     let config = s.config;
-    let start = Instant::now();
     let mut ctxs: Vec<LinkCtx> = Vec::with_capacity(chunk.len());
-    for (i, w) in chunk.iter_mut().enumerate() {
+    for (i, (w, frame)) in chunk.iter_mut().zip(frames.iter_mut()).enumerate() {
         let p = base + i;
         if !eligible[p] {
             continue;
         }
+        let stage_start = Instant::now();
+        stage_download(frame, p, s);
+        let staged_at = Instant::now();
         let link = w.transport.as_mut().expect("live worker has transport");
-        link.set_mbps(s.bandwidths[p]);
+        link.set_mbps(s.req.bandwidths_mbps[p]);
         ctxs.push(LinkCtx {
             p,
-            wr: WorkerRound::default(),
+            wr: WorkerRound {
+                ship_ns: (staged_at - stage_start).as_nanos() as u64,
+                ..WorkerRound::default()
+            },
             attempts: 0,
-            send_at: Some(start + link.send_delay(s.frames[p].len())),
-            window_start: start,
+            send_at: Some(staged_at + link.send_delay(frame.len())),
+            window_start: staged_at,
             met_at: None,
             done: false,
         });
     }
-    // the quorum target and when it became known: no wait expires before
+    let frames = &*frames; // staged; read-only from here on
+                           // the quorum target and when it became known: no wait expires before
     let mut quorum: Option<(usize, Instant)> = None;
     let mut remaining = ctxs.len();
     while remaining > 0 {
@@ -404,7 +416,7 @@ fn collect_chunk(
         for c in ctxs.iter_mut().filter(|c| !c.done) {
             let w = &mut chunk[c.p - base];
             let link = w.transport.as_mut().expect("live worker has transport");
-            let frame = &s.frames[c.p];
+            let frame = &frames[c.p - base];
             if let Some(at) = c.send_at {
                 if Instant::now() < at {
                     earliest(&mut next_due, at);
@@ -416,7 +428,7 @@ fn collect_chunk(
                 let sent = link.send_now(frame);
                 if c.attempts == 0 {
                     gate.record(sent.is_ok());
-                    c.wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
+                    c.wr.ship_ns += ship_start.elapsed().as_nanos() as u64;
                 }
                 if sent.is_err() {
                     w.alive = false;
@@ -459,7 +471,7 @@ fn collect_chunk(
                     let held = link.inner_mut().release_held();
                     if held.is_none() {
                         if !quorum_met && c.attempts < config.max_retries {
-                            let salt = ((s.t as u64) << 32) | c.p as u64;
+                            let salt = ((s.req.round as u64) << 32) | c.p as u64;
                             let backoff = backoff_delay(config.retry_backoff, c.attempts, salt);
                             c.send_at = Some(now + backoff + link.send_delay(frame.len()));
                             c.attempts += 1;

@@ -298,10 +298,33 @@ impl Message {
     }
 }
 
+/// The one range that covers all of `values`.
+fn whole(values: &[f32]) -> std::iter::Once<(usize, usize)> {
+    std::iter::once((0, values.len()))
+}
+
 fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+    put_f32_ranges(out, values, whole(values));
+}
+
+/// One length-prefixed `f32` run: the `(offset, len)` ranges of `flat`,
+/// concatenated. The run is sized once, then filled through fixed-width
+/// chunks — one capacity check for the run instead of one per float.
+fn put_f32_ranges(
+    out: &mut Vec<u8>,
+    flat: &[f32],
+    ranges: impl Iterator<Item = (usize, usize)> + Clone,
+) {
+    let count: usize = ranges.clone().map(|(_, len)| len).sum();
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    let mut at = out.len();
+    out.resize(at + 4 * count, 0);
+    for (off, len) in ranges {
+        let run = &mut out[at..at + 4 * len];
+        for (dst, v) in run.chunks_exact_mut(4).zip(&flat[off..off + len]) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        at += 4 * len;
     }
 }
 
@@ -423,19 +446,28 @@ impl<'a> Reader<'a> {
 }
 
 /// The shared body of both download flavours (everything but the coded
-/// variant's trailing tag/param pair), appended in wire order.
+/// variant's trailing tag/param pair), appended in wire order. Weights and
+/// buffers are each the concatenation of `(offset, len)` ranges of a flat
+/// vector.
 #[allow(clippy::too_many_arguments)]
 fn put_download_body(
     out: &mut Vec<u8>,
     round: u64,
     seed_base: u64,
     mask: &ArchMask,
-    weights: &[f32],
+    theta: &[f32],
+    param_ranges: impl Iterator<Item = (usize, usize)> + Clone,
     buffers: &[f32],
+    buffer_ranges: impl Iterator<Item = (usize, usize)> + Clone,
     alpha: &[f32],
 ) {
     let edges = mask.num_edges();
-    out.reserve(24 + 2 * edges + 4 * (weights.len() + buffers.len() + alpha.len()) + 12);
+    let floats: usize = param_ranges
+        .clone()
+        .chain(buffer_ranges.clone())
+        .map(|(_, len)| len)
+        .sum();
+    out.reserve(24 + 2 * edges + 4 * (floats + alpha.len()) + 12);
     out.extend_from_slice(&round.to_le_bytes());
     out.extend_from_slice(&seed_base.to_le_bytes());
     out.extend_from_slice(&(edges as u32).to_le_bytes());
@@ -447,8 +479,8 @@ fn put_download_body(
             out.push(op as u8);
         }
     }
-    put_f32s(out, weights);
-    put_f32s(out, buffers);
+    put_f32_ranges(out, theta, param_ranges);
+    put_f32_ranges(out, buffers, buffer_ranges);
     put_f32s(out, alpha);
 }
 
@@ -461,7 +493,17 @@ fn encode_payload_into(msg: &Message, out: &mut Vec<u8>) {
             weights,
             buffers,
             alpha,
-        } => put_download_body(out, *round, *seed_base, mask, weights, buffers, alpha),
+        } => put_download_body(
+            out,
+            *round,
+            *seed_base,
+            mask,
+            weights,
+            whole(weights),
+            buffers,
+            whole(buffers),
+            alpha,
+        ),
         Message::UploadUpdate {
             round,
             participant,
@@ -493,7 +535,17 @@ fn encode_payload_into(msg: &Message, out: &mut Vec<u8>) {
             // same body as the legacy download, written in place — the old
             // implementation cloned the whole sub-model into a temporary
             // legacy message first
-            put_download_body(out, *round, *seed_base, mask, weights, buffers, alpha);
+            put_download_body(
+                out,
+                *round,
+                *seed_base,
+                mask,
+                weights,
+                whole(weights),
+                buffers,
+                whole(buffers),
+                alpha,
+            );
             out.push(*codec_tag);
             out.extend_from_slice(&codec_param.to_le_bytes());
         }
@@ -720,9 +772,7 @@ pub fn encode_into(msg: &Message, frame: &mut Vec<u8>) {
 /// corresponding [`Message`], but without building the message (which
 /// owns its vectors) first. `codec: None` emits the legacy v1
 /// [`Message::DownloadSubmodel`]; `Some((tag, param))` the v2
-/// [`Message::DownloadSubmodelCoded`]. This is the server's per-round
-/// hot path: with a grow-only `frame` the whole encode is allocation-free
-/// at steady state.
+/// [`Message::DownloadSubmodelCoded`].
 #[allow(clippy::too_many_arguments)]
 pub fn encode_download_into(
     frame: &mut Vec<u8>,
@@ -731,6 +781,44 @@ pub fn encode_download_into(
     mask: &ArchMask,
     weights: &[f32],
     buffers: &[f32],
+    alpha: &[f32],
+    codec: Option<(u8, f32)>,
+) {
+    encode_download_ranges_into(
+        frame,
+        round,
+        seed_base,
+        mask,
+        weights,
+        whole(weights),
+        buffers,
+        whole(buffers),
+        alpha,
+        codec,
+    );
+}
+
+/// [`encode_download_into`] with the weights and the buffers each given
+/// as `(offset, len)` ranges of a larger flat vector, copied into the
+/// frame in range order — the frame [`encode_download_into`] writes for
+/// their concatenations, without materialising either. This is the
+/// server's per-round hot path: it fills a participant's frame straight
+/// from the supernet's flat θ, and with a grow-only `frame` the whole
+/// encode is allocation-free at steady state.
+///
+/// # Panics
+///
+/// Panics if a range reaches outside its flat vector.
+#[allow(clippy::too_many_arguments)]
+pub fn encode_download_ranges_into(
+    frame: &mut Vec<u8>,
+    round: u64,
+    seed_base: u64,
+    mask: &ArchMask,
+    theta: &[f32],
+    param_ranges: impl Iterator<Item = (usize, usize)> + Clone,
+    buffers: &[f32],
+    buffer_ranges: impl Iterator<Item = (usize, usize)> + Clone,
     alpha: &[f32],
     codec: Option<(u8, f32)>,
 ) {
@@ -747,7 +835,17 @@ pub fn encode_download_into(
         }
     }
     frame.extend_from_slice(&[0u8; 4]); // payload length, patched below
-    put_download_body(frame, round, seed_base, mask, weights, buffers, alpha);
+    put_download_body(
+        frame,
+        round,
+        seed_base,
+        mask,
+        theta,
+        param_ranges,
+        buffers,
+        buffer_ranges,
+        alpha,
+    );
     if let Some((tag, param)) = codec {
         frame.push(tag);
         frame.extend_from_slice(&param.to_le_bytes());
@@ -932,6 +1030,35 @@ mod tests {
             loss: 0.0,
         });
         assert_eq!(up.len(), upload_frame_len(5, 3));
+    }
+
+    /// A download frame as the commit before the slicing-by-8 CRC wrote
+    /// it: it must still decode, and the same message must still encode
+    /// to the same bytes — the trailer is the same CRC-32, only computed
+    /// faster.
+    #[test]
+    fn frame_written_before_the_fast_crc_is_unchanged() {
+        let frozen: Vec<u8> = {
+            let hex = concat!(
+                "46524c4e0101480000000300000000000000edfe000000000000020000000107",
+                "0003050000000000003f0000a0bf00004040000000006f12833a020000000000",
+                "00000000803f020000000000003e000000bf20b2a480",
+            );
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+                .collect()
+        };
+        let msg = Message::DownloadSubmodel {
+            round: 3,
+            seed_base: 0xFEED,
+            mask: ArchMask::new(vec![1, 7], vec![0, 3]),
+            weights: vec![0.5, -1.25, 3.0, 0.0, 1e-3],
+            buffers: vec![0.0, 1.0],
+            alpha: vec![0.125, -0.5],
+        };
+        assert_eq!(decode(&frozen).expect("frozen frame decodes"), msg);
+        assert_eq!(encode(&msg), frozen);
     }
 
     #[test]

@@ -168,6 +168,8 @@ struct Rig {
     alpha_logits: Vec<f32>,
     masks: Vec<ArchMask>,
     bandwidths: Vec<f64>,
+    /// Per-slot participation; `None` means everyone.
+    active: Option<Vec<bool>>,
 }
 
 impl Rig {
@@ -192,25 +194,59 @@ impl Rig {
                 .map(|_| ArchMask::uniform_random(&config.net, &mut rng))
                 .collect(),
             bandwidths: vec![mbps; n],
+            active: None,
         }
     }
 
     fn round(&mut self, t: usize) -> RoundOutcome {
-        let submodels = self
-            .masks
-            .iter()
-            .map(|m| self.supernet.extract_submodel(m))
-            .collect();
+        let (theta, buffers) = (self.supernet.flat_params(), self.supernet.flat_buffers());
         self.backend.run_round(RoundRequest {
             round: t,
             masks: &self.masks,
-            submodels,
+            layout: self.supernet.layout(),
+            theta: &theta,
+            buffers: &buffers,
             alpha_logits: &self.alpha_logits,
             bandwidths_mbps: &self.bandwidths,
             seed_base: SEED ^ t as u64,
-            active: None,
+            active: self.active.as_deref(),
         })
     }
+}
+
+/// What a round books from the layout before any frame exists is what
+/// then crosses the wire: the booked frame sizes sum to the measured
+/// download bytes, a slot sitting out books nothing, and the distinct-mask
+/// count is taken over the slots that ship.
+#[test]
+fn booked_downloads_match_what_ships() {
+    let config = SearchConfig::tiny();
+    let k = config.num_participants;
+    let mut rig = Rig::new(config, 50.0, RpcConfig::default(), &[]);
+    let distinct: std::collections::HashSet<&ArchMask> = rig.masks.iter().collect();
+    assert_eq!(distinct.len(), k, "the seeded masks are all different");
+    rig.masks[1] = rig.masks[0].clone();
+    let out = rig.round(0);
+    assert_eq!(out.reports.len(), k);
+    assert_eq!(rig.backend.distinct_masks_last_round(), k - 1);
+    assert!(out.download_frame_bytes.iter().all(|&b| b > 0));
+    assert_eq!(out.download_frame_bytes[0], out.download_frame_bytes[1]);
+    assert_eq!(
+        out.bytes_down,
+        out.download_frame_bytes.iter().sum::<u64>(),
+        "every booked frame ships once, at its booked size"
+    );
+    // slot 0 sits out: nothing booked or shipped for it, and its twin's
+    // mask is no longer a duplicate among the slots that ship
+    let mut active = vec![true; k];
+    active[0] = false;
+    rig.active = Some(active);
+    let out = rig.round(1);
+    assert_eq!(out.reports.len(), k - 1);
+    assert!(out.reports.iter().all(|r| r.participant != 0));
+    assert_eq!(rig.backend.distinct_masks_last_round(), k - 1);
+    assert_eq!(out.download_frame_bytes[0], 0);
+    assert_eq!(out.bytes_down, out.download_frame_bytes.iter().sum::<u64>());
 }
 
 /// The engine's hot-path buffers (download frames, staging vectors,

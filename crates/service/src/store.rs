@@ -879,6 +879,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// A store directory as the commit before the slicing-by-8 CRC left it
+    /// after `create` + `update` — the manifest and the live segment —
+    /// must still open with the job intact: both trailers are the same
+    /// CRC-32, only computed faster.
+    #[test]
+    fn records_written_before_the_fast_crc_still_open() {
+        let unhex = |hex: &str| -> Vec<u8> {
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+                .collect()
+        };
+        let manifest = unhex(concat!(
+            "46524c4e4a4d414e010002000000000000000200000000000000010000000100",
+            "0000000000000200000000000000016ad9e37d",
+        ));
+        let segment = unhex(concat!(
+            "46524c4e4a534547010001000000000000000200000000000000010a00000073",
+            "7065632d627974657307000000636b70742d76315aab7e5c",
+        ));
+        let dir = temp_store_dir("frozen");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(dir.join(MANIFEST_NAME), &manifest).expect("write manifest");
+        std::fs::write(dir.join("job-1-gen-2.seg"), &segment).expect("write segment");
+
+        assert!(parse_manifest(&manifest).is_some(), "manifest CRC");
+        let store = JobStore::open(&dir).expect("open");
+        assert_eq!(store.manifest_generation(), 2);
+        assert!(store.lost_jobs().is_empty());
+        let job = store.get(1).expect("job 1 survives");
+        assert_eq!((job.generation, job.state, job.flags), (2, 1, 0));
+        assert_eq!(job.spec, b"spec-bytes");
+        assert_eq!(job.checkpoint, b"ckpt-v1");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
     #[test]
     fn corrupt_manifest_never_wedges_a_live_handle() {
         let dir = temp_store_dir("unwedge");
