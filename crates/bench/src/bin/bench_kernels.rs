@@ -10,8 +10,17 @@
 //! bit-identical to), forward alone and as a forward + backward training
 //! step, at the three stages of the `small` preset (8 ch 12x12, 16 ch 6x6,
 //! 32 ch 3x3, batch 16) and one `paper`-preset shape (16 ch 32x32, batch 8).
-//! The GEMM rows are absolute throughput of the packed kernel at the shapes
-//! the remaining lowered convolutions produce.
+//! The pointwise "before" column calls the same `gemm` as the layer, so those
+//! rows show the copies the layer avoids, not the kernel; the `small_gemm`
+//! section isolates it: the three GEMMs of a pointwise training step (forward
+//! with bias, input gradient, weight gradient), a batch of 16 samples per
+//! timed call, through `gemm_bias` / `gemm` / `gemm_nt` ("after") against the
+//! scalar loop `gemm_naive` they must equal bit for bit ("before", with the
+//! bias fill and the `go` transpose it needs), at the three stages of `small`
+//! and of `tiny`. The GEMM rows are absolute throughput of the packed kernel
+//! at the shapes the remaining lowered convolutions produce, and
+//! `packed_gemm_threads` times the same shapes on one thread against the
+//! process's thread budget.
 //!
 //! Usage: `cargo run --release -p fedrlnas-bench --bin bench_kernels`
 //! (writes `BENCH_kernels.json` in the current directory; pass `--out
@@ -22,7 +31,7 @@
 use fedrlnas_bench::lowering::{lowered_backward, lowered_forward, ConvShape};
 use fedrlnas_bench::{flag_present, flag_value, json_number, median_ns};
 use fedrlnas_nn::{Conv2d, Layer, Mode};
-use fedrlnas_tensor::{gemm, Tensor};
+use fedrlnas_tensor::{gemm, gemm_bias, gemm_naive, gemm_nt, num_threads, set_num_threads, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 
@@ -191,32 +200,159 @@ fn conv_sections(reps: usize, rng: &mut StdRng) -> Vec<Section> {
     sections
 }
 
-/// Packed-GEMM throughput at the shapes the lowered convolutions still
-/// produce: `m` = output channels per group, `n` = spatial positions, `k` =
-/// `cin / groups * kh * kw`. Returns `(label, median ns, GFLOP/s)`.
+/// `(preset, channels, positions)` of every pointwise stage of the `small`
+/// and `tiny` presets; all at batch 16.
+const SMALL_GEMM_STAGES: [(&str, usize, usize); 6] = [
+    ("small", 8, 144),
+    ("small", 16, 36),
+    ("small", 32, 9),
+    ("tiny", 4, 64),
+    ("tiny", 8, 16),
+    ("tiny", 16, 4),
+];
+
+/// The small-problem kernel against the scalar loop, one row per (stage,
+/// role); a timed call is one batch, as a layer runs it.
+fn small_gemm_section(reps: usize, rng: &mut StdRng) -> Section {
+    const BATCH: usize = 16;
+    let mut rows = Vec::new();
+    for (preset, c, p) in SMALL_GEMM_STAGES {
+        let mut draws =
+            |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+        let (w, bias) = (draws(c * c), draws(c));
+        // the layer's input is often a ReLU's output, about half zeros
+        let x: Vec<f32> = draws(BATCH * c * p).iter().map(|v| v.max(0.0)).collect();
+        let go = draws(BATCH * c * p);
+        let mut out = vec![0.0f32; BATCH * c * p];
+        let mut dwt = vec![0.0f32; c * c];
+        let mut got = vec![0.0f32; p * c];
+        let mut row = |role: &str, before_ns: u64, after_ns: u64| {
+            rows.push(Row {
+                label: format!("{role}_{preset}_{c}ch_{p}p_b{BATCH}"),
+                before_ns,
+                after_ns,
+            });
+        };
+        // forward: out = bias + W [c, c] x image [c, p]
+        let before = median_ns(reps, || {
+            for (image, o) in x.chunks_exact(c * p).zip(out.chunks_exact_mut(c * p)) {
+                for (o_row, &b) in o.chunks_exact_mut(p).zip(&bias) {
+                    o_row.fill(b);
+                }
+                gemm_naive(c, p, c, &w, image, o);
+            }
+            std::hint::black_box(&out);
+        });
+        let after = median_ns(reps, || {
+            for (image, o) in x.chunks_exact(c * p).zip(out.chunks_exact_mut(c * p)) {
+                gemm_bias(c, p, c, &w, image, &bias, o);
+            }
+            std::hint::black_box(&out);
+        });
+        row("forward", before, after);
+        // input gradient: dx = W^T [c, c] x go [c, p] into zeros (`w` stands
+        // in for its transpose: same shape, same work)
+        let before = median_ns(reps, || {
+            out.fill(0.0);
+            for (g, o) in go.chunks_exact(c * p).zip(out.chunks_exact_mut(c * p)) {
+                gemm_naive(c, p, c, &w, g, o);
+            }
+            std::hint::black_box(&out);
+        });
+        let after = median_ns(reps, || {
+            out.fill(0.0);
+            for (g, o) in go.chunks_exact(c * p).zip(out.chunks_exact_mut(c * p)) {
+                gemm(c, p, c, &w, g, o);
+            }
+            std::hint::black_box(&out);
+        });
+        row("dx", before, after);
+        // weight gradient: dW^T += image [c, p] x go^T [p, c] over the batch
+        let before = median_ns(reps, || {
+            dwt.fill(0.0);
+            for (image, g) in x.chunks_exact(c * p).zip(go.chunks_exact(c * p)) {
+                for (r, g_row) in g.chunks_exact(p).enumerate() {
+                    for (at, &v) in g_row.iter().enumerate() {
+                        got[at * c + r] = v;
+                    }
+                }
+                gemm_naive(c, c, p, image, &got, &mut dwt);
+            }
+            std::hint::black_box(&dwt);
+        });
+        let after = median_ns(reps, || {
+            dwt.fill(0.0);
+            for (image, g) in x.chunks_exact(c * p).zip(go.chunks_exact(c * p)) {
+                gemm_nt(c, c, p, image, g, &mut dwt);
+            }
+            std::hint::black_box(&dwt);
+        });
+        row("dw", before, after);
+    }
+    Section {
+        name: "small_gemm",
+        rows,
+    }
+}
+
+/// The shapes the lowered convolutions still hand the packed GEMM: `m` =
+/// output channels per group, `n` = spatial positions, `k` =
+/// `cin / groups * kh * kw`; then one large enough for its threads to engage.
+const PACKED_SHAPES: [(usize, usize, usize); 6] = [
+    (16, 1024, 144), // 16ch 3x3 cell on 32x32
+    (32, 256, 288),  // 32ch 3x3 cell on 16x16
+    (64, 64, 576),   // 64ch 3x3 cell on 8x8
+    (64, 256, 64),   // 1x1 pointwise, 64ch on 16x16
+    (128, 128, 128), // square reference point
+    (512, 256, 256), // above the parallel work floor
+];
+
+/// Times `gemm` at `(m, n, k)` on the current thread budget.
+fn time_gemm((m, n, k): (usize, usize, usize), reps: usize, rng: &mut StdRng) -> u64 {
+    let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let mut c = vec![0.0f32; m * n];
+    median_ns(reps, || {
+        c.fill(0.0);
+        gemm(m, n, k, &a, &b, &mut c);
+        std::hint::black_box(&c);
+    })
+}
+
+/// Packed-GEMM throughput: `(label, median ns, GFLOP/s)` per shape.
 fn bench_gemm_shapes(reps: usize, rng: &mut StdRng) -> Vec<(String, u64, f64)> {
-    let shapes: &[(usize, usize, usize)] = &[
-        (16, 1024, 144), // 16ch 3x3 cell on 32x32
-        (32, 256, 288),  // 32ch 3x3 cell on 16x16
-        (64, 64, 576),   // 64ch 3x3 cell on 8x8
-        (64, 256, 64),   // 1x1 pointwise, 64ch on 16x16
-        (128, 128, 128), // square reference point
-    ];
-    shapes
+    PACKED_SHAPES
         .iter()
         .map(|&(m, n, k)| {
-            let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut c = vec![0.0f32; m * n];
-            let ns = median_ns(reps, || {
-                c.fill(0.0);
-                gemm(m, n, k, &a, &b, &mut c);
-                std::hint::black_box(&c);
-            });
+            let ns = time_gemm((m, n, k), reps, rng);
             let gflops = 2.0 * (m * n * k) as f64 / ns.max(1) as f64;
             (format!("gemm_{m}x{n}x{k}"), ns, gflops)
         })
         .collect()
+}
+
+/// The same shapes on one thread ("before") and on the process's thread
+/// budget ("after"): wherever the packed path engages its threads they must
+/// not lose to one — they once did, eightfold, by spawning per depth block.
+fn packed_threads_section(reps: usize, rng: &mut StdRng) -> Section {
+    let threads = num_threads();
+    let rows = PACKED_SHAPES
+        .iter()
+        .map(|&(m, n, k)| {
+            set_num_threads(1);
+            let before_ns = time_gemm((m, n, k), reps, rng);
+            set_num_threads(threads);
+            Row {
+                label: format!("gemm_{m}x{n}x{k}_1_vs_{threads}_threads"),
+                before_ns,
+                after_ns: time_gemm((m, n, k), reps, rng),
+            }
+        })
+        .collect();
+    Section {
+        name: "packed_gemm_threads",
+        rows,
+    }
 }
 
 fn main() {
@@ -229,13 +365,19 @@ fn main() {
     eprintln!("timing gemm shapes (median of {reps})...");
     let gemm_rows = bench_gemm_shapes(reps, &mut rng);
     eprintln!("timing depthwise and pointwise layers against the lowering (median of {reps})...");
-    let sections = conv_sections(reps, &mut rng);
+    let mut sections = conv_sections(reps, &mut rng);
+    eprintln!("timing the small-problem GEMM against the scalar loop (median of {reps})...");
+    sections.push(small_gemm_section(reps, &mut rng));
+    eprintln!(
+        "timing the packed GEMM on one thread against its thread budget (median of {reps})..."
+    );
+    sections.push(packed_threads_section(reps, &mut rng));
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
     writeln!(
         json,
-        "  \"description\": \"median ns per call; before = im2col + GEMM lowering of the same convolution (crates/bench/src/lowering.rs), after = nn::Conv2d (direct depthwise kernels, copy-free pointwise); gemm rows are absolute packed-GEMM throughput\","
+        "  \"description\": \"median ns per call; before = im2col + GEMM lowering of the same convolution (crates/bench/src/lowering.rs), after = nn::Conv2d (direct depthwise kernels, copy-free pointwise) -- the pointwise before column calls the same gemm as the layer, so those rows show the copies avoided, not the kernel; small_gemm = one batch of 16 of a pointwise step's three GEMMs, before = the scalar loop gemm_naive (plus the bias fill / go transpose it needs), after = gemm_bias / gemm / gemm_nt, which equal it bit for bit; packed_gemm_threads = the packed GEMM on one thread (before) and on the process's thread budget (after); gemm rows are absolute packed-GEMM throughput\","
     )
     .unwrap();
     writeln!(json, "  \"reps\": {reps},").unwrap();
@@ -280,7 +422,7 @@ fn main() {
             let got = section.min_speedup();
             if got < floor {
                 eprintln!(
-                    "FAIL: {} slowest row is {got:.2}x the lowering, below committed floor {floor:.2}x",
+                    "FAIL: {} slowest row is {got:.2}x its baseline, below committed floor {floor:.2}x",
                     section.name
                 );
                 failed = true;

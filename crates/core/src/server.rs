@@ -5,7 +5,7 @@ use crate::backend::{BackendReport, RoundBackend, RoundOutcome, RoundRequest};
 use crate::config::{PopulationConfig, SearchConfig};
 use crate::metrics::{CurveRecorder, StepMetric};
 use fedrlnas_controller::{Alpha, ReinforceController};
-use fedrlnas_darts::{ArchMask, Genotype, SubModel, Supernet};
+use fedrlnas_darts::{ArchMask, Genotype, Supernet};
 use fedrlnas_data::{dirichlet_partition, iid_partition, SyntheticDataset};
 use fedrlnas_fed::{
     validate_report, ChurnTally, CommStats, LocalReport, Participant, RoundTimings,
@@ -21,6 +21,7 @@ use fedrlnas_sync::{
 };
 use fedrlnas_tensor::Tensor;
 use rand::Rng;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Per-round transmission latency summary (the Fig. 7 metrics).
@@ -621,32 +622,48 @@ impl SearchServer {
         out
     }
 
-    /// The in-process arm of [`SearchServer::train`]: every participating
-    /// slot runs `Participant::train_round` on its own scoped thread, then
-    /// each upload goes through the codec it would cross the wire with —
-    /// the function the RPC worker calls, so the server hands the same
-    /// *decoded* gradients downstream. Bytes are estimates: one sub-model
-    /// down, and up its gradients (raw, or as encoded) plus the reward.
+    /// The in-process arm of [`SearchServer::train`]: as many scoped
+    /// workers as the kernel thread budget allows (at most one per
+    /// participating slot) take the round's participants off a shared
+    /// queue, each extracting a slot's sub-model right before its
+    /// `Participant::train_round` and dropping it right after, so a round
+    /// holds `workers` sub-models, not one per slot. A slot's result
+    /// depends on its own state, mask and stream only, and results are put
+    /// back in participant order, so neither the worker count nor the order
+    /// of completion reaches the outcome. Then each upload goes through the
+    /// codec it would cross the wire with — the function the RPC worker
+    /// calls, so the server hands the same *decoded* gradients downstream.
+    /// Bytes are estimates: one sub-model down, and up its gradients (raw,
+    /// or as encoded) plus the reward.
     fn train_in_process(&mut self, ctx: &RoundCtx, dataset: &SyntheticDataset) -> RoundOutcome {
         let seed_base = ctx.seed_base;
-        let mut submodels: Vec<SubModel> = (0..ctx.masks.len())
-            .filter(|&p| ctx.active[p])
-            .map(|p| self.supernet.extract_submodel(&ctx.masks[p]))
-            .collect();
-        let trained: Vec<(LocalReport, Vec<f32>)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .participants
-                .iter_mut()
-                .filter(|p| ctx.active[p.id()])
-                .zip(submodels.iter_mut())
-                .map(|(p, sub)| scope.spawn(move |_| p.train_round(sub, dataset, seed_base)))
+        let supernet = &self.supernet;
+        let active = ctx.active.iter().filter(|&&a| a).count();
+        let workers = fedrlnas_tensor::num_threads().clamp(1, active.max(1));
+        let queue = Mutex::new(self.participants.iter_mut().filter(|p| ctx.active[p.id()]));
+        let mut trained: Vec<(LocalReport, Vec<f32>)> = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|_| {
+                        let mut done = Vec::new();
+                        loop {
+                            // the guard is dropped with this statement:
+                            // nothing trains while holding the queue
+                            let next = queue.lock().expect("queue lock is never poisoned").next();
+                            let Some(p) = next else { break done };
+                            let mut sub = supernet.extract_submodel(&ctx.masks[p.id()]);
+                            done.push(p.train_round(&mut sub, dataset, seed_base));
+                        }
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("participant thread panicked"))
+                .flat_map(|h| h.join().expect("participant thread panicked"))
                 .collect()
         })
         .expect("scoped threads join");
+        trained.sort_by_key(|(report, _)| report.participant);
         let mut out = RoundOutcome::default();
         let codec = self.config.codec;
         let theta_len = self.initial_theta.len();

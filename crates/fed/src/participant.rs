@@ -165,7 +165,7 @@ impl Participant {
     ) -> (LocalReport, Vec<f32>) {
         let mut rng = self.round_rng(seed_base);
         let report = self.local_update(model, dataset, &mut rng);
-        let mut grads = Vec::new();
+        let mut grads = Vec::with_capacity(model.param_count());
         model.visit_params(&mut |p| grads.extend_from_slice(p.grad.as_slice()));
         (report, grads)
     }

@@ -8,8 +8,8 @@
 use crate::init::he_std;
 use crate::layer::{Layer, Mode, Param};
 use fedrlnas_tensor::{
-    col2im, depthwise_backward, depthwise_forward, gemm, gemm_bias, im2col, Conv2dGeometry, Tensor,
-    Workspace,
+    col2im, depthwise_backward, depthwise_forward, gemm, gemm_bias, gemm_nt, im2col,
+    Conv2dGeometry, Tensor, Workspace,
 };
 use rand::Rng;
 
@@ -139,9 +139,9 @@ impl Conv2d {
         }
     }
 
-    /// Pointwise backward: the same three GEMMs per sample as the lowering,
+    /// Pointwise backward: the same GEMMs per sample as the lowering,
     /// reading `x` and writing `dx` (zeroed by the caller) in place of the
-    /// column buffers.
+    /// column buffers, and `go` as it lies in place of its transpose.
     fn backward_pointwise(
         &mut self,
         x: &Tensor,
@@ -150,11 +150,9 @@ impl Conv2d {
         dx: &mut Tensor,
     ) {
         let (cin, cout) = (self.in_channels, self.out_channels);
-        // Stale contents are fine: `wt` and `got` are fully written below,
-        // `dwt` is zeroed.
-        let [wt, got, dwt] = self
-            .workspace
-            .buffers([cin * cout, positions * cout, cin * cout]);
+        // Stale contents are fine: `wt` is fully written below, `dwt` is
+        // zeroed.
+        let [wt, dwt] = self.workspace.buffers([cin * cout, cin * cout]);
         transpose(self.weight.value.as_slice(), cout, cin, wt);
         dwt.fill(0.0);
         for ((image, go), dimage) in x
@@ -163,10 +161,9 @@ impl Conv2d {
             .zip(grad_out.as_slice().chunks_exact(cout * positions))
             .zip(dx.as_mut_slice().chunks_exact_mut(cin * positions))
         {
-            transpose(go, cout, positions, got);
             add_row_sums(go, positions, self.bias.grad.as_mut_slice());
             // dW^T += image [cin, P] x go^T [P, cout]; dimage = W^T x go
-            gemm(cin, cout, positions, image, got, dwt);
+            gemm_nt(cin, cout, positions, image, go, dwt);
             gemm(cin, positions, cout, wt, go, dimage);
         }
         add_transposed(dwt, cin, cout, self.weight.grad.as_mut_slice());
@@ -214,15 +211,14 @@ impl Conv2d {
         let col_rows = geom.col_rows(cin_g);
         let positions = geom.out_positions();
         // Reused scratch (stale contents fine): `cols` is fully written by
-        // im2col, `wt` and `got` are fully written per group/sample below,
-        // `dcols` is zeroed before each accumulate-GEMM and `dwt` at each
-        // group start. Slot 0 is the same buffer `forward` uses for `cols` —
-        // same length, so no growth between passes.
-        let [cols, dcols, wt, got, dwt] = self.workspace.buffers([
+        // im2col, `wt` is fully written per group below, `dcols` is zeroed
+        // before each accumulate-GEMM and `dwt` at each group start. Slot 0
+        // is the same buffer `forward` uses for `cols` — same length, so no
+        // growth between passes.
+        let [cols, dcols, wt, dwt] = self.workspace.buffers([
             col_rows * positions,
             col_rows * positions,
             col_rows * cout_g,
-            positions * cout_g,
             col_rows * cout_g,
         ]);
         let img_len = self.in_channels * h * w;
@@ -233,9 +229,9 @@ impl Conv2d {
             transpose(w_g, cout_g, col_rows, wt);
             // dW_g += go [cout_g, P] x cols^T [P, col_rows], computed in its
             // transposed form dW_g^T += cols [col_rows, P] x go^T [P, cout_g]
-            // so the packed GEMM does the reduction over positions; `dwt`
-            // accumulates across the batch and is scattered into the gradient
-            // once per group.
+            // (`go` read transposed as it lies) so the GEMM does the
+            // reduction over positions; `dwt` accumulates across the batch
+            // and is scattered into the gradient once per group.
             dwt.fill(0.0);
             for i in 0..n {
                 let image = &x.as_slice()[i * img_len..(i + 1) * img_len];
@@ -243,10 +239,9 @@ impl Conv2d {
                 im2col(gin, cin_g, geom, cols).expect("geometry verified in forward");
                 let go_base = i * self.out_channels * positions + g * cout_g * positions;
                 let go = &grad_out.as_slice()[go_base..go_base + cout_g * positions];
-                transpose(go, cout_g, positions, got);
                 let db = &mut self.bias.grad.as_mut_slice()[g * cout_g..(g + 1) * cout_g];
                 add_row_sums(go, positions, db);
-                gemm(col_rows, cout_g, positions, cols, got, dwt);
+                gemm_nt(col_rows, cout_g, positions, cols, go, dwt);
                 // dcols = W^T x go, then scatter with col2im
                 dcols.fill(0.0);
                 gemm(col_rows, positions, cout_g, wt, go, dcols);
@@ -263,16 +258,12 @@ impl Conv2d {
 
 /// `sums[r] += Σ_p rows[r, p]` — the bias gradient of one sample. Each sum is
 /// sequential over `p` (as `Iterator::sum`, from -0.0), one chain of
-/// dependent adds; four rows' chains run side by side to fill the adder's
-/// pipeline, which reorders nothing within a chain.
+/// dependent adds; eight rows' chains (then four, then one) run side by side
+/// to fill the adders' pipelines, which reorders nothing within a chain.
 fn add_row_sums(rows: &[f32], row_len: usize, sums: &mut [f32]) {
-    const TOGETHER: usize = 4;
-    let mut blocks = rows.chunks_exact(TOGETHER * row_len);
-    let mut sum_blocks = sums.chunks_exact_mut(TOGETHER);
-    for (block, out) in (&mut blocks).zip(&mut sum_blocks) {
-        let lanes: [&[f32]; TOGETHER] =
-            std::array::from_fn(|l| &block[l * row_len..(l + 1) * row_len]);
-        let mut acc = [-0.0f32; TOGETHER];
+    fn together<const T: usize>(block: &[f32], row_len: usize, out: &mut [f32]) {
+        let lanes: [&[f32]; T] = std::array::from_fn(|l| &block[l * row_len..(l + 1) * row_len]);
+        let mut acc = [-0.0f32; T];
         for p in 0..row_len {
             for (a, lane) in acc.iter_mut().zip(&lanes) {
                 *a += lane[p];
@@ -282,12 +273,23 @@ fn add_row_sums(rows: &[f32], row_len: usize, sums: &mut [f32]) {
             *o += a;
         }
     }
-    for (row, o) in blocks
-        .remainder()
-        .chunks_exact(row_len)
-        .zip(sum_blocks.into_remainder())
-    {
-        *o += row.iter().sum::<f32>();
+    let mut first = 0;
+    while first < sums.len() {
+        let (block, out) = (&rows[first * row_len..], &mut sums[first..]);
+        first += match out.len() {
+            8.. => {
+                together::<8>(block, row_len, out);
+                8
+            }
+            4.. => {
+                together::<4>(block, row_len, out);
+                4
+            }
+            _ => {
+                together::<1>(block, row_len, out);
+                1
+            }
+        };
     }
 }
 
@@ -449,13 +451,12 @@ mod tests {
         let y = dw.forward(&x, Mode::Train);
         dw.backward(&Tensor::ones(y.dims()));
         assert_eq!(dw.workspace.capacity(), 0);
-        // pointwise: W^T, go^T and dW^T for the GEMMs, nothing `positions`
-        // times `k * k` wide
+        // pointwise: W^T and dW^T for the GEMMs, nothing `positions` wide
         let mut pw = Conv2d::new(4, 3, 1, 1, 0, 1, 1, &mut rng);
         let y = pw.forward(&x, Mode::Train);
         assert_eq!(pw.workspace.capacity(), 0);
         pw.backward(&Tensor::ones(y.dims()));
-        assert_eq!(pw.workspace.capacity(), 4 * 3 + 36 * 3 + 4 * 3);
+        assert_eq!(pw.workspace.capacity(), 4 * 3 + 4 * 3);
     }
 
     #[test]

@@ -56,28 +56,34 @@ impl BatchNorm2d {
     }
 }
 
-/// Channels whose reductions advance together. A channel's sums are
-/// sequential — each is one chain of dependent adds over `(sample, position)`
-/// in order, and reordering a chain would change its rounding — but
-/// different channels' chains are independent, so running `GROUP` of them
-/// side by side fills the adder's pipeline without touching any chain's
-/// order.
-const GROUP: usize = 4;
-
 /// Per-channel results of a reduction that handles `G` neighbouring channels
-/// at once (given the first): [`GROUP`] at a time, the rest one by one.
+/// at once (given the first): eight at a time, then four, then one by one.
+///
+/// A channel's sums are sequential — each is one chain of dependent adds over
+/// `(sample, position)` in order, and reordering a chain would change its
+/// rounding — but different channels' chains are independent, so running
+/// several side by side fills the adders' pipelines without touching any
+/// chain's order. Eight scalar chains (two operands each) are what the
+/// sixteen baseline registers hold; sixteen spill and run slower than four.
 fn by_groups<T>(
     c: usize,
-    group: impl Fn(usize) -> [T; GROUP],
+    eight: impl Fn(usize) -> [T; 8],
+    four: impl Fn(usize) -> [T; 4],
     single: impl Fn(usize) -> [T; 1],
 ) -> Vec<T> {
     let mut out = Vec::with_capacity(c);
-    let grouped = c - c % GROUP;
-    for first in (0..grouped).step_by(GROUP) {
-        out.extend(group(first));
+    let mut first = 0;
+    while first + 8 <= c {
+        out.extend(eight(first));
+        first += 8;
     }
-    for first in grouped..c {
+    while first + 4 <= c {
+        out.extend(four(first));
+        first += 4;
+    }
+    while first < c {
         out.extend(single(first));
+        first += 1;
     }
     out
 }
@@ -131,7 +137,8 @@ fn batch_stats(x: &[f32], n: usize, c: usize, plane: usize) -> Vec<(f32, f32)> {
     }
     by_groups(
         c,
-        |first| of::<GROUP>(x, n, (c, plane), first),
+        |first| of::<8>(x, n, (c, plane), first),
+        |first| of::<4>(x, n, (c, plane), first),
         |first| of::<1>(x, n, (c, plane), first),
     )
 }
@@ -161,7 +168,8 @@ fn grad_sums(dout: &[f32], x_hat: &[f32], n: usize, c: usize, plane: usize) -> V
     }
     by_groups(
         c,
-        |first| of::<GROUP>(dout, x_hat, n, (c, plane), first),
+        |first| of::<8>(dout, x_hat, n, (c, plane), first),
+        |first| of::<4>(dout, x_hat, n, (c, plane), first),
         |first| of::<1>(dout, x_hat, n, (c, plane), first),
     )
 }

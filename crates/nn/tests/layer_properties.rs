@@ -348,6 +348,90 @@ fn pointwise_conv_equals_im2col_gemm_lowering_bit_for_bit() {
 }
 
 #[test]
+fn pointwise_conv_equals_the_scalar_gemm_loop_bit_for_bit() {
+    // The lowering above calls the same `gemm` as the layer, so it cannot
+    // tell whether the small-problem kernel under both moved a bit. This does:
+    // the layer's three products against `gemm_naive`, the loop that kernel
+    // must equal, at every pointwise stage of `small` and `tiny` and at
+    // channel and position counts off every tile edge (8-row tiles, 16-, 8-
+    // and 4-lane vectors), on a post-ReLU input (the zero skip) with zeros
+    // among the weights.
+    use fedrlnas_tensor::gemm_naive;
+    let mut rng = StdRng::seed_from_u64(23);
+    let stages = [
+        (8, 8, 144),
+        (16, 16, 36),
+        (32, 32, 9),
+        (4, 4, 64),
+        (8, 8, 16),
+        (16, 16, 4),
+    ];
+    let odd = [(7, 13, 17), (9, 5, 33), (12, 20, 1), (1, 3, 40), (17, 2, 9)];
+    for (cin, cout, positions) in stages.into_iter().chain(odd) {
+        let n = 3;
+        let mut conv = Conv2d::new(cin, cout, 1, 1, 0, 1, 1, &mut rng);
+        conv.visit_params(&mut |p| {
+            for v in p.value.as_mut_slice() {
+                *v = if rng.gen_bool(0.15) {
+                    0.0
+                } else {
+                    rng.gen_range(-1.0f32..1.0)
+                };
+            }
+        });
+        let values = param_values(&mut conv, false);
+        let (weight, bias) = (&values[0], &values[1]);
+        let x = post_relu(&[n, cin, positions, 1], &mut rng);
+        let go = Tensor::randn(&[n, cout, positions, 1], 1.0, &mut rng);
+        let case = format!("{cin} -> {cout} channels at {positions} positions");
+
+        let y = conv.forward(&x, Mode::Train);
+        let dx = conv.backward(&go);
+        let grads = param_values(&mut conv, true);
+
+        let transposed = |src: &[f32], rows: usize, cols: usize| -> Vec<f32> {
+            (0..rows * cols)
+                .map(|at| src[at % rows * cols + at / rows])
+                .collect()
+        };
+        let wt = transposed(weight, cout, cin);
+        let mut y_ref = vec![0.0f32; y.len()];
+        let mut dx_ref = vec![0.0f32; x.len()];
+        let mut dwt = vec![0.0f32; cin * cout];
+        for i in 0..n {
+            let image = &x.as_slice()[i * cin * positions..(i + 1) * cin * positions];
+            let g = &go.as_slice()[i * cout * positions..(i + 1) * cout * positions];
+            let out = &mut y_ref[i * cout * positions..(i + 1) * cout * positions];
+            for (row, &b) in out.chunks_exact_mut(positions).zip(bias) {
+                row.fill(b);
+            }
+            gemm_naive(cout, positions, cin, weight, image, out);
+            gemm_naive(
+                cin,
+                cout,
+                positions,
+                image,
+                &transposed(g, cout, positions),
+                &mut dwt,
+            );
+            let dimage = &mut dx_ref[i * cin * positions..(i + 1) * cin * positions];
+            gemm_naive(cin, positions, cout, &wt, g, dimage);
+        }
+        assert_eq!(
+            raw_bits(y.as_slice()),
+            raw_bits(&y_ref),
+            "forward of {case}"
+        );
+        assert_eq!(raw_bits(dx.as_slice()), raw_bits(&dx_ref), "dx of {case}");
+        assert_eq!(
+            raw_bits(&grads[0]),
+            raw_bits(&transposed(&dwt, cin, cout)),
+            "dW of {case}"
+        );
+    }
+}
+
+#[test]
 fn depthwise_conv_on_maps_smaller_than_its_kernel() {
     // The last stage of the `small` preset (12 -> 6 -> 3) and below: most
     // taps of a dilated 5x5 (effective 9, padding 4) lie wholly in padding —
@@ -583,10 +667,10 @@ fn avg_pool_equals_the_loops_it_replaced() {
 
 #[test]
 fn batch_norm_equals_the_loops_it_replaced() {
-    // Channel counts on both sides of the group of four whose sums advance
-    // together; the old code summed one channel at a time.
+    // Channel counts on every side of the groups of eight and of four whose
+    // sums advance together; the old code summed one channel at a time.
     let mut rng = StdRng::seed_from_u64(21);
-    for c in [1, 3, 4, 5, 8, 11] {
+    for c in [1, 3, 4, 5, 8, 11, 13, 16, 21] {
         let (n, h, w) = (3, 4, 5);
         let plane = h * w;
         let count = (n * plane) as f32;

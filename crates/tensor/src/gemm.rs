@@ -4,23 +4,26 @@
 //! [`im2col`](crate::im2col), so this kernel dominates training time. The
 //! implementation follows the classic BLIS/GotoBLAS decomposition:
 //!
-//! * `k` is split into depth blocks of [`KC`]; for each block, `b` is packed
-//!   once into contiguous column panels of width [`NR`] and `a` into row
-//!   panels of height [`MR`] (both zero-padded at the edges so the
-//!   microkernel never branches on tile shape);
+//! * `k` is split into depth blocks of [`KC`]; block by block, all of `b` is
+//!   packed once into contiguous column panels of width [`NR`], and for each
+//!   block `a` into row panels of height [`MR`] (both zero-padded at the
+//!   edges so the microkernel never branches on tile shape);
 //! * an [`MR`]`x`[`NR`] register-tiled microkernel accumulates over the
 //!   packed panels with a fully unrolled inner loop the optimizer
 //!   auto-vectorizes;
 //! * row panels are distributed across scoped threads
 //!   (`crossbeam::thread::scope`) when the global thread knob
 //!   ([`crate::num_threads`], env `FEDRLNAS_NUM_THREADS`) allows and the
-//!   problem is big enough to amortize spawning. Each thread packs and
-//!   writes a disjoint slice of `c`, so no synchronization is needed.
+//!   problem is big enough to amortize spawning them — once per call; each
+//!   walks the depth blocks itself. Each thread packs its own rows of `a`
+//!   and writes a disjoint slice of `c`, so no synchronization is needed.
 //!
-//! Small problems skip packing entirely and use the cache-blocked scalar
-//! loop ([`gemm_naive`]), which is faster below the packing break-even and
-//! also serves as the reference/baseline kernel for tests and benchmarks.
+//! Small problems skip packing entirely and run the register-blocked kernel
+//! of [`crate::gemm_small`], which is bit-identical to the scalar loop
+//! [`gemm_naive`] — the reference for property tests and the baseline of
+//! `BENCH_kernels.json`.
 
+use crate::gemm_small::{gemm_small, Rhs};
 use crate::threading::num_threads;
 
 /// Microkernel tile height (rows of `c` per register tile). Packed row
@@ -32,13 +35,18 @@ const MR: usize = 8;
 const NR: usize = 16;
 /// Depth blocking: packed panels cover `KC` values of `k` at a time.
 const KC: usize = 256;
-/// Problems with `m*n*k` at or below this run the scalar kernel; packing
+/// Problems with `m*n*k` at or below this run the unpacked kernel; packing
 /// traffic (`m*k + k*n` extra writes+reads) isn't amortized below it.
-const SMALL: usize = 16 * 1024;
+pub(crate) const SMALL: usize = 16 * 1024;
 /// Minimum per-thread row panels before the threaded path engages.
 const MIN_PANELS_PER_THREAD: usize = 4;
 /// Minimum total work (`m*n*k`) before threads are considered at all.
-const PARALLEL_WORK_FLOOR: usize = 1 << 18;
+/// Spawning and joining two scoped threads costs 70-170 us where this was
+/// measured (2 virtual cores) — what one thread multiplies-and-adds 2^22 to
+/// 2^23 times in — so two threads always lost at 2^23 (204 -> 246 us) and
+/// win only from about here up, when the second core is really there
+/// (846 -> 598 us at 2^25 in one minute, 855 -> 943 us in another).
+const PARALLEL_WORK_FLOOR: usize = 1 << 24;
 
 /// Computes `c += a * b` for row-major matrices where `a` is `m x k`,
 /// `b` is `k x n` and `c` is `m x n`.
@@ -54,7 +62,22 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert!(a.len() >= m * k, "gemm: a too short");
     assert!(b.len() >= k * n, "gemm: b too short");
     assert!(c.len() >= m * n, "gemm: c too short");
-    gemm_dispatch(m, n, k, a, b, None, c);
+    gemm_dispatch(m, n, k, a, Rhs::Plain(b), None, c);
+}
+
+/// Computes `c += a * bt^T` where `a` is `m x k`, `bt` is `n x k` and `c` is
+/// `m x n`, all row-major: [`gemm`] with its right operand read transposed as
+/// it lies — same result, bit for bit, as transposing `bt` into a `k x n`
+/// buffer first.
+///
+/// # Panics
+///
+/// Panics if any slice is shorter than its implied extent.
+pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
+    assert!(a.len() >= m * k, "gemm_nt: a too short");
+    assert!(bt.len() >= n * k, "gemm_nt: bt too short");
+    assert!(c.len() >= m * n, "gemm_nt: c too short");
+    gemm_dispatch(m, n, k, a, Rhs::Transposed(bt), None, c);
 }
 
 /// Computes `c = a * b + bias_broadcast` where `bias` has length `m` and is
@@ -72,14 +95,14 @@ pub fn gemm_bias(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: &[f32
     assert!(b.len() >= k * n, "gemm_bias: b too short");
     assert!(bias.len() >= m, "gemm_bias: bias too short");
     assert!(c.len() >= m * n, "gemm_bias: c too short");
-    gemm_dispatch(m, n, k, a, b, Some(bias), c);
+    gemm_dispatch(m, n, k, a, Rhs::Plain(b), Some(bias), c);
 }
 
 /// The seed's cache-blocked scalar kernel: `c += a * b`.
 ///
-/// Kept as the small-problem path (packing doesn't pay below
-/// [`SMALL`] flops), as the numerical reference for property tests, and as
-/// the "before" baseline for `BENCH_kernels.json`.
+/// No longer on any path [`gemm`] takes: kept as the definition of the
+/// small-problem kernel's numerics (its property tests compare bits against
+/// this loop) and as the "before" baseline of `BENCH_kernels.json`.
 ///
 /// # Panics
 ///
@@ -123,23 +146,18 @@ fn gemm_dispatch(
     n: usize,
     k: usize,
     a: &[f32],
-    b: &[f32],
+    b: Rhs<'_>,
     bias: Option<&[f32]>,
     c: &mut [f32],
 ) {
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 || m * n * k <= SMALL {
-        if let Some(bias) = bias {
-            for i in 0..m {
-                c[i * n..(i + 1) * n].fill(bias[i]);
-            }
-        }
-        gemm_naive(m, n, k, a, b, c);
-        return;
+    if m * n * k <= SMALL {
+        gemm_small(m, n, k, a, b, bias, c);
+    } else {
+        gemm_packed(m, n, k, a, b, bias, c);
     }
-    gemm_packed(m, n, k, a, b, bias, c);
 }
 
 fn ensure_len(v: &mut Vec<f32>, len: usize) {
@@ -149,42 +167,57 @@ fn ensure_len(v: &mut Vec<f32>, len: usize) {
 }
 
 /// Packs `kc` rows (`k0..k0+kc`) of `b` into NR-wide column panels:
-/// `out[panel][p][0..NR] = b[(k0+p) * n + panel*NR ..]`, zero-padded past `n`.
-/// Every lane of the used prefix is written, so stale scratch is fine.
-fn pack_b(b: &[f32], k0: usize, kc: usize, n: usize, out: &mut Vec<f32>) {
-    let n_panels = n.div_ceil(NR);
-    ensure_len(out, n_panels * kc * NR);
-    for panel in 0..n_panels {
+/// `out[panel][p][0..NR] = b[k0+p, panel*NR ..]`, zero-padded past `n`.
+/// Every lane of `out[..n.div_ceil(NR) * kc * NR]` is written, so stale
+/// scratch is fine.
+fn pack_b(b: Rhs<'_>, k0: usize, kc: usize, n: usize, k: usize, out: &mut [f32]) {
+    let b = match b {
+        Rhs::Plain(b) => b,
+        // `b[p, j]` lies at `bt[j, p]`: the row-panel packing of `a`, NR tall
+        Rhs::Transposed(bt) => return pack_transposing::<NR>(bt, 0, n, k0, kc, k, out),
+    };
+    for (panel, dst) in out
+        .chunks_exact_mut(kc * NR)
+        .take(n.div_ceil(NR))
+        .enumerate()
+    {
         let j0 = panel * NR;
         let width = NR.min(n - j0);
-        let dst_base = panel * kc * NR;
-        for p in 0..kc {
+        for (p, lanes) in dst.chunks_exact_mut(NR).enumerate() {
             let src = &b[(k0 + p) * n + j0..(k0 + p) * n + j0 + width];
-            out[dst_base + p * NR..dst_base + p * NR + width].copy_from_slice(src);
-            if width < NR {
-                out[dst_base + p * NR + width..dst_base + (p + 1) * NR].fill(0.0);
-            }
+            lanes[..width].copy_from_slice(src);
+            lanes[width..].fill(0.0);
         }
     }
 }
 
-/// Packs rows `r0..r0+rows` of `a` (depth `k0..k0+kc`) into MR-tall row
-/// panels: `out[panel][p][0..MR] = a[(r0+panel*MR+i) * k + k0+p]`, zero-padded
-/// past `rows`. Every lane of the used prefix is written.
-fn pack_a(a: &[f32], r0: usize, rows: usize, k0: usize, kc: usize, k: usize, out: &mut Vec<f32>) {
-    let m_panels = rows.div_ceil(MR);
-    ensure_len(out, m_panels * kc * MR);
-    for panel in 0..m_panels {
-        let i0 = r0 + panel * MR;
-        let height = MR.min(r0 + rows - i0);
-        let dst_base = panel * kc * MR;
-        if height < MR {
-            out[dst_base..dst_base + kc * MR].fill(0.0);
+/// Packs rows `r0..r0+rows` of the row-major `src` (row length `k`, depth
+/// `k0..k0+kc`) into W-tall panels with the depth outermost:
+/// `out[panel][p][0..W] = src[(r0+panel*W+i) * k + k0+p]`, zero-padded past
+/// `rows`. Every lane of `out[..rows.div_ceil(W) * kc * W]` is written.
+fn pack_transposing<const W: usize>(
+    src: &[f32],
+    r0: usize,
+    rows: usize,
+    k0: usize,
+    kc: usize,
+    k: usize,
+    out: &mut [f32],
+) {
+    for (panel, dst) in out
+        .chunks_exact_mut(kc * W)
+        .take(rows.div_ceil(W))
+        .enumerate()
+    {
+        let i0 = r0 + panel * W;
+        let height = W.min(r0 + rows - i0);
+        if height < W {
+            dst.fill(0.0);
         }
         for i in 0..height {
-            let src = &a[(i0 + i) * k + k0..(i0 + i) * k + k0 + kc];
-            for (p, &v) in src.iter().enumerate() {
-                out[dst_base + p * MR + i] = v;
+            let row = &src[(i0 + i) * k + k0..(i0 + i) * k + k0 + kc];
+            for (p, &v) in row.iter().enumerate() {
+                dst[p * W + i] = v;
             }
         }
     }
@@ -393,8 +426,9 @@ fn store_tile(
     }
 }
 
-/// Computes all row panels in `rows` (relative to `c_rows`' first row) for
-/// one packed depth block.
+/// Computes rows `r0..r0+rows` of `c` (`c_rows` starts at row `r0`) over every
+/// depth block, in ascending `k`: the first block's writeback overwrites
+/// (adding the bias, if any) or adds into `c`, later blocks add.
 #[allow(clippy::too_many_arguments)]
 fn compute_rows(
     a: &[f32],
@@ -402,31 +436,33 @@ fn compute_rows(
     c_rows: &mut [f32],
     r0: usize,
     rows: usize,
-    m: usize,
     n: usize,
     k: usize,
-    k0: usize,
-    kc: usize,
     bias: Option<&[f32]>,
     a_buf: &mut Vec<f32>,
 ) {
-    debug_assert!(r0 + rows <= m);
     let kernel = microkernel();
-    pack_a(a, r0, rows, k0, kc, k, a_buf);
     let m_panels = rows.div_ceil(MR);
     let n_panels = n.div_ceil(NR);
-    for ip in 0..m_panels {
-        let row = ip * MR;
-        let height = MR.min(rows - row);
-        let a_panel = &a_buf[ip * kc * MR..(ip + 1) * kc * MR];
-        let tile_bias = bias.map(|bs| &bs[r0 + row..r0 + row + height]);
-        for jp in 0..n_panels {
-            let j0 = jp * NR;
-            let width = NR.min(n - j0);
-            let b_panel = &b_packed[jp * kc * NR..(jp + 1) * kc * NR];
-            let mut acc = [[0.0f32; NR]; MR];
-            kernel(kc, a_panel, b_panel, &mut acc);
-            store_tile(c_rows, n, row, height, j0, width, &acc, tile_bias);
+    ensure_len(a_buf, m_panels * KC.min(k) * MR);
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        pack_transposing::<MR>(a, r0, rows, k0, kc, k, a_buf);
+        let b_block = &b_packed[k0 * n_panels * NR..];
+        let block_bias = if k0 == 0 { bias } else { None };
+        for ip in 0..m_panels {
+            let row = ip * MR;
+            let height = MR.min(rows - row);
+            let a_panel = &a_buf[ip * kc * MR..(ip + 1) * kc * MR];
+            let tile_bias = block_bias.map(|bs| &bs[r0 + row..r0 + row + height]);
+            for jp in 0..n_panels {
+                let j0 = jp * NR;
+                let width = NR.min(n - j0);
+                let b_panel = &b_block[jp * kc * NR..(jp + 1) * kc * NR];
+                let mut acc = [[0.0f32; NR]; MR];
+                kernel(kc, a_panel, b_panel, &mut acc);
+                store_tile(c_rows, n, row, height, j0, width, &acc, tile_bias);
+            }
         }
     }
 }
@@ -443,72 +479,76 @@ fn gemm_packed(
     n: usize,
     k: usize,
     a: &[f32],
-    b: &[f32],
+    b: Rhs<'_>,
+    bias: Option<&[f32]>,
+    c: &mut [f32],
+) {
+    let threads = if m * n * k >= PARALLEL_WORK_FLOOR {
+        num_threads().min(m.div_ceil(MR).div_ceil(MIN_PANELS_PER_THREAD))
+    } else {
+        1
+    };
+    gemm_packed_on(threads, m, n, k, a, b, bias, c);
+}
+
+/// [`gemm_packed`] on `threads` threads (at most one per row panel).
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed_on(
+    threads: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: Rhs<'_>,
     bias: Option<&[f32]>,
     c: &mut [f32],
 ) {
     let total_panels = m.div_ceil(MR);
-    let mut threads = if m * n * k >= PARALLEL_WORK_FLOOR {
-        num_threads().min(total_panels.div_ceil(MIN_PANELS_PER_THREAD))
-    } else {
-        1
-    };
-    threads = threads.max(1);
-
+    let threads = threads.clamp(1, total_panels);
     PACK_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
         let (a_buf, b_buf) = &mut *scratch;
-        let mut k0 = 0;
-        let mut first_block = true;
-        while k0 < k {
-            let kc = KC.min(k - k0);
-            pack_b(b, k0, kc, n, b_buf);
-            let block_bias = if first_block { bias } else { None };
-            if threads == 1 {
-                compute_rows(a, b_buf, c, 0, m, m, n, k, k0, kc, block_bias, a_buf);
-            } else {
-                // Contiguous MR-aligned row ranges, one per thread; each
-                // thread gets a disjoint &mut slice of c, so workers never
-                // share mutable state.
-                let panels_per_thread = total_panels.div_ceil(threads);
-                let rows_per_thread = panels_per_thread * MR;
-                let b_packed: &[f32] = b_buf;
-                crossbeam::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    let mut rest = &mut c[..m * n];
-                    let mut r0 = 0;
-                    while r0 < m {
-                        let rows = rows_per_thread.min(m - r0);
-                        let (chunk, tail) = rest.split_at_mut(rows * n);
-                        rest = tail;
-                        handles.push(scope.spawn(move |_| {
-                            let mut a_local = Vec::new();
-                            compute_rows(
-                                a,
-                                b_packed,
-                                chunk,
-                                r0,
-                                rows,
-                                m,
-                                n,
-                                k,
-                                k0,
-                                kc,
-                                block_bias,
-                                &mut a_local,
-                            );
-                        }));
-                        r0 += rows;
-                    }
-                    for h in handles {
-                        h.join().expect("gemm worker panicked");
-                    }
-                })
-                .expect("gemm thread scope");
-            }
-            first_block = false;
-            k0 += kc;
+        // All of `b`, packed once: depth block `k0` starts at
+        // `k0 * n_panels * NR`. The threads below are spawned once and walk
+        // the depth blocks themselves.
+        let n_panels = n.div_ceil(NR);
+        ensure_len(b_buf, k * n_panels * NR);
+        for k0 in (0..k).step_by(KC) {
+            pack_b(
+                b,
+                k0,
+                KC.min(k - k0),
+                n,
+                k,
+                &mut b_buf[k0 * n_panels * NR..],
+            );
         }
+        let b_packed: &[f32] = b_buf;
+        if threads == 1 {
+            compute_rows(a, b_packed, c, 0, m, n, k, bias, a_buf);
+            return;
+        }
+        // Contiguous MR-aligned row ranges, one per thread; each thread gets
+        // a disjoint &mut slice of c and packs its own rows of a, so workers
+        // never share mutable state and every element of c is computed by
+        // one thread in ascending k — the same bits at any thread count.
+        let rows_per_thread = total_panels.div_ceil(threads) * MR;
+        crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = c[..m * n]
+                .chunks_mut(rows_per_thread * n)
+                .enumerate()
+                .map(|(t, chunk)| {
+                    scope.spawn(move |_| {
+                        let (r0, rows) = (t * rows_per_thread, chunk.len() / n);
+                        compute_rows(a, b_packed, chunk, r0, rows, n, k, bias, &mut Vec::new());
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("gemm worker panicked");
+            }
+        })
+        .expect("gemm thread scope");
     });
 }
 
@@ -566,7 +606,7 @@ mod tests {
         for &(m, n, k) in &[(1, 1, 1), (4, 8, 16), (5, 9, 17), (7, 3, 301), (12, 40, 64)] {
             let (a, b) = random_mats(m, n, k, 7);
             let mut c = vec![0.0; m * n];
-            gemm_packed(m, n, k, &a, &b, None, &mut c);
+            gemm_packed(m, n, k, &a, Rhs::Plain(&b), None, &mut c);
             let want = reference(m, n, k, &a, &b);
             for (x, y) in c.iter().zip(want.iter()) {
                 assert!((x - y).abs() < 1e-3, "mismatch {x} vs {y} at ({m},{n},{k})");
@@ -576,21 +616,46 @@ mod tests {
 
     #[test]
     fn threaded_matches_single_threaded() {
-        let (m, n, k) = (61, 77, 150);
+        // k > KC: the threads walk several depth blocks each
+        let (m, n, k) = (61, 77, 300);
         let (a, b) = random_mats(m, n, k, 3);
-        let want = reference(m, n, k, &a, &b);
-        let saved = crate::num_threads();
-        for threads in [1, 2, 3, 5] {
-            crate::set_num_threads(threads);
-            let mut c = vec![0.0; m * n];
-            // Force the packed path and drop the work floor out of the way by
-            // calling it directly.
-            gemm_packed(m, n, k, &a, &b, None, &mut c);
-            for (x, y) in c.iter().zip(want.iter()) {
-                assert!((x - y).abs() < 1e-3, "threads={threads}: {x} vs {y}");
+        let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.25 - 3.0).collect();
+        let mut single = vec![0.0; m * n];
+        gemm_packed_on(1, m, n, k, &a, Rhs::Plain(&b), Some(&bias), &mut single);
+        let mut want = reference(m, n, k, &a, &b);
+        for (row, bv) in want.chunks_exact_mut(n).zip(&bias) {
+            row.iter_mut().for_each(|v| *v += bv);
+        }
+        for (x, y) in single.iter().zip(want.iter()) {
+            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
+        }
+        // every element is one thread's, in ascending k: the same bits at
+        // any thread count, work floor or no
+        for threads in [2, 3, 5, 64] {
+            let mut c = vec![f32::NAN; m * n];
+            gemm_packed_on(threads, m, n, k, &a, Rhs::Plain(&b), Some(&bias), &mut c);
+            assert_eq!(c, single, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn transposed_operand_gives_the_same_bits_on_the_packed_path() {
+        // the last one through the public entry point: 16 * 16 * 1024 is the
+        // weight gradient of a `paper`-scale pointwise convolution
+        for &(m, n, k) in &[(5, 9, 17), (33, 40, 300), (16, 16, 1024)] {
+            let (a, b) = random_mats(m, n, k, 13);
+            let bt: Vec<f32> = (0..n * k).map(|at| b[at % k * n + at / k]).collect();
+            let mut plain = vec![0.5; m * n];
+            gemm_packed(m, n, k, &a, Rhs::Plain(&b), None, &mut plain);
+            let mut transposed = vec![0.5; m * n];
+            gemm_packed(m, n, k, &a, Rhs::Transposed(&bt), None, &mut transposed);
+            assert_eq!(plain, transposed, "({m},{n},{k})");
+            if m * n * k > SMALL {
+                let mut public = vec![0.5; m * n];
+                gemm_nt(m, n, k, &a, &bt, &mut public);
+                assert_eq!(plain, public, "gemm_nt ({m},{n},{k})");
             }
         }
-        crate::set_num_threads(saved);
     }
 
     #[test]
@@ -621,7 +686,7 @@ mod tests {
             let bias: Vec<f32> = (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect();
             // fused epilogue, forced through the packed path
             let mut fused = vec![f32::NAN; m * n]; // NAN: proves overwrite
-            gemm_packed(m, n, k, &a, &b, Some(&bias), &mut fused);
+            gemm_packed(m, n, k, &a, Rhs::Plain(&b), Some(&bias), &mut fused);
             // two-pass reference: fill rows then accumulate
             let mut two_pass = vec![0.0; m * n];
             for i in 0..m {
@@ -655,7 +720,7 @@ mod tests {
         let (a, b) = random_mats(m, n, k, 21);
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.5 - 2.0).collect();
         let mut fused = vec![0.0; m * n];
-        gemm_packed(m, n, k, &a, &b, Some(&bias), &mut fused);
+        gemm_packed(m, n, k, &a, Rhs::Plain(&b), Some(&bias), &mut fused);
         let mut want = reference(m, n, k, &a, &b);
         for i in 0..m {
             for j in 0..n {

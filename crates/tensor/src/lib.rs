@@ -36,6 +36,7 @@
 mod conv;
 mod depthwise;
 mod gemm;
+mod gemm_small;
 mod ops;
 mod shape;
 mod tensor;
@@ -44,7 +45,7 @@ mod workspace;
 
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use depthwise::{depthwise_backward, depthwise_forward};
-pub use gemm::{gemm, gemm_bias, gemm_naive};
+pub use gemm::{gemm, gemm_bias, gemm_naive, gemm_nt};
 pub use ops::{argmax_rows, log_softmax_rows, softmax_inplace, softmax_rows};
 pub use shape::{Shape, ShapeError};
 pub use tensor::Tensor;

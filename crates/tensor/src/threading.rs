@@ -1,17 +1,32 @@
 //! Global kernel thread-count knob.
 //!
-//! The packed GEMM parallelizes across row panels with scoped threads. The
-//! federation layer *also* runs participants on their own threads, so naive
-//! nesting would oversubscribe the machine (P participants × T kernel
-//! threads). This module provides one process-wide knob that both layers
-//! consult:
+//! One process-wide number says how many threads the compute side of the
+//! process may keep busy; every layer that spawns compute threads consults it
+//! rather than carrying a setting of its own:
 //!
-//! * env var `FEDRLNAS_NUM_THREADS` — read once, at first use;
-//! * [`set_num_threads`] — programmatic override, e.g. the federation server
-//!   sets it to `max(1, cores / participants)` before spawning participant
-//!   threads.
+//! * the packed GEMM splits its row panels over up to `num_threads()` scoped
+//!   threads once a problem is large enough to pay for spawning them;
+//! * the search server's in-process round trains its participants on
+//!   `num_threads().clamp(1, participating slots)` scoped workers that take
+//!   participants off a shared queue (never one thread per participant);
+//! * the RPC worker fleet's pool (`rpc::reactor::pool_size`) follows the same
+//!   rule unless `--reactor-threads` names a size.
 //!
-//! The default is the machine's available parallelism.
+//! The layers nest without dividing the budget between them: a participant
+//! worker's own packed GEMMs may still spawn `num_threads()` threads each, so
+//! a round whose convolutions reach the threaded GEMM can run up to
+//! `num_threads()²` threads for the length of a GEMM. That takes `m·n·k` of
+//! 2²⁴ or more: no per-sample convolution of the `tiny` and `small` presets
+//! comes near it (their rounds run exactly `num_threads()` compute threads),
+//! and the largest of `--scale paper` (64 channels, 3x3, on 8x8: 2.4 M) is
+//! still under it; wider nets or `Tensor::matmul` on large operands reach it.
+//! Nothing in the workspace lowers the knob while participants run; outside
+//! tests and benches the only caller of [`set_num_threads`] is the job
+//! manager of `fedrlnas serve`, which applies its `--thread-budget`.
+//!
+//! The value comes from, in order: [`set_num_threads`]; the environment
+//! variable `FEDRLNAS_NUM_THREADS`, read once at first use; the machine's
+//! available parallelism. No result depends on it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -42,10 +57,8 @@ pub fn num_threads() -> usize {
 }
 
 /// Sets the kernel thread count for the whole process (clamped to ≥ 1).
-///
-/// Call this *before* spawning worker threads that themselves run kernels;
-/// e.g. with `P` federated participants training concurrently, set
-/// `cores / P` so the product stays at the hardware width.
+/// Takes effect at the next GEMM call or round; threads already running are
+/// not touched.
 pub fn set_num_threads(n: usize) {
     NUM_THREADS.store(n.max(1), Ordering::Relaxed);
 }

@@ -137,13 +137,13 @@ proptest! {
 
     #[test]
     fn threaded_gemm_matches_triple_loop(
-        threads in 1usize..5, seed in 0u64..100,
+        threads in 2usize..6, seed in 0u64..100,
     ) {
         use fedrlnas_tensor::{num_threads, set_num_threads};
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        // Big enough to clear the parallel work floor (m*n*k >= 2^18) with
-        // several row panels per worker.
-        let (m, n, k) = (48, 64, 96);
+        // Big enough to clear the parallel work floor (m*n*k >= 2^24) with
+        // several row panels per worker and two depth blocks.
+        let (m, n, k) = (200, 168, 512);
         let mut rng = StdRng::seed_from_u64(seed);
         let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -151,18 +151,24 @@ proptest! {
         set_num_threads(threads);
         let mut c = vec![0.0f32; m * n];
         gemm(m, n, k, &a, &b, &mut c);
+        set_num_threads(1);
+        let mut single = vec![0.0f32; m * n];
+        gemm(m, n, k, &a, &b, &mut single);
         set_num_threads(saved);
-        for i in 0..m {
-            for j in 0..n {
-                let mut want = 0.0f32;
-                for p in 0..k {
-                    want += a[i * k + p] * b[p * n + j];
-                }
-                prop_assert!(
-                    (c[i * n + j] - want).abs() < 1e-3,
-                    "threads={}: {} vs {}", threads, c[i * n + j], want
-                );
+        // every element is one thread's, in ascending k
+        prop_assert!(c == single, "threads={}: not the bits of one thread", threads);
+        // the triple loop on a sample of elements (all of them would take
+        // a debug build a minute)
+        for _ in 0..64 {
+            let (i, j) = (rng.gen_range(0..m), rng.gen_range(0..n));
+            let mut want = 0.0f32;
+            for p in 0..k {
+                want += a[i * k + p] * b[p * n + j];
             }
+            prop_assert!(
+                (c[i * n + j] - want).abs() < 2e-3,
+                "threads={}: {} vs {}", threads, c[i * n + j], want
+            );
         }
     }
 
