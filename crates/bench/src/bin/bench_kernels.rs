@@ -18,9 +18,7 @@
 //! scalar loop `gemm_naive` they must equal bit for bit ("before", with the
 //! bias fill and the `go` transpose it needs), at the three stages of `small`
 //! and of `tiny`. The GEMM rows are absolute throughput of the packed kernel
-//! at the shapes the remaining lowered convolutions produce, and
-//! `packed_gemm_threads` times the same shapes on one thread against the
-//! process's thread budget.
+//! at the shapes the remaining lowered convolutions produce.
 //!
 //! Usage: `cargo run --release -p fedrlnas-bench --bin bench_kernels`
 //! (writes `BENCH_kernels.json` in the current directory; pass `--out
@@ -31,7 +29,7 @@
 use fedrlnas_bench::lowering::{lowered_backward, lowered_forward, ConvShape};
 use fedrlnas_bench::{flag_present, flag_value, json_number, median_ns};
 use fedrlnas_nn::{Conv2d, Layer, Mode};
-use fedrlnas_tensor::{gemm, gemm_bias, gemm_naive, gemm_nt, num_threads, set_num_threads, Tensor};
+use fedrlnas_tensor::{gemm, gemm_bias, gemm_naive, gemm_nt, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 
@@ -295,64 +293,32 @@ fn small_gemm_section(reps: usize, rng: &mut StdRng) -> Section {
     }
 }
 
-/// The shapes the lowered convolutions still hand the packed GEMM: `m` =
-/// output channels per group, `n` = spatial positions, `k` =
-/// `cin / groups * kh * kw`; then one large enough for its threads to engage.
-const PACKED_SHAPES: [(usize, usize, usize); 6] = [
-    (16, 1024, 144), // 16ch 3x3 cell on 32x32
-    (32, 256, 288),  // 32ch 3x3 cell on 16x16
-    (64, 64, 576),   // 64ch 3x3 cell on 8x8
-    (64, 256, 64),   // 1x1 pointwise, 64ch on 16x16
-    (128, 128, 128), // square reference point
-    (512, 256, 256), // above the parallel work floor
-];
-
-/// Times `gemm` at `(m, n, k)` on the current thread budget.
-fn time_gemm((m, n, k): (usize, usize, usize), reps: usize, rng: &mut StdRng) -> u64 {
-    let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let mut c = vec![0.0f32; m * n];
-    median_ns(reps, || {
-        c.fill(0.0);
-        gemm(m, n, k, &a, &b, &mut c);
-        std::hint::black_box(&c);
-    })
-}
-
-/// Packed-GEMM throughput: `(label, median ns, GFLOP/s)` per shape.
+/// Packed-GEMM throughput at the shapes the lowered convolutions still
+/// produce: `m` = output channels per group, `n` = spatial positions, `k` =
+/// `cin / groups * kh * kw`. Returns `(label, median ns, GFLOP/s)`.
 fn bench_gemm_shapes(reps: usize, rng: &mut StdRng) -> Vec<(String, u64, f64)> {
-    PACKED_SHAPES
+    let shapes: &[(usize, usize, usize)] = &[
+        (16, 1024, 144), // 16ch 3x3 cell on 32x32
+        (32, 256, 288),  // 32ch 3x3 cell on 16x16
+        (64, 64, 576),   // 64ch 3x3 cell on 8x8
+        (64, 256, 64),   // 1x1 pointwise, 64ch on 16x16
+        (128, 128, 128), // square reference point
+    ];
+    shapes
         .iter()
         .map(|&(m, n, k)| {
-            let ns = time_gemm((m, n, k), reps, rng);
+            let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut c = vec![0.0f32; m * n];
+            let ns = median_ns(reps, || {
+                c.fill(0.0);
+                gemm(m, n, k, &a, &b, &mut c);
+                std::hint::black_box(&c);
+            });
             let gflops = 2.0 * (m * n * k) as f64 / ns.max(1) as f64;
             (format!("gemm_{m}x{n}x{k}"), ns, gflops)
         })
         .collect()
-}
-
-/// The same shapes on one thread ("before") and on the process's thread
-/// budget ("after"): wherever the packed path engages its threads they must
-/// not lose to one — they once did, eightfold, by spawning per depth block.
-fn packed_threads_section(reps: usize, rng: &mut StdRng) -> Section {
-    let threads = num_threads();
-    let rows = PACKED_SHAPES
-        .iter()
-        .map(|&(m, n, k)| {
-            set_num_threads(1);
-            let before_ns = time_gemm((m, n, k), reps, rng);
-            set_num_threads(threads);
-            Row {
-                label: format!("gemm_{m}x{n}x{k}_1_vs_{threads}_threads"),
-                before_ns,
-                after_ns: time_gemm((m, n, k), reps, rng),
-            }
-        })
-        .collect();
-    Section {
-        name: "packed_gemm_threads",
-        rows,
-    }
 }
 
 fn main() {
@@ -368,16 +334,12 @@ fn main() {
     let mut sections = conv_sections(reps, &mut rng);
     eprintln!("timing the small-problem GEMM against the scalar loop (median of {reps})...");
     sections.push(small_gemm_section(reps, &mut rng));
-    eprintln!(
-        "timing the packed GEMM on one thread against its thread budget (median of {reps})..."
-    );
-    sections.push(packed_threads_section(reps, &mut rng));
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
     writeln!(
         json,
-        "  \"description\": \"median ns per call; before = im2col + GEMM lowering of the same convolution (crates/bench/src/lowering.rs), after = nn::Conv2d (direct depthwise kernels, copy-free pointwise) -- the pointwise before column calls the same gemm as the layer, so those rows show the copies avoided, not the kernel; small_gemm = one batch of 16 of a pointwise step's three GEMMs, before = the scalar loop gemm_naive (plus the bias fill / go transpose it needs), after = gemm_bias / gemm / gemm_nt, which equal it bit for bit; packed_gemm_threads = the packed GEMM on one thread (before) and on the process's thread budget (after); gemm rows are absolute packed-GEMM throughput\","
+        "  \"description\": \"median ns per call; before = im2col + GEMM lowering of the same convolution (crates/bench/src/lowering.rs), after = nn::Conv2d (direct depthwise kernels, copy-free pointwise) -- the pointwise before column calls the same gemm as the layer, so those rows show the copies avoided, not the kernel; small_gemm = one batch of 16 of a pointwise step's three GEMMs, before = the scalar loop gemm_naive (plus the bias fill / go transpose it needs), after = gemm_bias / gemm / gemm_nt, which equal it bit for bit; gemm rows are absolute packed-GEMM throughput\","
     )
     .unwrap();
     writeln!(json, "  \"reps\": {reps},").unwrap();

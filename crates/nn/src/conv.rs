@@ -7,6 +7,7 @@
 
 use crate::init::he_std;
 use crate::layer::{Layer, Mode, Param};
+use crate::norm::chain_blocks;
 use fedrlnas_tensor::{
     col2im, depthwise_backward, depthwise_forward, gemm, gemm_bias, gemm_nt, im2col,
     Conv2dGeometry, Tensor, Workspace,
@@ -258,8 +259,8 @@ impl Conv2d {
 
 /// `sums[r] += Σ_p rows[r, p]` — the bias gradient of one sample. Each sum is
 /// sequential over `p` (as `Iterator::sum`, from -0.0), one chain of
-/// dependent adds; eight rows' chains (then four, then one) run side by side
-/// to fill the adders' pipelines, which reorders nothing within a chain.
+/// dependent adds; several rows' chains run side by side ([`chain_blocks`]),
+/// which reorders nothing within a chain.
 fn add_row_sums(rows: &[f32], row_len: usize, sums: &mut [f32]) {
     fn together<const T: usize>(block: &[f32], row_len: usize, out: &mut [f32]) {
         let lanes: [&[f32]; T] = std::array::from_fn(|l| &block[l * row_len..(l + 1) * row_len]);
@@ -273,23 +274,13 @@ fn add_row_sums(rows: &[f32], row_len: usize, sums: &mut [f32]) {
             *o += a;
         }
     }
-    let mut first = 0;
-    while first < sums.len() {
+    for (first, width) in chain_blocks(sums.len()) {
         let (block, out) = (&rows[first * row_len..], &mut sums[first..]);
-        first += match out.len() {
-            8.. => {
-                together::<8>(block, row_len, out);
-                8
-            }
-            4.. => {
-                together::<4>(block, row_len, out);
-                4
-            }
-            _ => {
-                together::<1>(block, row_len, out);
-                1
-            }
-        };
+        match width {
+            8 => together::<8>(block, row_len, out),
+            4 => together::<4>(block, row_len, out),
+            _ => together::<1>(block, row_len, out),
+        }
     }
 }
 

@@ -56,8 +56,9 @@ impl BatchNorm2d {
     }
 }
 
-/// Per-channel results of a reduction that handles `G` neighbouring channels
-/// at once (given the first): eight at a time, then four, then one by one.
+/// `(first, width)` blocks covering channels `0..c` for a reduction that
+/// advances `width` neighbouring channels at once: eight wide while eight are
+/// left, then four, then one by one.
 ///
 /// A channel's sums are sequential — each is one chain of dependent adds over
 /// `(sample, position)` in order, and reordering a chain would change its
@@ -65,27 +66,18 @@ impl BatchNorm2d {
 /// several side by side fills the adders' pipelines without touching any
 /// chain's order. Eight scalar chains (two operands each) are what the
 /// sixteen baseline registers hold; sixteen spill and run slower than four.
-fn by_groups<T>(
-    c: usize,
-    eight: impl Fn(usize) -> [T; 8],
-    four: impl Fn(usize) -> [T; 4],
-    single: impl Fn(usize) -> [T; 1],
-) -> Vec<T> {
-    let mut out = Vec::with_capacity(c);
+pub(crate) fn chain_blocks(c: usize) -> impl Iterator<Item = (usize, usize)> {
     let mut first = 0;
-    while first + 8 <= c {
-        out.extend(eight(first));
-        first += 8;
-    }
-    while first + 4 <= c {
-        out.extend(four(first));
-        first += 4;
-    }
-    while first < c {
-        out.extend(single(first));
-        first += 1;
-    }
-    out
+    std::iter::from_fn(move || {
+        let width = match c - first {
+            0 => return None,
+            8.. => 8,
+            4.. => 4,
+            _ => 1,
+        };
+        first += width;
+        Some((first - width, width))
+    })
 }
 
 /// Sample `i`'s planes of the `G` channels from `first` on.
@@ -135,12 +127,15 @@ fn batch_stats(x: &[f32], n: usize, c: usize, plane: usize) -> Vec<(f32, f32)> {
         }
         std::array::from_fn(|l| (mean[l], var[l] / count))
     }
-    by_groups(
-        c,
-        |first| of::<8>(x, n, (c, plane), first),
-        |first| of::<4>(x, n, (c, plane), first),
-        |first| of::<1>(x, n, (c, plane), first),
-    )
+    let mut stats = Vec::with_capacity(c);
+    for (first, width) in chain_blocks(c) {
+        match width {
+            8 => stats.extend(of::<8>(x, n, (c, plane), first)),
+            4 => stats.extend(of::<4>(x, n, (c, plane), first)),
+            _ => stats.extend(of::<1>(x, n, (c, plane), first)),
+        }
+    }
+    stats
 }
 
 /// Per channel `(Σ dout, Σ dout · x_hat)` over the batch.
@@ -166,12 +161,15 @@ fn grad_sums(dout: &[f32], x_hat: &[f32], n: usize, c: usize, plane: usize) -> V
         }
         sums
     }
-    by_groups(
-        c,
-        |first| of::<8>(dout, x_hat, n, (c, plane), first),
-        |first| of::<4>(dout, x_hat, n, (c, plane), first),
-        |first| of::<1>(dout, x_hat, n, (c, plane), first),
-    )
+    let mut sums = Vec::with_capacity(c);
+    for (first, width) in chain_blocks(c) {
+        match width {
+            8 => sums.extend(of::<8>(dout, x_hat, n, (c, plane), first)),
+            4 => sums.extend(of::<4>(dout, x_hat, n, (c, plane), first)),
+            _ => sums.extend(of::<1>(dout, x_hat, n, (c, plane), first)),
+        }
+    }
+    sums
 }
 
 impl Layer for BatchNorm2d {

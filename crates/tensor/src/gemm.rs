@@ -4,19 +4,18 @@
 //! [`im2col`](crate::im2col), so this kernel dominates training time. The
 //! implementation follows the classic BLIS/GotoBLAS decomposition:
 //!
-//! * `k` is split into depth blocks of [`KC`]; block by block, all of `b` is
-//!   packed once into contiguous column panels of width [`NR`], and for each
-//!   block `a` into row panels of height [`MR`] (both zero-padded at the
-//!   edges so the microkernel never branches on tile shape);
+//! * `k` is split into depth blocks of [`KC`]; for each block, `b` is packed
+//!   once into contiguous column panels of width [`NR`] and `a` into row
+//!   panels of height [`MR`] (both zero-padded at the edges so the
+//!   microkernel never branches on tile shape);
 //! * an [`MR`]`x`[`NR`] register-tiled microkernel accumulates over the
 //!   packed panels with a fully unrolled inner loop the optimizer
 //!   auto-vectorizes;
 //! * row panels are distributed across scoped threads
 //!   (`crossbeam::thread::scope`) when the global thread knob
 //!   ([`crate::num_threads`], env `FEDRLNAS_NUM_THREADS`) allows and the
-//!   problem is big enough to amortize spawning them — once per call; each
-//!   walks the depth blocks itself. Each thread packs its own rows of `a`
-//!   and writes a disjoint slice of `c`, so no synchronization is needed.
+//!   problem is big enough to amortize spawning. Each thread packs and
+//!   writes a disjoint slice of `c`, so no synchronization is needed.
 //!
 //! Small problems skip packing entirely and run the register-blocked kernel
 //! of [`crate::gemm_small`], which is bit-identical to the scalar loop
@@ -43,9 +42,10 @@ const MIN_PANELS_PER_THREAD: usize = 4;
 /// Minimum total work (`m*n*k`) before threads are considered at all.
 /// Spawning and joining two scoped threads costs 70-170 us where this was
 /// measured (2 virtual cores) — what one thread multiplies-and-adds 2^22 to
-/// 2^23 times in — so two threads always lost at 2^23 (204 -> 246 us) and
-/// win only from about here up, when the second core is really there
-/// (846 -> 598 us at 2^25 in one minute, 855 -> 943 us in another).
+/// 2^23 times in — and they are spawned once per depth block. At 2^18 that
+/// put the threaded rows of `BENCH_kernels.json` at 15-30 GFLOP/s beside 66 on
+/// one thread; at 2^23 two threads still lost when spawned only once
+/// (204 -> 246 us), so nothing below 2^24 threads.
 const PARALLEL_WORK_FLOOR: usize = 1 << 24;
 
 /// Computes `c += a * b` for row-major matrices where `a` is `m x k`,
@@ -100,7 +100,7 @@ pub fn gemm_bias(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: &[f32
 
 /// The seed's cache-blocked scalar kernel: `c += a * b`.
 ///
-/// No longer on any path [`gemm`] takes: kept as the definition of the
+/// On no path [`gemm`] takes: kept as the definition of the
 /// small-problem kernel's numerics (its property tests compare bits against
 /// this loop) and as the "before" baseline of `BENCH_kernels.json`.
 ///
@@ -168,56 +168,55 @@ fn ensure_len(v: &mut Vec<f32>, len: usize) {
 
 /// Packs `kc` rows (`k0..k0+kc`) of `b` into NR-wide column panels:
 /// `out[panel][p][0..NR] = b[k0+p, panel*NR ..]`, zero-padded past `n`.
-/// Every lane of `out[..n.div_ceil(NR) * kc * NR]` is written, so stale
-/// scratch is fine.
-fn pack_b(b: Rhs<'_>, k0: usize, kc: usize, n: usize, k: usize, out: &mut [f32]) {
+/// Every lane of the used prefix is written, so stale scratch is fine.
+fn pack_b(b: Rhs<'_>, k0: usize, kc: usize, n: usize, k: usize, out: &mut Vec<f32>) {
     let b = match b {
         Rhs::Plain(b) => b,
         // `b[p, j]` lies at `bt[j, p]`: the row-panel packing of `a`, NR tall
-        Rhs::Transposed(bt) => return pack_transposing::<NR>(bt, 0, n, k0, kc, k, out),
+        Rhs::Transposed(bt) => return pack_rows::<NR>(bt, 0, n, k0, kc, k, out),
     };
-    for (panel, dst) in out
-        .chunks_exact_mut(kc * NR)
-        .take(n.div_ceil(NR))
-        .enumerate()
-    {
+    let n_panels = n.div_ceil(NR);
+    ensure_len(out, n_panels * kc * NR);
+    for panel in 0..n_panels {
         let j0 = panel * NR;
         let width = NR.min(n - j0);
-        for (p, lanes) in dst.chunks_exact_mut(NR).enumerate() {
+        let dst_base = panel * kc * NR;
+        for p in 0..kc {
             let src = &b[(k0 + p) * n + j0..(k0 + p) * n + j0 + width];
-            lanes[..width].copy_from_slice(src);
-            lanes[width..].fill(0.0);
+            out[dst_base + p * NR..dst_base + p * NR + width].copy_from_slice(src);
+            if width < NR {
+                out[dst_base + p * NR + width..dst_base + (p + 1) * NR].fill(0.0);
+            }
         }
     }
 }
 
-/// Packs rows `r0..r0+rows` of the row-major `src` (row length `k`, depth
-/// `k0..k0+kc`) into W-tall panels with the depth outermost:
-/// `out[panel][p][0..W] = src[(r0+panel*W+i) * k + k0+p]`, zero-padded past
-/// `rows`. Every lane of `out[..rows.div_ceil(W) * kc * W]` is written.
-fn pack_transposing<const W: usize>(
-    src: &[f32],
+/// Packs rows `r0..r0+rows` of the row-major `a` (row length `k`, depth
+/// `k0..k0+kc`) into W-tall row panels:
+/// `out[panel][p][0..W] = a[(r0+panel*W+i) * k + k0+p]`, zero-padded past
+/// `rows`. Every lane of the used prefix is written.
+fn pack_rows<const W: usize>(
+    a: &[f32],
     r0: usize,
     rows: usize,
     k0: usize,
     kc: usize,
     k: usize,
-    out: &mut [f32],
+    out: &mut Vec<f32>,
 ) {
-    for (panel, dst) in out
-        .chunks_exact_mut(kc * W)
-        .take(rows.div_ceil(W))
-        .enumerate()
-    {
+    let m_panels = rows.div_ceil(W);
+    ensure_len(out, m_panels * kc * W);
+    for panel in 0..m_panels {
         let i0 = r0 + panel * W;
         let height = W.min(r0 + rows - i0);
+        let dst_base = panel * kc * W;
         if height < W {
-            dst.fill(0.0);
+            out[dst_base..dst_base + kc * W].fill(0.0);
         }
         for i in 0..height {
-            let row = &src[(i0 + i) * k + k0..(i0 + i) * k + k0 + kc];
-            for (p, &v) in row.iter().enumerate() {
-                dst[p * W + i] = v;
+            let src = &a[(i0 + i) * k + k0..(i0 + i) * k + k0 + kc];
+            for (p, &v) in src.iter().enumerate() {
+                out[dst_base + p * W + i] = v;
             }
         }
     }
@@ -300,7 +299,7 @@ unsafe fn microkernel_avx2(kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mu
         let mut bp = b_panel.as_ptr();
         for _ in 0..kc {
             // SAFETY: panels hold `kc` groups of MR / NR lanes (debug-asserted
-            // above, guaranteed by pack_a/pack_b).
+            // above, guaranteed by pack_rows/pack_b).
             let b_lo = _mm256_loadu_ps(bp);
             let b_hi = _mm256_loadu_ps(bp.add(8));
             for i in 0..4 {
@@ -349,7 +348,7 @@ unsafe fn microkernel_avx512(
     let mut bp = b_panel.as_ptr();
     for _ in 0..kc {
         // SAFETY: panels hold `kc` groups of MR / NR lanes (debug-asserted
-        // above, guaranteed by pack_a/pack_b).
+        // above, guaranteed by pack_rows/pack_b).
         let bv = _mm512_loadu_ps(bp);
         for (i, accv) in acc_v.iter_mut().enumerate() {
             let av = _mm512_set1_ps(*ap.add(i));
@@ -426,9 +425,8 @@ fn store_tile(
     }
 }
 
-/// Computes rows `r0..r0+rows` of `c` (`c_rows` starts at row `r0`) over every
-/// depth block, in ascending `k`: the first block's writeback overwrites
-/// (adding the bias, if any) or adds into `c`, later blocks add.
+/// Computes all row panels in `rows` (relative to `c_rows`' first row) for
+/// one packed depth block.
 #[allow(clippy::too_many_arguments)]
 fn compute_rows(
     a: &[f32],
@@ -436,33 +434,31 @@ fn compute_rows(
     c_rows: &mut [f32],
     r0: usize,
     rows: usize,
+    m: usize,
     n: usize,
     k: usize,
+    k0: usize,
+    kc: usize,
     bias: Option<&[f32]>,
     a_buf: &mut Vec<f32>,
 ) {
+    debug_assert!(r0 + rows <= m);
     let kernel = microkernel();
+    pack_rows::<MR>(a, r0, rows, k0, kc, k, a_buf);
     let m_panels = rows.div_ceil(MR);
     let n_panels = n.div_ceil(NR);
-    ensure_len(a_buf, m_panels * KC.min(k) * MR);
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
-        pack_transposing::<MR>(a, r0, rows, k0, kc, k, a_buf);
-        let b_block = &b_packed[k0 * n_panels * NR..];
-        let block_bias = if k0 == 0 { bias } else { None };
-        for ip in 0..m_panels {
-            let row = ip * MR;
-            let height = MR.min(rows - row);
-            let a_panel = &a_buf[ip * kc * MR..(ip + 1) * kc * MR];
-            let tile_bias = block_bias.map(|bs| &bs[r0 + row..r0 + row + height]);
-            for jp in 0..n_panels {
-                let j0 = jp * NR;
-                let width = NR.min(n - j0);
-                let b_panel = &b_block[jp * kc * NR..(jp + 1) * kc * NR];
-                let mut acc = [[0.0f32; NR]; MR];
-                kernel(kc, a_panel, b_panel, &mut acc);
-                store_tile(c_rows, n, row, height, j0, width, &acc, tile_bias);
-            }
+    for ip in 0..m_panels {
+        let row = ip * MR;
+        let height = MR.min(rows - row);
+        let a_panel = &a_buf[ip * kc * MR..(ip + 1) * kc * MR];
+        let tile_bias = bias.map(|bs| &bs[r0 + row..r0 + row + height]);
+        for jp in 0..n_panels {
+            let j0 = jp * NR;
+            let width = NR.min(n - j0);
+            let b_panel = &b_packed[jp * kc * NR..(jp + 1) * kc * NR];
+            let mut acc = [[0.0f32; NR]; MR];
+            kernel(kc, a_panel, b_panel, &mut acc);
+            store_tile(c_rows, n, row, height, j0, width, &acc, tile_bias);
         }
     }
 }
@@ -483,72 +479,68 @@ fn gemm_packed(
     bias: Option<&[f32]>,
     c: &mut [f32],
 ) {
-    let threads = if m * n * k >= PARALLEL_WORK_FLOOR {
-        num_threads().min(m.div_ceil(MR).div_ceil(MIN_PANELS_PER_THREAD))
+    let total_panels = m.div_ceil(MR);
+    let mut threads = if m * n * k >= PARALLEL_WORK_FLOOR {
+        num_threads().min(total_panels.div_ceil(MIN_PANELS_PER_THREAD))
     } else {
         1
     };
-    gemm_packed_on(threads, m, n, k, a, b, bias, c);
-}
+    threads = threads.max(1);
 
-/// [`gemm_packed`] on `threads` threads (at most one per row panel).
-#[allow(clippy::too_many_arguments)]
-fn gemm_packed_on(
-    threads: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: Rhs<'_>,
-    bias: Option<&[f32]>,
-    c: &mut [f32],
-) {
-    let total_panels = m.div_ceil(MR);
-    let threads = threads.clamp(1, total_panels);
     PACK_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
         let (a_buf, b_buf) = &mut *scratch;
-        // All of `b`, packed once: depth block `k0` starts at
-        // `k0 * n_panels * NR`. The threads below are spawned once and walk
-        // the depth blocks themselves.
-        let n_panels = n.div_ceil(NR);
-        ensure_len(b_buf, k * n_panels * NR);
-        for k0 in (0..k).step_by(KC) {
-            pack_b(
-                b,
-                k0,
-                KC.min(k - k0),
-                n,
-                k,
-                &mut b_buf[k0 * n_panels * NR..],
-            );
-        }
-        let b_packed: &[f32] = b_buf;
-        if threads == 1 {
-            compute_rows(a, b_packed, c, 0, m, n, k, bias, a_buf);
-            return;
-        }
-        // Contiguous MR-aligned row ranges, one per thread; each thread gets
-        // a disjoint &mut slice of c and packs its own rows of a, so workers
-        // never share mutable state and every element of c is computed by
-        // one thread in ascending k — the same bits at any thread count.
-        let rows_per_thread = total_panels.div_ceil(threads) * MR;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = c[..m * n]
-                .chunks_mut(rows_per_thread * n)
-                .enumerate()
-                .map(|(t, chunk)| {
-                    scope.spawn(move |_| {
-                        let (r0, rows) = (t * rows_per_thread, chunk.len() / n);
-                        compute_rows(a, b_packed, chunk, r0, rows, n, k, bias, &mut Vec::new());
-                    })
+        let mut k0 = 0;
+        let mut first_block = true;
+        while k0 < k {
+            let kc = KC.min(k - k0);
+            pack_b(b, k0, kc, n, k, b_buf);
+            let block_bias = if first_block { bias } else { None };
+            if threads == 1 {
+                compute_rows(a, b_buf, c, 0, m, m, n, k, k0, kc, block_bias, a_buf);
+            } else {
+                // Contiguous MR-aligned row ranges, one per thread; each
+                // thread gets a disjoint &mut slice of c, so workers never
+                // share mutable state.
+                let panels_per_thread = total_panels.div_ceil(threads);
+                let rows_per_thread = panels_per_thread * MR;
+                let b_packed: &[f32] = b_buf;
+                crossbeam::thread::scope(|scope| {
+                    let mut handles = Vec::new();
+                    let mut rest = &mut c[..m * n];
+                    let mut r0 = 0;
+                    while r0 < m {
+                        let rows = rows_per_thread.min(m - r0);
+                        let (chunk, tail) = rest.split_at_mut(rows * n);
+                        rest = tail;
+                        handles.push(scope.spawn(move |_| {
+                            let mut a_local = Vec::new();
+                            compute_rows(
+                                a,
+                                b_packed,
+                                chunk,
+                                r0,
+                                rows,
+                                m,
+                                n,
+                                k,
+                                k0,
+                                kc,
+                                block_bias,
+                                &mut a_local,
+                            );
+                        }));
+                        r0 += rows;
+                    }
+                    for h in handles {
+                        h.join().expect("gemm worker panicked");
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().expect("gemm worker panicked");
+                .expect("gemm thread scope");
             }
-        })
-        .expect("gemm thread scope");
+            first_block = false;
+            k0 += kc;
+        }
     });
 }
 
@@ -616,26 +608,34 @@ mod tests {
 
     #[test]
     fn threaded_matches_single_threaded() {
-        // k > KC: the threads walk several depth blocks each
-        let (m, n, k) = (61, 77, 300);
+        // At the work floor, with edge tiles on both sides and two depth
+        // blocks (k > KC), so the bias is added by the first block only.
+        let (m, n, k) = (261, 253, 260);
+        assert!(m * n * k >= PARALLEL_WORK_FLOOR);
         let (a, b) = random_mats(m, n, k, 3);
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.25 - 3.0).collect();
-        let mut single = vec![0.0; m * n];
-        gemm_packed_on(1, m, n, k, &a, Rhs::Plain(&b), Some(&bias), &mut single);
         let mut want = reference(m, n, k, &a, &b);
         for (row, bv) in want.chunks_exact_mut(n).zip(&bias) {
             row.iter_mut().for_each(|v| *v += bv);
         }
-        for (x, y) in single.iter().zip(want.iter()) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
-        // every element is one thread's, in ascending k: the same bits at
-        // any thread count, work floor or no
-        for threads in [2, 3, 5, 64] {
+        let saved = crate::num_threads();
+        let mut single = Vec::new();
+        for threads in [1, 2, 3, 5] {
+            crate::set_num_threads(threads);
             let mut c = vec![f32::NAN; m * n];
-            gemm_packed_on(threads, m, n, k, &a, Rhs::Plain(&b), Some(&bias), &mut c);
-            assert_eq!(c, single, "threads={threads}");
+            gemm_packed(m, n, k, &a, Rhs::Plain(&b), Some(&bias), &mut c);
+            for (x, y) in c.iter().zip(want.iter()) {
+                assert!((x - y).abs() < 1e-3, "threads={threads}: {x} vs {y}");
+            }
+            // every element is one thread's, in ascending k: the same bits
+            // at any thread count
+            if threads == 1 {
+                single = c;
+            } else {
+                assert_eq!(c, single, "threads={threads}");
+            }
         }
+        crate::set_num_threads(saved);
     }
 
     #[test]

@@ -466,18 +466,46 @@ mod tests {
         all
     }
 
-    /// Same float: the same bits, or both NaN — which NaN an x86 add hands on
-    /// when both operands are NaN depends on operand order, which the
-    /// compiler is free to commute in the reference loop too.
-    fn assert_same(what: &str, got: &[f32], want: &[f32]) {
+    /// The same bits in every element — except, where `two_nans` says so, any
+    /// NaN for any NaN.
+    fn assert_same(what: &str, got: &[f32], want: &[f32], two_nans: &[bool]) {
         for (at, (g, w)) in got.iter().zip(want).enumerate() {
             assert!(
-                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                g.to_bits() == w.to_bits() || (two_nans[at] && g.is_nan() && w.is_nan()),
                 "{what}: element {at} is {g:e} ({:#010x}), reference {w:e} ({:#010x})",
                 g.to_bits(),
                 w.to_bits()
             );
         }
+    }
+
+    /// The elements whose chain, started from `start`, adds a NaN product to
+    /// an accumulator that already holds a different NaN (`inf - inf` met a
+    /// NaN of `b`). An x86 add of two NaNs hands on its first operand and the
+    /// compiler may commute the reference loop's add, so which of the two such
+    /// an element ends as is outside the contract; that it is NaN is not.
+    fn two_nans_meet(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        start: &[f32],
+    ) -> Vec<bool> {
+        let mut acc = start.to_vec();
+        let mut met = vec![false; m * n];
+        for i in 0..m {
+            for p in (0..k).filter(|&p| a[i * k + p] != 0.0) {
+                for j in 0..n {
+                    let (at, product) = (i * n + j, a[i * k + p] * b[p * n + j]);
+                    met[at] |= acc[at].is_nan()
+                        && product.is_nan()
+                        && acc[at].to_bits() != product.to_bits();
+                    acc[at] += product;
+                }
+            }
+        }
+        met
     }
 
     /// `len` draws from `-1..1` with every `special` value mixed in at about
@@ -525,24 +553,27 @@ mod tests {
 
             let mut want = c0.clone();
             gemm_naive(m, n, k, &a, &b, &mut want);
-            let mut want_bias = vec![0.0f32; m * n];
-            for (row, &v) in want_bias.chunks_exact_mut(n).zip(&bias) {
+            let loose = two_nans_meet(m, n, k, &a, &b, &c0);
+            let mut biased = vec![0.0f32; m * n];
+            for (row, &v) in biased.chunks_exact_mut(n).zip(&bias) {
                 row.fill(v);
             }
+            let loose_bias = two_nans_meet(m, n, k, &a, &b, &biased);
+            let mut want_bias = biased;
             gemm_naive(m, n, k, &a, &b, &mut want_bias);
 
             for (name, kernel) in kernels() {
                 let what = format!("{name} {m}x{n}x{k} seed {seed}");
                 let mut c = c0.clone();
                 run_on(kernel, m, n, k, &a, Rhs::Plain(&b), None, &mut c);
-                assert_same(&format!("gemm {what}"), &c, &want);
+                assert_same(&format!("gemm {what}"), &c, &want, &loose);
                 let mut c = c0.clone();
                 run_on(kernel, m, n, k, &a, Rhs::Transposed(&bt), None, &mut c);
-                assert_same(&format!("gemm_nt {what}"), &c, &want);
+                assert_same(&format!("gemm_nt {what}"), &c, &want, &loose);
                 // stale NaN: the bias form must overwrite
                 let mut c = vec![f32::NAN; m * n];
                 run_on(kernel, m, n, k, &a, Rhs::Plain(&b), Some(&bias), &mut c);
-                assert_same(&format!("gemm_bias {what}"), &c, &want_bias);
+                assert_same(&format!("gemm_bias {what}"), &c, &want_bias, &loose_bias);
             }
         }
     }
@@ -558,10 +589,10 @@ mod tests {
         gemm_naive(m, n, k, &a, &b, &mut want);
         let mut c = vec![0.5f32; m * n];
         crate::gemm(m, n, k, &a, &b, &mut c);
-        assert_same("gemm", &c, &want);
+        assert_same("gemm", &c, &want, &[false; 8 * 9]);
         let mut c = vec![0.5f32; m * n];
         crate::gemm_nt(m, n, k, &a, &transposed(&b, k, n), &mut c);
-        assert_same("gemm_nt", &c, &want);
+        assert_same("gemm_nt", &c, &want, &[false; 8 * 9]);
     }
 
     #[test]

@@ -136,43 +136,6 @@ proptest! {
     }
 
     #[test]
-    fn threaded_gemm_matches_triple_loop(
-        threads in 2usize..6, seed in 0u64..100,
-    ) {
-        use fedrlnas_tensor::{num_threads, set_num_threads};
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        // Big enough to clear the parallel work floor (m*n*k >= 2^24) with
-        // several row panels per worker and two depth blocks.
-        let (m, n, k) = (200, 168, 512);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let saved = num_threads();
-        set_num_threads(threads);
-        let mut c = vec![0.0f32; m * n];
-        gemm(m, n, k, &a, &b, &mut c);
-        set_num_threads(1);
-        let mut single = vec![0.0f32; m * n];
-        gemm(m, n, k, &a, &b, &mut single);
-        set_num_threads(saved);
-        // every element is one thread's, in ascending k
-        prop_assert!(c == single, "threads={}: not the bits of one thread", threads);
-        // the triple loop on a sample of elements (all of them would take
-        // a debug build a minute)
-        for _ in 0..64 {
-            let (i, j) = (rng.gen_range(0..m), rng.gen_range(0..n));
-            let mut want = 0.0f32;
-            for p in 0..k {
-                want += a[i * k + p] * b[p * n + j];
-            }
-            prop_assert!(
-                (c[i * n + j] - want).abs() < 2e-3,
-                "threads={}: {} vs {}", threads, c[i * n + j], want
-            );
-        }
-    }
-
-    #[test]
     fn im2col_col2im_adjoint(
         h in 3usize..7, w in 3usize..7, c in 1usize..3,
         stride in 1usize..3, seed in 0u64..200,
@@ -190,5 +153,46 @@ proptest! {
         col2im(&y, c, &geom, &mut xg).unwrap();
         let rhs: f32 = x.iter().zip(&xg).map(|(p, q)| p * q).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2, "{} vs {}", lhs, rhs);
+    }
+}
+
+proptest! {
+    // each case is two GEMMs of 17 M multiply-adds and the triple loop
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn threaded_gemm_matches_triple_loop(
+        threads in 1usize..6, seed in 0u64..100,
+    ) {
+        use fedrlnas_tensor::{num_threads, set_num_threads};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Big enough to clear the parallel work floor (m*n*k >= 2^24) with
+        // several row panels per worker, edge tiles and two depth blocks.
+        let (m, n, k) = (200, 168, 512);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let saved = num_threads();
+        set_num_threads(threads);
+        let mut c = vec![0.0f32; m * n];
+        gemm(m, n, k, &a, &b, &mut c);
+        set_num_threads(1);
+        let mut single = vec![0.0f32; m * n];
+        gemm(m, n, k, &a, &b, &mut single);
+        set_num_threads(saved);
+        // every element is one thread's, in ascending k
+        prop_assert!(c == single, "threads={}: not the bits of one thread", threads);
+        for i in 0..m {
+            for j in 0..n {
+                let mut want = 0.0f32;
+                for p in 0..k {
+                    want += a[i * k + p] * b[p * n + j];
+                }
+                prop_assert!(
+                    (single[i * n + j] - want).abs() < 1e-3,
+                    "({}, {}): {} vs {}", i, j, single[i * n + j], want
+                );
+            }
+        }
     }
 }
