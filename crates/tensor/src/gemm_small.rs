@@ -31,7 +31,18 @@
 //!
 //! One generic body, instantiated per instruction set behind [`Lanes`] and
 //! chosen once at run time; the portable instantiation is the same chains on
-//! four-wide arrays and is what the others are tested against.
+//! four-wide arrays and is what the other is tested against.
+//!
+//! There is no 512-bit instantiation, on purpose. One existed (sixteen
+//! lanes, the skip as the add's write mask) and was two to three times
+//! faster than the AVX2 one in a loop of nothing but GEMMs. But these
+//! products are microseconds long and sit between scalar code, and there it
+//! lost: a search over a thousand `tiny` participants ran no faster with it
+//! than with AVX2 and, unlike with AVX2, at a speed that differed from one
+//! run to the next on a quiet machine (DESIGN §4k has the runs). The likely
+//! cause is the clock change a core makes on entering and leaving 512-bit
+//! arithmetic; the virtual machine this was measured on exposes no counter
+//! to confirm it.
 
 /// Where `b[p, j]` lives: row-major `k x n`, or row-major `n x k` — the
 /// transposed operand of [`gemm_nt`](crate::gemm_nt), read as it lies.
@@ -53,9 +64,6 @@ pub(crate) enum Rhs<'a> {
 trait Lanes: Copy {
     /// Columns per vector.
     const N: usize;
-    /// Rows of the tallest tile: `ROWS * 2` accumulators, two `b` vectors
-    /// and the temporaries of one step must fit the register file.
-    const ROWS: usize;
     /// Selects the first `len` lanes of a load or store.
     type Mask: Copy;
     /// One `a[i, p]`, ready to multiply a vector and to be tested for zero.
@@ -83,7 +91,6 @@ trait Lanes: Copy {
 /// there are. The skip is a branch here.
 impl Lanes for [f32; 4] {
     const N: usize = 4;
-    const ROWS: usize = 4;
     type Mask = usize;
     type Scale = f32;
 
@@ -137,7 +144,6 @@ mod x86 {
     /// broadcast `a` — all ones or all zeros across the vector.
     impl Lanes for __m256 {
         const N: usize = 8;
-        const ROWS: usize = 4;
         type Mask = __m256i;
         type Scale = (__m256, __m256);
 
@@ -176,51 +182,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn step(self, (a, nonzero): Self::Scale, b: Self) -> Self {
             _mm256_blendv_ps(self, _mm256_add_ps(self, _mm256_mul_ps(a, b)), nonzero)
-        }
-    }
-
-    /// AVX-512: 16 lanes, 32 registers, and mask registers — the skip is the
-    /// add's own write mask.
-    impl Lanes for __m512 {
-        const N: usize = 16;
-        const ROWS: usize = 8;
-        type Mask = __mmask16;
-        type Scale = (__m512, __mmask16);
-
-        #[inline(always)]
-        unsafe fn mask(len: usize) -> __mmask16 {
-            debug_assert!(len <= 16);
-            ((1u32 << len) - 1) as __mmask16
-        }
-        #[inline(always)]
-        unsafe fn splat(v: f32) -> Self {
-            _mm512_set1_ps(v)
-        }
-        #[inline(always)]
-        unsafe fn load(ptr: *const f32, mask: __mmask16) -> Self {
-            _mm512_maskz_loadu_ps(mask, ptr)
-        }
-        #[inline(always)]
-        unsafe fn load_strided(ptr: *const f32, stride: usize, mask: __mmask16) -> Self {
-            let at = _mm512_mullo_epi32(
-                _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-                _mm512_set1_epi32(stride as i32),
-            );
-            _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, at, ptr)
-        }
-        #[inline(always)]
-        unsafe fn store(self, ptr: *mut f32, mask: __mmask16) {
-            _mm512_mask_storeu_ps(ptr, mask, self)
-        }
-        #[inline(always)]
-        unsafe fn scale(a: f32) -> Self::Scale {
-            let a = _mm512_set1_ps(a);
-            // unordered-or-unequal: NaN is not zero, as in `a == 0.0`
-            (a, _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(a, _mm512_setzero_ps()))
-        }
-        #[inline(always)]
-        unsafe fn step(self, (a, nonzero): Self::Scale, b: Self) -> Self {
-            _mm512_mask_add_ps(self, nonzero, self, _mm512_mul_ps(a, b))
         }
     }
 }
@@ -286,8 +247,8 @@ unsafe fn tile<V: Lanes, const R: usize, const NV: usize, const BT: bool>(
     }
 }
 
-/// All rows of the column panel at `j0`: tiles of `V::ROWS` rows, then of
-/// half as many, down to single rows — a short tile has fewer chains to
+/// All rows of the column panel at `j0`: tiles of four rows, then of two,
+/// then a single row — a short tile has fewer chains to
 /// overlap, so the remainder is taken in the fewest pieces.
 ///
 /// # Safety
@@ -296,12 +257,6 @@ unsafe fn tile<V: Lanes, const R: usize, const NV: usize, const BT: bool>(
 #[inline(always)]
 unsafe fn panel<V: Lanes, const NV: usize, const BT: bool>(q: Problem, j0: usize, cols: usize) {
     let mut i0 = 0;
-    if V::ROWS >= 8 {
-        while i0 + 8 <= q.m {
-            tile::<V, 8, NV, BT>(q, i0, j0, cols);
-            i0 += 8;
-        }
-    }
     while i0 + 4 <= q.m {
         tile::<V, 4, NV, BT>(q, i0, j0, cols);
         i0 += 4;
@@ -364,28 +319,10 @@ unsafe fn run_avx2(q: Problem, transposed: bool) {
     }
 }
 
-/// # Safety
-///
-/// The CPU supports `avx512f`, and the problem's pointers cover its
-/// dimensions.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn run_avx512(q: Problem, transposed: bool) {
-    use std::arch::x86_64::__m512;
-    if transposed {
-        run::<__m512, true>(q)
-    } else {
-        run::<__m512, false>(q)
-    }
-}
-
-/// The widest instantiation this CPU runs.
+/// The instantiation this CPU runs.
 fn select() -> Kernel {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return run_avx512;
-        }
         if std::arch::is_x86_feature_detected!("avx2") {
             return run_avx2;
         }
@@ -458,9 +395,6 @@ mod tests {
         {
             if std::arch::is_x86_feature_detected!("avx2") {
                 all.push(("avx2", run_avx2));
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                all.push(("avx512", run_avx512));
             }
         }
         all
@@ -580,7 +514,7 @@ mod tests {
 
     #[test]
     fn the_public_entry_points_reach_this_kernel() {
-        // 8 x 9 x 8: one masked vector on every instantiation
+        // 8 x 9 x 8: a masked tail on every instantiation
         let (m, n, k) = (8, 9, 8);
         let mut rng = StdRng::seed_from_u64(7);
         let a = draws(&mut rng, m * k, &[0.0]);
