@@ -8,23 +8,20 @@
 //! fixed mask set, the same harness as the engine's buffer-reuse test,
 //! so the numbers isolate the round path itself.
 //!
-//! Three determinism gates run alongside the measurements:
+//! Two determinism gates run alongside the measurements:
 //!
 //! * serial@64 and reactor@64 must produce bit-identical round outcomes
 //!   for the same seed (the reactor is an execution strategy, not a
 //!   semantic change);
 //! * two reactor@10k runs must be bit-identical (sweep interleaving at
-//!   scale must not leak into results);
-//! * the engine's grow-only buffer counter must stop moving after the
-//!   warm-up rounds at n = 10k (the pre-sized hot path performs no
-//!   steady-state reallocation even at the largest cohort).
+//!   scale must not leak into results).
 //!
 //! Usage: `cargo run --release -p fedrlnas-bench --bin bench_scale`
 //! (writes `BENCH_scale.json` in the current directory; `--out <path>`
 //! overrides). `--quick` runs only n ∈ {64, 1000} with fewer rounds —
 //! the CI configuration. `--check <floor.json>` exits non-zero when a
-//! measured rounds/s falls below its committed floor or the 10k resident
-//! set exceeds its committed ceiling.
+//! measured rounds/s falls below its committed floor or a measured
+//! resident set exceeds its committed ceiling (`rss_mib_ceiling_{n}`).
 
 use fedrlnas_bench::json_number;
 use fedrlnas_controller::Alpha;
@@ -86,9 +83,6 @@ fn fold_outcome(mut h: u64, out: &RoundOutcome) -> u64 {
 struct ScaleRun {
     rounds_per_sec: f64,
     digest: u64,
-    /// Growth-counter reading after the warm-up round and at the end.
-    growth_warm: u64,
-    growth_final: u64,
     rss_mib: f64,
 }
 
@@ -129,7 +123,6 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
         .collect();
     let bandwidths = vec![50.0f64; n];
     let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-    let mut growth_warm = 0;
     let start = Instant::now();
     for t in 0..rounds {
         let out = backend.run_round(RoundRequest {
@@ -149,16 +142,11 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
             "round {t} at n={n} must be full strength"
         );
         digest = fold_outcome(digest, &out);
-        if t == 0 {
-            growth_warm = backend.buffer_growth_count();
-        }
     }
     let secs = start.elapsed().as_secs_f64();
     ScaleRun {
         rounds_per_sec: rounds as f64 / secs,
         digest,
-        growth_warm,
-        growth_final: backend.buffer_growth_count(),
         rss_mib: rss_mib(),
     }
 }
@@ -215,21 +203,13 @@ fn main() {
         eprintln!("benchmarking reactor rounds at n={n} ({rounds} rounds)...");
         let run = run_scale(n, rounds, EngineMode::Reactor);
         if n == 10_000 {
-            // repeated-run determinism and the flat-buffer contract are
-            // gated at the largest cohort, where they are hardest
+            // repeated-run determinism is gated at the largest cohort,
+            // where it is hardest
             eprintln!("repeating reactor n={n} for the determinism gate...");
             let again = run_scale(n, rounds, EngineMode::Reactor);
             assert_eq!(
                 run.digest, again.digest,
                 "repeated reactor runs diverged at n={n}"
-            );
-            assert!(
-                run.growth_warm > 0,
-                "the first round must populate the grow-only buffers"
-            );
-            assert_eq!(
-                run.growth_warm, run.growth_final,
-                "hot-path buffers must stop growing after round 0 at n={n}"
             );
         }
         let comma = if i + 1 == scales.len() { "" } else { "," };

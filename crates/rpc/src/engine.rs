@@ -13,7 +13,16 @@
 //! A round is four phases over one `RoundCtx`: `service_evicted`,
 //! `book_downloads`, `collect` (the event loop of `crate::reactor`, or
 //! the blocking in-order oracle of [`EngineMode::Serial`]; either stages
-//! each download frame right before its link ships it) and `commit`.
+//! each download frame at the moment its link ships it, into the vector
+//! the transport takes) and `commit`.
+//!
+//! Who owns what: a participant keeps only what must survive a round —
+//! its data, its residual, its fault script, the replies a displaced
+//! download can still ask for and the numbers of the rounds it answered
+//! (`WorkerState`); every scratch buffer belongs to the pool thread that
+//! happens to run the participant (`WorkerScratch`). The server keeps a
+//! link and four counters per participant (`WorkerHandle`) and, per
+//! round, one dense record of what shipped (`History`).
 //!
 //! Graceful degradation: with [`RpcConfig::quorum_frac`] below `1.0` a
 //! round commits as soon as the quorum of eligible workers has reported;
@@ -53,7 +62,7 @@
 //! corrupt the uploaded model update deterministically, providing the
 //! adversarial side of that contract.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -69,17 +78,28 @@ use fedrlnas_netsim::resolve_codec;
 use fedrlnas_tensor::Tensor;
 
 use crate::adversary::{apply_attack, Attack};
-use crate::fault::{mix, FaultPlan, FaultyTransport};
+use crate::fault::{mix, FaultPlan, FaultyTransport, MAX_DISPLACEMENT};
 use crate::transport::{ShapedTransport, Transport, TransportError};
 use crate::wire::{
-    coded_download_frame_len, decode, download_frame_len, encode, encode_download_ranges_into,
-    encode_into, encode_upload_coded_into, Message,
+    coded_download_frame_len, coded_upload_frame_len, decode, decode_download, download_frame_len,
+    encode, encode_download_ranges_into, encode_into, encode_upload_coded_into, upload_frame_len,
+    Message,
 };
 
 /// How many rounds of sent-mask / delivery history to keep for late-reply
 /// attribution; anything older than this is unattributable and dropped
-/// (the staleness threshold is far smaller in practice).
+/// (the staleness threshold is far smaller in practice). A worker
+/// remembers the *numbers* of that many answered rounds.
 const HISTORY_ROUNDS: usize = 16;
+
+/// How many answered rounds a worker keeps the reply *bytes* of. A
+/// download for a round already answered reaches a worker only displaced:
+/// a retransmit is only ever of the round in progress, so in link order
+/// it sits among that round's frames, and the link's fault layer lets at
+/// most [`MAX_DISPLACEMENT`] later frame — so at most that many later
+/// rounds — overtake it. When it arrives, its round is therefore among
+/// the `MAX_DISPLACEMENT + 1` most recently answered.
+const REPLY_CACHE_ROUNDS: usize = MAX_DISPLACEMENT + 1;
 
 /// Hard cap on any single backoff sleep.
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
@@ -238,6 +258,10 @@ impl Transport for Box<dyn Transport> {
         (**self).send(frame)
     }
 
+    fn send_owned(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        (**self).send_owned(frame)
+    }
+
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
         (**self).recv()
     }
@@ -255,6 +279,10 @@ impl Transport for Box<dyn Transport> {
 /// over the raw transport.
 pub(crate) type Link = ShapedTransport<FaultyTransport<Box<dyn Transport>>>;
 
+/// Everything the server keeps per participant between rounds: the link
+/// and four counters. No frame-sized buffer lives here — a download frame
+/// exists from the moment its link's send timer fires until the transport
+/// has taken it.
 pub(crate) struct WorkerHandle {
     pub(crate) transport: Option<Link>,
     /// `false` once the link itself is dead (peer hung up / socket error);
@@ -281,6 +309,47 @@ impl WorkerHandle {
             reject_streak: 0,
         }
     }
+
+    /// Bytes the server holds for this participant between rounds: the
+    /// handle, its boxed transport endpoint, and whatever the fault layer
+    /// has held back or queued. (What sits inside a channel or a socket
+    /// belongs to the frames in flight, not to the link.) Debug accounting
+    /// for the O(pool) memory contract.
+    fn resident_bytes(&mut self) -> usize {
+        let link = self.transport.as_mut().map_or(0, |link| {
+            let faulty = link.inner_mut();
+            faulty.heap_bytes() + std::mem::size_of_val(&**faulty.inner())
+        });
+        std::mem::size_of::<Self>() + link
+    }
+}
+
+/// What the engine held when it was shut down, by owner — the O(pool)
+/// memory contract in numbers: nothing frame-sized per link, two replies
+/// per participant, one set of scratch buffers per pool thread. Debug
+/// observability (see [`RpcBackend::into_resident_bytes`]).
+#[derive(Debug)]
+pub struct ResidentBytes {
+    /// Server side, per participant: the worker handle, its transport
+    /// endpoint and whatever its fault layer has held back or queued.
+    /// What sits inside a channel or a socket belongs to the frames in
+    /// flight, not to the link.
+    pub links: Vec<usize>,
+    /// Worker side, per participant: everything its state holds beyond
+    /// the participant's own data — the cached replies above all.
+    pub participants: Vec<usize>,
+    /// The codec scratch of each fleet pool thread, counted once per
+    /// thread however many participants it serves.
+    pub pool_scratch: Vec<usize>,
+}
+
+/// What one fleet pool thread held when its last link closed.
+pub(crate) struct FleetFootprint {
+    /// The thread's [`WorkerScratch`], counted once however many
+    /// participants it served.
+    pub(crate) scratch_bytes: usize,
+    /// [`WorkerState::resident_bytes`] of each participant on the thread.
+    pub(crate) participant_bytes: Vec<usize>,
 }
 
 /// The server-side round engine; implements [`RoundBackend`].
@@ -288,33 +357,112 @@ pub struct RpcBackend {
     workers: Vec<WorkerHandle>,
     /// Join handles for the pooled worker-fleet threads (one per pool
     /// thread, not per participant).
-    pool_joins: Vec<JoinHandle<()>>,
+    pool_joins: Vec<JoinHandle<FleetFootprint>>,
     config: RpcConfig,
-    /// Mask and expected flat-gradient length shipped to each
-    /// (round, participant) — late replies carry only the round number, so
-    /// both the mask and the trusted decode length are recovered here.
-    sent_masks: HashMap<(usize, usize), (ArchMask, usize)>,
-    /// (round, participant) pairs already handed to the server, so
-    /// retransmission-induced duplicate replies are dropped.
-    delivered: HashSet<(usize, usize)>,
+    /// What the last [`HISTORY_ROUNDS`] rounds shipped to whom and which
+    /// of those replies the server has already been handed.
+    history: History,
     /// Per-worker error-feedback residuals, shared with the worker
     /// threads; the authoritative copy for checkpointing.
     residuals: Vec<Arc<Mutex<Vec<f32>>>>,
-    /// Grow-only per-participant download frame buffers, reused across
-    /// rounds so the steady-state encode path allocates nothing. Phase 2
-    /// lends each collector the slice that belongs to its links.
-    download_frames: Vec<Vec<u8>>,
-    /// Per-participant expected flat-gradient lengths, reused across
-    /// rounds so phase 1 allocates nothing at steady state even at 10k
-    /// participants.
-    expected_lens: Vec<usize>,
     /// Distinct architectures among the slots the last round shipped to.
     distinct_masks: usize,
-    /// Times any reusable hot-path buffer (server download frames above,
-    /// worker codec/frame scratch) grew its capacity;
-    /// shared with every worker thread. Debug observability for the
-    /// zero-steady-state-allocation contract.
+    /// Times a pool thread's codec scratch grew its capacity; shared with
+    /// every fleet thread. Debug observability for the
+    /// zero-steady-state-growth contract.
     growth: Arc<AtomicU64>,
+}
+
+/// A fixed-size set of participant indices.
+#[derive(Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn with_len(n: usize) -> Self {
+        Bits(vec![0; n.div_ceil(64)])
+    }
+
+    /// Whether `i` is in the set; an index past the end is not.
+    fn get(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Adds `i`; an index past the end is ignored.
+    fn set(&mut self, i: usize) {
+        if let Some(w) = self.0.get_mut(i / 64) {
+            *w |= 1 << (i % 64);
+        }
+    }
+}
+
+/// What one round shipped, indexed by participant slot.
+struct RoundRecord {
+    round: usize,
+    /// The round's masks, cloned once.
+    masks: Vec<ArchMask>,
+    /// Flat-gradient length a reply from each slot must have (the gate
+    /// and the coded decode trust only this); meaningful where `booked`.
+    expected_lens: Vec<usize>,
+    /// Slots a download was booked for — nothing ships to an inactive
+    /// slot, so there is no reply to attribute to it.
+    booked: Bits,
+    /// Slots whose reply the server has already been handed, so
+    /// retransmission-induced duplicates are dropped.
+    delivered: Bits,
+}
+
+/// The attribution books: late replies carry only their round number and
+/// participant id, so the mask and the trusted decode length are
+/// recovered here, and a `(round, participant)` is handed to the server
+/// once. One dense record per round, at most [`HISTORY_ROUNDS`] of them.
+#[derive(Default)]
+pub(crate) struct History {
+    records: Vec<RoundRecord>,
+}
+
+impl History {
+    /// Drops the records beyond the late-reply horizon of round `t`.
+    fn prune(&mut self, t: usize) {
+        self.records.retain(|r| r.round + HISTORY_ROUNDS > t);
+    }
+
+    /// Opens round `round`'s record over `masks`, nothing booked yet.
+    fn open(&mut self, round: usize, masks: &[ArchMask]) -> &mut RoundRecord {
+        let n = masks.len();
+        self.records.retain(|r| r.round != round);
+        self.records.push(RoundRecord {
+            round,
+            masks: masks.to_vec(),
+            expected_lens: vec![0; n],
+            booked: Bits::with_len(n),
+            delivered: Bits::with_len(n),
+        });
+        self.records.last_mut().expect("just pushed")
+    }
+
+    fn record(&self, round: usize) -> Option<&RoundRecord> {
+        self.records.iter().find(|r| r.round == round)
+    }
+
+    /// The mask and flat-gradient length shipped to `pid` in `round`, if
+    /// that is still on the books.
+    pub(crate) fn sent(&self, round: usize, pid: usize) -> Option<(&ArchMask, usize)> {
+        let rec = self.record(round)?;
+        rec.booked
+            .get(pid)
+            .then(|| (&rec.masks[pid], rec.expected_lens[pid]))
+    }
+
+    /// Whether `pid`'s reply for `round` was already handed to the server.
+    pub(crate) fn is_delivered(&self, round: usize, pid: usize) -> bool {
+        self.record(round).is_some_and(|r| r.delivered.get(pid))
+    }
+
+    fn mark_delivered(&mut self, round: usize, pid: usize) {
+        if let Some(rec) = self.records.iter_mut().find(|r| r.round == round) {
+            rec.delivered.set(pid);
+        }
+    }
 }
 
 impl RpcBackend {
@@ -348,7 +496,6 @@ impl RpcBackend {
             .map(|p| Arc::new(Mutex::new(p.residual().to_vec())))
             .collect();
         let growth = Arc::new(AtomicU64::new(0));
-        let n = participants.len();
         let (workers, pool_joins) = crate::reactor::spawn_pooled_workers(
             participants,
             net,
@@ -362,13 +509,8 @@ impl RpcBackend {
             workers,
             pool_joins,
             config,
-            // pre-sized from the cohort: at n=10k a lazily grown map or
-            // frame table would dominate round-1 allocation spikes
-            sent_masks: HashMap::with_capacity(2 * n),
-            delivered: HashSet::with_capacity(2 * n),
+            history: History::default(),
             residuals,
-            download_frames: vec![Vec::new(); n],
-            expected_lens: Vec::with_capacity(n),
             distinct_masks: 0,
             growth,
         }
@@ -384,14 +526,15 @@ impl RpcBackend {
         self.workers.iter().filter(|w| w.alive && w.evicted).count()
     }
 
-    /// How many times any reusable hot-path buffer — the server-side
-    /// download frame buffers and every worker's codec and reply frame
-    /// scratch — had to grow its capacity since the backend was
-    /// created. All those buffers are grow-only, so after the first few
-    /// rounds (once each has seen its largest payload) this count must
-    /// stop increasing: the encode/decode/frame hot path has reached
-    /// zero steady-state allocations. Debug observability; asserted by
-    /// the buffer-reuse test.
+    /// How many times a reusable hot-path buffer — the codec scratch each
+    /// fleet pool thread lends to whichever participant it is running —
+    /// had to grow its capacity since the backend was created. Those
+    /// buffers are grow-only, so once every thread has seen its largest
+    /// payload this count must stop increasing. (Frames are not reused
+    /// buffers: a download is staged into the vector the transport takes,
+    /// a reply into the vector the worker's cache keeps, each sized
+    /// exactly once.) Debug observability; asserted by the buffer-reuse
+    /// test.
     pub fn buffer_growth_count(&self) -> u64 {
         self.growth.load(Ordering::Relaxed)
     }
@@ -403,14 +546,6 @@ impl RpcBackend {
     /// outside `CommStats` and checkpoints.
     pub fn distinct_masks_last_round(&self) -> usize {
         self.distinct_masks
-    }
-}
-
-/// Bumps the shared growth counter when a reused buffer's capacity grew
-/// during the operation bounded by `before`/`after`.
-fn note_growth(growth: &AtomicU64, before: usize, after: usize) {
-    if after > before {
-        growth.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -439,27 +574,63 @@ pub(crate) enum FrameOutcome {
     Delay(Duration),
 }
 
+/// Grow-only codec scratch — selection keys, encoded byte run,
+/// self-decode output — owned by a fleet pool thread and lent to whichever
+/// participant it is running. Reuse never changes any output (see
+/// [`EncodeScratch`]); `growth` counts capacity growth so a test can
+/// assert the buffers actually stabilize.
+pub(crate) struct WorkerScratch {
+    enc: EncodeScratch,
+    coded: Vec<u8>,
+    decoded: Vec<f32>,
+    growth: Arc<AtomicU64>,
+}
+
+impl WorkerScratch {
+    pub(crate) fn new(growth: Arc<AtomicU64>) -> Self {
+        WorkerScratch {
+            enc: EncodeScratch::default(),
+            coded: Vec::new(),
+            decoded: Vec::new(),
+            growth,
+        }
+    }
+
+    /// Heap bytes this scratch holds (debug accounting).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.enc.capacity() * std::mem::size_of::<u64>()
+            + self.coded.capacity()
+            + self.decoded.capacity() * std::mem::size_of::<f32>()
+    }
+}
+
+/// A round number no round has (the wire's rounds count up from zero).
+const NO_ROUND: u64 = u64::MAX;
+
 /// The participant side of one link; the pooled fleet drives many of
-/// these from one thread. All per-participant state lives here (reply cache,
-/// codec scratch, crash script, attack memory); the supernet *structure*
-/// is shared by every participant on a pool thread because weights always
-/// arrive over the wire — nothing training-relevant ever persists in it.
+/// these from one thread. Only what must survive a round lives here: the
+/// participant (its data and loader cursor), its residual, its fault
+/// script and attack memory, the last [`REPLY_CACHE_ROUNDS`] replies and
+/// the numbers of the last [`HISTORY_ROUNDS`] answered rounds. Scratch is
+/// the pool thread's ([`WorkerScratch`]), and so is the supernet
+/// *structure*, shared by every participant on the thread because weights
+/// always arrive over the wire — nothing training-relevant ever persists
+/// in it.
 pub(crate) struct WorkerState {
     participant: Participant,
     fault: ScriptedFault,
     residual: Arc<Mutex<Vec<f32>>>,
-    growth: Arc<AtomicU64>,
-    reply_cache: HashMap<u64, Vec<u8>>,
-    // grow-only hot-path scratch, reused every round: codec selection
-    // keys, encoded byte run, self-decode output, and the reply frame.
-    // Reuse never changes any output (see `EncodeScratch`), it only
-    // removes steady-state allocations; `growth` counts capacity growth
-    // so a test can assert the buffers actually stabilize.
-    enc_scratch: EncodeScratch,
-    coded_buf: Vec<u8>,
-    decoded_buf: Vec<f32>,
-    frame_buf: Vec<u8>,
-    // the previous round's honest update, kept for Attack::StaleReplay
+    /// `(round, reply frame)` of the most recently answered rounds,
+    /// newest first; `None` until that many have been answered.
+    reply_cache: [Option<(u64, Vec<u8>)>; REPLY_CACHE_ROUNDS],
+    /// Ring of the round numbers answered last ([`NO_ROUND`] = unused).
+    /// Training advances the loader and the round stream, so a round is
+    /// trained once: a download for a round in here whose bytes have left
+    /// the cache is met with silence.
+    answered: [u64; HISTORY_ROUNDS],
+    answered_next: usize,
+    // the previous round's honest update, kept for Attack::StaleReplay;
+    // filled only under an attack script
     last_honest: Vec<f32>,
     // first round the worker is back up after a scripted crash-restart
     down_until: Option<u64>,
@@ -471,99 +642,107 @@ impl WorkerState {
         participant: Participant,
         fault: ScriptedFault,
         residual: Arc<Mutex<Vec<f32>>>,
-        growth: Arc<AtomicU64>,
     ) -> Self {
         WorkerState {
             participant,
             fault,
             residual,
-            growth,
-            reply_cache: HashMap::new(),
-            enc_scratch: EncodeScratch::default(),
-            coded_buf: Vec::new(),
-            decoded_buf: Vec::new(),
-            frame_buf: Vec::new(),
+            reply_cache: std::array::from_fn(|_| None),
+            answered: [NO_ROUND; HISTORY_ROUNDS],
+            answered_next: 0,
             last_honest: Vec::new(),
             down_until: None,
             crashed: false,
         }
     }
 
+    /// Bytes this state holds beyond the participant itself (its data is
+    /// the dataset shard's business): the struct's own fields plus the
+    /// heap behind the cached replies and the attack memory. Debug
+    /// accounting for the O(pool) memory contract.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let cached: usize = self
+            .reply_cache
+            .iter()
+            .flatten()
+            .map(|(_, frame)| frame.capacity())
+            .sum();
+        std::mem::size_of::<Self>() - std::mem::size_of::<Participant>()
+            + cached
+            + self.last_honest.capacity() * std::mem::size_of::<f32>()
+    }
+
+    /// Remembers `round` as answered with `reply`: newest cache slot, next
+    /// ring slot.
+    fn remember(&mut self, round: u64, reply: Vec<u8>) {
+        self.reply_cache.rotate_right(1);
+        self.reply_cache[0] = Some((round, reply));
+        self.answered[self.answered_next] = round;
+        self.answered_next = (self.answered_next + 1) % HISTORY_ROUNDS;
+    }
+
+    /// Heartbeats and liveness probes, answered inline. A scripted
+    /// crash-restart keeps the worker silent until a probe shows the
+    /// downtime window has passed.
+    fn handle_control(&mut self, transport: &mut dyn Transport, frame: &[u8]) {
+        let back_up = match decode(frame) {
+            Ok(Message::Heartbeat { .. }) => self.down_until.is_none(),
+            Ok(Message::Ack { round }) => {
+                if self.down_until.is_some_and(|until| round >= until) {
+                    self.down_until = None;
+                }
+                self.down_until.is_none()
+            }
+            // corrupt: await retransmission. Uploads echo back only under
+            // fault injection; control-plane frames are for the service
+            // listener, never a worker
+            _ => return,
+        };
+        if back_up {
+            let _ = transport.send(&encode(&Message::Heartbeat {
+                participant: self.participant.id() as u32,
+            }));
+        }
+    }
+
     /// Services one inbound frame: heartbeats/probes are answered inline,
     /// downloads run one local training step and reply with the update.
-    /// Replies are cached per round so a retransmitted download is
-    /// answered from the cache instead of being recomputed (idempotence
-    /// under retry). A scripted crash-restart makes the worker go silent
-    /// for a window of rounds and resume when a liveness probe shows the
-    /// window has passed. `theta_len` is the full flat-θ length — the
-    /// error-feedback residual spans the whole supernet, exactly like the
-    /// in-process path.
+    /// The reply is kept ([`REPLY_CACHE_ROUNDS`] deep) so a retransmitted
+    /// or displaced download is answered from the cache instead of being
+    /// recomputed (idempotence under retry), and a round is never trained
+    /// twice. The download is read where it lies: its shape is checked
+    /// against the layout, then its two `f32` runs are copied from the
+    /// frame's bytes straight into the sub-model. `theta_len` is the full
+    /// flat-θ length — the error-feedback residual spans the whole
+    /// supernet, exactly like the in-process path.
     pub(crate) fn handle_frame(
         &mut self,
         supernet: &mut Supernet,
         theta_len: usize,
         dataset: &SyntheticDataset,
+        scratch: &mut WorkerScratch,
         transport: &mut dyn Transport,
         frame: &[u8],
     ) -> FrameOutcome {
         let id = self.participant.id();
-        let msg = match decode(frame) {
-            Ok(m) => m,
+        let down = match decode_download(frame) {
+            Ok(Some(down)) => down,
+            Ok(None) => {
+                self.handle_control(transport, frame);
+                return FrameOutcome::Continue;
+            }
             Err(_) => return FrameOutcome::Continue, // corrupt: await retransmission
         };
         // both download flavours share one training path; the coded one
         // additionally carries the codec the upload must be encoded with
-        let (round, seed_base, mask, weights, buffers, alpha, codec) = match msg {
-            Message::DownloadSubmodel {
-                round,
-                seed_base,
-                mask,
-                weights,
-                buffers,
-                alpha,
-            } => (round, seed_base, mask, weights, buffers, alpha, None),
-            Message::DownloadSubmodelCoded {
-                round,
-                seed_base,
-                mask,
-                weights,
-                buffers,
-                alpha,
-                codec_tag,
-                codec_param,
-            } => {
-                let spec = match CodecSpec::from_tag_param(codec_tag, codec_param) {
-                    Some(s) => s,
-                    None => return FrameOutcome::Continue, // nonsense codec: refuse
-                };
-                (round, seed_base, mask, weights, buffers, alpha, Some(spec))
-            }
-            Message::Heartbeat { .. } => {
-                if self.down_until.is_none() {
-                    let _ = transport.send(&encode(&Message::Heartbeat {
-                        participant: id as u32,
-                    }));
-                }
-                return FrameOutcome::Continue;
-            }
-            Message::Ack { round } => {
-                // liveness probe: answer with a heartbeat unless still in
-                // the scripted downtime window
-                match self.down_until {
-                    Some(until) if round < until => {}
-                    _ => {
-                        self.down_until = None;
-                        let _ = transport.send(&encode(&Message::Heartbeat {
-                            participant: id as u32,
-                        }));
-                    }
-                }
-                return FrameOutcome::Continue;
-            }
-            // uploads echo back only under fault injection; control-plane
-            // frames are for the service listener, never a worker
-            _ => return FrameOutcome::Continue,
+        let codec = match down.codec {
+            None => None,
+            Some((tag, param)) => match CodecSpec::from_tag_param(tag, param) {
+                Some(spec) => Some(spec),
+                None => return FrameOutcome::Continue, // nonsense codec: refuse
+            },
         };
+        let (round, mask) = (down.round, &down.mask);
         if let Some(until) = self.down_until {
             if round < until {
                 return FrameOutcome::Continue; // crashed: downloads fall on the floor
@@ -574,15 +753,20 @@ impl WorkerState {
             if let Some((r, d)) = self.fault.crash_restart {
                 if r == round as usize {
                     self.crashed = true;
-                    self.reply_cache.clear(); // a crash loses in-memory state
+                    // a crash loses in-memory state
+                    self.reply_cache = std::array::from_fn(|_| None);
+                    self.answered = [NO_ROUND; HISTORY_ROUNDS];
                     self.down_until = Some(round + d as u64);
                     return FrameOutcome::Continue;
                 }
             }
         }
-        if let Some(cached) = self.reply_cache.get(&round) {
+        if let Some((_, cached)) = self.reply_cache.iter().flatten().find(|(r, _)| *r == round) {
             let _ = transport.send(cached);
             return FrameOutcome::Continue;
+        }
+        if self.answered.contains(&round) {
+            return FrameOutcome::Continue; // answered, bytes gone: never train twice
         }
         if self.fault.die_at_round == Some(round as usize) {
             return FrameOutcome::Exit; // simulated crash: no reply
@@ -593,119 +777,115 @@ impl WorkerState {
                 return FrameOutcome::Delay(d);
             }
         }
-        let mut sub = supernet.extract_submodel(&mask);
-        let mut expected_w = 0;
-        sub.visit_params(&mut |p| expected_w += p.value.len());
-        let mut expected_b = 0;
-        sub.visit_buffers(&mut |b| expected_b += b.len());
-        if weights.len() != expected_w || buffers.len() != expected_b {
+        let layout = supernet.layout();
+        if mask.num_edges() != supernet.config().topology().num_edges()
+            || down.weights.len() != layout.submodel_param_count(mask)
+            || down.buffers.len() != layout.submodel_buffer_count(mask)
+        {
             return FrameOutcome::Continue; // shape mismatch: refuse rather than panic
         }
-        let mut wc = 0;
-        sub.visit_params(&mut |p| {
-            let n = p.value.len();
-            p.value.as_mut_slice().copy_from_slice(&weights[wc..wc + n]);
-            wc += n;
-        });
-        let mut bc = 0;
-        sub.visit_buffers(&mut |b| {
-            let n = b.len();
-            b.copy_from_slice(&buffers[bc..bc + n]);
-            bc += n;
-        });
+        let mut sub = supernet.extract_submodel(mask);
+        let mut weights = down.weights;
+        sub.visit_params(&mut |p| weights.fill(p.value.as_mut_slice()));
+        let mut buffers = down.buffers;
+        sub.visit_buffers(&mut |b| buffers.fill(b));
         // the step the in-process path runs, on the same derived stream
-        let (report, mut grads) = self.participant.train_round(&mut sub, dataset, seed_base);
+        let (report, mut grads) = self
+            .participant
+            .train_round(&mut sub, dataset, down.seed_base);
         if let Some(attack) = self.fault.attack {
             let honest = std::mem::replace(&mut self.last_honest, grads.clone());
             apply_attack(attack, round, id as u64, &mut grads, &honest);
         }
         let edges = mask.num_edges();
-        let alpha_len = alpha.len();
-        let delta_alpha = Tensor::from_vec(alpha, &[alpha_len])
+        let alpha_len = down.alpha.len();
+        let delta_alpha = Tensor::from_vec(down.alpha, &[alpha_len])
             .ok()
             .map(|t| {
                 Alpha::from_logits(t, edges)
-                    .grad_log_prob(&mask)
+                    .grad_log_prob(mask)
                     .as_slice()
                     .to_vec()
             })
             .unwrap_or_default();
-        let frame_cap = self.frame_buf.capacity();
-        match codec {
-            None => encode_into(
-                &Message::UploadUpdate {
-                    round,
-                    participant: id as u32,
-                    delta_w: grads,
-                    delta_alpha,
-                    reward: report.accuracy,
-                    loss: report.loss,
-                },
-                &mut self.frame_buf,
-            ),
+        // the reply is encoded once, into the exactly sized vector the
+        // cache keeps; the transport copies what it sends
+        let reply = match codec {
+            None => {
+                let mut reply =
+                    Vec::with_capacity(upload_frame_len(grads.len(), delta_alpha.len()));
+                encode_into(
+                    &Message::UploadUpdate {
+                        round,
+                        participant: id as u32,
+                        delta_w: grads,
+                        delta_alpha,
+                        reward: report.accuracy,
+                        loss: report.loss,
+                    },
+                    &mut reply,
+                );
+                reply
+            }
             Some(spec) => {
                 // error feedback: fold the residual of every previous lossy
                 // round into this update before encoding, then remember
                 // what this round's encoding lost — the function the
                 // in-process server runs, so the two execution modes stay
                 // bit-identical.
-                let ranges = supernet.submodel_param_ranges(&mask);
+                let ranges = supernet.submodel_param_ranges(mask);
                 let mut res = self.residual.lock().expect("residual lock");
                 if res.len() != theta_len {
                     res.resize(theta_len, 0.0);
                 }
-                let keys_cap = self.enc_scratch.capacity();
-                let coded_cap = self.coded_buf.capacity();
-                let dec_cap = self.decoded_buf.capacity();
+                let held = scratch.heap_bytes();
                 spec.encode_with_feedback(
                     &mut grads,
                     &mut res,
                     &ranges,
-                    &mut self.enc_scratch,
-                    &mut self.coded_buf,
-                    &mut self.decoded_buf,
+                    &mut scratch.enc,
+                    &mut scratch.coded,
+                    &mut scratch.decoded,
                 );
                 drop(res);
-                note_growth(&self.growth, keys_cap, self.enc_scratch.capacity());
-                note_growth(&self.growth, coded_cap, self.coded_buf.capacity());
-                note_growth(&self.growth, dec_cap, self.decoded_buf.capacity());
+                if scratch.heap_bytes() > held {
+                    scratch.growth.fetch_add(1, Ordering::Relaxed);
+                }
+                let mut reply = Vec::with_capacity(coded_upload_frame_len(
+                    scratch.coded.len(),
+                    delta_alpha.len(),
+                ));
                 encode_upload_coded_into(
-                    &mut self.frame_buf,
+                    &mut reply,
                     round,
                     id as u32,
                     spec.tag(),
                     spec.param(),
                     grads.len() as u32,
-                    &self.coded_buf,
+                    &scratch.coded,
                     &delta_alpha,
                     report.accuracy,
                     report.loss,
                 );
+                reply
             }
         };
-        note_growth(&self.growth, frame_cap, self.frame_buf.capacity());
-        if self.reply_cache.len() >= HISTORY_ROUNDS {
-            if let Some(oldest) = self.reply_cache.keys().min().copied() {
-                self.reply_cache.remove(&oldest);
-            }
-        }
-        // the cache clone is the one unavoidable per-round allocation on
-        // this path: retransmitted downloads are answered from the cache
-        // after `frame_buf` has been overwritten by a newer round
-        self.reply_cache.insert(round, self.frame_buf.clone());
-        let _ = transport.send(&self.frame_buf);
+        let _ = transport.send(&reply);
+        self.remember(round, reply);
         FrameOutcome::Continue
     }
 }
 
-/// Fills `frame` with slot `p`'s download for this round: the ranges the
-/// layout names for `masks[p]`, copied out of the round's flat θ and
-/// buffer snapshot. Those ranges' concatenation is the extracted
-/// sub-model's own visit order (see
+/// Slot `p`'s download for this round, in a vector of exactly its booked
+/// size: the ranges the layout names for `masks[p]`, copied out of the
+/// round's flat θ and buffer snapshot. Those ranges' concatenation is the
+/// extracted sub-model's own visit order (see
 /// [`SupernetLayout`](fedrlnas_darts::SupernetLayout)), so the frame is
 /// byte for byte the one encoded from `extract_submodel(masks[p])`. Both
-/// modes stage through here, each frame on the thread that ships it.
-pub(crate) fn stage_download(frame: &mut Vec<u8>, p: usize, s: &Staged<'_>) {
+/// modes stage through here, each frame on the thread that ships it at the
+/// moment it ships — a retransmit stages again, from the same request and
+/// hence to the same bytes — and the transport takes the vector.
+pub(crate) fn stage_download(p: usize, s: &Staged<'_>) -> Vec<u8> {
     let req = s.req;
     let mask = &req.masks[p];
     // fp32 stays byte-identical to the pre-codec protocol; otherwise the
@@ -715,9 +895,9 @@ pub(crate) fn stage_download(frame: &mut Vec<u8>, p: usize, s: &Staged<'_>) {
         let spec = resolve_codec(s.config.codec, req.bandwidths_mbps[p]);
         (spec.tag(), spec.param())
     });
-    let cap = frame.capacity();
+    let mut frame = Vec::with_capacity(s.frame_bytes[p] as usize);
     encode_download_ranges_into(
-        frame,
+        &mut frame,
         req.round as u64,
         req.seed_base,
         mask,
@@ -728,7 +908,8 @@ pub(crate) fn stage_download(frame: &mut Vec<u8>, p: usize, s: &Staged<'_>) {
         req.alpha_logits,
         codec,
     );
-    note_growth(s.growth, cap, frame.capacity());
+    debug_assert_eq!(frame.len() as u64, s.frame_bytes[p], "booked size is exact");
+    frame
 }
 
 /// A classified upload reply.
@@ -756,7 +937,7 @@ enum Reply {
 /// round's download was shipped — the sender's `orig_len` claim is never
 /// consulted, so a hostile length can neither size an allocation nor
 /// skew the gate.
-fn classify_reply(msg: Message, sent: &HashMap<(usize, usize), (ArchMask, usize)>) -> Reply {
+fn classify_reply(msg: Message, sent: &History) -> Reply {
     match msg {
         Message::UploadUpdate {
             round,
@@ -794,8 +975,8 @@ fn classify_reply(msg: Message, sent: &HashMap<(usize, usize), (ArchMask, usize)
                 Some(s) => s,
                 None => return Reply::Undecodable { r, pid },
             };
-            let expected = match sent.get(&(r, pid)) {
-                Some((_, len)) => *len,
+            let expected = match sent.sent(r, pid) {
+                Some((_, len)) => len,
                 None => return Reply::Noise, // beyond the attribution horizon
             };
             match spec.decode(&coded, expected) {
@@ -896,17 +1077,18 @@ impl SendGate {
 }
 
 /// What every collector of one round reads: the request its downloads
-/// are staged from, what was booked for whom, the attribution books as of
-/// the start of phase 2 (complete for each link's own keys, because only
-/// that link delivers them) and the shared on-time counter.
+/// are staged from, each slot's booked frame size, the attribution books
+/// as of the start of phase 2 (complete for each link's own keys, because
+/// only that link delivers them) and the shared on-time counter.
 pub(crate) struct Staged<'a> {
     pub(crate) config: &'a RpcConfig,
     pub(crate) req: &'a RoundRequest<'a>,
-    pub(crate) expected_lens: &'a [usize],
-    pub(crate) sent_masks: &'a HashMap<(usize, usize), (ArchMask, usize)>,
-    pub(crate) delivered: &'a HashSet<(usize, usize)>,
+    /// Exact size of each slot's download frame (`0` where none ships):
+    /// what a shaped link's send timer is armed from before the frame
+    /// exists.
+    pub(crate) frame_bytes: &'a [u64],
+    pub(crate) history: &'a History,
     pub(crate) on_time: &'a AtomicUsize,
-    pub(crate) growth: &'a AtomicU64,
 }
 
 /// What [`absorb_reply_frame`] tells the caller to do next.
@@ -932,11 +1114,13 @@ pub(crate) fn absorb_reply_frame(
     s: &Staged<'_>,
 ) -> FrameStep {
     let t = s.req.round;
-    let delivered = s.delivered;
+    let delivered = |wr: &WorkerRound, key: (usize, usize)| {
+        s.history.is_delivered(key.0, key.1) || wr.delivered.contains(&key)
+    };
     wr.bytes_up += frame_in.len() as u64;
     let decode_start = Instant::now();
     let classified = match decode(frame_in) {
-        Ok(msg) => classify_reply(msg, s.sent_masks),
+        Ok(msg) => classify_reply(msg, s.history),
         Err(_) => Reply::Noise, // corruption: drop
     };
     wr.decode_ns = wr
@@ -948,7 +1132,7 @@ pub(crate) fn absorb_reply_frame(
             // a coded run that does not decode against the length the
             // engine shipped is a malformed update — reject it before it
             // can reach validation or aggregation
-            if r == t && !delivered.contains(&(r, pid)) && !wr.delivered.contains(&(r, pid)) {
+            if r == t && !delivered(wr, (r, pid)) {
                 wr.delivered.push((r, pid));
                 wr.rejected = true;
                 wr.rejects.rejected_shape += 1;
@@ -959,7 +1143,7 @@ pub(crate) fn absorb_reply_frame(
         Reply::Noise => return FrameStep::KeepWaiting, // heartbeat/ack noise
     };
     let pid = report.participant;
-    if delivered.contains(&(r, pid)) || wr.delivered.contains(&(r, pid)) {
+    if delivered(wr, (r, pid)) {
         return FrameStep::KeepWaiting; // duplicate from a retransmitted download
     }
     match r.cmp(&t) {
@@ -974,11 +1158,12 @@ pub(crate) fn absorb_reply_frame(
             // replies were decoded above, so the gate sees exactly what
             // aggregation would consume.
             let gate_start = Instant::now();
+            let (_, expected_len) = s.history.sent(t, p).expect("an eligible slot was booked");
             let verdict = validate_report(
                 &report.grads,
                 report.accuracy,
                 report.loss,
-                s.expected_lens[p],
+                expected_len,
                 s.config.update_norm_bound,
             );
             wr.validate_ns = wr
@@ -1003,7 +1188,7 @@ pub(crate) fn absorb_reply_frame(
         std::cmp::Ordering::Less => {
             // a reply that missed an earlier deadline; attribute it and
             // keep waiting for round t
-            if let Some((late_mask, _)) = s.sent_masks.get(&(r, pid)) {
+            if let Some((late_mask, _)) = s.history.sent(r, pid) {
                 wr.delivered.push((r, pid));
                 if let Some(c) = comp {
                     wr.comp.push(c);
@@ -1028,7 +1213,6 @@ fn collect_worker(
     p: usize,
     w: &mut WorkerHandle,
     wr: &mut WorkerRound,
-    frame: &[u8],
     s: &Staged<'_>,
     quorum_target: usize,
 ) {
@@ -1060,8 +1244,8 @@ fn collect_worker(
                 std::thread::sleep(backoff_delay(s.config.retry_backoff, attempts, salt));
                 attempts += 1;
                 wr.retransmits += 1;
-                match link.send(frame) {
-                    Ok(()) => wr.bytes_down += frame.len() as u64,
+                match link.send_owned(stage_download(p, s)) {
+                    Ok(()) => wr.bytes_down += s.frame_bytes[p],
                     Err(_) => {
                         w.alive = false;
                         break;
@@ -1080,7 +1264,6 @@ fn collect_worker(
 /// parallel), then collect strictly in participant order.
 fn collect_serial(
     workers: &mut [WorkerHandle],
-    frames: &mut [Vec<u8>],
     eligible: &[bool],
     s: &Staged<'_>,
 ) -> Vec<(usize, WorkerRound)> {
@@ -1092,10 +1275,9 @@ fn collect_serial(
         let mut wr = WorkerRound::default();
         let link = w.transport.as_mut().expect("live worker has transport");
         let ship_start = Instant::now();
-        stage_download(&mut frames[p], p, s);
         link.set_mbps(s.req.bandwidths_mbps[p]);
-        match link.send(&frames[p]) {
-            Ok(()) => wr.bytes_down += frames[p].len() as u64,
+        match link.send_owned(stage_download(p, s)) {
+            Ok(()) => wr.bytes_down += s.frame_bytes[p],
             Err(_) => w.alive = false,
         }
         wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
@@ -1105,7 +1287,7 @@ fn collect_serial(
     let target = quorum_target(s.config.quorum_frac, shipped);
     for (p, wr) in rounds.iter_mut() {
         if workers[*p].alive {
-            collect_worker(*p, &mut workers[*p], wr, &frames[*p], s, target);
+            collect_worker(*p, &mut workers[*p], wr, s, target);
         }
     }
     rounds
@@ -1129,7 +1311,7 @@ fn readmit(w: &mut WorkerHandle, out: &mut RoundOutcome) {
 /// applies the miss/reject streak + eviction transition.
 fn merge_worker_round(
     out: &mut RoundOutcome,
-    delivered: &mut HashSet<(usize, usize)>,
+    history: &mut History,
     w: &mut WorkerHandle,
     wr: WorkerRound,
     config: &RpcConfig,
@@ -1137,8 +1319,8 @@ fn merge_worker_round(
     out.bytes_up += wr.bytes_up;
     out.bytes_down += wr.bytes_down;
     out.faults.retransmits = out.faults.retransmits.saturating_add(wr.retransmits);
-    for key in wr.delivered {
-        delivered.insert(key);
+    for (r, pid) in wr.delivered {
+        history.mark_delivered(r, pid);
     }
     for (c, raw, enc) in wr.comp {
         out.compression.record(c, raw, enc);
@@ -1207,23 +1389,20 @@ impl RpcBackend {
                     readmit(w, out);
                     continue;
                 }
-                let Reply::Report { r, report, comp } = classify_reply(msg, &self.sent_masks)
-                else {
+                let Reply::Report { r, report, comp } = classify_reply(msg, &self.history) else {
                     continue;
                 };
-                let key = (r, report.participant);
-                if r >= t || self.delivered.contains(&key) {
+                let pid = report.participant;
+                if r >= t || self.history.is_delivered(r, pid) {
                     continue;
                 }
-                if let Some((mask, _)) = self.sent_masks.get(&key) {
-                    self.delivered.insert(key);
+                if let Some((mask, _)) = self.history.sent(r, pid) {
+                    let mask = mask.clone();
+                    self.history.mark_delivered(r, pid);
                     if let Some((c, raw, enc)) = comp {
                         out.compression.record(c, raw, enc);
                     }
-                    out.late.push(BackendReport {
-                        mask: mask.clone(),
-                        ..report
-                    });
+                    out.late.push(BackendReport { mask, ..report });
                 }
             }
             if w.evicted {
@@ -1241,35 +1420,30 @@ impl RpcBackend {
     /// architecture and the gradient length a reply must have (the gate
     /// checks against it), the exact size of the frame, and how many
     /// distinct architectures the round carries. Nothing ships to an
-    /// inactive slot: no sent-mask entry (there is no reply to
-    /// attribute), zero measured download bytes. The frames themselves are
-    /// filled in phase 2, each by the collector that owns its link.
+    /// inactive slot: not booked in the round's record (there is no reply
+    /// to attribute), zero measured download bytes. The frames themselves
+    /// come to exist in phase 2, each when its link ships it.
     fn book_downloads(&mut self, ctx: &mut RoundCtx<'_>) {
         let book_start = Instant::now();
         let req = &ctx.req;
         let k = req.masks.len();
-        if self.download_frames.len() < k {
-            self.download_frames.resize_with(k, Vec::new);
-        }
         let frame_len = if self.config.codec.is_fp32() {
             download_frame_len
         } else {
             coded_download_frame_len
         };
-        self.expected_lens.clear();
+        let record = self.history.open(req.round, req.masks);
         let mut distinct = HashSet::with_capacity(k);
         for (p, mask) in req.masks.iter().enumerate() {
             if !req.is_active(p) {
-                self.expected_lens.push(0);
                 continue;
             }
             let weights = req.layout.submodel_param_count(mask);
             let buffers = req.layout.submodel_buffer_count(mask);
             let bytes = frame_len(mask.num_edges(), weights, buffers, req.alpha_logits.len());
             ctx.out.download_frame_bytes[p] = bytes as u64;
-            self.expected_lens.push(weights);
-            self.sent_masks
-                .insert((req.round, p), (mask.clone(), weights));
+            record.expected_lens[p] = weights;
+            record.booked.set(p);
             distinct.insert(mask);
         }
         self.distinct_masks = distinct.len();
@@ -1292,19 +1466,16 @@ impl RpcBackend {
             .map(|(p, w)| w.alive && !w.evicted && ctx.req.is_active(p))
             .collect();
         let on_time = AtomicUsize::new(0);
-        let frames = &mut self.download_frames[..k];
         let staged = Staged {
             config: &self.config,
             req: &ctx.req,
-            expected_lens: &self.expected_lens,
-            sent_masks: &self.sent_masks,
-            delivered: &self.delivered,
+            frame_bytes: &ctx.out.download_frame_bytes,
+            history: &self.history,
             on_time: &on_time,
-            growth: &self.growth,
         };
         match self.config.engine {
-            EngineMode::Serial => collect_serial(workers, frames, &eligible, &staged),
-            EngineMode::Reactor => crate::reactor::collect(workers, frames, &eligible, &staged),
+            EngineMode::Serial => collect_serial(workers, &eligible, &staged),
+            EngineMode::Reactor => crate::reactor::collect(workers, &eligible, &staged),
         }
     }
 
@@ -1315,7 +1486,7 @@ impl RpcBackend {
         let out = &mut ctx.out;
         for (p, wr) in rounds {
             let w = &mut self.workers[p];
-            merge_worker_round(out, &mut self.delivered, w, wr, &self.config);
+            merge_worker_round(out, &mut self.history, w, wr, &self.config);
         }
         for w in self.workers.iter_mut() {
             if let Some(link) = w.transport.as_mut() {
@@ -1337,9 +1508,7 @@ impl RoundBackend for RpcBackend {
             },
             req: request,
         };
-        // prune attribution history beyond the late-reply horizon
-        self.sent_masks.retain(|&(r, _), _| r + HISTORY_ROUNDS > t);
-        self.delivered.retain(|&(r, _)| r + HISTORY_ROUNDS > t);
+        self.history.prune(t);
         self.service_evicted(&mut ctx);
         self.book_downloads(&mut ctx);
         let rounds = self.collect(&ctx);
@@ -1367,16 +1536,43 @@ impl RoundBackend for RpcBackend {
     }
 }
 
-impl Drop for RpcBackend {
-    fn drop(&mut self) {
-        // closing the transports makes every fleet link report `Closed`;
-        // a pool thread exits once all of its links have
+impl RpcBackend {
+    /// Shuts the engine down and reports what it held, by owner.
+    pub fn into_resident_bytes(mut self) -> ResidentBytes {
+        let links = self
+            .workers
+            .iter_mut()
+            .map(WorkerHandle::resident_bytes)
+            .collect();
+        let fleet = self.shut_down();
+        ResidentBytes {
+            links,
+            pool_scratch: fleet.iter().map(|f| f.scratch_bytes).collect(),
+            participants: fleet
+                .into_iter()
+                .flat_map(|f| f.participant_bytes)
+                .collect(),
+        }
+    }
+
+    /// Closes every link and joins the fleet: closing the transports
+    /// makes every fleet link report `Closed`, and a pool thread exits
+    /// once all of its links have. Returns what each thread held, in
+    /// participant order.
+    fn shut_down(&mut self) -> Vec<FleetFootprint> {
         for w in &mut self.workers {
             w.transport = None;
         }
-        for join in self.pool_joins.drain(..) {
-            let _ = join.join();
-        }
+        self.pool_joins
+            .drain(..)
+            .filter_map(|join| join.join().ok())
+            .collect()
+    }
+}
+
+impl Drop for RpcBackend {
+    fn drop(&mut self) {
+        self.shut_down();
     }
 }
 
@@ -1411,6 +1607,7 @@ pub fn install_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelTransport;
     use crate::wire::encode_download_into;
     use fedrlnas_fed::flat_params;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1455,18 +1652,32 @@ mod tests {
                 codec,
                 ..RpcConfig::default()
             };
+            let frame_len = if codec.is_fp32() {
+                download_frame_len
+            } else {
+                coded_download_frame_len
+            };
+            let frame_bytes: Vec<u64> = masks
+                .iter()
+                .map(|m| {
+                    let (w, b) = (
+                        req.layout.submodel_param_count(m),
+                        req.layout.submodel_buffer_count(m),
+                    );
+                    frame_len(m.num_edges(), w, b, alpha.len()) as u64
+                })
+                .collect();
             let staged = Staged {
                 config: &config,
                 req: &req,
-                expected_lens: &[],
-                sent_masks: &HashMap::new(),
-                delivered: &HashSet::new(),
+                frame_bytes: &frame_bytes,
+                history: &History::default(),
                 on_time: &AtomicUsize::new(0),
-                growth: &AtomicU64::new(0),
             };
-            let (mut frame, mut want) = (Vec::new(), Vec::new());
+            let mut want = Vec::new();
             for (p, mask) in masks.iter().enumerate() {
-                stage_download(&mut frame, p, &staged);
+                let frame = stage_download(p, &staged);
+                assert_eq!(frame.capacity(), frame.len(), "slot {p}: sized once");
                 let mut sub = supernet.extract_submodel(mask);
                 let weights = flat_params(&mut sub);
                 let mut sub_buffers = Vec::new();
@@ -1549,7 +1760,7 @@ mod tests {
             reject_streak: 0,
         };
         let mut out = RoundOutcome::default();
-        let mut delivered: HashSet<(usize, usize)> = HashSet::new();
+        let mut delivered = History::default();
         // two rounds of rejected replies: streaks build, the eviction is
         // flagged as suspected Byzantine
         for _ in 0..2 {
@@ -1582,5 +1793,193 @@ mod tests {
             out.rejects.suspected_byzantine, 1,
             "suspicion must be re-earned after re-admission"
         );
+    }
+
+    /// One worker and everything `handle_frame` borrows, with the server
+    /// end of its link in hand so replies can be counted.
+    struct Bench {
+        state: WorkerState,
+        supernet: Supernet,
+        theta_len: usize,
+        dataset: SyntheticDataset,
+        scratch: WorkerScratch,
+        worker_end: ChannelTransport,
+        server_end: ChannelTransport,
+        masks: Vec<ArchMask>,
+        alpha: Vec<f32>,
+    }
+
+    impl Bench {
+        fn new(fault: ScriptedFault) -> Bench {
+            let config = fedrlnas_core::SearchConfig::tiny();
+            let mut rng = StdRng::seed_from_u64(21);
+            let mut search = fedrlnas_core::FederatedModelSearch::new(config.clone(), &mut rng);
+            let dataset = search.dataset().clone();
+            let participant = search.server_mut().participants()[0].clone();
+            let mut supernet = Supernet::new(config.net.clone(), &mut rng);
+            let (server_end, worker_end) = ChannelTransport::pair();
+            Bench {
+                state: WorkerState::new(participant, fault, Arc::new(Mutex::new(Vec::new()))),
+                theta_len: supernet.param_count(),
+                supernet,
+                dataset,
+                scratch: WorkerScratch::new(Arc::new(AtomicU64::new(0))),
+                worker_end,
+                server_end,
+                masks: (0..4)
+                    .map(|_| ArchMask::uniform_random(&config.net, &mut rng))
+                    .collect(),
+                alpha: Alpha::new(&config.net).logits().as_slice().to_vec(),
+            }
+        }
+
+        /// Round `round`'s download, as the engine would stage it.
+        fn download(&mut self, round: u64) -> Vec<u8> {
+            let mask = &self.masks[round as usize % self.masks.len()];
+            let mut sub = self.supernet.extract_submodel(mask);
+            let weights = flat_params(&mut sub);
+            let mut buffers = Vec::new();
+            sub.visit_buffers(&mut |b| buffers.extend_from_slice(b));
+            let mut frame = Vec::new();
+            encode_download_into(
+                &mut frame,
+                round,
+                0xFEED,
+                mask,
+                &weights,
+                &buffers,
+                &self.alpha,
+                None,
+            );
+            frame
+        }
+
+        /// Hands the worker one frame; returns the reply it sent, if any.
+        fn feed(&mut self, frame: &[u8]) -> Option<Vec<u8>> {
+            self.state.handle_frame(
+                &mut self.supernet,
+                self.theta_len,
+                &self.dataset,
+                &mut self.scratch,
+                &mut self.worker_end,
+                frame,
+            );
+            self.server_end.try_recv().expect("link is open")
+        }
+
+        fn cursor(&self) -> usize {
+            self.state.participant.data_cursor()
+        }
+    }
+
+    /// The reply cache holds exactly what a displaced download can still
+    /// ask for; past it, a worker stays silent rather than train a round
+    /// a second time. Fed directly: rounds 0..=16, then a retransmit of
+    /// the round in progress, the round before it (a retransmit reordered
+    /// behind the next round's download), one whose bytes are gone, and
+    /// the oldest round still in the answered ring (16 − 15).
+    #[test]
+    fn a_round_is_answered_from_the_cache_or_not_at_all_never_trained_twice() {
+        assert_eq!(
+            REPLY_CACHE_ROUNDS, 2,
+            "the bound derived from the fault layer"
+        );
+        let mut b = Bench::new(ScriptedFault::default());
+        let mut replies = Vec::new();
+        let mut cursors = vec![b.cursor()];
+        for round in 0..=16u64 {
+            let frame = b.download(round);
+            replies.push(
+                b.feed(&frame)
+                    .expect("a fresh round is trained and answered"),
+            );
+            cursors.push(b.cursor());
+            assert_ne!(
+                cursors[cursors.len() - 2],
+                cursors[cursors.len() - 1],
+                "training round {round} advances the loader"
+            );
+        }
+        let trained = b.cursor();
+        for (round, expect_reply) in [(16u64, true), (15, true), (14, false), (1, false)] {
+            let frame = b.download(round);
+            let reply = b.feed(&frame);
+            assert_eq!(b.cursor(), trained, "round {round} must not train again");
+            match (expect_reply, reply) {
+                (true, Some(reply)) => {
+                    assert_eq!(
+                        reply, replies[round as usize],
+                        "round {round}: cached bytes"
+                    )
+                }
+                (false, None) => {}
+                (_, got) => panic!("round {round}: reply {:?}", got.map(|f| f.len())),
+            }
+        }
+        // at rest a worker holds its struct and two exactly sized replies
+        let two_newest: usize = replies[15..].iter().map(Vec::len).sum();
+        assert_eq!(
+            b.state.resident_bytes(),
+            std::mem::size_of::<WorkerState>() - std::mem::size_of::<Participant>() + two_newest
+        );
+    }
+
+    /// A scripted crash forgets the replies *and* the answered rounds:
+    /// what the restarted worker is asked again, it trains again.
+    #[test]
+    fn a_crash_clears_the_cache_and_the_answered_ring() {
+        let mut b = Bench::new(ScriptedFault {
+            crash_restart: Some((2, 1)),
+            ..ScriptedFault::default()
+        });
+        for round in 0..2 {
+            let frame = b.download(round);
+            assert!(b.feed(&frame).is_some());
+        }
+        let frame = b.download(2);
+        assert!(b.feed(&frame).is_none(), "the crash round is not answered");
+        // back up from round 3 on; round 1's memory went with the crash
+        let frame = b.download(3);
+        assert!(b.feed(&frame).is_some());
+        let before = b.cursor();
+        let frame = b.download(1);
+        assert!(b.feed(&frame).is_some(), "round 1 is no longer remembered");
+        assert_ne!(b.cursor(), before);
+        let remembered = |r: &&u64| **r != NO_ROUND;
+        assert_eq!(b.state.answered.iter().filter(remembered).count(), 2);
+    }
+
+    /// The dense per-round tables answer what the keyed map and set they
+    /// replaced answered: unbooked slots and rounds off the books are
+    /// unknown, a delivery is remembered per (round, slot), ids past the
+    /// cohort are nobody, and the horizon drops whole rounds.
+    #[test]
+    fn history_tables_attribute_like_the_keyed_books() {
+        let net = SupernetConfig::tiny();
+        let mut rng = StdRng::seed_from_u64(3);
+        let masks: Vec<ArchMask> = (0..70)
+            .map(|_| ArchMask::uniform_random(&net, &mut rng))
+            .collect();
+        let mut h = History::default();
+        for round in 0..3 {
+            let rec = h.open(round, &masks);
+            for p in (0..70).filter(|p| p % 3 != round) {
+                rec.expected_lens[p] = 100 * round + p;
+                rec.booked.set(p);
+            }
+        }
+        assert_eq!(h.sent(1, 69), Some((&masks[69], 169)));
+        assert_eq!(h.sent(1, 1), None, "slot 1 sat round 1 out");
+        assert_eq!(h.sent(1, 70), None, "past the cohort");
+        assert_eq!(h.sent(3, 0), None, "round 3 was never opened");
+        assert!(!h.is_delivered(2, 64));
+        h.mark_delivered(2, 64);
+        h.mark_delivered(2, 7000); // a hostile id is ignored
+        h.mark_delivered(9, 0); // so is a round off the books
+        assert!(h.is_delivered(2, 64));
+        assert!(!h.is_delivered(1, 64) && !h.is_delivered(2, 63) && !h.is_delivered(2, 7000));
+        h.prune(HISTORY_ROUNDS + 1);
+        assert_eq!(h.sent(1, 69), None, "beyond the horizon");
+        assert!(h.sent(2, 69).is_some() && h.is_delivered(2, 64));
     }
 }

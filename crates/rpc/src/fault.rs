@@ -268,47 +268,59 @@ impl<T: Transport> FaultyTransport<T> {
     /// Sends any transmit-side frame held back by a reorder fault.
     fn flush_tx_held(&mut self) -> Result<(), TransportError> {
         if let Some(held) = self.tx_held.take() {
-            self.inner.send(&held)?;
+            self.inner.send_owned(held)?;
         }
         Ok(())
     }
 }
 
+/// How far the transmit side can displace a frame: the most frames sent
+/// *after* it that the peer can receive *before* it. A reorder-held frame
+/// goes out right behind the next frame that is actually delivered (a
+/// second hold swaps the two), a duplicate goes out back to back with its
+/// original, and nothing else changes the order — so the answer is one.
+/// The round engine sizes each worker's reply cache from this (see
+/// `engine::REPLY_CACHE_ROUNDS`); `displacement_is_bounded` pins it.
+pub(crate) const MAX_DISPLACEMENT: usize = 1;
+
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        self.send_owned(frame.to_vec())
+    }
+
+    fn send_owned(&mut self, mut frame: Vec<u8>) -> Result<(), TransportError> {
         match self.tx.next_fault() {
             FrameFault::Drop => {
                 // the frame vanishes; anything held keeps waiting
                 Ok(())
             }
             FrameFault::Corrupt(bit) => {
-                let mut bad = frame.to_vec();
-                flip_bit(&mut bad, bit);
-                self.inner.send(&bad)?;
+                flip_bit(&mut frame, bit);
+                self.inner.send_owned(frame)?;
                 self.flush_tx_held()
             }
             FrameFault::Duplicate => {
-                self.inner.send(frame)?;
-                self.inner.send(frame)?;
+                self.inner.send(&frame)?;
+                self.inner.send_owned(frame)?;
                 self.flush_tx_held()
             }
             FrameFault::Reorder => {
                 if let Some(held) = self.tx_held.take() {
                     // two holds in a row: release in swapped order
-                    self.inner.send(frame)?;
-                    self.inner.send(&held)
+                    self.inner.send_owned(frame)?;
+                    self.inner.send_owned(held)
                 } else {
-                    self.tx_held = Some(frame.to_vec());
+                    self.tx_held = Some(frame);
                     Ok(())
                 }
             }
             FrameFault::Delay(d) => {
                 std::thread::sleep(d);
-                self.inner.send(frame)?;
+                self.inner.send_owned(frame)?;
                 self.flush_tx_held()
             }
             FrameFault::None => {
-                self.inner.send(frame)?;
+                self.inner.send_owned(frame)?;
                 self.flush_tx_held()
             }
         }
@@ -428,6 +440,25 @@ impl<T: Transport> FaultyTransport<T> {
         if let Some(held) = self.rx_held.take() {
             self.rx_queue.push_back(held);
         }
+    }
+
+    /// The wrapped transport.
+    pub(crate) fn inner(&self) -> &T {
+        &self.inner
+    }
+
+    /// Heap bytes the fault layer itself holds: frames a fault has held
+    /// back or queued, the queue's own table, and both directions' copy
+    /// of the plan's partition list. Debug accounting.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let frames = self
+            .tx_held
+            .iter()
+            .chain(&self.rx_held)
+            .chain(&self.rx_queue);
+        frames.map(Vec::capacity).sum::<usize>()
+            + self.rx_queue.capacity() * std::mem::size_of::<Vec<u8>>()
+            + 2 * self.tx.plan.partitions.capacity() * std::mem::size_of::<Partition>()
     }
 
     /// Releases a receive-side frame held back by a reorder fault — the
@@ -609,5 +640,48 @@ mod tests {
         d.send(&f1).unwrap();
         let got = rx_faulty.recv_timeout(Duration::from_millis(50)).unwrap();
         assert_eq!(got, f1, "held frame must surface at the deadline");
+    }
+
+    /// Pins [`MAX_DISPLACEMENT`], which the round engine sizes every
+    /// worker's reply cache from: whatever the plan drops, corrupts,
+    /// duplicates or reorders, a frame is overtaken by at most that many
+    /// of the frames sent after it — and by exactly that many somewhere,
+    /// so the bound is not loose either.
+    #[test]
+    fn displacement_is_bounded() {
+        let mut worst = 0;
+        for seed in 0..8 {
+            let plan = FaultPlan {
+                seed,
+                drop: 0.15,
+                corrupt: 0.1,
+                duplicate: 0.15,
+                reorder: 0.25,
+                ..FaultPlan::default()
+            };
+            let (a, mut b) = ChannelTransport::pair();
+            let mut faulty = FaultyTransport::new(a, 0, &plan);
+            for round in 0..400 {
+                faulty.send(&encode(&Message::Ack { round })).unwrap();
+            }
+            let mut seen: Vec<u64> = Vec::new();
+            while let Some(frame) = b.try_recv().unwrap() {
+                let Ok(Message::Ack { round }) = decode(&frame) else {
+                    continue; // corrupted in flight
+                };
+                let mut overtaken_by: Vec<u64> =
+                    seen.iter().copied().filter(|&r| r > round).collect();
+                overtaken_by.sort_unstable();
+                overtaken_by.dedup();
+                assert!(
+                    overtaken_by.len() <= MAX_DISPLACEMENT,
+                    "seed {seed}: frame {round} arrived behind {overtaken_by:?}"
+                );
+                worst = worst.max(overtaken_by.len());
+                seen.push(round);
+            }
+            assert!(seen.len() > 200, "most frames get through");
+        }
+        assert_eq!(worst, MAX_DISPLACEMENT, "the plans above do reorder");
     }
 }

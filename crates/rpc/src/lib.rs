@@ -60,14 +60,14 @@ pub mod wire;
 
 pub use adversary::{apply_attack, Attack};
 pub use engine::{
-    backoff_delay, install, install_with_faults, EngineMode, RpcBackend, RpcConfig, ScriptedFault,
-    TransportKind,
+    backoff_delay, install, install_with_faults, EngineMode, ResidentBytes, RpcBackend, RpcConfig,
+    ScriptedFault, TransportKind,
 };
 pub use fault::{FaultInjector, FaultPlan, FaultyTransport, FrameFault, Partition};
 pub use transport::{ChannelTransport, ShapedTransport, TcpTransport, Transport, TransportError};
 pub use wire::{
-    coded_download_frame_len, coded_upload_frame_len, crc32, decode, download_frame_len, encode,
-    encode_download_into, encode_download_ranges_into, encode_into, encode_upload_coded_into,
-    frame_len, upload_frame_len, Message, WireError, FRAME_OVERHEAD, HEADER_LEN, MAGIC,
-    MIN_VERSION, TRAILER_LEN, VERSION,
+    coded_download_frame_len, coded_upload_frame_len, crc32, decode, decode_download,
+    download_frame_len, encode, encode_download_into, encode_download_ranges_into, encode_into,
+    encode_upload_coded_into, frame_len, upload_frame_len, DownloadRef, F32Run, Message, WireError,
+    FRAME_OVERHEAD, HEADER_LEN, MAGIC, MIN_VERSION, TRAILER_LEN, VERSION,
 };

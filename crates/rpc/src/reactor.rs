@@ -9,18 +9,24 @@
 //! * **Worker fleet** — participants are split into contiguous shards, one
 //!   pool thread per shard. Each thread owns *one* supernet structure
 //!   (weights always arrive over the wire, so nothing training-relevant
-//!   lives in it) plus a [`WorkerState`] per participant, and sweeps its
-//!   links with the nonblocking [`Transport::poll_recv`] readiness probe.
+//!   lives in it) and *one* set of codec scratch buffers
+//!   ([`WorkerScratch`]), lent to whichever participant it is running;
+//!   per participant there is a [`WorkerState`] — what must survive a
+//!   round, nothing frame-sized but its last two replies. The thread
+//!   sweeps its links with the nonblocking [`Transport::poll_recv`]
+//!   readiness probe.
 //!   A scripted `delay` parks that one link on a timer; the thread keeps
 //!   serving its shard-mates. A thread exits once every one of its links
 //!   has closed. [`EngineMode::Serial`](crate::EngineMode) runs over the
 //!   same fleet.
 //! * **Server collector** — phase 2 partitions the links into contiguous
-//!   chunks, one scoped pool thread per chunk, which first stages its own
-//!   links' download frames. Each link is a small state
+//!   chunks, one scoped pool thread per chunk. Each link is a small state
 //!   machine ([`LinkCtx`]) whose waits are all timers: when its frame
-//!   reaches the wire (shaped transmission time, or retransmit backoff
-//!   plus it), when its per-attempt deadline runs out, when its
+//!   reaches the wire (shaped transmission time — computed from the
+//!   booked frame size — or retransmit backoff plus it; the frame itself
+//!   is staged when that timer fires, into the vector the transport
+//!   takes, so no download outlives its send on this side), when its
+//!   per-attempt deadline runs out, when its
 //!   [`RpcConfig::quorum_drain`] window — opened the moment the quorum
 //!   transition is observed — closes. Shaped sends therefore overlap
 //!   across a chunk instead of summing, and no link can stall another.
@@ -51,8 +57,9 @@ use fedrlnas_fed::Participant;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::engine::{
-    absorb_reply_frame, backoff_delay, stage_download, wrap_link, FrameOutcome, FrameStep, Link,
-    RpcConfig, ScriptedFault, SendGate, Staged, WorkerHandle, WorkerRound, WorkerState,
+    absorb_reply_frame, backoff_delay, stage_download, wrap_link, FleetFootprint, FrameOutcome,
+    FrameStep, Link, RpcConfig, ScriptedFault, SendGate, Staged, WorkerHandle, WorkerRound,
+    WorkerScratch, WorkerState,
 };
 use crate::transport::{ChannelTransport, TcpTransport, Transport};
 use crate::wire::{decode, encode, Message};
@@ -125,12 +132,12 @@ pub(crate) fn spawn_pooled_workers(
     config: &RpcConfig,
     residuals: &[Arc<Mutex<Vec<f32>>>],
     growth: &Arc<AtomicU64>,
-) -> (Vec<WorkerHandle>, Vec<JoinHandle<()>>) {
+) -> (Vec<WorkerHandle>, Vec<JoinHandle<FleetFootprint>>) {
     let n = participants.len();
     let threads = pool_size(config.reactor_threads, n);
     let shard_len = n.div_ceil(threads).max(1);
     let (plan, time_scale) = (&config.fault, config.real_time_scale);
-    let mut joins: Vec<JoinHandle<()>> = Vec::new();
+    let mut joins: Vec<JoinHandle<FleetFootprint>> = Vec::new();
     match config.transport {
         TransportKind::InMemory => {
             let mut handles: Vec<WorkerHandle> = Vec::with_capacity(n);
@@ -232,19 +239,17 @@ struct Member {
 
 /// Drives one shard of the worker fleet: readiness-sweeps every open link,
 /// handing frames to its [`WorkerState`], and exits once all links have
-/// closed. One supernet *structure* serves the whole shard — every weight
-/// is overwritten from the wire before use, so sharing it cannot leak
-/// state across participants.
+/// closed, reporting what it held. One supernet *structure* and one
+/// [`WorkerScratch`] serve the whole shard — every weight is overwritten
+/// from the wire before use and every scratch buffer before it is read, so
+/// sharing them cannot leak state across participants.
 fn fleet_loop(
     fleet: Vec<FleetMember>,
     net: SupernetConfig,
     dataset: SyntheticDataset,
     growth: Arc<AtomicU64>,
-) {
-    if fleet.is_empty() {
-        return;
-    }
-    let first_id = fleet[0].1.id();
+) -> FleetFootprint {
+    let first_id = fleet.first().map_or(0, |member| member.1.id());
     let mut structure_rng = StdRng::seed_from_u64(0x5EED ^ first_id as u64);
     let mut supernet = Supernet::new(net, &mut structure_rng);
     let theta_len = supernet.param_count();
@@ -252,10 +257,11 @@ fn fleet_loop(
         .into_iter()
         .map(|(link, participant, fault, residual)| Member {
             link: Some(link),
-            state: WorkerState::new(participant, fault, residual, growth.clone()),
+            state: WorkerState::new(participant, fault, residual),
             held: None,
         })
         .collect();
+    let mut scratch = WorkerScratch::new(growth);
     let mut open = members.len();
     while open > 0 {
         let mut progressed = false;
@@ -287,10 +293,14 @@ fn fleet_loop(
                     Err(_) => break true,
                 };
                 progressed = true;
-                match m
-                    .state
-                    .handle_frame(&mut supernet, theta_len, &dataset, &mut **link, &frame)
-                {
+                match m.state.handle_frame(
+                    &mut supernet,
+                    theta_len,
+                    &dataset,
+                    &mut scratch,
+                    &mut **link,
+                    &frame,
+                ) {
                     FrameOutcome::Continue => {}
                     FrameOutcome::Exit => break true,
                     FrameOutcome::Delay(d) => {
@@ -308,6 +318,10 @@ fn fleet_loop(
         if open > 0 && !progressed {
             idle_nap(next_due, listening);
         }
+    }
+    FleetFootprint {
+        scratch_bytes: scratch.heap_bytes(),
+        participant_bytes: members.iter().map(|m| m.state.resident_bytes()).collect(),
     }
 }
 
@@ -338,7 +352,6 @@ struct LinkCtx {
 /// thread per contiguous chunk of links, results in participant order.
 pub(crate) fn collect(
     workers: &mut [WorkerHandle],
-    frames: &mut [Vec<u8>],
     eligible: &[bool],
     s: &Staged<'_>,
 ) -> Vec<(usize, WorkerRound)> {
@@ -350,10 +363,9 @@ pub(crate) fn collect(
     std::thread::scope(|scope| {
         let handles: Vec<_> = workers
             .chunks_mut(chunk_len)
-            .zip(frames.chunks_mut(chunk_len))
             .enumerate()
-            .map(|(ci, (chunk, frames))| {
-                scope.spawn(move || collect_chunk(chunk, frames, ci * chunk_len, eligible, s, gate))
+            .map(|(ci, chunk)| {
+                scope.spawn(move || collect_chunk(chunk, ci * chunk_len, eligible, s, gate))
             })
             .collect();
         handles
@@ -363,15 +375,14 @@ pub(crate) fn collect(
     })
 }
 
-/// Phase 2 for one contiguous chunk of workers: stage each eligible
-/// download into the chunk's own slice of frame buffers — the collectors
-/// fill the cohort's frames in parallel — put it on its link's send
-/// timer, then drive every link's state machine through nonblocking
-/// sweeps until all are settled. Returns `(participant, WorkerRound)`
-/// pairs in participant order.
+/// Phase 2 for one contiguous chunk of workers: arm each eligible link's
+/// send timer from its booked frame size, then drive every link's state
+/// machine through nonblocking sweeps until all are settled. A frame is
+/// staged when its timer fires — the collectors fill the cohort's frames
+/// in parallel — and handed to the transport whole. Returns
+/// `(participant, WorkerRound)` pairs in participant order.
 fn collect_chunk(
     chunk: &mut [WorkerHandle],
-    frames: &mut [Vec<u8>],
     base: usize,
     eligible: &[bool],
     s: &Staged<'_>,
@@ -379,31 +390,25 @@ fn collect_chunk(
 ) -> Vec<(usize, WorkerRound)> {
     let config = s.config;
     let mut ctxs: Vec<LinkCtx> = Vec::with_capacity(chunk.len());
-    for (i, (w, frame)) in chunk.iter_mut().zip(frames.iter_mut()).enumerate() {
+    for (i, w) in chunk.iter_mut().enumerate() {
         let p = base + i;
         if !eligible[p] {
             continue;
         }
-        let stage_start = Instant::now();
-        stage_download(frame, p, s);
-        let staged_at = Instant::now();
         let link = w.transport.as_mut().expect("live worker has transport");
         link.set_mbps(s.req.bandwidths_mbps[p]);
+        let now = Instant::now();
         ctxs.push(LinkCtx {
             p,
-            wr: WorkerRound {
-                ship_ns: (staged_at - stage_start).as_nanos() as u64,
-                ..WorkerRound::default()
-            },
+            wr: WorkerRound::default(),
             attempts: 0,
-            send_at: Some(staged_at + link.send_delay(frame.len())),
-            window_start: staged_at,
+            send_at: Some(now + link.send_delay(s.frame_bytes[p] as usize)),
+            window_start: now,
             met_at: None,
             done: false,
         });
     }
-    let frames = &*frames; // staged; read-only from here on
-                           // the quorum target and when it became known: no wait expires before
+    // the quorum target and when it became known: no wait expires before
     let mut quorum: Option<(usize, Instant)> = None;
     let mut remaining = ctxs.len();
     while remaining > 0 {
@@ -416,7 +421,6 @@ fn collect_chunk(
         for c in ctxs.iter_mut().filter(|c| !c.done) {
             let w = &mut chunk[c.p - base];
             let link = w.transport.as_mut().expect("live worker has transport");
-            let frame = &frames[c.p - base];
             if let Some(at) = c.send_at {
                 if Instant::now() < at {
                     earliest(&mut next_due, at);
@@ -425,7 +429,7 @@ fn collect_chunk(
                 c.send_at = None;
                 progressed = true;
                 let ship_start = Instant::now();
-                let sent = link.send_now(frame);
+                let sent = link.send_now(stage_download(c.p, s));
                 if c.attempts == 0 {
                     gate.record(sent.is_ok());
                     c.wr.ship_ns += ship_start.elapsed().as_nanos() as u64;
@@ -436,7 +440,7 @@ fn collect_chunk(
                     remaining -= 1;
                     continue;
                 }
-                c.wr.bytes_down += frame.len() as u64;
+                c.wr.bytes_down += s.frame_bytes[c.p];
                 // every send opens a fresh wait window
                 c.window_start = Instant::now();
                 c.met_at = None;
@@ -473,7 +477,8 @@ fn collect_chunk(
                         if !quorum_met && c.attempts < config.max_retries {
                             let salt = ((s.req.round as u64) << 32) | c.p as u64;
                             let backoff = backoff_delay(config.retry_backoff, c.attempts, salt);
-                            c.send_at = Some(now + backoff + link.send_delay(frame.len()));
+                            let on_wire = link.send_delay(s.frame_bytes[c.p] as usize);
+                            c.send_at = Some(now + backoff + on_wire);
                             c.attempts += 1;
                             c.wr.retransmits += 1;
                         } else {

@@ -39,6 +39,13 @@ pub trait Transport: Send {
     /// Sends one encoded frame.
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
 
+    /// Sends one encoded frame the caller has no further use for. A
+    /// transport that queues whole frames takes the vector as it is
+    /// instead of copying it; the default is [`Transport::send`].
+    fn send_owned(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.send(&frame)
+    }
+
     /// Receives the next frame, blocking until one arrives or the peer
     /// closes.
     fn recv(&mut self) -> Result<Vec<u8>, TransportError>;
@@ -76,9 +83,11 @@ impl ChannelTransport {
 
 impl Transport for ChannelTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.tx
-            .send(frame.to_vec())
-            .map_err(|_| TransportError::Closed)
+        self.send_owned(frame.to_vec())
+    }
+
+    fn send_owned(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.tx.send(frame).map_err(|_| TransportError::Closed)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
@@ -316,8 +325,16 @@ impl<T: Transport> ShapedTransport<T> {
 
     /// Sends without the shaping delay, for a caller that has already
     /// waited [`ShapedTransport::send_delay`] out.
-    pub fn send_now(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.inner.send(frame)
+    pub fn send_now(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.inner.send_owned(frame)
+    }
+
+    /// Sleeps [`ShapedTransport::send_delay`] out.
+    fn shape(&self, bytes: usize) {
+        let delay = self.send_delay(bytes);
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
     }
 
     /// The wrapped transport (for reaching fault counters and other
@@ -329,10 +346,12 @@ impl<T: Transport> ShapedTransport<T> {
 
 impl<T: Transport> Transport for ShapedTransport<T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let delay = self.send_delay(frame.len());
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
+        self.shape(frame.len());
+        self.inner.send(frame)
+    }
+
+    fn send_owned(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.shape(frame.len());
         self.send_now(frame)
     }
 

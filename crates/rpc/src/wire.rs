@@ -381,19 +381,22 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// A `u32`-count-prefixed run of little-endian `f32`s. The byte count
-    /// is checked against the remaining frame *before* any allocation, so
-    /// a corrupt length cannot trigger a huge reservation.
-    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
+    /// A `u32`-count-prefixed run of little-endian `f32`s, left where it
+    /// lies. The byte count is checked against the remaining frame
+    /// *before* anything is sized from it, so a corrupt length cannot
+    /// trigger a huge reservation.
+    fn f32_run(&mut self) -> Result<F32Run<'a>, WireError> {
         let n = self.u32()? as usize;
         let bytes = self.take(
             n.checked_mul(4)
                 .ok_or(WireError::Malformed("f32 run overflow"))?,
         )?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
+        Ok(F32Run(bytes))
+    }
+
+    /// [`Reader::f32_run`], copied out.
+    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
+        Ok(self.f32_run()?.to_vec())
     }
 
     /// A `u32`-length-prefixed opaque byte run (codec payload). The length
@@ -434,6 +437,45 @@ impl<'a> Reader<'a> {
                 }
             })
             .collect()
+    }
+
+    /// The payload of either download flavour (`coded` says which), its
+    /// two big `f32` runs borrowed from the frame.
+    fn download(&mut self, coded: bool) -> Result<DownloadRef<'a>, WireError> {
+        let round = self.u64()?;
+        let seed_base = self.u64()?;
+        let edges = self.u32()? as usize;
+        // two op tables of `edges` bytes each must fit in what's left
+        if self.remaining() < 2 * edges {
+            return Err(WireError::Truncated {
+                needed: HEADER_LEN + self.pos + 2 * edges,
+                got: HEADER_LEN + self.buf.len(),
+            });
+        }
+        let normal = self.ops(edges)?;
+        let reduction = self.ops(edges)?;
+        let mask = ArchMask::new(normal, reduction);
+        let weights = self.f32_run()?;
+        let buffers = self.f32_run()?;
+        let alpha = self.f32s()?;
+        let codec = if coded {
+            let tag = self.u8()?;
+            if tag > MAX_CODEC_TAG {
+                return Err(WireError::Malformed("unknown codec tag"));
+            }
+            Some((tag, self.f32()?))
+        } else {
+            None
+        };
+        Ok(DownloadRef {
+            round,
+            seed_base,
+            mask,
+            weights,
+            buffers,
+            alpha,
+            codec,
+        })
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -600,40 +642,23 @@ fn encode_payload_into(msg: &Message, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_payload(version: u8, msg_type: u8, payload: &[u8]) -> Result<Message, WireError> {
+/// A v2-only message type inside a v1 frame is refused.
+fn check_version(version: u8, msg_type: u8) -> Result<(), WireError> {
     if matches!(msg_type, TYPE_DOWNLOAD_CODED | TYPE_UPLOAD_CODED) && version < 2 {
         return Err(WireError::Malformed("coded message needs protocol v2"));
     }
     if (TYPE_SUBMIT_JOB..=TYPE_JOB_LIST).contains(&msg_type) && version < 2 {
         return Err(WireError::Malformed("control message needs protocol v2"));
     }
+    Ok(())
+}
+
+fn decode_payload(version: u8, msg_type: u8, payload: &[u8]) -> Result<Message, WireError> {
+    check_version(version, msg_type)?;
     let mut r = Reader::new(payload);
     let msg = match msg_type {
-        TYPE_DOWNLOAD => {
-            let round = r.u64()?;
-            let seed_base = r.u64()?;
-            let edges = r.u32()? as usize;
-            // two op tables of `edges` bytes each must fit in what's left
-            if r.remaining() < 2 * edges {
-                return Err(WireError::Truncated {
-                    needed: HEADER_LEN + r.pos + 2 * edges,
-                    got: HEADER_LEN + payload.len(),
-                });
-            }
-            let normal = r.ops(edges)?;
-            let reduction = r.ops(edges)?;
-            let mask = ArchMask::new(normal, reduction);
-            let weights = r.f32s()?;
-            let buffers = r.f32s()?;
-            let alpha = r.f32s()?;
-            Message::DownloadSubmodel {
-                round,
-                seed_base,
-                mask,
-                weights,
-                buffers,
-                alpha,
-            }
+        TYPE_DOWNLOAD | TYPE_DOWNLOAD_CODED => {
+            r.download(msg_type == TYPE_DOWNLOAD_CODED)?.into_message()
         }
         TYPE_UPLOAD => {
             let round = r.u64()?;
@@ -655,38 +680,6 @@ fn decode_payload(version: u8, msg_type: u8, payload: &[u8]) -> Result<Message, 
         TYPE_HEARTBEAT => Message::Heartbeat {
             participant: r.u32()?,
         },
-        TYPE_DOWNLOAD_CODED => {
-            let round = r.u64()?;
-            let seed_base = r.u64()?;
-            let edges = r.u32()? as usize;
-            if r.remaining() < 2 * edges {
-                return Err(WireError::Truncated {
-                    needed: HEADER_LEN + r.pos + 2 * edges,
-                    got: HEADER_LEN + payload.len(),
-                });
-            }
-            let normal = r.ops(edges)?;
-            let reduction = r.ops(edges)?;
-            let mask = ArchMask::new(normal, reduction);
-            let weights = r.f32s()?;
-            let buffers = r.f32s()?;
-            let alpha = r.f32s()?;
-            let codec_tag = r.u8()?;
-            if codec_tag > MAX_CODEC_TAG {
-                return Err(WireError::Malformed("unknown codec tag"));
-            }
-            let codec_param = r.f32()?;
-            Message::DownloadSubmodelCoded {
-                round,
-                seed_base,
-                mask,
-                weights,
-                buffers,
-                alpha,
-                codec_tag,
-                codec_param,
-            }
-        }
         TYPE_UPLOAD_CODED => {
             let round = r.u64()?;
             let participant = r.u32()?;
@@ -899,6 +892,120 @@ pub fn encode_upload_coded_into(
 /// trailing bytes are an error (stream transports split frames before
 /// calling this).
 pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
+    let (version, msg_type, payload) = open_frame(frame)?;
+    decode_payload(version, msg_type, payload)
+}
+
+/// A sub-model download read where it lies in its frame: the scalar
+/// fields and the (small) mask and α are copied out, the two big `f32`
+/// runs stay borrowed, so a worker fills its sub-model from the frame's
+/// bytes without a `Vec<f32>` in between.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DownloadRef<'a> {
+    /// Round the sub-model belongs to.
+    pub round: u64,
+    /// Base seed; the worker derives its private RNG stream from this.
+    pub seed_base: u64,
+    /// Architecture the participant must instantiate.
+    pub mask: ArchMask,
+    /// Flat sub-model weights in structural visit order.
+    pub weights: F32Run<'a>,
+    /// Flat BatchNorm running statistics in structural visit order.
+    pub buffers: F32Run<'a>,
+    /// Current controller logits.
+    pub alpha: Vec<f32>,
+    /// `(tag, param)` of the codec the upload must use — `Some` exactly
+    /// for a [`Message::DownloadSubmodelCoded`] frame.
+    pub codec: Option<(u8, f32)>,
+}
+
+impl DownloadRef<'_> {
+    fn into_message(self) -> Message {
+        let (weights, buffers) = (self.weights.to_vec(), self.buffers.to_vec());
+        match self.codec {
+            None => Message::DownloadSubmodel {
+                round: self.round,
+                seed_base: self.seed_base,
+                mask: self.mask,
+                weights,
+                buffers,
+                alpha: self.alpha,
+            },
+            Some((codec_tag, codec_param)) => Message::DownloadSubmodelCoded {
+                round: self.round,
+                seed_base: self.seed_base,
+                mask: self.mask,
+                weights,
+                buffers,
+                alpha: self.alpha,
+                codec_tag,
+                codec_param,
+            },
+        }
+    }
+}
+
+/// A run of little-endian `f32`s borrowed from a frame, read front to
+/// back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct F32Run<'a>(&'a [u8]);
+
+impl F32Run<'_> {
+    /// Values left in the run.
+    pub fn len(&self) -> usize {
+        self.0.len() / 4
+    }
+
+    /// Whether the run has been read to its end (or was empty).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Copies the next `out.len()` values into `out` and advances past
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `out.len()` values are left.
+    pub fn fill(&mut self, out: &mut [f32]) {
+        let (head, rest) = self.0.split_at(4 * out.len());
+        for (dst, c) in out.iter_mut().zip(head.chunks_exact(4)) {
+            *dst = f32::from_le_bytes(c.try_into().expect("4 bytes"));
+        }
+        self.0 = rest;
+    }
+
+    /// The values left in the run, copied out.
+    pub fn to_vec(&self) -> Vec<f32> {
+        self.0
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect()
+    }
+}
+
+/// [`decode`] for the one message a worker receives a thousand times a
+/// round: `Ok(Some(_))` exactly when [`decode`] yields a
+/// [`Message::DownloadSubmodel`] or [`Message::DownloadSubmodelCoded`]
+/// (same fields, same `f32` bits), the same [`WireError`] when a frame of
+/// either download type is refused, and `Ok(None)` for a sound envelope of
+/// any other type — the caller hands that to [`decode`]. Magic, version,
+/// length, CRC and payload shape are checked by the code [`decode`] runs.
+pub fn decode_download(frame: &[u8]) -> Result<Option<DownloadRef<'_>>, WireError> {
+    let (version, msg_type, payload) = open_frame(frame)?;
+    if !matches!(msg_type, TYPE_DOWNLOAD | TYPE_DOWNLOAD_CODED) {
+        return Ok(None);
+    }
+    check_version(version, msg_type)?;
+    let mut r = Reader::new(payload);
+    let down = r.download(msg_type == TYPE_DOWNLOAD_CODED)?;
+    r.finish()?;
+    Ok(Some(down))
+}
+
+/// Checks a frame's envelope — magic, version, declared against actual
+/// length, payload CRC — and returns `(version, message type, payload)`.
+fn open_frame(frame: &[u8]) -> Result<(u8, u8, &[u8]), WireError> {
     if frame.len() < HEADER_LEN {
         return Err(WireError::Truncated {
             needed: HEADER_LEN,
@@ -936,7 +1043,7 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
     if expected != got {
         return Err(WireError::ChecksumMismatch { expected, got });
     }
-    decode_payload(frame[4], msg_type, payload)
+    Ok((frame[4], msg_type, payload))
 }
 
 /// Frame length needed by the header to be complete, if the header itself

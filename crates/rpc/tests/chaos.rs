@@ -13,7 +13,8 @@ use std::time::Duration;
 
 use fedrlnas_core::{Checkpoint, FederatedModelSearch, SearchConfig, SearchOutcome};
 use fedrlnas_rpc::{
-    install, install_with_faults, FaultPlan, RpcConfig, ScriptedFault, TransportKind,
+    install, install_with_faults, FaultInjector, FaultPlan, FrameFault, RpcConfig, ScriptedFault,
+    TransportKind,
 };
 use fedrlnas_sync::{StalenessModel, StalenessStrategy};
 use rand::{rngs::StdRng, SeedableRng};
@@ -35,11 +36,19 @@ fn chaos_rpc(transport: TransportKind, fault_seed: u64) -> RpcConfig {
 }
 
 fn run_search(config: SearchConfig, rpc: Option<RpcConfig>) -> SearchOutcome {
+    run_scripted(config, rpc, &[])
+}
+
+fn run_scripted(
+    config: SearchConfig,
+    rpc: Option<RpcConfig>,
+    faults: &[ScriptedFault],
+) -> SearchOutcome {
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut search = FederatedModelSearch::new(config, &mut rng);
     if let Some(cfg) = rpc {
         let dataset = search.dataset().clone();
-        install(search.server_mut(), &dataset, cfg);
+        install_with_faults(search.server_mut(), &dataset, cfg, faults);
     }
     search.run(&mut rng)
 }
@@ -74,6 +83,81 @@ fn recoverable_chaos_preserves_the_search_result_in_memory() {
     assert!(
         chaotic.comm.bytes_down >= clean.comm.bytes_down,
         "dropped downloads must be retransmitted"
+    );
+}
+
+/// Downloads displaced across a round boundary — the two ways a worker is
+/// asked for a round it has already answered once a later round is under
+/// way. Both are answered from its two-entry reply cache, neither trains
+/// a round twice (a second step would advance the participant's loader
+/// and every later round's curve point with it), and the search comes out
+/// exactly as the clean run's.
+#[test]
+fn displaced_downloads_across_a_round_boundary_preserve_the_search_result() {
+    let baseline = run_search(SearchConfig::tiny(), None);
+    let rpc = |fault: FaultPlan| RpcConfig {
+        transport: TransportKind::InMemory,
+        deadline: Duration::from_millis(200),
+        max_retries: 3,
+        retry_backoff: Duration::from_millis(2),
+        fault,
+        ..RpcConfig::default()
+    };
+    let first_seed = |plan: fn(u64) -> FaultPlan, wanted: &dyn Fn(FaultPlan) -> bool| {
+        plan((0..).find(|&seed| wanted(plan(seed))).expect("some seed"))
+    };
+    let quiet = |link: &mut FaultInjector, frames: usize| {
+        (0..frames).all(|_| link.next_fault() == FrameFault::None)
+    };
+
+    // (a) A retransmit of round 2 reordered behind round 3's download.
+    // Worker 0 sits on round 2's download past the first deadline, so the
+    // engine retransmits; the link's schedule holds exactly that frame
+    // back; the worker's (one) reply then lands inside the retry window
+    // and settles the round with the retransmit still held. Round 3's
+    // download releases it: the worker trains round 3, then is asked for
+    // round 2 again.
+    const SLEPT: usize = 2;
+    let reorders = |seed| FaultPlan {
+        seed,
+        reorder: 0.03,
+        ..FaultPlan::default()
+    };
+    let plan = first_seed(reorders, &|plan| {
+        let mut down = FaultInjector::new(plan.clone(), 0, 0);
+        let mut up = FaultInjector::new(plan, 0, 1);
+        quiet(&mut down, SLEPT + 1) // downloads 0..=2 arrive
+            && down.next_fault() == FrameFault::Reorder // the retransmit is held
+            && quiet(&mut down, 1) // round 3's download releases it
+            && quiet(&mut up, SLEPT + 2) // replies 0..=3 arrive as sent
+    });
+    let sleeper = ScriptedFault {
+        delay: Some((SLEPT, Duration::from_millis(320))),
+        ..ScriptedFault::default()
+    };
+    let reordered = run_scripted(SearchConfig::tiny(), Some(rpc(plan)), &[sleeper]);
+    assert_same_trajectory(&baseline, &reordered);
+    assert!(reordered.comm.faults.frames_reordered >= 1);
+    assert!(reordered.comm.faults.retransmits >= 1);
+
+    // (b) A duplicated download: the copy is answered from the cache, and
+    // that second reply reaches the engine after the round has settled —
+    // it is read, and dropped as a duplicate, in the round after.
+    let duplicates = |seed| FaultPlan {
+        seed,
+        duplicate: 0.05,
+        ..FaultPlan::default()
+    };
+    let plan = first_seed(duplicates, &|plan| {
+        let mut down = FaultInjector::new(plan, 1, 0);
+        quiet(&mut down, 3) && down.next_fault() == FrameFault::Duplicate
+    });
+    let duplicated = run_search(SearchConfig::tiny(), Some(rpc(plan)));
+    assert_same_trajectory(&baseline, &duplicated);
+    assert!(duplicated.comm.faults.frames_duplicated >= 1);
+    assert_eq!(
+        duplicated.comm.faults.retransmits, 0,
+        "a duplicate costs nothing"
     );
 }
 

@@ -17,8 +17,8 @@ use fedrlnas_core::{
 };
 use fedrlnas_darts::{ArchMask, Supernet};
 use fedrlnas_rpc::{
-    install_with_faults, Attack, EngineMode, FaultPlan, RpcBackend, RpcConfig, ScriptedFault,
-    TransportKind,
+    install_with_faults, upload_frame_len, Attack, EngineMode, FaultPlan, RpcBackend, RpcConfig,
+    ScriptedFault, TransportKind,
 };
 use fedrlnas_sync::{StalenessModel, StalenessStrategy};
 use rand::{rngs::StdRng, SeedableRng};
@@ -198,6 +198,15 @@ impl Rig {
         }
     }
 
+    /// Flat-gradient length of each slot's sub-model.
+    fn param_counts(&self) -> Vec<usize> {
+        let layout = self.supernet.layout();
+        self.masks
+            .iter()
+            .map(|m| layout.submodel_param_count(m))
+            .collect()
+    }
+
     fn round(&mut self, t: usize) -> RoundOutcome {
         let (theta, buffers) = (self.supernet.flat_params(), self.supernet.flat_buffers());
         self.backend.run_round(RoundRequest {
@@ -249,17 +258,21 @@ fn booked_downloads_match_what_ships() {
     assert_eq!(out.bytes_down, out.download_frame_bytes.iter().sum::<u64>());
 }
 
-/// The engine's hot-path buffers (download frames, staging vectors,
-/// worker-side encode scratch and reply frames) are grow-only and reused
-/// — after a warm-up the growth counter must stop moving, i.e. the
-/// steady-state round path performs no buffer reallocation.
+/// The engine's reused hot-path buffers — the codec scratch (selection
+/// keys, coded run, self-decode output) each fleet pool thread lends to
+/// the participant it is running — are grow-only: after a warm-up the
+/// growth counter must stop moving. And they are the pool's, not the
+/// participants': one set per thread, none of it in any participant's
+/// own footprint.
 #[test]
 fn scratch_buffers_stop_growing_after_warmup() {
+    const POOL: usize = 2;
     let codec = CodecConfig::Fixed(CodecSpec::TopK { k_frac: 0.25 });
     let config = SearchConfig::tiny().with_codec(codec);
     let k = config.num_participants;
     let rpc = RpcConfig {
         codec,
+        reactor_threads: POOL,
         ..RpcConfig::default()
     };
     let mut rig = Rig::new(config, 50.0, rpc, &[]);
@@ -279,6 +292,89 @@ fn scratch_buffers_stop_growing_after_warmup() {
         rig.backend.buffer_growth_count(),
         growth_after_warmup,
         "steady-state rounds must not grow any hot-path buffer"
+    );
+    let gradients = rig.param_counts();
+    let held = rig.backend.into_resident_bytes();
+    assert_eq!(held.pool_scratch.len(), POOL, "one scratch per pool thread");
+    // top-k at a quarter: a u64 key and a decoded f32 per gradient
+    // element, two coded bytes per element
+    let smallest = gradients.iter().min().expect("k masks");
+    for (thread, &bytes) in held.pool_scratch.iter().enumerate() {
+        assert!(
+            bytes >= 14 * smallest,
+            "thread {thread} holds its codec scratch: {bytes} B"
+        );
+    }
+    assert_eq!(held.participants.len(), k);
+    for (p, (&bytes, elements)) in held.participants.iter().zip(&gradients).enumerate() {
+        // two replies of two bytes an element, and nothing of the scratch
+        assert!(
+            bytes < 8 * elements,
+            "participant {p} holds {bytes} B for a {elements}-element gradient"
+        );
+    }
+}
+
+/// Fleet memory is O(pool), not O(cohort): after eight rounds at a
+/// thousand participants over in-memory links, a participant holds its
+/// two most recent replies and a fixed few hundred bytes, and the server
+/// holds no frame-sized buffer per link at all.
+#[test]
+fn a_participant_holds_two_replies_and_a_link_holds_no_frame() {
+    const N: usize = 1000;
+    /// Everything per participant that is not a cached reply — the
+    /// fault script, the answered-round ring (128 B), the residual handle
+    /// and bookkeeping: 328 B on x86-64.
+    const WORKER_FIXED: usize = 384;
+    /// The handle with both directions' fault injectors (a plan, an RNG
+    /// and a tally each), the channel endpoint and the fault layer's
+    /// queue table: 664 B on x86-64.
+    const LINK_FIXED: usize = 768;
+    let rpc = RpcConfig {
+        deadline: Duration::from_secs(60),
+        ..RpcConfig::default()
+    };
+    let mut rig = Rig::new(SearchConfig::tiny().with_participants(N), 50.0, rpc, &[]);
+    for t in 0..8 {
+        assert_eq!(
+            rig.round(t).reports.len(),
+            N,
+            "round {t} must be full strength"
+        );
+    }
+    let alpha = rig.alpha_logits.len();
+    let replies: Vec<usize> = rig
+        .param_counts()
+        .into_iter()
+        .map(|weights| upload_frame_len(weights, alpha))
+        .collect();
+    let held = rig.backend.into_resident_bytes();
+    assert_eq!((held.participants.len(), held.links.len()), (N, N));
+    for (p, (&bytes, reply)) in held.participants.iter().zip(&replies).enumerate() {
+        assert!(
+            (2 * reply..=2 * reply + WORKER_FIXED).contains(&bytes),
+            "participant {p} holds {bytes} B against a {reply} B reply"
+        );
+    }
+    let smallest_frame = *replies.iter().min().expect("N replies");
+    assert!(
+        LINK_FIXED < smallest_frame / 4,
+        "the bound excludes a frame"
+    );
+    for (p, &bytes) in held.links.iter().enumerate() {
+        assert!(bytes <= LINK_FIXED, "link {p} holds {bytes} B");
+    }
+    assert!(
+        held.pool_scratch.iter().all(|&b| b == 0),
+        "an fp32 fleet needs no codec scratch: {:?}",
+        held.pool_scratch
+    );
+    eprintln!(
+        "n = {N}: per participant {}..{} B worker side, {}..{} B server side",
+        held.participants.iter().min().expect("N"),
+        held.participants.iter().max().expect("N"),
+        held.links.iter().min().expect("N"),
+        held.links.iter().max().expect("N"),
     );
 }
 

@@ -4,8 +4,8 @@
 
 use fedrlnas_darts::{ArchMask, NUM_OPS};
 use fedrlnas_rpc::wire::{
-    coded_download_frame_len, coded_upload_frame_len, crc32, decode, download_frame_len, encode,
-    upload_frame_len, Message, WireError, FRAME_OVERHEAD, HEADER_LEN,
+    coded_download_frame_len, coded_upload_frame_len, crc32, decode, decode_download,
+    download_frame_len, encode, upload_frame_len, Message, WireError, FRAME_OVERHEAD, HEADER_LEN,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -63,8 +63,111 @@ fn control_strategy() -> impl Strategy<Value = Message> {
         })
 }
 
+/// The borrowed download reader and `decode` must say the same thing
+/// about `frame`: the same download (compared by `f32` bits), the same
+/// error, or — for a sound frame of another type — "not mine".
+fn assert_download_reader_agrees(frame: &[u8]) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    match (decode_download(frame), decode(frame)) {
+        (Err(borrowed), Err(owned)) => assert_eq!(borrowed, owned),
+        (
+            Ok(Some(d)),
+            Ok(Message::DownloadSubmodel {
+                round,
+                seed_base,
+                mask,
+                weights,
+                buffers,
+                alpha,
+            }),
+        ) => {
+            assert_eq!((d.round, d.seed_base, &d.mask), (round, seed_base, &mask));
+            assert_eq!(d.codec, None);
+            assert_eq!(d.weights.len(), weights.len());
+            assert_eq!(bits(&d.weights.to_vec()), bits(&weights));
+            assert_eq!(bits(&d.buffers.to_vec()), bits(&buffers));
+            assert_eq!(bits(&d.alpha), bits(&alpha));
+            // read front to back in pieces, as a worker fills its tensors
+            let mut run = d.weights;
+            let mut filled = vec![0.0f32; weights.len()];
+            let (head, tail) = filled.split_at_mut(weights.len() / 3);
+            run.fill(head);
+            run.fill(tail);
+            assert!(run.is_empty());
+            assert_eq!(bits(&filled), bits(&weights));
+        }
+        (
+            Ok(Some(d)),
+            Ok(Message::DownloadSubmodelCoded {
+                round,
+                seed_base,
+                mask,
+                weights,
+                buffers,
+                alpha,
+                codec_tag,
+                codec_param,
+            }),
+        ) => {
+            assert_eq!((d.round, d.seed_base, &d.mask), (round, seed_base, &mask));
+            let (tag, param) = d.codec.expect("a coded download names its codec");
+            assert_eq!((tag, param.to_bits()), (codec_tag, codec_param.to_bits()));
+            assert_eq!(bits(&d.weights.to_vec()), bits(&weights));
+            assert_eq!(bits(&d.buffers.to_vec()), bits(&buffers));
+            assert_eq!(bits(&d.alpha), bits(&alpha));
+        }
+        (Ok(None), owned) => assert!(
+            !matches!(
+                owned,
+                Ok(Message::DownloadSubmodel { .. } | Message::DownloadSubmodelCoded { .. })
+            ),
+            "the reader passed on a download"
+        ),
+        (borrowed, owned) => panic!("reader {borrowed:?} but decode {owned:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Round trip, truncate anywhere, flip any bit — with and without the
+    /// CRC re-sealed over the damage, so the payload checks behind the
+    /// checksum are compared too.
+    #[test]
+    fn borrowed_download_reader_accepts_and_rejects_what_decode_does(
+        mask in mask_strategy(),
+        weights in f32s(96),
+        buffers in f32s(24),
+        alpha in f32s(24),
+        coded in 0usize..2,
+        codec in codec_fields(),
+        cut in 0usize..10_000,
+        pos in 0usize..10_000,
+        bit in 0u8..8,
+    ) {
+        let msg = if coded == 0 {
+            Message::DownloadSubmodel { round: 9, seed_base: 4, mask, weights, buffers, alpha }
+        } else {
+            Message::DownloadSubmodelCoded {
+                round: 9, seed_base: 4, mask, weights, buffers, alpha,
+                codec_tag: codec.0, codec_param: codec.1,
+            }
+        };
+        let frame = encode(&msg);
+        assert_download_reader_agrees(&frame);
+        prop_assert!(decode_download(&frame).expect("sound frame").is_some());
+        assert_download_reader_agrees(&frame[..cut % frame.len()]);
+        let mut flipped = frame.clone();
+        flipped[pos % frame.len()] ^= 1 << bit;
+        assert_download_reader_agrees(&flipped);
+        let end = flipped.len() - 4;
+        let crc = crc32(&flipped[HEADER_LEN..end]);
+        flipped[end..].copy_from_slice(&crc.to_le_bytes());
+        assert_download_reader_agrees(&flipped);
+        // and a sound frame that is not a download is left to `decode`
+        let ack = encode(&Message::Ack { round: 9 });
+        prop_assert_eq!(decode_download(&ack), Ok(None));
+    }
 
     #[test]
     fn download_round_trips(

@@ -226,10 +226,12 @@ fn pack_rows<const W: usize>(
 ///
 /// `a_panel` is `kc * MR` (k-major, stride `MR`), `b_panel` is `kc * NR`
 /// (k-major); `row_off` selects which rows of the tile this pass covers.
-/// The fixed-size accumulator array lives in registers; the unrolled body
-/// auto-vectorizes under whatever SIMD width the instantiation enables (see
-/// the `#[target_feature]` wrappers below). `ROWS` is the register-budget
-/// knob: 8 rows = 8 zmm accumulators on AVX-512, 4 rows = 8 ymm on AVX2.
+/// The fixed-size accumulator array lives in registers. `ROWS` is the
+/// register-budget knob. Every step is fused (`mul_add`, one rounding) —
+/// the chain the AVX2 and AVX-512 microkernels compute with `vfmadd`, so a
+/// packed-path result does not depend on which of the three the CPU
+/// selects; without hardware FMA `mul_add` is a library call, which is
+/// the price of being the fallback.
 #[inline(always)]
 fn microkernel_rows<const ROWS: usize>(
     kc: usize,
@@ -250,7 +252,7 @@ fn microkernel_rows<const ROWS: usize>(
         for i in 0..ROWS {
             let ai = ap[row_off + i];
             for j in 0..NR {
-                acc[i][j] += ai * bp[j];
+                acc[i][j] = ai.mul_add(bp[j], acc[i][j]);
             }
         }
     }
@@ -587,6 +589,69 @@ mod tests {
             let want = reference(m, n, k, &a, &b);
             for (x, y) in c.iter().zip(want.iter()) {
                 assert!((x - y).abs() < 1e-3, "mismatch {x} vs {y} at ({m},{n},{k})");
+            }
+        }
+    }
+
+    /// Every packed-path microkernel this CPU can run computes the chain
+    /// the portable one does, bit for bit: per element, from a zero
+    /// accumulator, `p` ascending, every step fused. (The packed path's
+    /// block structure around it — one such chain per `KC` block, block
+    /// sums added to `c` in block order — is the same code for all three.)
+    #[test]
+    fn every_microkernel_matches_the_portable_one_bit_for_bit() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut kernels: Vec<(&str, Microkernel)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                // SAFETY: features verified on this CPU just above.
+                kernels.push(("avx2", |kc, a, b, acc| unsafe {
+                    microkernel_avx2(kc, a, b, acc)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: feature verified on this CPU just above.
+                kernels.push(("avx512", |kc, a, b, acc| unsafe {
+                    microkernel_avx512(kc, a, b, acc)
+                }));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(4);
+        for kc in [1, 2, 7, 64, KC] {
+            // magnitudes spread over ten binades, so a product's low bits
+            // are lost or kept depending on whether the step is fused
+            let mut draw = |len: usize| -> Vec<f32> {
+                (0..len)
+                    .map(|_| rng.gen_range(-1.0f32..1.0) * 2f32.powi(rng.gen_range(-5..5)))
+                    .collect()
+            };
+            let (a_panel, b_panel) = (draw(kc * MR), draw(kc * NR));
+            let mut want = [[0.0f32; NR]; MR];
+            microkernel_generic(kc, &a_panel, &b_panel, &mut want);
+            let mut unfused = [[0.0f32; NR]; MR];
+            for (ap, bp) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
+                for (row, &ai) in unfused.iter_mut().zip(ap) {
+                    for (c, &bj) in row.iter_mut().zip(bp) {
+                        *c += ai * bj;
+                    }
+                }
+            }
+            if kc >= 7 {
+                assert_ne!(want, unfused, "kc {kc}: the inputs tell fused from unfused");
+            }
+            for (name, kernel) in &kernels {
+                let mut got = [[0.0f32; NR]; MR];
+                kernel(kc, &a_panel, &b_panel, &mut got);
+                for (i, (g, w)) in got.iter().flatten().zip(want.iter().flatten()).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{name}, kc {kc}, element {i}: {g:e} vs portable {w:e}"
+                    );
+                }
             }
         }
     }
