@@ -19,7 +19,11 @@
 //!   under shaped bandwidth (`real_time_scale = 10`, the slow-link regime
 //!   the paper targets), the serial oracle vs the engine with the same
 //!   seed — the trajectories are asserted identical, so the speedup is
-//!   pure overlap of shaped sends.
+//!   pure overlap of shaped sends. The engine row also reports the
+//!   mechanism behind its idle cost: `wakeups_per_round` (times a
+//!   collector / fleet thread came back from its blocking wait — a few
+//!   per frame and timer, not one per nap) and `cpu_ms_per_round`
+//!   (process CPU over the run).
 //!
 //! Usage: `cargo run --release -p fedrlnas-bench --bin bench_transport`
 //! (writes `BENCH_transport.json` in the current directory; pass `--out
@@ -27,19 +31,21 @@
 //! engine mode (the CI perf-smoke configuration); `--check <floor.json>`
 //! exits non-zero if the sub-model frame's wire encode/decode throughput,
 //! a measured codec throughput or the engine speedup falls below the
-//! committed floor.
+//! committed floor, or the collectors' wake-ups per round rise above the
+//! committed ceiling.
 
 use fedrlnas_bench::{json_number, median_ns};
 use fedrlnas_codec::{CodecSpec, EncodeScratch};
 use fedrlnas_controller::Alpha;
-use fedrlnas_core::{FederatedModelSearch, SearchConfig};
+use fedrlnas_core::{FederatedModelSearch, RoundBackend, RoundOutcome, RoundRequest, SearchConfig};
 use fedrlnas_darts::{ArchMask, Supernet};
 use fedrlnas_rpc::{
-    decode, encode, install, ChannelTransport, EngineMode, Message, RpcConfig, TcpTransport,
+    decode, encode, ChannelTransport, EngineMode, Message, RpcBackend, RpcConfig, TcpTransport,
     Transport, TransportKind,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 struct Payload {
@@ -143,18 +149,62 @@ fn echo_loop(transport: &mut dyn Transport, reply: Vec<u8>) {
     }
 }
 
+/// The engine with a tap on it: the server owns its backend boxed, so the
+/// wrapper publishes the wake-up counts (`(collectors, fleet)`) after
+/// every round for the bench to read.
+struct Tapped {
+    inner: RpcBackend,
+    wakeups: Arc<Mutex<(u64, u64)>>,
+}
+
+impl RoundBackend for Tapped {
+    fn run_round(&mut self, request: RoundRequest<'_>) -> RoundOutcome {
+        let out = self.inner.run_round(request);
+        *self.wakeups.lock().expect("tap lock") = self.inner.wakeups();
+        out
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+
+    fn collect_residuals(&mut self) -> Option<Vec<Vec<f32>>> {
+        self.inner.collect_residuals()
+    }
+}
+
+/// User + system CPU milliseconds of this process so far, all threads,
+/// from `/proc/self/stat` (fields 14 and 15, counted from behind the
+/// parenthesised name, in `USER_HZ` = 100 ticks a second); 0 where the
+/// platform does not have it.
+fn process_cpu_ms() -> f64 {
+    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
+        return 0.0;
+    };
+    let after_name = stat.rfind(')').map_or("", |i| &stat[i + 1..]);
+    let mut fields = after_name.split_ascii_whitespace().skip(11);
+    let mut ticks = || fields.next().and_then(|f| f.parse::<f64>().ok());
+    match (ticks(), ticks()) {
+        (Some(user), Some(system)) => (user + system) * 10.0,
+        _ => 0.0,
+    }
+}
+
 /// End-to-end `rounds_per_sec` at n participants under shaped bandwidth:
 /// the same seeded warm-up run under the serial oracle and the engine.
 /// The warm-up curves and communication stats must be bit-identical — the
 /// measured speedup is pure send/wait overlap, not a different
-/// computation. Returns engine ÷ serial.
-fn rounds_per_sec_group(json: &mut String, rounds: usize) -> f64 {
+/// computation. Returns engine ÷ serial and the engine's collector
+/// wake-ups per round.
+fn rounds_per_sec_group(json: &mut String, rounds: usize) -> (f64, f64) {
     const N: usize = 64;
     // stretch simulated transmission times 10x so the bench runs in the
     // bandwidth-bound regime federated search actually lives in; the
     // engine overlaps those sends, the serial oracle sums them
     const TIME_SCALE: f64 = 10.0;
     let mut results = Vec::new();
+    // the engine's (the second run's) wake-up counts and CPU
+    let mut tapped = ((0, 0), 0.0);
     for (label, mode) in [
         ("serial", EngineMode::Serial),
         ("engine", EngineMode::default()),
@@ -164,22 +214,28 @@ fn rounds_per_sec_group(json: &mut String, rounds: usize) -> f64 {
         let mut rng = StdRng::seed_from_u64(42);
         let mut search = FederatedModelSearch::new(config, &mut rng);
         let dataset = search.dataset().clone();
-        install(
-            search.server_mut(),
-            &dataset,
-            RpcConfig {
-                transport: TransportKind::InMemory,
-                engine: mode,
-                real_time_scale: TIME_SCALE,
-                ..RpcConfig::default()
-            },
-        );
-        let start = Instant::now();
-        search.server_mut().run_warmup(&dataset, rounds, &mut rng);
+        let server = search.server_mut();
+        let rpc = RpcConfig {
+            transport: TransportKind::InMemory,
+            engine: mode,
+            real_time_scale: TIME_SCALE,
+            codec: server.config().codec,
+            ..RpcConfig::default()
+        };
+        let net = server.config().net.clone();
+        let wakeups = Arc::new(Mutex::new((0, 0)));
+        server.set_backend(Box::new(Tapped {
+            inner: RpcBackend::new(server.participants(), &net, &dataset, rpc),
+            wakeups: wakeups.clone(),
+        }));
+        let (start, cpu_start) = (Instant::now(), process_cpu_ms());
+        server.run_warmup(&dataset, rounds, &mut rng);
         let secs = start.elapsed().as_secs_f64();
-        let curve = search.server_mut().warmup_curve().clone();
-        let comm = *search.server_mut().comm();
+        let cpu_ms = process_cpu_ms() - cpu_start;
+        let curve = server.warmup_curve().clone();
+        let comm = *server.comm();
         results.push((label, secs, curve, comm));
+        tapped = (*wakeups.lock().expect("tap lock"), cpu_ms);
     }
     assert_eq!(
         results[0].2, results[1].2,
@@ -204,9 +260,19 @@ fn rounds_per_sec_group(json: &mut String, rounds: usize) -> f64 {
         "    \"serial\": {serial_rps:.3}, \"engine\": {engine_rps:.3}, \"speedup\": {speedup:.2},"
     )
     .unwrap();
+    let ((collectors, fleet), cpu_ms) = tapped;
+    let per_round = |count: u64| count as f64 / rounds as f64;
+    writeln!(
+        json,
+        "    \"wakeups_per_round\": {{\"collectors\": {:.1}, \"fleet\": {:.1}}}, \"cpu_ms_per_round\": {:.1},",
+        per_round(collectors),
+        per_round(fleet),
+        cpu_ms / rounds as f64
+    )
+    .unwrap();
     writeln!(json, "    \"identical_trajectory\": true").unwrap();
     writeln!(json, "  }}").unwrap();
-    speedup
+    (speedup, per_round(collectors))
 }
 
 fn main() {
@@ -376,7 +442,8 @@ fn main() {
     }
     writeln!(json, "  ],").unwrap();
 
-    let engine_speedup = rounds_per_sec_group(&mut json, if quick { 1 } else { 3 });
+    let (engine_speedup, engine_wakeups) =
+        rounds_per_sec_group(&mut json, if quick { 1 } else { 3 });
     writeln!(json, "}}").unwrap();
 
     std::fs::write(&out_path, &json).expect("write BENCH_transport.json");
@@ -407,6 +474,18 @@ fn main() {
                 failed = true;
             } else {
                 eprintln!("ok: engine speedup {engine_speedup:.2}x >= floor {floor:.1}x");
+            }
+        }
+        if let Some(ceiling) = json_number(&floors, "engine_wakeups_per_round_ceiling") {
+            if engine_wakeups > ceiling {
+                eprintln!(
+                    "FAIL: {engine_wakeups:.0} collector wake-ups a round above committed ceiling {ceiling:.0}"
+                );
+                failed = true;
+            } else {
+                eprintln!(
+                    "ok: {engine_wakeups:.0} collector wake-ups a round <= ceiling {ceiling:.0}"
+                );
             }
         }
         if failed {

@@ -79,7 +79,8 @@ use fedrlnas_tensor::Tensor;
 
 use crate::adversary::{apply_attack, Attack};
 use crate::fault::{mix, FaultPlan, FaultyTransport, MAX_DISPLACEMENT};
-use crate::transport::{ShapedTransport, Transport, TransportError};
+use crate::transport::{Doorbell, ShapedTransport, Transport, TransportError};
+use crate::waiter::Waiter;
 use crate::wire::{
     coded_download_frame_len, coded_upload_frame_len, decode, decode_download, download_frame_len,
     encode, encode_download_ranges_into, encode_into, encode_upload_coded_into, upload_frame_len,
@@ -108,7 +109,10 @@ const MAX_BACKOFF: Duration = Duration::from_secs(2);
 /// is drained once the quorum is already met.
 pub(crate) const QUORUM_DRAIN: Duration = Duration::from_millis(5);
 
-/// How long an evicted worker's link is drained per round.
+/// How long a round waits, once, on the links of its evicted workers: what
+/// a heartbeat answering last round's probe may still be in flight for. A
+/// worker sends it within microseconds of its thread's last reply of that
+/// round, and without the wait the two race.
 const EVICTED_DRAIN: Duration = Duration::from_millis(2);
 
 /// Which transport the engine runs over.
@@ -133,11 +137,12 @@ pub enum EngineMode {
     /// against.
     Serial,
     /// The engine: a bounded pool of collector threads (see
-    /// [`RpcConfig::reactor_threads`]) drives every participant link
-    /// through nonblocking [`Transport::poll_recv`] sweeps. Shaped sends,
-    /// retransmit backoff, deadlines and the quorum drain are per-link
-    /// timers, so they overlap across links and no pool thread ever
-    /// blocks on one of them (see `crate::reactor`).
+    /// [`RpcConfig::reactor_threads`]), each asleep until one of its
+    /// links has a frame or its earliest timer is due, then reading
+    /// exactly the links that have one ([`Transport::poll_recv`]). Shaped
+    /// sends, retransmit backoff, deadlines and the quorum drain are
+    /// per-link timers, so they overlap across links and no pool thread
+    /// ever blocks on one of them (see `crate::reactor`).
     #[default]
     Reactor,
 }
@@ -273,6 +278,15 @@ impl Transport for Box<dyn Transport> {
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         (**self).poll_recv()
     }
+
+    fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {
+        (**self).set_waker(waker)
+    }
+
+    #[cfg(unix)]
+    fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
+        (**self).raw_fd()
+    }
 }
 
 /// Server-side link to one worker: bandwidth shaping over fault injection
@@ -367,10 +381,21 @@ pub struct RpcBackend {
     residuals: Vec<Arc<Mutex<Vec<f32>>>>,
     /// Distinct architectures among the slots the last round shipped to.
     distinct_masks: usize,
-    /// Times a pool thread's codec scratch grew its capacity; shared with
-    /// every fleet thread. Debug observability for the
+    /// What the fleet threads count as they run.
+    fleet: FleetCounters,
+    /// Times a collector thread came back from its blocking wait.
+    engine_wakeups: Arc<AtomicU64>,
+}
+
+/// Counters every fleet pool thread shares with the backend. Debug
+/// observability, outside `CommStats` and checkpoints.
+#[derive(Clone, Default)]
+pub(crate) struct FleetCounters {
+    /// Times a pool thread's codec scratch grew its capacity: the
     /// zero-steady-state-growth contract.
-    growth: Arc<AtomicU64>,
+    pub(crate) growth: Arc<AtomicU64>,
+    /// Times a pool thread came back from its blocking wait.
+    pub(crate) wakeups: Arc<AtomicU64>,
 }
 
 /// A fixed-size set of participant indices.
@@ -495,7 +520,7 @@ impl RpcBackend {
             .iter()
             .map(|p| Arc::new(Mutex::new(p.residual().to_vec())))
             .collect();
-        let growth = Arc::new(AtomicU64::new(0));
+        let fleet = FleetCounters::default();
         let (workers, pool_joins) = crate::reactor::spawn_pooled_workers(
             participants,
             net,
@@ -503,7 +528,7 @@ impl RpcBackend {
             faults,
             &config,
             &residuals,
-            &growth,
+            &fleet,
         );
         RpcBackend {
             workers,
@@ -512,7 +537,8 @@ impl RpcBackend {
             history: History::default(),
             residuals,
             distinct_masks: 0,
-            growth,
+            fleet,
+            engine_wakeups: Arc::default(),
         }
     }
 
@@ -536,7 +562,19 @@ impl RpcBackend {
     /// exactly once.) Debug observability; asserted by the buffer-reuse
     /// test.
     pub fn buffer_growth_count(&self) -> u64 {
-        self.growth.load(Ordering::Relaxed)
+        self.fleet.growth.load(Ordering::Relaxed)
+    }
+
+    /// How many times an event-loop thread has come back from its
+    /// blocking wait since the backend was created: `(collectors, fleet)`.
+    /// A loop sleeps until a frame has arrived on one of its links or a
+    /// timer is due, so over a round each count stays within a small
+    /// multiple of the frames that side received plus the timers it
+    /// fired — not of the round's length. Debug observability; asserted
+    /// by the wake-up tests and the transport bench's ceiling.
+    pub fn wakeups(&self) -> (u64, u64) {
+        let fleet = self.fleet.wakeups.load(Ordering::Relaxed);
+        (self.engine_wakeups.load(Ordering::Relaxed), fleet)
     }
 
     /// How many distinct architectures the last round shipped (inactive
@@ -1352,6 +1390,40 @@ fn merge_worker_round(
     }
 }
 
+/// One frame off an evicted worker's link in round `t`: a heartbeat
+/// re-admits it, a late reply is attributed, anything else is dropped.
+fn absorb_evicted_frame(
+    w: &mut WorkerHandle,
+    history: &mut History,
+    out: &mut RoundOutcome,
+    t: usize,
+    frame: &[u8],
+) {
+    out.bytes_up += frame.len() as u64;
+    let Ok(msg) = decode(frame) else {
+        return;
+    };
+    if let Message::Heartbeat { .. } = msg {
+        readmit(w, out);
+        return;
+    }
+    let Reply::Report { r, report, comp } = classify_reply(msg, history) else {
+        return;
+    };
+    let pid = report.participant;
+    if r >= t || history.is_delivered(r, pid) {
+        return;
+    }
+    if let Some((mask, _)) = history.sent(r, pid) {
+        let mask = mask.clone();
+        history.mark_delivered(r, pid);
+        if let Some((c, raw, enc)) = comp {
+            out.compression.record(c, raw, enc);
+        }
+        out.late.push(BackendReport { mask, ..report });
+    }
+}
+
 /// One round in flight — the request and the outcome under construction —
 /// handed through the phases in order: [`RpcBackend::service_evicted`],
 /// [`RpcBackend::book_downloads`], [`RpcBackend::collect`],
@@ -1364,52 +1436,67 @@ struct RoundCtx<'a> {
 impl RpcBackend {
     /// Phase 0: drain whatever the evicted workers' links buffered (late
     /// replies are attributed, a heartbeat re-admits), then probe the
-    /// still-evicted for life. Slots whose sampled client is out this
-    /// round are skipped: an unavailable client can neither be probed nor
-    /// heartbeat back, so re-admission composes with the availability
-    /// schedule.
+    /// still-evicted for life. All of them share one [`EVICTED_DRAIN`]
+    /// wait, so the phase costs that however many there are. Slots whose
+    /// sampled client is out this round are skipped: an unavailable
+    /// client can neither be probed nor heartbeat back, so re-admission
+    /// composes with the availability schedule.
     fn service_evicted(&mut self, ctx: &mut RoundCtx<'_>) {
         let t = ctx.req.round;
-        for (p, w) in self.workers.iter_mut().enumerate() {
-            if !w.alive || !w.evicted || !ctx.req.is_active(p) {
-                continue;
-            }
-            let out = &mut ctx.out;
-            loop {
-                let link = w.transport.as_mut().expect("live worker has transport");
-                let Ok(frame) = link.recv_timeout(EVICTED_DRAIN) else {
-                    break;
-                };
-                out.bytes_up += frame.len() as u64;
-                let msg = match decode(&frame) {
-                    Ok(m) => m,
-                    Err(_) => continue,
-                };
-                if let Message::Heartbeat { .. } = msg {
-                    readmit(w, out);
-                    continue;
-                }
-                let Reply::Report { r, report, comp } = classify_reply(msg, &self.history) else {
-                    continue;
-                };
-                let pid = report.participant;
-                if r >= t || self.history.is_delivered(r, pid) {
-                    continue;
-                }
-                if let Some((mask, _)) = self.history.sent(r, pid) {
-                    let mask = mask.clone();
-                    self.history.mark_delivered(r, pid);
-                    if let Some((c, raw, enc)) = comp {
-                        out.compression.record(c, raw, enc);
+        let evicted: Vec<usize> = (0..self.workers.len())
+            .filter(|&p| {
+                let w = &self.workers[p];
+                w.alive && w.evicted && ctx.req.is_active(p)
+            })
+            .collect();
+        if evicted.is_empty() {
+            return;
+        }
+        let mut waiter = Waiter::new(self.config.transport, self.engine_wakeups.clone());
+        for (token, &p) in evicted.iter().enumerate() {
+            let link = self.workers[p].transport.as_mut();
+            waiter.register(token, link.expect("live worker has transport"));
+        }
+        let until = Instant::now() + EVICTED_DRAIN;
+        let mut ready: Vec<usize> = (0..evicted.len()).collect();
+        loop {
+            for token in ready.drain(..) {
+                let w = &mut self.workers[evicted[token]];
+                loop {
+                    let link = w.transport.as_mut().expect("live worker has transport");
+                    match link.poll_recv() {
+                        Ok(Some(frame)) => {
+                            absorb_evicted_frame(w, &mut self.history, &mut ctx.out, t, &frame)
+                        }
+                        Ok(None) => break,
+                        Err(_) => {
+                            // the probe below finds the link dead; until
+                            // then a hung-up socket must not end the wait
+                            waiter.watch(token, false);
+                            break;
+                        }
                     }
-                    out.late.push(BackendReport { mask, ..report });
                 }
+            }
+            if Instant::now() >= until {
+                break;
+            }
+            waiter.wait(Some(until), 1, &mut ready);
+        }
+        for p in evicted {
+            let w = &mut self.workers[p];
+            let link = w.transport.as_mut().expect("live worker has transport");
+            link.set_waker(None);
+            // the wait is over: release a reorder-held frame rather than
+            // lose it, as the collectors do when theirs expires
+            if let Some(held) = link.inner_mut().release_held() {
+                absorb_evicted_frame(w, &mut self.history, &mut ctx.out, t, &held);
             }
             if w.evicted {
                 let link = w.transport.as_mut().expect("live worker has transport");
                 let probe = encode(&Message::Ack { round: t as u64 });
                 match link.send(&probe) {
-                    Ok(()) => out.bytes_down += probe.len() as u64,
+                    Ok(()) => ctx.out.bytes_down += probe.len() as u64,
                     Err(_) => w.alive = false,
                 }
             }
@@ -1475,7 +1562,9 @@ impl RpcBackend {
         };
         match self.config.engine {
             EngineMode::Serial => collect_serial(workers, &eligible, &staged),
-            EngineMode::Reactor => crate::reactor::collect(workers, &eligible, &staged),
+            EngineMode::Reactor => {
+                crate::reactor::collect(workers, &eligible, &staged, &self.engine_wakeups)
+            }
         }
     }
 

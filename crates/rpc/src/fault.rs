@@ -16,12 +16,13 @@
 //! own stream.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fedrlnas_fed::FaultTally;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
-use crate::transport::{Transport, TransportError};
+use crate::transport::{Doorbell, Transport, TransportError};
 
 /// What can go wrong on a link, as per-frame probabilities.
 ///
@@ -234,7 +235,12 @@ fn flip_bit(frame: &mut [u8], bit: u64) {
 /// * **Reorder** — the frame is held until the *next* frame passes, then
 ///   released (a held receive-side frame is also released when the caller's
 ///   deadline expires, so reordering can never deadlock a round).
-/// * **Delay** — delivery sleeps an RNG-drawn duration first.
+/// * **Delay** — delivery waits an RNG-drawn duration first. The blocking
+///   calls sleep it out; the event loops' calls ([`Transport::poll_recv`],
+///   [`FaultyTransport::send_deferred`]) hold the frame until it is due
+///   ([`FaultyTransport::next_due`]), so one delayed frame stalls its own
+///   link and not the thread's other links. Nothing overtakes a held
+///   frame on its link.
 pub struct FaultyTransport<T: Transport> {
     inner: T,
     tx: FaultInjector,
@@ -242,6 +248,10 @@ pub struct FaultyTransport<T: Transport> {
     tx_held: Option<Vec<u8>>,
     rx_held: Option<Vec<u8>>,
     rx_queue: VecDeque<Vec<u8>>,
+    /// A frame a delay fault is holding on its way out, and until when.
+    tx_delayed: Option<(Instant, Vec<u8>)>,
+    /// A received frame a delay fault is holding, and until when.
+    rx_delayed: Option<(Instant, Vec<u8>)>,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -255,6 +265,8 @@ impl<T: Transport> FaultyTransport<T> {
             tx_held: None,
             rx_held: None,
             rx_queue: VecDeque::new(),
+            tx_delayed: None,
+            rx_delayed: None,
         }
     }
 
@@ -288,42 +300,8 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.send_owned(frame.to_vec())
     }
 
-    fn send_owned(&mut self, mut frame: Vec<u8>) -> Result<(), TransportError> {
-        match self.tx.next_fault() {
-            FrameFault::Drop => {
-                // the frame vanishes; anything held keeps waiting
-                Ok(())
-            }
-            FrameFault::Corrupt(bit) => {
-                flip_bit(&mut frame, bit);
-                self.inner.send_owned(frame)?;
-                self.flush_tx_held()
-            }
-            FrameFault::Duplicate => {
-                self.inner.send(&frame)?;
-                self.inner.send_owned(frame)?;
-                self.flush_tx_held()
-            }
-            FrameFault::Reorder => {
-                if let Some(held) = self.tx_held.take() {
-                    // two holds in a row: release in swapped order
-                    self.inner.send_owned(frame)?;
-                    self.inner.send_owned(held)
-                } else {
-                    self.tx_held = Some(frame);
-                    Ok(())
-                }
-            }
-            FrameFault::Delay(d) => {
-                std::thread::sleep(d);
-                self.inner.send_owned(frame)?;
-                self.flush_tx_held()
-            }
-            FrameFault::None => {
-                self.inner.send_owned(frame)?;
-                self.flush_tx_held()
-            }
-        }
+    fn send_owned(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.transmit(frame, true)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
@@ -335,6 +313,12 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
         if let Some(ready) = self.rx_queue.pop_front() {
             return Ok(ready);
+        }
+        if let Some((due, frame)) = self.rx_delayed.take() {
+            // the poll path left it: sleep out what is left of its delay
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            self.release_after(frame);
+            return Ok(self.rx_queue.pop_front().expect("just queued"));
         }
         let deadline = Instant::now() + timeout;
         loop {
@@ -392,10 +376,25 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         // the same receive-side fault pipeline as `recv_timeout`, driven
         // by readiness: each available inner frame is drawn through the
-        // schedule, and the probe reports idle once the inner link does
+        // schedule, and the probe reports idle once the inner link does —
+        // or while a delay fault holds the frame at its head
+        if let Some((due, _)) = self.tx_delayed {
+            if due <= Instant::now() {
+                self.flush_tx_delayed()?;
+            }
+        }
         loop {
             if let Some(ready) = self.rx_queue.pop_front() {
                 return Ok(Some(ready));
+            }
+            if let Some((due, _)) = self.rx_delayed {
+                if Instant::now() < due {
+                    return Ok(None);
+                }
+            }
+            if let Some((_, frame)) = self.rx_delayed.take() {
+                self.release_after(frame);
+                continue;
             }
             let frame = match self.inner.poll_recv()? {
                 Some(f) => f,
@@ -422,17 +421,84 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                         continue;
                     }
                 },
-                FrameFault::Delay(d) => {
-                    std::thread::sleep(d);
-                    self.release_after(frame);
-                }
+                FrameFault::Delay(d) => self.rx_delayed = Some((Instant::now() + d, frame)),
                 FrameFault::None => self.release_after(frame),
             }
         }
     }
+
+    fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {
+        self.inner.set_waker(waker);
+    }
+
+    #[cfg(unix)]
+    fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
+        self.inner.raw_fd()
+    }
 }
 
 impl<T: Transport> FaultyTransport<T> {
+    /// Sends the transmit-side frame a delay fault is holding, due or not.
+    fn flush_tx_delayed(&mut self) -> Result<(), TransportError> {
+        if let Some((_, frame)) = self.tx_delayed.take() {
+            self.inner.send_owned(frame)?;
+            self.flush_tx_held()?;
+        }
+        Ok(())
+    }
+
+    /// [`Transport::send_owned`] for an event loop: a delay fault holds
+    /// the frame until it is due instead of sleeping, and the next
+    /// [`Transport::poll_recv`] at or after [`FaultyTransport::next_due`]
+    /// sends it. Same draws from the same schedule either way.
+    pub fn send_deferred(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.transmit(frame, false)
+    }
+
+    fn transmit(&mut self, mut frame: Vec<u8>, may_sleep: bool) -> Result<(), TransportError> {
+        // a frame still being delayed leaves ahead of this one
+        self.flush_tx_delayed()?;
+        match self.tx.next_fault() {
+            FrameFault::Drop => {
+                // the frame vanishes; anything held keeps waiting
+                Ok(())
+            }
+            FrameFault::Corrupt(bit) => {
+                flip_bit(&mut frame, bit);
+                self.inner.send_owned(frame)?;
+                self.flush_tx_held()
+            }
+            FrameFault::Duplicate => {
+                self.inner.send(&frame)?;
+                self.inner.send_owned(frame)?;
+                self.flush_tx_held()
+            }
+            FrameFault::Reorder => {
+                if let Some(held) = self.tx_held.take() {
+                    // two holds in a row: release in swapped order
+                    self.inner.send_owned(frame)?;
+                    self.inner.send_owned(held)
+                } else {
+                    self.tx_held = Some(frame);
+                    Ok(())
+                }
+            }
+            FrameFault::Delay(d) if !may_sleep => {
+                self.tx_delayed = Some((Instant::now() + d, frame));
+                Ok(())
+            }
+            FrameFault::Delay(d) => {
+                std::thread::sleep(d);
+                self.inner.send_owned(frame)?;
+                self.flush_tx_held()
+            }
+            FrameFault::None => {
+                self.inner.send_owned(frame)?;
+                self.flush_tx_held()
+            }
+        }
+    }
+
     /// Queues `frame` for delivery, releasing any reorder-held frame
     /// *after* it (that is what makes the hold a reordering).
     fn release_after(&mut self, frame: Vec<u8>) {
@@ -451,11 +517,13 @@ impl<T: Transport> FaultyTransport<T> {
     /// back or queued, the queue's own table, and both directions' copy
     /// of the plan's partition list. Debug accounting.
     pub(crate) fn heap_bytes(&self) -> usize {
+        let delayed = self.tx_delayed.iter().chain(&self.rx_delayed);
         let frames = self
             .tx_held
             .iter()
             .chain(&self.rx_held)
-            .chain(&self.rx_queue);
+            .chain(&self.rx_queue)
+            .chain(delayed.map(|(_, frame)| frame));
         frames.map(Vec::capacity).sum::<usize>()
             + self.rx_queue.capacity() * std::mem::size_of::<Vec<u8>>()
             + 2 * self.tx.plan.partitions.capacity() * std::mem::size_of::<Partition>()
@@ -467,6 +535,15 @@ impl<T: Transport> FaultyTransport<T> {
     /// wait budget runs out so a held frame is never lost.
     pub fn release_held(&mut self) -> Option<Vec<u8>> {
         self.rx_held.take()
+    }
+
+    /// When the frame a delay fault is holding (either direction) is due:
+    /// the event loop's timer for this link, and while it is set the
+    /// link's wait does not expire — the frame is in hand. The loop polls
+    /// the link then, which sends or delivers the frame.
+    pub fn next_due(&self) -> Option<Instant> {
+        let dues = self.tx_delayed.iter().chain(&self.rx_delayed);
+        dues.map(|(due, _)| *due).min()
     }
 }
 
@@ -640,6 +717,76 @@ mod tests {
         d.send(&f1).unwrap();
         let got = rx_faulty.recv_timeout(Duration::from_millis(50)).unwrap();
         assert_eq!(got, f1, "held frame must surface at the deadline");
+    }
+
+    /// A delay fault on the event loops' calls holds the frame — the link
+    /// reports idle and names the due time — where the blocking calls
+    /// sleep; the draws, and so the tally, are the same.
+    #[test]
+    fn delay_is_held_on_the_poll_path_and_slept_on_the_blocking_path() {
+        let plan = FaultPlan {
+            seed: 3,
+            delay: 1.0,
+            max_delay: Duration::from_millis(40),
+            ..FaultPlan::default()
+        };
+        let mut draws = FaultInjector::new(plan.clone(), 0, 0);
+        let FrameFault::Delay(tx_delay) = draws.next_fault() else {
+            panic!("the plan delays every frame");
+        };
+        let mut draws = FaultInjector::new(plan.clone(), 0, 1);
+        let FrameFault::Delay(rx_delay) = draws.next_fault() else {
+            panic!("the plan delays every frame");
+        };
+        let f1 = encode(&Message::Ack { round: 1 });
+        let f2 = encode(&Message::Ack { round: 2 });
+
+        // transmit side, deferred: nothing leaves before the due time
+        let (a, mut b) = ChannelTransport::pair();
+        let mut held = FaultyTransport::new(a, 0, &plan);
+        let start = Instant::now();
+        held.send_deferred(f1.clone()).unwrap();
+        let due = held.next_due().expect("a frame is held");
+        assert!(due >= start + tx_delay);
+        if Instant::now() < due {
+            assert!(matches!(b.poll_recv(), Ok(None)), "sent before it was due");
+        }
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        assert!(matches!(held.poll_recv(), Ok(None)));
+        assert_eq!(b.poll_recv().unwrap().unwrap(), f1);
+        assert_eq!(held.next_due(), None);
+        // a later frame never overtakes a held one
+        held.send_deferred(f1.clone()).unwrap();
+        held.send_deferred(f2.clone()).unwrap();
+        assert_eq!(b.poll_recv().unwrap().unwrap(), f1);
+
+        // receive side, polled: idle until due, then delivered
+        let (c, mut d) = ChannelTransport::pair();
+        let mut held = FaultyTransport::new(c, 0, &plan);
+        d.send(&f1).unwrap();
+        d.send(&f2).unwrap();
+        let start = Instant::now();
+        assert!(matches!(held.poll_recv(), Ok(None)));
+        let due = held.next_due().expect("a frame is held");
+        assert!(due >= start + rx_delay);
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        assert_eq!(held.poll_recv().unwrap().unwrap(), f1);
+        // the second frame drew its own delay; the blocking path sleeps
+        // what is left of it
+        assert!(matches!(held.poll_recv(), Ok(None)));
+        let due = held.next_due().expect("the second frame is held");
+        assert_eq!(held.recv_timeout(Duration::ZERO).unwrap(), f2);
+        assert!(Instant::now() >= due);
+        assert_eq!(held.take_tally().frames_delayed, 2);
+
+        // blocking send: slept
+        let (e, mut f) = ChannelTransport::pair();
+        let mut slept = FaultyTransport::new(e, 0, &plan);
+        let start = Instant::now();
+        slept.send(&f1).unwrap();
+        assert!(start.elapsed() >= tx_delay);
+        assert_eq!(f.poll_recv().unwrap().unwrap(), f1);
+        assert_eq!(slept.next_due(), None);
     }
 
     /// Pins [`MAX_DISPLACEMENT`], which the round engine sizes every

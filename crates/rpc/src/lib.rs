@@ -56,6 +56,7 @@ pub mod engine;
 pub mod fault;
 pub(crate) mod reactor;
 pub mod transport;
+pub(crate) mod waiter;
 pub mod wire;
 
 pub use adversary::{apply_attack, Attack};
@@ -64,7 +65,9 @@ pub use engine::{
     ScriptedFault, TransportKind,
 };
 pub use fault::{FaultInjector, FaultPlan, FaultyTransport, FrameFault, Partition};
-pub use transport::{ChannelTransport, ShapedTransport, TcpTransport, Transport, TransportError};
+pub use transport::{
+    ChannelTransport, Doorbell, ShapedTransport, TcpTransport, Transport, TransportError,
+};
 pub use wire::{
     coded_download_frame_len, coded_upload_frame_len, crc32, decode, decode_download,
     download_frame_len, encode, encode_download_into, encode_download_ranges_into, encode_into,

@@ -1,10 +1,17 @@
 //! Frame transports: in-memory duplex channels and loopback TCP, plus a
 //! bandwidth-shaping wrapper driven by `fedrlnas-netsim` traces.
+//!
+//! An event loop does not ask its links whether a frame has arrived; it
+//! sleeps until one says so. An in-memory link says so through a
+//! [`Doorbell`] the receiving endpoint registers with
+//! [`Transport::set_waker`]; a TCP link through its descriptor
+//! ([`Transport::raw_fd`]), which the loop hands to `poll(2)`.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::wire::{frame_len, HEADER_LEN};
 
@@ -61,12 +68,129 @@ pub trait Transport: Send {
     /// bounded poll loop; partially received bytes are kept across calls
     /// exactly as for [`Transport::recv_timeout`].
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError>;
+
+    /// Registers who is told when a frame for this endpoint arrives or its
+    /// peer hangs up: from now on either rings `token` on the doorbell
+    /// (`None` unregisters). Frames already queued are not announced, so
+    /// poll once after registering. Only in-memory links have a doorbell;
+    /// the default does nothing.
+    fn set_waker(&mut self, _waker: Option<(Arc<Doorbell>, usize)>) {}
+
+    /// The descriptor `poll(2)` can watch for this endpoint's next frame,
+    /// for transports that are one socket; `None` otherwise.
+    #[cfg(unix)]
+    fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
+        None
+    }
+}
+
+/// Where in-memory links announce their frames: each rings the token its
+/// receiving endpoint registered (see [`Transport::set_waker`]), and the
+/// one thread that owns those endpoints sleeps in [`Doorbell::wait`]
+/// until enough tokens are there or its next timer is due.
+#[derive(Default)]
+pub struct Doorbell {
+    rung: Mutex<Rung>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Rung {
+    /// Tokens rung since the last wait took them, one per frame.
+    ready: Vec<usize>,
+    /// How many of them the wait in progress is waiting for.
+    mark: usize,
+    /// [`Doorbell::wake`] was called since the last wait returned.
+    woken: bool,
+}
+
+impl Doorbell {
+    /// Adds `token` to the ready list, waking the waiter when the list
+    /// reaches the length it asked for — not before, and not again after:
+    /// the waiter takes the whole list per wake-up, so a list already
+    /// that long already has its wake-up on the way.
+    pub fn ring(&self, token: usize) {
+        let mut rung = self.lock();
+        rung.ready.push(token);
+        if rung.ready.len() == rung.mark.max(1) {
+            self.changed.notify_one();
+        }
+    }
+
+    /// Ends the wait in progress, or the next one, whatever it asked for.
+    pub fn wake(&self) {
+        self.lock().woken = true;
+        self.changed.notify_one();
+    }
+
+    /// Sleeps until `at_least` tokens (at least one) have been rung,
+    /// [`Doorbell::wake`] was called or `until` has passed (`None`:
+    /// however long it takes), then moves every rung token into `out`.
+    pub fn wait(&self, until: Option<Instant>, at_least: usize, out: &mut Vec<usize>) {
+        let mut rung = self.lock();
+        rung.mark = at_least.max(1);
+        while rung.ready.len() < rung.mark && !rung.woken {
+            rung = match until {
+                None => self
+                    .changed
+                    .wait(rung)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(until) => {
+                    let left = until.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    let woken = self.changed.wait_timeout(rung, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+        rung.woken = false;
+        out.append(&mut rung.ready);
+    }
+
+    /// The shared state. A link rings from its `Drop`, which must not
+    /// panic, so a poisoned lock is recovered: the state is valid after
+    /// every step of every update.
+    fn lock(&self) -> MutexGuard<'_, Rung> {
+        self.rung.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One direction's registration: the doorbell and token of whoever
+/// receives on it, if anyone has asked to be told.
+type BellSlot = Arc<Mutex<Option<(Arc<Doorbell>, usize)>>>;
+
+/// The sending endpoint's handle on its peer's [`BellSlot`]. Rings once
+/// more when dropped, so a thread parked on the doorbell learns of the
+/// hang-up.
+struct Ringer(BellSlot);
+
+impl Ringer {
+    fn ring(&self) {
+        let slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((bell, token)) = slot.as_ref() {
+            bell.ring(*token);
+        }
+    }
+}
+
+impl Drop for Ringer {
+    fn drop(&mut self) {
+        self.ring();
+    }
 }
 
 /// In-memory duplex transport over a pair of `std::sync::mpsc` channels.
 pub struct ChannelTransport {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
+    /// Where this endpoint registers to be told of arrivals.
+    waker: BellSlot,
+    /// Rings the peer's registration. Declared after `tx`: fields drop in
+    /// order, so the peer woken by the hang-up ring already finds the
+    /// channel disconnected.
+    ringer: Ringer,
 }
 
 impl ChannelTransport {
@@ -74,9 +198,20 @@ impl ChannelTransport {
     pub fn pair() -> (ChannelTransport, ChannelTransport) {
         let (a_tx, b_rx) = std::sync::mpsc::channel();
         let (b_tx, a_rx) = std::sync::mpsc::channel();
+        let (a_bell, b_bell) = (BellSlot::default(), BellSlot::default());
         (
-            ChannelTransport { tx: a_tx, rx: a_rx },
-            ChannelTransport { tx: b_tx, rx: b_rx },
+            ChannelTransport {
+                tx: a_tx,
+                rx: a_rx,
+                waker: a_bell.clone(),
+                ringer: Ringer(b_bell.clone()),
+            },
+            ChannelTransport {
+                tx: b_tx,
+                rx: b_rx,
+                waker: b_bell,
+                ringer: Ringer(a_bell),
+            },
         )
     }
 }
@@ -87,7 +222,9 @@ impl Transport for ChannelTransport {
     }
 
     fn send_owned(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.tx.send(frame).map_err(|_| TransportError::Closed)
+        self.tx.send(frame).map_err(|_| TransportError::Closed)?;
+        self.ringer.ring();
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
@@ -105,6 +242,10 @@ impl Transport for ChannelTransport {
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         self.try_recv()
     }
+
+    fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {
+        *self.waker.lock().unwrap_or_else(PoisonError::into_inner) = waker;
+    }
 }
 
 impl ChannelTransport {
@@ -118,16 +259,25 @@ impl ChannelTransport {
     }
 }
 
+/// The most one `read` asks the socket for. A frame's length comes off
+/// the wire, so the buffer grows as bytes arrive, never to a length a
+/// header merely claims.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Loopback-TCP transport. One instance wraps one accepted or connected
 /// stream; partial reads survive timeouts, so a frame interrupted mid-body
 /// resumes on the next call instead of being lost.
 pub struct TcpTransport {
     stream: TcpStream,
-    /// Bytes received so far of the frame currently being assembled.
+    /// Bytes received so far of the frame being assembled. Reads stop at
+    /// the frame's end, so a complete frame is this vector itself.
     pending: Vec<u8>,
+    /// That frame's total length, once its header is in.
+    need: Option<usize>,
     /// The mode the socket was last put in. [`Transport::poll_recv`]
-    /// leaves it nonblocking and the blocking calls switch it back, so a
-    /// sweep of polls costs one syscall per idle link instead of three.
+    /// leaves it nonblocking and so does [`Transport::send`] unless the
+    /// socket buffer fills up; the blocking receives switch it back. An
+    /// event loop, which only polls and sends, never flips it.
     nonblocking: bool,
 }
 
@@ -139,6 +289,7 @@ impl TcpTransport {
         Ok(TcpTransport {
             stream,
             pending: Vec::new(),
+            need: None,
             nonblocking: false,
         })
     }
@@ -153,26 +304,41 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// Splits one complete frame off `self.pending` if the bytes for it
-    /// have all arrived.
+    /// Hands `self.pending` over if it holds one complete frame.
     fn take_assembled(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        if self.pending.len() >= HEADER_LEN {
+        if self.need.is_none() && self.pending.len() >= HEADER_LEN {
             let need = frame_len(&self.pending)
                 .ok_or_else(|| TransportError::Io(ErrorKind::InvalidData.into()))?;
-            if self.pending.len() >= need {
-                let rest = self.pending.split_off(need);
-                return Ok(Some(std::mem::replace(&mut self.pending, rest)));
-            }
+            self.need = Some(need);
         }
-        Ok(None)
+        match self.need {
+            Some(need) if self.pending.len() >= need => {
+                self.need = None;
+                Ok(Some(std::mem::take(&mut self.pending)))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// One `read` towards the frame being assembled — its header first,
+    /// then, the length known, the rest — straight into `self.pending`.
+    /// Call only while [`TcpTransport::take_assembled`] reports the frame
+    /// incomplete. `Ok(0)` means the peer closed.
+    fn read_more(&mut self) -> std::io::Result<usize> {
+        let have = self.pending.len();
+        let want = self.need.unwrap_or(HEADER_LEN).min(have + READ_CHUNK);
+        self.pending.resize(want, 0);
+        let read = self.stream.read(&mut self.pending[have..]);
+        self.pending
+            .truncate(have + read.as_ref().map_or(0, |n| *n));
+        read
     }
 
     /// Reads until `self.pending` holds one complete frame, or the
     /// deadline passes, or the peer closes. `None` timeout blocks forever.
     fn fill_frame(&mut self, timeout: Option<Duration>) -> Result<Vec<u8>, TransportError> {
         self.set_nonblocking(false)?;
-        let deadline = timeout.map(|t| std::time::Instant::now() + t);
-        let mut chunk = [0u8; 64 * 1024];
+        let deadline = timeout.map(|t| Instant::now() + t);
         loop {
             // complete frame already assembled?
             if let Some(frame) = self.take_assembled()? {
@@ -180,7 +346,7 @@ impl TcpTransport {
             }
             let remaining = match deadline {
                 Some(d) => {
-                    let now = std::time::Instant::now();
+                    let now = Instant::now();
                     if now >= d {
                         return Err(TransportError::Timeout);
                     }
@@ -191,45 +357,11 @@ impl TcpTransport {
             self.stream
                 .set_read_timeout(remaining)
                 .map_err(TransportError::Io)?;
-            match self.stream.read(&mut chunk) {
+            match self.read_more() {
                 Ok(0) => return Err(TransportError::Closed),
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     return Err(TransportError::Timeout);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Io(e)),
-            }
-        }
-    }
-
-    /// Drains whatever the socket has buffered right now (nonblocking
-    /// mode must already be set), stopping early once a complete frame
-    /// has been assembled so one chatty peer cannot starve the poll loop.
-    fn drain_ready(&mut self) -> Result<(), TransportError> {
-        // an idle link is the common case of a sweep: ask with a one-byte
-        // peek before paying for the chunk buffer's 64 KiB zero-fill
-        if let Err(e) = self.stream.peek(&mut [0u8; 1]) {
-            if e.kind() == ErrorKind::WouldBlock {
-                return Ok(());
-            }
-        }
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(TransportError::Closed),
-                Ok(n) => {
-                    self.pending.extend_from_slice(&chunk[..n]);
-                    if self.pending.len() >= HEADER_LEN {
-                        if let Some(need) = frame_len(&self.pending) {
-                            if self.pending.len() >= need {
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Ok(());
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(TransportError::Io(e)),
@@ -240,15 +372,24 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        // a nonblocking `write_all` would fail on a full socket buffer
-        self.set_nonblocking(false)?;
-        self.stream.write_all(frame).map_err(|e| {
-            if e.kind() == ErrorKind::BrokenPipe || e.kind() == ErrorKind::ConnectionReset {
-                TransportError::Closed
-            } else {
-                TransportError::Io(e)
+        let mut rest = frame;
+        while !rest.is_empty() {
+            match self.stream.write(rest) {
+                Ok(0) => return Err(TransportError::Closed),
+                Ok(n) => rest = &rest[n..],
+                // the socket buffer is full: wait for room rather than spin
+                Err(e) if e.kind() == ErrorKind::WouldBlock => self.set_nonblocking(false)?,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e)
+                    if e.kind() == ErrorKind::BrokenPipe
+                        || e.kind() == ErrorKind::ConnectionReset =>
+                {
+                    return Err(TransportError::Closed)
+                }
+                Err(e) => return Err(TransportError::Io(e)),
             }
-        })
+        }
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
@@ -264,17 +405,24 @@ impl Transport for TcpTransport {
     // zero socket read-timeout outright — so the poll path puts the
     // socket into nonblocking mode instead.
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        if let Some(frame) = self.take_assembled()? {
-            return Ok(Some(frame));
-        }
         self.set_nonblocking(true)?;
-        let drained = self.drain_ready();
-        if let Some(frame) = self.take_assembled()? {
-            return Ok(Some(frame));
+        loop {
+            if let Some(frame) = self.take_assembled()? {
+                return Ok(Some(frame));
+            }
+            match self.read_more() {
+                Ok(0) => return Err(TransportError::Closed),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(TransportError::Io(e)),
+            }
         }
-        // surface Closed/Io only once no complete frame remains buffered
-        drained?;
-        Ok(None)
+    }
+
+    #[cfg(unix)]
+    fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
+        Some(std::os::fd::AsRawFd::as_raw_fd(&self.stream))
     }
 }
 
@@ -313,7 +461,7 @@ impl<T: Transport> ShapedTransport<T> {
     /// How long [`Transport::send`] holds a frame of `bytes` back: its
     /// transmission time at the current bandwidth stretched by
     /// `time_scale`, capped at five seconds. An event loop arms a timer
-    /// with this and then calls [`ShapedTransport::send_now`].
+    /// with this and then sends on [`ShapedTransport::inner_mut`].
     pub fn send_delay(&self, bytes: usize) -> Duration {
         let secs = self.transmission_secs(bytes) * self.time_scale;
         if secs > 0.0 {
@@ -321,12 +469,6 @@ impl<T: Transport> ShapedTransport<T> {
         } else {
             Duration::ZERO
         }
-    }
-
-    /// Sends without the shaping delay, for a caller that has already
-    /// waited [`ShapedTransport::send_delay`] out.
-    pub fn send_now(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.inner.send_owned(frame)
     }
 
     /// Sleeps [`ShapedTransport::send_delay`] out.
@@ -352,7 +494,7 @@ impl<T: Transport> Transport for ShapedTransport<T> {
 
     fn send_owned(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
         self.shape(frame.len());
-        self.send_now(frame)
+        self.inner.send_owned(frame)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
@@ -365,6 +507,15 @@ impl<T: Transport> Transport for ShapedTransport<T> {
 
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         self.inner.poll_recv()
+    }
+
+    fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {
+        self.inner.set_waker(waker);
+    }
+
+    #[cfg(unix)]
+    fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
+        self.inner.raw_fd()
     }
 }
 
@@ -488,6 +639,140 @@ mod tests {
         // fail with the poll's WouldBlock
         assert_eq!(t.recv_timeout(Duration::from_secs(2)).unwrap(), frame);
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn doorbell_reports_rings_made_before_and_during_the_wait() {
+        let bell = Arc::new(Doorbell::default());
+        let mut ready = Vec::new();
+        // rung first: the wait does not sleep
+        bell.ring(3);
+        bell.ring(5);
+        bell.wait(None, 1, &mut ready);
+        assert_eq!(ready, [3, 5]);
+        // nothing rung: the wait ends at its deadline, empty-handed
+        ready.clear();
+        let start = Instant::now();
+        bell.wait(Some(start + Duration::from_millis(20)), 1, &mut ready);
+        assert!(ready.is_empty());
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        // rung from another thread while the waiter sleeps
+        let ringer = bell.clone();
+        let thread = std::thread::spawn(move || ringer.ring(7));
+        bell.wait(None, 1, &mut ready);
+        assert_eq!(ready, [7]);
+        thread.join().unwrap();
+        // a wait that asks for three sleeps through two, and a wake ends
+        // it whatever it asked for
+        ready.clear();
+        bell.ring(1);
+        bell.ring(2);
+        let start = Instant::now();
+        bell.wait(Some(start + Duration::from_millis(20)), 3, &mut ready);
+        assert_eq!(ready, [1, 2]);
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        ready.clear();
+        bell.ring(1);
+        bell.wake();
+        bell.wait(None, 3, &mut ready);
+        assert_eq!(ready, [1]);
+        let ringer = bell.clone();
+        let thread = std::thread::spawn(move || (4..7).for_each(|token| ringer.ring(token)));
+        ready.clear();
+        bell.wait(None, 3, &mut ready);
+        assert_eq!(ready, [4, 5, 6]);
+        thread.join().unwrap();
+    }
+
+    #[test]
+    fn channel_rings_its_peers_doorbell_on_send_and_on_drop() {
+        let (mut a, mut b) = ChannelTransport::pair();
+        let frame = encode(&Message::Ack { round: 4 });
+        // nobody registered: a send rings nothing and still delivers
+        a.send(&frame).unwrap();
+        let bell = Arc::new(Doorbell::default());
+        b.set_waker(Some((bell.clone(), 9)));
+        assert_eq!(b.poll_recv().unwrap().unwrap(), frame);
+        let mut ready = Vec::new();
+        a.send(&frame).unwrap();
+        bell.wait(None, 1, &mut ready);
+        assert_eq!(ready, [9]);
+        assert_eq!(b.poll_recv().unwrap().unwrap(), frame);
+        // the other direction has its own registration
+        b.send(&frame).unwrap();
+        ready.clear();
+        bell.wait(
+            Some(Instant::now() + Duration::from_millis(5)),
+            1,
+            &mut ready,
+        );
+        assert!(ready.is_empty(), "b's sends ring a's doorbell, not b's");
+        // a hang-up rings too, and the woken peer already finds it
+        drop(a);
+        bell.wait(None, 1, &mut ready);
+        assert_eq!(ready, [9]);
+        assert!(matches!(b.poll_recv(), Err(TransportError::Closed)));
+        // unregistered: nothing is rung, nothing accumulates
+        let (mut c, mut d) = ChannelTransport::pair();
+        d.set_waker(Some((bell.clone(), 1)));
+        d.set_waker(None);
+        c.send(&frame).unwrap();
+        ready.clear();
+        bell.wait(
+            Some(Instant::now() + Duration::from_millis(5)),
+            1,
+            &mut ready,
+        );
+        assert!(ready.is_empty());
+    }
+
+    #[test]
+    fn tcp_buffer_grows_with_the_bytes_not_with_the_claimed_length() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut t = TcpTransport::new(stream).unwrap();
+        // a header whose length field a flipped bit turned into ~2 GiB
+        let mut header = encode(&Message::Ack { round: 1 });
+        header.truncate(HEADER_LEN);
+        header[9] |= 0x80;
+        far.write_all(&header).unwrap();
+        far.write_all(&[0u8; 100]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while t.pending.len() < HEADER_LEN + 100 {
+            assert!(matches!(t.poll_recv(), Ok(None)));
+            assert!(Instant::now() < deadline, "bytes never arrived");
+        }
+        assert!(t.need.is_some_and(|need| need > 1 << 30));
+        // a chunk ahead of the bytes, times the vector's own doubling
+        assert!(t.pending.capacity() <= 4 * READ_CHUNK);
+    }
+
+    #[test]
+    fn tcp_send_survives_a_full_socket_buffer_in_nonblocking_mode() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut t = TcpTransport::new(stream).unwrap();
+        // polling leaves the socket nonblocking, as an event loop does
+        assert!(matches!(t.poll_recv(), Ok(None)));
+        // far more than the loopback socket buffers hold, read late
+        let big = encode(&Message::UploadUpdate {
+            round: 1,
+            participant: 0,
+            delta_w: vec![0.5; 4 << 20],
+            delta_alpha: Vec::new(),
+            reward: 0.0,
+            loss: 0.0,
+        });
+        let expected = big.clone();
+        let reader = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            let mut far = TcpTransport::new(far).unwrap();
+            assert_eq!(far.recv().unwrap(), expected);
+        });
+        t.send(&big).unwrap();
+        reader.join().unwrap();
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Round-engine suite. The event loop (the default engine: a bounded pool
-//! of collectors sweeping nonblocking `poll_recv` links, a pooled worker
-//! fleet on the other side) must be bit-identical to the serial oracle for
+//! of collectors, each asleep until one of its links has a frame or a
+//! timer is due, a pooled worker fleet on the other side) must be bit-identical to the serial oracle for
 //! the same seed — same genotype, same curves, same measured `CommStats` —
 //! over both transports, under codecs, recoverable fault plans, crashes
 //! and adversaries, with the pool deliberately smaller than the cohort so
 //! every thread drives several links. Plus what makes it an event loop:
-//! shaped sends overlap on one thread, a scripted delay holds back one
-//! link and not its shard, and the hot path stops allocating.
+//! shaped sends and injected delays overlap on one thread, a scripted
+//! delay holds back one link and not its shard, a thread wakes per event
+//! and not per nap, evicted workers cost a round nothing, and the hot
+//! path stops allocating.
 
 use std::time::{Duration, Instant};
 
@@ -17,8 +19,8 @@ use fedrlnas_core::{
 };
 use fedrlnas_darts::{ArchMask, Supernet};
 use fedrlnas_rpc::{
-    install_with_faults, upload_frame_len, Attack, EngineMode, FaultPlan, RpcBackend, RpcConfig,
-    ScriptedFault, TransportKind,
+    install_with_faults, upload_frame_len, Attack, EngineMode, FaultInjector, FaultPlan,
+    FrameFault, RpcBackend, RpcConfig, ScriptedFault, TransportKind,
 };
 use fedrlnas_sync::{StalenessModel, StalenessStrategy};
 use rand::{rngs::StdRng, SeedableRng};
@@ -447,6 +449,210 @@ fn scripted_delay_holds_back_one_link_not_its_shard() {
         late.iter()
             .any(|r| (r.participant, r.computed_at) == (0, 1)),
         "the delayed round-1 reply must surface as a late report"
+    );
+}
+
+/// The injected twin of the scripted delay: a fault plan that delays every
+/// frame, both ways, on eight links of a one-thread pool. Each delay holds
+/// its own link, so a round costs about the slowest link's two delays.
+/// (When the fault layer slept them on the collector thread, it cost the
+/// sum of all sixteen.)
+#[test]
+fn injected_delays_overlap_on_a_single_pool_thread() {
+    const N: usize = 8;
+    let plan = FaultPlan {
+        seed: 11,
+        delay: 1.0,
+        max_delay: Duration::from_millis(300),
+        ..FaultPlan::default()
+    };
+    // the schedule is a pure function of the plan: draw what the links will
+    let first_delay = |p: usize, direction: u64| match FaultInjector::new(
+        plan.clone(),
+        p,
+        direction,
+    )
+    .next_fault()
+    {
+        FrameFault::Delay(d) => d,
+        other => panic!("the plan delays every frame, drew {other:?}"),
+    };
+    let per_link: Vec<Duration> = (0..N)
+        .map(|p| first_delay(p, 0) + first_delay(p, 1))
+        .collect();
+    let (sum, longest) = (per_link.iter().sum::<Duration>(), per_link.iter().max());
+    let longest = *longest.expect("N links");
+    assert!(
+        longest < sum / 3,
+        "the draws must leave room to tell: {per_link:?}"
+    );
+    let rpc = RpcConfig {
+        reactor_threads: 1,
+        deadline: Duration::from_secs(30),
+        fault: plan,
+        ..RpcConfig::default()
+    };
+    let mut rig = Rig::new(SearchConfig::tiny().with_participants(N), 50.0, rpc, &[]);
+    let start = Instant::now();
+    let out = rig.round(0);
+    let took = start.elapsed();
+    assert_eq!(out.reports.len(), N, "a delay loses nothing");
+    assert_eq!(out.faults.frames_delayed, 2 * N as u64);
+    assert_eq!(out.faults.retransmits, 0);
+    assert!(took >= longest, "a round cannot beat its slowest link");
+    assert!(
+        took < sum / 2,
+        "16 delays summing to {sum:?} (longest link {longest:?}) must overlap, round took {took:?}"
+    );
+}
+
+/// Wake-ups, not milliseconds: over a shaped round — a quarter of a second
+/// of link wait — each loop thread comes back from its wait about once per
+/// frame it receives and timer it fires. (Napping through the same round
+/// took several hundred.)
+#[test]
+fn a_shaped_round_wakes_each_loop_per_event_not_per_nap() {
+    const N: u64 = 8;
+    const ROUNDS: u64 = 2;
+    // without `ppoll` the TCP wait is a nap, and counts as one
+    let tcp = cfg!(target_os = "linux").then_some(TransportKind::Tcp);
+    for transport in [TransportKind::InMemory].into_iter().chain(tcp) {
+        let rpc = RpcConfig {
+            transport,
+            reactor_threads: 1,
+            real_time_scale: 20.0,
+            deadline: Duration::from_secs(30),
+            ..RpcConfig::default()
+        };
+        let config = SearchConfig::tiny().with_participants(N as usize);
+        let mut rig = Rig::new(config, 10.0, rpc, &[]);
+        let (engine_before, fleet_before) = rig.backend.wakeups();
+        let start = Instant::now();
+        for t in 0..ROUNDS {
+            assert_eq!(rig.round(t as usize).reports.len(), N as usize);
+        }
+        let naps = start.elapsed().as_micros() as u64 / 400;
+        let (engine, fleet) = rig.backend.wakeups();
+        let (engine, fleet) = (engine - engine_before, fleet - fleet_before);
+        // collector: N send timers and N replies a round; fleet: N
+        // downloads. Twice that for a frame read in two pieces, and a few
+        // for the deadline timers and a wake-up that finds nothing new.
+        assert!(
+            engine <= ROUNDS * (2 * 2 * N + 8),
+            "{transport:?}: {engine} collector wake-ups over {ROUNDS} rounds"
+        );
+        assert!(
+            fleet <= ROUNDS * (2 * N + 8),
+            "{transport:?}: {fleet} fleet wake-ups over {ROUNDS} rounds"
+        );
+        assert!(
+            engine >= ROUNDS * N && fleet >= ROUNDS,
+            "the counters count"
+        );
+        assert!(
+            naps > 10 * (engine + fleet),
+            "{transport:?}: the rounds were long enough to tell ({naps} naps)"
+        );
+    }
+}
+
+/// A fleet thread parked in its wait has no timer to wake it: dropping
+/// the backend must reach it through the links themselves — the doorbell
+/// rung from the server endpoints' `Drop`, the hang-up `poll(2)` reports.
+#[test]
+fn dropping_a_backend_joins_its_parked_fleet() {
+    for transport in [TransportKind::InMemory, TransportKind::Tcp] {
+        let rpc = RpcConfig {
+            transport,
+            ..RpcConfig::default()
+        };
+        let mut rig = Rig::new(SearchConfig::tiny(), 50.0, rpc, &[]);
+        let k = rig.masks.len();
+        assert_eq!(rig.round(0).reports.len(), k);
+        // every reply is in, so every fleet thread is back in its wait
+        std::thread::sleep(Duration::from_millis(50));
+        let (joined_tx, joined) = std::sync::mpsc::channel();
+        let backend = rig.backend;
+        std::thread::spawn(move || {
+            drop(backend);
+            let _ = joined_tx.send(());
+        });
+        assert!(
+            joined.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "{transport:?}: the fleet did not notice the hang-up"
+        );
+    }
+}
+
+/// Thirty-two of sixty-four workers crash and are evicted. Their links
+/// share one drain wait, so a round with all thirty-two to probe costs
+/// what a round with four does (at a wait per link it cost 56 ms more),
+/// and the one that comes back up is re-admitted the round after its
+/// heartbeat.
+#[test]
+fn evicted_workers_cost_a_round_nothing_and_return_on_time() {
+    const N: usize = 64;
+    const GONE: std::ops::Range<usize> = 32..64;
+    const BACK: usize = 31;
+    let down = |rounds| ScriptedFault {
+        crash_restart: Some((1, rounds)),
+        ..ScriptedFault::default()
+    };
+    let mut faults = vec![ScriptedFault::default(); N];
+    faults[BACK] = down(2); // up again from round 3's probe on
+    GONE.for_each(|p| faults[p] = down(1000));
+    let rpc = RpcConfig {
+        deadline: Duration::from_millis(500),
+        max_retries: 0,
+        evict_after: 1,
+        ..RpcConfig::default()
+    };
+    let mut rig = Rig::new(
+        SearchConfig::tiny().with_participants(N),
+        50.0,
+        rpc,
+        &faults,
+    );
+    assert_eq!(rig.round(0).reports.len(), N, "round 0 is full strength");
+    let out = rig.round(1);
+    assert_eq!(out.reports.len(), BACK);
+    assert_eq!(out.faults.evictions as usize, GONE.len() + 1);
+    // from here on one live worker trains, so a round is its evicted
+    let active_with = |gone: std::ops::Range<usize>| {
+        let mut active = vec![false; N];
+        active[0] = true;
+        active[BACK] = true;
+        gone.for_each(|p| active[p] = true);
+        Some(active)
+    };
+    rig.active = active_with(GONE);
+    let out = rig.round(2);
+    assert_eq!((out.reports.len(), out.churn.readmitted), (1, 0));
+    let probe = out.bytes_down - out.download_frame_bytes[0];
+    assert_eq!(probe % (GONE.len() + 1) as u64, 0, "one probe each");
+    let out = rig.round(3); // the probe that finds BACK up again
+    assert_eq!((out.reports.len(), out.churn.readmitted), (1, 0));
+    let out = rig.round(4); // its heartbeat is there: re-admitted, and trains
+    assert_eq!(out.churn.readmitted, 1);
+    let mut trained: Vec<usize> = out.reports.iter().map(|r| r.participant).collect();
+    trained.sort_unstable();
+    assert_eq!(trained, [0, BACK]);
+    assert_eq!(rig.backend.evicted_workers(), GONE.len());
+    // the fastest of three rounds each way, so one hiccup cannot fail it
+    let mut fastest = [Duration::MAX; 2];
+    for t in 5..11 {
+        let many = t % 2;
+        rig.active = active_with(if many == 1 { GONE } else { 32..36 });
+        let start = Instant::now();
+        let out = rig.round(t);
+        fastest[many] = fastest[many].min(start.elapsed());
+        assert_eq!((out.reports.len(), out.churn.readmitted), (2, 0));
+    }
+    assert!(
+        fastest[1] < fastest[0] + Duration::from_millis(28),
+        "4 evicted: {:?}, 32 evicted: {:?}",
+        fastest[0],
+        fastest[1]
     );
 }
 
