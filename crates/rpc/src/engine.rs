@@ -11,10 +11,14 @@
 //! staleness path.
 //!
 //! A round is four phases over one `RoundCtx`: `service_evicted`,
-//! `book_downloads`, `collect` (the event loop of `crate::reactor`, or
-//! the blocking in-order oracle of [`EngineMode::Serial`]; either stages
-//! each download frame at the moment its link ships it, into the vector
-//! the transport takes) and `commit`.
+//! `book_downloads`, `collect` and `commit`. Every per-link rule — ship,
+//! deadline, quorum drain, retransmit, the on-time gate, late attribution,
+//! and on the worker side the reply cache — is written once, in the sans-IO
+//! machines of `crate::protocol`. `collect` drives them from the event
+//! loop of `crate::reactor`, or, for [`EngineMode::Serial`], in
+//! participant order, blocking on one link at a time; either stages each
+//! download frame at the moment its link ships it, into the vector the
+//! transport takes.
 //!
 //! Who owns what: a participant keeps only what must survive a round —
 //! its data, its residual, its fault script, the replies a displaced
@@ -68,39 +72,27 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fedrlnas_codec::{Codec, CodecConfig, CodecSpec, EncodeScratch};
-use fedrlnas_controller::Alpha;
-use fedrlnas_core::{BackendReport, RoundBackend, RoundOutcome, RoundRequest, SearchServer};
-use fedrlnas_darts::{ArchMask, Supernet, SupernetConfig};
+use fedrlnas_codec::CodecConfig;
+use fedrlnas_core::{RoundBackend, RoundOutcome, RoundRequest, SearchServer};
+use fedrlnas_darts::{ArchMask, SupernetConfig};
 use fedrlnas_data::SyntheticDataset;
-use fedrlnas_fed::{validate_report, Participant, RejectTally};
+use fedrlnas_fed::Participant;
 use fedrlnas_netsim::resolve_codec;
-use fedrlnas_tensor::Tensor;
 
-use crate::adversary::{apply_attack, Attack};
-use crate::fault::{mix, FaultPlan, FaultyTransport, MAX_DISPLACEMENT};
-use crate::transport::{Doorbell, ShapedTransport, Transport, TransportError};
+use crate::adversary::Attack;
+use crate::fault::{mix, FaultPlan, FaultyTransport};
+use crate::protocol::{on_evicted_frame, quorum_target, FrameStep, Idle, LinkRound, WorkerRound};
+use crate::transport::{send_delay, Doorbell, Transport, TransportError};
 use crate::waiter::Waiter;
 use crate::wire::{
-    coded_download_frame_len, coded_upload_frame_len, decode, decode_download, download_frame_len,
-    encode, encode_download_ranges_into, encode_into, encode_upload_coded_into, upload_frame_len,
-    Message,
+    coded_download_frame_len, download_frame_len, encode, encode_download_ranges_into, Message,
 };
 
 /// How many rounds of sent-mask / delivery history to keep for late-reply
 /// attribution; anything older than this is unattributable and dropped
 /// (the staleness threshold is far smaller in practice). A worker
 /// remembers the *numbers* of that many answered rounds.
-const HISTORY_ROUNDS: usize = 16;
-
-/// How many answered rounds a worker keeps the reply *bytes* of. A
-/// download for a round already answered reaches a worker only displaced:
-/// a retransmit is only ever of the round in progress, so in link order
-/// it sits among that round's frames, and the link's fault layer lets at
-/// most [`MAX_DISPLACEMENT`] later frame — so at most that many later
-/// rounds — overtake it. When it arrives, its round is therefore among
-/// the `MAX_DISPLACEMENT + 1` most recently answered.
-const REPLY_CACHE_ROUNDS: usize = MAX_DISPLACEMENT + 1;
+pub(crate) const HISTORY_ROUNDS: usize = 16;
 
 /// Hard cap on any single backoff sleep.
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
@@ -131,10 +123,10 @@ pub enum TransportKind {
 /// link's content order — see DESIGN.md "Round engine".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// The test oracle: ship every download (sleeping each shaped send),
-    /// then block on one link at a time in participant order. Kept only
-    /// as the reference the equivalence suites and benches compare
-    /// against.
+    /// The test oracle: the same link machines, links visited in
+    /// participant order — ship every download (sleeping to each shaped
+    /// send), then block on one link at a time. Kept only as the reference
+    /// the equivalence suites and benches compare against.
     Serial,
     /// The engine: a bounded pool of collector threads (see
     /// [`RpcConfig::reactor_threads`]), each asleep until one of its
@@ -163,9 +155,9 @@ pub struct RpcConfig {
     /// Base sleep before the first retransmission; grows exponentially
     /// (saturating, capped, jittered — see [`backoff_delay`]).
     pub retry_backoff: Duration,
-    /// Stretch factor mapping simulated transmission time onto real
-    /// sleeps in the shaped transport. `0.0` (the default) keeps the
-    /// byte-accurate accounting without sleeping.
+    /// Stretch factor mapping simulated transmission time onto the real
+    /// time a link's frame takes to reach the wire. `0.0` (the default)
+    /// keeps the byte-accurate accounting without waiting.
     pub real_time_scale: f64,
     /// Fraction of eligible workers whose on-time reply commits the round
     /// (`1.0`, the default, waits for everyone — the legacy behaviour).
@@ -257,7 +249,7 @@ pub fn backoff_delay(base: Duration, attempt: usize, salt: u64) -> Duration {
 }
 
 /// `Box<dyn Transport>` is itself a transport, so the engine can hold
-/// heterogeneous endpoints behind one shaped wrapper.
+/// heterogeneous endpoints behind one fault layer.
 impl Transport for Box<dyn Transport> {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         (**self).send(frame)
@@ -289,9 +281,8 @@ impl Transport for Box<dyn Transport> {
     }
 }
 
-/// Server-side link to one worker: bandwidth shaping over fault injection
-/// over the raw transport.
-pub(crate) type Link = ShapedTransport<FaultyTransport<Box<dyn Transport>>>;
+/// Server-side link to one worker: fault injection over the raw transport.
+pub(crate) type Link = FaultyTransport<Box<dyn Transport>>;
 
 /// Everything the server keeps per participant between rounds: the link
 /// and four counters. No frame-sized buffer lives here — a download frame
@@ -329,10 +320,9 @@ impl WorkerHandle {
     /// has held back or queued. (What sits inside a channel or a socket
     /// belongs to the frames in flight, not to the link.) Debug accounting
     /// for the O(pool) memory contract.
-    fn resident_bytes(&mut self) -> usize {
-        let link = self.transport.as_mut().map_or(0, |link| {
-            let faulty = link.inner_mut();
-            faulty.heap_bytes() + std::mem::size_of_val(&**faulty.inner())
+    fn resident_bytes(&self) -> usize {
+        let link = self.transport.as_ref().map_or(0, |link| {
+            link.heap_bytes() + std::mem::size_of_val(&**link.inner())
         });
         std::mem::size_of::<Self>() + link
     }
@@ -359,10 +349,10 @@ pub struct ResidentBytes {
 
 /// What one fleet pool thread held when its last link closed.
 pub(crate) struct FleetFootprint {
-    /// The thread's [`WorkerScratch`], counted once however many
+    /// The thread's `WorkerScratch`, counted once however many
     /// participants it served.
     pub(crate) scratch_bytes: usize,
-    /// [`WorkerState::resident_bytes`] of each participant on the thread.
+    /// `WorkerState::resident_bytes` of each participant on the thread.
     pub(crate) participant_bytes: Vec<usize>,
 }
 
@@ -421,7 +411,7 @@ impl Bits {
 }
 
 /// What one round shipped, indexed by participant slot.
-struct RoundRecord {
+pub(crate) struct RoundRecord {
     round: usize,
     /// The round's masks, cloned once.
     masks: Vec<ArchMask>,
@@ -452,7 +442,7 @@ impl History {
     }
 
     /// Opens round `round`'s record over `masks`, nothing booked yet.
-    fn open(&mut self, round: usize, masks: &[ArchMask]) -> &mut RoundRecord {
+    pub(crate) fn open(&mut self, round: usize, masks: &[ArchMask]) -> &mut RoundRecord {
         let n = masks.len();
         self.records.retain(|r| r.round != round);
         self.records.push(RoundRecord {
@@ -483,10 +473,19 @@ impl History {
         self.record(round).is_some_and(|r| r.delivered.get(pid))
     }
 
-    fn mark_delivered(&mut self, round: usize, pid: usize) {
+    pub(crate) fn mark_delivered(&mut self, round: usize, pid: usize) {
         if let Some(rec) = self.records.iter_mut().find(|r| r.round == round) {
             rec.delivered.set(pid);
         }
+    }
+}
+
+impl RoundRecord {
+    /// Books slot `p`'s download: a reply from `p` must carry a
+    /// flat gradient of `expected_len`.
+    pub(crate) fn book(&mut self, p: usize, expected_len: usize) {
+        self.expected_lens[p] = expected_len;
+        self.booked.set(p);
     }
 }
 
@@ -587,333 +586,6 @@ impl RpcBackend {
     }
 }
 
-pub(crate) fn wrap_link(
-    inner: Box<dyn Transport>,
-    participant: usize,
-    plan: &FaultPlan,
-    time_scale: f64,
-) -> Link {
-    ShapedTransport::new(
-        FaultyTransport::new(inner, participant, plan),
-        f64::MAX,
-        time_scale,
-    )
-}
-
-/// What [`WorkerState::handle_frame`] tells the worker's drive loop to do.
-pub(crate) enum FrameOutcome {
-    /// Keep servicing this participant's link.
-    Continue,
-    /// The scripted `die_at_round` fired: drop the link, no reply.
-    Exit,
-    /// The scripted `delay` fired: hold this frame, serve nothing else
-    /// from this link meanwhile, and hand the same frame back once the
-    /// duration has passed (the delay is spent; the second call trains).
-    Delay(Duration),
-}
-
-/// Grow-only codec scratch — selection keys, encoded byte run,
-/// self-decode output — owned by a fleet pool thread and lent to whichever
-/// participant it is running. Reuse never changes any output (see
-/// [`EncodeScratch`]); `growth` counts capacity growth so a test can
-/// assert the buffers actually stabilize.
-pub(crate) struct WorkerScratch {
-    enc: EncodeScratch,
-    coded: Vec<u8>,
-    decoded: Vec<f32>,
-    growth: Arc<AtomicU64>,
-}
-
-impl WorkerScratch {
-    pub(crate) fn new(growth: Arc<AtomicU64>) -> Self {
-        WorkerScratch {
-            enc: EncodeScratch::default(),
-            coded: Vec::new(),
-            decoded: Vec::new(),
-            growth,
-        }
-    }
-
-    /// Heap bytes this scratch holds (debug accounting).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.enc.capacity() * std::mem::size_of::<u64>()
-            + self.coded.capacity()
-            + self.decoded.capacity() * std::mem::size_of::<f32>()
-    }
-}
-
-/// A round number no round has (the wire's rounds count up from zero).
-const NO_ROUND: u64 = u64::MAX;
-
-/// The participant side of one link; the pooled fleet drives many of
-/// these from one thread. Only what must survive a round lives here: the
-/// participant (its data and loader cursor), its residual, its fault
-/// script and attack memory, the last [`REPLY_CACHE_ROUNDS`] replies and
-/// the numbers of the last [`HISTORY_ROUNDS`] answered rounds. Scratch is
-/// the pool thread's ([`WorkerScratch`]), and so is the supernet
-/// *structure*, shared by every participant on the thread because weights
-/// always arrive over the wire — nothing training-relevant ever persists
-/// in it.
-pub(crate) struct WorkerState {
-    participant: Participant,
-    fault: ScriptedFault,
-    residual: Arc<Mutex<Vec<f32>>>,
-    /// `(round, reply frame)` of the most recently answered rounds,
-    /// newest first; `None` until that many have been answered.
-    reply_cache: [Option<(u64, Vec<u8>)>; REPLY_CACHE_ROUNDS],
-    /// Ring of the round numbers answered last ([`NO_ROUND`] = unused).
-    /// Training advances the loader and the round stream, so a round is
-    /// trained once: a download for a round in here whose bytes have left
-    /// the cache is met with silence.
-    answered: [u64; HISTORY_ROUNDS],
-    answered_next: usize,
-    // the previous round's honest update, kept for Attack::StaleReplay;
-    // filled only under an attack script
-    last_honest: Vec<f32>,
-    // first round the worker is back up after a scripted crash-restart
-    down_until: Option<u64>,
-    crashed: bool,
-}
-
-impl WorkerState {
-    pub(crate) fn new(
-        participant: Participant,
-        fault: ScriptedFault,
-        residual: Arc<Mutex<Vec<f32>>>,
-    ) -> Self {
-        WorkerState {
-            participant,
-            fault,
-            residual,
-            reply_cache: std::array::from_fn(|_| None),
-            answered: [NO_ROUND; HISTORY_ROUNDS],
-            answered_next: 0,
-            last_honest: Vec::new(),
-            down_until: None,
-            crashed: false,
-        }
-    }
-
-    /// Bytes this state holds beyond the participant itself (its data is
-    /// the dataset shard's business): the struct's own fields plus the
-    /// heap behind the cached replies and the attack memory. Debug
-    /// accounting for the O(pool) memory contract.
-    pub(crate) fn resident_bytes(&self) -> usize {
-        let cached: usize = self
-            .reply_cache
-            .iter()
-            .flatten()
-            .map(|(_, frame)| frame.capacity())
-            .sum();
-        std::mem::size_of::<Self>() - std::mem::size_of::<Participant>()
-            + cached
-            + self.last_honest.capacity() * std::mem::size_of::<f32>()
-    }
-
-    /// Remembers `round` as answered with `reply`: newest cache slot, next
-    /// ring slot.
-    fn remember(&mut self, round: u64, reply: Vec<u8>) {
-        self.reply_cache.rotate_right(1);
-        self.reply_cache[0] = Some((round, reply));
-        self.answered[self.answered_next] = round;
-        self.answered_next = (self.answered_next + 1) % HISTORY_ROUNDS;
-    }
-
-    /// Heartbeats and liveness probes, answered inline. A scripted
-    /// crash-restart keeps the worker silent until a probe shows the
-    /// downtime window has passed.
-    fn handle_control(&mut self, transport: &mut dyn Transport, frame: &[u8]) {
-        let back_up = match decode(frame) {
-            Ok(Message::Heartbeat { .. }) => self.down_until.is_none(),
-            Ok(Message::Ack { round }) => {
-                if self.down_until.is_some_and(|until| round >= until) {
-                    self.down_until = None;
-                }
-                self.down_until.is_none()
-            }
-            // corrupt: await retransmission. Uploads echo back only under
-            // fault injection; control-plane frames are for the service
-            // listener, never a worker
-            _ => return,
-        };
-        if back_up {
-            let _ = transport.send(&encode(&Message::Heartbeat {
-                participant: self.participant.id() as u32,
-            }));
-        }
-    }
-
-    /// Services one inbound frame: heartbeats/probes are answered inline,
-    /// downloads run one local training step and reply with the update.
-    /// The reply is kept ([`REPLY_CACHE_ROUNDS`] deep) so a retransmitted
-    /// or displaced download is answered from the cache instead of being
-    /// recomputed (idempotence under retry), and a round is never trained
-    /// twice. The download is read where it lies: its shape is checked
-    /// against the layout, then its two `f32` runs are copied from the
-    /// frame's bytes straight into the sub-model. `theta_len` is the full
-    /// flat-θ length — the error-feedback residual spans the whole
-    /// supernet, exactly like the in-process path.
-    pub(crate) fn handle_frame(
-        &mut self,
-        supernet: &mut Supernet,
-        theta_len: usize,
-        dataset: &SyntheticDataset,
-        scratch: &mut WorkerScratch,
-        transport: &mut dyn Transport,
-        frame: &[u8],
-    ) -> FrameOutcome {
-        let id = self.participant.id();
-        let down = match decode_download(frame) {
-            Ok(Some(down)) => down,
-            Ok(None) => {
-                self.handle_control(transport, frame);
-                return FrameOutcome::Continue;
-            }
-            Err(_) => return FrameOutcome::Continue, // corrupt: await retransmission
-        };
-        // both download flavours share one training path; the coded one
-        // additionally carries the codec the upload must be encoded with
-        let codec = match down.codec {
-            None => None,
-            Some((tag, param)) => match CodecSpec::from_tag_param(tag, param) {
-                Some(spec) => Some(spec),
-                None => return FrameOutcome::Continue, // nonsense codec: refuse
-            },
-        };
-        let (round, mask) = (down.round, &down.mask);
-        if let Some(until) = self.down_until {
-            if round < until {
-                return FrameOutcome::Continue; // crashed: downloads fall on the floor
-            }
-            self.down_until = None;
-        }
-        if !self.crashed {
-            if let Some((r, d)) = self.fault.crash_restart {
-                if r == round as usize {
-                    self.crashed = true;
-                    // a crash loses in-memory state
-                    self.reply_cache = std::array::from_fn(|_| None);
-                    self.answered = [NO_ROUND; HISTORY_ROUNDS];
-                    self.down_until = Some(round + d as u64);
-                    return FrameOutcome::Continue;
-                }
-            }
-        }
-        if let Some((_, cached)) = self.reply_cache.iter().flatten().find(|(r, _)| *r == round) {
-            let _ = transport.send(cached);
-            return FrameOutcome::Continue;
-        }
-        if self.answered.contains(&round) {
-            return FrameOutcome::Continue; // answered, bytes gone: never train twice
-        }
-        if self.fault.die_at_round == Some(round as usize) {
-            return FrameOutcome::Exit; // simulated crash: no reply
-        }
-        if let Some((r, d)) = self.fault.delay {
-            if r == round as usize {
-                self.fault.delay = None;
-                return FrameOutcome::Delay(d);
-            }
-        }
-        let layout = supernet.layout();
-        if mask.num_edges() != supernet.config().topology().num_edges()
-            || down.weights.len() != layout.submodel_param_count(mask)
-            || down.buffers.len() != layout.submodel_buffer_count(mask)
-        {
-            return FrameOutcome::Continue; // shape mismatch: refuse rather than panic
-        }
-        let mut sub = supernet.extract_submodel(mask);
-        let mut weights = down.weights;
-        sub.visit_params(&mut |p| weights.fill(p.value.as_mut_slice()));
-        let mut buffers = down.buffers;
-        sub.visit_buffers(&mut |b| buffers.fill(b));
-        // the step the in-process path runs, on the same derived stream
-        let (report, mut grads) = self
-            .participant
-            .train_round(&mut sub, dataset, down.seed_base);
-        if let Some(attack) = self.fault.attack {
-            let honest = std::mem::replace(&mut self.last_honest, grads.clone());
-            apply_attack(attack, round, id as u64, &mut grads, &honest);
-        }
-        let edges = mask.num_edges();
-        let alpha_len = down.alpha.len();
-        let delta_alpha = Tensor::from_vec(down.alpha, &[alpha_len])
-            .ok()
-            .map(|t| {
-                Alpha::from_logits(t, edges)
-                    .grad_log_prob(mask)
-                    .as_slice()
-                    .to_vec()
-            })
-            .unwrap_or_default();
-        // the reply is encoded once, into the exactly sized vector the
-        // cache keeps; the transport copies what it sends
-        let reply = match codec {
-            None => {
-                let mut reply =
-                    Vec::with_capacity(upload_frame_len(grads.len(), delta_alpha.len()));
-                encode_into(
-                    &Message::UploadUpdate {
-                        round,
-                        participant: id as u32,
-                        delta_w: grads,
-                        delta_alpha,
-                        reward: report.accuracy,
-                        loss: report.loss,
-                    },
-                    &mut reply,
-                );
-                reply
-            }
-            Some(spec) => {
-                // error feedback: fold the residual of every previous lossy
-                // round into this update before encoding, then remember
-                // what this round's encoding lost — the function the
-                // in-process server runs, so the two execution modes stay
-                // bit-identical.
-                let ranges = supernet.submodel_param_ranges(mask);
-                let mut res = self.residual.lock().expect("residual lock");
-                if res.len() != theta_len {
-                    res.resize(theta_len, 0.0);
-                }
-                let held = scratch.heap_bytes();
-                spec.encode_with_feedback(
-                    &mut grads,
-                    &mut res,
-                    &ranges,
-                    &mut scratch.enc,
-                    &mut scratch.coded,
-                    &mut scratch.decoded,
-                );
-                drop(res);
-                if scratch.heap_bytes() > held {
-                    scratch.growth.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut reply = Vec::with_capacity(coded_upload_frame_len(
-                    scratch.coded.len(),
-                    delta_alpha.len(),
-                ));
-                encode_upload_coded_into(
-                    &mut reply,
-                    round,
-                    id as u32,
-                    spec.tag(),
-                    spec.param(),
-                    grads.len() as u32,
-                    &scratch.coded,
-                    &delta_alpha,
-                    report.accuracy,
-                    report.loss,
-                );
-                reply
-            }
-        };
-        let _ = transport.send(&reply);
-        self.remember(round, reply);
-        FrameOutcome::Continue
-    }
-}
-
 /// Slot `p`'s download for this round, in a vector of exactly its booked
 /// size: the ranges the layout names for `masks[p]`, copied out of the
 /// round's flat θ and buffer snapshot. Those ranges' concatenation is the
@@ -950,170 +622,6 @@ pub(crate) fn stage_download(p: usize, s: &Staged<'_>) -> Vec<u8> {
     frame
 }
 
-/// A classified upload reply.
-enum Reply {
-    /// A usable update: legacy fp32, or a codec run that decoded cleanly
-    /// against the trusted length. `comp` carries the compression-tally
-    /// entry `(codec index, raw bytes, encoded bytes)` for coded replies;
-    /// it is recorded only if the report is actually delivered, so
-    /// retransmission duplicates never double-count.
-    Report {
-        r: usize,
-        report: BackendReport,
-        comp: Option<(usize, u64, u64)>,
-    },
-    /// A coded reply whose byte run failed to decode against the length
-    /// the engine itself shipped — malformed, treated like a
-    /// shape-rejected update.
-    Undecodable { r: usize, pid: usize },
-    /// Heartbeats, acks, unattributable or non-upload traffic.
-    Noise,
-}
-
-/// Turns a decoded message into a [`Reply`]. Coded gradient runs are
-/// decoded here, against the flat-gradient length recorded when the
-/// round's download was shipped — the sender's `orig_len` claim is never
-/// consulted, so a hostile length can neither size an allocation nor
-/// skew the gate.
-fn classify_reply(msg: Message, sent: &History) -> Reply {
-    match msg {
-        Message::UploadUpdate {
-            round,
-            participant,
-            delta_w,
-            delta_alpha,
-            reward,
-            loss,
-        } => Reply::Report {
-            r: round as usize,
-            report: BackendReport {
-                participant: participant as usize,
-                computed_at: round as usize,
-                mask: ArchMask::new(vec![], vec![]), // placeholder
-                accuracy: reward,
-                loss,
-                grads: delta_w,
-                delta_alpha,
-            },
-            comp: None,
-        },
-        Message::UploadUpdateCoded {
-            round,
-            participant,
-            codec_tag,
-            codec_param,
-            orig_len: _, // advisory; the engine trusts only its own books
-            coded,
-            delta_alpha,
-            reward,
-            loss,
-        } => {
-            let (r, pid) = (round as usize, participant as usize);
-            let spec = match CodecSpec::from_tag_param(codec_tag, codec_param) {
-                Some(s) => s,
-                None => return Reply::Undecodable { r, pid },
-            };
-            let expected = match sent.sent(r, pid) {
-                Some((_, len)) => len,
-                None => return Reply::Noise, // beyond the attribution horizon
-            };
-            match spec.decode(&coded, expected) {
-                Ok(grads) => Reply::Report {
-                    r,
-                    report: BackendReport {
-                        participant: pid,
-                        computed_at: r,
-                        mask: ArchMask::new(vec![], vec![]), // placeholder
-                        accuracy: reward,
-                        loss,
-                        grads,
-                        delta_alpha,
-                    },
-                    comp: Some((
-                        spec.tag() as usize,
-                        (expected * 4) as u64,
-                        coded.len() as u64,
-                    )),
-                },
-                Err(_) => Reply::Undecodable { r, pid },
-            }
-        }
-        _ => Reply::Noise,
-    }
-}
-
-/// Everything one worker's phase-2 interaction produced. Committed into
-/// the round outcome strictly in participant order by
-/// [`merge_worker_round`], so the event loop updates every data structure
-/// the next round reads exactly as the serial oracle would.
-#[derive(Default)]
-pub(crate) struct WorkerRound {
-    pub(crate) reports: Vec<BackendReport>,
-    pub(crate) late: Vec<BackendReport>,
-    /// `(round, participant)` keys delivered on this link this round.
-    /// A link only ever carries its own worker's replies, so these keys
-    /// are disjoint across concurrent collectors.
-    pub(crate) delivered: Vec<(usize, usize)>,
-    /// Compression-tally entries for actually-delivered coded replies.
-    pub(crate) comp: Vec<(usize, u64, u64)>,
-    pub(crate) rejects: RejectTally,
-    pub(crate) bytes_up: u64,
-    pub(crate) bytes_down: u64,
-    pub(crate) retransmits: u64,
-    pub(crate) got: bool,
-    pub(crate) rejected: bool,
-    pub(crate) ship_ns: u64,
-    pub(crate) collect_ns: u64,
-    pub(crate) decode_ns: u64,
-    pub(crate) validate_ns: u64,
-}
-
-/// The commit-on-quorum rule both modes share: the fraction is taken of
-/// the workers whose download actually went out.
-fn quorum_target(frac: f64, shipped: usize) -> usize {
-    ((frac * shipped as f64).ceil() as usize).clamp(1, shipped.max(1))
-}
-
-/// Lets concurrent collectors agree on the quorum population the serial
-/// oracle sees: workers eligible at ship time *and* whose download
-/// actually went out. Every eligible link records its first send's
-/// outcome; until all have, the target is unknown and no link's wait may
-/// expire.
-pub(crate) struct SendGate {
-    spawned: usize,
-    frac: f64,
-    done: AtomicUsize,
-    failed: AtomicUsize,
-}
-
-impl SendGate {
-    pub(crate) fn new(spawned: usize, frac: f64) -> Self {
-        SendGate {
-            spawned,
-            frac,
-            done: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
-        }
-    }
-
-    pub(crate) fn record(&self, ok: bool) {
-        if !ok {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        self.done.fetch_add(1, Ordering::Release);
-    }
-
-    /// The quorum target, or `None` while some link's first send is still
-    /// on its timer.
-    pub(crate) fn target(&self) -> Option<usize> {
-        if self.done.load(Ordering::Acquire) < self.spawned {
-            return None;
-        }
-        let shipped = self.spawned - self.failed.load(Ordering::Relaxed);
-        Some(quorum_target(self.frac, shipped))
-    }
-}
-
 /// What every collector of one round reads: the request its downloads
 /// are staged from, each slot's booked frame size, the attribution books
 /// as of the start of phase 2 (complete for each link's own keys, because
@@ -1129,206 +637,123 @@ pub(crate) struct Staged<'a> {
     pub(crate) on_time: &'a AtomicUsize,
 }
 
-/// What [`absorb_reply_frame`] tells the caller to do next.
-#[derive(PartialEq, Eq)]
-pub(crate) enum FrameStep {
-    /// This link's round is settled (on-time report accepted or rejected);
-    /// stop waiting on it.
-    Done,
-    /// The frame was noise, a duplicate or a late reply — keep waiting.
-    KeepWaiting,
-}
-
-/// Absorbs one reply frame received on participant `p`'s link into its
-/// [`WorkerRound`]: decode, classify, deduplicate, late-attribute, and
-/// run the validation gate on on-time reports. The single frame path of
-/// both modes — the serial oracle calls it from its blocking wait, the
-/// event loop from its readiness sweep — so classification and gate
-/// semantics cannot drift between them.
-pub(crate) fn absorb_reply_frame(
-    wr: &mut WorkerRound,
-    frame_in: &[u8],
-    p: usize,
-    s: &Staged<'_>,
-) -> FrameStep {
-    let t = s.req.round;
-    let delivered = |wr: &WorkerRound, key: (usize, usize)| {
-        s.history.is_delivered(key.0, key.1) || wr.delivered.contains(&key)
-    };
-    wr.bytes_up += frame_in.len() as u64;
-    let decode_start = Instant::now();
-    let classified = match decode(frame_in) {
-        Ok(msg) => classify_reply(msg, s.history),
-        Err(_) => Reply::Noise, // corruption: drop
-    };
-    wr.decode_ns = wr
-        .decode_ns
-        .saturating_add(decode_start.elapsed().as_nanos() as u64);
-    let (r, report, comp) = match classified {
-        Reply::Report { r, report, comp } => (r, report, comp),
-        Reply::Undecodable { r, pid } => {
-            // a coded run that does not decode against the length the
-            // engine shipped is a malformed update — reject it before it
-            // can reach validation or aggregation
-            if r == t && !delivered(wr, (r, pid)) {
-                wr.delivered.push((r, pid));
-                wr.rejected = true;
-                wr.rejects.rejected_shape += 1;
-                return FrameStep::Done;
-            }
-            return FrameStep::KeepWaiting;
-        }
-        Reply::Noise => return FrameStep::KeepWaiting, // heartbeat/ack noise
-    };
-    let pid = report.participant;
-    if delivered(wr, (r, pid)) {
-        return FrameStep::KeepWaiting; // duplicate from a retransmitted download
-    }
-    match r.cmp(&t) {
-        std::cmp::Ordering::Equal => {
-            wr.delivered.push((r, pid));
-            if let Some(c) = comp {
-                wr.comp.push(c);
-            }
-            // validation gate: a reply that is the wrong shape, non-finite
-            // anywhere, or over the norm bound never reaches the server;
-            // the worker is treated as having missed the round. Coded
-            // replies were decoded above, so the gate sees exactly what
-            // aggregation would consume.
-            let gate_start = Instant::now();
-            let (_, expected_len) = s.history.sent(t, p).expect("an eligible slot was booked");
-            let verdict = validate_report(
-                &report.grads,
-                report.accuracy,
-                report.loss,
-                expected_len,
-                s.config.update_norm_bound,
-            );
-            wr.validate_ns = wr
-                .validate_ns
-                .saturating_add(gate_start.elapsed().as_nanos() as u64);
-            match verdict {
-                Ok(()) => {
-                    wr.reports.push(BackendReport {
-                        mask: s.req.masks[p].clone(),
-                        ..report
-                    });
-                    wr.got = true;
-                    s.on_time.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(why) => {
-                    wr.rejected = true;
-                    wr.rejects.record(&why);
-                }
-            }
-            FrameStep::Done
-        }
-        std::cmp::Ordering::Less => {
-            // a reply that missed an earlier deadline; attribute it and
-            // keep waiting for round t
-            if let Some((late_mask, _)) = s.history.sent(r, pid) {
-                wr.delivered.push((r, pid));
-                if let Some(c) = comp {
-                    wr.comp.push(c);
-                }
-                wr.late.push(BackendReport {
-                    mask: late_mask.clone(),
-                    ..report
-                });
-            }
-            FrameStep::KeepWaiting
-        }
-        std::cmp::Ordering::Greater => FrameStep::KeepWaiting, // impossible; drop
+impl Staged<'_> {
+    /// Slot `p`'s link machine for this round from `now`: its frame
+    /// reaches the wire the shaped transmission time after it is due.
+    pub(crate) fn link(&self, p: usize, now: Instant) -> LinkRound {
+        let (bytes, mbps) = (self.frame_bytes[p] as usize, self.req.bandwidths_mbps[p]);
+        LinkRound::new(p, now, send_delay(bytes, mbps, self.config.real_time_scale))
     }
 }
 
-/// The serial oracle's phase 2 for one worker: block on its link for the
-/// reply under deadline + quorum + bounded retry, decoding and validating
-/// whatever arrives. The quorum is consulted once per wait — a worker
-/// reached after the quorum reported only gets the drain window — and
-/// both the backoff and the shaped resend sleep.
-fn collect_worker(
-    p: usize,
-    w: &mut WorkerHandle,
-    wr: &mut WorkerRound,
-    s: &Staged<'_>,
-    quorum_target: usize,
-) {
-    let link = w.transport.as_mut().expect("live worker has transport");
-    let quorum_met = || s.on_time.load(Ordering::Relaxed) >= quorum_target;
-    let mut attempts = 0usize;
+/// Reads the link until it reports idle, feeding each frame to its
+/// machine. Returns whether the link's round is over: settled, or the
+/// link dead.
+pub(crate) fn read_until_idle(link: &mut LinkRound, w: &mut WorkerHandle, s: &Staged<'_>) -> bool {
+    let transport = w.transport.as_mut().expect("live worker has transport");
     loop {
-        let wait = if quorum_met() {
-            s.config.quorum_drain
-        } else {
-            s.config.deadline
-        };
-        let wait_start = Instant::now();
-        let received = link.recv_timeout(wait);
-        wr.collect_ns = wr
-            .collect_ns
-            .saturating_add(wait_start.elapsed().as_nanos() as u64);
-        match received {
-            Ok(frame_in) => {
-                if absorb_reply_frame(wr, &frame_in, p, s) == FrameStep::Done {
-                    break;
-                }
-            }
-            Err(TransportError::Timeout) => {
-                if quorum_met() || attempts >= s.config.max_retries {
-                    break; // late: the reply, if any, surfaces next round
-                }
-                let salt = ((s.req.round as u64) << 32) | p as u64;
-                std::thread::sleep(backoff_delay(s.config.retry_backoff, attempts, salt));
-                attempts += 1;
-                wr.retransmits += 1;
-                match link.send_owned(stage_download(p, s)) {
-                    Ok(()) => wr.bytes_down += s.frame_bytes[p],
-                    Err(_) => {
-                        w.alive = false;
-                        break;
-                    }
-                }
-            }
+        let poll_start = Instant::now();
+        let polled = transport.poll_recv();
+        let polled_ns = poll_start.elapsed().as_nanos() as u64;
+        link.wr.collect_ns = link.wr.collect_ns.saturating_add(polled_ns);
+        match polled {
+            Ok(Some(frame)) if link.on_frame(&frame, s) == FrameStep::Settled => return true,
+            Ok(Some(_)) => {}
+            Ok(None) => return false,
             Err(_) => {
                 w.alive = false;
-                break;
+                return true;
             }
         }
     }
 }
 
-/// [`EngineMode::Serial`]: ship every download up front (workers train in
-/// parallel), then collect strictly in participant order.
+/// [`EngineMode::Serial`]: the link machines, visited in participant
+/// order. Every download ships first, the oracle sleeping to each link's
+/// ship time; then, the quorum target known, each link in turn is driven
+/// until it settles, blocking on it alone.
 fn collect_serial(
     workers: &mut [WorkerHandle],
     eligible: &[bool],
     s: &Staged<'_>,
 ) -> Vec<(usize, WorkerRound)> {
-    let mut rounds = Vec::new();
+    let mut links = Vec::new();
     for (p, w) in workers.iter_mut().enumerate() {
-        if !eligible[p] {
-            continue;
+        if eligible[p] {
+            let mut link = s.link(p, Instant::now());
+            let ship_start = Instant::now();
+            ship_blocking(&mut link, w, s);
+            link.wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
+            links.push(link);
         }
-        let mut wr = WorkerRound::default();
-        let link = w.transport.as_mut().expect("live worker has transport");
-        let ship_start = Instant::now();
-        link.set_mbps(s.req.bandwidths_mbps[p]);
-        match link.send_owned(stage_download(p, s)) {
-            Ok(()) => wr.bytes_down += s.frame_bytes[p],
-            Err(_) => w.alive = false,
-        }
-        wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
-        rounds.push((p, wr));
     }
-    let shipped = rounds.iter().filter(|(p, _)| workers[*p].alive).count();
+    let shipped = links.iter().filter(|l| workers[l.p].alive).count();
     let target = quorum_target(s.config.quorum_frac, shipped);
-    for (p, wr) in rounds.iter_mut() {
-        if workers[*p].alive {
-            collect_worker(*p, &mut workers[*p], wr, s, target);
+    for link in &mut links {
+        if workers[link.p].alive {
+            drive_blocking(link, &mut workers[link.p], s, target);
         }
     }
-    rounds
+    links.into_iter().map(|l| (l.p, l.wr)).collect()
+}
+
+/// Sleeps to the link's ship time, then stages and sends its frame. A
+/// link that cannot take it is dead.
+fn ship_blocking(link: &mut LinkRound, w: &mut WorkerHandle, s: &Staged<'_>) -> bool {
+    if let Some(at) = link.ship_at() {
+        std::thread::sleep(at.saturating_duration_since(Instant::now()));
+    }
+    let transport = w.transport.as_mut().expect("live worker has transport");
+    let sent = transport.send_owned(stage_download(link.p, s)).is_ok();
+    match sent {
+        true => link.sent(Instant::now(), s),
+        false => w.alive = false,
+    }
+    sent
+}
+
+/// The oracle's phase 2 for one link: read it until idle, ask its machine
+/// what next and block on that alone — a sleep to a ship time, or
+/// `recv_timeout` to the end of the wait — until the link settles, is
+/// late or dies. Its waits run from when the oracle reached it.
+fn drive_blocking(link: &mut LinkRound, w: &mut WorkerHandle, s: &Staged<'_>, target: usize) {
+    let known_at = Instant::now();
+    loop {
+        if link.ship_at().is_none() && read_until_idle(link, w, s) {
+            return;
+        }
+        let transport = w.transport.as_mut().expect("live worker has transport");
+        let now = Instant::now();
+        let frame = match link.on_idle(now, s, Some((target, known_at)), transport.next_due()) {
+            Idle::Ship { .. } | Idle::ShipAt(_) => match ship_blocking(link, w, s) {
+                true => continue,
+                false => return,
+            },
+            Idle::WaitUntil(until) => {
+                let until = until.expect("the quorum target is known");
+                let wait_start = Instant::now();
+                let received = transport.recv_timeout(until.saturating_duration_since(now));
+                let waited_ns = wait_start.elapsed().as_nanos() as u64;
+                link.wr.collect_ns = link.wr.collect_ns.saturating_add(waited_ns);
+                match received {
+                    Ok(frame) => frame,
+                    Err(TransportError::Timeout) => continue,
+                    Err(_) => {
+                        w.alive = false;
+                        return;
+                    }
+                }
+            }
+            Idle::ReleaseHeld => match transport.release_held() {
+                Some(frame) => frame,
+                None => continue,
+            },
+            Idle::Late => return, // the reply, if any, surfaces next round
+        };
+        if link.on_frame(&frame, s) == FrameStep::Settled {
+            return;
+        }
+    }
 }
 
 /// Re-admits an evicted worker after a heartbeat. Re-admission is a
@@ -1354,6 +779,30 @@ fn merge_worker_round(
     wr: WorkerRound,
     config: &RpcConfig,
 ) {
+    let (got, rejected) = (wr.got, wr.rejected);
+    fold_round(out, history, wr);
+    if got {
+        w.miss_streak = 0;
+        w.reject_streak = 0;
+    } else if w.alive {
+        w.miss_streak += 1;
+        if rejected {
+            w.reject_streak += 1;
+        }
+        if config.evict_after > 0 && w.miss_streak >= config.evict_after {
+            w.evicted = true;
+            out.faults.evictions = out.faults.evictions.saturating_add(1);
+            if w.reject_streak > 0 {
+                // evicted while its uploads were being refused:
+                // misbehaving, not merely slow
+                out.rejects.suspected_byzantine += 1;
+            }
+        }
+    }
+}
+
+/// Folds what one link delivered into the round outcome and the books.
+fn fold_round(out: &mut RoundOutcome, history: &mut History, wr: WorkerRound) {
     out.bytes_up += wr.bytes_up;
     out.bytes_down += wr.bytes_down;
     out.faults.retransmits = out.faults.retransmits.saturating_add(wr.retransmits);
@@ -1370,58 +819,6 @@ fn merge_worker_round(
     out.timings.collect_ns = out.timings.collect_ns.saturating_add(wr.collect_ns);
     out.timings.decode_ns = out.timings.decode_ns.saturating_add(wr.decode_ns);
     out.timings.validate_ns = out.timings.validate_ns.saturating_add(wr.validate_ns);
-    if wr.got {
-        w.miss_streak = 0;
-        w.reject_streak = 0;
-    } else if w.alive {
-        w.miss_streak += 1;
-        if wr.rejected {
-            w.reject_streak += 1;
-        }
-        if config.evict_after > 0 && w.miss_streak >= config.evict_after {
-            w.evicted = true;
-            out.faults.evictions = out.faults.evictions.saturating_add(1);
-            if w.reject_streak > 0 {
-                // evicted while its uploads were being refused:
-                // misbehaving, not merely slow
-                out.rejects.suspected_byzantine += 1;
-            }
-        }
-    }
-}
-
-/// One frame off an evicted worker's link in round `t`: a heartbeat
-/// re-admits it, a late reply is attributed, anything else is dropped.
-fn absorb_evicted_frame(
-    w: &mut WorkerHandle,
-    history: &mut History,
-    out: &mut RoundOutcome,
-    t: usize,
-    frame: &[u8],
-) {
-    out.bytes_up += frame.len() as u64;
-    let Ok(msg) = decode(frame) else {
-        return;
-    };
-    if let Message::Heartbeat { .. } = msg {
-        readmit(w, out);
-        return;
-    }
-    let Reply::Report { r, report, comp } = classify_reply(msg, history) else {
-        return;
-    };
-    let pid = report.participant;
-    if r >= t || history.is_delivered(r, pid) {
-        return;
-    }
-    if let Some((mask, _)) = history.sent(r, pid) {
-        let mask = mask.clone();
-        history.mark_delivered(r, pid);
-        if let Some((c, raw, enc)) = comp {
-            out.compression.record(c, raw, enc);
-        }
-        out.late.push(BackendReport { mask, ..report });
-    }
 }
 
 /// One round in flight — the request and the outcome under construction —
@@ -1457,16 +854,21 @@ impl RpcBackend {
             let link = self.workers[p].transport.as_mut();
             waiter.register(token, link.expect("live worker has transport"));
         }
+        // what the links deliver, folded into the round once the wait is over
+        let mut drained = WorkerRound::default();
         let until = Instant::now() + EVICTED_DRAIN;
         let mut ready: Vec<usize> = (0..evicted.len()).collect();
         loop {
             for token in ready.drain(..) {
-                let w = &mut self.workers[evicted[token]];
+                let p = evicted[token];
+                let w = &mut self.workers[p];
                 loop {
                     let link = w.transport.as_mut().expect("live worker has transport");
                     match link.poll_recv() {
                         Ok(Some(frame)) => {
-                            absorb_evicted_frame(w, &mut self.history, &mut ctx.out, t, &frame)
+                            if on_evicted_frame(&mut drained, &frame, p, t, &self.history) {
+                                readmit(w, &mut ctx.out);
+                            }
                         }
                         Ok(None) => break,
                         Err(_) => {
@@ -1489,8 +891,10 @@ impl RpcBackend {
             link.set_waker(None);
             // the wait is over: release a reorder-held frame rather than
             // lose it, as the collectors do when theirs expires
-            if let Some(held) = link.inner_mut().release_held() {
-                absorb_evicted_frame(w, &mut self.history, &mut ctx.out, t, &held);
+            if let Some(held) = link.release_held() {
+                if on_evicted_frame(&mut drained, &held, p, t, &self.history) {
+                    readmit(w, &mut ctx.out);
+                }
             }
             if w.evicted {
                 let link = w.transport.as_mut().expect("live worker has transport");
@@ -1501,6 +905,7 @@ impl RpcBackend {
                 }
             }
         }
+        fold_round(&mut ctx.out, &mut self.history, drained);
     }
 
     /// Phase 1: book what ships to whom, from the layout alone — the
@@ -1529,8 +934,7 @@ impl RpcBackend {
             let buffers = req.layout.submodel_buffer_count(mask);
             let bytes = frame_len(mask.num_edges(), weights, buffers, req.alpha_logits.len());
             ctx.out.download_frame_bytes[p] = bytes as u64;
-            record.expected_lens[p] = weights;
-            record.booked.set(p);
+            record.book(p, weights);
             distinct.insert(mask);
         }
         self.distinct_masks = distinct.len();
@@ -1579,7 +983,7 @@ impl RpcBackend {
         }
         for w in self.workers.iter_mut() {
             if let Some(link) = w.transport.as_mut() {
-                out.faults.merge(&link.inner_mut().take_tally());
+                out.faults.merge(&link.take_tally());
             }
         }
         out.reports.sort_by_key(|r| r.participant);
@@ -1630,7 +1034,7 @@ impl RpcBackend {
     pub fn into_resident_bytes(mut self) -> ResidentBytes {
         let links = self
             .workers
-            .iter_mut()
+            .iter()
             .map(WorkerHandle::resident_bytes)
             .collect();
         let fleet = self.shut_down();
@@ -1696,8 +1100,8 @@ pub fn install_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::ChannelTransport;
     use crate::wire::encode_download_into;
+    use fedrlnas_darts::Supernet;
     use fedrlnas_fed::flat_params;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -1882,160 +1286,6 @@ mod tests {
             out.rejects.suspected_byzantine, 1,
             "suspicion must be re-earned after re-admission"
         );
-    }
-
-    /// One worker and everything `handle_frame` borrows, with the server
-    /// end of its link in hand so replies can be counted.
-    struct Bench {
-        state: WorkerState,
-        supernet: Supernet,
-        theta_len: usize,
-        dataset: SyntheticDataset,
-        scratch: WorkerScratch,
-        worker_end: ChannelTransport,
-        server_end: ChannelTransport,
-        masks: Vec<ArchMask>,
-        alpha: Vec<f32>,
-    }
-
-    impl Bench {
-        fn new(fault: ScriptedFault) -> Bench {
-            let config = fedrlnas_core::SearchConfig::tiny();
-            let mut rng = StdRng::seed_from_u64(21);
-            let mut search = fedrlnas_core::FederatedModelSearch::new(config.clone(), &mut rng);
-            let dataset = search.dataset().clone();
-            let participant = search.server_mut().participants()[0].clone();
-            let mut supernet = Supernet::new(config.net.clone(), &mut rng);
-            let (server_end, worker_end) = ChannelTransport::pair();
-            Bench {
-                state: WorkerState::new(participant, fault, Arc::new(Mutex::new(Vec::new()))),
-                theta_len: supernet.param_count(),
-                supernet,
-                dataset,
-                scratch: WorkerScratch::new(Arc::new(AtomicU64::new(0))),
-                worker_end,
-                server_end,
-                masks: (0..4)
-                    .map(|_| ArchMask::uniform_random(&config.net, &mut rng))
-                    .collect(),
-                alpha: Alpha::new(&config.net).logits().as_slice().to_vec(),
-            }
-        }
-
-        /// Round `round`'s download, as the engine would stage it.
-        fn download(&mut self, round: u64) -> Vec<u8> {
-            let mask = &self.masks[round as usize % self.masks.len()];
-            let mut sub = self.supernet.extract_submodel(mask);
-            let weights = flat_params(&mut sub);
-            let mut buffers = Vec::new();
-            sub.visit_buffers(&mut |b| buffers.extend_from_slice(b));
-            let mut frame = Vec::new();
-            encode_download_into(
-                &mut frame,
-                round,
-                0xFEED,
-                mask,
-                &weights,
-                &buffers,
-                &self.alpha,
-                None,
-            );
-            frame
-        }
-
-        /// Hands the worker one frame; returns the reply it sent, if any.
-        fn feed(&mut self, frame: &[u8]) -> Option<Vec<u8>> {
-            self.state.handle_frame(
-                &mut self.supernet,
-                self.theta_len,
-                &self.dataset,
-                &mut self.scratch,
-                &mut self.worker_end,
-                frame,
-            );
-            self.server_end.try_recv().expect("link is open")
-        }
-
-        fn cursor(&self) -> usize {
-            self.state.participant.data_cursor()
-        }
-    }
-
-    /// The reply cache holds exactly what a displaced download can still
-    /// ask for; past it, a worker stays silent rather than train a round
-    /// a second time. Fed directly: rounds 0..=16, then a retransmit of
-    /// the round in progress, the round before it (a retransmit reordered
-    /// behind the next round's download), one whose bytes are gone, and
-    /// the oldest round still in the answered ring (16 − 15).
-    #[test]
-    fn a_round_is_answered_from_the_cache_or_not_at_all_never_trained_twice() {
-        assert_eq!(
-            REPLY_CACHE_ROUNDS, 2,
-            "the bound derived from the fault layer"
-        );
-        let mut b = Bench::new(ScriptedFault::default());
-        let mut replies = Vec::new();
-        let mut cursors = vec![b.cursor()];
-        for round in 0..=16u64 {
-            let frame = b.download(round);
-            replies.push(
-                b.feed(&frame)
-                    .expect("a fresh round is trained and answered"),
-            );
-            cursors.push(b.cursor());
-            assert_ne!(
-                cursors[cursors.len() - 2],
-                cursors[cursors.len() - 1],
-                "training round {round} advances the loader"
-            );
-        }
-        let trained = b.cursor();
-        for (round, expect_reply) in [(16u64, true), (15, true), (14, false), (1, false)] {
-            let frame = b.download(round);
-            let reply = b.feed(&frame);
-            assert_eq!(b.cursor(), trained, "round {round} must not train again");
-            match (expect_reply, reply) {
-                (true, Some(reply)) => {
-                    assert_eq!(
-                        reply, replies[round as usize],
-                        "round {round}: cached bytes"
-                    )
-                }
-                (false, None) => {}
-                (_, got) => panic!("round {round}: reply {:?}", got.map(|f| f.len())),
-            }
-        }
-        // at rest a worker holds its struct and two exactly sized replies
-        let two_newest: usize = replies[15..].iter().map(Vec::len).sum();
-        assert_eq!(
-            b.state.resident_bytes(),
-            std::mem::size_of::<WorkerState>() - std::mem::size_of::<Participant>() + two_newest
-        );
-    }
-
-    /// A scripted crash forgets the replies *and* the answered rounds:
-    /// what the restarted worker is asked again, it trains again.
-    #[test]
-    fn a_crash_clears_the_cache_and_the_answered_ring() {
-        let mut b = Bench::new(ScriptedFault {
-            crash_restart: Some((2, 1)),
-            ..ScriptedFault::default()
-        });
-        for round in 0..2 {
-            let frame = b.download(round);
-            assert!(b.feed(&frame).is_some());
-        }
-        let frame = b.download(2);
-        assert!(b.feed(&frame).is_none(), "the crash round is not answered");
-        // back up from round 3 on; round 1's memory went with the crash
-        let frame = b.download(3);
-        assert!(b.feed(&frame).is_some());
-        let before = b.cursor();
-        let frame = b.download(1);
-        assert!(b.feed(&frame).is_some(), "round 1 is no longer remembered");
-        assert_ne!(b.cursor(), before);
-        let remembered = |r: &&u64| **r != NO_ROUND;
-        assert_eq!(b.state.answered.iter().filter(remembered).count(), 2);
     }
 
     /// The dense per-round tables answer what the keyed map and set they

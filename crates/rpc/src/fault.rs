@@ -120,7 +120,7 @@ pub enum FrameFault {
     Duplicate,
     /// Hold the frame back until after its successor.
     Reorder,
-    /// Deliver after sleeping this long.
+    /// Deliver this much later.
     Delay(Duration),
 }
 
@@ -235,12 +235,16 @@ fn flip_bit(frame: &mut [u8], bit: u64) {
 /// * **Reorder** — the frame is held until the *next* frame passes, then
 ///   released (a held receive-side frame is also released when the caller's
 ///   deadline expires, so reordering can never deadlock a round).
-/// * **Delay** — delivery waits an RNG-drawn duration first. The blocking
-///   calls sleep it out; the event loops' calls ([`Transport::poll_recv`],
-///   [`FaultyTransport::send_deferred`]) hold the frame until it is due
-///   ([`FaultyTransport::next_due`]), so one delayed frame stalls its own
-///   link and not the thread's other links. Nothing overtakes a held
-///   frame on its link.
+/// * **Delay** — delivery waits an RNG-drawn duration first: the frame is
+///   held until it is due ([`FaultyTransport::next_due`]). The blocking
+///   calls then sleep the hold out; the event loops' calls
+///   ([`Transport::poll_recv`], [`FaultyTransport::send_deferred`]) leave
+///   it on a timer, so one delayed frame stalls its own link and not the
+///   thread's other links. Nothing overtakes a held frame on its link.
+///
+/// Each direction has one fault pipeline, whichever call drives it, so the
+/// draws — and the [`FaultTally`] — do not depend on whether a link was
+/// read by blocking or by polling.
 pub struct FaultyTransport<T: Transport> {
     inner: T,
     tx: FaultInjector,
@@ -292,7 +296,7 @@ impl<T: Transport> FaultyTransport<T> {
 /// second hold swaps the two), a duplicate goes out back to back with its
 /// original, and nothing else changes the order — so the answer is one.
 /// The round engine sizes each worker's reply cache from this (see
-/// `engine::REPLY_CACHE_ROUNDS`); `displacement_is_bounded` pins it.
+/// `protocol::REPLY_CACHE_ROUNDS`); `displacement_is_bounded` pins it.
 pub(crate) const MAX_DISPLACEMENT: usize = 1;
 
 impl<T: Transport> Transport for FaultyTransport<T> {
@@ -301,7 +305,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn send_owned(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.transmit(frame, true)
+        self.send_deferred(frame)?;
+        // a blocking send: sleep out a delay fault's hold, then flush
+        if let Some((due, _)) = self.tx_delayed {
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            self.flush_tx_delayed()?;
+        }
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
@@ -311,73 +321,36 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        if let Some(ready) = self.rx_queue.pop_front() {
-            return Ok(ready);
-        }
-        if let Some((due, frame)) = self.rx_delayed.take() {
-            // the poll path left it: sleep out what is left of its delay
-            std::thread::sleep(due.saturating_duration_since(Instant::now()));
-            self.release_after(frame);
-            return Ok(self.rx_queue.pop_front().expect("just queued"));
-        }
         let deadline = Instant::now() + timeout;
         loop {
+            if let Some(ready) = self.rx_queue.pop_front() {
+                return Ok(ready);
+            }
+            if let Some((due, frame)) = self.rx_delayed.take() {
+                // a blocking receive: sleep out a delay fault's hold
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                self.release_after(frame);
+                continue;
+            }
             let now = Instant::now();
             if now >= deadline {
                 // deadline expired: release a reorder-held frame rather
                 // than lose it
-                return match self.rx_held.take() {
-                    Some(held) => Ok(held),
-                    None => Err(TransportError::Timeout),
-                };
+                return self.rx_held.take().ok_or(TransportError::Timeout);
             }
-            let frame = match self.inner.recv_timeout(deadline - now) {
-                Ok(f) => f,
-                Err(TransportError::Timeout) => continue,
+            match self.inner.recv_timeout(deadline - now) {
+                Ok(frame) => self.receive(frame),
+                Err(TransportError::Timeout) => {}
                 Err(e) => return Err(e),
-            };
-            match self.rx.next_fault() {
-                FrameFault::Drop => continue,
-                FrameFault::Corrupt(bit) => {
-                    let mut bad = frame;
-                    flip_bit(&mut bad, bit);
-                    return Ok(bad);
-                }
-                FrameFault::Duplicate => {
-                    self.rx_queue.push_back(frame.clone());
-                    return Ok(frame);
-                }
-                FrameFault::Reorder => {
-                    match self.rx_held.take() {
-                        // two holds in a row: swapped release
-                        Some(held) => {
-                            self.rx_queue.push_back(held);
-                            return Ok(frame);
-                        }
-                        None => {
-                            self.rx_held = Some(frame);
-                            continue;
-                        }
-                    }
-                }
-                FrameFault::Delay(d) => {
-                    std::thread::sleep(d);
-                    self.release_after(frame)
-                }
-                FrameFault::None => self.release_after(frame),
-            };
-            match self.rx_queue.pop_front() {
-                Some(f) => return Ok(f),
-                None => continue,
             }
         }
     }
 
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        // the same receive-side fault pipeline as `recv_timeout`, driven
-        // by readiness: each available inner frame is drawn through the
-        // schedule, and the probe reports idle once the inner link does —
-        // or while a delay fault holds the frame at its head
+        // readiness-driven: each available inner frame goes through the
+        // receive-side fault pipeline, and the probe reports idle once the
+        // inner link does — or while a delay fault holds the frame at its
+        // head
         if let Some((due, _)) = self.tx_delayed {
             if due <= Instant::now() {
                 self.flush_tx_delayed()?;
@@ -396,33 +369,9 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                 self.release_after(frame);
                 continue;
             }
-            let frame = match self.inner.poll_recv()? {
-                Some(f) => f,
+            match self.inner.poll_recv()? {
+                Some(frame) => self.receive(frame),
                 None => return Ok(None),
-            };
-            match self.rx.next_fault() {
-                FrameFault::Drop => continue,
-                FrameFault::Corrupt(bit) => {
-                    let mut bad = frame;
-                    flip_bit(&mut bad, bit);
-                    return Ok(Some(bad));
-                }
-                FrameFault::Duplicate => {
-                    self.rx_queue.push_back(frame.clone());
-                    return Ok(Some(frame));
-                }
-                FrameFault::Reorder => match self.rx_held.take() {
-                    Some(held) => {
-                        self.rx_queue.push_back(held);
-                        return Ok(Some(frame));
-                    }
-                    None => {
-                        self.rx_held = Some(frame);
-                        continue;
-                    }
-                },
-                FrameFault::Delay(d) => self.rx_delayed = Some((Instant::now() + d, frame)),
-                FrameFault::None => self.release_after(frame),
             }
         }
     }
@@ -447,15 +396,12 @@ impl<T: Transport> FaultyTransport<T> {
         Ok(())
     }
 
-    /// [`Transport::send_owned`] for an event loop: a delay fault holds
-    /// the frame until it is due instead of sleeping, and the next
-    /// [`Transport::poll_recv`] at or after [`FaultyTransport::next_due`]
-    /// sends it. Same draws from the same schedule either way.
-    pub fn send_deferred(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.transmit(frame, false)
-    }
-
-    fn transmit(&mut self, mut frame: Vec<u8>, may_sleep: bool) -> Result<(), TransportError> {
+    /// [`Transport::send_owned`] for an event loop, and the transmit-side
+    /// fault pipeline of both: a delay fault holds the frame until it is
+    /// due instead of sleeping, and the next [`Transport::poll_recv`] at or
+    /// after [`FaultyTransport::next_due`] sends it (a blocking send sleeps
+    /// the hold out). Same draws from the same schedule either way.
+    pub fn send_deferred(&mut self, mut frame: Vec<u8>) -> Result<(), TransportError> {
         // a frame still being delayed leaves ahead of this one
         self.flush_tx_delayed()?;
         match self.tx.next_fault() {
@@ -483,19 +429,43 @@ impl<T: Transport> FaultyTransport<T> {
                     Ok(())
                 }
             }
-            FrameFault::Delay(d) if !may_sleep => {
+            FrameFault::Delay(d) => {
                 self.tx_delayed = Some((Instant::now() + d, frame));
                 Ok(())
-            }
-            FrameFault::Delay(d) => {
-                std::thread::sleep(d);
-                self.inner.send_owned(frame)?;
-                self.flush_tx_held()
             }
             FrameFault::None => {
                 self.inner.send_owned(frame)?;
                 self.flush_tx_held()
             }
+        }
+    }
+
+    /// The receive-side fault pipeline, shared by every receive call:
+    /// draws one inbound frame's fault and files the frame accordingly —
+    /// delivered frames into `rx_queue` in delivery order, a reorder hold
+    /// into `rx_held`, a delay fault's hold into `rx_delayed`.
+    fn receive(&mut self, frame: Vec<u8>) {
+        match self.rx.next_fault() {
+            FrameFault::Drop => {}
+            FrameFault::Corrupt(bit) => {
+                let mut bad = frame;
+                flip_bit(&mut bad, bit);
+                self.rx_queue.push_back(bad);
+            }
+            FrameFault::Duplicate => {
+                self.rx_queue.push_back(frame.clone());
+                self.rx_queue.push_back(frame);
+            }
+            FrameFault::Reorder => match self.rx_held.take() {
+                // two holds in a row: swapped release
+                Some(held) => {
+                    self.rx_queue.push_back(frame);
+                    self.rx_queue.push_back(held);
+                }
+                None => self.rx_held = Some(frame),
+            },
+            FrameFault::Delay(d) => self.rx_delayed = Some((Instant::now() + d, frame)),
+            FrameFault::None => self.release_after(frame),
         }
     }
 
@@ -531,16 +501,16 @@ impl<T: Transport> FaultyTransport<T> {
 
     /// Releases a receive-side frame held back by a reorder fault — the
     /// poll path's analogue of the deadline-expiry release in
-    /// [`Transport::recv_timeout`], called by the reactor when a link's
-    /// wait budget runs out so a held frame is never lost.
+    /// [`Transport::recv_timeout`], called by the round engine when a
+    /// link's wait runs out so a held frame is never lost.
     pub fn release_held(&mut self) -> Option<Vec<u8>> {
         self.rx_held.take()
     }
 
     /// When the frame a delay fault is holding (either direction) is due:
-    /// the event loop's timer for this link, and while it is set the
-    /// link's wait does not expire — the frame is in hand. The loop polls
-    /// the link then, which sends or delivers the frame.
+    /// while it is set the link's wait does not expire — the frame is in
+    /// hand. An event loop arms its timer with it and polls the link then,
+    /// which sends or delivers the frame.
     pub fn next_due(&self) -> Option<Instant> {
         let dues = self.tx_delayed.iter().chain(&self.rx_delayed);
         dues.map(|(due, _)| *due).min()
@@ -787,6 +757,57 @@ mod tests {
         assert!(start.elapsed() >= tx_delay);
         assert_eq!(f.poll_recv().unwrap().unwrap(), f1);
         assert_eq!(slept.next_due(), None);
+    }
+
+    /// One receive-side pipeline: for random plans, the same inbound
+    /// frames read by blocking (`recv_timeout`) and by polling
+    /// (`poll_recv`, waiting out `next_due` and releasing a reorder-held
+    /// frame at the end, as the round engine does) come out in the same
+    /// order, with the same tally.
+    #[test]
+    fn blocking_and_polling_receives_deliver_alike() {
+        let mut rng = StdRng::seed_from_u64(2027);
+        for _ in 0..16 {
+            let plan = FaultPlan {
+                seed: rng.gen(),
+                drop: rng.gen_range(0.0..0.2),
+                corrupt: rng.gen_range(0.0..0.2),
+                duplicate: rng.gen_range(0.0..0.2),
+                reorder: rng.gen_range(0.0..0.2),
+                delay: rng.gen_range(0.0..0.1),
+                max_delay: Duration::from_micros(300),
+                partitions: Vec::new(),
+            };
+            let read = |blocking: bool| {
+                let (near, mut far) = ChannelTransport::pair();
+                let mut link = FaultyTransport::new(near, 3, &plan);
+                for round in 0..100 {
+                    far.send(&encode(&Message::Ack { round })).unwrap();
+                }
+                let mut got = Vec::new();
+                if blocking {
+                    while let Ok(frame) = link.recv_timeout(Duration::from_millis(5)) {
+                        got.push(frame);
+                    }
+                } else {
+                    loop {
+                        if let Some(frame) = link.poll_recv().unwrap() {
+                            got.push(frame);
+                        } else if let Some(due) = link.next_due() {
+                            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                        } else {
+                            break;
+                        }
+                    }
+                    got.extend(link.release_held());
+                }
+                (got, link.take_tally())
+            };
+            let (blocked, polled) = (read(true), read(false));
+            assert_eq!(blocked.0, polled.0, "{plan:?}: delivered frames");
+            assert_eq!(blocked.1, polled.1, "{plan:?}: tally");
+            assert!(blocked.0.len() > 50, "{plan:?}: most frames get through");
+        }
     }
 
     /// Pins [`MAX_DISPLACEMENT`], which the round engine sizes every

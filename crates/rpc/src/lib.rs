@@ -8,9 +8,9 @@
 //!   travel as raw little-endian `f32` runs. Decoding is total — corrupt
 //!   input maps to typed [`WireError`](wire::WireError)s, never panics.
 //! * [`transport`] — a [`Transport`](transport::Transport) trait with
-//!   in-memory duplex and loopback-TCP implementations, plus a
-//!   [`ShapedTransport`](transport::ShapedTransport) wrapper that delays
-//!   sends by `bytes ÷ bandwidth` using `fedrlnas-netsim` trace samples.
+//!   in-memory duplex and loopback-TCP implementations; a link's frame
+//!   reaches the wire `bytes ÷ bandwidth` after it is due, using
+//!   `fedrlnas-netsim` trace samples.
 //! * [`fault`] — a seeded, deterministic fault-injection layer: a
 //!   [`FaultPlan`](fault::FaultPlan) schedules frame drops, bit flips,
 //!   duplication, reordering, extra latency and transient partitions from
@@ -27,7 +27,9 @@
 //!   late replies flow into the server's soft-synchronization staleness
 //!   path. Quorum
 //!   commit, eviction of repeatedly silent workers and heartbeat
-//!   re-admission degrade gracefully under faults. Implements the
+//!   re-admission degrade gracefully under faults. The per-link rules of
+//!   both ends are sans-IO state machines (`protocol`) that the event
+//!   loop and the serial oracle drive alike. Implements the
 //!   [`RoundBackend`](fedrlnas_core::RoundBackend) seam, so
 //!   [`SearchServer`](fedrlnas_core::SearchServer) runs unmodified on top
 //!   and `CommStats` records the bytes that actually crossed the wire.
@@ -54,6 +56,7 @@
 pub mod adversary;
 pub mod engine;
 pub mod fault;
+pub(crate) mod protocol;
 pub(crate) mod reactor;
 pub mod transport;
 pub(crate) mod waiter;
@@ -65,9 +68,7 @@ pub use engine::{
     ScriptedFault, TransportKind,
 };
 pub use fault::{FaultInjector, FaultPlan, FaultyTransport, FrameFault, Partition};
-pub use transport::{
-    ChannelTransport, Doorbell, ShapedTransport, TcpTransport, Transport, TransportError,
-};
+pub use transport::{ChannelTransport, Doorbell, TcpTransport, Transport, TransportError};
 pub use wire::{
     coded_download_frame_len, coded_upload_frame_len, crc32, decode, decode_download,
     download_frame_len, encode, encode_download_into, encode_download_ranges_into, encode_into,

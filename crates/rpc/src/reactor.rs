@@ -13,23 +13,22 @@
 //!   ([`WorkerScratch`]), lent to whichever participant it is running;
 //!   per participant there is a [`WorkerState`] — what must survive a
 //!   round, nothing frame-sized but its last two replies. The thread
-//!   sleeps until a download has arrived on one of its links and reads
-//!   the links that have one.
+//!   sleeps until a download has arrived on one of its links, reads the
+//!   links that have one and sends what the worker machine answers.
 //!   A scripted `delay` parks that one link on a timer; the thread keeps
 //!   serving its shard-mates. A thread exits once every one of its links
 //!   has closed. [`EngineMode::Serial`](crate::EngineMode) runs over the
 //!   same fleet.
 //! * **Server collector** — phase 2 partitions the links into contiguous
-//!   chunks, one scoped pool thread per chunk. Each link is a small state
-//!   machine ([`LinkCtx`]) whose waits are all timers: when its frame
-//!   reaches the wire (shaped transmission time — computed from the
-//!   booked frame size — or retransmit backoff plus it; the frame itself
-//!   is staged when that timer fires, into the vector the transport
-//!   takes, so no download outlives its send on this side), when its
-//!   per-attempt deadline runs out, when its
-//!   [`RpcConfig::quorum_drain`] window — opened the moment the quorum
-//!   transition is observed — closes. Shaped sends therefore overlap
-//!   across a chunk instead of summing, and no link can stall another.
+//!   chunks, one scoped pool thread per chunk. Each link's rules are its
+//!   [`LinkRound`] machine's (`crate::protocol`); the collector does the
+//!   I/O and turns every wait the machine names into a timer on the link:
+//!   when its frame reaches the wire (shaped transmission time — computed
+//!   from the booked frame size — or retransmit backoff plus it; the frame
+//!   itself is staged when that timer fires, into the vector the transport
+//!   takes, so no download outlives its send on this side), when its wait
+//!   expires. Shaped sends therefore overlap across a chunk instead of
+//!   summing, and no link can stall another.
 //!
 //! Both loops have one shape: register the links with a [`Waiter`], then
 //! read the links that are ready — each until it reports idle — fire the
@@ -43,10 +42,10 @@
 //!
 //! Determinism: the round outcome depends only on the *set* of on-time
 //! replies and the per-link content order (see `EngineMode`), both of
-//! which are preserved — every reply frame flows through the same
-//! `absorb_reply_frame` path as the serial oracle, a link is never read
-//! while its own frame is still in flight, results commit in participant
-//! order, and the quorum target comes from the [`SendGate`]. Fault-free
+//! which are preserved — every frame and every wait goes through the same
+//! link machine as the serial oracle's, a link is never read while its
+//! own frame is still in flight, results commit in participant order, and
+//! the quorum target comes from the [`SendGate`]. Fault-free
 //! full-quorum rounds are therefore bit-identical to serial; under partial
 //! quorum or injected faults which stragglers make the cut is timing
 //! dependent in either mode.
@@ -64,9 +63,12 @@ use fedrlnas_fed::Participant;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::engine::{
-    absorb_reply_frame, backoff_delay, stage_download, wrap_link, FleetCounters, FleetFootprint,
-    FrameOutcome, FrameStep, Link, RpcConfig, ScriptedFault, SendGate, Staged, WorkerHandle,
-    WorkerRound, WorkerScratch, WorkerState,
+    read_until_idle, stage_download, FleetCounters, FleetFootprint, Link, RpcConfig, ScriptedFault,
+    Staged, WorkerHandle,
+};
+use crate::fault::FaultyTransport;
+use crate::protocol::{
+    FrameStep, Idle, LinkRound, SendGate, WorkerRound, WorkerScratch, WorkerState, WorkerStep,
 };
 use crate::transport::{ChannelTransport, TcpTransport, Transport};
 use crate::waiter::{Waiter, Waker};
@@ -161,7 +163,7 @@ pub(crate) fn spawn_pooled_workers(
     let n = participants.len();
     let threads = pool_size(config.reactor_threads, n);
     let shard_len = n.div_ceil(threads).max(1);
-    let (plan, time_scale, kind) = (&config.fault, config.real_time_scale, config.transport);
+    let (plan, kind) = (&config.fault, config.transport);
     let mut joins: Vec<JoinHandle<FleetFootprint>> = Vec::new();
     match config.transport {
         TransportKind::InMemory => {
@@ -171,7 +173,7 @@ pub(crate) fn spawn_pooled_workers(
                 let mut fleet: Vec<FleetMember> = Vec::with_capacity(hi - lo);
                 for (i, p) in participants.iter().enumerate().take(hi).skip(lo) {
                     let (server_end, worker_end) = ChannelTransport::pair();
-                    let link = wrap_link(Box::new(server_end), i, plan, time_scale);
+                    let link = FaultyTransport::new(Box::new(server_end) as _, i, plan);
                     handles.push(WorkerHandle::new(link));
                     fleet.push((
                         Box::new(worker_end),
@@ -238,12 +240,7 @@ pub(crate) fn spawn_pooled_workers(
                     Ok(Message::Heartbeat { participant }) => participant as usize,
                     other => panic!("expected handshake heartbeat, got {other:?}"),
                 };
-                slots[id] = Some(wrap_link(
-                    Box::new(t) as Box<dyn Transport>,
-                    id,
-                    plan,
-                    time_scale,
-                ));
+                slots[id] = Some(FaultyTransport::new(Box::new(t) as _, id, plan));
             }
             let handles = slots
                 .into_iter()
@@ -331,17 +328,16 @@ fn fleet_loop(
                     Ok(None) => break false,
                     Err(_) => break true,
                 };
-                match m.state.handle_frame(
-                    &mut supernet,
-                    theta_len,
-                    &dataset,
-                    &mut scratch,
-                    &mut **link,
-                    &frame,
-                ) {
-                    FrameOutcome::Continue => {}
-                    FrameOutcome::Exit => break true,
-                    FrameOutcome::Delay(d) => {
+                match m
+                    .state
+                    .handle_frame(&mut supernet, theta_len, &dataset, &mut scratch, &frame)
+                {
+                    WorkerStep::Send(reply) => {
+                        let _ = link.send(reply);
+                    }
+                    WorkerStep::Silent => {}
+                    WorkerStep::Exit => break true,
+                    WorkerStep::Delay(d) => {
                         let due = Instant::now() + d;
                         m.held = Some((due, frame));
                         timers.set(token, Some(due));
@@ -362,29 +358,6 @@ fn fleet_loop(
         scratch_bytes: scratch.heap_bytes(),
         participant_bytes: members.iter().map(|m| m.state.resident_bytes()).collect(),
     }
-}
-
-/// Per-link collector state machine: everything the serial oracle's
-/// blocking `collect_worker` keeps on its stack and in its sleeps.
-struct LinkCtx {
-    /// Participant index (`base +` the link's index within the chunk).
-    p: usize,
-    wr: WorkerRound,
-    /// Retransmissions scheduled so far (`0` while the initial download
-    /// is still in flight).
-    attempts: usize,
-    /// When the frame in flight — initial download or retransmit — reaches
-    /// the wire: now plus any backoff plus the shaped transmission time.
-    /// While set the link is not read, like the oracle, which sleeps
-    /// through both.
-    send_at: Option<Instant>,
-    /// When the frame last went out; the per-attempt deadline runs from
-    /// here (or from when the quorum target became known, if later).
-    window_start: Instant,
-    /// When this link first observed the quorum transition; from that
-    /// moment it gets a fresh [`RpcConfig::quorum_drain`] budget.
-    met_at: Option<Instant>,
-    done: bool,
 }
 
 /// [`EngineMode::Reactor`](crate::EngineMode)'s phase 2: one scoped pool
@@ -466,35 +439,25 @@ impl Collector<'_> {
         eligible: &[bool],
     ) -> Vec<(usize, WorkerRound)> {
         let s = self.s;
-        let mut ctxs: Vec<LinkCtx> = Vec::with_capacity(chunk.len());
+        let mut links: Vec<(LinkRound, bool)> = Vec::with_capacity(chunk.len());
         for (i, w) in chunk.iter_mut().enumerate() {
             let p = base + i;
             if !eligible[p] {
                 continue;
             }
-            let link = w.transport.as_mut().expect("live worker has transport");
-            link.set_mbps(s.req.bandwidths_mbps[p]);
-            let now = Instant::now();
-            let send_at = now + link.send_delay(s.frame_bytes[p] as usize);
+            let link = s.link(p, Instant::now());
             // not watched until its download is out: a link is never read
             // while its own frame is in flight
-            let token = ctxs.len();
-            self.waiter.register(token, link);
+            let token = links.len();
+            let transport = w.transport.as_mut().expect("live worker has transport");
+            self.waiter.register(token, transport);
             self.waiter.watch(token, false);
-            self.timers.set(token, Some(send_at));
-            ctxs.push(LinkCtx {
-                p,
-                wr: WorkerRound::default(),
-                attempts: 0,
-                send_at: Some(send_at),
-                window_start: now,
-                met_at: None,
-                done: false,
-            });
+            self.timers.set(token, link.ship_at());
+            links.push((link, false));
         }
         // whether this thread has seen the on-time count reach the target
         let mut met_seen = false;
-        let mut remaining = ctxs.len();
+        let mut remaining = links.len();
         let mut ready: Vec<usize> = Vec::new();
         loop {
             // Two values are shared across collectors — whether the quorum
@@ -517,7 +480,7 @@ impl Collector<'_> {
                 let others = self.peers.iter().enumerate().filter(|(i, _)| *i != self.me);
                 others.for_each(|(_, waker)| waker.wake());
                 ready.clear();
-                ready.extend(0..ctxs.len());
+                ready.extend(0..links.len());
             }
             if remaining == 0 {
                 break;
@@ -538,9 +501,9 @@ impl Collector<'_> {
                 continue;
             }
             for token in ready.drain(..) {
-                let c = &mut ctxs[token];
-                if !c.done && self.service(token, c, &mut chunk[c.p - base]) {
-                    c.done = true;
+                let (link, done) = &mut links[token];
+                if !*done && self.service(token, link, &mut chunk[link.p - base]) {
+                    *done = true;
                     remaining -= 1;
                     self.timers.set(token, None);
                     self.waiter.watch(token, false);
@@ -548,100 +511,61 @@ impl Collector<'_> {
             }
         }
         // later frames on these links are the next round's to find
-        for c in &ctxs {
-            let link = chunk[c.p - base].transport.as_mut();
-            link.expect("live worker has transport").set_waker(None);
+        for (link, _) in &links {
+            let transport = chunk[link.p - base].transport.as_mut();
+            transport
+                .expect("live worker has transport")
+                .set_waker(None);
         }
-        ctxs.into_iter().map(|c| (c.p, c.wr)).collect()
+        links.into_iter().map(|(l, _)| (l.p, l.wr)).collect()
     }
 
-    /// Moves one link as far as it goes without waiting: sends its frame
-    /// if that is due — staged here, so the collectors fill the cohort's
-    /// frames in parallel, and handed to the transport whole — then reads
-    /// the link until it reports idle (the fault layer can queue a
-    /// duplicate nothing announces) and sets the timer that ends this
-    /// wait. Returns whether the link's round is over.
-    fn service(&mut self, token: usize, c: &mut LinkCtx, w: &mut WorkerHandle) -> bool {
-        let (s, config) = (self.s, self.s.config);
-        let link = w.transport.as_mut().expect("live worker has transport");
-        if let Some(at) = c.send_at {
-            if Instant::now() < at {
-                return false; // named while its frame is in flight: read after the send
-            }
-            c.send_at = None;
-            let ship_start = Instant::now();
-            let sent = link.inner_mut().send_deferred(stage_download(c.p, s));
-            if c.attempts == 0 {
-                self.gate.record(sent.is_ok());
-                c.wr.ship_ns += ship_start.elapsed().as_nanos() as u64;
-            }
-            if sent.is_err() {
-                w.alive = false;
-                return true;
-            }
-            c.wr.bytes_down += s.frame_bytes[c.p];
-            // every send opens a fresh wait window
-            c.window_start = Instant::now();
-            c.met_at = None;
-            self.waiter.watch(token, true);
-        }
+    /// Moves one link as far as it goes without waiting: reads it until
+    /// it reports idle (the fault layer can queue a duplicate nothing
+    /// announces) unless its own frame is in flight, then does what its
+    /// machine asks — send the frame now (staged here, so the collectors
+    /// fill the cohort's frames in parallel, and handed to the transport
+    /// whole), release a held frame, or set the timer that ends this wait.
+    /// Returns whether the link's round is over.
+    fn service(&mut self, token: usize, link: &mut LinkRound, w: &mut WorkerHandle) -> bool {
+        let s = self.s;
         loop {
-            let poll_start = Instant::now();
-            let polled = link.poll_recv();
-            c.wr.collect_ns =
-                c.wr.collect_ns
-                    .saturating_add(poll_start.elapsed().as_nanos() as u64);
-            let frame_in = match polled {
-                Ok(Some(frame_in)) => frame_in,
-                Ok(None) => {
-                    // a frame the fault layer is delaying is in hand: the
-                    // wait does not expire before it is through
-                    if let Some(due) = link.inner_mut().next_due() {
-                        self.timers.set(token, Some(due));
-                        return false;
-                    }
-                    let Some((target, known_at)) = self.quorum else {
-                        return false;
-                    };
-                    let now = Instant::now();
-                    let quorum_met = s.on_time.load(Ordering::Relaxed) >= target;
-                    if quorum_met && c.met_at.is_none() {
-                        c.met_at = Some(now);
-                    }
-                    let expires = match c.met_at {
-                        Some(met) => met + config.quorum_drain,
-                        None => c.window_start.max(known_at) + config.deadline,
-                    };
-                    if now < expires {
-                        self.timers.set(token, Some(expires));
-                        return false;
-                    }
-                    // like the oracle's `recv_timeout`, release a
-                    // reorder-held frame before declaring the wait over
-                    match link.inner_mut().release_held() {
-                        Some(held) => held,
-                        None if !quorum_met && c.attempts < config.max_retries => {
-                            let salt = ((s.req.round as u64) << 32) | c.p as u64;
-                            let backoff = backoff_delay(config.retry_backoff, c.attempts, salt);
-                            let on_wire = link.send_delay(s.frame_bytes[c.p] as usize);
-                            c.send_at = Some(now + backoff + on_wire);
-                            c.attempts += 1;
-                            c.wr.retransmits += 1;
-                            self.timers.set(token, c.send_at);
-                            self.waiter.watch(token, false);
-                            return false;
-                        }
-                        // late: the reply, if any, surfaces next round
-                        None => return true,
-                    }
-                }
-                Err(_) => {
-                    w.alive = false;
-                    return true;
-                }
-            };
-            if absorb_reply_frame(&mut c.wr, &frame_in, c.p, s) == FrameStep::Done {
+            if link.ship_at().is_none() && read_until_idle(link, w, s) {
                 return true;
+            }
+            let transport = w.transport.as_mut().expect("live worker has transport");
+            match link.on_idle(Instant::now(), s, self.quorum, transport.next_due()) {
+                Idle::Ship { first } => {
+                    let ship_start = Instant::now();
+                    let sent = transport.send_deferred(stage_download(link.p, s));
+                    if first {
+                        self.gate.record(sent.is_ok());
+                        link.wr.ship_ns += ship_start.elapsed().as_nanos() as u64;
+                    }
+                    if sent.is_err() {
+                        w.alive = false;
+                        return true;
+                    }
+                    link.sent(Instant::now(), s);
+                    self.waiter.watch(token, true);
+                }
+                Idle::ShipAt(at) => {
+                    self.timers.set(token, Some(at));
+                    self.waiter.watch(token, false);
+                    return false;
+                }
+                Idle::WaitUntil(until) => {
+                    self.timers.set(token, until);
+                    return false;
+                }
+                Idle::ReleaseHeld => {
+                    let held = transport.release_held();
+                    if held.is_some_and(|frame| link.on_frame(&frame, s) == FrameStep::Settled) {
+                        return true;
+                    }
+                }
+                // late: the reply, if any, surfaces next round
+                Idle::Late => return true,
             }
         }
     }

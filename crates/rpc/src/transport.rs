@@ -1,5 +1,6 @@
-//! Frame transports: in-memory duplex channels and loopback TCP, plus a
-//! bandwidth-shaping wrapper driven by `fedrlnas-netsim` traces.
+//! Frame transports: in-memory duplex channels and loopback TCP, plus the
+//! bandwidth-shaping rule (`send_delay`) driven by `fedrlnas-netsim`
+//! traces.
 //!
 //! An event loop does not ask its links whether a frame has arrived; it
 //! sleeps until one says so. An in-memory link says so through a
@@ -426,96 +427,16 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Wraps any transport and delays each `send` by the frame's transmission
-/// time over a trace-sampled link: `bytes × 8 / (mbps × 10⁶)`, scaled by
-/// `time_scale`. A scale of zero keeps the accounting (the engine still
-/// computes latencies from frame sizes) without sleeping — the default for
-/// tests and simulation-speed runs.
-pub struct ShapedTransport<T: Transport> {
-    inner: T,
-    mbps: f64,
-    time_scale: f64,
-}
-
-impl<T: Transport> ShapedTransport<T> {
-    /// Shapes `inner` at `mbps`, stretching real sleeps by `time_scale`.
-    pub fn new(inner: T, mbps: f64, time_scale: f64) -> Self {
-        ShapedTransport {
-            inner,
-            mbps,
-            time_scale,
-        }
-    }
-
-    /// Updates the link bandwidth (called each round with the fresh
-    /// netsim trace sample).
-    pub fn set_mbps(&mut self, mbps: f64) {
-        self.mbps = mbps;
-    }
-
-    /// Transmission time of `bytes` at the current bandwidth, unscaled.
-    pub fn transmission_secs(&self, bytes: usize) -> f64 {
-        fedrlnas_netsim::transmission_secs(bytes, self.mbps)
-    }
-
-    /// How long [`Transport::send`] holds a frame of `bytes` back: its
-    /// transmission time at the current bandwidth stretched by
-    /// `time_scale`, capped at five seconds. An event loop arms a timer
-    /// with this and then sends on [`ShapedTransport::inner_mut`].
-    pub fn send_delay(&self, bytes: usize) -> Duration {
-        let secs = self.transmission_secs(bytes) * self.time_scale;
-        if secs > 0.0 {
-            Duration::from_secs_f64(secs.min(5.0))
-        } else {
-            Duration::ZERO
-        }
-    }
-
-    /// Sleeps [`ShapedTransport::send_delay`] out.
-    fn shape(&self, bytes: usize) {
-        let delay = self.send_delay(bytes);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-    }
-
-    /// The wrapped transport (for reaching fault counters and other
-    /// wrapper-specific state through the shaping layer).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: Transport> Transport for ShapedTransport<T> {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.shape(frame.len());
-        self.inner.send(frame)
-    }
-
-    fn send_owned(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.shape(frame.len());
-        self.inner.send_owned(frame)
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.inner.recv()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.inner.recv_timeout(timeout)
-    }
-
-    fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        self.inner.poll_recv()
-    }
-
-    fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {
-        self.inner.set_waker(waker);
-    }
-
-    #[cfg(unix)]
-    fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
-        self.inner.raw_fd()
+/// How long a frame of `bytes` takes to reach the wire over a link of
+/// `mbps`: `bytes × 8 / (mbps × 10⁶)` stretched by `real_time_scale`,
+/// capped at five seconds. Scale zero, the default, keeps the
+/// byte-accurate accounting at no wall-clock cost.
+pub(crate) fn send_delay(bytes: usize, mbps: f64, real_time_scale: f64) -> Duration {
+    let secs = fedrlnas_netsim::transmission_secs(bytes, mbps) * real_time_scale;
+    if secs > 0.0 {
+        Duration::from_secs_f64(secs.min(5.0))
+    } else {
+        Duration::ZERO
     }
 }
 
@@ -777,18 +698,23 @@ mod tests {
 
     #[test]
     fn shaped_transport_accounts_without_sleeping() {
-        let (a, mut b) = ChannelTransport::pair();
-        let mut shaped = ShapedTransport::new(a, 10.0, 0.0);
-        assert!((shaped.transmission_secs(1_250_000) - 1.0).abs() < 1e-9);
-        shaped.set_mbps(100.0);
-        assert!((shaped.transmission_secs(1_250_000) - 0.1).abs() < 1e-9);
-        let frame = encode(&Message::Ack { round: 0 });
-        let start = std::time::Instant::now();
-        shaped.send(&frame).unwrap();
+        // 1.25 MB is a second on the wire at 10 Mbps, a tenth at 100
+        let secs = |mbps, scale| send_delay(1_250_000, mbps, scale).as_secs_f64();
+        assert!((secs(10.0, 1.0) - 1.0).abs() < 1e-9);
+        assert!((secs(100.0, 1.0) - 0.1).abs() < 1e-9);
         assert!(
-            start.elapsed() < Duration::from_millis(50),
-            "scale 0 must not sleep"
+            (secs(100.0, 20.0) - 2.0).abs() < 1e-9,
+            "stretched by the scale"
         );
-        assert_eq!(b.recv().unwrap(), frame);
+        assert_eq!(
+            send_delay(1_250_000, 10.0, 0.0),
+            Duration::ZERO,
+            "scale 0: no wait"
+        );
+        assert_eq!(
+            send_delay(1_250_000, 0.1, 1.0),
+            Duration::from_secs(5),
+            "capped"
+        );
     }
 }
