@@ -212,6 +212,16 @@ impl Layer for FactorizedReduce {
         self.bn.visit_buffers(f);
     }
 
+    fn release(&mut self) {
+        self.relu.release();
+        self.conv.release();
+        self.bn.release();
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.relu.cache_bytes() + self.conv.cache_bytes() + self.bn.cache_bytes()
+    }
+
     fn flops(&self, input: &[usize]) -> u64 {
         let mut s = input.to_vec();
         let mut total = self.relu.flops(&s);
@@ -286,6 +296,20 @@ impl Layer for SepConvOp {
 
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         self.bn.visit_buffers(f);
+    }
+
+    fn release(&mut self) {
+        self.relu.release();
+        self.depthwise.release();
+        self.pointwise.release();
+        self.bn.release();
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.relu.cache_bytes()
+            + self.depthwise.cache_bytes()
+            + self.pointwise.cache_bytes()
+            + self.bn.cache_bytes()
     }
 
     fn flops(&self, input: &[usize]) -> u64 {
@@ -369,6 +393,20 @@ impl Layer for DilConvOp {
         self.bn.visit_buffers(f);
     }
 
+    fn release(&mut self) {
+        self.relu.release();
+        self.depthwise.release();
+        self.pointwise.release();
+        self.bn.release();
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.relu.cache_bytes()
+            + self.depthwise.cache_bytes()
+            + self.pointwise.cache_bytes()
+            + self.bn.cache_bytes()
+    }
+
     fn flops(&self, input: &[usize]) -> u64 {
         let mut s = input.to_vec();
         let mut total = self.relu.flops(&s);
@@ -435,6 +473,16 @@ impl Layer for ReluConvBn {
 
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         self.bn.visit_buffers(f);
+    }
+
+    fn release(&mut self) {
+        self.relu.release();
+        self.conv.release();
+        self.bn.release();
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.relu.cache_bytes() + self.conv.cache_bytes() + self.bn.cache_bytes()
     }
 
     fn flops(&self, input: &[usize]) -> u64 {
@@ -543,6 +591,14 @@ impl Layer for CandidateOp {
 
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         self.inner_mut().visit_buffers(f)
+    }
+
+    fn release(&mut self) {
+        self.inner_mut().release()
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.inner().cache_bytes()
     }
 
     fn flops(&self, input: &[usize]) -> u64 {

@@ -1,7 +1,7 @@
 //! The [`TrainableModel`] abstraction unifying every network the federated
 //! runtime can train (sub-models, derived models, fixed baselines).
 
-use fedrlnas_darts::{DerivedModel, SubModel};
+use fedrlnas_darts::{ArchMask, DerivedModel, SubModel, Supernet};
 use fedrlnas_data::SyntheticDataset;
 use fedrlnas_nn::{CrossEntropy, Mode, Param};
 use fedrlnas_tensor::Tensor;
@@ -58,6 +58,29 @@ impl TrainableModel for SubModel {
 
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         SubModel::visit_buffers(self, f)
+    }
+}
+
+/// A supernet trained in place on the sub-model a mask selects — what a
+/// worker that keeps a whole supernet runs instead of extracting a
+/// [`SubModel`] per download. It computes, visits and differentiates
+/// exactly what `extract_submodel(mask)` would, bit for bit, and neither
+/// reads nor writes a parameter or buffer outside the selection.
+impl TrainableModel for (&mut Supernet, &ArchMask) {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.0.forward_masked(x, self.1, mode)
+    }
+
+    fn backward(&mut self, grad_logits: &Tensor) {
+        self.0.backward_masked(grad_logits)
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.0.visit_masked_params(self.1, f)
+    }
+
+    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.0.visit_masked_buffers(self.1, f)
     }
 }
 

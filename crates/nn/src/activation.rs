@@ -62,6 +62,14 @@ impl Layer for ReLU {
         dx
     }
 
+    fn release(&mut self) {
+        self.mask = Vec::new();
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.mask.capacity()
+    }
+
     fn flops(&self, input: &[usize]) -> u64 {
         input.iter().product::<usize>() as u64
     }
@@ -103,5 +111,18 @@ mod tests {
                 .map(|v| if v.abs() < 0.05 { 0.2 } else { v });
         let err = crate::grad_check_input(&mut relu, &x, 1e-3);
         assert!(err < 1e-2, "relu grad error {err}");
+    }
+
+    #[test]
+    fn release_drops_the_mask() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(1);
+        let (x, y) = (
+            Tensor::randn(&[2, 3, 4, 4], 1.0, &mut rng),
+            Tensor::randn(&[2, 3, 4, 4], 1.0, &mut rng),
+        );
+        crate::check_release(ReLU::new(), &x, &y, |relu| {
+            assert_eq!(relu.mask.capacity(), 0)
+        });
     }
 }

@@ -376,6 +376,16 @@ impl Layer for Conv2d {
         f(&mut self.bias);
     }
 
+    fn release(&mut self) {
+        self.cached_input = None;
+        self.workspace = Workspace::new();
+    }
+
+    fn cache_bytes(&self) -> usize {
+        let cached = self.cached_input.as_ref().map_or(0, Tensor::len);
+        (cached + self.workspace.capacity()) * std::mem::size_of::<f32>()
+    }
+
     fn flops(&self, input: &[usize]) -> u64 {
         let geom = self.geometry(input[1], input[2]);
         let cin_g = self.in_channels / self.groups;
@@ -466,6 +476,27 @@ mod tests {
         assert_eq!(cached(&conv), first, "backward hands the cache back");
         conv.forward(&x1, Mode::Eval);
         assert!(conv.cached_input.is_none());
+    }
+
+    /// `release` drops the backward cache and the workspace of every
+    /// lowering — dense, strided 1x1, pointwise, depthwise — and the next
+    /// step is a fresh layer's, bit for bit.
+    #[test]
+    fn release_drops_the_cache_and_the_workspace() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let x = Tensor::randn(&[2, 4, 6, 6], 1.0, &mut rng);
+        let y = Tensor::randn(&[2, 4, 6, 6], 1.0, &mut rng);
+        for conv in [
+            Conv2d::new(4, 3, 3, 1, 1, 1, 1, &mut rng),
+            Conv2d::new(4, 4, 1, 2, 0, 1, 1, &mut rng),
+            Conv2d::new(4, 3, 1, 1, 0, 1, 1, &mut rng),
+            Conv2d::new(4, 4, 5, 1, 4, 2, 4, &mut rng),
+        ] {
+            crate::check_release(conv, &x, &y, |conv| {
+                assert!(conv.cached_input.is_none());
+                assert_eq!(conv.workspace.capacity(), 0);
+            });
+        }
     }
 
     #[test]

@@ -91,6 +91,21 @@ pub trait Layer: Send {
         self.visit_params(&mut |p| p.zero_grad());
     }
 
+    /// Drops what the layer keeps from one step to the next — its backward
+    /// cache and its scratch [`Workspace`](fedrlnas_tensor::Workspace) — so
+    /// a layer that sits out a while holds no activation memory. The next
+    /// forward builds them again; no output depends on whether a layer was
+    /// released. A `backward` before that forward panics, as on a fresh
+    /// layer.
+    ///
+    /// The default is a no-op, for layers that keep nothing sizeable.
+    fn release(&mut self) {}
+
+    /// Heap bytes [`Layer::release`] would free (diagnostics and tests).
+    fn cache_bytes(&self) -> usize {
+        0
+    }
+
     /// Total number of scalar parameters.
     fn param_count(&mut self) -> usize {
         let mut n = 0;

@@ -87,3 +87,39 @@ pub fn grad_check_input<L: Layer + ?Sized>(
     }
     max_err
 }
+
+/// Trains `layer` one step on `x`, releases it, lets `released` look at
+/// what is left, then holds the released layer's next step on `y` to a
+/// fresh copy's first: output, input gradient and parameter gradients,
+/// bit for bit.
+#[cfg(test)]
+pub(crate) fn check_release<L: Layer + Clone>(
+    mut layer: L,
+    x: &fedrlnas_tensor::Tensor,
+    y: &fedrlnas_tensor::Tensor,
+    released: impl FnOnce(&L),
+) {
+    use fedrlnas_tensor::Tensor;
+    use rand::{rngs::StdRng, SeedableRng};
+    let mut fresh = layer.clone();
+    let step = |l: &mut L, input: &Tensor| {
+        let out = l.forward(input, Mode::Train);
+        let grad = Tensor::randn(out.dims(), 1.0, &mut StdRng::seed_from_u64(7));
+        let dx = l.backward(&grad);
+        let mut bits: Vec<u32> = out
+            .as_slice()
+            .iter()
+            .chain(dx.as_slice())
+            .map(|v| v.to_bits())
+            .collect();
+        l.visit_params(&mut |p| bits.extend(p.grad.as_slice().iter().map(|v| v.to_bits())));
+        bits
+    };
+    step(&mut layer, x);
+    assert!(layer.cache_bytes() > 0, "a trained layer keeps its cache");
+    layer.release();
+    assert_eq!(layer.cache_bytes(), 0, "released");
+    released(&layer);
+    layer.zero_grad();
+    assert_eq!(step(&mut layer, y), step(&mut fresh, y), "released ≠ fresh");
+}

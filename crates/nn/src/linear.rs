@@ -140,6 +140,16 @@ impl Layer for Linear {
         f(&mut self.bias);
     }
 
+    fn release(&mut self) {
+        self.cached_input = None;
+        self.workspace = Workspace::new();
+    }
+
+    fn cache_bytes(&self) -> usize {
+        let cached = self.cached_input.as_ref().map_or(0, Tensor::len);
+        (cached + self.workspace.capacity()) * std::mem::size_of::<f32>()
+    }
+
     fn flops(&self, _input: &[usize]) -> u64 {
         (self.in_features * self.out_features) as u64
     }
@@ -187,5 +197,18 @@ mod tests {
         assert_eq!(lin.bias.grad.sum(), 2.0 * g1.sum());
         lin.zero_grad();
         assert_eq!(lin.bias.grad.sum(), 0.0);
+    }
+
+    #[test]
+    fn release_drops_the_cache_and_the_workspace() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let (x, y) = (
+            Tensor::randn(&[4, 6], 1.0, &mut rng),
+            Tensor::randn(&[4, 6], 1.0, &mut rng),
+        );
+        crate::check_release(Linear::new(6, 3, &mut rng), &x, &y, |lin| {
+            assert!(lin.cached_input.is_none());
+            assert_eq!(lin.workspace.capacity(), 0);
+        });
     }
 }

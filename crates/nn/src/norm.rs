@@ -286,6 +286,16 @@ impl Layer for BatchNorm2d {
         f(&mut self.running_var);
     }
 
+    fn release(&mut self) {
+        self.cache = None;
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.cache.as_ref().map_or(0, |c| {
+            (c.x_hat.len() + c.inv_std.capacity()) * std::mem::size_of::<f32>()
+        })
+    }
+
     fn flops(&self, input: &[usize]) -> u64 {
         2 * input.iter().product::<usize>() as u64
     }
@@ -366,5 +376,17 @@ mod tests {
         // d sum(y) / d beta = number of elements; d/d gamma = sum(x_hat) ~ 0
         assert!((bn.beta.grad.as_slice()[0] - 8.0).abs() < 1e-4);
         assert!(bn.gamma.grad.as_slice()[0].abs() < 1e-3);
+    }
+
+    #[test]
+    fn release_drops_the_cache() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let (x, y) = (
+            Tensor::randn(&[2, 5, 3, 3], 1.0, &mut rng),
+            Tensor::randn(&[2, 5, 3, 3], 1.0, &mut rng),
+        );
+        let mut bn = BatchNorm2d::new(5);
+        bn.gamma.value = Tensor::randn(&[5], 1.0, &mut rng);
+        crate::check_release(bn, &x, &y, |bn| assert!(bn.cache.is_none()));
     }
 }

@@ -150,6 +150,15 @@ impl Layer for MaxPool2d {
         dx
     }
 
+    fn release(&mut self) {
+        self.argmax = Vec::new();
+        self.in_dims = Vec::new();
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.argmax.capacity() * std::mem::size_of::<usize>()
+    }
+
     fn flops(&self, input: &[usize]) -> u64 {
         let geom = self.geometry(input[1], input[2]);
         (input[0] * geom.out_positions() * self.kernel * self.kernel) as u64
@@ -402,6 +411,19 @@ mod tests {
         .unwrap();
         let y = pool.forward(&x, Mode::Eval);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
+    }
+
+    #[test]
+    fn maxpool_release_drops_the_argmax() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let (x, y) = (
+            Tensor::randn(&[2, 3, 5, 5], 1.0, &mut rng),
+            Tensor::randn(&[2, 3, 5, 5], 1.0, &mut rng),
+        );
+        crate::check_release(MaxPool2d::new(3, 2, 1), &x, &y, |pool| {
+            assert_eq!(pool.argmax.capacity(), 0);
+            assert!(pool.in_dims.is_empty());
+        });
     }
 
     #[test]

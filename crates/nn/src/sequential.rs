@@ -70,6 +70,16 @@ impl Layer for Sequential {
         }
     }
 
+    fn release(&mut self) {
+        for layer in &mut self.layers {
+            layer.release();
+        }
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.layers.iter().map(|layer| layer.cache_bytes()).sum()
+    }
+
     fn flops(&self, input: &[usize]) -> u64 {
         let mut shape = input.to_vec();
         let mut total = 0u64;

@@ -24,7 +24,8 @@
 //! its data, its residual, its fault script, the replies a displaced
 //! download can still ask for and the numbers of the rounds it answered
 //! (`WorkerState`); every scratch buffer belongs to the pool thread that
-//! happens to run the participant (`WorkerScratch`). The server keeps a
+//! happens to run the participant (`WorkerScratch`), and so does the
+//! supernet its download is trained on in place. The server keeps a
 //! link and four counters per participant (`WorkerHandle`) and, per
 //! round, one dense record of what shipped (`History`).
 //!
@@ -493,10 +494,8 @@ impl RpcBackend {
     /// Spawns the pooled worker fleet and wires one transport per
     /// participant.
     ///
-    /// Workers clone the participant state (data-loader cursor included)
-    /// and rebuild the supernet *structure* locally; weights always arrive
-    /// over the wire, so the worker-side initialization never leaks into
-    /// training.
+    /// Workers clone the participant state (data-loader cursor included);
+    /// see [`RpcBackend::with_faults`] for what the fleet holds.
     pub fn new(
         participants: &[Participant],
         net: &SupernetConfig,
@@ -508,6 +507,14 @@ impl RpcBackend {
 
     /// [`RpcBackend::new`] with per-worker scripted faults (index-aligned;
     /// missing entries mean no fault).
+    ///
+    /// Each fleet pool thread builds one supernet locally and trains every
+    /// download of its shard in place on it: the download's weights and
+    /// buffers overwrite the slots its mask selects before the step, so
+    /// the worker-side initialization, and the participant the thread ran
+    /// before, never leak into training. Between downloads a thread holds
+    /// that supernet, the selection it last trained and one sub-model's
+    /// activations.
     pub fn with_faults(
         participants: &[Participant],
         net: &SupernetConfig,

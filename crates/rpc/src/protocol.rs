@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use fedrlnas_codec::{Codec, CodecSpec, EncodeScratch};
 use fedrlnas_controller::Alpha;
 use fedrlnas_core::BackendReport;
-use fedrlnas_darts::{ArchMask, Supernet};
+use fedrlnas_darts::{ArchMask, Supernet, NUM_OPS};
 use fedrlnas_data::SyntheticDataset;
 use fedrlnas_fed::{validate_report, Participant, RejectTally};
 use fedrlnas_tensor::Tensor;
@@ -510,9 +510,13 @@ impl WorkerScratch {
 /// script and attack memory, the last [`REPLY_CACHE_ROUNDS`] replies, the
 /// numbers of the last [`HISTORY_ROUNDS`] answered rounds and the
 /// heartbeat it answers a probe with. Scratch is the pool thread's
-/// ([`WorkerScratch`]), and so is the supernet *structure*, shared by every
-/// participant on the thread because weights always arrive over the wire —
-/// nothing training-relevant ever persists in it.
+/// ([`WorkerScratch`]), and so is the supernet every participant on the
+/// thread trains in place: between downloads it holds the selection last
+/// trained and one sub-model's activations, and nothing of it reaches the
+/// next participant — every selected parameter and buffer is overwritten
+/// from the frame before the step, gradients are zeroed over the
+/// selection, slots outside it are never read, and every cache is written
+/// before it is read.
 pub(crate) struct WorkerState {
     participant: Participant,
     fault: ScriptedFault,
@@ -613,11 +617,13 @@ impl WorkerState {
     /// kept ([`REPLY_CACHE_ROUNDS`] deep) so a retransmitted or displaced
     /// download is answered from the cache instead of being recomputed
     /// (idempotence under retry), and a round is never trained twice. The
-    /// download is read where it lies: its shape is checked against the
-    /// layout, then its two `f32` runs are copied from the frame's bytes
-    /// straight into the sub-model. `theta_len` is the full flat-θ length —
-    /// the error-feedback residual spans the whole supernet, exactly like
-    /// the in-process path.
+    /// download is read where it lies: its shape — mask, weight and buffer
+    /// counts, α length — is checked against the layout, then its two `f32`
+    /// runs are copied from the frame's bytes straight into the slots of
+    /// `supernet` the mask selects, and the step trains them in place; no
+    /// sub-model is built. `theta_len` is the full flat-θ length — the
+    /// error-feedback residual spans the whole supernet, exactly like the
+    /// in-process path.
     pub(crate) fn handle_frame(
         &mut self,
         supernet: &mut Supernet,
@@ -678,37 +684,35 @@ impl WorkerState {
                 return WorkerStep::Delay(d);
             }
         }
-        let layout = supernet.layout();
-        if mask.num_edges() != supernet.config().topology().num_edges()
+        let (layout, edges) = (supernet.layout(), mask.num_edges());
+        let alpha_len = 2 * edges * NUM_OPS;
+        if edges != supernet.config().topology().num_edges()
             || down.weights.len() != layout.submodel_param_count(mask)
             || down.buffers.len() != layout.submodel_buffer_count(mask)
+            || down.alpha.len() != alpha_len
         {
             return WorkerStep::Silent; // shape mismatch: refuse rather than panic
         }
-        let mut sub = supernet.extract_submodel(mask);
+        // the selected slots of the thread's supernet become the shipped
+        // sub-model, read from the frame's bytes where they lie
         let mut weights = down.weights;
-        sub.visit_params(&mut |p| weights.fill(p.value.as_mut_slice()));
+        supernet.visit_masked_params(mask, &mut |p| weights.fill(p.value.as_mut_slice()));
         let mut buffers = down.buffers;
-        sub.visit_buffers(&mut |b| buffers.fill(b));
-        // the step the in-process path runs, on the same derived stream
-        let (report, mut grads) = self
-            .participant
-            .train_round(&mut sub, dataset, down.seed_base);
+        supernet.visit_masked_buffers(mask, &mut |b| buffers.fill(b));
+        // the step the in-process path runs, on the same derived stream,
+        // trained in place
+        let (report, mut grads) =
+            self.participant
+                .train_round(&mut (&mut *supernet, mask), dataset, down.seed_base);
         if let Some(attack) = self.fault.attack {
             let honest = std::mem::replace(&mut self.last_honest, grads.clone());
             apply_attack(attack, round, id as u64, &mut grads, &honest);
         }
-        let edges = mask.num_edges();
-        let alpha_len = down.alpha.len();
-        let delta_alpha = Tensor::from_vec(down.alpha, &[alpha_len])
-            .ok()
-            .map(|t| {
-                Alpha::from_logits(t, edges)
-                    .grad_log_prob(mask)
-                    .as_slice()
-                    .to_vec()
-            })
-            .unwrap_or_default();
+        let alpha = Tensor::from_vec(down.alpha, &[alpha_len]).expect("length checked above");
+        let delta_alpha = Alpha::from_logits(alpha, edges)
+            .grad_log_prob(mask)
+            .as_slice()
+            .to_vec();
         // the reply is encoded once, into the exactly sized vector the
         // cache keeps; the driver's transport copies what it sends
         let reply = match codec {
@@ -1221,10 +1225,13 @@ mod tests {
         });
     }
 
-    /// One worker and everything `handle_frame` borrows.
+    /// One worker and everything `handle_frame` borrows, plus the server's
+    /// supernet its downloads are gathered from.
     struct Bench {
         state: WorkerState,
+        /// The pool thread's supernet, trained in place.
         supernet: Supernet,
+        server: Supernet,
         theta_len: usize,
         dataset: SyntheticDataset,
         scratch: WorkerScratch,
@@ -1239,11 +1246,12 @@ mod tests {
             let mut search = fedrlnas_core::FederatedModelSearch::new(config.clone(), &mut rng);
             let dataset = search.dataset().clone();
             let participant = search.server_mut().participants()[0].clone();
-            let mut supernet = Supernet::new(config.net.clone(), &mut rng);
+            let mut server = Supernet::new(config.net.clone(), &mut rng);
             Bench {
                 state: WorkerState::new(participant, fault, Arc::new(Mutex::new(Vec::new()))),
-                theta_len: supernet.param_count(),
-                supernet,
+                theta_len: server.param_count(),
+                supernet: Supernet::new(config.net.clone(), &mut StdRng::seed_from_u64(22)),
+                server,
                 dataset,
                 scratch: WorkerScratch::new(Arc::new(AtomicU64::new(0))),
                 masks: (0..4)
@@ -1254,36 +1262,37 @@ mod tests {
         }
 
         /// Round `round`'s download, as the engine would stage it.
-        fn download(&mut self, round: u64) -> Vec<u8> {
+        fn download(&self, round: u64) -> Vec<u8> {
+            self.download_with_alpha(round, &self.alpha)
+        }
+
+        /// [`Bench::download`] carrying `alpha` as the controller logits.
+        fn download_with_alpha(&self, round: u64, alpha: &[f32]) -> Vec<u8> {
             let mask = &self.masks[round as usize % self.masks.len()];
-            let mut sub = self.supernet.extract_submodel(mask);
+            let mut sub = self.server.extract_submodel(mask);
             let weights = flat_params(&mut sub);
             let mut buffers = Vec::new();
             sub.visit_buffers(&mut |b| buffers.extend_from_slice(b));
             let mut frame = Vec::new();
             encode_download_into(
-                &mut frame,
-                round,
-                0xFEED,
-                mask,
-                &weights,
-                &buffers,
-                &self.alpha,
-                None,
+                &mut frame, round, 0xFEED, mask, &weights, &buffers, alpha, None,
             );
             frame
         }
 
-        /// Hands the worker one frame; returns the bytes it would send.
-        fn feed(&mut self, frame: &[u8]) -> Option<Vec<u8>> {
-            let step = self.state.handle_frame(
+        fn step(&mut self, frame: &[u8]) -> WorkerStep<'_> {
+            self.state.handle_frame(
                 &mut self.supernet,
                 self.theta_len,
                 &self.dataset,
                 &mut self.scratch,
                 frame,
-            );
-            match step {
+            )
+        }
+
+        /// Hands the worker one frame; returns the bytes it would send.
+        fn feed(&mut self, frame: &[u8]) -> Option<Vec<u8>> {
+            match self.step(frame) {
                 WorkerStep::Send(reply) => Some(reply.to_vec()),
                 _ => None,
             }
@@ -1372,5 +1381,23 @@ mod tests {
         assert_ne!(b.cursor(), before);
         let remembered = |r: &&u64| **r != NO_ROUND;
         assert_eq!(b.state.answered.iter().filter(remembered).count(), 2);
+    }
+
+    /// A download whose envelope, mask, weights and buffers are sound but
+    /// whose α run has the wrong length is refused like a wrong weight
+    /// count — with silence, before training, so the loader stays where
+    /// it was — and the worker answers the correct frame afterwards.
+    #[test]
+    fn a_download_with_the_wrong_alpha_length_is_refused_before_training() {
+        let mut b = Bench::new(ScriptedFault::default());
+        let (cursor, good) = (b.cursor(), b.alpha.len());
+        for len in [0, good + 1] {
+            let frame = b.download_with_alpha(0, &vec![0.5; len]);
+            assert!(matches!(b.step(&frame), WorkerStep::Silent), "α of {len}");
+            assert_eq!(b.cursor(), cursor, "α of {len}: nothing trained");
+        }
+        let frame = b.download(0);
+        assert!(b.feed(&frame).is_some(), "the correct frame is answered");
+        assert_ne!(b.cursor(), cursor);
     }
 }

@@ -7,9 +7,10 @@
 //! one thread per link):
 //!
 //! * **Worker fleet** — participants are split into contiguous shards, one
-//!   pool thread per shard. Each thread owns *one* supernet structure
-//!   (weights always arrive over the wire, so nothing training-relevant
-//!   lives in it) and *one* set of codec scratch buffers
+//!   pool thread per shard. Each thread owns *one* supernet, on which it
+//!   trains every download in place (the selected slots are overwritten
+//!   from the frame first, so nothing training-relevant carries over from
+//!   one participant to the next), and *one* set of codec scratch buffers
 //!   ([`WorkerScratch`]), lent to whichever participant it is running;
 //!   per participant there is a [`WorkerState`] — what must survive a
 //!   round, nothing frame-sized but its last two replies. The thread
@@ -262,10 +263,15 @@ struct Member {
 /// Drives one shard of the worker fleet: sleeps until a link has a frame
 /// or a held download is due, hands each ready link's frames to its
 /// [`WorkerState`], and exits once all links have closed, reporting what
-/// it held. One supernet *structure* and one [`WorkerScratch`] serve the
-/// whole shard — every weight is overwritten from the wire before use and
-/// every scratch buffer before it is read, so sharing them cannot leak
-/// state across participants.
+/// it held. One supernet and one [`WorkerScratch`] serve the whole shard:
+/// each download is trained in place on the supernet's selected slots,
+/// whose layers keep their backward caches and workspaces warm from one
+/// participant to the next (an operation the next mask drops is
+/// released, so the thread holds one sub-model's activations). Every
+/// selected weight and buffer is overwritten from the wire before use,
+/// gradients are zeroed over the selection, nothing outside it is read,
+/// and every cache and scratch buffer is written before it is read, so
+/// sharing them cannot leak state across participants.
 fn fleet_loop(
     fleet: Vec<FleetMember>,
     net: SupernetConfig,

@@ -72,6 +72,32 @@ fn loopback_tcp_rpc_matches_in_process() {
     assert!(rpc.comm.bytes_down > baseline.comm.bytes_down);
 }
 
+/// At `small` the sub-models reach the packed GEMM, where a warm
+/// workspace is stale memory. A worker trains every download in place on
+/// its pool thread's supernet — on one thread that supernet sees every
+/// mask of every round in turn — and must still give the in-process
+/// search's genotype and curves, on one pool thread and on two.
+#[test]
+fn in_memory_rpc_matches_in_process_at_small() {
+    let config = SearchConfig {
+        warmup_steps: 2,
+        search_steps: 2,
+        ..SearchConfig::small()
+    };
+    let baseline = run_search(config.clone(), None);
+    for reactor_threads in [1, 2] {
+        let rpc = run_search(
+            config.clone(),
+            Some(RpcConfig {
+                transport: TransportKind::InMemory,
+                reactor_threads,
+                ..RpcConfig::default()
+            }),
+        );
+        assert_same_trajectory(&baseline, &rpc);
+    }
+}
+
 #[test]
 fn kill_one_participant_mid_round() {
     let config =
