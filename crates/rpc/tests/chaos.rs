@@ -271,7 +271,11 @@ fn quorum_commits_rounds_without_stragglers() {
     // order, so by the time the engine reaches it the quorum has already
     // reported and the round commits after a short drain instead of the
     // full 5 s deadline — the sleeper's reply surfaces late and flows
-    // through the staleness path
+    // through the staleness path. The drain is wider than the default 5 ms:
+    // on-time replies from different pool threads can land tens of
+    // milliseconds apart when other tests share the cores, and round 0
+    // must still wait for all of them. The oversleep is ten drains long,
+    // so the sleeper cannot slip into round 1's drain either.
     let config =
         SearchConfig::tiny().with_staleness(StalenessModel::fresh(), StalenessStrategy::Use);
     let k = config.num_participants;
@@ -281,7 +285,7 @@ fn quorum_commits_rounds_without_stragglers() {
     let dataset = search.dataset().clone();
     let mut faults = vec![ScriptedFault::default(); k - 1];
     faults.push(ScriptedFault {
-        delay: Some((1, Duration::from_millis(300))),
+        delay: Some((1, Duration::from_millis(1000))),
         ..ScriptedFault::default()
     });
     install_with_faults(
@@ -292,6 +296,7 @@ fn quorum_commits_rounds_without_stragglers() {
             deadline: Duration::from_secs(5),
             max_retries: 0,
             quorum_frac: (k - 1) as f64 / k as f64,
+            quorum_drain: Duration::from_millis(100),
             evict_after: 0, // isolate quorum behaviour from eviction
             ..RpcConfig::default()
         },
