@@ -330,7 +330,8 @@ fn main() {
             mbps(p.frame_bytes, decode_ns),
         );
         if p.label == "submodel" {
-            // the frame every participant gets every round: CRC-bound
+            // the frame every participant gets every round: its CRC and
+            // its copy, since the CRC folds, take about equal shares
             let label = |what| format!("{} frame {what}", p.label);
             measured.push(("wire_encode_mb_s_floor", label("encode"), encode_mb_s));
             measured.push(("wire_decode_mb_s_floor", label("decode"), decode_mb_s));

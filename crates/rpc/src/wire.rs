@@ -1168,6 +1168,34 @@ mod tests {
         assert_eq!(encode(&msg), frozen);
     }
 
+    /// A download frame long enough for the carry-less-multiply CRC to fold
+    /// (and to leave it a tail under 16 bytes) carries the trailer the
+    /// table CRC wrote before that fold existed.
+    #[test]
+    fn long_frame_trailer_written_before_the_folded_crc_is_unchanged() {
+        let msg = Message::DownloadSubmodel {
+            round: 11,
+            seed_base: 0x0123_4567_89AB_CDEF,
+            mask: ArchMask::new(vec![1, 7, 3, 0], vec![2, 5, 6, 4]),
+            weights: (0..301)
+                .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.0625)
+                .collect(),
+            buffers: (0..9).map(|i| i as f32 * 0.5).collect(),
+            alpha: (0..14)
+                .map(|i| ((i * 5 % 7) as f32 - 3.0) * 0.125)
+                .collect(),
+        };
+        let frame = encode(&msg);
+        let payload = frame.len() - HEADER_LEN - TRAILER_LEN;
+        assert!(
+            payload >= 1024 && !payload.is_multiple_of(16),
+            "payload {payload} B"
+        );
+        let trailer = u32::from_le_bytes(frame[frame.len() - 4..].try_into().expect("4 B"));
+        assert_eq!(trailer, 0x1922_8048, "payload {payload} B");
+        assert_eq!(decode(&frame).expect("frame decodes"), msg);
+    }
+
     #[test]
     fn crc_known_vector() {
         // IEEE CRC-32 of "123456789"

@@ -915,6 +915,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// A segment whose checkpoint blob is long enough for the
+    /// carry-less-multiply CRC to fold carries the trailer the table CRC
+    /// wrote before that fold existed, and reopens intact.
+    #[test]
+    fn long_segment_trailer_written_before_the_folded_crc_is_unchanged() {
+        let checkpoint: Vec<u8> = (0..1500u32).map(|i| (i * 131 % 251) as u8).collect();
+        let dir = temp_store_dir("frozen-long");
+        let mut store = JobStore::open(&dir).expect("open");
+        let id = store.create(b"spec-long", 0).expect("create");
+        let generation = store.update(id, 1, 1, &checkpoint).expect("update");
+        let segment = std::fs::read(dir.join(format!("job-{id}-gen-{generation}.seg")))
+            .expect("read segment");
+        assert!(segment.len() >= 1024 && !(segment.len() - 4).is_multiple_of(16));
+        let trailer = u32::from_le_bytes(segment[segment.len() - 4..].try_into().expect("4 B"));
+        assert_eq!(trailer, 0x42A1_1500, "segment {} B", segment.len());
+        let reopened = JobStore::open(&dir).expect("reopen");
+        assert_eq!(
+            reopened.get(id).expect("job survives").checkpoint,
+            checkpoint
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
     #[test]
     fn corrupt_manifest_never_wedges_a_live_handle() {
         let dir = temp_store_dir("unwedge");
