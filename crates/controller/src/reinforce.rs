@@ -108,7 +108,7 @@ impl ReinforceController {
     /// Hardened against Byzantine reward streams: a non-finite accuracy is
     /// replaced by the pre-update baseline (a zero-information report —
     /// its baselined reward is driven toward zero), and finite outliers
-    /// are winsorized to ±[`Self::REWARD_BOUND`]. In-range rewards pass
+    /// are winsorized to ±`Self::REWARD_BOUND`. In-range rewards pass
     /// through bit-identical, so honest runs are unaffected.
     pub fn baselined_rewards(&mut self, accuracies: &[f32]) -> Vec<f32> {
         if accuracies.is_empty() {

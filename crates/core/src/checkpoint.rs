@@ -1,4 +1,4 @@
-//! Search-state checkpointing (format v3) and crash recovery.
+//! Search-state checkpointing (format v5) and crash recovery.
 //!
 //! Real federated searches run for days (Table V); a production server
 //! must survive restarts. A [`Checkpoint`] captures everything Algorithm 1
@@ -29,19 +29,21 @@
 //! body … | crc32(body) u32
 //! ```
 //!
-//! Loading follows the same discipline as `fedrlnas-rpc`'s `wire.rs`:
-//! every length field is bounds-checked against the remaining bytes
-//! *before* any allocation, every failure is a typed [`CheckpointError`],
-//! and no input — truncated, bit-flipped, or adversarial — can panic the
-//! loader. [`Checkpoint::save_path`] writes atomically (temp file in the
-//! same directory, fsync, rename) so a crash mid-write never destroys the
+//! The body is read through [`crate::record`], the bounded field layer
+//! the wire frame, the job spec and the job store share: every length
+//! field is bounds-checked against the remaining bytes *before* any
+//! allocation, every failure is a typed [`CheckpointError`], and no input
+//! — truncated, bit-flipped, or adversarial — can panic the loader.
+//! [`Checkpoint::save_path`] writes atomically (temp file in the same
+//! directory, fsync, rename) so a crash mid-write never destroys the
 //! previous good checkpoint.
 
 use crate::crc::crc32;
 use crate::metrics::StepMetric;
+use crate::record::{self, put_f32s, put_f64s, put_mask, Count, Reader};
 use crate::server::{LatencyStats, PendingUpdate, SearchServer};
 use fedrlnas_codec::{CodecConfig, CodecSpec};
-use fedrlnas_darts::{ArchMask, CellKind, NUM_OPS};
+use fedrlnas_darts::ArchMask;
 use fedrlnas_fed::{
     AggregatorConfig, AggregatorKind, ChurnTally, CommStats, CompressionTally, FaultTally,
     RejectTally,
@@ -58,6 +60,8 @@ const V1_MAGIC: &[u8; 8] = b"FEDRLNA1";
 const VERSION: u16 = 5;
 /// Header: magic + version + flags + body length.
 const HEADER_LEN: usize = 8 + 2 + 2 + 8;
+/// Every count in the body is a `u64`.
+const COUNT: Count = Count::U64;
 
 /// Why a checkpoint could not be loaded or restored. Never panics — a
 /// corrupt file on disk is an expected failure mode for a crash-recovery
@@ -73,11 +77,14 @@ pub enum CheckpointError {
     /// the update-compression state; v4 files predate the population-churn
     /// state).
     UnsupportedVersion(u16),
-    /// The file ends before the structure it declares.
+    /// The file ends before the structure it declares. For the header,
+    /// the declared body length and the trailer, `needed` is the end
+    /// offset in the file and `got` the file's length; for a field inside
+    /// the body, both count from the body's first byte.
     Truncated {
-        /// Bytes the next field needed.
+        /// End offset of the field that did not fit.
         needed: usize,
-        /// Bytes actually available.
+        /// Length of the buffer it was read from.
         got: usize,
     },
     /// The body does not hash to the stored CRC-32.
@@ -128,6 +135,15 @@ impl std::error::Error for CheckpointError {}
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+impl From<record::Error> for CheckpointError {
+    fn from(e: record::Error) -> Self {
+        match e {
+            record::Error::Truncated { needed, got } => CheckpointError::Truncated { needed, got },
+            record::Error::Malformed(why) => CheckpointError::Malformed(why),
+        }
     }
 }
 
@@ -196,7 +212,7 @@ pub struct ChurnEntry {
     pub evicted: Vec<bool>,
 }
 
-/// A complete, serializable snapshot of the mutable search state (v2).
+/// A complete, serializable snapshot of the mutable search state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Completed rounds.
@@ -349,14 +365,44 @@ impl Checkpoint {
             )));
         }
         let edges = server.config.net.topology().num_edges();
+        let check_mask = |what: &str, m: &ArchMask| {
+            if m.num_edges() == edges {
+                Ok(())
+            } else {
+                Err(mismatch(format!(
+                    "{what} mask has {} edges, topology has {edges}",
+                    m.num_edges()
+                )))
+            }
+        };
         for entry in self.pools.iter() {
+            if entry.theta.len() != theta_len || entry.alpha.len() != alpha_len {
+                return Err(mismatch(format!(
+                    "pool round {} holds {} weights and {} logits, server needs {theta_len} and {alpha_len}",
+                    entry.round,
+                    entry.theta.len(),
+                    entry.alpha.len()
+                )));
+            }
             for m in &entry.masks {
-                if m.num_edges() != edges {
-                    return Err(mismatch(format!(
-                        "pool mask has {} edges, topology has {edges}",
-                        m.num_edges()
-                    )));
-                }
+                check_mask("pool", m)?;
+            }
+        }
+        for u in &self.pending {
+            check_mask("pending", &u.mask)?;
+            let want = server.supernet.submodel_param_count(&u.mask);
+            if u.sub_grads.len() != want {
+                return Err(mismatch(format!(
+                    "pending update of participant {} has {} gradients, its sub-model needs {want}",
+                    u.participant,
+                    u.sub_grads.len()
+                )));
+            }
+            if u.computed_at > u.arrival {
+                return Err(mismatch(format!(
+                    "pending update computed in round {} arrives earlier, in round {}",
+                    u.computed_at, u.arrival
+                )));
             }
         }
         if self.aggregator != server.config.aggregator {
@@ -496,7 +542,7 @@ impl Checkpoint {
         StdRng::from_state(self.rng_state)
     }
 
-    /// Serializes to the framed v2 byte layout.
+    /// Serializes to the framed v5 byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let body = self.encode_body();
         let mut out = Vec::with_capacity(HEADER_LEN + body.len() + 4);
@@ -517,29 +563,22 @@ impl Checkpoint {
     /// Typed [`CheckpointError`]s on any malformation; never panics and
     /// never allocates from an unvalidated length field.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(CheckpointError::Truncated {
-                needed: HEADER_LEN,
-                got: bytes.len(),
-            });
-        }
-        let magic: [u8; 8] = bytes[..8].try_into().expect("8 bytes");
+        let mut r = Reader::new(bytes);
+        let magic: [u8; 8] = r.take(8)?.try_into().expect("8 bytes");
         if &magic != MAGIC {
             if &magic == V1_MAGIC {
                 return Err(CheckpointError::UnsupportedVersion(1));
             }
             return Err(CheckpointError::BadMagic(magic));
         }
-        let version = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes"));
+        let version = r.u16()?;
         if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let flags = u16::from_le_bytes(bytes[10..12].try_into().expect("2 bytes"));
-        if flags != 0 {
+        if r.u16()? != 0 {
             return Err(CheckpointError::Malformed("non-zero reserved flags"));
         }
-        let body_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let body_len = usize::try_from(body_len)
+        let body_len = usize::try_from(r.u64()?)
             .map_err(|_| CheckpointError::Malformed("body length exceeds address space"))?;
         let want = HEADER_LEN
             .checked_add(body_len)
@@ -554,9 +593,8 @@ impl Checkpoint {
         if bytes.len() > want {
             return Err(CheckpointError::Malformed("trailing bytes after checksum"));
         }
-        let body = &bytes[HEADER_LEN..HEADER_LEN + body_len];
-        let stored =
-            u32::from_le_bytes(bytes[HEADER_LEN + body_len..].try_into().expect("4 bytes"));
+        let body = r.take(body_len)?;
+        let stored = r.u32()?;
         let computed = crc32(body);
         if stored != computed {
             return Err(CheckpointError::ChecksumMismatch {
@@ -620,9 +658,9 @@ impl Checkpoint {
         for w in self.rng_state {
             out.extend_from_slice(&w.to_le_bytes());
         }
-        put_f32s(&mut out, &self.theta);
-        put_f32s(&mut out, &self.alpha);
-        put_f32s(&mut out, &self.velocity);
+        put_f32s(&mut out, COUNT, &self.theta);
+        put_f32s(&mut out, COUNT, &self.alpha);
+        put_f32s(&mut out, COUNT, &self.velocity);
         for v in [
             self.comm.bytes_down,
             self.comm.bytes_up,
@@ -649,8 +687,8 @@ impl Checkpoint {
         ] {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        put_f64s(&mut out, &self.latency.max_per_round);
-        put_f64s(&mut out, &self.latency.mean_per_round);
+        put_f64s(&mut out, COUNT, &self.latency.max_per_round);
+        put_f64s(&mut out, COUNT, &self.latency.mean_per_round);
         for curve in [&self.warmup_curve, &self.search_curve] {
             out.extend_from_slice(&(curve.len() as u64).to_le_bytes());
             for s in curve.iter() {
@@ -663,11 +701,11 @@ impl Checkpoint {
         out.extend_from_slice(&(self.pools.len() as u64).to_le_bytes());
         for entry in &self.pools {
             out.extend_from_slice(&entry.round.to_le_bytes());
-            put_f32s(&mut out, &entry.theta);
-            put_f32s(&mut out, &entry.alpha);
+            put_f32s(&mut out, COUNT, &entry.theta);
+            put_f32s(&mut out, COUNT, &entry.alpha);
             out.extend_from_slice(&(entry.masks.len() as u64).to_le_bytes());
             for m in &entry.masks {
-                put_mask(&mut out, m);
+                put_mask(&mut out, COUNT, m);
             }
         }
         out.extend_from_slice(&(self.pending.len() as u64).to_le_bytes());
@@ -675,8 +713,8 @@ impl Checkpoint {
             out.extend_from_slice(&u.arrival.to_le_bytes());
             out.extend_from_slice(&u.computed_at.to_le_bytes());
             out.extend_from_slice(&u.participant.to_le_bytes());
-            put_mask(&mut out, &u.mask);
-            put_f32s(&mut out, &u.sub_grads);
+            put_mask(&mut out, COUNT, &u.mask);
+            put_f32s(&mut out, COUNT, &u.sub_grads);
             out.extend_from_slice(&u.accuracy.to_le_bytes());
         }
         out.extend_from_slice(&(self.participants.len() as u64).to_le_bytes());
@@ -687,7 +725,7 @@ impl Checkpoint {
             }
             out.extend_from_slice(&p.cursor.to_le_bytes());
             out.extend_from_slice(&p.bandwidth_mbps.to_le_bytes());
-            put_f32s(&mut out, &p.residual); // v4
+            put_f32s(&mut out, COUNT, &p.residual); // v4
         }
         // v3 robustness block (appended last so earlier field offsets are
         // stable): aggregator kind tag, its parameter, then two optional
@@ -755,9 +793,9 @@ impl Checkpoint {
         let baseline = r.f32()?;
         let controller_updates = r.u64()?;
         let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        let theta = r.f32s()?;
-        let alpha = r.f32s()?;
-        let velocity = r.f32s()?;
+        let theta = r.f32s(COUNT)?;
+        let alpha = r.f32s(COUNT)?;
+        let velocity = r.f32s(COUNT)?;
         let mut comm = CommStats {
             bytes_down: r.u64()?,
             bytes_up: r.u64()?,
@@ -794,12 +832,12 @@ impl Checkpoint {
             io: Default::default(),
         };
         let latency = LatencyStats {
-            max_per_round: r.f64s()?,
-            mean_per_round: r.f64s()?,
+            max_per_round: r.f64s(COUNT)?,
+            mean_per_round: r.f64s(COUNT)?,
         };
         let mut curves: [Vec<StepMetric>; 2] = [Vec::new(), Vec::new()];
         for curve in curves.iter_mut() {
-            let n = r.len_within(24)?; // step metric is 24 bytes
+            let n = r.count_u64(24)?; // step metric is 24 bytes
             let mut steps = Vec::with_capacity(n);
             for _ in 0..n {
                 steps.push(StepMetric {
@@ -812,16 +850,16 @@ impl Checkpoint {
             *curve = steps;
         }
         let [warmup_curve, search_curve] = curves;
-        let n_pools = r.len_within(24)?; // round + two length prefixes + mask count
+        let n_pools = r.count_u64(24)?; // round + two length prefixes + mask count
         let mut pools = Vec::with_capacity(n_pools);
         for _ in 0..n_pools {
             let round = r.u64()?;
-            let theta = r.f32s()?;
-            let alpha = r.f32s()?;
-            let n_masks = r.len_within(2)?; // a mask needs ≥ 2 edge counts
+            let theta = r.f32s(COUNT)?;
+            let alpha = r.f32s(COUNT)?;
+            let n_masks = r.count_u64(2)?; // a mask needs ≥ 2 edge counts
             let mut masks = Vec::with_capacity(n_masks);
             for _ in 0..n_masks {
-                masks.push(r.mask()?);
+                masks.push(r.mask(COUNT)?);
             }
             pools.push(PoolEntry {
                 round,
@@ -830,23 +868,23 @@ impl Checkpoint {
                 masks,
             });
         }
-        let n_pending = r.len_within(40)?;
+        let n_pending = r.count_u64(40)?;
         let mut pending = Vec::with_capacity(n_pending);
         for _ in 0..n_pending {
             pending.push(PendingEntry {
                 arrival: r.u64()?,
                 computed_at: r.u64()?,
                 participant: r.u64()?,
-                mask: r.mask()?,
-                sub_grads: r.f32s()?,
+                mask: r.mask(COUNT)?,
+                sub_grads: r.f32s(COUNT)?,
                 accuracy: r.f32()?,
             });
         }
         // entry minimum: indices count + cursor + bandwidth + residual count
-        let n_participants = r.len_within(32)?;
+        let n_participants = r.count_u64(32)?;
         let mut participants = Vec::with_capacity(n_participants);
         for _ in 0..n_participants {
-            let n_indices = r.len_within(8)?;
+            let n_indices = r.count_u64(8)?;
             let mut indices = Vec::with_capacity(n_indices);
             for _ in 0..n_indices {
                 indices.push(r.u64()?);
@@ -855,7 +893,7 @@ impl Checkpoint {
                 indices,
                 cursor: r.u64()?,
                 bandwidth_mbps: r.f64()?,
-                residual: r.f32s()?,
+                residual: r.f32s(COUNT)?,
             });
         }
         let tag = r.u8()?;
@@ -867,8 +905,8 @@ impl Checkpoint {
             3 => AggregatorKind::Krum { m: param as usize },
             _ => return Err(CheckpointError::Malformed("unknown aggregator tag")),
         };
-        let clip = r.opt_f32()?;
-        let update_norm_bound = r.opt_f32()?;
+        let clip = opt_f32(&mut r)?;
+        let update_norm_bound = opt_f32(&mut r)?;
         let aggregator = AggregatorConfig { kind, clip };
         if aggregator.validate().is_err() {
             return Err(CheckpointError::Malformed("invalid aggregator config"));
@@ -924,7 +962,7 @@ impl Checkpoint {
                     return Err(CheckpointError::Malformed("invalid availability spec"));
                 }
                 let sampler_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-                let n_slots = r.len_within(9)?; // streak u64 + evicted u8
+                let n_slots = r.count_u64(9)?; // streak u64 + evicted u8
                 if n_slots as u64 != cohort {
                     return Err(CheckpointError::Malformed(
                         "churn slot count disagrees with cohort",
@@ -976,13 +1014,7 @@ impl Checkpoint {
     }
 }
 
-fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
+/// A one-byte presence flag, then the value when present.
 fn put_opt_f32(out: &mut Vec<u8>, value: Option<f32>) {
     match value {
         Some(v) => {
@@ -993,143 +1025,12 @@ fn put_opt_f32(out: &mut Vec<u8>, value: Option<f32>) {
     }
 }
 
-fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
-    out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn put_mask(out: &mut Vec<u8>, mask: &ArchMask) {
-    // same one-byte-per-edge layout as the wire format
-    out.extend_from_slice(&(mask.num_edges() as u64).to_le_bytes());
-    for kind in [CellKind::Normal, CellKind::Reduction] {
-        for &op in mask.ops(kind) {
-            out.push(op as u8);
-        }
-    }
-}
-
-/// Bounds-checked little-endian reader over the checkpoint body: the same
-/// never-trust-a-length discipline as `fedrlnas-rpc`'s wire decoder.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.remaining() < n {
-            return Err(CheckpointError::Truncated {
-                needed: n,
-                got: self.remaining(),
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// A one-byte presence flag followed by the value when present; any
-    /// flag other than 0/1 is malformed.
-    fn opt_f32(&mut self) -> Result<Option<f32>, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f32()?)),
-            _ => Err(CheckpointError::Malformed("bad option flag")),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
-        Ok(f32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads an element count whose elements occupy at least
-    /// `min_elem_bytes` each, rejecting counts the remaining bytes cannot
-    /// possibly satisfy — so `Vec::with_capacity(count)` never allocates
-    /// from an untrusted length.
-    fn len_within(&mut self, min_elem_bytes: usize) -> Result<usize, CheckpointError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| CheckpointError::Malformed("count overflow"))?;
-        let need = n
-            .checked_mul(min_elem_bytes.max(1))
-            .ok_or(CheckpointError::Malformed("count overflow"))?;
-        if need > self.remaining() {
-            return Err(CheckpointError::Truncated {
-                needed: need,
-                got: self.remaining(),
-            });
-        }
-        Ok(n)
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, CheckpointError> {
-        let n = self.len_within(4)?;
-        let bytes = self.take(n * 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        let n = self.len_within(8)?;
-        let bytes = self.take(n * 8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
-
-    fn mask(&mut self) -> Result<ArchMask, CheckpointError> {
-        let edges = self.len_within(2)?;
-        let bytes = self.take(edges * 2)?;
-        let ops = |half: &[u8]| -> Result<Vec<usize>, CheckpointError> {
-            half.iter()
-                .map(|&b| {
-                    if (b as usize) < NUM_OPS {
-                        Ok(b as usize)
-                    } else {
-                        Err(CheckpointError::Malformed("op index out of range"))
-                    }
-                })
-                .collect()
-        };
-        Ok(ArchMask::new(ops(&bytes[..edges])?, ops(&bytes[edges..])?))
-    }
-
-    fn finish(self) -> Result<(), CheckpointError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(CheckpointError::Malformed("trailing bytes after body"))
-        }
+/// Reads what [`put_opt_f32`] wrote; a flag other than 0/1 is malformed.
+fn opt_f32(r: &mut Reader) -> Result<Option<f32>, CheckpointError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.f32()?)),
+        _ => Err(CheckpointError::Malformed("bad option flag")),
     }
 }
 
@@ -1294,6 +1195,49 @@ mod tests {
         match cp.restore(&mut s2) {
             Err(CheckpointError::StateMismatch(_)) => {}
             other => panic!("expected StateMismatch, got {other:?}"),
+        }
+    }
+
+    /// State that passes the CRC but would panic the next round of
+    /// `run_search` is refused by `restore`, one row per field.
+    #[test]
+    fn restore_rejects_state_the_next_round_would_panic_on() {
+        let (mut s, data, mut rng) = server(2);
+        s.run_search(&data, 3, &mut rng);
+        let cp = Checkpoint::capture(&mut s, &rng);
+        assert!(!cp.pools.is_empty() && !cp.pending.is_empty());
+        type Damage = fn(&mut Checkpoint);
+        let rows: [(&str, Damage); 5] = [
+            ("pool theta shortened", |cp| {
+                cp.pools[0].theta.pop();
+            }),
+            ("pool alpha shortened", |cp| {
+                cp.pools[0].alpha.pop();
+            }),
+            ("pending gradients shortened", |cp| {
+                cp.pending[0].sub_grads.pop();
+            }),
+            ("pending computed after it arrives", |cp| {
+                cp.pending[0].computed_at = cp.pending[0].arrival + 1;
+            }),
+            ("pending mask one edge short", |cp| {
+                let m = &cp.pending[0].mask;
+                let short = |kind| m.ops(kind)[1..].to_vec();
+                cp.pending[0].mask = ArchMask::new(
+                    short(fedrlnas_darts::CellKind::Normal),
+                    short(fedrlnas_darts::CellKind::Reduction),
+                );
+            }),
+        ];
+        for (what, damage) in rows {
+            let mut bad = cp.clone();
+            damage(&mut bad);
+            let bad = Checkpoint::from_bytes(&bad.to_bytes()).expect("the CRC holds");
+            let (mut s2, _, _) = server(2);
+            match bad.restore(&mut s2) {
+                Err(CheckpointError::StateMismatch(_)) => {}
+                other => panic!("{what}: expected StateMismatch, got {other:?}"),
+            }
         }
     }
 

@@ -31,6 +31,7 @@ mod config;
 mod crc;
 mod metrics;
 mod phases;
+pub mod record;
 mod runner;
 mod server;
 mod vfs;

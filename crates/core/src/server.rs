@@ -433,7 +433,7 @@ impl SearchServer {
     }
 
     /// One full server round of Algorithm 1: the phases below, in this
-    /// order, over one [`RoundCtx`]. `update_alpha` distinguishes warm-up
+    /// order, over one `RoundCtx`. `update_alpha` distinguishes warm-up
     /// (false) from search (true).
     ///
     /// In-process and over a wire backend the round is bit-identical, and

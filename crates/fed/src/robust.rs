@@ -567,7 +567,7 @@ pub fn clip_l2(values: &mut [f32], bound: f32) {
 /// The plain (optionally clipped) mean **streams**: each update folds
 /// into the running sum at push time, so no update is retained and the
 /// work overlaps with whatever produces the updates. Because the fold is
-/// [`sum_into`]'s exact f32 addition order, the result is bit-identical
+/// `sum_into`'s exact f32 addition order, the result is bit-identical
 /// to the batch `accumulate_sparse` call over the same updates in the
 /// same order — callers that need determinism across execution modes
 /// only have to push in a canonical order (the server pushes in report

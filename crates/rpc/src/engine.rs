@@ -46,7 +46,7 @@
 //! staleness → eviction machinery keeps handling transport-level faults,
 //! and heartbeat re-admission composes with the availability schedule
 //! because an evicted worker's link is only serviced on rounds its slot
-//! is active. Re-admission itself is a fresh start — see [`readmit`].
+//! is active. Re-admission itself is a fresh start — see `readmit`.
 //!
 //! Determinism: worker `p` runs the step the in-process path runs —
 //! `Participant::train_round`, which derives the round's RNG stream from
@@ -63,7 +63,7 @@
 //! [`RoundOutcome::rejects`], never reach aggregation, and feed the
 //! eviction machinery — a worker evicted while its replies were being
 //! rejected is flagged as suspected Byzantine. Scripted
-//! [`Attack`](crate::adversary::Attack)s on [`ScriptedFault::attack`]
+//! [`Attack`]s on [`ScriptedFault::attack`]
 //! corrupt the uploaded model update deterministically, providing the
 //! adversarial side of that contract.
 

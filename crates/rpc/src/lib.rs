@@ -6,15 +6,15 @@
 //!   (`magic | version | type | payload-len | payload | CRC32`) carrying
 //!   sub-model downloads, gradient uploads, acks and heartbeats; tensors
 //!   travel as raw little-endian `f32` runs. Decoding is total — corrupt
-//!   input maps to typed [`WireError`](wire::WireError)s, never panics.
-//! * [`transport`] — a [`Transport`](transport::Transport) trait with
+//!   input maps to typed [`WireError`]s, never panics.
+//! * [`transport`] — a [`Transport`] trait with
 //!   in-memory duplex and loopback-TCP implementations; a link's frame
 //!   reaches the wire `bytes ÷ bandwidth` after it is due, using
 //!   `fedrlnas-netsim` trace samples.
 //! * [`fault`] — a seeded, deterministic fault-injection layer: a
-//!   [`FaultPlan`](fault::FaultPlan) schedules frame drops, bit flips,
+//!   [`FaultPlan`] schedules frame drops, bit flips,
 //!   duplication, reordering, extra latency and transient partitions from
-//!   a dedicated RNG, and [`FaultyTransport`](fault::FaultyTransport)
+//!   a dedicated RNG, and [`FaultyTransport`]
 //!   wraps any transport with that schedule while counting every injected
 //!   fault.
 //! * [`adversary`] — seeded Byzantine participant behaviours (sign-flip,
@@ -39,9 +39,9 @@
 //! reports aggregate in the same order.
 //!
 //! Protocol v2 adds adaptive update compression: when
-//! [`RpcConfig`](engine::RpcConfig) carries a non-`fp32`
+//! [`RpcConfig`] carries a non-`fp32`
 //! [`CodecConfig`](fedrlnas_codec::CodecConfig), downloads become
-//! [`Message::DownloadSubmodelCoded`](wire::Message::DownloadSubmodelCoded)
+//! [`Message::DownloadSubmodelCoded`]
 //! frames instructing each worker which codec to apply (resolved per
 //! participant from the round's sampled bandwidth), and uploads return as
 //! opaque codec byte runs that the engine decodes — against the length it

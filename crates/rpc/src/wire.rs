@@ -11,15 +11,20 @@
 //!
 //! The CRC covers the payload only (the header is validated field by
 //! field). Tensors travel as raw little-endian `f32` runs prefixed by a
-//! `u32` element count; architecture masks as one byte per edge. Decoding
-//! is total: any malformed input maps to a typed [`WireError`], never a
-//! panic, and no allocation is sized from untrusted lengths before the
-//! frame's byte count has been checked against them.
+//! `u32` element count; architecture masks as one byte per edge. Payload
+//! fields are read and written through [`fedrlnas_core::record`], the
+//! bounded field layer the checkpoint, the job spec and the job store
+//! share. Decoding is total: any malformed input maps to a typed
+//! [`WireError`], never a panic, and no allocation is sized from untrusted
+//! lengths before the frame's byte count has been checked against them.
 
-use fedrlnas_darts::{ArchMask, NUM_OPS};
+use fedrlnas_core::record::{self, put_bytes, put_f32_ranges, put_f32s, put_mask, Count, Reader};
+use fedrlnas_darts::ArchMask;
 
 /// The frame trailer's checksum: the workspace's one CRC-32.
 pub use fedrlnas_core::crc32;
+/// A run of `f32`s borrowed from a frame.
+pub use fedrlnas_core::record::F32Run;
 
 /// Frame magic: `b"FRLN"`.
 pub const MAGIC: [u8; 4] = *b"FRLN";
@@ -40,6 +45,8 @@ pub const HEADER_LEN: usize = 10;
 pub const TRAILER_LEN: usize = 4;
 /// Total framing overhead added to every payload.
 pub const FRAME_OVERHEAD: usize = HEADER_LEN + TRAILER_LEN;
+/// Every count in a payload is a `u32`.
+const COUNT: Count = Count::U32;
 
 /// Typed decode failure. Every corrupt, truncated or hostile input maps
 /// here — decoding never panics.
@@ -51,11 +58,14 @@ pub enum WireError {
     UnsupportedVersion(u8),
     /// The message-type byte is not a known [`Message`] discriminant.
     UnknownType(u8),
-    /// The input ended before the structure it promised.
+    /// The input ended before the structure it promised. For the
+    /// envelope (header, declared length, trailer), `needed` is the end
+    /// offset in the frame and `got` the frame's length; for a field
+    /// inside the payload, both count from the payload's first byte.
     Truncated {
-        /// Bytes the frame or field needed.
+        /// End offset of the field that did not fit.
         needed: usize,
-        /// Bytes actually available.
+        /// Length of the buffer it was read from.
         got: usize,
     },
     /// The payload checksum did not match the trailer.
@@ -91,6 +101,15 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<record::Error> for WireError {
+    fn from(e: record::Error) -> Self {
+        match e {
+            record::Error::Truncated { needed, got } => WireError::Truncated { needed, got },
+            record::Error::Malformed(why) => WireError::Malformed(why),
+        }
+    }
+}
 
 /// Everything that crosses the federation wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,188 +322,33 @@ fn whole(values: &[f32]) -> std::iter::Once<(usize, usize)> {
     std::iter::once((0, values.len()))
 }
 
-fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    put_f32_ranges(out, values, whole(values));
-}
-
-/// One length-prefixed `f32` run: the `(offset, len)` ranges of `flat`,
-/// concatenated. The run is sized once, then filled through fixed-width
-/// chunks — one capacity check for the run instead of one per float.
-fn put_f32_ranges(
-    out: &mut Vec<u8>,
-    flat: &[f32],
-    ranges: impl Iterator<Item = (usize, usize)> + Clone,
-) {
-    let count: usize = ranges.clone().map(|(_, len)| len).sum();
-    out.extend_from_slice(&(count as u32).to_le_bytes());
-    let mut at = out.len();
-    out.resize(at + 4 * count, 0);
-    for (off, len) in ranges {
-        let run = &mut out[at..at + 4 * len];
-        for (dst, v) in run.chunks_exact_mut(4).zip(&flat[off..off + len]) {
-            dst.copy_from_slice(&v.to_le_bytes());
+/// The payload of either download flavour (`coded` says which), its two
+/// big `f32` runs borrowed from the frame.
+fn read_download<'a>(r: &mut Reader<'a>, coded: bool) -> Result<DownloadRef<'a>, WireError> {
+    let round = r.u64()?;
+    let seed_base = r.u64()?;
+    let mask = r.mask(COUNT)?;
+    let weights = r.f32_run(COUNT)?;
+    let buffers = r.f32_run(COUNT)?;
+    let alpha = r.f32s(COUNT)?;
+    let codec = if coded {
+        let tag = r.u8()?;
+        if tag > MAX_CODEC_TAG {
+            return Err(WireError::Malformed("unknown codec tag"));
         }
-        at += 4 * len;
-    }
-}
-
-fn put_bytes_run(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                needed: self.pos + n,
-                got: self.buf.len(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// A `u32`-count-prefixed run of little-endian `f32`s, left where it
-    /// lies. The byte count is checked against the remaining frame
-    /// *before* anything is sized from it, so a corrupt length cannot
-    /// trigger a huge reservation.
-    fn f32_run(&mut self) -> Result<F32Run<'a>, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(
-            n.checked_mul(4)
-                .ok_or(WireError::Malformed("f32 run overflow"))?,
-        )?;
-        Ok(F32Run(bytes))
-    }
-
-    /// [`Reader::f32_run`], copied out.
-    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
-        Ok(self.f32_run()?.to_vec())
-    }
-
-    /// A `u32`-length-prefixed opaque byte run (codec payload). The length
-    /// is checked against the remaining frame *before* any allocation.
-    fn bytes_run(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// A `u32` entry count for a run of 9-byte `(u64, u8)` pairs,
-    /// validated against the remaining frame *before* any allocation is
-    /// sized from it.
-    fn u64_pairs_len(&mut self) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let needed = n
-            .checked_mul(9)
-            .ok_or(WireError::Malformed("pair run overflow"))?;
-        if self.remaining() < needed {
-            return Err(WireError::Truncated {
-                needed: self.pos + needed,
-                got: self.buf.len(),
-            });
-        }
-        Ok(n)
-    }
-
-    /// One op byte per edge, each validated against [`NUM_OPS`] before the
-    /// mask is constructed ([`ArchMask::new`] panics on bad indices).
-    fn ops(&mut self, edges: usize) -> Result<Vec<usize>, WireError> {
-        let bytes = self.take(edges)?;
-        bytes
-            .iter()
-            .map(|&b| {
-                if (b as usize) < NUM_OPS {
-                    Ok(b as usize)
-                } else {
-                    Err(WireError::Malformed("op index out of range"))
-                }
-            })
-            .collect()
-    }
-
-    /// The payload of either download flavour (`coded` says which), its
-    /// two big `f32` runs borrowed from the frame.
-    fn download(&mut self, coded: bool) -> Result<DownloadRef<'a>, WireError> {
-        let round = self.u64()?;
-        let seed_base = self.u64()?;
-        let edges = self.u32()? as usize;
-        // two op tables of `edges` bytes each must fit in what's left
-        if self.remaining() < 2 * edges {
-            return Err(WireError::Truncated {
-                needed: HEADER_LEN + self.pos + 2 * edges,
-                got: HEADER_LEN + self.buf.len(),
-            });
-        }
-        let normal = self.ops(edges)?;
-        let reduction = self.ops(edges)?;
-        let mask = ArchMask::new(normal, reduction);
-        let weights = self.f32_run()?;
-        let buffers = self.f32_run()?;
-        let alpha = self.f32s()?;
-        let codec = if coded {
-            let tag = self.u8()?;
-            if tag > MAX_CODEC_TAG {
-                return Err(WireError::Malformed("unknown codec tag"));
-            }
-            Some((tag, self.f32()?))
-        } else {
-            None
-        };
-        Ok(DownloadRef {
-            round,
-            seed_base,
-            mask,
-            weights,
-            buffers,
-            alpha,
-            codec,
-        })
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes after payload"))
-        }
-    }
+        Some((tag, r.f32()?))
+    } else {
+        None
+    };
+    Ok(DownloadRef {
+        round,
+        seed_base,
+        mask,
+        weights,
+        buffers,
+        alpha,
+        codec,
+    })
 }
 
 /// The payload of either download flavour, appended in wire order: the
@@ -512,18 +376,10 @@ fn put_download(
     out.reserve(24 + 2 * edges + 4 * (floats + alpha.len()) + 12);
     out.extend_from_slice(&round.to_le_bytes());
     out.extend_from_slice(&seed_base.to_le_bytes());
-    out.extend_from_slice(&(edges as u32).to_le_bytes());
-    for kind in [
-        fedrlnas_darts::CellKind::Normal,
-        fedrlnas_darts::CellKind::Reduction,
-    ] {
-        for &op in mask.ops(kind) {
-            out.push(op as u8);
-        }
-    }
-    put_f32_ranges(out, theta, param_ranges);
-    put_f32_ranges(out, buffers, buffer_ranges);
-    put_f32s(out, alpha);
+    put_mask(out, COUNT, mask);
+    put_f32_ranges(out, COUNT, theta, param_ranges);
+    put_f32_ranges(out, COUNT, buffers, buffer_ranges);
+    put_f32s(out, COUNT, alpha);
     if let Some((tag, param)) = codec {
         out.push(tag);
         out.extend_from_slice(&param.to_le_bytes());
@@ -550,9 +406,8 @@ fn put_upload_coded(
     out.push(codec_tag);
     out.extend_from_slice(&codec_param.to_le_bytes());
     out.extend_from_slice(&orig_len.to_le_bytes());
-    out.extend_from_slice(&(coded.len() as u32).to_le_bytes());
-    out.extend_from_slice(coded);
-    put_f32s(out, delta_alpha);
+    put_bytes(out, COUNT, coded);
+    put_f32s(out, COUNT, delta_alpha);
     out.extend_from_slice(&reward.to_le_bytes());
     out.extend_from_slice(&loss.to_le_bytes());
 }
@@ -589,8 +444,8 @@ fn encode_payload_into(msg: &Message, out: &mut Vec<u8>) {
             out.reserve(20 + 4 * (delta_w.len() + delta_alpha.len()) + 8);
             out.extend_from_slice(&round.to_le_bytes());
             out.extend_from_slice(&participant.to_le_bytes());
-            put_f32s(out, delta_w);
-            put_f32s(out, delta_alpha);
+            put_f32s(out, COUNT, delta_w);
+            put_f32s(out, COUNT, delta_alpha);
             out.extend_from_slice(&reward.to_le_bytes());
             out.extend_from_slice(&loss.to_le_bytes());
         }
@@ -639,7 +494,7 @@ fn encode_payload_into(msg: &Message, out: &mut Vec<u8>) {
             *reward,
             *loss,
         ),
-        Message::SubmitJob { spec } => put_bytes_run(out, spec),
+        Message::SubmitJob { spec } => put_bytes(out, COUNT, spec),
         Message::JobStatus { job_id }
         | Message::PauseJob { job_id }
         | Message::ResumeJob { job_id }
@@ -654,7 +509,7 @@ fn encode_payload_into(msg: &Message, out: &mut Vec<u8>) {
             out.reserve(8 + 1 + 4 + detail.len());
             out.extend_from_slice(&job_id.to_le_bytes());
             out.push(*state);
-            put_bytes_run(out, detail);
+            put_bytes(out, COUNT, detail);
         }
         Message::JobList { jobs } => {
             out.reserve(4 + 9 * jobs.len());
@@ -683,13 +538,13 @@ fn decode_payload(version: u8, msg_type: u8, payload: &[u8]) -> Result<Message, 
     let mut r = Reader::new(payload);
     let msg = match msg_type {
         TYPE_DOWNLOAD | TYPE_DOWNLOAD_CODED => {
-            r.download(msg_type == TYPE_DOWNLOAD_CODED)?.into_message()
+            read_download(&mut r, msg_type == TYPE_DOWNLOAD_CODED)?.into_message()
         }
         TYPE_UPLOAD => {
             let round = r.u64()?;
             let participant = r.u32()?;
-            let delta_w = r.f32s()?;
-            let delta_alpha = r.f32s()?;
+            let delta_w = r.f32s(COUNT)?;
+            let delta_alpha = r.f32s(COUNT)?;
             let reward = r.f32()?;
             let loss = r.f32()?;
             Message::UploadUpdate {
@@ -714,8 +569,8 @@ fn decode_payload(version: u8, msg_type: u8, payload: &[u8]) -> Result<Message, 
             }
             let codec_param = r.f32()?;
             let orig_len = r.u32()?;
-            let coded = r.bytes_run()?;
-            let delta_alpha = r.f32s()?;
+            let coded = r.byte_run(COUNT)?.to_vec();
+            let delta_alpha = r.f32s(COUNT)?;
             let reward = r.f32()?;
             let loss = r.f32()?;
             Message::UploadUpdateCoded {
@@ -731,7 +586,7 @@ fn decode_payload(version: u8, msg_type: u8, payload: &[u8]) -> Result<Message, 
             }
         }
         TYPE_SUBMIT_JOB => Message::SubmitJob {
-            spec: r.bytes_run()?,
+            spec: r.byte_run(COUNT)?.to_vec(),
         },
         TYPE_JOB_STATUS => Message::JobStatus { job_id: r.u64()? },
         TYPE_PAUSE_JOB => Message::PauseJob { job_id: r.u64()? },
@@ -742,10 +597,10 @@ fn decode_payload(version: u8, msg_type: u8, payload: &[u8]) -> Result<Message, 
         TYPE_JOB_REPLY => Message::JobReply {
             job_id: r.u64()?,
             state: r.u8()?,
-            detail: r.bytes_run()?,
+            detail: r.byte_run(COUNT)?.to_vec(),
         },
         TYPE_JOB_LIST => {
-            let count = r.u64_pairs_len()?;
+            let count = r.count_u32(9)?; // (job id u64, state u8) pairs
             let mut jobs = Vec::with_capacity(count);
             for _ in 0..count {
                 jobs.push((r.u64()?, r.u8()?));
@@ -960,45 +815,6 @@ impl DownloadRef<'_> {
     }
 }
 
-/// A run of little-endian `f32`s borrowed from a frame, read front to
-/// back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct F32Run<'a>(&'a [u8]);
-
-impl F32Run<'_> {
-    /// Values left in the run.
-    pub fn len(&self) -> usize {
-        self.0.len() / 4
-    }
-
-    /// Whether the run has been read to its end (or was empty).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Copies the next `out.len()` values into `out` and advances past
-    /// them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `out.len()` values are left.
-    pub fn fill(&mut self, out: &mut [f32]) {
-        let (head, rest) = self.0.split_at(4 * out.len());
-        for (dst, c) in out.iter_mut().zip(head.chunks_exact(4)) {
-            *dst = f32::from_le_bytes(c.try_into().expect("4 bytes"));
-        }
-        self.0 = rest;
-    }
-
-    /// The values left in the run, copied out.
-    pub fn to_vec(&self) -> Vec<f32> {
-        self.0
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect()
-    }
-}
-
 /// [`decode`] for the one message a worker receives a thousand times a
 /// round: `Ok(Some(_))` exactly when [`decode`] yields a
 /// [`Message::DownloadSubmodel`] or [`Message::DownloadSubmodelCoded`]
@@ -1013,7 +829,7 @@ pub fn decode_download(frame: &[u8]) -> Result<Option<DownloadRef<'_>>, WireErro
     }
     check_version(version, msg_type)?;
     let mut r = Reader::new(payload);
-    let down = r.download(msg_type == TYPE_DOWNLOAD_CODED)?;
+    let down = read_download(&mut r, msg_type == TYPE_DOWNLOAD_CODED)?;
     r.finish()?;
     Ok(Some(down))
 }
@@ -1021,21 +837,17 @@ pub fn decode_download(frame: &[u8]) -> Result<Option<DownloadRef<'_>>, WireErro
 /// Checks a frame's envelope — magic, version, declared against actual
 /// length, payload CRC — and returns `(version, message type, payload)`.
 fn open_frame(frame: &[u8]) -> Result<(u8, u8, &[u8]), WireError> {
-    if frame.len() < HEADER_LEN {
-        return Err(WireError::Truncated {
-            needed: HEADER_LEN,
-            got: frame.len(),
-        });
-    }
-    let magic: [u8; 4] = frame[0..4].try_into().expect("4 bytes");
+    let mut r = Reader::new(frame);
+    let magic: [u8; 4] = r.take(4)?.try_into().expect("4 bytes");
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    if frame[4] < MIN_VERSION || frame[4] > VERSION {
-        return Err(WireError::UnsupportedVersion(frame[4]));
+    let version = r.u8()?;
+    if !(MIN_VERSION..=VERSION).contains(&version) {
+        return Err(WireError::UnsupportedVersion(version));
     }
-    let msg_type = frame[5];
-    let payload_len = u32::from_le_bytes(frame[6..10].try_into().expect("4 bytes")) as usize;
+    let msg_type = r.u8()?;
+    let payload_len = r.u32()? as usize;
     let total = FRAME_OVERHEAD
         .checked_add(payload_len)
         .ok_or(WireError::Malformed("payload length overflow"))?;
@@ -1048,17 +860,13 @@ fn open_frame(frame: &[u8]) -> Result<(u8, u8, &[u8]), WireError> {
     if frame.len() > total {
         return Err(WireError::Malformed("trailing bytes after frame"));
     }
-    let payload = &frame[HEADER_LEN..HEADER_LEN + payload_len];
-    let expected = u32::from_le_bytes(
-        frame[HEADER_LEN + payload_len..total]
-            .try_into()
-            .expect("4 bytes"),
-    );
+    let payload = r.take(payload_len)?;
+    let expected = r.u32()?;
     let got = crc32(payload);
     if expected != got {
         return Err(WireError::ChecksumMismatch { expected, got });
     }
-    Ok((frame[4], msg_type, payload))
+    Ok((version, msg_type, payload))
 }
 
 /// Frame length needed by the header to be complete, if the header itself
@@ -1106,6 +914,7 @@ pub fn coded_upload_frame_len(coded_len: usize, delta_alpha: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedrlnas_darts::NUM_OPS;
 
     fn sample_download() -> Message {
         Message::DownloadSubmodel {

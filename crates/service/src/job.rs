@@ -235,7 +235,7 @@ impl Job {
 
     /// Moves to `next`; terminal states and quarantine are sticky (the
     /// manager leaves quarantine only through its scrub-gated paths,
-    /// which use [`Job::force_state`]).
+    /// which use `Job::force_state`).
     pub fn set_state(&mut self, next: JobState) {
         if !self.state.is_settled() {
             self.state = next;

@@ -5,6 +5,7 @@
 //! reconstructed from exactly the bytes the client submitted.
 
 use fedrlnas_codec::{CodecConfig, CodecSpec};
+use fedrlnas_core::record::Reader;
 use fedrlnas_core::{PopulationConfig, Scale, SearchConfig};
 use fedrlnas_data::{DatasetSpec, SyntheticDataset};
 use fedrlnas_fed::ShardTopology;
@@ -227,15 +228,17 @@ impl JobSpec {
         out
     }
 
-    /// Decodes a spec previously produced by [`JobSpec::encode`]. Total:
-    /// every malformed input maps to an error message, never a panic, and
-    /// no allocation is sized from an unvalidated length.
+    /// Decodes a spec previously produced by [`JobSpec::encode`], through
+    /// [`fedrlnas_core::record`], the bounded field layer the wire frame,
+    /// the checkpoint and the job store share. Total: every malformed
+    /// input maps to an error message, never a panic, and no allocation is
+    /// sized from an unvalidated length.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first malformed field.
     pub fn decode(bytes: &[u8]) -> Result<JobSpec, String> {
-        let mut r = SpecReader { bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         let version = r.u8()?;
         if version != SPEC_VERSION {
             return Err(format!(
@@ -250,7 +253,11 @@ impl JobSpec {
             other => return Err(format!("unknown scale code {other}")),
         };
         let dataset = DatasetKind::from_code(r.u8()?).ok_or("unknown dataset code")?;
-        let non_iid = r.u8()? != 0;
+        let non_iid = match r.u8()? {
+            0 => false,
+            1 => true,
+            other => return Err(format!("bad non_iid flag {other}")),
+        };
         let participants = match r.u8()? {
             0 => None,
             1 => Some(r.u32()?),
@@ -267,10 +274,7 @@ impl JobSpec {
         let environments = match r.u8()? {
             0 => None,
             1 => {
-                let count = r.u32()? as usize;
-                if r.remaining() < count {
-                    return Err("environment list truncated".into());
-                }
+                let count = r.count_u32(1)?;
                 let mut envs = Vec::with_capacity(count);
                 for _ in 0..count {
                     let idx = r.u8()? as usize;
@@ -318,9 +322,7 @@ impl JobSpec {
         topology
             .validate()
             .map_err(|e| format!("bad shard topology: {e}"))?;
-        if r.remaining() != 0 {
-            return Err("trailing bytes after job spec".into());
-        }
+        r.finish()?;
         Ok(JobSpec {
             seed,
             scale,
@@ -333,48 +335,6 @@ impl JobSpec {
             population,
             topology,
         })
-    }
-}
-
-/// Minimal bounds-checked reader (the store and checkpoint layers follow
-/// the same discipline: check length before reading, never panic).
-struct SpecReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl SpecReader<'_> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        if self.remaining() < n {
-            return Err("job spec truncated".into());
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 B")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 B")))
-    }
-
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 B")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 B")))
     }
 }
 
@@ -429,6 +389,9 @@ mod tests {
         let mut bytes = sample().encode();
         bytes[9] = 9; // scale code
         assert!(JobSpec::decode(&bytes).is_err());
+        let mut bytes = sample().encode();
+        bytes[11] = 2; // non-iid flag: only 0 and 1 are canonical
+        assert!(JobSpec::decode(&bytes).is_err());
         let fixed = JobSpec {
             population: None,
             ..sample()
@@ -445,6 +408,19 @@ mod tests {
         let shards_at = bytes.len() - TAIL; // shard count; zero is invalid
         bytes[shards_at..].copy_from_slice(&0u32.to_le_bytes());
         assert!(JobSpec::decode(&bytes).is_err());
+    }
+
+    /// A hostile environment count is refused as a whole, at the count,
+    /// before any environment is read or allocated.
+    #[test]
+    fn hostile_environment_count_fails_before_allocation() {
+        let mut bytes = sample().encode();
+        let count_at = 24; // after the environments marker
+        assert_eq!(bytes[count_at - 1], 1, "environments marker");
+        bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = JobSpec::decode(&bytes).expect_err("the count outgrows the spec");
+        let end = count_at + 4 + u32::MAX as usize;
+        assert!(err.contains(&format!("needed {end} bytes")), "{err}");
     }
 
     #[test]

@@ -58,13 +58,15 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use fedrlnas_core::{write_atomic, StdVfs, Vfs};
+use fedrlnas_core::record::{self, put_bytes, Count, Reader};
+use fedrlnas_core::{crc32, write_atomic, StdVfs, Vfs};
 use fedrlnas_fed::IoFaultTally;
-use fedrlnas_rpc::crc32;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"FRLNJSEG";
 const MANIFEST_MAGIC: &[u8; 8] = b"FRLNJMAN";
 const FORMAT_VERSION: u8 = 1;
+/// Byte runs in a segment carry a `u32` length.
+const COUNT: Count = Count::U32;
 const MANIFEST_NAME: &str = "MANIFEST";
 
 /// Consecutive failed mutations after which the store turns read-only.
@@ -646,10 +648,8 @@ impl JobStore {
         body.extend_from_slice(&job.job_id.to_le_bytes());
         body.extend_from_slice(&job.generation.to_le_bytes());
         body.push(job.state);
-        body.extend_from_slice(&(job.spec.len() as u32).to_le_bytes());
-        body.extend_from_slice(&job.spec);
-        body.extend_from_slice(&(job.checkpoint.len() as u32).to_le_bytes());
-        body.extend_from_slice(&job.checkpoint);
+        put_bytes(&mut body, COUNT, &job.spec);
+        put_bytes(&mut body, COUNT, &job.checkpoint);
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
         write_atomic(self.vfs.as_mut(), &self.dir.join(name), &body)?;
@@ -741,75 +741,58 @@ fn read_manifest(path: &Path) -> Option<Manifest> {
 }
 
 fn parse_manifest(bytes: &[u8]) -> Option<Manifest> {
-    let body = check_framing(bytes, MANIFEST_MAGIC)?;
-    // magic(8) version(1) flags(1) generation(8) next_id(8) count(4)
-    if body.len() < 30 {
-        return None;
-    }
-    let generation = u64::from_le_bytes(body[10..18].try_into().expect("8 B"));
-    let next_job_id = u64::from_le_bytes(body[18..26].try_into().expect("8 B"));
-    let count = u32::from_le_bytes(body[26..30].try_into().expect("4 B")) as usize;
-    if body.len() != 30 + count * 17 {
-        return None;
-    }
-    let entries = (0..count)
-        .map(|i| {
-            let off = 30 + i * 17;
-            u64::from_le_bytes(body[off..off + 8].try_into().expect("8 B"))
+    open_record(bytes, MANIFEST_MAGIC, |r| {
+        r.u8()?; // flags, reserved
+        let generation = r.u64()?;
+        let next_job_id = r.u64()?;
+        let count = r.count_u32(17)?; // (job id u64, generation u64, state u8)
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            entries.push(r.u64()?);
+            r.take(9)?;
+        }
+        Ok(Manifest {
+            generation,
+            next_job_id,
+            entries,
         })
-        .collect();
-    Some(Manifest {
-        generation,
-        next_job_id,
-        entries,
     })
 }
 
 /// Reads and validates one segment file; `None` for any malformation.
 fn read_segment(path: &Path) -> Option<StoredJob> {
     let bytes = std::fs::read(path).ok()?;
-    let body = check_framing(&bytes, SEGMENT_MAGIC)?;
-    // magic(8) version(1) flags(1) job_id(8) gen(8) state(1) spec_len(4)
-    if body.len() < 31 {
-        return None;
-    }
-    let flags = body[9];
-    let job_id = u64::from_le_bytes(body[10..18].try_into().expect("8 B"));
-    let generation = u64::from_le_bytes(body[18..26].try_into().expect("8 B"));
-    let state = body[26];
-    let spec_len = u32::from_le_bytes(body[27..31].try_into().expect("4 B")) as usize;
-    let rest = &body[31..];
-    if rest.len() < spec_len + 4 {
-        return None;
-    }
-    let spec = rest[..spec_len].to_vec();
-    let rest = &rest[spec_len..];
-    let ckpt_len = u32::from_le_bytes(rest[..4].try_into().expect("4 B")) as usize;
-    let rest = &rest[4..];
-    if rest.len() != ckpt_len {
-        return None;
-    }
-    Some(StoredJob {
-        job_id,
-        generation,
-        state,
-        flags,
-        spec,
-        checkpoint: rest.to_vec(),
+    open_record(&bytes, SEGMENT_MAGIC, |r| {
+        Ok(StoredJob {
+            flags: r.u8()?,
+            job_id: r.u64()?,
+            generation: r.u64()?,
+            state: r.u8()?,
+            spec: r.byte_run(COUNT)?.to_vec(),
+            checkpoint: r.byte_run(COUNT)?.to_vec(),
+        })
     })
 }
 
-/// Validates magic + version + trailing CRC; returns the covered body.
-fn check_framing<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Option<&'a [u8]> {
-    if bytes.len() < 8 + 2 + 4 || &bytes[..8] != magic || bytes[8] != FORMAT_VERSION {
+/// Checks the magic, the version and the trailing CRC over everything
+/// before it, then reads the rest of the record with `fields`; `None` for
+/// any malformation, trailing bytes included.
+fn open_record<T>(
+    bytes: &[u8],
+    magic: &[u8; 8],
+    fields: impl FnOnce(&mut Reader) -> Result<T, record::Error>,
+) -> Option<T> {
+    let (body, trailer) = bytes.split_at_checked(bytes.len().checked_sub(4)?)?;
+    let mut r = Reader::new(body);
+    if r.take(8).ok()? != magic
+        || r.u8().ok()? != FORMAT_VERSION
+        || crc32(body) != u32::from_le_bytes(trailer.try_into().ok()?)
+    {
         return None;
     }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 B"));
-    if crc32(body) != stored {
-        return None;
-    }
-    Some(body)
+    let record = fields(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(record)
 }
 
 /// Highest-generation valid segment per job across the whole directory.

@@ -410,7 +410,7 @@ fn padded_input<'a>(store: &'a mut Vec<f32>, geom: &Conv2dGeometry, phases: usiz
 /// Depthwise forward over an NCHW batch: `out[i, c] = bias[c] + x[i, c] ⋆
 /// weight[c]`, with `weight` laid out `[channels, k * k]`.
 ///
-/// `out` is overwritten. See the [module docs](self) for the summation order.
+/// `out` is overwritten. See the module docs for the summation order.
 ///
 /// # Panics
 ///
@@ -462,7 +462,7 @@ pub fn depthwise_forward(
 /// `dweight` (`[channels, k * k]`) and the bias gradient into `dbias`, and
 /// **overwrites** `dx` with the input gradient.
 ///
-/// See the [module docs](self) for the summation order.
+/// See the module docs for the summation order.
 ///
 /// # Panics
 ///
