@@ -134,6 +134,7 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
             alpha_logits: &alpha_logits,
             bandwidths_mbps: &bandwidths,
             seed_base: SEED ^ t as u64,
+            codec: config.codec,
             active: None,
         });
         assert_eq!(

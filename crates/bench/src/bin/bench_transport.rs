@@ -219,7 +219,6 @@ fn rounds_per_sec_group(json: &mut String, rounds: usize) -> (f64, f64) {
             transport: TransportKind::InMemory,
             engine: mode,
             real_time_scale: TIME_SCALE,
-            codec: server.config().codec,
             ..RpcConfig::default()
         };
         let net = server.config().net.clone();

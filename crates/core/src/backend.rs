@@ -27,6 +27,7 @@
 //! never depends on the transport crate; `fedrlnas-rpc` depends on this
 //! crate and installs itself via [`SearchServer::set_backend`](crate::SearchServer::set_backend).
 
+use fedrlnas_codec::CodecConfig;
 use fedrlnas_darts::{ArchMask, SupernetLayout};
 use fedrlnas_fed::{ChurnTally, CompressionTally, FaultTally, RejectTally, RoundTimings};
 
@@ -81,6 +82,10 @@ pub struct RoundRequest<'a> {
     /// stream with `Participant::round_rng`, like the in-process path, so
     /// both modes are bit-identical.
     pub seed_base: u64,
+    /// The search's upload codec (`SearchConfig::codec`). Anything but
+    /// `fp32` makes the backend ship each participant the codec resolved
+    /// for its sampled bandwidth and decode coded replies.
+    pub codec: CodecConfig,
     /// Per-slot participation mask from the population/churn layer, one
     /// entry per slot. `active[p] == false` means slot `p`'s sampled
     /// client is out for this round: the backend must not ship to it, wait

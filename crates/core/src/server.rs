@@ -212,7 +212,9 @@ pub struct SearchServer {
     pub(crate) round: usize,
     pub(crate) sim_seconds: f64,
     pub(crate) churn: Option<ChurnState>,
-    initial_theta: Vec<f32>,
+    /// The θ drawn at construction, kept only for the weight-sharing
+    /// ablation (`weight_sharing = false`), which restores it every round.
+    initial_theta: Option<Vec<f32>>,
     /// Optional wire backend; `None` trains participants in-process.
     backend: Option<Box<dyn RoundBackend>>,
 }
@@ -270,7 +272,7 @@ impl SearchServer {
                 )
             })
             .collect();
-        let initial_theta = supernet.flat_params();
+        let initial_theta = (!config.weight_sharing).then(|| supernet.flat_params());
         let theta_sgd = Sgd::new(config.theta_sgd);
         let churn = config.population.as_ref().map(ChurnState::new);
         SearchServer {
@@ -492,10 +494,9 @@ impl SearchServer {
     /// The weight-sharing ablation: without it every round starts from
     /// the initial (untrained) supernet weights.
     fn reset_unshared_weights(&mut self) {
-        if self.config.weight_sharing {
+        let Some(init) = &self.initial_theta else {
             return;
-        }
-        let init = &self.initial_theta;
+        };
         let mut cursor = 0usize;
         self.supernet.visit_params(&mut |p| {
             let n = p.value.len();
@@ -608,6 +609,7 @@ impl SearchServer {
                     alpha_logits: self.controller.alpha().logits().as_slice(),
                     bandwidths_mbps: &ctx.bandwidths,
                     seed_base: ctx.seed_base,
+                    codec: self.config.codec,
                     active: self.churn.as_ref().map(|_| &ctx.active[..]),
                 })
             }
@@ -666,7 +668,7 @@ impl SearchServer {
         trained.sort_by_key(|(report, _)| report.participant);
         let mut out = RoundOutcome::default();
         let codec = self.config.codec;
-        let theta_len = self.initial_theta.len();
+        let theta_len = self.supernet.layout().param_len();
         let (mut scratch, mut coded, mut decoded) = Default::default();
         for (report, mut grads) in trained {
             let p = report.participant;
@@ -823,7 +825,7 @@ impl SearchServer {
     /// Returns the merged θ gradient (supernet-flat) and the α gradient,
     /// neither yet divided by the number of arrivals.
     fn aggregate(&mut self, ctx: &RoundCtx, arrivals: Vec<BackendReport>) -> (Vec<f32>, Tensor) {
-        let theta_len = self.initial_theta.len();
+        let theta_len = self.supernet.layout().param_len();
         let mut theta_acc =
             ShardedAccumulator::new(&self.config.aggregator, self.config.topology, theta_len);
         let mut alpha_grad = Tensor::zeros(self.controller.alpha().logits().dims());
@@ -1028,6 +1030,34 @@ mod tests {
             .supernet_mut()
             .visit_params(&mut |p| after.extend_from_slice(p.value.as_slice()));
         assert_eq!(before, after);
+    }
+
+    /// Under the weight-sharing ablation the round-start reset restores
+    /// the θ drawn at construction; with sharing on, θ carries over and
+    /// no copy of the initial θ is kept.
+    #[test]
+    fn the_weight_sharing_ablation_resets_theta_to_its_initial_draw() {
+        for weight_sharing in [false, true] {
+            let mut rng = StdRng::seed_from_u64(4);
+            let data = dataset(&mut rng);
+            let mut config = SearchConfig::tiny();
+            config.weight_sharing = weight_sharing;
+            let mut server = SearchServer::new(config, &data, &mut rng);
+            assert_eq!(server.initial_theta.is_some(), !weight_sharing);
+            let drawn = server.supernet_mut().flat_params();
+            server.run_warmup(&data, 2, &mut rng);
+            let trained = server.supernet_mut().flat_params();
+            assert_ne!(trained, drawn, "training moves θ");
+            server.reset_unshared_weights();
+            let reset = server.supernet_mut().flat_params();
+            let want = if weight_sharing { &trained } else { &drawn };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&reset),
+                bits(want),
+                "weight_sharing = {weight_sharing}"
+            );
+        }
     }
 
     #[test]

@@ -42,9 +42,6 @@ pub use cell::{concat_channels, split_channels, CellKind, CellTopology};
 pub use genotype::{Genotype, GenotypeEdge};
 pub use layout::SupernetLayout;
 pub use model::DerivedModel;
-pub use ops::{
-    CandidateOp, DilConvOp, FactorizedReduce, IdentityOp, OpKind, ReluConvBn, SepConvOp, ZeroOp,
-    NUM_OPS,
-};
+pub use ops::{CandidateOp, IdentityOp, OpKind, ReluConvBn, ZeroOp, NUM_OPS};
 pub use submodel::{ArchMask, SubModel};
 pub use supernet::{Supernet, SupernetConfig};

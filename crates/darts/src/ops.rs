@@ -2,9 +2,10 @@
 //!
 //! Every operation preserves channel count and, for a common stride,
 //! produces identical spatial extents, so any operation can occupy any edge
-//! of a cell. Composite convolutions are concrete `Clone`-able structs (not
-//! `Sequential` stacks) so the supernet can extract/merge sub-model weights
-//! structurally.
+//! of a cell. Every weighted operation — strided skip, separable and
+//! dilated separable convolution — and the cell preprocessors are one
+//! concrete `Clone`-able block, [`ReluConvBn`], so the supernet can
+//! extract/merge sub-model weights structurally.
 //!
 //! Simplification vs. the original DARTS code, documented in DESIGN.md:
 //! separable convolutions apply the (ReLU → depthwise → pointwise → BN)
@@ -171,274 +172,25 @@ impl Layer for IdentityOp {
     }
 }
 
-/// Skip connection at stride 2: ReLU → strided 1x1 conv → BatchNorm.
-#[derive(Debug, Clone)]
-pub struct FactorizedReduce {
-    relu: ReLU,
-    conv: Conv2d,
-    bn: BatchNorm2d,
-}
-
-impl FactorizedReduce {
-    /// Creates a factorized reduce preserving `channels`.
-    pub fn new<R: Rng + ?Sized>(channels: usize, rng: &mut R) -> Self {
-        FactorizedReduce {
-            relu: ReLU::new(),
-            conv: Conv2d::new(channels, channels, 1, 2, 0, 1, 1, rng),
-            bn: BatchNorm2d::new(channels),
-        }
-    }
-}
-
-impl Layer for FactorizedReduce {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let a = self.relu.forward(x, mode);
-        let b = self.conv.forward(&a, mode);
-        self.bn.forward(&b, mode)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g = self.bn.backward(grad_out);
-        let g = self.conv.backward(&g);
-        self.relu.backward(&g)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.conv.visit_params(f);
-        self.bn.visit_params(f);
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        self.bn.visit_buffers(f);
-    }
-
-    fn release(&mut self) {
-        self.relu.release();
-        self.conv.release();
-        self.bn.release();
-    }
-
-    fn cache_bytes(&self) -> usize {
-        self.relu.cache_bytes() + self.conv.cache_bytes() + self.bn.cache_bytes()
-    }
-
-    fn flops(&self, input: &[usize]) -> u64 {
-        let mut s = input.to_vec();
-        let mut total = self.relu.flops(&s);
-        s = self.relu.output_shape(&s);
-        total += self.conv.flops(&s);
-        s = self.conv.output_shape(&s);
-        total + self.bn.flops(&s)
-    }
-
-    fn output_shape(&self, input: &[usize]) -> Vec<usize> {
-        self.bn
-            .output_shape(&self.conv.output_shape(&self.relu.output_shape(input)))
-    }
-}
-
-/// Depthwise-separable convolution: ReLU → depthwise kxk → pointwise 1x1 →
-/// BatchNorm.
-#[derive(Debug, Clone)]
-pub struct SepConvOp {
-    relu: ReLU,
-    depthwise: Conv2d,
-    pointwise: Conv2d,
-    bn: BatchNorm2d,
-}
-
-impl SepConvOp {
-    /// Creates a separable convolution preserving `channels`.
-    pub fn new<R: Rng + ?Sized>(
-        channels: usize,
-        kernel: usize,
-        stride: usize,
-        rng: &mut R,
-    ) -> Self {
-        SepConvOp {
-            relu: ReLU::new(),
-            depthwise: Conv2d::new(
-                channels,
-                channels,
-                kernel,
-                stride,
-                kernel / 2,
-                1,
-                channels,
-                rng,
-            ),
-            pointwise: Conv2d::new(channels, channels, 1, 1, 0, 1, 1, rng),
-            bn: BatchNorm2d::new(channels),
-        }
-    }
-}
-
-impl Layer for SepConvOp {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let a = self.relu.forward(x, mode);
-        let b = self.depthwise.forward(&a, mode);
-        let c = self.pointwise.forward(&b, mode);
-        self.bn.forward(&c, mode)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g = self.bn.backward(grad_out);
-        let g = self.pointwise.backward(&g);
-        let g = self.depthwise.backward(&g);
-        self.relu.backward(&g)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.depthwise.visit_params(f);
-        self.pointwise.visit_params(f);
-        self.bn.visit_params(f);
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        self.bn.visit_buffers(f);
-    }
-
-    fn release(&mut self) {
-        self.relu.release();
-        self.depthwise.release();
-        self.pointwise.release();
-        self.bn.release();
-    }
-
-    fn cache_bytes(&self) -> usize {
-        self.relu.cache_bytes()
-            + self.depthwise.cache_bytes()
-            + self.pointwise.cache_bytes()
-            + self.bn.cache_bytes()
-    }
-
-    fn flops(&self, input: &[usize]) -> u64 {
-        let mut s = input.to_vec();
-        let mut total = self.relu.flops(&s);
-        s = self.relu.output_shape(&s);
-        total += self.depthwise.flops(&s);
-        s = self.depthwise.output_shape(&s);
-        total += self.pointwise.flops(&s);
-        s = self.pointwise.output_shape(&s);
-        total + self.bn.flops(&s)
-    }
-
-    fn output_shape(&self, input: &[usize]) -> Vec<usize> {
-        let s = self.relu.output_shape(input);
-        let s = self.depthwise.output_shape(&s);
-        let s = self.pointwise.output_shape(&s);
-        self.bn.output_shape(&s)
-    }
-}
-
-/// Dilated (rate 2) separable convolution: ReLU → dilated depthwise kxk →
-/// pointwise 1x1 → BatchNorm.
-#[derive(Debug, Clone)]
-pub struct DilConvOp {
-    relu: ReLU,
-    depthwise: Conv2d,
-    pointwise: Conv2d,
-    bn: BatchNorm2d,
-}
-
-impl DilConvOp {
-    /// Creates a dilated separable convolution preserving `channels`.
-    pub fn new<R: Rng + ?Sized>(
-        channels: usize,
-        kernel: usize,
-        stride: usize,
-        rng: &mut R,
-    ) -> Self {
-        // "same" padding for dilation 2: pad = k - 1 (effective kernel 2k-1)
-        DilConvOp {
-            relu: ReLU::new(),
-            depthwise: Conv2d::new(
-                channels,
-                channels,
-                kernel,
-                stride,
-                kernel - 1,
-                2,
-                channels,
-                rng,
-            ),
-            pointwise: Conv2d::new(channels, channels, 1, 1, 0, 1, 1, rng),
-            bn: BatchNorm2d::new(channels),
-        }
-    }
-}
-
-impl Layer for DilConvOp {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let a = self.relu.forward(x, mode);
-        let b = self.depthwise.forward(&a, mode);
-        let c = self.pointwise.forward(&b, mode);
-        self.bn.forward(&c, mode)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g = self.bn.backward(grad_out);
-        let g = self.pointwise.backward(&g);
-        let g = self.depthwise.backward(&g);
-        self.relu.backward(&g)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.depthwise.visit_params(f);
-        self.pointwise.visit_params(f);
-        self.bn.visit_params(f);
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        self.bn.visit_buffers(f);
-    }
-
-    fn release(&mut self) {
-        self.relu.release();
-        self.depthwise.release();
-        self.pointwise.release();
-        self.bn.release();
-    }
-
-    fn cache_bytes(&self) -> usize {
-        self.relu.cache_bytes()
-            + self.depthwise.cache_bytes()
-            + self.pointwise.cache_bytes()
-            + self.bn.cache_bytes()
-    }
-
-    fn flops(&self, input: &[usize]) -> u64 {
-        let mut s = input.to_vec();
-        let mut total = self.relu.flops(&s);
-        s = self.relu.output_shape(&s);
-        total += self.depthwise.flops(&s);
-        s = self.depthwise.output_shape(&s);
-        total += self.pointwise.flops(&s);
-        s = self.pointwise.output_shape(&s);
-        total + self.bn.flops(&s)
-    }
-
-    fn output_shape(&self, input: &[usize]) -> Vec<usize> {
-        let s = self.relu.output_shape(input);
-        let s = self.depthwise.output_shape(&s);
-        let s = self.pointwise.output_shape(&s);
-        self.bn.output_shape(&s)
-    }
-}
-
-/// Preprocessing block unifying a cell input to the cell's channel count:
-/// ReLU → 1x1 conv → BatchNorm (stride 2 when the input comes from before a
-/// reduction).
+/// The one convolutional block of the search space: ReLU → (depthwise kxk)
+/// → 1x1 conv → BatchNorm.
+///
+/// Without the depthwise stage it is a cell preprocessor mapping one channel
+/// count to another, and at stride 2 with equal channels also the strided
+/// skip (factorized reduce). With it, it is a separable or dilated separable
+/// convolution: the depthwise stage carries the kernel, stride and dilation,
+/// the 1x1 conv is the pointwise stage.
 #[derive(Debug, Clone)]
 pub struct ReluConvBn {
     relu: ReLU,
+    depthwise: Option<Conv2d>,
     conv: Conv2d,
     bn: BatchNorm2d,
 }
 
 impl ReluConvBn {
-    /// Creates a preprocessing block mapping `in_channels` to
-    /// `out_channels` at the given stride.
+    /// Creates a block mapping `in_channels` to `out_channels` through a
+    /// 1x1 convolution at the given stride.
     pub fn new<R: Rng + ?Sized>(
         in_channels: usize,
         out_channels: usize,
@@ -447,26 +199,59 @@ impl ReluConvBn {
     ) -> Self {
         ReluConvBn {
             relu: ReLU::new(),
+            depthwise: None,
             conv: Conv2d::new(in_channels, out_channels, 1, stride, 0, 1, 1, rng),
             bn: BatchNorm2d::new(out_channels),
+        }
+    }
+
+    /// Creates a separable convolution preserving `channels`: a depthwise
+    /// `kernel`x`kernel` stage at `stride` and `dilation` with "same"
+    /// padding `dilation·(kernel−1)/2`, then the pointwise 1x1 stage. The
+    /// depthwise weights are drawn first.
+    pub fn separable<R: Rng + ?Sized>(
+        channels: usize,
+        kernel: usize,
+        stride: usize,
+        dilation: usize,
+        rng: &mut R,
+    ) -> Self {
+        let padding = dilation * (kernel - 1) / 2;
+        let depthwise = Conv2d::new(
+            channels, channels, kernel, stride, padding, dilation, channels, rng,
+        );
+        ReluConvBn {
+            relu: ReLU::new(),
+            depthwise: Some(depthwise),
+            conv: Conv2d::new(channels, channels, 1, 1, 0, 1, 1, rng),
+            bn: BatchNorm2d::new(channels),
         }
     }
 }
 
 impl Layer for ReluConvBn {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let a = self.relu.forward(x, mode);
+        let mut a = self.relu.forward(x, mode);
+        if let Some(dw) = &mut self.depthwise {
+            a = dw.forward(&a, mode);
+        }
         let b = self.conv.forward(&a, mode);
         self.bn.forward(&b, mode)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let g = self.bn.backward(grad_out);
-        let g = self.conv.backward(&g);
+        let mut g = self.conv.backward(&g);
+        if let Some(dw) = &mut self.depthwise {
+            g = dw.backward(&g);
+        }
         self.relu.backward(&g)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        if let Some(dw) = &mut self.depthwise {
+            dw.visit_params(f);
+        }
         self.conv.visit_params(f);
         self.bn.visit_params(f);
     }
@@ -477,26 +262,37 @@ impl Layer for ReluConvBn {
 
     fn release(&mut self) {
         self.relu.release();
+        if let Some(dw) = &mut self.depthwise {
+            dw.release();
+        }
         self.conv.release();
         self.bn.release();
     }
 
     fn cache_bytes(&self) -> usize {
-        self.relu.cache_bytes() + self.conv.cache_bytes() + self.bn.cache_bytes()
+        let dw = self.depthwise.as_ref().map_or(0, |dw| dw.cache_bytes());
+        self.relu.cache_bytes() + dw + self.conv.cache_bytes() + self.bn.cache_bytes()
     }
 
     fn flops(&self, input: &[usize]) -> u64 {
         let mut s = input.to_vec();
         let mut total = self.relu.flops(&s);
         s = self.relu.output_shape(&s);
+        if let Some(dw) = &self.depthwise {
+            total += dw.flops(&s);
+            s = dw.output_shape(&s);
+        }
         total += self.conv.flops(&s);
         s = self.conv.output_shape(&s);
         total + self.bn.flops(&s)
     }
 
     fn output_shape(&self, input: &[usize]) -> Vec<usize> {
-        self.bn
-            .output_shape(&self.conv.output_shape(&self.relu.output_shape(input)))
+        let mut s = self.relu.output_shape(input);
+        if let Some(dw) = &self.depthwise {
+            s = dw.output_shape(&s);
+        }
+        self.bn.output_shape(&self.conv.output_shape(&s))
     }
 }
 
@@ -512,16 +308,13 @@ pub enum CandidateOp {
     Zero(ZeroOp),
     /// Identity skip.
     Identity(IdentityOp),
-    /// Strided skip.
-    FactorizedReduce(FactorizedReduce),
     /// 3x3 max pool.
     MaxPool(MaxPool2d),
     /// 3x3 avg pool.
     AvgPool(AvgPool2d),
-    /// Separable conv (3x3 or 5x5).
-    SepConv(SepConvOp),
-    /// Dilated separable conv (3x3 or 5x5).
-    DilConv(DilConvOp),
+    /// Strided skip, separable or dilated separable conv (boxed: the block
+    /// is over ten times the size of any other variant).
+    Conv(Box<ReluConvBn>),
 }
 
 impl CandidateOp {
@@ -533,21 +326,22 @@ impl CandidateOp {
         stride: usize,
         rng: &mut R,
     ) -> Self {
+        let conv = |block| CandidateOp::Conv(Box::new(block));
+        let sep = |kernel, dilation, rng: &mut R| {
+            conv(ReluConvBn::separable(
+                channels, kernel, stride, dilation, rng,
+            ))
+        };
         match kind {
             OpKind::Zero => CandidateOp::Zero(ZeroOp::new(stride)),
-            OpKind::SkipConnect => {
-                if stride == 1 {
-                    CandidateOp::Identity(IdentityOp::new())
-                } else {
-                    CandidateOp::FactorizedReduce(FactorizedReduce::new(channels, rng))
-                }
-            }
+            OpKind::SkipConnect if stride == 1 => CandidateOp::Identity(IdentityOp::new()),
+            OpKind::SkipConnect => conv(ReluConvBn::new(channels, channels, stride, rng)),
             OpKind::MaxPool3x3 => CandidateOp::MaxPool(MaxPool2d::new(3, stride, 1)),
             OpKind::AvgPool3x3 => CandidateOp::AvgPool(AvgPool2d::new(3, stride, 1)),
-            OpKind::SepConv3x3 => CandidateOp::SepConv(SepConvOp::new(channels, 3, stride, rng)),
-            OpKind::SepConv5x5 => CandidateOp::SepConv(SepConvOp::new(channels, 5, stride, rng)),
-            OpKind::DilConv3x3 => CandidateOp::DilConv(DilConvOp::new(channels, 3, stride, rng)),
-            OpKind::DilConv5x5 => CandidateOp::DilConv(DilConvOp::new(channels, 5, stride, rng)),
+            OpKind::SepConv3x3 => sep(3, 1, rng),
+            OpKind::SepConv5x5 => sep(5, 1, rng),
+            OpKind::DilConv3x3 => sep(3, 2, rng),
+            OpKind::DilConv5x5 => sep(5, 2, rng),
         }
     }
 
@@ -555,11 +349,9 @@ impl CandidateOp {
         match self {
             CandidateOp::Zero(l) => l,
             CandidateOp::Identity(l) => l,
-            CandidateOp::FactorizedReduce(l) => l,
             CandidateOp::MaxPool(l) => l,
             CandidateOp::AvgPool(l) => l,
-            CandidateOp::SepConv(l) => l,
-            CandidateOp::DilConv(l) => l,
+            CandidateOp::Conv(l) => &**l,
         }
     }
 
@@ -567,11 +359,9 @@ impl CandidateOp {
         match self {
             CandidateOp::Zero(l) => l,
             CandidateOp::Identity(l) => l,
-            CandidateOp::FactorizedReduce(l) => l,
             CandidateOp::MaxPool(l) => l,
             CandidateOp::AvgPool(l) => l,
-            CandidateOp::SepConv(l) => l,
-            CandidateOp::DilConv(l) => l,
+            CandidateOp::Conv(l) => &mut **l,
         }
     }
 }

@@ -2,8 +2,8 @@
 
 use fedrlnas_tensor::Tensor;
 
-/// Forward-pass mode: training (batch statistics, dropout-style behaviour)
-/// or evaluation (running statistics, deterministic).
+/// Forward-pass mode: training (batch statistics, cached activations) or
+/// evaluation (running statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Training mode: layers use batch statistics and cache activations for

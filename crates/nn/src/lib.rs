@@ -29,7 +29,6 @@
 
 mod activation;
 mod conv;
-mod dropout;
 mod init;
 mod layer;
 mod linear;
@@ -37,12 +36,9 @@ mod loss;
 mod norm;
 mod optim;
 mod pool;
-mod schedule;
-mod sequential;
 
 pub use activation::ReLU;
 pub use conv::Conv2d;
-pub use dropout::{DropPath, Dropout};
 pub use init::{he_std, xavier_std};
 pub use layer::{Layer, Mode, Param};
 pub use linear::Linear;
@@ -50,8 +46,6 @@ pub use loss::{CrossEntropy, LossOutput};
 pub use norm::BatchNorm2d;
 pub use optim::{clip_global_norm, Adam, Sgd, SgdConfig};
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
-pub use schedule::{ConstantLr, CosineLr, LrSchedule, WarmupLr};
-pub use sequential::Sequential;
 
 /// Numerically checks a layer's input gradient against finite differences.
 ///

@@ -62,11 +62,6 @@ impl Sgd {
         &self.config
     }
 
-    /// Sets the learning rate (used by cosine schedules in retraining).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.config.lr = lr;
-    }
-
     /// Concatenates all momentum buffers into one flat vector (checkpoint
     /// capture). Empty before the first step, which restores losslessly: a
     /// fresh optimizer lazily re-creates zero velocity on its next step.

@@ -261,7 +261,7 @@ fn depthwise(c: usize, kernel: usize, stride: usize, dilation: usize) -> ConvSha
         out_channels: c,
         kernel,
         stride,
-        // DARTS "same" padding, as `SepConvOp` / `DilConvOp` set it
+        // DARTS "same" padding, as `ReluConvBn::separable` sets it
         padding: dilation * (kernel - 1) / 2,
         dilation,
         groups: c,

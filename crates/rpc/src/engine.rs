@@ -181,13 +181,6 @@ pub struct RpcConfig {
     /// (`None`, the default, disables the norm check; shape and
     /// finiteness are always enforced by the gate).
     pub update_norm_bound: Option<f32>,
-    /// Update-compression codec for the upload path. Anything other than
-    /// plain `fp32` makes every download a protocol-v2
-    /// [`Message::DownloadSubmodelCoded`] carrying the per-participant
-    /// codec choice (resolved from this config and the round's sampled
-    /// bandwidth), and every reply a [`Message::UploadUpdateCoded`] whose
-    /// gradient run the engine decodes *before* the validation gate.
-    pub codec: CodecConfig,
 }
 
 impl Default for RpcConfig {
@@ -205,7 +198,6 @@ impl Default for RpcConfig {
             evict_after: 3,
             fault: FaultPlan::none(),
             update_norm_bound: None,
-            codec: CodecConfig::default(),
         }
     }
 }
@@ -370,6 +362,10 @@ pub struct RpcBackend {
     /// Per-worker error-feedback residuals, shared with the worker
     /// threads; the authoritative copy for checkpointing.
     residuals: Vec<Arc<Mutex<Vec<f32>>>>,
+    /// The codec of the last round's request ([`RoundRequest::codec`];
+    /// `fp32` before the first): whether the workers' residuals are the
+    /// authoritative ones.
+    codec: CodecConfig,
     /// Distinct architectures among the slots the last round shipped to.
     distinct_masks: usize,
     /// What the fleet threads count as they run.
@@ -542,6 +538,7 @@ impl RpcBackend {
             config,
             history: History::default(),
             residuals,
+            codec: CodecConfig::default(),
             distinct_masks: 0,
             fleet,
             engine_wakeups: Arc::default(),
@@ -608,8 +605,8 @@ pub(crate) fn stage_download(p: usize, s: &Staged<'_>) -> Vec<u8> {
     // fp32 stays byte-identical to the pre-codec protocol; otherwise the
     // codec is resolved per participant from this round's sampled link
     // speed
-    let codec = (!s.config.codec.is_fp32()).then(|| {
-        let spec = resolve_codec(s.config.codec, req.bandwidths_mbps[p]);
+    let codec = (!req.codec.is_fp32()).then(|| {
+        let spec = resolve_codec(req.codec, req.bandwidths_mbps[p]);
         (spec.tag(), spec.param())
     });
     let mut frame = Vec::with_capacity(s.frame_bytes[p] as usize);
@@ -926,7 +923,7 @@ impl RpcBackend {
         let book_start = Instant::now();
         let req = &ctx.req;
         let k = req.masks.len();
-        let frame_len = if self.config.codec.is_fp32() {
+        let frame_len = if req.codec.is_fp32() {
             download_frame_len
         } else {
             coded_download_frame_len
@@ -1001,6 +998,7 @@ impl RpcBackend {
 impl RoundBackend for RpcBackend {
     fn run_round(&mut self, request: RoundRequest<'_>) -> RoundOutcome {
         let t = request.round;
+        self.codec = request.codec;
         let mut ctx = RoundCtx {
             out: RoundOutcome {
                 download_frame_bytes: vec![0; request.masks.len()],
@@ -1024,7 +1022,7 @@ impl RoundBackend for RpcBackend {
     }
 
     fn collect_residuals(&mut self) -> Option<Vec<Vec<f32>>> {
-        if self.config.codec.is_fp32() {
+        if self.codec.is_fp32() {
             return None; // no compression: server participants stay authoritative
         }
         Some(
@@ -1088,12 +1086,9 @@ pub fn install(server: &mut SearchServer, dataset: &SyntheticDataset, config: Rp
 pub fn install_with_faults(
     server: &mut SearchServer,
     dataset: &SyntheticDataset,
-    mut config: RpcConfig,
+    config: RpcConfig,
     faults: &[ScriptedFault],
 ) {
-    // the server's `SearchConfig` is the single source of truth for the
-    // codec — the backend must agree with what checkpoints will record
-    config.codec = server.config().codec;
     let backend = RpcBackend::with_faults(
         server.participants(),
         &server.config().net.clone(),
@@ -1145,13 +1140,12 @@ mod tests {
             alpha_logits: &alpha,
             bandwidths_mbps: &bandwidths,
             seed_base: 0xFEED,
+            codec: CodecConfig::default(),
             active: None,
         };
+        let config = RpcConfig::default();
         for codec in [CodecConfig::default(), CodecConfig::Auto] {
-            let config = RpcConfig {
-                codec,
-                ..RpcConfig::default()
-            };
+            let req = RoundRequest { codec, ..req };
             let frame_len = if codec.is_fp32() {
                 download_frame_len
             } else {

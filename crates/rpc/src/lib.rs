@@ -38,9 +38,10 @@
 //! derive the same RNG streams, train the same shipped weights, and
 //! reports aggregate in the same order.
 //!
-//! Protocol v2 adds adaptive update compression: when
-//! [`RpcConfig`] carries a non-`fp32`
-//! [`CodecConfig`](fedrlnas_codec::CodecConfig), downloads become
+//! Protocol v2 adds adaptive update compression: when the server's
+//! [`RoundRequest::codec`](fedrlnas_core::RoundRequest::codec) is a
+//! non-`fp32` [`CodecConfig`](fedrlnas_codec::CodecConfig) (the search
+//! config's, its only source), downloads become
 //! [`Message::DownloadSubmodelCoded`]
 //! frames instructing each worker which codec to apply (resolved per
 //! participant from the round's sampled bandwidth), and uploads return as

@@ -840,6 +840,7 @@ mod tests {
                 alpha_logits: &[],
                 bandwidths_mbps: &[50.0; 2],
                 seed_base: 0,
+                codec: Default::default(),
                 active: None,
             };
             test(&Staged {

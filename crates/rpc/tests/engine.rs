@@ -170,6 +170,8 @@ struct Rig {
     alpha_logits: Vec<f32>,
     masks: Vec<ArchMask>,
     bandwidths: Vec<f64>,
+    /// The search's codec, shipped in every request.
+    codec: CodecConfig,
     /// Per-slot participation; `None` means everyone.
     active: Option<Vec<bool>>,
 }
@@ -196,6 +198,7 @@ impl Rig {
                 .map(|_| ArchMask::uniform_random(&config.net, &mut rng))
                 .collect(),
             bandwidths: vec![mbps; n],
+            codec: config.codec,
             active: None,
         }
     }
@@ -220,6 +223,7 @@ impl Rig {
             alpha_logits: &self.alpha_logits,
             bandwidths_mbps: &self.bandwidths,
             seed_base: SEED ^ t as u64,
+            codec: self.codec,
             active: self.active.as_deref(),
         })
     }
@@ -273,7 +277,6 @@ fn scratch_buffers_stop_growing_after_warmup() {
     let config = SearchConfig::tiny().with_codec(codec);
     let k = config.num_participants;
     let rpc = RpcConfig {
-        codec,
         reactor_threads: POOL,
         ..RpcConfig::default()
     };
