@@ -322,9 +322,10 @@ impl WorkerHandle {
 }
 
 /// What the engine held when it was shut down, by owner — the O(pool)
-/// memory contract in numbers: nothing frame-sized per link, two replies
-/// per participant, one set of scratch buffers per pool thread. Debug
-/// observability (see [`RpcBackend::into_resident_bytes`]).
+/// memory contract in numbers: nothing frame-sized per link, no reply per
+/// participant on a link that cannot lose a frame and two on one that
+/// can, one set of scratch buffers per pool thread. Debug observability
+/// (see [`RpcBackend::into_resident_bytes`]).
 #[derive(Debug)]
 pub struct ResidentBytes {
     /// Server side, per participant: the worker handle, its transport
@@ -333,7 +334,8 @@ pub struct ResidentBytes {
     /// flight, not to the link.
     pub links: Vec<usize>,
     /// Worker side, per participant: everything its state holds beyond
-    /// the participant's own data — the cached replies above all.
+    /// the participant's own data — the cached replies above all, kept
+    /// only under an active fault plan.
     pub participants: Vec<usize>,
     /// The codec scratch of each fleet pool thread, counted once per
     /// thread however many participants it serves.

@@ -447,13 +447,13 @@ fn classify_reply(msg: Message, p: usize, sent: &History) -> Reply {
     }
 }
 
-/// How many answered rounds a worker keeps the reply *bytes* of. A
-/// download for a round already answered reaches a worker only displaced:
-/// a retransmit is only ever of the round in progress, so in link order
-/// it sits among that round's frames, and the link's fault layer lets at
-/// most [`MAX_DISPLACEMENT`] later frame — so at most that many later
-/// rounds — overtake it. When it arrives, its round is therefore among
-/// the `MAX_DISPLACEMENT + 1` most recently answered.
+/// How many answered rounds a worker on a lossy link keeps the reply
+/// *bytes* of. A download for a round already answered reaches a worker
+/// only displaced: a retransmit is only ever of the round in progress, so
+/// in link order it sits among that round's frames, and the link's fault
+/// layer lets at most [`MAX_DISPLACEMENT`] later frame — so at most that
+/// many later rounds — overtake it. When it arrives, its round is
+/// therefore among the `MAX_DISPLACEMENT + 1` most recently answered.
 pub(crate) const REPLY_CACHE_ROUNDS: usize = MAX_DISPLACEMENT + 1;
 
 /// A round number no round has (the wire's rounds count up from zero).
@@ -464,6 +464,9 @@ pub(crate) enum WorkerStep<'a> {
     /// Send these bytes on the link: a reply, fresh or cached, or a
     /// heartbeat.
     Send(&'a [u8]),
+    /// Send this fresh reply on a link that cannot lose it; nothing keeps
+    /// a copy, so the driver hands the vector itself to the transport.
+    SendOwned(Vec<u8>),
     /// Send nothing.
     Silent,
     /// The scripted `die_at_round` fired: drop the link, no reply.
@@ -507,27 +510,34 @@ impl WorkerScratch {
 /// The participant side of one link; the pooled fleet drives many of
 /// these from one thread. Only what must survive a round lives here: the
 /// participant (its data and loader cursor), its residual, its fault
-/// script and attack memory, the last [`REPLY_CACHE_ROUNDS`] replies, the
-/// numbers of the last [`HISTORY_ROUNDS`] answered rounds and the
-/// heartbeat it answers a probe with. Scratch is the pool thread's
-/// ([`WorkerScratch`]), and so is the supernet every participant on the
-/// thread trains in place: between downloads it holds the selection last
-/// trained and one sub-model's activations, and nothing of it reaches the
-/// next participant — every selected parameter and buffer is overwritten
-/// from the frame before the step, gradients are zeroed over the
-/// selection, slots outside it are never read, and every cache is written
-/// before it is read.
+/// script and attack memory, the numbers of the last [`HISTORY_ROUNDS`]
+/// answered rounds, the heartbeat it answers a probe with and — only on a
+/// link whose fault plan can lose a frame — the last
+/// [`REPLY_CACHE_ROUNDS`] replies. On a clean link a download for an
+/// answered round can only be a deadline retransmit whose original reply
+/// is already on its way, so silence answers it and no reply bytes are
+/// kept. Scratch is the pool thread's ([`WorkerScratch`]), and so is the
+/// supernet every participant on the thread trains in place: between
+/// downloads it holds the selection last trained and one sub-model's
+/// activations, and nothing of it reaches the next participant — every
+/// selected parameter and buffer is overwritten from the frame before the
+/// step, gradients are zeroed over the selection, slots outside it are
+/// never read, and every cache is written before it is read.
 pub(crate) struct WorkerState {
     participant: Participant,
     fault: ScriptedFault,
     residual: Arc<Mutex<Vec<f32>>>,
+    /// Whether the link's fault plan can lose a frame; only then are
+    /// replies cached.
+    lossy: bool,
     /// `(round, reply frame)` of the most recently answered rounds,
-    /// newest first; `None` until that many have been answered.
+    /// newest first; `None` until that many have been answered, and
+    /// always on a clean link.
     reply_cache: [Option<(u64, Vec<u8>)>; REPLY_CACHE_ROUNDS],
     /// Ring of the round numbers answered last ([`NO_ROUND`] = unused).
     /// Training advances the loader and the round stream, so a round is
-    /// trained once: a download for a round in here whose bytes have left
-    /// the cache is met with silence.
+    /// trained once: a download for a round in here whose bytes are not
+    /// in the cache is met with silence.
     answered: [u64; HISTORY_ROUNDS],
     answered_next: usize,
     /// This participant's heartbeat frame, encoded once.
@@ -541,10 +551,13 @@ pub(crate) struct WorkerState {
 }
 
 impl WorkerState {
+    /// `lossy` is whether the link's fault plan is active
+    /// ([`FaultPlan::is_active`](crate::FaultPlan::is_active)).
     pub(crate) fn new(
         participant: Participant,
         fault: ScriptedFault,
         residual: Arc<Mutex<Vec<f32>>>,
+        lossy: bool,
     ) -> Self {
         let heartbeat = encode(&Message::Heartbeat {
             participant: participant.id() as u32,
@@ -554,6 +567,7 @@ impl WorkerState {
             participant,
             fault,
             residual,
+            lossy,
             reply_cache: std::array::from_fn(|_| None),
             answered: [NO_ROUND; HISTORY_ROUNDS],
             answered_next: 0,
@@ -581,13 +595,16 @@ impl WorkerState {
             + self.last_honest.capacity() * std::mem::size_of::<f32>()
     }
 
-    /// Remembers `round` as answered with `reply`: newest cache slot, next
-    /// ring slot. Returns the reply, now cached.
-    fn remember(&mut self, round: u64, reply: Vec<u8>) -> &[u8] {
-        self.reply_cache.rotate_right(1);
+    /// Remembers `round` as answered with `reply`: next ring slot and, on
+    /// a lossy link, newest cache slot. Returns the step that sends it.
+    fn remember(&mut self, round: u64, reply: Vec<u8>) -> WorkerStep<'_> {
         self.answered[self.answered_next] = round;
         self.answered_next = (self.answered_next + 1) % HISTORY_ROUNDS;
-        &self.reply_cache[0].insert((round, reply)).1
+        if !self.lossy {
+            return WorkerStep::SendOwned(reply);
+        }
+        self.reply_cache.rotate_right(1);
+        WorkerStep::Send(&self.reply_cache[0].insert((round, reply)).1)
     }
 
     /// Heartbeats and liveness probes. A scripted crash-restart keeps the
@@ -613,17 +630,18 @@ impl WorkerState {
     }
 
     /// Answers one inbound frame: heartbeats/probes with a heartbeat,
-    /// downloads with one local training step and the update. The reply is
-    /// kept ([`REPLY_CACHE_ROUNDS`] deep) so a retransmitted or displaced
-    /// download is answered from the cache instead of being recomputed
-    /// (idempotence under retry), and a round is never trained twice. The
-    /// download is read where it lies: its shape — mask, weight and buffer
-    /// counts, α length — is checked against the layout, then its two `f32`
-    /// runs are copied from the frame's bytes straight into the slots of
-    /// `supernet` the mask selects, and the step trains them in place; no
-    /// sub-model is built. `theta_len` is the full flat-θ length — the
-    /// error-feedback residual spans the whole supernet, exactly like the
-    /// in-process path.
+    /// downloads with one local training step and the update. On a lossy
+    /// link the reply is kept ([`REPLY_CACHE_ROUNDS`] deep) so a
+    /// retransmitted or displaced download is answered from the cache
+    /// instead of being recomputed (idempotence under retry); on a clean
+    /// link it is handed over, and a repeat is met with silence. Either
+    /// way a round is never trained twice. The download is read where it
+    /// lies: its shape — mask, weight and buffer counts, α length — is
+    /// checked against the layout, then its two `f32` runs are copied from
+    /// the frame's bytes straight into the slots of `supernet` the mask
+    /// selects, and the step trains them in place; no sub-model is built.
+    /// `theta_len` is the full flat-θ length — the error-feedback residual
+    /// spans the whole supernet, exactly like the in-process path.
     pub(crate) fn handle_frame(
         &mut self,
         supernet: &mut Supernet,
@@ -673,7 +691,7 @@ impl WorkerState {
             return WorkerStep::Send(reply);
         }
         if self.answered.contains(&round) {
-            return WorkerStep::Silent; // answered, bytes gone: never train twice
+            return WorkerStep::Silent; // answered, bytes gone or never kept: never train twice
         }
         if self.fault.die_at_round == Some(round as usize) {
             return WorkerStep::Exit; // simulated crash: no reply
@@ -714,7 +732,7 @@ impl WorkerState {
             .as_slice()
             .to_vec();
         // the reply is encoded once, into the exactly sized vector the
-        // cache keeps; the driver's transport copies what it sends
+        // cache keeps or the driver's transport takes
         let reply = match codec {
             None => {
                 let mut reply =
@@ -775,7 +793,7 @@ impl WorkerState {
                 reply
             }
         };
-        WorkerStep::Send(self.remember(round, reply))
+        self.remember(round, reply)
     }
 }
 
@@ -1241,7 +1259,8 @@ mod tests {
     }
 
     impl Bench {
-        fn new(fault: ScriptedFault) -> Bench {
+        /// A worker on a link whose fault plan is active (`lossy`) or not.
+        fn new(fault: ScriptedFault, lossy: bool) -> Bench {
             let config = fedrlnas_core::SearchConfig::tiny();
             let mut rng = StdRng::seed_from_u64(21);
             let mut search = fedrlnas_core::FederatedModelSearch::new(config.clone(), &mut rng);
@@ -1249,7 +1268,12 @@ mod tests {
             let participant = search.server_mut().participants()[0].clone();
             let mut server = Supernet::new(config.net.clone(), &mut rng);
             Bench {
-                state: WorkerState::new(participant, fault, Arc::new(Mutex::new(Vec::new()))),
+                state: WorkerState::new(
+                    participant,
+                    fault,
+                    Arc::new(Mutex::new(Vec::new())),
+                    lossy,
+                ),
                 theta_len: server.param_count(),
                 supernet: Supernet::new(config.net.clone(), &mut StdRng::seed_from_u64(22)),
                 server,
@@ -1295,6 +1319,7 @@ mod tests {
         fn feed(&mut self, frame: &[u8]) -> Option<Vec<u8>> {
             match self.step(frame) {
                 WorkerStep::Send(reply) => Some(reply.to_vec()),
+                WorkerStep::SendOwned(reply) => Some(reply),
                 _ => None,
             }
         }
@@ -1316,7 +1341,7 @@ mod tests {
             REPLY_CACHE_ROUNDS, 2,
             "the bound derived from the fault layer"
         );
-        let mut b = Bench::new(ScriptedFault::default());
+        let mut b = Bench::new(ScriptedFault::default(), true);
         let mut replies = Vec::new();
         let mut cursors = vec![b.cursor()];
         for round in 0..=16u64 {
@@ -1363,10 +1388,13 @@ mod tests {
     /// what the restarted worker is asked again, it trains again.
     #[test]
     fn a_crash_clears_the_cache_and_the_answered_ring() {
-        let mut b = Bench::new(ScriptedFault {
-            crash_restart: Some((2, 1)),
-            ..ScriptedFault::default()
-        });
+        let mut b = Bench::new(
+            ScriptedFault {
+                crash_restart: Some((2, 1)),
+                ..ScriptedFault::default()
+            },
+            true,
+        );
         for round in 0..2 {
             let frame = b.download(round);
             assert!(b.feed(&frame).is_some());
@@ -1384,13 +1412,61 @@ mod tests {
         assert_eq!(b.state.answered.iter().filter(remembered).count(), 2);
     }
 
+    /// The clean-link twin of the cache test: a worker whose link cannot
+    /// lose a frame trains each round once, hands its reply over without
+    /// keeping a byte of it, meets a re-sent download of an answered round
+    /// with silence and leaves its loader where it was — and a scripted
+    /// crash still forgets the answered rounds.
+    #[test]
+    fn a_clean_link_trains_a_round_once_and_keeps_no_reply() {
+        let mut b = Bench::new(
+            ScriptedFault {
+                crash_restart: Some((3, 1)),
+                ..ScriptedFault::default()
+            },
+            false,
+        );
+        let at_rest = std::mem::size_of::<WorkerState>() - std::mem::size_of::<Participant>()
+            + b.state.heartbeat.len();
+        for round in 0..3u64 {
+            let (before, frame) = (b.cursor(), b.download(round));
+            assert!(
+                matches!(b.step(&frame), WorkerStep::SendOwned(_)),
+                "round {round} is trained and handed over"
+            );
+            assert_ne!(b.cursor(), before, "round {round} advances the loader");
+            assert_eq!(b.state.resident_bytes(), at_rest, "no reply bytes kept");
+            let trained = b.cursor();
+            for repeat in 0..=round {
+                let frame = b.download(repeat);
+                assert!(
+                    matches!(b.step(&frame), WorkerStep::Silent),
+                    "a re-sent round {repeat} is met with silence"
+                );
+                assert_eq!(b.cursor(), trained, "round {repeat} must not train again");
+            }
+        }
+        let frame = b.download(3);
+        assert!(b.feed(&frame).is_none(), "the crash round is not answered");
+        // back up from round 4 on; rounds 0..3 went with the crash
+        let frame = b.download(4);
+        assert!(b.feed(&frame).is_some());
+        let before = b.cursor();
+        let frame = b.download(1);
+        assert!(b.feed(&frame).is_some(), "round 1 is no longer remembered");
+        assert_ne!(b.cursor(), before);
+        let remembered = |r: &&u64| **r != NO_ROUND;
+        assert_eq!(b.state.answered.iter().filter(remembered).count(), 2);
+        assert_eq!(b.state.resident_bytes(), at_rest);
+    }
+
     /// A download whose envelope, mask, weights and buffers are sound but
     /// whose α run has the wrong length is refused like a wrong weight
     /// count — with silence, before training, so the loader stays where
     /// it was — and the worker answers the correct frame afterwards.
     #[test]
     fn a_download_with_the_wrong_alpha_length_is_refused_before_training() {
-        let mut b = Bench::new(ScriptedFault::default());
+        let mut b = Bench::new(ScriptedFault::default(), true);
         let (cursor, good) = (b.cursor(), b.alpha.len());
         for len in [0, good + 1] {
             let frame = b.download_with_alpha(0, &vec![0.5; len]);

@@ -13,9 +13,10 @@
 //!   one participant to the next), and *one* set of codec scratch buffers
 //!   ([`WorkerScratch`]), lent to whichever participant it is running;
 //!   per participant there is a [`WorkerState`] — what must survive a
-//!   round, nothing frame-sized but its last two replies. The thread
-//!   sleeps until a download has arrived on one of its links, reads the
-//!   links that have one and sends what the worker machine answers.
+//!   round, nothing frame-sized but, on a link whose fault plan can lose
+//!   a frame, its last two replies. The thread sleeps until a download
+//!   has arrived on one of its links, reads the links that have one and
+//!   sends what the worker machine answers.
 //!   A scripted `delay` parks that one link on a timer; the thread keeps
 //!   serving its shard-mates. A thread exits once every one of its links
 //!   has closed. [`EngineMode::Serial`](crate::EngineMode) runs over the
@@ -165,6 +166,7 @@ pub(crate) fn spawn_pooled_workers(
     let threads = pool_size(config.reactor_threads, n);
     let shard_len = n.div_ceil(threads).max(1);
     let (plan, kind) = (&config.fault, config.transport);
+    let lossy = plan.is_active();
     let mut joins: Vec<JoinHandle<FleetFootprint>> = Vec::new();
     match config.transport {
         TransportKind::InMemory => {
@@ -187,7 +189,7 @@ pub(crate) fn spawn_pooled_workers(
                 let dataset = dataset.clone();
                 let counters = counters.clone();
                 joins.push(std::thread::spawn(move || {
-                    fleet_loop(fleet, net, dataset, kind, counters)
+                    fleet_loop(fleet, net, dataset, kind, lossy, counters)
                 }));
             }
             (handles, joins)
@@ -225,7 +227,7 @@ pub(crate) fn spawn_pooled_workers(
                             (t, p, fault, residual)
                         })
                         .collect();
-                    fleet_loop(fleet, net, dataset, kind, counters)
+                    fleet_loop(fleet, net, dataset, kind, lossy, counters)
                 }));
             }
             // accept one connection per participant; the handshake
@@ -271,12 +273,15 @@ struct Member {
 /// selected weight and buffer is overwritten from the wire before use,
 /// gradients are zeroed over the selection, nothing outside it is read,
 /// and every cache and scratch buffer is written before it is read, so
-/// sharing them cannot leak state across participants.
+/// sharing them cannot leak state across participants. `lossy` is whether
+/// the links' fault plan is active: only then do the workers cache their
+/// replies.
 fn fleet_loop(
     fleet: Vec<FleetMember>,
     net: SupernetConfig,
     dataset: SyntheticDataset,
     kind: TransportKind,
+    lossy: bool,
     counters: FleetCounters,
 ) -> FleetFootprint {
     let first_id = fleet.first().map_or(0, |member| member.1.id());
@@ -291,7 +296,7 @@ fn fleet_loop(
             waiter.register(token, &mut *link);
             Member {
                 link: Some(link),
-                state: WorkerState::new(participant, fault, residual),
+                state: WorkerState::new(participant, fault, residual, lossy),
                 held: None,
             }
         })
@@ -340,6 +345,9 @@ fn fleet_loop(
                 {
                     WorkerStep::Send(reply) => {
                         let _ = link.send(reply);
+                    }
+                    WorkerStep::SendOwned(reply) => {
+                        let _ = link.send_owned(reply);
                     }
                     WorkerStep::Silent => {}
                     WorkerStep::Exit => break true,

@@ -497,11 +497,13 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(20));
                 waker.wake();
                 waker.wake();
+                // handed back: a dropped waker's hang-up is a wake-up too
+                waker
             });
             let mut ready = Vec::new();
             waiter.wait(None, 1, &mut ready);
             assert!(ready.is_empty(), "{kind:?}: {ready:?}");
-            thread.join().unwrap();
+            let _waker = thread.join().unwrap();
             // both wakes are spent by at most one more return
             waiter.wait(
                 Some(Instant::now() + Duration::from_millis(10)),

@@ -20,7 +20,7 @@ use fedrlnas_core::{
 use fedrlnas_darts::{ArchMask, Supernet};
 use fedrlnas_rpc::{
     install_with_faults, upload_frame_len, Attack, EngineMode, FaultInjector, FaultPlan,
-    FrameFault, RpcBackend, RpcConfig, ScriptedFault, TransportKind,
+    FrameFault, ResidentBytes, RpcBackend, RpcConfig, ScriptedFault, TransportKind,
 };
 use fedrlnas_sync::{StalenessModel, StalenessStrategy};
 use rand::{rngs::StdRng, SeedableRng};
@@ -37,13 +37,13 @@ fn run_search(config: SearchConfig, rpc: RpcConfig, faults: &[ScriptedFault]) ->
 
 /// Runs the identical scenario under the serial oracle and the default
 /// engine and asserts the full outcome — trajectory *and* measured
-/// communication accounting — is bit-identical.
+/// communication accounting — is bit-identical. Returns the engine's.
 fn assert_engine_matches_serial(
     name: &str,
     config: SearchConfig,
     rpc: RpcConfig,
     faults: &[ScriptedFault],
-) {
+) -> SearchOutcome {
     let serial = run_search(
         config.clone(),
         RpcConfig {
@@ -57,6 +57,7 @@ fn assert_engine_matches_serial(
     assert_eq!(serial.warmup_curve, engine.warmup_curve, "{name}: warm-up");
     assert_eq!(serial.search_curve, engine.search_curve, "{name}: search");
     assert_eq!(serial.comm, engine.comm, "{name}: comm accounting");
+    engine
 }
 
 /// An in-memory config on a two-thread pool: every pool thread drives
@@ -70,6 +71,9 @@ fn mem() -> RpcConfig {
 
 type Scenario = (&'static str, SearchConfig, RpcConfig, Vec<ScriptedFault>);
 
+/// The scenario whose worker sleeps past the deadline on a clean link.
+const CLEAN_RETRANSMIT: &str = "deadline retransmit on a clean link";
+
 fn scenarios() -> Vec<Scenario> {
     // worker 0 crashes mid-run (its link closes under the sweep, and the
     // send gate's post-ship quorum population shrinks), worker 1 mounts a
@@ -80,6 +84,14 @@ fn scenarios() -> Vec<Scenario> {
     let mut crash_and_attack = vec![ScriptedFault::default(); gated.num_participants];
     crash_and_attack[0].die_at_round = Some(3);
     crash_and_attack[1].attack = Some(Attack::Scale(1e6));
+    // worker 0 holds round 1's download 100 ms past the first deadline and
+    // well inside the retry's: the retransmit queues behind it, finds the
+    // round answered and is met with silence, and the original reply
+    // lands in time
+    let sleeper = ScriptedFault {
+        delay: Some((1, Duration::from_millis(500))),
+        ..ScriptedFault::default()
+    };
     vec![
         ("in memory", SearchConfig::tiny(), mem(), vec![]),
         (
@@ -125,13 +137,28 @@ fn scenarios() -> Vec<Scenario> {
             },
             crash_and_attack,
         ),
+        (
+            CLEAN_RETRANSMIT,
+            SearchConfig::tiny(),
+            RpcConfig {
+                deadline: Duration::from_millis(400),
+                max_retries: 2,
+                retry_backoff: Duration::from_millis(5),
+                fault: FaultPlan::none(),
+                ..mem()
+            },
+            vec![sleeper],
+        ),
     ]
 }
 
 #[test]
 fn engine_matches_serial_on_every_scenario() {
     for (name, config, rpc, faults) in scenarios() {
-        assert_engine_matches_serial(name, config, rpc, &faults);
+        let outcome = assert_engine_matches_serial(name, config, rpc, &faults);
+        if name == CLEAN_RETRANSMIT {
+            assert!(outcome.comm.faults.retransmits > 0, "{name}: no retransmit");
+        }
     }
 }
 
@@ -312,7 +339,7 @@ fn scratch_buffers_stop_growing_after_warmup() {
     }
     assert_eq!(held.participants.len(), k);
     for (p, (&bytes, elements)) in held.participants.iter().zip(&gradients).enumerate() {
-        // two replies of two bytes an element, and nothing of the scratch
+        // no reply on a clean link, and nothing of the scratch
         assert!(
             bytes < 8 * elements,
             "participant {p} holds {bytes} B for a {elements}-element gradient"
@@ -320,23 +347,23 @@ fn scratch_buffers_stop_growing_after_warmup() {
     }
 }
 
-/// Fleet memory is O(pool), not O(cohort): after eight rounds at a
-/// thousand participants over in-memory links, a participant holds its
-/// two most recent replies and a fixed few hundred bytes, and the server
-/// holds no frame-sized buffer per link at all.
-#[test]
-fn a_participant_holds_two_replies_and_a_link_holds_no_frame() {
+/// Everything per participant that is not a cached reply — the fault
+/// script, the answered-round ring (128 B), the residual handle and
+/// bookkeeping: 328 B on x86-64.
+const WORKER_FIXED: usize = 384;
+/// The handle with both directions' fault injectors (a plan, an RNG and a
+/// tally each), the channel endpoint and the fault layer's queue table:
+/// 664 B on x86-64.
+const LINK_FIXED: usize = 768;
+
+/// Eight full-strength rounds at a thousand participants over in-memory
+/// links under `plan`, then shut down: what the engine held, and each
+/// participant's reply size.
+fn thousand_at_rest(plan: FaultPlan) -> (ResidentBytes, Vec<usize>) {
     const N: usize = 1000;
-    /// Everything per participant that is not a cached reply — the
-    /// fault script, the answered-round ring (128 B), the residual handle
-    /// and bookkeeping: 328 B on x86-64.
-    const WORKER_FIXED: usize = 384;
-    /// The handle with both directions' fault injectors (a plan, an RNG
-    /// and a tally each), the channel endpoint and the fault layer's
-    /// queue table: 664 B on x86-64.
-    const LINK_FIXED: usize = 768;
     let rpc = RpcConfig {
         deadline: Duration::from_secs(60),
+        fault: plan,
         ..RpcConfig::default()
     };
     let mut rig = Rig::new(SearchConfig::tiny().with_participants(N), 50.0, rpc, &[]);
@@ -355,20 +382,6 @@ fn a_participant_holds_two_replies_and_a_link_holds_no_frame() {
         .collect();
     let held = rig.backend.into_resident_bytes();
     assert_eq!((held.participants.len(), held.links.len()), (N, N));
-    for (p, (&bytes, reply)) in held.participants.iter().zip(&replies).enumerate() {
-        assert!(
-            (2 * reply..=2 * reply + WORKER_FIXED).contains(&bytes),
-            "participant {p} holds {bytes} B against a {reply} B reply"
-        );
-    }
-    let smallest_frame = *replies.iter().min().expect("N replies");
-    assert!(
-        LINK_FIXED < smallest_frame / 4,
-        "the bound excludes a frame"
-    );
-    for (p, &bytes) in held.links.iter().enumerate() {
-        assert!(bytes <= LINK_FIXED, "link {p} holds {bytes} B");
-    }
     assert!(
         held.pool_scratch.iter().all(|&b| b == 0),
         "an fp32 fleet needs no codec scratch: {:?}",
@@ -381,6 +394,49 @@ fn a_participant_holds_two_replies_and_a_link_holds_no_frame() {
         held.links.iter().min().expect("N"),
         held.links.iter().max().expect("N"),
     );
+    (held, replies)
+}
+
+/// Fleet memory is O(pool), not O(cohort): after eight rounds at a
+/// thousand participants over clean in-memory links — nothing can lose a
+/// frame — a participant holds a fixed few hundred bytes and no reply,
+/// and the server holds no frame-sized buffer per link at all.
+#[test]
+fn a_clean_participant_holds_no_reply_and_a_link_holds_no_frame() {
+    let (held, replies) = thousand_at_rest(FaultPlan::none());
+    let smallest_frame = *replies.iter().min().expect("N replies");
+    // WORKER_FIXED < LINK_FIXED, so both bounds exclude a frame
+    assert!(
+        LINK_FIXED < smallest_frame / 4,
+        "the bounds exclude a frame"
+    );
+    for (p, &bytes) in held.participants.iter().enumerate() {
+        assert!(bytes <= WORKER_FIXED, "participant {p} holds {bytes} B");
+    }
+    for (p, &bytes) in held.links.iter().enumerate() {
+        assert!(bytes <= LINK_FIXED, "link {p} holds {bytes} B");
+    }
+}
+
+/// The same fleet under a fault plan that can repeat a frame but drops
+/// none, so every round stays full strength: each participant keeps its
+/// two most recent replies — what a displaced download can still ask for
+/// — and nothing more.
+#[test]
+fn a_participant_on_a_lossy_link_holds_two_replies() {
+    let plan = FaultPlan {
+        seed: 3,
+        duplicate: 0.05,
+        ..FaultPlan::none()
+    };
+    assert!(plan.is_active());
+    let (held, replies) = thousand_at_rest(plan);
+    for (p, (&bytes, reply)) in held.participants.iter().zip(&replies).enumerate() {
+        assert!(
+            (2 * reply..=2 * reply + WORKER_FIXED).contains(&bytes),
+            "participant {p} holds {bytes} B against a {reply} B reply"
+        );
+    }
 }
 
 /// Eight shaped links on a one-thread pool: the transmission times are
