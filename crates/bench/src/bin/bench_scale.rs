@@ -135,6 +135,7 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
             bandwidths_mbps: &bandwidths,
             seed_base: SEED ^ t as u64,
             codec: config.codec,
+            update_norm_bound: config.update_norm_bound,
             active: None,
         });
         assert_eq!(

@@ -7,7 +7,6 @@ use fedrlnas_baselines::ResNetProxy;
 use fedrlnas_bench::protocol::{dataset_for, search_ours, train_fixed_federated};
 use fedrlnas_bench::{budgets, series_csv, write_output, Args};
 use fedrlnas_core::{retrain_federated, SearchConfig};
-use fedrlnas_fed::FedAvgConfig;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
@@ -37,7 +36,6 @@ fn main() {
         k,
         rounds,
         beta,
-        FedAvgConfig::default(),
         &mut rng,
     );
     // pre-defined heavy model trained directly on the target

@@ -64,16 +64,7 @@ pub fn eval_federated(
     seed: u64,
 ) -> RetrainReport {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFED1);
-    retrain_federated(
-        genotype,
-        net,
-        dataset,
-        k,
-        rounds,
-        dirichlet_beta,
-        FedAvgConfig::default(),
-        &mut rng,
-    )
+    retrain_federated(genotype, net, dataset, k, rounds, dirichlet_beta, &mut rng)
 }
 
 /// Trains an arbitrary fixed model with FedAvg for `rounds` and returns

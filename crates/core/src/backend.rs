@@ -86,6 +86,11 @@ pub struct RoundRequest<'a> {
     /// `fp32` makes the backend ship each participant the codec resolved
     /// for its sampled bandwidth and decode coded replies.
     pub codec: CodecConfig,
+    /// The search's L2 norm bound on an update
+    /// (`SearchConfig::update_norm_bound`). A backend that gates its own
+    /// replies gates with this bound, so the search's gate and the
+    /// backend's never disagree.
+    pub update_norm_bound: Option<f32>,
     /// Per-slot participation mask from the population/churn layer, one
     /// entry per slot. `active[p] == false` means slot `p`'s sampled
     /// client is out for this round: the backend must not ship to it, wait

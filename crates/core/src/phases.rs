@@ -92,7 +92,6 @@ pub fn retrain_centralized<R: Rng + ?Sized>(
 /// P3 federated: trains the genotype from scratch with FedAvg (Table I's
 /// "P3, FL" column: lr 0.1, momentum 0.5, wd 0.005), recording the
 /// accuracy-vs-round curves of Figs. 9–11.
-#[allow(clippy::too_many_arguments)]
 pub fn retrain_federated<R: Rng + ?Sized>(
     genotype: Genotype,
     net: SupernetConfig,
@@ -100,13 +99,12 @@ pub fn retrain_federated<R: Rng + ?Sized>(
     k: usize,
     rounds: usize,
     dirichlet_beta: Option<f64>,
-    fed: FedAvgConfig,
     rng: &mut R,
 ) -> RetrainReport {
     let model = DerivedModel::new(genotype, net, rng);
     let config = FedAvgConfig {
         dirichlet_beta,
-        ..fed
+        ..FedAvgConfig::default()
     };
     let mut trainer = FedAvgTrainer::new(model, dataset, k, config, rng);
     let mut curve = CurveRecorder::new();
@@ -167,16 +165,7 @@ mod tests {
         let data =
             SyntheticDataset::generate(&DatasetSpec::svhn_like().with_sizes(15, 5), &mut rng);
         let net = SupernetConfig::tiny();
-        let report = retrain_federated(
-            genotype(net.nodes),
-            net,
-            &data,
-            3,
-            6,
-            Some(0.5),
-            FedAvgConfig::default(),
-            &mut rng,
-        );
+        let report = retrain_federated(genotype(net.nodes), net, &data, 3, 6, Some(0.5), &mut rng);
         assert_eq!(report.curve.len(), 6);
         assert!((0.0..=1.0).contains(&report.test_accuracy));
     }

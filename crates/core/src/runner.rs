@@ -7,7 +7,7 @@ use crate::phases::{retrain_centralized, retrain_federated, RetrainReport};
 use crate::server::{LatencyStats, SearchServer};
 use fedrlnas_darts::Genotype;
 use fedrlnas_data::{DatasetSpec, SyntheticDataset};
-use fedrlnas_fed::{CommStats, FedAvgConfig};
+use fedrlnas_fed::CommStats;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::path::{Path, PathBuf};
@@ -303,7 +303,6 @@ impl FederatedModelSearch {
             self.config.num_participants,
             rounds,
             self.config.dirichlet_beta,
-            FedAvgConfig::default(),
             rng,
         )
     }

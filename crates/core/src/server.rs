@@ -8,8 +8,8 @@ use fedrlnas_controller::{Alpha, ReinforceController};
 use fedrlnas_darts::{ArchMask, Genotype, Supernet};
 use fedrlnas_data::{dirichlet_partition, iid_partition, SyntheticDataset};
 use fedrlnas_fed::{
-    validate_report, ChurnTally, CommStats, LocalReport, Participant, RoundTimings,
-    ShardedAccumulator, SparseUpdate,
+    validate_report, ChurnTally, CommStats, LocalReport, Participant, RoundTimings, SparseUpdate,
+    StreamingAccumulator,
 };
 use fedrlnas_netsim::{
     assign, resolve_codec, transmission_secs, CohortSampler, Environment, Population,
@@ -610,6 +610,7 @@ impl SearchServer {
                     bandwidths_mbps: &ctx.bandwidths,
                     seed_base: ctx.seed_base,
                     codec: self.config.codec,
+                    update_norm_bound: self.config.update_norm_bound,
                     active: self.churn.as_ref().map(|_| &ctx.active[..]),
                 })
             }
@@ -817,17 +818,17 @@ impl SearchServer {
     /// into the configured aggregator and sums `R_m ∇α log p(g_m)`.
     ///
     /// The fold is streaming: the plain/clipped mean folds each arrival
-    /// immediately, order-sensitive rules buffer internally, and under a
-    /// sharded topology arrivals go round-robin to shard aggregators with
-    /// a root merge (see `ShardedAccumulator`). Compensation runs before
-    /// the fold, so robust merging composes with Eq. 13 for free.
+    /// immediately; the robust rules buffer and reduce at the end, under a
+    /// sharded topology per round-robin shard with a root merge (see
+    /// `StreamingAccumulator`). Compensation runs before the fold, so
+    /// robust merging composes with Eq. 13 for free.
     ///
     /// Returns the merged θ gradient (supernet-flat) and the α gradient,
     /// neither yet divided by the number of arrivals.
     fn aggregate(&mut self, ctx: &RoundCtx, arrivals: Vec<BackendReport>) -> (Vec<f32>, Tensor) {
         let theta_len = self.supernet.layout().param_len();
         let mut theta_acc =
-            ShardedAccumulator::new(&self.config.aggregator, self.config.topology, theta_len);
+            StreamingAccumulator::new(&self.config.aggregator, self.config.topology, theta_len);
         let mut alpha_grad = Tensor::zeros(self.controller.alpha().logits().dims());
         let mut aggregate_ns = 0u64;
         let rewards = if ctx.update_alpha {

@@ -11,6 +11,14 @@
 //! the in-process arm and the RPC worker share — on scoped threads.
 //! Every byte that would cross the network is tallied in [`CommStats`].
 //!
+//! Aggregation is one path. [`FedAvgTrainer`] averages whole model states
+//! by shard size with [`average_flat`]. The search server folds each
+//! round's sparse sub-model gradients into one [`StreamingAccumulator`],
+//! whose rule — the mean, or a robust center behind an optional clip —
+//! is an [`AggregatorConfig`] and whose shard layout is a
+//! [`ShardTopology`]; [`AggregatorConfig::reduce`] is the batch form of
+//! the same rules.
+//!
 //! # Example
 //!
 //! ```
@@ -36,7 +44,6 @@ mod comm;
 mod participant;
 mod robust;
 mod rounds;
-mod shard;
 mod trainable;
 
 pub use comm::{
@@ -45,12 +52,10 @@ pub use comm::{
 };
 pub use participant::{LocalReport, Participant};
 pub use robust::{
-    clip_l2, l2_norm, validate_report, validate_update, Aggregator, AggregatorConfig,
-    AggregatorKind, CoordMedian, Krum, NormClip, SparseUpdate, StreamingAccumulator, TrimmedMean,
-    UpdateRejection, WeightedMean,
+    clip_l2, l2_norm, validate_report, validate_update, AggregatorConfig, AggregatorKind,
+    ShardTopology, SparseUpdate, StreamingAccumulator, UpdateRejection,
 };
 pub use rounds::{FedAvgConfig, FedAvgTrainer, RoundMetrics};
-pub use shard::{ShardTopology, ShardedAccumulator};
 pub use trainable::{
     average_flat, evaluate_model, flat_params, flat_state, set_flat_params, set_flat_state,
     TrainableModel,

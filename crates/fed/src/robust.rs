@@ -10,40 +10,31 @@
 //! * a **validation gate** ([`validate_update`]) that rejects malformed
 //!   (wrong length), non-finite, or out-of-norm-bound updates with a typed
 //!   [`UpdateRejection`] cause, and
-//! * an [`Aggregator`] trait with the classical robust estimators —
-//!   [`WeightedMean`] (the default; byte-identical to the legacy FedAvg
-//!   path), [`CoordMedian`], [`TrimmedMean`], [`Krum`] (Multi-Krum
-//!   pairwise-distance selection), and [`NormClip`] as a composable
-//!   per-update L2-clipping pre-step.
+//! * the aggregation rules [`AggregatorConfig`] names: the mean (the
+//!   default; Algorithm 1's rule), the coordinate-wise median and trimmed
+//!   mean, and Multi-Krum, each optionally behind a per-update L2 clip.
+//!   [`AggregatorConfig::reduce`] applies a rule to a round's updates;
+//!   [`StreamingAccumulator`] is the one accumulator the server pushes
+//!   arrivals into, under a [`ShardTopology`].
 //!
-//! Aggregation runs in two shapes. The **dense** path averages full flat
-//! model states (the FedAvg trainer). The **sparse** path aggregates
-//! sub-model gradients into supernet slots: each update covers only the
-//! `(offset, len)` ranges its architecture mask selects, so different
-//! updates cover different (overlapping) coordinate sets. The legacy mean
-//! writes `Σ_covering g[c]` into the accumulator and the server divides by
-//! the *total* update count `m`, i.e. coordinate `c` receives
+//! Every update is sparse: it covers only the `(offset, len)` supernet
+//! slots its architecture mask selects, so different updates cover
+//! different (overlapping) coordinate sets. The mean writes
+//! `Σ_covering g[c]` into the accumulator and the server divides by the
+//! *total* update count `m`, i.e. coordinate `c` receives
 //! `(q_c/m) · mean(g[c])` where `q_c` counts covering updates. The robust
-//! estimators keep exactly that mass semantics and replace only the inner
-//! mean with a robust center: `accumulate_sparse` returns
-//! `q_c · center(g[c])` so the caller's `1/m` scaling is unchanged — and
-//! the whole pipeline reduces to the legacy mean when the center *is* the
-//! mean.
-//!
-//! Known limitation (see DESIGN.md "Threat model"): every estimator other
-//! than [`WeightedMean`] ignores FedAvg's shard-size weights — a robust
-//! center of weighted points is a different (and harder) problem, and the
-//! classical definitions are unweighted. Robustness is bought by breaking
-//! exact FedAvg-weighting semantics.
+//! rules keep exactly that mass semantics and replace only the inner mean
+//! with a robust center: coordinate `c` holds `q_c · center(g[c])`, so the
+//! caller's `1/m` scaling is unchanged — and the whole pipeline reduces to
+//! the mean when the center *is* the mean.
 
-use crate::trainable::average_flat;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which robust center the aggregate step uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AggregatorKind {
-    /// Weighted arithmetic mean — the legacy FedAvg rule (default).
+    /// Arithmetic mean — Algorithm 1's rule (default).
     Mean,
     /// Coordinate-wise median; tolerates up to ⌈n/2⌉−1 arbitrary updates
     /// per coordinate.
@@ -64,8 +55,8 @@ pub enum AggregatorKind {
 }
 
 /// Full aggregator selection: a center plus an optional per-update L2
-/// clipping pre-step. `Copy` + serde so it travels in search and FedAvg
-/// configs and checkpoints.
+/// clipping pre-step. `Copy` so it travels in search configs, job specs
+/// and checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AggregatorConfig {
     /// The robust center.
@@ -84,7 +75,7 @@ impl Default for AggregatorConfig {
 }
 
 impl AggregatorConfig {
-    /// The legacy FedAvg weighted mean (the default).
+    /// The mean (the default).
     pub fn mean() -> Self {
         AggregatorConfig::default()
     }
@@ -168,20 +159,28 @@ impl AggregatorConfig {
         Ok(())
     }
 
-    /// Builds the aggregator this configuration describes.
-    pub fn build(&self) -> Box<dyn Aggregator> {
-        let center: Box<dyn Aggregator> = match self.kind {
-            AggregatorKind::Mean => Box::new(WeightedMean),
-            AggregatorKind::Median => Box::new(CoordMedian),
-            AggregatorKind::Trimmed { k } => Box::new(TrimmedMean { k }),
-            AggregatorKind::Krum { m } => Box::new(Krum { keep: m }),
-        };
-        match self.clip {
-            Some(bound) => Box::new(NormClip {
-                bound,
-                inner: center,
+    /// Reduces a round's updates into a flat accumulator of length
+    /// `theta_len`, **pre-scaled** for the caller's `1/m` division:
+    /// coordinate `c` holds `q_c · center(values at c)` where `q_c` counts
+    /// covering updates. Every update is clipped first when a bound is set.
+    /// The mean is the plain running sum in update order.
+    pub fn reduce(&self, mut updates: Vec<SparseUpdate>, theta_len: usize) -> Vec<f32> {
+        if let Some(bound) = self.clip {
+            for u in &mut updates {
+                clip_l2(&mut u.values, bound);
+            }
+        }
+        match self.kind {
+            AggregatorKind::Mean => {
+                let mut acc = vec![0.0f32; theta_len];
+                sum_into(&mut acc, &updates);
+                acc
+            }
+            AggregatorKind::Median => per_coordinate_sparse(&updates, theta_len, median_of_sorted),
+            AggregatorKind::Trimmed { k } => per_coordinate_sparse(&updates, theta_len, |sorted| {
+                trimmed_mean_of_sorted(sorted, k)
             }),
-            None => center,
+            AggregatorKind::Krum { m } => krum(&updates, m, theta_len),
         }
     }
 }
@@ -324,57 +323,9 @@ impl SparseUpdate {
     }
 }
 
-/// A round-aggregation rule over participant updates.
-///
-/// Both entry points take updates by value so composable pre-steps
-/// ([`NormClip`]) can transform in place without another copy.
-pub trait Aggregator: Send + Sync {
-    /// Human-readable name for logs.
-    fn describe(&self) -> String;
-
-    /// Aggregates full flat vectors (FedAvg model states) into one.
-    /// `weights` are FedAvg shard weights; only [`WeightedMean`] honours
-    /// them (see the module docs for the tradeoff).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `updates` is empty or lengths disagree — the validation
-    /// gate runs before aggregation, so these are programming errors here.
-    fn aggregate_dense(&self, updates: Vec<Vec<f32>>, weights: &[f32]) -> Vec<f32>;
-
-    /// Aggregates sparse sub-model updates into a flat accumulator of
-    /// length `theta_len`, **pre-scaled** for the caller's `1/m` division:
-    /// coordinate `c` holds `q_c · center(values at c)` where `q_c` counts
-    /// covering updates. For [`WeightedMean`] this is the plain running sum
-    /// in update order — bit-identical to the legacy accumulation loop.
-    fn accumulate_sparse(&self, updates: Vec<SparseUpdate>, theta_len: usize) -> Vec<f32>;
-}
-
-/// The legacy FedAvg rule: shard-weighted mean (dense) / plain sum in
-/// update order (sparse). Selected by default; byte-identical to the
-/// pre-robustness aggregation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WeightedMean;
-
-impl Aggregator for WeightedMean {
-    fn describe(&self) -> String {
-        "mean".into()
-    }
-
-    fn aggregate_dense(&self, updates: Vec<Vec<f32>>, weights: &[f32]) -> Vec<f32> {
-        average_flat(&updates, weights)
-    }
-
-    fn accumulate_sparse(&self, updates: Vec<SparseUpdate>, theta_len: usize) -> Vec<f32> {
-        let mut acc = vec![0.0f32; theta_len];
-        sum_into(&mut acc, &updates);
-        acc
-    }
-}
-
 /// Adds each update into the accumulator at its slots, in update order —
-/// the exact f32 addition order of the legacy server loop.
-fn sum_into(acc: &mut [f32], updates: &[SparseUpdate]) {
+/// the exact f32 addition order of Algorithm 1's server loop.
+fn sum_into<'a>(acc: &mut [f32], updates: impl IntoIterator<Item = &'a SparseUpdate>) {
     for u in updates {
         let mut cursor = 0usize;
         for &(off, len) in &u.ranges {
@@ -386,74 +337,33 @@ fn sum_into(acc: &mut [f32], updates: &[SparseUpdate]) {
     }
 }
 
-/// Coordinate-wise median.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoordMedian;
-
-impl Aggregator for CoordMedian {
-    fn describe(&self) -> String {
-        "median".into()
+/// Multi-Krum: score update `i` as the sum of its `q` smallest squared
+/// distances to the other updates (`q = max(keep − 2, 1)`), keep the
+/// `keep` lowest-scoring updates (clamped to `[1, n]`) and sum those in
+/// update order, re-scaled by `n / kept` so they carry the full mass of
+/// the `(q_c/m)` mean semantics. `keep = n` selects everyone; ties break by
+/// update index, so the selection is deterministic even when every
+/// distance is equal.
+fn krum(updates: &[SparseUpdate], keep: usize, theta_len: usize) -> Vec<f32> {
+    let n = updates.len();
+    let mut acc = vec![0.0f32; theta_len];
+    if n == 0 {
+        return acc;
     }
-
-    fn aggregate_dense(&self, updates: Vec<Vec<f32>>, _weights: &[f32]) -> Vec<f32> {
-        per_coordinate_dense(&updates, median_of_sorted)
-    }
-
-    fn accumulate_sparse(&self, updates: Vec<SparseUpdate>, theta_len: usize) -> Vec<f32> {
-        per_coordinate_sparse(&updates, theta_len, median_of_sorted)
-    }
-}
-
-/// Coordinate-wise trimmed mean: drop the `k` smallest and `k` largest
-/// values per coordinate (clamped so at least one value survives), then
-/// average the remainder. `k = 0` degrades to the per-coordinate mean.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TrimmedMean {
-    /// Values trimmed from each end.
-    pub k: usize,
-}
-
-impl Aggregator for TrimmedMean {
-    fn describe(&self) -> String {
-        format!("trimmed:{}", self.k)
-    }
-
-    fn aggregate_dense(&self, updates: Vec<Vec<f32>>, _weights: &[f32]) -> Vec<f32> {
-        let k = self.k;
-        per_coordinate_dense(&updates, move |sorted| trimmed_mean_of_sorted(sorted, k))
-    }
-
-    fn accumulate_sparse(&self, updates: Vec<SparseUpdate>, theta_len: usize) -> Vec<f32> {
-        let k = self.k;
-        per_coordinate_sparse(&updates, theta_len, move |sorted| {
-            trimmed_mean_of_sorted(sorted, k)
-        })
-    }
-}
-
-/// Multi-Krum selection: score update `i` as the sum of its `q` smallest
-/// squared distances to the other updates (`q = max(keep − 2, 1)`), keep
-/// the `keep` lowest-scoring updates and average those with equal weight.
-/// `keep = n` selects everyone; ties break by update index, so the
-/// selection is deterministic even when every distance is equal.
-#[derive(Debug, Clone, Copy)]
-pub struct Krum {
-    /// Updates kept (Multi-Krum `m`; clamped to `[1, n]`).
-    pub keep: usize,
-}
-
-impl Krum {
-    /// Indices of the kept updates, in ascending order.
-    fn select(&self, sq_dist: &[Vec<f64>]) -> Vec<usize> {
-        let n = sq_dist.len();
-        let keep = self.keep.clamp(1, n);
-        if keep == n {
-            return (0..n).collect();
-        }
-        let q = self.keep.saturating_sub(2).clamp(1, n - 1);
+    let keep = keep.clamp(1, n);
+    let kept: Vec<usize> = if keep == n {
+        (0..n).collect()
+    } else {
+        let norms: Vec<f64> = updates.iter().map(sparse_sq_norm).collect();
+        let q = keep.saturating_sub(2).clamp(1, n - 1);
         let mut scores: Vec<(f64, usize)> = (0..n)
             .map(|i| {
-                let mut d: Vec<f64> = (0..n).filter(|&j| j != i).map(|j| sq_dist[i][j]).collect();
+                let mut d: Vec<f64> = (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| {
+                        (norms[i] + norms[j] - 2.0 * sparse_dot(&updates[i], &updates[j])).max(0.0)
+                    })
+                    .collect();
                 d.sort_unstable_by(f64::total_cmp);
                 (d.iter().take(q).sum::<f64>(), i)
             })
@@ -462,91 +372,15 @@ impl Krum {
         let mut kept: Vec<usize> = scores[..keep].iter().map(|&(_, i)| i).collect();
         kept.sort_unstable();
         kept
-    }
-}
-
-impl Aggregator for Krum {
-    fn describe(&self) -> String {
-        format!("krum:{}", self.keep)
-    }
-
-    fn aggregate_dense(&self, updates: Vec<Vec<f32>>, _weights: &[f32]) -> Vec<f32> {
-        assert!(!updates.is_empty(), "nothing to aggregate");
-        let n = updates.len();
-        let sq_dist: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| dense_sq_dist(&updates[i], &updates[j]))
-                    .collect()
-            })
-            .collect();
-        let kept = self.select(&sq_dist);
-        let selected: Vec<Vec<f32>> = kept.iter().map(|&i| updates[i].clone()).collect();
-        let ones = vec![1.0f32; selected.len()];
-        average_flat(&selected, &ones)
-    }
-
-    fn accumulate_sparse(&self, updates: Vec<SparseUpdate>, theta_len: usize) -> Vec<f32> {
-        let n = updates.len();
-        let mut acc = vec![0.0f32; theta_len];
-        if n == 0 {
-            return acc;
+    };
+    sum_into(&mut acc, kept.iter().map(|&i| &updates[i]));
+    if kept.len() < n {
+        let scale = n as f32 / kept.len() as f32;
+        for v in &mut acc {
+            *v *= scale;
         }
-        let norms: Vec<f64> = updates.iter().map(sparse_sq_norm).collect();
-        let sq_dist: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| {
-                        let d = norms[i] + norms[j] - 2.0 * sparse_dot(&updates[i], &updates[j]);
-                        d.max(0.0)
-                    })
-                    .collect()
-            })
-            .collect();
-        let kept = self.select(&sq_dist);
-        let selected: Vec<SparseUpdate> = kept.iter().map(|&i| updates[i].clone()).collect();
-        sum_into(&mut acc, &selected);
-        // the caller divides by the total update count m; re-scale so the
-        // kept updates carry the full mass, preserving the (coverage/m)
-        // semantics of the mean path
-        if kept.len() < n {
-            let scale = n as f32 / kept.len() as f32;
-            for v in &mut acc {
-                *v *= scale;
-            }
-        }
-        acc
     }
-}
-
-/// Composable pre-step: clip every update to L2 norm `bound`, then
-/// delegate to `inner`. Bounds how far any single participant can drag
-/// the aggregate even when the center is the plain mean.
-pub struct NormClip {
-    /// Maximum per-update L2 norm.
-    pub bound: f32,
-    /// The aggregation rule applied after clipping.
-    pub inner: Box<dyn Aggregator>,
-}
-
-impl Aggregator for NormClip {
-    fn describe(&self) -> String {
-        format!("clip:{}+{}", self.bound, self.inner.describe())
-    }
-
-    fn aggregate_dense(&self, mut updates: Vec<Vec<f32>>, weights: &[f32]) -> Vec<f32> {
-        for u in &mut updates {
-            clip_l2(u, self.bound);
-        }
-        self.inner.aggregate_dense(updates, weights)
-    }
-
-    fn accumulate_sparse(&self, mut updates: Vec<SparseUpdate>, theta_len: usize) -> Vec<f32> {
-        for u in &mut updates {
-            clip_l2(&mut u.values, self.bound);
-        }
-        self.inner.accumulate_sparse(updates, theta_len)
-    }
+    acc
 }
 
 /// Scales `values` down to L2 norm `bound` when it exceeds the bound.
@@ -560,21 +394,110 @@ pub fn clip_l2(values: &mut [f32], bound: f32) {
     }
 }
 
-/// Incremental front-end to [`Aggregator::accumulate_sparse`]: push
-/// updates one at a time as replies are processed, then read the final
-/// pre-scaled accumulator once.
+/// How the cohort's updates are partitioned into shard aggregators.
+/// `shards = 1` is the flat (single-tier) topology and the default.
 ///
-/// The plain (optionally clipped) mean **streams**: each update folds
-/// into the running sum at push time, so no update is retained and the
-/// work overlaps with whatever produces the updates. Because the fold is
-/// `sum_into`'s exact f32 addition order, the result is bit-identical
-/// to the batch `accumulate_sparse` call over the same updates in the
-/// same order — callers that need determinism across execution modes
-/// only have to push in a canonical order (the server pushes in report
-/// order, which is sorted by participant). Order-insensitive but
-/// set-dependent rules (median / trimmed / krum) need every update at
-/// once; those buffer at push and delegate to the batch path in
-/// [`StreamingAccumulator::finish`], which is trivially identical.
+/// Under `s` shards a robust rule runs over each round-robin slice of the
+/// updates, and the shards' accumulators are summed in shard order: the
+/// two-tier estimator `Σ_s q_{c,s} · center_s(c)`, which keeps the total
+/// mass `q_c`. The mean (clipped or not) folds flat under every topology,
+/// since per-shard partial sums would change its f32 addition order.
+///
+/// Sharding weakens the robust rules' Byzantine tolerance: the bound holds
+/// **within each shard**, not globally. Flat `trimmed:k` tolerates `k`
+/// outliers per coordinate; under `s` shards an adversary who concentrates
+/// more than `k` colluders into one shard hijacks that shard's center —
+/// its damage bounded by the shard's mass `q_{c,s} ≈ q_c / s`, but
+/// hijacked nonetheless. The same argument applies to Krum's `f = n − m`
+/// and the median's minority bound, so shards must stay large enough that
+/// the per-shard bound still covers the plausible collusion size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardTopology {
+    /// Number of shard aggregators (≥ 1; 1 means flat).
+    pub shards: usize,
+}
+
+impl Default for ShardTopology {
+    fn default() -> Self {
+        ShardTopology::flat()
+    }
+}
+
+impl ShardTopology {
+    /// Single-tier aggregation — every update goes through one flat pass.
+    pub fn flat() -> Self {
+        ShardTopology { shards: 1 }
+    }
+
+    /// Two-tier aggregation over `shards` shard aggregators.
+    pub fn sharded(shards: usize) -> Self {
+        ShardTopology { shards }
+    }
+
+    /// `true` when aggregation is single-tier.
+    pub fn is_flat(&self) -> bool {
+        self.shards <= 1
+    }
+
+    /// Parses a `--topology` spec: `flat` or `shards:<s>`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the invalid token.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let spec = spec.trim();
+        if spec == "flat" {
+            return Ok(ShardTopology::flat());
+        }
+        if let Some(arg) = spec.strip_prefix("shards:") {
+            let shards: usize = arg
+                .parse()
+                .map_err(|e| format!("bad shard count {arg:?}: {e}"))?;
+            let t = ShardTopology { shards };
+            t.validate()?;
+            return Ok(t);
+        }
+        Err(format!(
+            "unknown topology {spec:?} (expected flat|shards:<s>)"
+        ))
+    }
+
+    /// Validates internal consistency.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message describing the invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.shards == 0 {
+            return Err("topology needs at least one shard".into());
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for ShardTopology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_flat() {
+            write!(f, "flat")
+        } else {
+            write!(f, "shards:{}", self.shards)
+        }
+    }
+}
+
+/// The round's accumulator: push updates one at a time as replies are
+/// processed, then read the pre-scaled accumulator once.
+///
+/// The mean (clipped or not) **streams**: each update folds into the
+/// running sum at push time, in `sum_into`'s exact f32 addition order, so
+/// no update is retained and the result equals [`AggregatorConfig::reduce`]
+/// over the same updates in the same order. Callers that need determinism
+/// across execution modes only have to push in a canonical order (the
+/// server pushes in report order, sorted by participant). The median,
+/// trimmed mean and Krum need every update at once: they buffer at push,
+/// and [`StreamingAccumulator::finish`] reduces the buffer — whole under
+/// the flat topology, or split round-robin by push index into the
+/// topology's shards, reduced per shard and summed in shard order.
 pub struct StreamingAccumulator {
     mode: StreamMode,
 }
@@ -582,18 +505,19 @@ pub struct StreamingAccumulator {
 enum StreamMode {
     /// mean / clip+mean: running sum in push order.
     Fold { acc: Vec<f32>, clip: Option<f32> },
-    /// median / trimmed / krum (clipped or not): buffer, batch at finish.
+    /// median / trimmed / krum (clipped or not): buffer, reduce at finish.
     Buffer {
         updates: Vec<SparseUpdate>,
+        shards: usize,
         theta_len: usize,
-        rule: Box<dyn Aggregator>,
+        config: AggregatorConfig,
     },
 }
 
 impl StreamingAccumulator {
-    /// Creates an accumulator for `config` over a flat θ of `theta_len`
-    /// coordinates.
-    pub fn new(config: &AggregatorConfig, theta_len: usize) -> Self {
+    /// Creates an accumulator for `config` under `topology` over a flat θ
+    /// of `theta_len` coordinates.
+    pub fn new(config: &AggregatorConfig, topology: ShardTopology, theta_len: usize) -> Self {
         let mode = match config.kind {
             AggregatorKind::Mean => StreamMode::Fold {
                 acc: vec![0.0f32; theta_len],
@@ -601,42 +525,57 @@ impl StreamingAccumulator {
             },
             _ => StreamMode::Buffer {
                 updates: Vec::new(),
+                shards: topology.shards.max(1),
                 theta_len,
-                rule: config.build(),
+                config: *config,
             },
         };
         StreamingAccumulator { mode }
     }
 
-    /// `true` when pushed updates fold immediately instead of buffering.
-    pub fn is_streaming(&self) -> bool {
-        matches!(self.mode, StreamMode::Fold { .. })
-    }
-
-    /// Feeds one update. Push order must match the order the batch path
-    /// would see for bit-identical results under the mean.
+    /// Feeds one update. Push order must be canonical: it fixes both the
+    /// mean's f32 fold order and the round-robin shard assignment.
     pub fn push(&mut self, mut update: SparseUpdate) {
         match &mut self.mode {
             StreamMode::Fold { acc, clip } => {
                 if let Some(bound) = *clip {
                     clip_l2(&mut update.values, bound);
                 }
-                sum_into(acc, std::slice::from_ref(&update));
+                sum_into(acc, [&update]);
             }
             StreamMode::Buffer { updates, .. } => updates.push(update),
         }
     }
 
-    /// Returns the pre-scaled accumulator (coordinate `c` holds
-    /// `q_c · center(g[c])`, see [`Aggregator::accumulate_sparse`]).
+    /// Returns the pre-scaled accumulator: coordinate `c` holds
+    /// `q_c · center(g[c])` flat, or `Σ_s q_{c,s} · center_s(c)` sharded.
     pub fn finish(self) -> Vec<f32> {
         match self.mode {
             StreamMode::Fold { acc, .. } => acc,
             StreamMode::Buffer {
                 updates,
+                shards: 1,
                 theta_len,
-                rule,
-            } => rule.accumulate_sparse(updates, theta_len),
+                config,
+            } => config.reduce(updates, theta_len),
+            StreamMode::Buffer {
+                updates,
+                shards,
+                theta_len,
+                config,
+            } => {
+                let mut slices = vec![Vec::new(); shards];
+                for (i, u) in updates.into_iter().enumerate() {
+                    slices[i % shards].push(u);
+                }
+                let mut root = vec![0.0f32; theta_len];
+                for slice in slices.into_iter().filter(|s| !s.is_empty()) {
+                    for (r, p) in root.iter_mut().zip(&config.reduce(slice, theta_len)) {
+                        *r += p;
+                    }
+                }
+                root
+            }
         }
     }
 }
@@ -659,27 +598,8 @@ fn trimmed_mean_of_sorted(sorted: &[f32], k: usize) -> f32 {
     kept.iter().sum::<f32>() / kept.len() as f32
 }
 
-/// Runs a per-coordinate center over dense columns.
-fn per_coordinate_dense(updates: &[Vec<f32>], center: impl Fn(&[f32]) -> f32) -> Vec<f32> {
-    assert!(!updates.is_empty(), "nothing to aggregate");
-    let len = updates[0].len();
-    for u in updates {
-        assert_eq!(u.len(), len, "update length mismatch");
-    }
-    let mut column = vec![0.0f32; updates.len()];
-    (0..len)
-        .map(|c| {
-            for (slot, u) in column.iter_mut().zip(updates) {
-                *slot = u[c];
-            }
-            column.sort_unstable_by(f32::total_cmp);
-            center(&column)
-        })
-        .collect()
-}
-
 /// Runs a per-coordinate center over sparse columns, returning the
-/// pre-scaled accumulator `q_c · center` (see [`Aggregator::accumulate_sparse`]).
+/// pre-scaled accumulator `q_c · center` (see [`AggregatorConfig::reduce`]).
 fn per_coordinate_sparse(
     updates: &[SparseUpdate],
     theta_len: usize,
@@ -726,16 +646,6 @@ fn per_coordinate_sparse(
     out
 }
 
-fn dense_sq_dist(a: &[f32], b: &[f32]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
-            d * d
-        })
-        .sum()
-}
-
 fn sparse_sq_norm(u: &SparseUpdate) -> f64 {
     u.values.iter().map(|&v| v as f64 * v as f64).sum()
 }
@@ -775,6 +685,7 @@ mod tests {
     use super::*;
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn sparse(ranges: &[(usize, usize)], values: &[f32]) -> SparseUpdate {
         let u = SparseUpdate {
@@ -785,11 +696,29 @@ mod tests {
         u
     }
 
-    /// Legacy server accumulation: per update, per range, in order.
+    fn rule(spec: &str) -> AggregatorConfig {
+        AggregatorConfig::parse(spec).unwrap()
+    }
+
+    /// Server accumulation written out: per update, per range, in order.
     fn legacy_sum(updates: &[SparseUpdate], theta_len: usize) -> Vec<f32> {
         let mut acc = vec![0.0f32; theta_len];
         sum_into(&mut acc, updates);
         acc
+    }
+
+    /// Pushes `updates` in order through the one accumulator.
+    fn accumulate(
+        config: &AggregatorConfig,
+        topology: ShardTopology,
+        updates: &[SparseUpdate],
+        theta_len: usize,
+    ) -> Vec<f32> {
+        let mut acc = StreamingAccumulator::new(config, topology, theta_len);
+        for u in updates {
+            acc.push(u.clone());
+        }
+        acc.finish()
     }
 
     fn close(a: &[f32], b: &[f32], tol: f32) {
@@ -797,6 +726,57 @@ mod tests {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert!((x - y).abs() <= tol, "coordinate {i}: {x} vs {y}");
         }
+    }
+
+    /// Bitwise comparison: `==` on f32 would pass -0.0 vs 0.0 and fail
+    /// NaN vs NaN; determinism here means identical bit patterns.
+    fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length mismatch");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: coordinate {i} differs ({x} vs {y})"
+            );
+        }
+    }
+
+    /// Fixed-seed update set with overlapping irregular coverage, the
+    /// regression workload for the sharded pins below.
+    fn seeded_updates(seed: u64, n: usize, theta_len: usize) -> Vec<SparseUpdate> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let off = rng.gen_range(0..theta_len / 2);
+                let len = rng.gen_range(1..=theta_len - off);
+                let values: Vec<f32> = (0..len).map(|_| rng.gen_range(-4.0..4.0)).collect();
+                sparse(&[(off, len)], &values)
+            })
+            .collect()
+    }
+
+    /// Arbitrary two-range updates over a θ of `THETA` coordinates:
+    /// `(off1, len1, gap, len2, values)`; `len2` may clamp to zero at the θ
+    /// boundary, exercising single-range and empty-tail shapes too.
+    const THETA: usize = 16;
+
+    fn two_range_updates(raw: Vec<(usize, usize, usize, usize, Vec<f32>)>) -> Vec<SparseUpdate> {
+        raw.into_iter()
+            .map(|(off1, len1, gap, len2, vals)| {
+                let len1 = len1.min(THETA - off1);
+                let start2 = off1 + len1 + gap + 1;
+                let len2 = len2.min(THETA.saturating_sub(start2));
+                let mut ranges = vec![(off1, len1)];
+                if len2 > 0 {
+                    ranges.push((start2, len2));
+                }
+                let total: usize = ranges.iter().map(|&(_, l)| l).sum();
+                SparseUpdate {
+                    ranges,
+                    values: vals[..total].to_vec(),
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -809,20 +789,8 @@ mod tests {
             sparse(&[(0, 7)], &[0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]),
         ];
         let legacy = legacy_sum(&updates, 8);
-        let routed = WeightedMean.accumulate_sparse(updates, 8);
-        assert_eq!(
-            legacy, routed,
-            "mean must be bit-identical through the trait"
-        );
-    }
-
-    #[test]
-    fn mean_dense_is_average_flat() {
-        let a = vec![1.0f32, 2.0, 3.0];
-        let b = vec![3.0f32, 2.0, 1.0];
-        let direct = average_flat(&[a.clone(), b.clone()], &[3.0, 1.0]);
-        let routed = WeightedMean.aggregate_dense(vec![a, b], &[3.0, 1.0]);
-        assert_eq!(direct, routed);
+        let routed = AggregatorConfig::mean().reduce(updates, 8);
+        assert_eq!(legacy, routed, "mean must be the plain running sum");
     }
 
     #[test]
@@ -831,14 +799,9 @@ mod tests {
         let updates: Vec<SparseUpdate> = (0..n)
             .map(|_| sparse(&[(0, 4)], &[0.25, -0.5, 1.0, 0.125]))
             .collect();
-        let mean = WeightedMean.accumulate_sparse(updates.clone(), 4);
-        for agg in [
-            Box::new(CoordMedian) as Box<dyn Aggregator>,
-            Box::new(TrimmedMean { k: 1 }),
-            Box::new(Krum { keep: n }),
-            Box::new(Krum { keep: 3 }),
-        ] {
-            let out = agg.accumulate_sparse(updates.clone(), 4);
+        let mean = AggregatorConfig::mean().reduce(updates.clone(), 4);
+        for spec in ["median", "trimmed:1", "krum:5", "krum:3"] {
+            let out = rule(spec).reduce(updates.clone(), 4);
             close(&mean, &out, 1e-6);
         }
     }
@@ -851,7 +814,7 @@ mod tests {
             sparse(&[(0, 2)], &[0.9, 1.1]),
             sparse(&[(0, 2)], &[1e6, -1e6]), // attacker
         ];
-        let out = CoordMedian.accumulate_sparse(updates, 2);
+        let out = rule("median").reduce(updates, 2);
         // 4 × median; median of {0.9, 1.0, 1.1, 1e6} = 1.05
         assert!((out[0] - 4.0 * 1.05).abs() < 1e-4, "{out:?}");
         assert!((out[1] - 4.0 * 0.95).abs() < 1e-4, "{out:?}");
@@ -868,26 +831,37 @@ mod tests {
         assert_eq!(trimmed_mean_of_sorted(&[7.0], 5), 7.0);
         // n = 2 with k ≥ 1 clamps to the mean of both
         assert!((trimmed_mean_of_sorted(&[1.0, 3.0], 1) - 2.0).abs() < 1e-6);
-        // genuine trim: k = 1 over 5 values drops both extremes
-        let out = TrimmedMean { k: 1 }.aggregate_dense(
-            vec![vec![-1e6], vec![1.0], vec![2.0], vec![3.0], vec![1e6]],
-            &[1.0; 5],
-        );
-        assert!((out[0] - 2.0).abs() < 1e-6, "{out:?}");
+        // genuine trim on the sparse path: k = 1 over 5 values drops both
+        // extremes and keeps the mass, 5 × mean{1, 2, 3}; a coordinate only
+        // two updates cover clamps to their mean, 2 × 4
+        let updates: Vec<SparseUpdate> = [-1e6f32, 1.0, 2.0, 3.0, 1e6]
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match i {
+                1 => sparse(&[(0, 2)], &[v, 3.0]),
+                3 => sparse(&[(0, 2)], &[v, 5.0]),
+                _ => sparse(&[(0, 1)], &[v]),
+            })
+            .collect();
+        let out = rule("trimmed:1").reduce(updates, 3);
+        assert!((out[0] - 5.0 * 2.0).abs() < 1e-6, "{out:?}");
+        assert!((out[1] - 2.0 * 4.0).abs() < 1e-6, "{out:?}");
+        // an uncovered coordinate stays zero
+        assert_eq!(out[2], 0.0);
     }
 
     #[test]
     fn krum_excludes_outliers_and_handles_edges() {
         // single update: kept verbatim
-        let lone = Krum { keep: 3 }.accumulate_sparse(vec![sparse(&[(0, 2)], &[5.0, -5.0])], 2);
+        let lone = rule("krum:3").reduce(vec![sparse(&[(0, 2)], &[5.0, -5.0])], 2);
         assert_eq!(lone, vec![5.0, -5.0]);
         // keep = n selects everyone → equals the mean path exactly
         let updates = vec![
             sparse(&[(0, 2)], &[1.0, 2.0]),
             sparse(&[(0, 2)], &[3.0, 4.0]),
         ];
-        let all = Krum { keep: 2 }.accumulate_sparse(updates.clone(), 2);
-        let mean = WeightedMean.accumulate_sparse(updates, 2);
+        let all = rule("krum:2").reduce(updates.clone(), 2);
+        let mean = AggregatorConfig::mean().reduce(updates, 2);
         assert_eq!(all, mean);
         // an outlier far from the cluster is never selected
         let clustered = vec![
@@ -896,7 +870,7 @@ mod tests {
             sparse(&[(0, 2)], &[1.0, 1.1]),
             sparse(&[(0, 2)], &[1e5, 1e5]), // attacker
         ];
-        let out = Krum { keep: 2 }.accumulate_sparse(clustered, 2);
+        let out = rule("krum:2").reduce(clustered, 2);
         // mass rescaled by n/keep = 2: each coordinate ≈ 2 × (sum of two
         // nearby honest values) — far below anything containing 1e5
         assert!(out[0] < 100.0 && out[1] < 100.0, "{out:?}");
@@ -908,24 +882,11 @@ mod tests {
         // four identical updates: every pairwise distance is zero, every
         // score ties — selection must fall back to index order, stably
         let updates: Vec<SparseUpdate> = (0..4).map(|_| sparse(&[(0, 1)], &[2.0])).collect();
-        let krum = Krum { keep: 2 };
-        let a = krum.accumulate_sparse(updates.clone(), 1);
-        let b = krum.accumulate_sparse(updates, 1);
+        let a = rule("krum:2").reduce(updates.clone(), 1);
+        let b = rule("krum:2").reduce(updates, 1);
         assert_eq!(a, b);
         // 2 kept × 2.0 each × rescale 4/2 = 8.0 (≡ 4 × mean 2.0)
         assert!((a[0] - 8.0).abs() < 1e-6, "{a:?}");
-    }
-
-    #[test]
-    fn krum_dense_keeps_the_cluster() {
-        let updates = vec![
-            vec![0.0f32, 0.0],
-            vec![0.1, 0.0],
-            vec![0.0, 0.1],
-            vec![50.0, 50.0],
-        ];
-        let out = Krum { keep: 3 }.aggregate_dense(updates, &[1.0; 4]);
-        assert!(out[0].abs() < 1.0 && out[1].abs() < 1.0, "{out:?}");
     }
 
     #[test]
@@ -941,8 +902,7 @@ mod tests {
         assert_eq!(small, orig);
         // clip + median end to end: the attacker's magnitude is bounded
         // before the center even runs
-        let agg = AggregatorConfig::parse("clip:10+median").unwrap().build();
-        let out = agg.accumulate_sparse(
+        let out = rule("clip:10+median").reduce(
             vec![
                 sparse(&[(0, 1)], &[1.0]),
                 sparse(&[(0, 1)], &[1.0]),
@@ -963,10 +923,10 @@ mod tests {
             sparse(&[(0, 2)], &[4.0, 9.0]),
             sparse(&[(0, 1)], &[6.0]),
         ];
-        let med = CoordMedian.accumulate_sparse(updates.clone(), 2);
+        let med = rule("median").reduce(updates.clone(), 2);
         assert!((med[0] - 3.0 * 4.0).abs() < 1e-6, "{med:?}"); // 3 × median 4
         assert_eq!(med[1], 9.0); // singleton column: exactly the sum
-        let mean = WeightedMean.accumulate_sparse(updates, 2);
+        let mean = AggregatorConfig::mean().reduce(updates, 2);
         assert_eq!(mean[1], med[1]);
     }
 
@@ -979,6 +939,7 @@ mod tests {
             "krum:4",
             "clip:0.5",
             "clip:0.5+median",
+            "clip:2+krum:3",
         ] {
             let cfg = AggregatorConfig::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(cfg.to_string(), spec);
@@ -1002,18 +963,6 @@ mod tests {
         ] {
             assert!(AggregatorConfig::parse(bad).is_err(), "{bad:?} should fail");
         }
-    }
-
-    #[test]
-    fn builders_describe_their_composition() {
-        assert_eq!(
-            AggregatorConfig::parse("clip:2+krum:3")
-                .unwrap()
-                .build()
-                .describe(),
-            "clip:2+krum:3"
-        );
-        assert_eq!(AggregatorConfig::default().build().describe(), "mean");
     }
 
     #[test]
@@ -1057,7 +1006,7 @@ mod tests {
     }
 
     /// Every aggregation rule the config language can express, so the
-    /// streaming front-end is checked against each batch path.
+    /// accumulator is checked against each batch reduction.
     fn all_rules() -> Vec<AggregatorConfig> {
         [
             "mean",
@@ -1069,21 +1018,8 @@ mod tests {
             "clip:0.75+krum:2",
         ]
         .iter()
-        .map(|s| AggregatorConfig::parse(s).unwrap())
+        .map(|s| rule(s))
         .collect()
-    }
-
-    /// Bitwise comparison: `==` on f32 would pass -0.0 vs 0.0 and fail
-    /// NaN vs NaN; determinism here means identical bit patterns.
-    fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
-        assert_eq!(a.len(), b.len(), "{what}: length mismatch");
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: coordinate {i} differs ({x} vs {y})"
-            );
-        }
     }
 
     #[test]
@@ -1095,26 +1031,169 @@ mod tests {
             sparse(&[(2, 2)], &[9.0, -9.0]),
         ];
         for config in all_rules() {
-            let batch = config.build().accumulate_sparse(updates.clone(), 8);
-            let mut stream = StreamingAccumulator::new(&config, 8);
-            assert_eq!(
-                stream.is_streaming(),
-                config.kind == AggregatorKind::Mean,
-                "only the (clipped) mean streams"
-            );
-            for u in updates.clone() {
-                stream.push(u);
-            }
-            assert_bits_eq(&batch, &stream.finish(), &config.to_string());
+            let batch = config.reduce(updates.clone(), 8);
+            let streamed = accumulate(&config, ShardTopology::flat(), &updates, 8);
+            assert_bits_eq(&batch, &streamed, &config.to_string());
         }
     }
 
     #[test]
     fn streaming_accumulator_with_no_updates_is_zero() {
         for config in all_rules() {
-            let out = StreamingAccumulator::new(&config, 5).finish();
-            assert_eq!(out, vec![0.0f32; 5], "{config}");
+            for topology in [ShardTopology::flat(), ShardTopology::sharded(3)] {
+                let out = StreamingAccumulator::new(&config, topology, 5).finish();
+                assert_eq!(out, vec![0.0f32; 5], "{config} {topology}");
+            }
         }
+    }
+
+    #[test]
+    fn topology_parse_display_validate_round_trip() {
+        for (spec, shards) in [("flat", 1), ("shards:4", 4), ("shards:1", 1)] {
+            let t = ShardTopology::parse(spec).unwrap();
+            assert_eq!(t.shards, shards);
+            assert!(t.validate().is_ok());
+            assert_eq!(ShardTopology::parse(&t.to_string()).unwrap(), t);
+        }
+        assert_eq!(ShardTopology::sharded(1).to_string(), "flat");
+        assert_eq!(ShardTopology::default(), ShardTopology::flat());
+        for bad in ["", "shards:0", "shards:x", "tree"] {
+            assert!(ShardTopology::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        assert!(ShardTopology { shards: 0 }.validate().is_err());
+    }
+
+    #[test]
+    fn mean_is_bit_identical_to_flat_under_any_topology() {
+        let updates = seeded_updates(11, 9, 16);
+        for config in [rule("mean"), rule("clip:1.5")] {
+            let flat = accumulate(&config, ShardTopology::flat(), &updates, 16);
+            for s in [2, 3, 8, 64] {
+                let sharded = accumulate(&config, ShardTopology::sharded(s), &updates, 16);
+                assert_bits_eq(&flat, &sharded, &format!("{config} shards:{s}"));
+            }
+        }
+    }
+
+    #[test]
+    fn robust_rules_shard_and_flat_topology_is_identity() {
+        let updates = seeded_updates(12, 8, 16);
+        for spec in ["median", "trimmed:1", "krum:3", "clip:2.0+median"] {
+            let config = rule(spec);
+            // shards:1 must be the exact batch reduction, bit for bit
+            let flat = config.reduce(updates.clone(), 16);
+            let one = accumulate(&config, ShardTopology::sharded(1), &updates, 16);
+            assert_bits_eq(&flat, &one, &format!("{spec} shards:1"));
+            // multi-shard engages the two-tier path
+            let two = accumulate(&config, ShardTopology::sharded(2), &updates, 16);
+            assert_ne!(flat, two, "{spec} shards:2");
+        }
+    }
+
+    /// The two-tier definition written out by hand: round-robin slices by
+    /// push index, the rule per non-empty slice, root sum in shard order.
+    fn per_shard_reference(
+        config: &AggregatorConfig,
+        shards: usize,
+        updates: &[SparseUpdate],
+        theta_len: usize,
+    ) -> Vec<f32> {
+        let mut slices: Vec<Vec<SparseUpdate>> = vec![Vec::new(); shards];
+        for (i, u) in updates.iter().enumerate() {
+            slices[i % shards].push(u.clone());
+        }
+        let mut expected = vec![0.0f32; theta_len];
+        for slice in slices.into_iter().filter(|s| !s.is_empty()) {
+            let partial = config.reduce(slice, theta_len);
+            for (e, p) in expected.iter_mut().zip(&partial) {
+                *e += p;
+            }
+        }
+        expected
+    }
+
+    #[test]
+    fn sharded_result_matches_explicit_per_shard_reference() {
+        let updates = seeded_updates(13, 10, 16);
+        for spec in ["median", "trimmed:1", "krum:3"] {
+            let config = rule(spec);
+            let expected = per_shard_reference(&config, 3, &updates, 16);
+            let got = accumulate(&config, ShardTopology::sharded(3), &updates, 16);
+            assert_bits_eq(&expected, &got, spec);
+        }
+    }
+
+    #[test]
+    fn sharding_preserves_coverage_mass() {
+        // identical honest updates: every center equals the update, so
+        // sharded and flat agree up to f32 rounding and the total mass
+        // q_c is preserved exactly
+        let updates: Vec<SparseUpdate> = (0..9)
+            .map(|_| sparse(&[(0, 4)], &[0.25, -0.5, 1.0, 0.125]))
+            .collect();
+        for spec in ["median", "trimmed:1", "krum:9"] {
+            let got = accumulate(&rule(spec), ShardTopology::sharded(3), &updates, 4);
+            for (c, &expect) in [0.25f32, -0.5, 1.0, 0.125].iter().enumerate() {
+                assert!(
+                    (got[c] - 9.0 * expect).abs() < 1e-5,
+                    "{spec}: coordinate {c} = {} (want {})",
+                    got[c],
+                    9.0 * expect
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_sharded_median_regression() {
+        // small exactly-representable values so the pins are stable:
+        // 6 updates over one coordinate, 2 shards (round-robin: shard 0
+        // gets {1, 3, 5}, shard 1 gets {2, 4, 1000}).
+        let updates: Vec<SparseUpdate> = [1.0f32, 2.0, 3.0, 4.0, 5.0, 1000.0]
+            .iter()
+            .map(|&v| sparse(&[(0, 1)], &[v]))
+            .collect();
+        let median = rule("median");
+        // shard medians: 3 and 4; root = 3·3 + 3·4 = 21
+        let got = accumulate(&median, ShardTopology::sharded(2), &updates, 1);
+        assert_eq!(got, vec![21.0]);
+        // flat median over all six = 3.5 → 6 × 3.5 = 21 here too, but a
+        // 3-shard split isolates the attacker into a hijacked shard:
+        // shards {1,4}, {2,1000}, {3,5} → medians 2.5, 501, 4 → mass-2
+        // each → 2·2.5 + 2·501 + 2·4 = 1015 (the documented caveat:
+        // per-shard f-bounds, damage bounded by shard mass)
+        let got3 = accumulate(&median, ShardTopology::sharded(3), &updates, 1);
+        assert_eq!(got3, vec![1015.0]);
+    }
+
+    #[test]
+    fn pinned_sharded_trimmed_and_krum_regressions() {
+        let updates: Vec<SparseUpdate> = [2.0f32, 4.0, 6.0, 8.0, 10.0, 12.0]
+            .iter()
+            .map(|&v| sparse(&[(0, 1)], &[v]))
+            .collect();
+        let two = ShardTopology::sharded(2);
+        // trimmed:1, 2 shards: shard 0 = {2,6,10} → trims to {6}; shard 1
+        // = {4,8,12} → trims to {8}; root = 3·6 + 3·8 = 42
+        assert_eq!(accumulate(&rule("trimmed:1"), two, &updates, 1), vec![42.0]);
+        // krum:3 with 3 per shard keeps everyone: root = plain sum = 42
+        assert_eq!(accumulate(&rule("krum:3"), two, &updates, 1), vec![42.0]);
+        // krum:2 drops each shard's worst-scoring update and rescales the
+        // survivors to the shard's full mass (3/2): shard 0 keeps {2,6},
+        // shard 1 keeps {4,8} → 1.5·8 + 1.5·12 = 30
+        assert_eq!(accumulate(&rule("krum:2"), two, &updates, 1), vec![30.0]);
+    }
+
+    #[test]
+    fn empty_shards_and_empty_input_are_fine() {
+        let median = rule("median");
+        // more shards than updates: trailing shards stay empty
+        let updates = vec![sparse(&[(0, 2)], &[1.0, 2.0])];
+        let got = accumulate(&median, ShardTopology::sharded(8), &updates, 2);
+        assert_eq!(got, vec![1.0, 2.0]);
+        // no updates at all
+        let got = accumulate(&median, ShardTopology::sharded(4), &[], 3);
+        assert_eq!(got, vec![0.0; 3]);
     }
 
     proptest! {
@@ -1123,38 +1202,61 @@ mod tests {
         #[test]
         fn streaming_matches_batch_on_arbitrary_updates(
             raw in pvec(
-                // two ranges per update: (off1, len1, gap, len2, values);
-                // len2 may clamp to zero at the θ boundary, exercising
-                // single-range and empty-tail shapes too
                 (0usize..6, 1usize..4, 0usize..3, 0usize..4, pvec(-8.0f32..8.0, 8)),
                 1..7,
             ),
             rule_sel in 0usize..7,
         ) {
-            const THETA: usize = 16;
-            let updates: Vec<SparseUpdate> = raw
-                .into_iter()
-                .map(|(off1, len1, gap, len2, vals)| {
-                    let len1 = len1.min(THETA - off1);
-                    let start2 = off1 + len1 + gap + 1;
-                    let len2 = len2.min(THETA.saturating_sub(start2));
-                    let mut ranges = vec![(off1, len1)];
-                    if len2 > 0 {
-                        ranges.push((start2, len2));
-                    }
-                    let total: usize = ranges.iter().map(|&(_, l)| l).sum();
-                    SparseUpdate { ranges, values: vals[..total].to_vec() }
-                })
-                .collect();
+            let updates = two_range_updates(raw);
             let config = all_rules()[rule_sel];
-            let batch = config.build().accumulate_sparse(updates.clone(), THETA);
-            let mut stream = StreamingAccumulator::new(&config, THETA);
-            for u in updates {
-                stream.push(u);
-            }
-            let streamed = stream.finish();
+            let batch = config.reduce(updates.clone(), THETA);
+            let streamed = accumulate(&config, ShardTopology::flat(), &updates, THETA);
             for (x, y) in batch.iter().zip(&streamed) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+
+        /// For the mean (clipped or not) the accumulator is bit-identical
+        /// to the flat fold under every topology and any update set.
+        #[test]
+        fn sharded_mean_is_bit_identical_to_flat(
+            raw in pvec(
+                (0usize..6, 1usize..4, 0usize..3, 0usize..4, pvec(-8.0f32..8.0, 8)),
+                1..9,
+            ),
+            shards in 1usize..9,
+            clip_sel in 0usize..2,
+        ) {
+            let updates = two_range_updates(raw);
+            let config = rule(["mean", "clip:1.5"][clip_sel]);
+            let flat = config.reduce(updates.clone(), THETA);
+            let sharded = accumulate(&config, ShardTopology::sharded(shards), &updates, THETA);
+            for (x, y) in flat.iter().zip(&sharded) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+
+        /// Robust rules under sharding keep the two-tier semantics: the
+        /// result equals the explicit round-robin per-shard reference, bit
+        /// for bit, and repeated runs agree.
+        #[test]
+        fn sharded_robust_matches_reference_partition(
+            raw in pvec(pvec(-8.0f32..8.0, 4), 2..10),
+            shards in 2usize..5,
+            rule_sel in 0usize..3,
+        ) {
+            let updates: Vec<SparseUpdate> = raw
+                .iter()
+                .map(|vals| SparseUpdate { ranges: vec![(0, 4)], values: vals.clone() })
+                .collect();
+            let config = rule(["median", "trimmed:1", "krum:2"][rule_sel]);
+            let topology = ShardTopology::sharded(shards);
+            let expected = per_shard_reference(&config, shards, &updates, 4);
+            let got = accumulate(&config, topology, &updates, 4);
+            let again = accumulate(&config, topology, &updates, 4);
+            for ((x, y), z) in expected.iter().zip(&got).zip(&again) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+                prop_assert_eq!(y.to_bits(), z.to_bits());
             }
         }
     }

@@ -3,13 +3,11 @@
 
 use crate::comm::CommStats;
 use crate::participant::Participant;
-use crate::robust::AggregatorConfig;
 #[cfg(test)]
 use crate::trainable::flat_params;
-use crate::trainable::{evaluate_model, flat_state, set_flat_state, TrainableModel};
-use fedrlnas_codec::CodecConfig;
+use crate::trainable::{average_flat, evaluate_model, flat_state, set_flat_state, TrainableModel};
 use fedrlnas_data::{dirichlet_partition, iid_partition, AugmentConfig, SyntheticDataset};
-use fedrlnas_netsim::{resolve_codec, Environment};
+use fedrlnas_netsim::Environment;
 use fedrlnas_nn::SgdConfig;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -27,17 +25,6 @@ pub struct FedAvgConfig {
     pub dirichlet_beta: Option<f64>,
     /// Augmentation applied by participants.
     pub augment: AugmentConfig,
-    /// How local model states are merged into the global model. The
-    /// default weighted mean is the classic FedAvg rule; robust choices
-    /// trade exact shard weighting for Byzantine tolerance.
-    pub aggregator: AggregatorConfig,
-    /// Update-compression codec applied to each uploaded weight delta
-    /// (`local − global`); the server reconstructs `global + decode(…)`
-    /// before aggregating. FedAvg compression is stateless — no
-    /// error-feedback residual is kept, unlike the search path — and the
-    /// default `fp32` leaves rounds byte-identical to the uncompressed
-    /// implementation.
-    pub codec: CodecConfig,
 }
 
 impl Default for FedAvgConfig {
@@ -54,8 +41,6 @@ impl Default for FedAvgConfig {
             },
             dirichlet_beta: None,
             augment: AugmentConfig::none(),
-            aggregator: AggregatorConfig::default(),
-            codec: CodecConfig::default(),
         }
     }
 }
@@ -168,11 +153,6 @@ impl<M: TrainableModel + Clone> FedAvgTrainer<M> {
         rng: &mut R,
     ) -> RoundMetrics {
         let model_bytes = self.global.param_bytes();
-        let global_flat = if self.config.codec.is_fp32() {
-            Vec::new()
-        } else {
-            flat_state(&mut self.global)
-        };
         let mut locals: Vec<Vec<f32>> = Vec::with_capacity(self.participants.len());
         let mut weights: Vec<f32> = Vec::with_capacity(self.participants.len());
         let mut loss = 0.0f32;
@@ -188,28 +168,12 @@ impl<M: TrainableModel + Clone> FedAvgTrainer<M> {
             );
             loss += report.loss;
             acc += report.accuracy;
-            let mut flat = flat_state(&mut local);
             self.comm.record_down(model_bytes);
-            if self.config.codec.is_fp32() {
-                self.comm.record_up(model_bytes);
-            } else {
-                let up = code_upload(
-                    self.config.codec,
-                    p.bandwidth_mbps(),
-                    &global_flat,
-                    &mut flat,
-                    &mut self.comm,
-                );
-                self.comm.record_up(up);
-            }
-            locals.push(flat);
+            self.comm.record_up(model_bytes);
+            locals.push(flat_state(&mut local));
             weights.push(p.shard_len() as f32);
         }
-        let avg = self
-            .config
-            .aggregator
-            .build()
-            .aggregate_dense(locals, &weights);
+        let avg = average_flat(&locals, &weights);
         set_flat_state(&mut self.global, &avg);
         self.comm.end_round();
         let k = self.participants.len() as f32;
@@ -226,36 +190,6 @@ impl<M: TrainableModel + Clone> FedAvgTrainer<M> {
     pub fn evaluate(&mut self, dataset: &SyntheticDataset) -> f32 {
         evaluate_model(&mut self.global, dataset, 64)
     }
-}
-
-/// Simulates one lossy-coded upload: replaces `flat` with
-/// `global + decode(encode(flat − global))`, tallies the compression in
-/// `comm`, and returns the encoded upload size in bytes. The delta — not
-/// the absolute state — goes through the codec so top-k sparsification
-/// drops small *movements*, never small *weights*.
-fn code_upload(
-    codec: CodecConfig,
-    mbps: f64,
-    global_flat: &[f32],
-    flat: &mut [f32],
-    comm: &mut CommStats,
-) -> usize {
-    debug_assert_eq!(global_flat.len(), flat.len());
-    let spec = resolve_codec(codec, mbps);
-    let delta: Vec<f32> = flat.iter().zip(global_flat).map(|(l, g)| l - g).collect();
-    let encoded = spec.encode(&delta);
-    let decoded = spec
-        .decode(&encoded, delta.len())
-        .expect("a codec must decode its own encoding");
-    for ((f, g), d) in flat.iter_mut().zip(global_flat).zip(&decoded) {
-        *f = g + d;
-    }
-    comm.compression.record(
-        spec.tag() as usize,
-        (delta.len() * 4) as u64,
-        encoded.len() as u64,
-    );
-    encoded.len()
 }
 
 #[cfg(test)]
@@ -303,23 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn robust_aggregator_round_stays_finite() {
-        use crate::robust::AggregatorConfig;
-        let (data, model, mut rng) = build();
-        let config = FedAvgConfig {
-            aggregator: AggregatorConfig::parse("clip:50+median").unwrap(),
-            ..FedAvgConfig::default()
-        };
-        let mut trainer = FedAvgTrainer::new(model, &data, 4, config, &mut rng);
-        let before = flat_params(trainer.global_mut());
-        let m = trainer.run_round(&data, &mut rng);
-        let after = flat_params(trainer.global_mut());
-        assert_ne!(before, after, "median-merged global weights must move");
-        assert!(m.train_loss.is_finite());
-        assert!(after.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
     fn bn_running_stats_travel_with_the_average() {
         // regression: weight-only averaging left the global model's BN
         // running statistics at their initialization, so evaluation ran on
@@ -335,57 +252,6 @@ mod tests {
             .zip(&after[n_params..])
             .any(|(a, b)| a != b);
         assert!(buffers_moved, "BN running stats must be updated by FedAvg");
-    }
-
-    #[test]
-    fn coded_rounds_stay_finite_and_tally_compression() {
-        use fedrlnas_codec::CodecSpec;
-        let (data, model, mut rng) = build();
-        let config = FedAvgConfig {
-            codec: CodecConfig::Fixed(CodecSpec::TopK { k_frac: 0.25 }),
-            ..FedAvgConfig::default()
-        };
-        let mut trainer = FedAvgTrainer::new(model, &data, 4, config, &mut rng);
-        let before = flat_params(trainer.global_mut());
-        let m = trainer.run_round(&data, &mut rng);
-        let after = flat_params(trainer.global_mut());
-        assert_ne!(before, after, "coded global weights must still move");
-        assert!(m.train_loss.is_finite());
-        assert!(after.iter().all(|v| v.is_finite()));
-        let tally = trainer.comm().compression;
-        assert!(tally.any(), "lossy codec must tally compression");
-        assert_eq!(tally.frames.iter().sum::<u64>(), 4, "one frame per upload");
-        assert!(
-            tally.encoded_bytes < tally.raw_bytes,
-            "top-k must shrink the upload: {} >= {}",
-            tally.encoded_bytes,
-            tally.raw_bytes
-        );
-        assert!(
-            trainer.comm().bytes_up < trainer.comm().bytes_down,
-            "upload accounting must reflect the encoded size"
-        );
-    }
-
-    #[test]
-    fn fp32_codec_leaves_rounds_and_accounting_unchanged() {
-        let (data, model, mut rng) = build();
-        let (data2, model2, mut rng2) = build();
-        let mut plain = FedAvgTrainer::new(model, &data, 4, FedAvgConfig::default(), &mut rng);
-        let coded_cfg = FedAvgConfig {
-            codec: CodecConfig::parse("fp32").unwrap(),
-            ..FedAvgConfig::default()
-        };
-        let mut coded = FedAvgTrainer::new(model2, &data2, 4, coded_cfg, &mut rng2);
-        plain.run_round(&data, &mut rng);
-        coded.run_round(&data2, &mut rng2);
-        assert_eq!(
-            flat_params(plain.global_mut()),
-            flat_params(coded.global_mut()),
-            "explicit fp32 must be bit-identical to the default"
-        );
-        assert_eq!(plain.comm(), coded.comm());
-        assert!(!coded.comm().compression.any(), "fp32 tallies nothing");
     }
 
     #[test]

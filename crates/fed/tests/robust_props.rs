@@ -4,8 +4,7 @@
 //! arbitrary inputs.
 
 use fedrlnas_fed::{
-    clip_l2, l2_norm, validate_update, Aggregator, CoordMedian, Krum, SparseUpdate, TrimmedMean,
-    WeightedMean,
+    clip_l2, l2_norm, validate_update, AggregatorConfig, AggregatorKind, SparseUpdate,
 };
 use proptest::prelude::*;
 
@@ -13,39 +12,20 @@ fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
 }
 
-fn aggregators(n: usize) -> Vec<Box<dyn Aggregator>> {
-    vec![
-        Box::new(CoordMedian),
-        Box::new(TrimmedMean { k: 0 }),
-        Box::new(TrimmedMean { k: 1 }),
-        Box::new(Krum { keep: n }),
-        Box::new(Krum { keep: n.max(2) - 1 }),
+fn aggregators(n: usize) -> Vec<AggregatorConfig> {
+    [
+        AggregatorKind::Median,
+        AggregatorKind::Trimmed { k: 0 },
+        AggregatorKind::Trimmed { k: 1 },
+        AggregatorKind::Krum { m: n },
+        AggregatorKind::Krum { m: n.max(2) - 1 },
     ]
+    .into_iter()
+    .map(|kind| AggregatorConfig { kind, clip: None })
+    .collect()
 }
 
 proptest! {
-    // Identical updates: every robust center collapses to the single
-    // repeated point, which is exactly what the mean computes.
-    #[test]
-    fn robust_equals_mean_for_identical_dense_updates(
-        values in finite_vec(17),
-        n in 1usize..7,
-    ) {
-        let updates: Vec<Vec<f32>> = (0..n).map(|_| values.clone()).collect();
-        let weights = vec![1.0f32; n];
-        let mean = WeightedMean.aggregate_dense(updates.clone(), &weights);
-        for agg in aggregators(n) {
-            let out = agg.aggregate_dense(updates.clone(), &weights);
-            prop_assert_eq!(out.len(), mean.len());
-            for (c, (a, b)) in out.iter().zip(&mean).enumerate() {
-                prop_assert!(
-                    (a - b).abs() <= 1e-6,
-                    "{} diverged from mean at {}: {} vs {}", agg.describe(), c, a, b
-                );
-            }
-        }
-    }
-
     // Sparse path, identical masks and values: the pre-scaled accumulators
     // must agree across every aggregator (and with the legacy sum).
     #[test]
@@ -58,9 +38,9 @@ proptest! {
         let updates: Vec<SparseUpdate> = (0..n)
             .map(|_| SparseUpdate { ranges: ranges.clone(), values: values.clone() })
             .collect();
-        let mean = WeightedMean.accumulate_sparse(updates.clone(), theta_len);
+        let mean = AggregatorConfig::mean().reduce(updates.clone(), theta_len);
         for agg in aggregators(n) {
-            let out = agg.accumulate_sparse(updates.clone(), theta_len);
+            let out = agg.reduce(updates.clone(), theta_len);
             prop_assert_eq!(out.len(), mean.len());
             for (c, (a, b)) in out.iter().zip(&mean).enumerate() {
                 // n identical values summed vs n·center: tolerance scales
@@ -68,25 +48,29 @@ proptest! {
                 let tol = 1e-6f32.max(b.abs() * 1e-6);
                 prop_assert!(
                     (a - b).abs() <= tol,
-                    "{} diverged from mean at {}: {} vs {}", agg.describe(), c, a, b
+                    "{} diverged from mean at {}: {} vs {}", agg, c, a, b
                 );
             }
         }
     }
 
     // Honest-but-noisy cluster, trimming nothing: trimmed:0 IS the
-    // per-coordinate mean, so it must match to rounding error even when
-    // the updates differ.
+    // per-coordinate mean, so over full coverage both accumulators, divided
+    // by n as the server divides them, must match to rounding error even
+    // when the updates differ.
     #[test]
     fn trimmed_zero_matches_mean_on_distinct_updates(
         cols in proptest::collection::vec(finite_vec(9), 2..6),
     ) {
-        let n = cols.len();
-        let weights = vec![1.0f32; n];
-        let mean = WeightedMean.aggregate_dense(cols.clone(), &weights);
-        let trimmed = TrimmedMean { k: 0 }.aggregate_dense(cols, &weights);
+        let n = cols.len() as f32;
+        let updates: Vec<SparseUpdate> = cols
+            .into_iter()
+            .map(|values| SparseUpdate { ranges: vec![(0, 9)], values })
+            .collect();
+        let mean = AggregatorConfig::mean().reduce(updates.clone(), 9);
+        let trimmed = AggregatorConfig::parse("trimmed:0").unwrap().reduce(updates, 9);
         for (a, b) in trimmed.iter().zip(&mean) {
-            prop_assert!((a - b).abs() <= 1e-5, "{} vs {}", a, b);
+            prop_assert!((a / n - b / n).abs() <= 1e-5, "{} vs {}", a / n, b / n);
         }
     }
 

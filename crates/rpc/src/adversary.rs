@@ -5,7 +5,7 @@
 //! uploads; the architecture gradient and reward stay honest so the
 //! corruption targets exactly the surface the server's validation gate
 //! and robust aggregators defend ([`fedrlnas_fed::validate_update`] and
-//! the [`fedrlnas_fed::Aggregator`] implementations). Every behaviour is
+//! the rules of [`fedrlnas_fed::AggregatorConfig`]). Every behaviour is
 //! a pure function of `(attack, round, worker id, honest update)` driven
 //! by the same splitmix64 generator as the fault plan, so an adversarial
 //! run is exactly reproducible: same seed, same corrupted bytes, same

@@ -57,15 +57,15 @@
 //! masked by the retry/idempotence machinery, so the search result is
 //! unchanged under a recoverable fault plan too.
 //!
-//! Robustness: with [`RpcConfig::update_norm_bound`] set, every on-time
-//! reply passes a validation gate (shape, finiteness, L2 norm) before it
-//! counts; rejected replies are tallied by cause in
-//! [`RoundOutcome::rejects`], never reach aggregation, and feed the
-//! eviction machinery — a worker evicted while its replies were being
-//! rejected is flagged as suspected Byzantine. Scripted
-//! [`Attack`]s on [`ScriptedFault::attack`]
-//! corrupt the uploaded model update deterministically, providing the
-//! adversarial side of that contract.
+//! Robustness: every on-time reply passes a validation gate (shape,
+//! finiteness, and the search's L2 norm bound,
+//! [`RoundRequest::update_norm_bound`]) before it counts; rejected replies
+//! are tallied by cause in [`RoundOutcome::rejects`], never reach
+//! aggregation, and feed the eviction machinery — a worker evicted while
+//! its replies were being rejected is flagged as suspected Byzantine.
+//! Scripted [`Attack`]s on [`ScriptedFault::attack`] corrupt the uploaded
+//! model update deterministically, providing the adversarial side of that
+//! contract.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -177,10 +177,6 @@ pub struct RpcConfig {
     /// Seeded fault-injection plan applied to every server-side link
     /// endpoint; [`FaultPlan::none`] (the default) injects nothing.
     pub fault: FaultPlan,
-    /// Reject any on-time reply whose model update exceeds this L2 norm
-    /// (`None`, the default, disables the norm check; shape and
-    /// finiteness are always enforced by the gate).
-    pub update_norm_bound: Option<f32>,
 }
 
 impl Default for RpcConfig {
@@ -197,7 +193,6 @@ impl Default for RpcConfig {
             reactor_threads: 0,
             evict_after: 3,
             fault: FaultPlan::none(),
-            update_norm_bound: None,
         }
     }
 }
@@ -1143,6 +1138,7 @@ mod tests {
             bandwidths_mbps: &bandwidths,
             seed_base: 0xFEED,
             codec: CodecConfig::default(),
+            update_norm_bound: None,
             active: None,
         };
         let config = RpcConfig::default();

@@ -242,7 +242,7 @@ impl LinkRound {
             report.accuracy,
             report.loss,
             expected_len,
-            s.config.update_norm_bound,
+            s.req.update_norm_bound,
         );
         wr.validate_ns = wr
             .validate_ns
@@ -859,6 +859,7 @@ mod tests {
                 bandwidths_mbps: &[50.0; 2],
                 seed_base: 0,
                 codec: Default::default(),
+                update_norm_bound: None,
                 active: None,
             };
             test(&Staged {

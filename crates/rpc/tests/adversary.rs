@@ -43,10 +43,21 @@ fn fleet(attack: Option<Attack>, f: usize) -> Vec<ScriptedFault> {
     faults
 }
 
-fn run(aggregator: &str, faults: &[ScriptedFault], rpc_config: RpcConfig) -> SearchOutcome {
-    let config = SearchConfig::tiny()
+fn search_config(aggregator: &str) -> SearchConfig {
+    SearchConfig::tiny()
         .with_participants(N)
-        .with_aggregator(AggregatorConfig::parse(aggregator).expect("valid spec"));
+        .with_aggregator(AggregatorConfig::parse(aggregator).expect("valid spec"))
+}
+
+fn run(aggregator: &str, faults: &[ScriptedFault], rpc_config: RpcConfig) -> SearchOutcome {
+    run_search(search_config(aggregator), faults, rpc_config)
+}
+
+fn run_search(
+    config: SearchConfig,
+    faults: &[ScriptedFault],
+    rpc_config: RpcConfig,
+) -> SearchOutcome {
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut search = FederatedModelSearch::new(config, &mut rng);
     let dataset = search.dataset().clone();
@@ -171,13 +182,10 @@ fn nan_flooders_are_rejected_and_evicted_as_suspected_byzantine() {
 fn norm_bound_rejects_amplified_updates() {
     // honest tiny-scale updates have single-digit L2 norms; colluders
     // uploading a constant vector of 50s are far outside any such bound
-    let outcome = run(
-        "mean",
+    let outcome = run_search(
+        search_config("mean").with_update_norm_bound(100.0),
         &fleet(Some(Attack::Collude(50.0)), F),
-        RpcConfig {
-            update_norm_bound: Some(100.0),
-            ..rpc()
-        },
+        rpc(),
     );
     let rejects = outcome.comm.rejects;
     println!("norm bound tally: {rejects:?}");
@@ -196,6 +204,34 @@ fn norm_bound_rejects_amplified_updates() {
     assert!(
         (acc - baseline).abs() <= 0.05,
         "gated attackers must not drag the search down: {acc:.4} vs {baseline:.4}"
+    );
+}
+
+#[test]
+fn the_search_norm_bound_gates_and_evicts_in_the_engine() {
+    // the bound is set on the search alone: the engine reads it from each
+    // round's request, so a worker whose every upload is over it is
+    // rejected there, counted as a miss, and evicted as suspected
+    // Byzantine
+    let outcome = run_search(
+        search_config("mean").with_update_norm_bound(100.0),
+        &fleet(Some(Attack::Scale(1e4)), 1),
+        rpc(),
+    );
+    let rejects = outcome.comm.rejects;
+    println!("search-only norm bound tally: {rejects:?}");
+    assert!(
+        rejects.rejected_norm >= 1,
+        "over-norm uploads must be refused: {rejects:?}"
+    );
+    assert!(
+        outcome.comm.faults.evictions >= 1,
+        "the engine must evict the repeat offender: {:?}",
+        outcome.comm.faults
+    );
+    assert!(
+        rejects.suspected_byzantine >= 1,
+        "an eviction during a reject streak must be flagged: {rejects:?}"
     );
 }
 
@@ -220,21 +256,20 @@ fn stale_replay_and_noise_stay_contained_under_clipped_median() {
 #[test]
 fn adversarial_runs_are_deterministic() {
     let faults = fleet(Some(Attack::Scale(-12.0)), F);
-    let a = run(
-        "krum:4",
+    let gated = || search_config("krum:4").with_update_norm_bound(100.0);
+    let a = run_search(
+        gated(),
         &faults,
         RpcConfig {
             evict_after: 2,
-            update_norm_bound: Some(100.0),
             ..rpc()
         },
     );
-    let b = run(
-        "krum:4",
+    let b = run_search(
+        gated(),
         &faults,
         RpcConfig {
             evict_after: 2,
-            update_norm_bound: Some(100.0),
             ..rpc()
         },
     );

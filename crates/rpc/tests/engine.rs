@@ -132,7 +132,6 @@ fn scenarios() -> Vec<Scenario> {
                 deadline: Duration::from_millis(300),
                 max_retries: 1,
                 retry_backoff: Duration::from_millis(5),
-                update_norm_bound: Some(1e3),
                 ..mem()
             },
             crash_and_attack,
@@ -251,6 +250,7 @@ impl Rig {
             bandwidths_mbps: &self.bandwidths,
             seed_base: SEED ^ t as u64,
             codec: self.codec,
+            update_norm_bound: None,
             active: self.active.as_deref(),
         })
     }

@@ -71,6 +71,14 @@ pub fn comm_stats_json(comm: &CommStats, rounds_completed: usize, total_rounds: 
     push_u64(&mut out, "scrub_repaired", comm.io.scrub_repaired);
     close_object(&mut out);
 
+    out.push_str("\"churn\":{");
+    push_u64(&mut out, "sampled", comm.churn.sampled);
+    push_u64(&mut out, "unavailable", comm.churn.unavailable);
+    push_u64(&mut out, "flaps", comm.churn.flaps);
+    push_u64(&mut out, "evicted", comm.churn.evicted);
+    push_u64(&mut out, "readmitted", comm.churn.readmitted);
+    close_object(&mut out);
+
     // Drop the trailing separator left by the last nested object.
     debug_assert!(out.ends_with(','));
     out.pop();
@@ -127,6 +135,12 @@ mod tests {
             "\"io\":",
             "torn_writes",
             "scrub_repaired",
+            "\"churn\":",
+            "sampled",
+            "unavailable",
+            "flaps",
+            "\"evicted\":",
+            "readmitted",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -138,5 +152,31 @@ mod tests {
             "unbalanced braces: {json}"
         );
         assert!(!json.contains(",}"), "dangling comma: {json}");
+    }
+
+    #[test]
+    fn a_population_search_reports_its_churn() {
+        use fedrlnas_core::{FederatedModelSearch, PopulationConfig, SearchConfig};
+        use fedrlnas_netsim::AvailabilitySpec;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let config = SearchConfig::tiny().with_population(PopulationConfig {
+            size: 50,
+            cohort: 4,
+            availability: AvailabilitySpec::default(),
+        });
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut search = FederatedModelSearch::new(config, &mut rng);
+        search.run(&mut rng);
+        let json = comm_stats_json(
+            search.server().comm(),
+            search.rounds_completed(),
+            search.total_rounds(),
+        );
+        assert!(json.contains("\"churn\":{\"sampled\":"), "{json}");
+        assert!(
+            !json.contains("\"churn\":{\"sampled\":0,"),
+            "a population search samples cohorts: {json}"
+        );
     }
 }

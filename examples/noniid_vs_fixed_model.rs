@@ -37,7 +37,6 @@ fn main() {
         config.num_participants,
         rounds,
         config.dirichlet_beta,
-        FedAvgConfig::default(),
         &mut rng,
     );
 

@@ -92,7 +92,7 @@ use fedrlnas::core::{
 };
 use fedrlnas::darts::Genotype;
 use fedrlnas::data::{DatasetSpec, SyntheticDataset};
-use fedrlnas::fed::{AggregatorConfig, FedAvgConfig};
+use fedrlnas::fed::AggregatorConfig;
 use fedrlnas::rpc::{FaultPlan, RpcConfig, TransportKind};
 use fedrlnas::service::{
     comm_stats_json, install_shutdown_handler, serve_tcp, shutdown_requested, JobManager,
@@ -339,8 +339,7 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
         config.assignment,
         config.aggregator,
     );
-    let norm_bound = config.update_norm_bound;
-    if let Some(bound) = norm_bound {
+    if let Some(bound) = config.update_norm_bound {
         println!("validation gate armed: rejecting updates with L2 norm > {bound}");
     }
     if !config.codec.is_fp32() {
@@ -440,7 +439,6 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
             quorum_drain,
             evict_after,
             fault,
-            update_norm_bound: norm_bound,
             ..RpcConfig::default()
         };
         let worker_dataset = search.dataset().clone();
@@ -614,7 +612,6 @@ fn cmd_retrain(argv: &[String]) -> Result<(), String> {
             config.num_participants,
             steps,
             config.dirichlet_beta,
-            FedAvgConfig::default(),
             &mut rng,
         )
     } else {

@@ -73,8 +73,6 @@ fn fedavg_with_one_participant_is_local_sgd() {
         sgd: SgdConfig::default(),
         dirichlet_beta: None,
         augment: AugmentConfig::none(),
-        aggregator: Default::default(),
-        codec: Default::default(),
     };
     // federated path
     let mut trainer = FedAvgTrainer::with_partition(
