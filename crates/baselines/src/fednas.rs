@@ -23,19 +23,6 @@ pub struct FedNasSearch {
     comm: CommStats,
     curve: CurveRecorder,
     nodes: usize,
-    privacy: Option<DpConfig>,
-    dp_rng: rand::rngs::StdRng,
-}
-
-/// Differential-privacy knobs turning [`FedNasSearch`] into DP-FNAS
-/// (Singh et al., the paper's reference \[18\]): each participant's gradient
-/// is L2-clipped and Gaussian noise is added before aggregation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DpConfig {
-    /// Per-participant gradient L2 clip `C`.
-    pub clip: f32,
-    /// Noise standard deviation as a multiple of `C` (σ = multiplier · C).
-    pub noise_multiplier: f32,
 }
 
 impl FedNasSearch {
@@ -55,7 +42,7 @@ impl FedNasSearch {
         };
         let loaders = parts
             .into_iter()
-            .map(|indices| Loader::new(indices, batch, AugmentConfig::none()))
+            .map(|indices| Loader::new(indices, batch, AugmentConfig::none()).with_key(rng.gen()))
             .collect();
         let alpha = Alpha::new(&net);
         let adam = Adam::new(alpha.logits().dims(), 3e-3, 1e-4);
@@ -68,21 +55,7 @@ impl FedNasSearch {
             comm: CommStats::new(),
             curve: CurveRecorder::new(),
             nodes: net.nodes,
-            privacy: None,
-            dp_rng: rand::SeedableRng::seed_from_u64(0xD9),
         }
-    }
-
-    /// Enables DP-FNAS mode: clip + Gaussian-noise every participant
-    /// contribution (builder-style).
-    pub fn with_privacy(mut self, dp: DpConfig) -> Self {
-        self.privacy = Some(dp);
-        self
-    }
-
-    /// Returns the active privacy configuration, if any.
-    pub fn privacy(&self) -> Option<&DpConfig> {
-        self.privacy.as_ref()
     }
 
     /// Communication tally — the headline number FedNAS loses on.
@@ -118,32 +91,7 @@ impl FedNasSearch {
             let logits = self.supernet.forward_mixed(&x, &probs, Mode::Train);
             let out = ce.forward(&logits, &y);
             let dl = ce.backward();
-            let mut dw = self.supernet.backward_mixed(&dl);
-            if let Some(dp) = self.privacy {
-                // DP-FNAS: clip this participant's architecture-gradient
-                // contribution and add Gaussian noise. (The θ gradients are
-                // noised after aggregation below, which is equivalent for a
-                // fixed participant count.)
-                let norm: f32 = dw
-                    .iter()
-                    .flat_map(|t| t.iter().flat_map(|e| e.iter()))
-                    .map(|v| v * v)
-                    .sum::<f32>()
-                    .sqrt();
-                let scale = if norm > dp.clip && norm > 0.0 {
-                    dp.clip / norm
-                } else {
-                    1.0
-                };
-                let sigma = dp.noise_multiplier * dp.clip;
-                for t in dw.iter_mut() {
-                    for e in t.iter_mut() {
-                        for v in e.iter_mut() {
-                            *v = *v * scale + sigma * gaussian(&mut self.dp_rng);
-                        }
-                    }
-                }
-            }
+            let dw = self.supernet.backward_mixed(&dl);
             for kind in 0..2 {
                 for e in 0..edges {
                     for o in 0..NUM_OPS {
@@ -157,19 +105,6 @@ impl FedNasSearch {
             self.comm.record_up(supernet_bytes);
         }
         let inv_k = 1.0 / k as f32;
-        if let Some(dp) = self.privacy {
-            // noise the aggregated θ gradient (per-aggregate formulation)
-            let sigma = dp.noise_multiplier * dp.clip * inv_k;
-            let dp_rng = &mut self.dp_rng;
-            self.supernet.visit_params(&mut |p| {
-                let mut g = p.grad.clone();
-                g.clip_norm(dp.clip);
-                for v in g.as_mut_slice().iter_mut() {
-                    *v += sigma * gaussian(dp_rng);
-                }
-                p.grad = g;
-            });
-        }
         self.supernet.visit_params(&mut |p| p.grad.scale(inv_k));
         let supernet = &mut self.supernet;
         self.theta_sgd.step_visitor(|f| supernet.visit_params(f));
@@ -227,12 +162,6 @@ impl FedNasSearch {
     }
 }
 
-fn gaussian<R: rand::Rng + ?Sized>(rng: &mut R) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,45 +181,5 @@ mod tests {
         let expected = 3 * 2 * 2 * search.payload_bytes() as u64;
         assert_eq!(search.comm().total_bytes(), expected);
         assert_eq!(search.curve().len(), 2);
-    }
-
-    #[test]
-    fn dp_fnas_still_searches_but_noisier() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let data = SyntheticDataset::generate(&DatasetSpec::svhn_like().with_sizes(8, 2), &mut rng);
-        let mut private = FedNasSearch::new(SupernetConfig::tiny(), &data, 2, 8, None, &mut rng)
-            .with_privacy(DpConfig {
-                clip: 1.0,
-                noise_multiplier: 0.5,
-            });
-        assert!(private.privacy().is_some());
-        let genotype = private.run(&data, 2, &mut rng);
-        assert_eq!(genotype.nodes(), 2);
-        assert!(private
-            .curve()
-            .steps()
-            .iter()
-            .all(|s| s.mean_loss.is_finite()));
-    }
-
-    #[test]
-    fn dp_noise_perturbs_alpha_relative_to_clean_run() {
-        let run = |dp: Option<DpConfig>| -> Vec<f32> {
-            let mut rng = StdRng::seed_from_u64(2);
-            let data =
-                SyntheticDataset::generate(&DatasetSpec::svhn_like().with_sizes(8, 2), &mut rng);
-            let mut s = FedNasSearch::new(SupernetConfig::tiny(), &data, 2, 8, None, &mut rng);
-            if let Some(dp) = dp {
-                s = s.with_privacy(dp);
-            }
-            s.run(&data, 2, &mut rng);
-            s.alpha.logits().as_slice().to_vec()
-        };
-        let clean = run(None);
-        let noisy = run(Some(DpConfig {
-            clip: 0.5,
-            noise_multiplier: 2.0,
-        }));
-        assert_ne!(clean, noisy, "noise must change the trajectory");
     }
 }

@@ -8,9 +8,7 @@
 //! * [`EnasSearch`] — centralized RL NAS (ENAS-style) sharing the
 //!   REINFORCE controller;
 //! * [`FedNasSearch`] — gradient-based *federated* NAS that ships the whole
-//!   supernet to every participant (the communication-cost foil), with an
-//!   optional DP-FNAS mode ([`DpConfig`]: clipped + Gaussian-noised
-//!   gradients, the paper's reference \[18\]);
+//!   supernet to every participant (the communication-cost foil);
 //! * [`EvoFedNas`] — evolutionary federated NAS with big/small search
 //!   spaces (EvoFedNAS in the tables).
 
@@ -25,5 +23,5 @@ mod fixed;
 pub use darts_grad::{DartsOrder, DartsSearch};
 pub use enas::EnasSearch;
 pub use evofednas::{EvoFedNas, EvoSpace};
-pub use fednas::{DpConfig, FedNasSearch};
+pub use fednas::FedNasSearch;
 pub use fixed::{ResNetProxy, SimpleCnn};

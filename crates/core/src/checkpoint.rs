@@ -1,4 +1,4 @@
-//! Search-state checkpointing (format v5) and crash recovery.
+//! Search-state checkpointing (format v6) and crash recovery.
 //!
 //! Real federated searches run for days (Table V); a production server
 //! must survive restarts. A [`Checkpoint`] captures everything Algorithm 1
@@ -17,7 +17,11 @@
 //! exactly like the aggregator rule; v5 adds the population-churn state —
 //! the scheduled-churn tallies, the availability-model spec, the cohort
 //! sampler's RNG cursor and the per-slot eviction streaks, so a resumed
-//! run samples the exact cohorts the uninterrupted run would have. A
+//! run samples the exact cohorts the uninterrupted run would have; v6
+//! drops v2's per-participant loader section (shuffle order and cursor,
+//! 8 bytes per training sample): a participant's batch is a pure function
+//! of the round and its schedule key, which a resumed server, rebuilt
+//! from the same seed, draws again, so there is nothing left to save. A
 //! search killed after round `t` and resumed from its round-`t` checkpoint
 //! produces the same genotype and curves as one that never stopped.
 //!
@@ -57,7 +61,7 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"FRLNCKPT";
 const V1_MAGIC: &[u8; 8] = b"FEDRLNA1";
-const VERSION: u16 = 5;
+const VERSION: u16 = 6;
 /// Header: magic + version + flags + body length.
 const HEADER_LEN: usize = 8 + 2 + 2 + 8;
 /// Every count in the body is a `u64`.
@@ -75,7 +79,7 @@ pub enum CheckpointError {
     /// A checkpoint from an unsupported format version (v1 files report
     /// version 1; v2 files predate the robustness fields; v3 files predate
     /// the update-compression state; v4 files predate the population-churn
-    /// state).
+    /// state; v5 files carry the loader section v6 dropped).
     UnsupportedVersion(u16),
     /// The file ends before the structure it declares. For the header,
     /// the declared body length and the trailer, `needed` is the end
@@ -110,7 +114,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported checkpoint version {v} (this build reads v5)"
+                    "unsupported checkpoint version {v} (this build reads v6)"
                 )
             }
             CheckpointError::Truncated { needed, got } => {
@@ -177,14 +181,12 @@ pub struct PendingEntry {
     pub accuracy: f32,
 }
 
-/// One participant's resumable state: loader shuffle order/cursor and the
-/// bandwidth AR(1) state.
+/// One participant's resumable state: the bandwidth AR(1) state and the
+/// error-feedback residual. Its batch schedule holds no state — a batch is
+/// a function of the round and a key the rebuilt server draws again — so
+/// nothing about its data is saved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParticipantEntry {
-    /// Shuffled shard indices.
-    pub indices: Vec<u64>,
-    /// Epoch cursor.
-    pub cursor: u64,
     /// Current link bandwidth in Mbps.
     pub bandwidth_mbps: f64,
     /// Error-feedback residual of the update-compression layer, in
@@ -243,7 +245,7 @@ pub struct Checkpoint {
     pub pools: Vec<PoolEntry>,
     /// In-flight pending updates.
     pub pending: Vec<PendingEntry>,
-    /// Per-participant loader and bandwidth state.
+    /// Per-participant bandwidth and residual state.
     pub participants: Vec<ParticipantEntry>,
     /// Aggregation rule the run was using; restore refuses a server
     /// configured differently (the trajectory would silently diverge).
@@ -307,8 +309,6 @@ impl Checkpoint {
                 .participants
                 .iter()
                 .map(|p| ParticipantEntry {
-                    indices: p.data_indices().iter().map(|&i| i as u64).collect(),
-                    cursor: p.data_cursor() as u64,
                     bandwidth_mbps: p.bandwidth_mbps(),
                     residual: p.residual().to_vec(),
                 })
@@ -507,11 +507,8 @@ impl Checkpoint {
                 accuracy: u.accuracy,
             })
             .collect();
-        // participants: loader shuffle/cursor + bandwidth state
+        // participants: bandwidth state and residual
         for (p, entry) in server.participants.iter_mut().zip(&self.participants) {
-            let indices: Vec<usize> = entry.indices.iter().map(|&i| i as usize).collect();
-            p.restore_data_state(&indices, entry.cursor as usize)
-                .map_err(mismatch)?;
             p.set_bandwidth_mbps(entry.bandwidth_mbps);
             p.set_residual(entry.residual.clone());
         }
@@ -542,7 +539,7 @@ impl Checkpoint {
         StdRng::from_state(self.rng_state)
     }
 
-    /// Serializes to the framed v5 byte layout.
+    /// Serializes to the framed v6 byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let body = self.encode_body();
         let mut out = Vec::with_capacity(HEADER_LEN + body.len() + 4);
@@ -719,11 +716,6 @@ impl Checkpoint {
         }
         out.extend_from_slice(&(self.participants.len() as u64).to_le_bytes());
         for p in &self.participants {
-            out.extend_from_slice(&(p.indices.len() as u64).to_le_bytes());
-            for &i in &p.indices {
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            out.extend_from_slice(&p.cursor.to_le_bytes());
             out.extend_from_slice(&p.bandwidth_mbps.to_le_bytes());
             put_f32s(&mut out, COUNT, &p.residual); // v4
         }
@@ -880,18 +872,11 @@ impl Checkpoint {
                 accuracy: r.f32()?,
             });
         }
-        // entry minimum: indices count + cursor + bandwidth + residual count
-        let n_participants = r.count_u64(32)?;
+        // entry minimum: bandwidth + residual count
+        let n_participants = r.count_u64(16)?;
         let mut participants = Vec::with_capacity(n_participants);
         for _ in 0..n_participants {
-            let n_indices = r.count_u64(8)?;
-            let mut indices = Vec::with_capacity(n_indices);
-            for _ in 0..n_indices {
-                indices.push(r.u64()?);
-            }
             participants.push(ParticipantEntry {
-                indices,
-                cursor: r.u64()?,
                 bandwidth_mbps: r.f64()?,
                 residual: r.f32s(COUNT)?,
             });
@@ -1068,45 +1053,15 @@ mod tests {
         assert_eq!(loaded.round, 4);
     }
 
-    /// A v5 checkpoint as the commit before the slicing-by-8 CRC wrote it
-    /// (every section populated): it must still load, and the same state
-    /// must still serialize to the same bytes.
-    #[test]
-    fn checkpoint_written_before_the_fast_crc_is_unchanged() {
-        let frozen: Vec<u8> = {
-            let hex = concat!(
-                "46524c4e434b5054050000001303000000000000030000000000000000000000",
-                "000029400000803e020000000000000001000000000000000200000000000000",
-                "0300000000000000040000000000000003000000000000000000003f0000a0bf",
-                "0000404002000000000000000000003e000000bf030000000000000000000000",
-                "0000403f00000080e80300000000000084030000000000000100000000000000",
-                "0000000000000000000000000000000000000000000000000000000000000000",
-                "0000000000000000000000000000000000000000000000000000000000000000",
-                "0000000000000000000000000000000000000000000000000000000000000000",
-                "0000000000000000000000000000000000000000000000000000000000000000",
-                "000000000000000000000000000000000100000000000000000000000000e03f",
-                "0100000000000000000000000000d03f01000000000000000000000000000000",
-                "cdcccc3d00002040020000000000000001000000000000000100000000000000",
-                "cdcc4c3e00001040010000000000000001000000000000000200000000000000",
-                "03000000000000000000803f000000400000404002000000000000000000003f",
-                "0000003f01000000000000000200000000000000010700030100000000000000",
-                "0400000000000000020000000000000001000000000000000200000000000000",
-                "0107000302000000000000000000803e000040bf0000003f0100000000000000",
-                "0300000000000000030000000000000001000000000000000200000000000000",
-                "010000000000000000000000004045400300000000000000000000000000003f",
-                "000000000100000000000000000100002041010000c8420003cdcccc3d000000",
-                "0000000000000000000000000000000000000000000000000000000000000000",
-                "000000000001280000000000000001000000000000000000000000000000cdcc",
-                "cccccccce43f000000000000d03f180000000000000000000000000000000000",
-                "0000000000009a9999999999b93f9a9999999999c93f05000000000000000600",
-                "0000000000000700000000000000080000000000000001000000000000000100",
-                "00000000000000fb4d0a48",
-            );
-            (0..hex.len())
-                .step_by(2)
-                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
-                .collect()
-        };
+    fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
+    /// A state with every section populated.
+    fn frozen_state() -> Checkpoint {
         let mask = ArchMask::new(vec![1, 7], vec![0, 3]);
         let mut comm = CommStats::new();
         comm.record_down(1000);
@@ -1118,7 +1073,7 @@ mod tests {
             mean_loss,
             contributors,
         };
-        let cp = Checkpoint {
+        Checkpoint {
             round: 3,
             sim_seconds: 12.5,
             baseline: 0.25,
@@ -1149,8 +1104,6 @@ mod tests {
                 accuracy: 0.5,
             }],
             participants: vec![ParticipantEntry {
-                indices: vec![3, 1, 2],
-                cursor: 1,
                 bandwidth_mbps: 42.5,
                 residual: vec![0.0, 0.5, 0.0],
             }],
@@ -1165,7 +1118,81 @@ mod tests {
                 miss_streak: vec![1],
                 evicted: vec![false],
             }),
-        };
+        }
+    }
+
+    /// v6 dropped v5's loader section; a v5 checkpoint (this one as the
+    /// commit before the slicing-by-8 CRC wrote [`frozen_state`] with a
+    /// three-sample loader) is refused by its version, before anything in
+    /// its body is read.
+    #[test]
+    fn a_v5_checkpoint_is_refused_as_unsupported() {
+        let frozen = from_hex(concat!(
+            "46524c4e434b5054050000001303000000000000030000000000000000000000",
+            "000029400000803e020000000000000001000000000000000200000000000000",
+            "0300000000000000040000000000000003000000000000000000003f0000a0bf",
+            "0000404002000000000000000000003e000000bf030000000000000000000000",
+            "0000403f00000080e80300000000000084030000000000000100000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000100000000000000000000000000e03f",
+            "0100000000000000000000000000d03f01000000000000000000000000000000",
+            "cdcccc3d00002040020000000000000001000000000000000100000000000000",
+            "cdcc4c3e00001040010000000000000001000000000000000200000000000000",
+            "03000000000000000000803f000000400000404002000000000000000000003f",
+            "0000003f01000000000000000200000000000000010700030100000000000000",
+            "0400000000000000020000000000000001000000000000000200000000000000",
+            "0107000302000000000000000000803e000040bf0000003f0100000000000000",
+            "0300000000000000030000000000000001000000000000000200000000000000",
+            "010000000000000000000000004045400300000000000000000000000000003f",
+            "000000000100000000000000000100002041010000c8420003cdcccc3d000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "000000000001280000000000000001000000000000000000000000000000cdcc",
+            "cccccccce43f000000000000d03f180000000000000000000000000000000000",
+            "0000000000009a9999999999b93f9a9999999999c93f05000000000000000600",
+            "0000000000000700000000000000080000000000000001000000000000000100",
+            "00000000000000fb4d0a48",
+        ));
+        match Checkpoint::from_bytes(&frozen) {
+            Err(CheckpointError::UnsupportedVersion(5)) => {}
+            other => panic!("expected UnsupportedVersion(5), got {other:?}"),
+        }
+    }
+
+    /// [`frozen_state`] as v6 bytes: they must still load, and the same
+    /// state must still serialize to the same bytes.
+    #[test]
+    fn a_frozen_v6_checkpoint_is_unchanged() {
+        let cp = frozen_state();
+        let frozen = from_hex(concat!(
+            "46524c4e434b505406000000eb02000000000000030000000000000000000000",
+            "000029400000803e020000000000000001000000000000000200000000000000",
+            "0300000000000000040000000000000003000000000000000000003f0000a0bf",
+            "0000404002000000000000000000003e000000bf030000000000000000000000",
+            "0000403f00000080e80300000000000084030000000000000100000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000100000000000000000000000000e03f",
+            "0100000000000000000000000000d03f01000000000000000000000000000000",
+            "cdcccc3d00002040020000000000000001000000000000000100000000000000",
+            "cdcc4c3e00001040010000000000000001000000000000000200000000000000",
+            "03000000000000000000803f000000400000404002000000000000000000003f",
+            "0000003f01000000000000000200000000000000010700030100000000000000",
+            "0400000000000000020000000000000001000000000000000200000000000000",
+            "0107000302000000000000000000803e000040bf0000003f0100000000000000",
+            "00000000004045400300000000000000000000000000003f0000000001000000",
+            "00000000000100002041010000c8420003cdcccc3d0000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000012800",
+            "00000000000001000000000000000000000000000000cdcccccccccce43f0000",
+            "00000000d03f1800000000000000000000000000000000000000000000009a99",
+            "99999999b93f9a9999999999c93f050000000000000006000000000000000700",
+            "000000000000080000000000000001000000000000000100000000000000002a",
+            "6bc710",
+        ));
         let loaded = Checkpoint::from_bytes(&frozen).expect("frozen checkpoint loads");
         // `-0.0 == 0.0`: compare the velocity's bits too
         assert_eq!(loaded.velocity[2].to_bits(), (-0.0f32).to_bits());

@@ -3,7 +3,7 @@
 use fedrlnas_codec::CodecConfig;
 use fedrlnas_controller::ControllerConfig;
 use fedrlnas_darts::SupernetConfig;
-use fedrlnas_data::AugmentConfig;
+use fedrlnas_data::{AugmentConfig, DatasetSpec};
 use fedrlnas_fed::{AggregatorConfig, ShardTopology};
 use fedrlnas_netsim::{AssignmentStrategy, AvailabilitySpec, DeviceProfile, Environment};
 use fedrlnas_nn::SgdConfig;
@@ -359,6 +359,36 @@ impl SearchConfig {
                 ));
             }
             p.availability.validate()?;
+        }
+        Ok(())
+    }
+
+    /// Checks that a dataset generated from `spec` can feed this search:
+    /// its images and classes fit the supernet, and it holds at least one
+    /// training sample per participant, so no shard is empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message describing the first misfit.
+    pub fn check_dataset(&self, spec: &DatasetSpec) -> Result<(), String> {
+        if spec.image_hw != self.net.image_hw {
+            return Err(format!(
+                "dataset images are {0}x{0}, the supernet takes {1}x{1}",
+                spec.image_hw, self.net.image_hw
+            ));
+        }
+        if spec.num_classes != self.net.num_classes {
+            return Err(format!(
+                "dataset has {} classes, the classifier {}",
+                spec.num_classes, self.net.num_classes
+            ));
+        }
+        if self.num_participants > spec.train_len() {
+            return Err(format!(
+                "{} participants need a training sample each, the dataset holds {}",
+                self.num_participants,
+                spec.train_len()
+            ));
         }
         Ok(())
     }

@@ -73,7 +73,7 @@ impl FederatedModelSearch {
     ///
     /// # Panics
     ///
-    /// Panics if the dataset shape disagrees with the supernet input (see
+    /// Panics if the dataset does not fit the search (see
     /// [`SearchServer::new`]).
     pub fn with_dataset<R: Rng + ?Sized>(
         config: SearchConfig,

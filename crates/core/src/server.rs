@@ -225,24 +225,17 @@ impl SearchServer {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails validation or the dataset shape
-    /// disagrees with the supernet input.
+    /// Panics if the configuration fails validation or
+    /// [`SearchConfig::check_dataset`] on `dataset`.
     pub fn new<R: Rng + ?Sized>(
         config: SearchConfig,
         dataset: &SyntheticDataset,
         rng: &mut R,
     ) -> Self {
         config.validate().expect("invalid search config");
-        assert_eq!(
-            dataset.spec().image_hw,
-            config.net.image_hw,
-            "dataset image extent must match the supernet input"
-        );
-        assert_eq!(
-            dataset.spec().num_classes,
-            config.net.num_classes,
-            "dataset classes must match the classifier"
-        );
+        config
+            .check_dataset(dataset.spec())
+            .expect("dataset does not fit the search");
         let mut supernet = Supernet::new(config.net.clone(), rng);
         let controller = ReinforceController::new(&config.net, config.controller);
         let parts = match config.dirichlet_beta {
@@ -447,8 +440,9 @@ impl SearchServer {
     /// under `Random`); one `gen()` for `seed_base`; then one
     /// `staleness.sample` per report that survived the gate, in report
     /// order (none under `Hard`). The cohort sampler owns its own stream
-    /// and runs first; each participant trains on the stream
-    /// `Participant::round_rng` derives from `seed_base`.
+    /// and runs first; each participant trains on draw `t` of its batch
+    /// schedule, augmented on the stream `Participant::round_rng` derives
+    /// from `seed_base`.
     ///
     /// *f32 accumulation:* arrivals are the fresh reports in participant
     /// order, then the due pending updates in queue order (stale pushes in
@@ -588,14 +582,6 @@ impl SearchServer {
     fn train(&mut self, ctx: &RoundCtx, dataset: &SyntheticDataset) -> RoundOutcome {
         let out = match self.backend.as_mut() {
             Some(backend) => {
-                // The workers draw this round's batches on their own
-                // clones; mirroring the loader transition on the same
-                // derived streams keeps the server's participants
-                // authoritative for checkpoint/resume.
-                for p in self.participants.iter_mut().filter(|p| ctx.active[p.id()]) {
-                    let mut stream = p.round_rng(ctx.seed_base);
-                    p.advance_data(&mut stream);
-                }
                 // the workers are shipped ranges of this round's weights;
                 // nothing is extracted on this side of the wire
                 let theta = self.supernet.flat_params();
@@ -643,7 +629,7 @@ impl SearchServer {
         let supernet = &self.supernet;
         let active = ctx.active.iter().filter(|&&a| a).count();
         let workers = fedrlnas_tensor::num_threads().clamp(1, active.max(1));
-        let queue = Mutex::new(self.participants.iter_mut().filter(|p| ctx.active[p.id()]));
+        let queue = Mutex::new(self.participants.iter().filter(|p| ctx.active[p.id()]));
         let mut trained: Vec<(LocalReport, Vec<f32>)> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -655,7 +641,7 @@ impl SearchServer {
                             let next = queue.lock().expect("queue lock is never poisoned").next();
                             let Some(p) = next else { break done };
                             let mut sub = supernet.extract_submodel(&ctx.masks[p.id()]);
-                            done.push(p.train_round(&mut sub, dataset, seed_base));
+                            done.push(p.train_round(&mut sub, dataset, ctx.t as u64, seed_base));
                         }
                     })
                 })

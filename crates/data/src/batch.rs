@@ -3,21 +3,32 @@
 use crate::augment::AugmentConfig;
 use crate::synthetic::SyntheticDataset;
 use fedrlnas_tensor::Tensor;
-use rand::Rng;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// A shuffling mini-batch loader over a subset of a dataset's training
-/// split, applying augmentation per sample — the participant-side data
-/// pipeline of Algorithm 1 (line 38–39: split into batches, sample one).
+/// A mini-batch schedule over a participant's shard of a dataset's
+/// training split, applying augmentation per sample — the participant-side
+/// data pipeline of Algorithm 1 (lines 38–39: split into batches, sample
+/// one).
+///
+/// The schedule is stateless: draw `d` takes positions `d·b .. (d+1)·b`
+/// (`b = min(batch_size, |shard|)`) of an endless sequence of epochs, and
+/// epoch `e` is a Fisher–Yates shuffle of the shard seeded by
+/// `(key, e)`. A draw's samples are therefore a pure function of the key
+/// and the draw number; only augmentation reads the caller's RNG. Nothing
+/// about the schedule needs to be saved to resume it.
 #[derive(Debug, Clone)]
 pub struct Loader {
-    indices: Vec<usize>,
+    shard: Vec<usize>,
     batch_size: usize,
     augment: AugmentConfig,
-    cursor: usize,
+    key: u64,
+    /// Draws handed out by [`Loader::next_batch`].
+    draws: u64,
 }
 
 impl Loader {
-    /// Creates a loader over `indices` (a shard from a partitioner).
+    /// Creates a loader over `indices` (a shard from a partitioner), keyed
+    /// `0`; see [`Loader::with_key`].
     ///
     /// # Panics
     ///
@@ -26,108 +37,90 @@ impl Loader {
         assert!(batch_size > 0, "batch size must be positive");
         assert!(!indices.is_empty(), "loader needs at least one sample");
         Loader {
-            indices,
+            shard: indices,
             batch_size,
             augment,
-            cursor: 0,
+            key: 0,
+            draws: 0,
         }
+    }
+
+    /// Builder-style: keys the shuffle of every epoch.
+    pub fn with_key(mut self, key: u64) -> Self {
+        self.key = key;
+        self
     }
 
     /// Number of samples in the shard.
     pub fn len(&self) -> usize {
-        self.indices.len()
+        self.shard.len()
     }
 
     /// Returns `true` if the shard is empty (never true post-construction).
     pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
+        self.shard.is_empty()
     }
 
-    /// Current shuffled index order (checkpoint capture).
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// Position of the next draw within the current epoch (checkpoint
-    /// capture).
-    pub fn cursor(&self) -> usize {
-        self.cursor
-    }
-
-    /// Restores shuffle order and cursor captured by [`Loader::indices`] /
-    /// [`Loader::cursor`]. Returns `Err` when the snapshot does not fit
-    /// this loader (wrong shard size or out-of-range cursor).
-    pub fn restore(&mut self, indices: &[usize], cursor: usize) -> Result<(), String> {
-        if indices.len() != self.indices.len() {
-            return Err(format!(
-                "loader snapshot has {} indices, shard holds {}",
-                indices.len(),
-                self.indices.len()
-            ));
+    /// The dataset indices of draw `draw`: `min(batch_size, |shard|)`
+    /// samples, wrapping into the next epoch's shuffle when an epoch ends
+    /// mid-batch.
+    pub fn draw_indices(&self, draw: u64) -> Vec<usize> {
+        // positions in u128: any u64 draw (a round number read from a
+        // frame) stays in range, and its epoch, at most `draw`, fits a u64
+        let n = self.shard.len() as u128;
+        let b = (self.batch_size as u128).min(n);
+        let (mut pos, end) = (u128::from(draw) * b, (u128::from(draw) + 1) * b);
+        let mut picked = Vec::with_capacity(b as usize);
+        while pos < end {
+            let e = pos / n;
+            let (lo, hi) = ((pos - e * n) as usize, (end - e * n).min(n) as usize);
+            picked.extend_from_slice(&self.shuffled(e as u64, hi)[lo..hi]);
+            pos = e * n + hi as u128;
         }
-        if cursor >= self.indices.len() {
-            return Err(format!(
-                "loader cursor {cursor} out of range for shard of {}",
-                self.indices.len()
-            ));
-        }
-        self.indices.copy_from_slice(indices);
-        self.cursor = cursor;
-        Ok(())
+        picked
     }
 
-    /// Advances the shuffle/cursor state exactly as one [`Loader::next_batch`]
-    /// call would, consuming the same RNG draws, without touching a dataset
-    /// or paying for augmentation.
-    ///
-    /// `next_batch` makes all of its shuffle draws before any augmentation
-    /// draw, so a caller that replays the pick loop with a fresh per-call RNG
-    /// (the federated round protocol derives one per participant per round)
-    /// ends up with loader state identical to the worker that actually
-    /// trained. This is what keeps server-side loaders authoritative for
-    /// checkpointing while remote workers do the real data loading.
-    pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let take = self.batch_size.min(self.indices.len());
-        for _ in 0..take {
-            if self.cursor == 0 {
-                for i in (1..self.indices.len()).rev() {
-                    let j = rng.gen_range(0..=i);
-                    self.indices.swap(i, j);
-                }
-            }
-            self.cursor = (self.cursor + 1) % self.indices.len();
+    /// The shard in epoch `epoch`'s order, settled up to position `len`: a
+    /// forward Fisher–Yates fixes position `i` at step `i`, so the steps
+    /// past `len` are never taken.
+    fn shuffled(&self, epoch: u64, len: usize) -> Vec<usize> {
+        let mut order = self.shard.clone();
+        let n = order.len();
+        let mut rng = StdRng::seed_from_u64(self.key ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for i in 0..len.min(n - 1) {
+            order.swap(i, rng.gen_range(i..n));
         }
+        order
     }
 
-    /// Draws the next mini-batch, reshuffling at epoch boundaries. Batches
-    /// wrap around so every call yields exactly `batch_size` samples (or
-    /// the whole shard when it is smaller).
+    /// Draw `draw` of the schedule as a batch, augmented on `rng`.
+    pub fn batch_at<R: Rng + ?Sized>(
+        &self,
+        dataset: &SyntheticDataset,
+        draw: u64,
+        rng: &mut R,
+    ) -> (Tensor, Vec<usize>) {
+        let picked = self.draw_indices(draw);
+        let (mut x, y) = dataset.batch(&picked);
+        let spec = dataset.spec();
+        let il = spec.image_len();
+        for img in x.as_mut_slice().chunks_exact_mut(il) {
+            self.augment.apply(img, spec.channels, spec.image_hw, rng);
+        }
+        (x, y)
+    }
+
+    /// The next draw of the schedule ([`Loader::batch_at`] on a counter
+    /// of the calls so far). Batches wrap around epochs, so every call
+    /// yields exactly `batch_size` samples (or the whole shard when it is
+    /// smaller).
     pub fn next_batch<R: Rng + ?Sized>(
         &mut self,
         dataset: &SyntheticDataset,
         rng: &mut R,
     ) -> (Tensor, Vec<usize>) {
-        let take = self.batch_size.min(self.indices.len());
-        let mut picked = Vec::with_capacity(take);
-        for _ in 0..take {
-            if self.cursor == 0 {
-                // reshuffle at each epoch start
-                for i in (1..self.indices.len()).rev() {
-                    let j = rng.gen_range(0..=i);
-                    self.indices.swap(i, j);
-                }
-            }
-            picked.push(self.indices[self.cursor]);
-            self.cursor = (self.cursor + 1) % self.indices.len();
-        }
-        let (mut x, y) = dataset.batch(&picked);
-        let spec = dataset.spec();
-        let il = spec.image_len();
-        for i in 0..picked.len() {
-            let img = &mut x.as_mut_slice()[i * il..(i + 1) * il];
-            self.augment.apply(img, spec.channels, spec.image_hw, rng);
-        }
-        (x, y)
+        self.draws += 1;
+        self.batch_at(dataset, self.draws - 1, rng)
     }
 }
 
@@ -165,18 +158,24 @@ mod tests {
 
     #[test]
     fn epoch_covers_all_samples() {
-        let (d, mut rng) = dataset();
-        let n = 12usize;
-        let mut loader = Loader::new((0..n).collect(), 4, AugmentConfig::none());
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..3 {
-            let (_, y) = loader.next_batch(&d, &mut rng);
-            // labels identify the samples only combined with index capture;
-            // track via internal state instead: all indices visited once per
-            // epoch is implied by cursor arithmetic, so just count draws.
-            seen.extend(y);
+        // 12 samples in batches of 5: each epoch's 12 positions straddle
+        // draw boundaries and still hold every sample once
+        let loader = Loader::new((100..112).collect(), 5, AugmentConfig::none()).with_key(9);
+        let positions: Vec<usize> = (0..12).flat_map(|d| loader.draw_indices(d)).collect();
+        for epoch in positions.chunks(12) {
+            let mut seen = epoch.to_vec();
+            seen.sort_unstable();
+            assert_eq!(seen, (100..112).collect::<Vec<_>>());
         }
-        assert!(!seen.is_empty());
+        assert_ne!(positions[..12], positions[12..24], "each epoch reshuffles");
+    }
+
+    #[test]
+    fn the_last_draw_is_in_range() {
+        let loader = Loader::new((0..7).collect(), 3, AugmentConfig::none()).with_key(1);
+        let picked = loader.draw_indices(u64::MAX);
+        assert_eq!(picked.len(), 3);
+        assert!(picked.iter().all(|&i| i < 7));
     }
 
     #[test]
@@ -196,34 +195,29 @@ mod tests {
     }
 
     #[test]
-    fn advance_matches_next_batch_state() {
-        // with fresh per-call RNGs, advance() must leave the loader in the
-        // exact state next_batch() would — including after epoch wraps
+    fn next_batch_counts_draws_of_the_schedule() {
+        // next_batch is batch_at on a counter; the schedule is the key's
+        // alone, so the order draws are asked for does not move them
         let (d, _) = dataset();
-        let mut real = Loader::new((0..10).collect(), 4, AugmentConfig::scaled_to(8));
-        let mut ghost = real.clone();
-        for round in 0..7u64 {
-            let mut r1 = StdRng::seed_from_u64(round);
-            let mut r2 = StdRng::seed_from_u64(round);
-            let _ = real.next_batch(&d, &mut r1);
-            ghost.advance(&mut r2);
-            assert_eq!(real.indices(), ghost.indices(), "round {round}");
-            assert_eq!(real.cursor(), ghost.cursor(), "round {round}");
+        let mut counted = Loader::new((0..10).collect(), 4, AugmentConfig::none()).with_key(3);
+        let pure = counted.clone();
+        let later: Vec<Vec<usize>> = (0..7u64)
+            .rev()
+            .map(|draw| pure.draw_indices(draw))
+            .collect();
+        for draw in 0..7u64 {
+            let mut r1 = StdRng::seed_from_u64(draw);
+            let mut r2 = StdRng::seed_from_u64(draw);
+            let (x, y) = counted.next_batch(&d, &mut r1);
+            let (x2, y2) = pure.batch_at(&d, draw, &mut r2);
+            assert_eq!((x.as_slice(), &y), (x2.as_slice(), &y2), "draw {draw}");
+            assert_eq!(pure.draw_indices(draw), later[6 - draw as usize]);
         }
-    }
-
-    #[test]
-    fn restore_round_trips_and_rejects_bad_snapshots() {
-        let (d, mut rng) = dataset();
-        let mut loader = Loader::new((0..10).collect(), 4, AugmentConfig::none());
-        let _ = loader.next_batch(&d, &mut rng);
-        let saved: Vec<usize> = loader.indices().to_vec();
-        let cursor = loader.cursor();
-        let _ = loader.next_batch(&d, &mut rng);
-        loader.restore(&saved, cursor).unwrap();
-        assert_eq!(loader.indices(), &saved[..]);
-        assert_eq!(loader.cursor(), cursor);
-        assert!(loader.restore(&[1, 2], 0).is_err(), "wrong shard size");
-        assert!(loader.restore(&saved, 10).is_err(), "cursor out of range");
+        let other = Loader::new((0..10).collect(), 4, AugmentConfig::none()).with_key(4);
+        assert_ne!(
+            other.draw_indices(0),
+            pure.draw_indices(0),
+            "the key shuffles"
+        );
     }
 }

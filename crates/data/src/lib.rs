@@ -32,5 +32,5 @@ mod synthetic;
 
 pub use augment::{cutout, horizontal_flip, random_crop, AugmentConfig};
 pub use batch::Loader;
-pub use partition::{dirichlet_partition, iid_partition, label_skew};
+pub use partition::{dirichlet_partition, iid_partition};
 pub use synthetic::{DatasetSpec, SyntheticDataset};

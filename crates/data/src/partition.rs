@@ -87,41 +87,6 @@ pub fn dirichlet_partition<R: Rng + ?Sized>(
     parts
 }
 
-/// A pathological label-skew partition: participant `i` holds only classes
-/// `{i mod C, (i+1) mod C}` — the extreme non-i.i.d. stress case used by
-/// ablation experiments.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `labels` is empty.
-pub fn label_skew<R: Rng + ?Sized>(labels: &[usize], k: usize, rng: &mut R) -> Vec<Vec<usize>> {
-    assert!(k > 0 && !labels.is_empty());
-    let num_classes = labels.iter().copied().max().expect("non-empty") + 1;
-    let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
-    for (i, &l) in labels.iter().enumerate() {
-        by_class[l].push(i);
-    }
-    for c in by_class.iter_mut() {
-        shuffle(c, rng);
-    }
-    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); k];
-    // owners of each class: participants i with i%C == c or (i+1)%C == c
-    for (c, class_indices) in by_class.iter().enumerate() {
-        let owners: Vec<usize> = (0..k)
-            .filter(|&i| i % num_classes == c || (i + 1) % num_classes == c)
-            .collect();
-        if owners.is_empty() {
-            // more classes than participants: give the class to one shard
-            parts[c % k].extend_from_slice(class_indices);
-            continue;
-        }
-        for (j, &s) in class_indices.iter().enumerate() {
-            parts[owners[j % owners.len()]].push(s);
-        }
-    }
-    parts
-}
-
 /// Samples a symmetric Dirichlet of dimension `k` and concentration `beta`
 /// by normalizing i.i.d. Gamma(beta, 1) draws.
 fn dirichlet_symmetric<R: Rng + ?Sized>(k: usize, beta: f64, rng: &mut R) -> Vec<f64> {
@@ -247,19 +212,6 @@ mod tests {
                 "Gamma({shape}) mean {mean}"
             );
         }
-    }
-
-    #[test]
-    fn label_skew_restricts_classes() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let l = labels(10, 30);
-        let parts = label_skew(&l, 10, &mut rng);
-        for (i, p) in parts.iter().enumerate() {
-            let classes: std::collections::HashSet<usize> = p.iter().map(|&s| l[s]).collect();
-            assert!(classes.len() <= 2, "participant {i} sees {classes:?}");
-        }
-        let total: usize = parts.iter().map(Vec::len).sum();
-        assert_eq!(total, 300);
     }
 
     #[test]

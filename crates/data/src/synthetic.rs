@@ -85,6 +85,11 @@ impl DatasetSpec {
         self
     }
 
+    /// Training samples the spec generates.
+    pub fn train_len(&self) -> usize {
+        self.num_classes * self.train_per_class
+    }
+
     /// Elements per image.
     pub fn image_len(&self) -> usize {
         self.channels * self.image_hw * self.image_hw

@@ -3,8 +3,8 @@
 
 use fedrlnas_data::AugmentConfig;
 use fedrlnas_data::{
-    cutout, dirichlet_partition, horizontal_flip, iid_partition, label_skew, random_crop,
-    DatasetSpec, Loader, SyntheticDataset,
+    cutout, dirichlet_partition, horizontal_flip, iid_partition, random_crop, DatasetSpec, Loader,
+    SyntheticDataset,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -48,7 +48,6 @@ proptest! {
         for parts in [
             iid_partition(n, k, &mut rng),
             dirichlet_partition(&labels, k, 0.5, &mut rng),
-            label_skew(&labels, k, &mut rng),
         ] {
             let mut all: Vec<usize> = parts.concat();
             all.sort_unstable();
@@ -92,6 +91,28 @@ proptest! {
             let expect = batch.min(indices.len());
             prop_assert_eq!(x.dims()[0], expect);
             prop_assert_eq!(y.len(), expect);
+        }
+    }
+
+    #[test]
+    fn every_epoch_of_the_schedule_covers_the_shard_once(
+        shard in 1usize..40,
+        batch in 1usize..12,
+        key in 0u64..u64::MAX,
+        epochs in 1usize..4,
+    ) {
+        // batch sizes that do not divide the shard, and ones larger than
+        // it, included: positions run on across draw boundaries
+        let indices: Vec<usize> = (0..shard).map(|i| 3 * i + 1).collect();
+        let loader = Loader::new(indices.clone(), batch, AugmentConfig::none()).with_key(key);
+        let b = batch.min(shard);
+        let draws = (epochs * shard).div_ceil(b) as u64;
+        let positions: Vec<usize> = (0..draws).flat_map(|d| loader.draw_indices(d)).collect();
+        prop_assert_eq!(positions.len(), draws as usize * b);
+        for epoch in positions.chunks(shard).take(epochs) {
+            let mut seen = epoch.to_vec();
+            seen.sort_unstable();
+            prop_assert_eq!(&seen, &indices);
         }
     }
 

@@ -4,6 +4,7 @@ use crate::trainable::TrainableModel;
 use fedrlnas_data::{AugmentConfig, Loader, SyntheticDataset};
 use fedrlnas_netsim::{BandwidthTrace, Environment};
 use fedrlnas_nn::{CrossEntropy, Mode, Sgd, SgdConfig};
+use fedrlnas_tensor::Tensor;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// What a participant returns to the server after one local update
@@ -23,8 +24,9 @@ pub struct LocalReport {
     pub samples: usize,
 }
 
-/// One federated participant: a shard of the training data, an
-/// augmentation pipeline, a bandwidth trace and a relative compute speed.
+/// One federated participant: a shard of the training data under a keyed
+/// batch schedule, an augmentation pipeline, a bandwidth trace and a
+/// relative compute speed.
 #[derive(Debug, Clone)]
 pub struct Participant {
     id: usize,
@@ -47,6 +49,10 @@ impl Participant {
     ///
     /// Panics if the shard is empty or `batch_size == 0` (propagated from
     /// [`Loader::new`]).
+    ///
+    /// Draws the bandwidth trace's start, then the key of the batch
+    /// schedule, from `rng`. The key is never checkpointed: a resumed
+    /// search rebuilds its participants from the same seed.
     pub fn new<R: Rng + ?Sized>(
         id: usize,
         indices: Vec<usize>,
@@ -56,10 +62,11 @@ impl Participant {
         speed_factor: f64,
         rng: &mut R,
     ) -> Self {
+        let trace = BandwidthTrace::new(env, rng);
         Participant {
             id,
-            loader: Loader::new(indices, batch_size, augment),
-            trace: BandwidthTrace::new(env, rng),
+            loader: Loader::new(indices, batch_size, augment).with_key(rng.gen()),
+            trace,
             speed_factor,
             residual: Vec::new(),
         }
@@ -96,22 +103,6 @@ impl Participant {
         self.trace.set_current_mbps(mbps);
     }
 
-    /// The loader's shuffled index order (checkpoint capture).
-    pub fn data_indices(&self) -> &[usize] {
-        self.loader.indices()
-    }
-
-    /// The loader's epoch cursor (checkpoint capture).
-    pub fn data_cursor(&self) -> usize {
-        self.loader.cursor()
-    }
-
-    /// Restores loader shuffle order and cursor (checkpoint resume).
-    /// Returns `Err` when the snapshot does not fit this shard.
-    pub fn restore_data_state(&mut self, indices: &[usize], cursor: usize) -> Result<(), String> {
-        self.loader.restore(indices, cursor)
-    }
-
     /// The error-feedback residual in supernet-flat coordinates
     /// (checkpoint capture; empty means no lossy upload has happened yet).
     pub fn residual(&self) -> &[f32] {
@@ -133,46 +124,39 @@ impl Participant {
         &mut self.residual
     }
 
-    /// Advances the loader's shuffle/cursor state exactly as one
-    /// [`Participant::local_update`] would, without training. The round
-    /// engine ships the actual batch drawing to remote workers; the server
-    /// mirrors their loader-state transitions through this call (on
-    /// [`Participant::round_rng`]) so its own participants stay
-    /// authoritative for checkpointing.
-    pub fn advance_data<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.loader.advance(rng);
-    }
-
     /// This participant's private RNG stream for the round whose base seed
     /// is `seed_base`: `seed_base ^ id·φ64`. The only definition of that
-    /// derivation — the in-process server, the RPC worker and the server's
-    /// loader mirror all come here, which is what keeps the execution
-    /// modes bit-identical.
+    /// derivation — the in-process server and the RPC worker both come
+    /// here, which is what keeps the execution modes bit-identical.
     pub fn round_rng(&self, seed_base: u64) -> StdRng {
         StdRng::seed_from_u64(seed_base ^ (self.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// The participant's whole step in one search round (Algorithm 1 lines
-    /// 37–42): derive the round's stream, run one
-    /// [`Participant::local_update`] on the shipped `model`, and flatten
-    /// the gradients it left there, in structural visit order, into the
-    /// vector that is uploaded.
+    /// The participant's whole step in search round `round` (Algorithm 1
+    /// lines 37–42): draw `round` of the batch schedule, augmented on the
+    /// round's stream, one forward + backward of the shipped `model` on
+    /// it, and the gradients it left there flattened, in structural visit
+    /// order, into the vector that is uploaded. A pure function of the
+    /// participant, the round, `seed_base` and the model: a round the
+    /// participant sat out only skips that draw.
     pub fn train_round(
-        &mut self,
+        &self,
         model: &mut dyn TrainableModel,
         dataset: &SyntheticDataset,
+        round: u64,
         seed_base: u64,
     ) -> (LocalReport, Vec<f32>) {
         let mut rng = self.round_rng(seed_base);
-        let report = self.local_update(model, dataset, &mut rng);
+        let (x, y) = self.loader.batch_at(dataset, round, &mut rng);
+        let report = self.step(model, &x, &y);
         let mut grads = Vec::with_capacity(model.param_count());
         model.visit_params(&mut |p| grads.extend_from_slice(p.grad.as_slice()));
         (report, grads)
     }
 
     /// One local update (the paper's participant side of Algorithm 1):
-    /// draws a batch, runs forward + backward once, and leaves the
-    /// gradients in `model`. Returns the reward and loss.
+    /// draws the schedule's next batch, runs forward + backward once, and
+    /// leaves the gradients in `model`. Returns the reward and loss.
     pub fn local_update<R: Rng + ?Sized>(
         &mut self,
         model: &mut dyn TrainableModel,
@@ -180,10 +164,15 @@ impl Participant {
         rng: &mut R,
     ) -> LocalReport {
         let (x, y) = self.loader.next_batch(dataset, rng);
+        self.step(model, &x, &y)
+    }
+
+    /// Forward + backward of `model` on one batch, gradients left in it.
+    fn step(&self, model: &mut dyn TrainableModel, x: &Tensor, y: &[usize]) -> LocalReport {
         let mut ce = CrossEntropy::new();
         model.zero_grad();
-        let logits = model.forward(&x, Mode::Train);
-        let out = ce.forward(&logits, &y);
+        let logits = model.forward(x, Mode::Train);
+        let out = ce.forward(&logits, y);
         let dl = ce.backward();
         model.backward(&dl);
         LocalReport {
@@ -206,21 +195,15 @@ impl Participant {
         rng: &mut R,
     ) -> LocalReport {
         let mut sgd = Sgd::new(sgd_config);
-        let mut ce = CrossEntropy::new();
         let mut loss_sum = 0.0f32;
         let mut acc_sum = 0.0f32;
         let mut samples = 0usize;
         for _ in 0..steps.max(1) {
-            let (x, y) = self.loader.next_batch(dataset, rng);
-            model.zero_grad();
-            let logits = model.forward(&x, Mode::Train);
-            let out = ce.forward(&logits, &y);
-            let dl = ce.backward();
-            model.backward(&dl);
+            let report = self.local_update(model, dataset, rng);
             sgd.step_visitor(|f| model.visit_params(f));
-            loss_sum += out.loss;
-            acc_sum += out.accuracy();
-            samples += out.total;
+            loss_sum += report.loss;
+            acc_sum += report.accuracy;
+            samples += report.samples;
         }
         let n = steps.max(1) as f32;
         LocalReport {
@@ -289,50 +272,59 @@ mod tests {
     }
 
     #[test]
-    fn advance_data_mirrors_local_update() {
-        // a ghost participant that only advances loader state must track a
-        // real one training on the same derived per-round stream — this is
-        // how the server keeps its participants authoritative while RPC
-        // workers do the training
-        let (data, real, _) = setup();
-        let mut real = real;
-        let mut ghost = real.clone();
+    fn a_participant_that_skipped_rounds_draws_the_same_batch_at_round_t() {
+        // one participant trains rounds 0..6 (and takes local updates in
+        // between), its clone sits out all but round 5: at round 5 both
+        // draw the same batch, so they upload the same step
+        let (data, mut every, mut rng) = setup();
+        let skipper = every.clone();
         let config = SupernetConfig::tiny();
         let mut net_rng = StdRng::seed_from_u64(1);
         let net = Supernet::new(config.clone(), &mut net_rng);
         let mask = ArchMask::uniform_random(&config, &mut net_rng);
-        for round in 0..5u64 {
-            let seed_base = round.wrapping_mul(0xD1B5_4A32_D192_ED03);
+        let seed_base = 0xD1B5_4A32_D192_ED03;
+        let mut uploads = Vec::new();
+        for round in 0..6u64 {
             let mut sub = net.extract_submodel(&mask);
-            let (report, grads) = real.train_round(&mut sub, &data, seed_base);
-            assert_eq!(report.participant, 3);
-            assert!(grads.iter().any(|g| *g != 0.0), "round {round}");
-            let mut stream = ghost.round_rng(seed_base);
-            ghost.advance_data(&mut stream);
-            assert_eq!(real.data_indices(), ghost.data_indices(), "round {round}");
-            assert_eq!(real.data_cursor(), ghost.data_cursor(), "round {round}");
+            uploads.push(every.train_round(&mut sub, &data, round, seed_base));
+            let _ = every.local_update(&mut sub, &data, &mut rng);
         }
+        let mut sub = net.extract_submodel(&mask);
+        let (report, grads) = skipper.train_round(&mut sub, &data, 5, seed_base);
+        assert_eq!(report.participant, 3);
+        assert!(grads.iter().any(|g| *g != 0.0));
+        assert_eq!((report, grads), uploads[5]);
+        assert_ne!(uploads[4].1, uploads[5].1, "the round picks the batch");
     }
 
     #[test]
     fn data_state_restore_round_trips() {
+        // what a checkpoint restores — bandwidth and residual — plus a
+        // rebuild from the same seed, which draws the same schedule key:
+        // the rebuilt participant trains every later round as the
+        // original does
         let (data, mut p, mut rng) = setup();
         let config = SupernetConfig::tiny();
         let net = Supernet::new(config.clone(), &mut rng);
         let mask = ArchMask::uniform_random(&config, &mut rng);
         let mut sub = net.extract_submodel(&mask);
         let _ = p.local_update(&mut sub, &data, &mut rng);
-        let indices = p.data_indices().to_vec();
-        let cursor = p.data_cursor();
-        let mbps = p.bandwidth_mbps();
-        let _ = p.local_update(&mut sub, &data, &mut rng);
         let _ = p.next_bandwidth_mbps(&mut rng);
-        p.restore_data_state(&indices, cursor).unwrap();
-        p.set_bandwidth_mbps(mbps);
-        assert_eq!(p.data_indices(), &indices[..]);
-        assert_eq!(p.data_cursor(), cursor);
-        assert_eq!(p.bandwidth_mbps(), mbps);
-        assert!(p.restore_data_state(&[0], 0).is_err());
+        p.set_residual(vec![0.5; 3]);
+        let (_, mut rebuilt, _) = setup();
+        rebuilt.set_bandwidth_mbps(p.bandwidth_mbps());
+        rebuilt.set_residual(p.residual().to_vec());
+        assert_eq!(rebuilt.bandwidth_mbps(), p.bandwidth_mbps());
+        assert_eq!(rebuilt.residual(), p.residual());
+        for round in [0u64, 7, 12] {
+            let mut a = net.extract_submodel(&mask);
+            let mut b = net.extract_submodel(&mask);
+            assert_eq!(
+                p.train_round(&mut a, &data, round, 99),
+                rebuilt.train_round(&mut b, &data, round, 99),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

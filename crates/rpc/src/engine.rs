@@ -487,7 +487,7 @@ impl RpcBackend {
     /// Spawns the pooled worker fleet and wires one transport per
     /// participant.
     ///
-    /// Workers clone the participant state (data-loader cursor included);
+    /// Workers clone the participants (shard, batch-schedule key, residual);
     /// see [`RpcBackend::with_faults`] for what the fleet holds.
     pub fn new(
         participants: &[Participant],

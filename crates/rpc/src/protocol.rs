@@ -509,7 +509,7 @@ impl WorkerScratch {
 
 /// The participant side of one link; the pooled fleet drives many of
 /// these from one thread. Only what must survive a round lives here: the
-/// participant (its data and loader cursor), its residual, its fault
+/// participant (its shard and the key of its batch schedule), its residual, its fault
 /// script and attack memory, the numbers of the last [`HISTORY_ROUNDS`]
 /// answered rounds, the heartbeat it answers a probe with and — only on a
 /// link whose fault plan can lose a frame — the last
@@ -535,9 +535,10 @@ pub(crate) struct WorkerState {
     /// always on a clean link.
     reply_cache: [Option<(u64, Vec<u8>)>; REPLY_CACHE_ROUNDS],
     /// Ring of the round numbers answered last ([`NO_ROUND`] = unused).
-    /// Training advances the loader and the round stream, so a round is
-    /// trained once: a download for a round in here whose bytes are not
-    /// in the cache is met with silence.
+    /// Training a round again would fold its update into the
+    /// error-feedback residual a second time and send a second reply, so a
+    /// round is trained once: a download for a round in here whose bytes
+    /// are not in the cache is met with silence.
     answered: [u64; HISTORY_ROUNDS],
     answered_next: usize,
     /// This participant's heartbeat frame, encoded once.
@@ -548,6 +549,9 @@ pub(crate) struct WorkerState {
     // first round the worker is back up after a scripted crash-restart
     down_until: Option<u64>,
     crashed: bool,
+    /// Training steps taken, so a test sees whether a frame trained.
+    #[cfg(test)]
+    steps: usize,
 }
 
 impl WorkerState {
@@ -575,6 +579,8 @@ impl WorkerState {
             last_honest: Vec::new(),
             down_until: None,
             crashed: false,
+            #[cfg(test)]
+            steps: 0,
         }
     }
 
@@ -719,9 +725,16 @@ impl WorkerState {
         supernet.visit_masked_buffers(mask, &mut |b| buffers.fill(b));
         // the step the in-process path runs, on the same derived stream,
         // trained in place
-        let (report, mut grads) =
-            self.participant
-                .train_round(&mut (&mut *supernet, mask), dataset, down.seed_base);
+        let (report, mut grads) = self.participant.train_round(
+            &mut (&mut *supernet, mask),
+            dataset,
+            round,
+            down.seed_base,
+        );
+        #[cfg(test)]
+        {
+            self.steps += 1;
+        }
         if let Some(attack) = self.fault.attack {
             let honest = std::mem::replace(&mut self.last_honest, grads.clone());
             apply_attack(attack, round, id as u64, &mut grads, &honest);
@@ -1325,8 +1338,8 @@ mod tests {
             }
         }
 
-        fn cursor(&self) -> usize {
-            self.state.participant.data_cursor()
+        fn steps(&self) -> usize {
+            self.state.steps
         }
     }
 
@@ -1344,25 +1357,25 @@ mod tests {
         );
         let mut b = Bench::new(ScriptedFault::default(), true);
         let mut replies = Vec::new();
-        let mut cursors = vec![b.cursor()];
+        let mut steps = vec![b.steps()];
         for round in 0..=16u64 {
             let frame = b.download(round);
             replies.push(
                 b.feed(&frame)
                     .expect("a fresh round is trained and answered"),
             );
-            cursors.push(b.cursor());
+            steps.push(b.steps());
             assert_ne!(
-                cursors[cursors.len() - 2],
-                cursors[cursors.len() - 1],
-                "training round {round} advances the loader"
+                steps[steps.len() - 2],
+                steps[steps.len() - 1],
+                "round {round} takes a step"
             );
         }
-        let trained = b.cursor();
+        let trained = b.steps();
         for (round, expect_reply) in [(16u64, true), (15, true), (14, false), (1, false)] {
             let frame = b.download(round);
             let reply = b.feed(&frame);
-            assert_eq!(b.cursor(), trained, "round {round} must not train again");
+            assert_eq!(b.steps(), trained, "round {round} must not train again");
             match (expect_reply, reply) {
                 (true, Some(reply)) => {
                     assert_eq!(
@@ -1405,10 +1418,10 @@ mod tests {
         // back up from round 3 on; round 1's memory went with the crash
         let frame = b.download(3);
         assert!(b.feed(&frame).is_some());
-        let before = b.cursor();
+        let before = b.steps();
         let frame = b.download(1);
         assert!(b.feed(&frame).is_some(), "round 1 is no longer remembered");
-        assert_ne!(b.cursor(), before);
+        assert_ne!(b.steps(), before);
         let remembered = |r: &&u64| **r != NO_ROUND;
         assert_eq!(b.state.answered.iter().filter(remembered).count(), 2);
     }
@@ -1416,7 +1429,7 @@ mod tests {
     /// The clean-link twin of the cache test: a worker whose link cannot
     /// lose a frame trains each round once, hands its reply over without
     /// keeping a byte of it, meets a re-sent download of an answered round
-    /// with silence and leaves its loader where it was — and a scripted
+    /// with silence and takes no second step — and a scripted
     /// crash still forgets the answered rounds.
     #[test]
     fn a_clean_link_trains_a_round_once_and_keeps_no_reply() {
@@ -1430,21 +1443,21 @@ mod tests {
         let at_rest = std::mem::size_of::<WorkerState>() - std::mem::size_of::<Participant>()
             + b.state.heartbeat.len();
         for round in 0..3u64 {
-            let (before, frame) = (b.cursor(), b.download(round));
+            let (before, frame) = (b.steps(), b.download(round));
             assert!(
                 matches!(b.step(&frame), WorkerStep::SendOwned(_)),
                 "round {round} is trained and handed over"
             );
-            assert_ne!(b.cursor(), before, "round {round} advances the loader");
+            assert_ne!(b.steps(), before, "round {round} takes a step");
             assert_eq!(b.state.resident_bytes(), at_rest, "no reply bytes kept");
-            let trained = b.cursor();
+            let trained = b.steps();
             for repeat in 0..=round {
                 let frame = b.download(repeat);
                 assert!(
                     matches!(b.step(&frame), WorkerStep::Silent),
                     "a re-sent round {repeat} is met with silence"
                 );
-                assert_eq!(b.cursor(), trained, "round {repeat} must not train again");
+                assert_eq!(b.steps(), trained, "round {repeat} must not train again");
             }
         }
         let frame = b.download(3);
@@ -1452,10 +1465,10 @@ mod tests {
         // back up from round 4 on; rounds 0..3 went with the crash
         let frame = b.download(4);
         assert!(b.feed(&frame).is_some());
-        let before = b.cursor();
+        let before = b.steps();
         let frame = b.download(1);
         assert!(b.feed(&frame).is_some(), "round 1 is no longer remembered");
-        assert_ne!(b.cursor(), before);
+        assert_ne!(b.steps(), before);
         let remembered = |r: &&u64| **r != NO_ROUND;
         assert_eq!(b.state.answered.iter().filter(remembered).count(), 2);
         assert_eq!(b.state.resident_bytes(), at_rest);
@@ -1463,19 +1476,19 @@ mod tests {
 
     /// A download whose envelope, mask, weights and buffers are sound but
     /// whose α run has the wrong length is refused like a wrong weight
-    /// count — with silence, before training, so the loader stays where
-    /// it was — and the worker answers the correct frame afterwards.
+    /// count — with silence, before training, so no step is taken — and
+    /// the worker answers the correct frame afterwards.
     #[test]
     fn a_download_with_the_wrong_alpha_length_is_refused_before_training() {
         let mut b = Bench::new(ScriptedFault::default(), true);
-        let (cursor, good) = (b.cursor(), b.alpha.len());
+        let (steps, good) = (b.steps(), b.alpha.len());
         for len in [0, good + 1] {
             let frame = b.download_with_alpha(0, &vec![0.5; len]);
             assert!(matches!(b.step(&frame), WorkerStep::Silent), "α of {len}");
-            assert_eq!(b.cursor(), cursor, "α of {len}: nothing trained");
+            assert_eq!(b.steps(), steps, "α of {len}: nothing trained");
         }
         let frame = b.download(0);
         assert!(b.feed(&frame).is_some(), "the correct frame is answered");
-        assert_ne!(b.cursor(), cursor);
+        assert_ne!(b.steps(), steps);
     }
 }

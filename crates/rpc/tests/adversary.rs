@@ -2,9 +2,9 @@
 //! malicious workers across the RPC runtime.
 //!
 //! The claims under test: (1) with f = 2 of n = 8 workers attacking,
-//! coordinate-wise median and Multi-Krum keep the final search accuracy
-//! within a couple of points of the attack-free run while the plain mean
-//! measurably degrades under an amplified attack; (2) the validation gate
+//! coordinate-wise median and Multi-Krum keep the final search accuracy,
+//! averaged over five seeds, within a couple of points of the attack-free
+//! run while the plain mean measurably degrades under an amplified attack; (2) the validation gate
 //! rejects non-finite and over-norm uploads, tallies them by cause, and
 //! the repeat offenders are evicted as suspected Byzantine; (3) an
 //! adversarial run is exactly reproducible — same seed, same rejection
@@ -19,6 +19,12 @@ use fedrlnas_rpc::{install_with_faults, Attack, RpcConfig, ScriptedFault, Transp
 use rand::{rngs::StdRng, SeedableRng};
 
 const SEED: u64 = 42;
+/// Seeds the accuracy comparisons average over. At tiny proxy scale the
+/// training accuracy sits near chance (≈ 0.10 over 640 samples a run), so
+/// one run's accuracy moves by ±0.017 with its trajectory alone, and a
+/// 2-point band around a single clean run fails about one seed in four,
+/// with or without an attack; the mean of five is steady to ±0.008.
+const SEEDS: std::ops::RangeInclusive<u64> = 42..=46;
 const N: usize = 8;
 const F: usize = 2;
 
@@ -58,11 +64,32 @@ fn run_search(
     faults: &[ScriptedFault],
     rpc_config: RpcConfig,
 ) -> SearchOutcome {
-    let mut rng = StdRng::seed_from_u64(SEED);
+    run_seeded(config, faults, rpc_config, SEED)
+}
+
+fn run_seeded(
+    config: SearchConfig,
+    faults: &[ScriptedFault],
+    rpc_config: RpcConfig,
+    seed: u64,
+) -> SearchOutcome {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut search = FederatedModelSearch::new(config, &mut rng);
     let dataset = search.dataset().clone();
     install_with_faults(search.server_mut(), &dataset, rpc_config, faults);
     search.run(&mut rng)
+}
+
+/// [`run`] once per seed in [`SEEDS`].
+fn runs(aggregator: &str, faults: &[ScriptedFault]) -> Vec<SearchOutcome> {
+    SEEDS
+        .map(|seed| run_seeded(search_config(aggregator), faults, rpc(), seed))
+        .collect()
+}
+
+/// The mean of `metric` over `outcomes`.
+fn mean(outcomes: &[SearchOutcome], metric: fn(&SearchOutcome) -> f32) -> f32 {
+    outcomes.iter().map(metric).sum::<f32>() / outcomes.len() as f32
 }
 
 fn final_accuracy(outcome: &SearchOutcome) -> f32 {
@@ -84,47 +111,50 @@ fn tail_loss(outcome: &SearchOutcome) -> f32 {
 
 #[test]
 fn robust_aggregators_survive_a_sign_flip_minority() {
-    let clean = run("mean", &fleet(None, 0), rpc());
-    let baseline = final_accuracy(&clean);
+    let clean = runs("mean", &fleet(None, 0));
+    let baseline = mean(&clean, final_accuracy);
     for spec in ["median", "krum:4"] {
-        let attacked = run(spec, &fleet(Some(Attack::SignFlip), F), rpc());
-        let acc = final_accuracy(&attacked);
+        let attacked = runs(spec, &fleet(Some(Attack::SignFlip), F));
+        let acc = mean(&attacked, final_accuracy);
         println!("sign-flip {spec}: {acc:.4} vs clean {baseline:.4}");
         assert!(
             (acc - baseline).abs() <= 0.02,
             "{spec} under sign-flip drifted beyond 2 points: {acc:.4} vs {baseline:.4}"
         );
         // a sane search result: full-length curves and a well-formed genotype
-        assert_eq!(
-            attacked.search_curve.len(),
-            clean.search_curve.len(),
-            "{spec} run must complete every round"
-        );
-        let compact = attacked.genotype.to_compact_string();
-        assert_eq!(
-            fedrlnas_darts::Genotype::parse_compact(&compact).expect("genotype must round-trip"),
-            attacked.genotype
-        );
+        for (attacked, clean) in attacked.iter().zip(&clean) {
+            assert_eq!(
+                attacked.search_curve.len(),
+                clean.search_curve.len(),
+                "{spec} run must complete every round"
+            );
+            let compact = attacked.genotype.to_compact_string();
+            assert_eq!(
+                fedrlnas_darts::Genotype::parse_compact(&compact)
+                    .expect("genotype must round-trip"),
+                attacked.genotype
+            );
+        }
     }
 }
 
 #[test]
 fn robust_aggregators_survive_a_scaling_minority_where_mean_degrades() {
-    let clean = run("mean", &fleet(None, 0), rpc());
-    let (baseline, clean_loss) = (final_accuracy(&clean), tail_loss(&clean));
+    let clean = runs("mean", &fleet(None, 0));
+    let (baseline, clean_loss) = (mean(&clean, final_accuracy), mean(&clean, tail_loss));
     // λ = -50 amplifies the poison enough that the unprotected mean's
     // training loss visibly climbs, while median and Multi-Krum discard it
     let attack = Some(Attack::Scale(-50.0));
-    let poisoned_mean = run("mean", &fleet(attack, F), rpc());
-    let mean_loss = tail_loss(&poisoned_mean);
+    let poisoned_mean = runs("mean", &fleet(attack, F));
+    let mean_loss = mean(&poisoned_mean, tail_loss);
     println!("scale mean: loss {mean_loss:.3} vs clean {clean_loss:.3}");
     assert!(
         mean_loss > clean_loss + 0.5,
         "plain mean should measurably degrade under scaling: loss {mean_loss:.3} vs {clean_loss:.3}"
     );
     for spec in ["median", "krum:4"] {
-        let attacked = run(spec, &fleet(attack, F), rpc());
-        let (acc, loss) = (final_accuracy(&attacked), tail_loss(&attacked));
+        let attacked = runs(spec, &fleet(attack, F));
+        let (acc, loss) = (mean(&attacked, final_accuracy), mean(&attacked, tail_loss));
         println!("scale {spec}: acc {acc:.4}/{baseline:.4}, loss {loss:.3}/{clean_loss:.3}");
         assert!(
             (acc - baseline).abs() <= 0.02,

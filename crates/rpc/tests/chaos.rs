@@ -89,9 +89,7 @@ fn recoverable_chaos_preserves_the_search_result_in_memory() {
 /// Downloads displaced across a round boundary — the two ways a worker is
 /// asked for a round it has already answered once a later round is under
 /// way. Both are answered from its two-entry reply cache, neither trains
-/// a round twice (a second step would advance the participant's loader
-/// and every later round's curve point with it), and the search comes out
-/// exactly as the clean run's.
+/// a round twice, and the search comes out exactly as the clean run's.
 #[test]
 fn displaced_downloads_across_a_round_boundary_preserve_the_search_result() {
     let baseline = run_search(SearchConfig::tiny(), None);
@@ -389,4 +387,81 @@ fn killed_and_resumed_rpc_search_matches_uninterrupted() {
     assert_same_trajectory(&reference, &outcome);
     assert_eq!(outcome.comm.resumes, 1);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A worker that crashes (`crash_restart`), is evicted and is re-admitted
+/// sat out the rounds it was down for. A search killed after the
+/// re-admission and resumed into a fresh fleet must still equal the
+/// uninterrupted run: the fresh fleet's copy of that participant has to
+/// draw, round for round, the batch the one that lived through the crash
+/// draws.
+fn crashed_readmitted_worker_resumes_into_a_fresh_fleet(transport: TransportKind) {
+    let config =
+        SearchConfig::tiny().with_staleness(StalenessModel::fresh(), StalenessStrategy::Use);
+    let k = config.num_participants;
+    let rpc = || RpcConfig {
+        transport,
+        deadline: Duration::from_millis(300),
+        max_retries: 0,
+        evict_after: 2,
+        ..RpcConfig::default()
+    };
+    // down for rounds 2..=5, evicted after two misses, back by round 7
+    let faults = [ScriptedFault {
+        crash_restart: Some((2, 3)),
+        ..ScriptedFault::default()
+    }];
+    let reference = run_scripted(config.clone(), Some(rpc()), &faults);
+    assert!(reference.comm.faults.evictions >= 1, "the crash evicts");
+    let killed_after = config.warmup_steps + 4;
+    let contributors: Vec<usize> = reference
+        .warmup_curve
+        .steps()
+        .iter()
+        .chain(reference.search_curve.steps())
+        .map(|s| s.contributors)
+        .collect();
+    assert_eq!(contributors[3], k - 1, "round 3 misses the crashed worker");
+    assert!(
+        contributors[7..killed_after].iter().all(|&c| c == k),
+        "re-admitted before the kill: {contributors:?}"
+    );
+    let path = std::env::temp_dir().join(format!(
+        "fedrlnas-chaos-readmit-{transport:?}-{}.ckpt",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    {
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let mut search = FederatedModelSearch::new(config.clone(), &mut rng);
+        let dataset = search.dataset().clone();
+        install_with_faults(search.server_mut(), &dataset, rpc(), &faults);
+        search
+            .server_mut()
+            .run_warmup(&dataset, config.warmup_steps, &mut rng);
+        search
+            .server_mut()
+            .run_search(&dataset, killed_after - config.warmup_steps, &mut rng);
+        Checkpoint::capture(search.server_mut(), &rng)
+            .save_path(&path)
+            .expect("snapshot");
+    }
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut search = FederatedModelSearch::new(config, &mut rng);
+    assert!(search.try_resume(&path, &mut rng).expect("resume"));
+    let dataset = search.dataset().clone();
+    install(search.server_mut(), &dataset, rpc());
+    let outcome = search.run_checkpointed(&mut rng, None).expect("finish");
+    assert_same_trajectory(&reference, &outcome);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn crashed_readmitted_worker_resumes_into_a_fresh_fleet_in_memory() {
+    crashed_readmitted_worker_resumes_into_a_fresh_fleet(TransportKind::InMemory);
+}
+
+#[test]
+fn crashed_readmitted_worker_resumes_into_a_fresh_fleet_over_tcp() {
+    crashed_readmitted_worker_resumes_into_a_fresh_fleet(TransportKind::Tcp);
 }

@@ -127,7 +127,8 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// The [`SearchConfig::validate`] message for inconsistent specs.
+    /// The [`SearchConfig::validate`] or [`SearchConfig::check_dataset`]
+    /// message for inconsistent specs.
     pub fn build_config(&self) -> Result<SearchConfig, String> {
         let mut config = SearchConfig::at_scale(self.scale);
         if self.non_iid {
@@ -145,19 +146,25 @@ impl JobSpec {
         }
         config = config.with_topology(self.topology);
         config.validate()?;
+        config.check_dataset(&self.dataset_spec(&config))?;
         Ok(config)
+    }
+
+    /// The spec of the job's dataset: the CLI's, at the supernet's image
+    /// extent.
+    fn dataset_spec(&self, config: &SearchConfig) -> DatasetSpec {
+        match self.dataset {
+            DatasetKind::Cifar10 => DatasetSpec::cifar10_like(),
+            DatasetKind::Svhn => DatasetSpec::svhn_like(),
+        }
+        .with_image_hw(config.net.image_hw)
     }
 
     /// Generates the job's dataset — same spec, image extent and seed
     /// derivation as the CLI (`seed ^ 0xDA7A`).
     pub fn build_dataset(&self, config: &SearchConfig) -> SyntheticDataset {
-        let spec = match self.dataset {
-            DatasetKind::Cifar10 => DatasetSpec::cifar10_like(),
-            DatasetKind::Svhn => DatasetSpec::svhn_like(),
-        }
-        .with_image_hw(config.net.image_hw);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xDA7A);
-        SyntheticDataset::generate(&spec, &mut rng)
+        SyntheticDataset::generate(&self.dataset_spec(config), &mut rng)
     }
 
     /// Serializes to the versioned binary layout carried by

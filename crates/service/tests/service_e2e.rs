@@ -8,7 +8,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fedrlnas_core::{FederatedModelSearch, SearchOutcome};
 use fedrlnas_netsim::Environment;
-use fedrlnas_service::{BackendKind, JobManager, JobQuotas, JobSpec, JobState};
+use fedrlnas_service::{
+    BackendKind, JobManager, JobQuotas, JobSpec, JobState, JobStore, QuarantineReason, ServiceError,
+};
 use rand::{rngs::StdRng, SeedableRng};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -253,5 +255,43 @@ fn fifty_interleaved_jobs_match_their_single_run_baselines() {
             &format!("job {id}"),
         );
     }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A spec with more participants than the dataset has training samples
+/// would leave a shard empty: `submit` refuses it before the store sees
+/// it, and a restart quarantines one that is already stored.
+#[test]
+fn more_participants_than_training_samples_is_refused_and_never_stored() {
+    let dir = scratch("too-many");
+    let spec = JobSpec {
+        participants: Some(1001),
+        ..JobSpec::tiny(1)
+    };
+    let mut mgr = JobManager::open(&dir, JobQuotas::default(), 0).expect("open");
+    match mgr.submit(spec.clone()) {
+        Err(ServiceError::Spec(e)) => assert!(e.contains("1001 participants"), "{e}"),
+        other => panic!("expected a spec error, got {other:?}"),
+    }
+    assert!(mgr.list().is_empty());
+    drop(mgr);
+    let mgr = JobManager::open(&dir, JobQuotas::default(), 0).expect("reopen");
+    assert!(mgr.list().is_empty(), "nothing was stored");
+    drop(mgr);
+    // such a spec already in the store is quarantined on restart
+    let mut store = JobStore::open(&dir).expect("store");
+    let id = store
+        .create(&spec.encode(), JobState::Queued.code())
+        .expect("create");
+    drop(store);
+    let mgr = JobManager::open(&dir, JobQuotas::default(), 0).expect("restart");
+    assert!(
+        matches!(
+            mgr.quarantine_reason(id),
+            Some(QuarantineReason::Corrupt(_))
+        ),
+        "{:?}",
+        mgr.quarantine_reason(id)
+    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -329,6 +329,7 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
         .map_err(|e| format!("bad seed: {e}"))?;
     let config = build_config(argv)?;
     let dataset = dataset_for(argv, &config, seed)?;
+    config.check_dataset(dataset.spec())?;
     println!(
         "searching: K = {}, {} warm-up + {} search steps, staleness {:?}, strategy {}, assignment {}, aggregator {}",
         config.num_participants,

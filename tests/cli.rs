@@ -89,6 +89,23 @@ fn search_then_retrain_round_trip() {
 }
 
 #[test]
+fn more_participants_than_training_samples_is_an_error_not_a_panic() {
+    // the tiny dataset holds 1000 training samples: one more participant
+    // would leave a shard empty
+    let out = bin()
+        .args(["search", "--scale", "tiny", "--participants", "1001"])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("error: 1001 participants need a training sample each"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run before the check");
+}
+
+#[test]
 fn unknown_flags_are_named_before_any_work_starts() {
     let out = bin()
         .args(["search", "--particpants", "3"])
