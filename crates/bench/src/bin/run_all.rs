@@ -1,56 +1,59 @@
-//! Runs every experiment binary in sequence at the requested scale —
-//! regenerating all tables and figures in one command:
+//! Runs the paper's experiments in-process — every table and figure, or
+//! the ones named — and collects their claims:
 //!
 //! ```text
 //! cargo run --release -p fedrlnas-bench --bin run_all -- --scale small
+//! cargo run --release -p fedrlnas-bench --bin run_all -- --scale tiny --seed 7 fig8_staleness
 //! ```
+//!
+//! CSVs and `claims.csv` land in `target/experiments/`. Exits 2 on a bad
+//! argument (running nothing) and 1 if an experiment panicked, measured a
+//! non-finite value or returned other claims than it declares.
 
-use std::process::Command;
+use fedrlnas_bench::experiments::{claims_csv, parse_args, Ctx, USAGE};
+use fedrlnas_bench::write_output;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let bins = [
-        "table1",
-        "fig3_warmup",
-        "fig4_search_iid",
-        "fig5_alpha_only",
-        "fig6_search_noniid",
-        "table2",
-        "table3",
-        "table4",
-        "table5",
-        "fig7_latency",
-        "fig8_staleness",
-        "fig9_rounds_cifar10",
-        "fig10_rounds_svhn",
-        "fig11_transfer",
-        "fig12_participants",
-        "table6",
-        "table7_8",
-        "comm_cost",
-    ];
-    let exe_dir = std::env::current_exe()
-        .expect("current exe path")
-        .parent()
-        .expect("exe dir")
-        .to_path_buf();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let ctx = Ctx::new(args.scale, args.seed);
+    let mut claims = Vec::new();
     let mut failures = Vec::new();
-    for bin in bins {
-        println!("\n================ {bin} ================");
-        let status = Command::new(exe_dir.join(bin))
-            .args(&args)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-        if !status.success() {
-            eprintln!("  {bin} FAILED ({status})");
-            failures.push(bin);
+    for exp in &args.experiments {
+        println!("\n================ {} ================", exp.name);
+        match catch_unwind(AssertUnwindSafe(|| (exp.run)(&ctx))) {
+            Ok(Ok(got)) if got.iter().map(|c| c.id).eq(exp.claims.iter().copied()) => {
+                got.iter().for_each(|c| c.print());
+                claims.extend(got);
+            }
+            Ok(Ok(got)) => {
+                let ids: Vec<_> = got.iter().map(|c| c.id).collect();
+                eprintln!(
+                    "  {} returned claims {ids:?}, declares {:?}",
+                    exp.name, exp.claims
+                );
+                failures.push(exp.name);
+            }
+            Ok(Err(e)) => {
+                eprintln!("  {} FAILED: {e}", exp.name);
+                failures.push(exp.name);
+            }
+            Err(_) => {
+                eprintln!("  {} PANICKED", exp.name);
+                failures.push(exp.name);
+            }
         }
     }
     println!("\n================ summary ================");
+    write_output(&ctx.out_dir, "claims.csv", &claims_csv(&claims));
     if failures.is_empty() {
         println!(
             "all {} experiments completed; outputs in target/experiments/",
-            bins.len()
+            args.experiments.len()
         );
     } else {
         println!("failed experiments: {failures:?}");

@@ -1,20 +1,14 @@
 //! Thin control-plane client for the search service: one request, one
-//! reply, over any [`Transport`]. Used by the `fedrlnas` CLI, the service
-//! e2e suites, and fleet-driving experiment binaries.
+//! reply, one attempt, over any [`Transport`]. Used by the service e2e
+//! suites (`tests/service_kill9.rs`).
 //!
-//! By default a request makes exactly one attempt. Opt in to bounded
-//! retries with [`ServiceClient::with_retry`]: transport-level failures
-//! (timeouts, dropped connections) are retried with deterministic
-//! jittered exponential backoff — and, for TCP clients, a fresh
-//! connection per retry — while request-level rejections and protocol
-//! violations never are. Retrying a `submit` whose reply was lost can
-//! create a second job: the control plane deliberately treats each
-//! submit as a new tenant (idempotent *updates* are what the store's
-//! generation fencing guarantees), so callers that must not double-run
-//! check `list` after a retried submit. The duplicate-submit behaviour
-//! is pinned by a regression test.
+//! A failed request is not retried. A caller that retries must know what
+//! the server does with a repeat: a re-sent `submit` whose reply was lost
+//! creates a second job, because the control plane treats each submit as
+//! a new tenant (idempotent *updates* are what the store's generation
+//! fencing guarantees). `tests/client_retry.rs` pins that rule.
 
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use fedrlnas_rpc::{decode, encode, Message, TcpTransport, Transport, TransportError};
@@ -61,93 +55,25 @@ impl From<TransportError> for ClientError {
     }
 }
 
-/// Bounded retry for transport-level failures: total attempt count, a
-/// backoff base doubled per retry, and a seed making the jitter — and so
-/// the whole retry schedule — a pure function of (seed, attempt).
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts per request (1 = no retry).
-    pub attempts: u32,
-    /// Backoff before the first retry; doubles each further retry.
-    pub base: Duration,
-    /// Jitter seed; same seed, same schedule.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 1,
-            base: Duration::from_millis(5),
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy making `attempts` total attempts.
-    pub fn bounded(attempts: u32, base: Duration, seed: u64) -> Self {
-        RetryPolicy {
-            attempts,
-            base,
-            seed,
-        }
-    }
-
-    /// The deterministic backoff before retry number `retry` (1-based):
-    /// exponential in the retry count with up to +50% seeded jitter.
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let base_us = (self.base.as_micros() as u64).max(1);
-        let exp = base_us << retry.saturating_sub(1).min(10);
-        let jitter = splitmix(self.seed ^ u64::from(retry).rotate_left(32)) % (exp / 2 + 1);
-        Duration::from_micros(exp + jitter)
-    }
-}
-
-/// splitmix64 finalizer — the jitter hash; stable across platforms.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Re-establishes a transport after a failure (a fresh TCP connection,
-/// a fresh mem-transport endpoint in tests).
-pub type ReconnectFn<T> = Box<dyn FnMut() -> Result<T, ClientError> + Send>;
-
 /// A connected control-plane client.
 pub struct ServiceClient<T: Transport> {
     transport: T,
     timeout: Duration,
-    retry: RetryPolicy,
-    reconnect: Option<ReconnectFn<T>>,
 }
 
 impl ServiceClient<TcpTransport> {
-    /// Connects over loopback TCP to a `fedrlnas serve` instance. The
-    /// client remembers the resolved addresses, so retries (when enabled
-    /// via [`ServiceClient::with_retry`]) reconnect automatically.
+    /// Connects over loopback TCP to a `fedrlnas serve` instance.
     ///
     /// # Errors
     ///
     /// Connect failures as [`ClientError::Transport`].
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| ClientError::Transport(TransportError::Io(e)))?
-            .collect();
-        let transport = tcp_connect(&addrs)?;
-        let mut client = ServiceClient::over(transport);
-        client.reconnect = Some(Box::new(move || tcp_connect(&addrs)));
-        Ok(client)
+        let stream =
+            TcpStream::connect(addr).map_err(|e| ClientError::Transport(TransportError::Io(e)))?;
+        let transport =
+            TcpTransport::new(stream).map_err(|e| ClientError::Transport(TransportError::Io(e)))?;
+        Ok(ServiceClient::over(transport))
     }
-}
-
-fn tcp_connect(addrs: &[SocketAddr]) -> Result<TcpTransport, ClientError> {
-    let stream =
-        TcpStream::connect(addrs).map_err(|e| ClientError::Transport(TransportError::Io(e)))?;
-    TcpTransport::new(stream).map_err(|e| ClientError::Transport(TransportError::Io(e)))
 }
 
 impl<T: Transport> ServiceClient<T> {
@@ -156,31 +82,12 @@ impl<T: Transport> ServiceClient<T> {
         ServiceClient {
             transport,
             timeout: Duration::from_secs(30),
-            retry: RetryPolicy::default(),
-            reconnect: None,
         }
     }
 
     /// Replaces the per-request reply timeout (default 30 s).
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
-        self
-    }
-
-    /// Enables bounded retry of transport-level failures (default: one
-    /// attempt, no retry).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Replaces the reconnect hook retries use to re-establish the
-    /// transport (TCP clients get one automatically).
-    pub fn with_reconnect(
-        mut self,
-        f: impl FnMut() -> Result<T, ClientError> + Send + 'static,
-    ) -> Self {
-        self.reconnect = Some(Box::new(f));
         self
     }
 
@@ -288,37 +195,9 @@ impl<T: Transport> ServiceClient<T> {
         }
     }
 
-    /// Sends the request, retrying transport failures per the policy.
-    /// Rejections and protocol violations return immediately: the server
-    /// answered, retrying would only repeat the answer (or, for a
-    /// `SubmitJob`, create another job).
+    /// Sends the request and waits for one reply frame.
     fn round_trip(&mut self, request: Message) -> Result<Message, ClientError> {
-        let frame = encode(&request);
-        let mut last: Option<ClientError> = None;
-        for attempt in 1..=self.retry.attempts.max(1) {
-            if attempt > 1 {
-                std::thread::sleep(self.retry.backoff(attempt - 1));
-                if let Some(reconnect) = self.reconnect.as_mut() {
-                    match reconnect() {
-                        Ok(t) => self.transport = t,
-                        Err(e) => {
-                            last = Some(e);
-                            continue;
-                        }
-                    }
-                }
-            }
-            match self.try_once(&frame) {
-                Ok(msg) => return Ok(msg),
-                Err(e @ ClientError::Transport(_)) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    fn try_once(&mut self, frame: &[u8]) -> Result<Message, ClientError> {
-        self.transport.send(frame)?;
+        self.transport.send(&encode(&request))?;
         let reply = self.transport.recv_timeout(self.timeout)?;
         decode(&reply).map_err(|e| ClientError::Protocol(format!("bad reply frame: {e}")))
     }

@@ -1,46 +1,21 @@
-//! Shared harness utilities for the experiment binaries that regenerate
-//! every table and figure of the paper (see EXPERIMENTS.md for the index).
+//! Experiment harness: every table and figure of the paper as one entry
+//! of [`experiments::EXPERIMENTS`], run in-process by the `run_all` binary
+//! (see EXPERIMENTS.md for the index), plus the shared helpers of the
+//! `bench_*` perf-smoke binaries.
 //!
-//! Each binary prints the same rows/series the paper reports and writes
-//! CSV under `target/experiments/`. All binaries accept:
-//!
-//! * `--scale {tiny,small,paper}` — proxy size (default `small`),
-//! * `--seed <u64>` — RNG seed (default 42).
+//! Each experiment prints the same rows/series the paper reports, writes
+//! CSV under `target/experiments/` and returns its checked claims, which
+//! `run_all` prints and collects in `target/experiments/claims.csv`.
 
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod experiments;
 pub mod lowering;
 pub mod protocol;
 
-use fedrlnas_core::Scale;
 use std::fs;
-use std::path::PathBuf;
-
-/// Parsed common CLI arguments.
-#[derive(Debug, Clone, Copy)]
-pub struct Args {
-    /// Proxy scale.
-    pub scale: Scale,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl Args {
-    /// Parses `--scale` and `--seed` from `std::env::args`, ignoring flags
-    /// it does not know (binaries handle their own extras via
-    /// [`flag_present`]/[`flag_value`]).
-    pub fn parse() -> Args {
-        let argv: Vec<String> = std::env::args().collect();
-        let scale = flag_value(&argv, "--scale")
-            .and_then(|s| Scale::parse(&s))
-            .unwrap_or(Scale::Small);
-        let seed = flag_value(&argv, "--seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42);
-        Args { scale, seed }
-    }
-}
+use std::path::Path;
 
 /// Returns the value following `name` in `argv`, if present.
 pub fn flag_value(argv: &[String], name: &str) -> Option<String> {
@@ -83,16 +58,11 @@ pub fn json_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Directory experiment outputs are written to (`target/experiments`).
-pub fn out_dir() -> PathBuf {
-    let dir = PathBuf::from("target/experiments");
-    fs::create_dir_all(&dir).expect("create target/experiments");
-    dir
-}
-
-/// Writes `content` under [`out_dir`] and reports the path on stdout.
-pub fn write_output(name: &str, content: &str) {
-    let path = out_dir().join(name);
+/// Writes `content` to `dir/name` (creating `dir`) and reports the path on
+/// stdout.
+pub fn write_output(dir: &Path, name: &str, content: &str) {
+    fs::create_dir_all(dir).expect("create the experiment output directory");
+    let path = dir.join(name);
     fs::write(&path, content).expect("write experiment output");
     println!("  [written] {}", path.display());
 }
@@ -177,11 +147,11 @@ impl Table {
 
 /// Writes named series (step → value) as a wide CSV: one `step` column and
 /// one column per series, aligned by index.
-pub fn series_csv(series: &[(&str, Vec<f32>)]) -> String {
+pub fn series_csv<S: AsRef<str>>(series: &[(S, Vec<f32>)]) -> String {
     let mut s = String::from("step");
     for (name, _) in series {
         s.push(',');
-        s.push_str(name);
+        s.push_str(name.as_ref());
     }
     s.push('\n');
     let len = series.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
@@ -209,15 +179,6 @@ pub fn error_pct(accuracy: f32) -> String {
 /// Formats a byte count as megabytes with two decimals.
 pub fn mb(bytes: usize) -> String {
     format!("{:.3}", bytes as f64 / 1e6)
-}
-
-/// Step budgets per scale: `(warmup, search, retrain, fed_rounds)`.
-pub fn budgets(scale: Scale) -> (usize, usize, usize, usize) {
-    match scale {
-        Scale::Tiny => (5, 12, 30, 8),
-        Scale::Small => (25, 110, 300, 40),
-        Scale::Paper => (10_000, 6_000, 20_000, 600),
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Shared experiment protocols: "search with our method", "retrain and
-//! evaluate" — the P1→P4 pipelines the table binaries compose.
+//! evaluate" — the P1→P4 pipelines the experiments compose.
 
 use fedrlnas_core::{
     retrain_centralized, retrain_federated, FederatedModelSearch, RetrainReport, SearchConfig,
@@ -7,7 +7,7 @@ use fedrlnas_core::{
 };
 use fedrlnas_darts::{DerivedModel, Genotype, SupernetConfig};
 use fedrlnas_data::{DatasetSpec, SyntheticDataset};
-use fedrlnas_fed::{evaluate_model, FedAvgConfig, FedAvgTrainer, TrainableModel};
+use fedrlnas_fed::{FedAvgConfig, FedAvgTrainer, TrainableModel};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Generates the named dataset sized to a supernet configuration.
@@ -53,49 +53,78 @@ pub fn eval_centralized(
     retrain_centralized(genotype, net, dataset, steps, batch, &mut rng)
 }
 
-/// P3 federated + P4 on the given genotype.
-pub fn eval_federated(
-    genotype: Genotype,
-    net: SupernetConfig,
-    dataset: &SyntheticDataset,
-    k: usize,
-    rounds: usize,
-    dirichlet_beta: Option<f64>,
-    seed: u64,
-) -> RetrainReport {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xFED1);
-    retrain_federated(genotype, net, dataset, k, rounds, dirichlet_beta, &mut rng)
+/// A trained model's test accuracy and parameter count.
+pub type Scored = (f32, usize);
+
+/// The federated setting (P3, FL) a table or figure retrains models in.
+#[derive(Debug, Clone, Copy)]
+pub struct Federated {
+    /// Participants.
+    pub k: usize,
+    /// FedAvg rounds.
+    pub rounds: usize,
+    /// Dirichlet concentration of the data split (`None` = i.i.d.).
+    pub beta: Option<f64>,
+    /// Base seed.
+    pub seed: u64,
 }
 
-/// Trains an arbitrary fixed model with FedAvg for `rounds` and returns
-/// `(test accuracy, param count, per-round train/val curves)`.
-pub fn train_fixed_federated<M: TrainableModel + Clone + Send>(
-    model: M,
-    dataset: &SyntheticDataset,
-    k: usize,
-    rounds: usize,
-    dirichlet_beta: Option<f64>,
-    seed: u64,
-) -> (f32, usize, Vec<f32>, Vec<(usize, f32)>) {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF1DE);
-    let config = FedAvgConfig {
-        dirichlet_beta,
-        ..FedAvgConfig::default()
-    };
-    let mut trainer = FedAvgTrainer::new(model, dataset, k, config, &mut rng);
-    let mut train_curve = Vec::with_capacity(rounds);
-    let mut eval_points = Vec::new();
-    let eval_every = (rounds / 10).max(1);
-    for r in 0..rounds {
-        let m = trainer.run_round(dataset, &mut rng);
-        train_curve.push(m.train_accuracy);
-        if r % eval_every == eval_every - 1 {
-            eval_points.push((r, trainer.evaluate(dataset)));
-        }
+impl Federated {
+    /// Retrains `genotype` under `net` on `dataset` with the caller's RNG.
+    pub fn retrain(
+        &self,
+        genotype: &Genotype,
+        net: &SupernetConfig,
+        dataset: &SyntheticDataset,
+        rng: &mut StdRng,
+    ) -> RetrainReport {
+        let (genotype, net) = (genotype.clone(), net.clone());
+        retrain_federated(genotype, net, dataset, self.k, self.rounds, self.beta, rng)
     }
-    let acc = trainer.evaluate(dataset);
-    let params = trainer.global_mut().param_count();
-    (acc, params, train_curve, eval_points)
+
+    /// P3 federated + P4: the test accuracy of `genotype` under `net`, and
+    /// its parameter count.
+    pub fn eval(
+        &self,
+        genotype: &Genotype,
+        net: &SupernetConfig,
+        dataset: &SyntheticDataset,
+    ) -> Scored {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xFED1);
+        let report = self.retrain(genotype, net, dataset, &mut rng);
+        (
+            report.test_accuracy,
+            genotype_params(genotype, net, self.seed),
+        )
+    }
+
+    /// Trains an arbitrary fixed model with FedAvg and returns `((test
+    /// accuracy, param count), per-round train curve, eval points)`.
+    pub fn train_fixed<M: TrainableModel + Clone + Send>(
+        &self,
+        model: M,
+        dataset: &SyntheticDataset,
+    ) -> (Scored, Vec<f32>, Vec<(usize, f32)>) {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xF1DE);
+        let config = FedAvgConfig {
+            dirichlet_beta: self.beta,
+            ..FedAvgConfig::default()
+        };
+        let mut trainer = FedAvgTrainer::new(model, dataset, self.k, config, &mut rng);
+        let mut train_curve = Vec::with_capacity(self.rounds);
+        let mut eval_points = Vec::new();
+        let eval_every = (self.rounds / 10).max(1);
+        for r in 0..self.rounds {
+            let m = trainer.run_round(dataset, &mut rng);
+            train_curve.push(m.train_accuracy);
+            if r % eval_every == eval_every - 1 {
+                eval_points.push((r, trainer.evaluate(dataset)));
+            }
+        }
+        let acc = trainer.evaluate(dataset);
+        let params = trainer.global_mut().param_count();
+        ((acc, params), train_curve, eval_points)
+    }
 }
 
 /// Parameter count of a genotype realized under `net` (the `Param(M)`
@@ -104,11 +133,6 @@ pub fn genotype_params(genotype: &Genotype, net: &SupernetConfig, seed: u64) -> 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut m = DerivedModel::new(genotype.clone(), net.clone(), &mut rng);
     m.param_count()
-}
-
-/// Evaluates any trainable model on the test split (P4 helper).
-pub fn test_accuracy<M: TrainableModel + ?Sized>(model: &mut M, dataset: &SyntheticDataset) -> f32 {
-    evaluate_model(model, dataset, 64)
 }
 
 /// Derives a uniform-random genotype — the "untrained search" control used

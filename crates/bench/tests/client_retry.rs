@@ -1,15 +1,14 @@
-//! Client-side resilience: bounded retry with deterministic jittered
-//! backoff, reconnect-per-retry, the no-retry rule for request-level
-//! rejections, and the pinned duplicate-submit semantics — a retried
-//! `submit` whose reply was lost creates a second job by design.
+//! What a caller that retries meets: the client makes one attempt per
+//! request and returns a rejection at once, and the server treats a
+//! re-sent `submit` whose reply was lost as a second job, by design.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fedrlnas_bench::client::{ClientError, RetryPolicy, ServiceClient};
-use fedrlnas_rpc::{ChannelTransport, Transport, TransportError};
-use fedrlnas_service::{serve_transport, JobManager, JobQuotas, JobSpec, JobState};
+use fedrlnas_bench::client::{ClientError, ServiceClient};
+use fedrlnas_rpc::{decode, encode, ChannelTransport, Message, Transport, TransportError};
+use fedrlnas_service::{serve_transport, JobManager, JobQuotas, JobSpec};
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -35,115 +34,64 @@ fn spawn_server(
     })
 }
 
-/// Wraps a working transport but swallows the first `lose` replies,
-/// reporting a transport failure after the server has already processed
-/// the request — the classic lost-ack shape.
-struct LossyTransport {
+/// Wraps a working transport and counts the frames sent through it.
+struct CountingTransport {
     inner: ChannelTransport,
-    lose: Arc<AtomicU32>,
+    sends: Arc<AtomicU32>,
 }
 
-impl Transport for LossyTransport {
+impl Transport for CountingTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        self.sends.fetch_add(1, Ordering::SeqCst);
         self.inner.send(frame)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.recv_timeout(Duration::from_secs(30))
+        self.inner.recv()
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        let reply = self.inner.recv_timeout(timeout)?;
-        if self
-            .lose
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            return Err(TransportError::Closed);
-        }
-        Ok(reply)
+        self.inner.recv_timeout(timeout)
     }
 
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        match self.inner.poll_recv()? {
-            None => Ok(None),
-            Some(reply) => {
-                if self
-                    .lose
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                    .is_ok()
-                {
-                    return Err(TransportError::Closed);
-                }
-                Ok(Some(reply))
-            }
-        }
+        self.inner.poll_recv()
     }
 }
 
 #[test]
 fn duplicate_submit_after_lost_reply_is_a_second_job() {
     let dir = scratch("dup");
-    let (client_end, server_end) = ChannelTransport::pair();
+    let (mut client_end, server_end) = ChannelTransport::pair();
     let server = spawn_server(dir.clone(), server_end);
-
-    let lose = Arc::new(AtomicU32::new(1));
-    let transport = LossyTransport {
-        inner: client_end,
-        lose: Arc::clone(&lose),
+    let timeout = Duration::from_secs(10);
+    let mut round_trip = |frame: &[u8]| {
+        client_end.send(frame).expect("send");
+        decode(&client_end.recv_timeout(timeout).expect("reply")).expect("reply frame")
     };
-    let mut client = ServiceClient::over(transport)
-        .with_timeout(Duration::from_secs(10))
-        .with_retry(RetryPolicy::bounded(3, Duration::from_micros(200), 7));
 
-    // The first reply is lost after the server already created the job;
-    // the retry resends and the server — by documented design — creates a
-    // second tenant rather than guessing at idempotence.
-    let id = client.submit(&JobSpec::tiny(4100)).expect("retried submit");
-    assert_eq!(lose.load(Ordering::SeqCst), 0, "one reply was dropped");
+    // The first reply is "lost": the caller never reads its job id and
+    // re-sends the same frame. The server — by documented design — creates
+    // a second tenant rather than guessing at idempotence.
+    let submit = encode(&Message::SubmitJob {
+        spec: JobSpec::tiny(4100).encode(),
+    });
+    let ids: Vec<u64> = (0..2)
+        .map(|_| match round_trip(&submit) {
+            Message::JobReply { job_id, .. } => job_id,
+            other => panic!("expected JobReply, got {other:?}"),
+        })
+        .collect();
+    assert_ne!(ids[0], ids[1], "a re-sent submit must get a new job id");
+    match round_trip(&encode(&Message::ListJobs)) {
+        Message::JobList { jobs } => {
+            let listed: Vec<u64> = jobs.iter().map(|(id, _)| *id).collect();
+            assert_eq!(listed, ids, "a re-sent submit must pin TWO jobs");
+        }
+        other => panic!("expected JobList, got {other:?}"),
+    }
 
-    let jobs = client.list().expect("list");
-    assert_eq!(
-        jobs.len(),
-        2,
-        "a retried submit with a lost reply must pin TWO jobs: {jobs:?}"
-    );
-    assert!(jobs.iter().any(|(jid, _)| *jid == id));
-
-    drop(client);
-    server.join().expect("server thread");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
-fn transport_failure_reconnects_and_retries() {
-    let dir = scratch("reconnect");
-    let (live_end, server_end) = ChannelTransport::pair();
-    let server = spawn_server(dir.clone(), server_end);
-
-    // The initial connection is already dead: its peer is dropped.
-    let (dead_end, dead_peer) = ChannelTransport::pair();
-    drop(dead_peer);
-
-    let mut live = Some(live_end);
-    let mut client = ServiceClient::over(dead_end)
-        .with_timeout(Duration::from_secs(10))
-        .with_retry(RetryPolicy::bounded(3, Duration::from_micros(200), 11))
-        .with_reconnect(move || {
-            live.take()
-                .ok_or_else(|| ClientError::Protocol("already reconnected".into()))
-        });
-
-    let id = client
-        .submit(&JobSpec::tiny(4200))
-        .expect("submit after reconnect");
-    let reply = client.status(id).expect("status over the reconnected link");
-    assert!(matches!(
-        reply.state,
-        JobState::Queued | JobState::Running | JobState::Completed
-    ));
-
-    drop(client);
+    drop(client_end);
     server.join().expect("server thread");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -153,47 +101,20 @@ fn rejections_are_never_retried() {
     let dir = scratch("noretry");
     let (client_end, server_end) = ChannelTransport::pair();
     let server = spawn_server(dir.clone(), server_end);
-
-    let mut client = ServiceClient::over(client_end)
-        .with_timeout(Duration::from_secs(10))
-        .with_retry(RetryPolicy::bounded(5, Duration::from_millis(50), 3));
+    let sends = Arc::new(AtomicU32::new(0));
+    let transport = CountingTransport {
+        inner: client_end,
+        sends: Arc::clone(&sends),
+    };
+    let mut client = ServiceClient::over(transport).with_timeout(Duration::from_secs(10));
 
     // An unknown job is a request-level rejection: the server answered,
-    // so five attempts' worth of backoff must NOT be spent re-asking.
-    let start = std::time::Instant::now();
+    // and the client reports that answer after its one attempt.
     let err = client.status(9999).expect_err("unknown job");
     assert!(matches!(err, ClientError::Rejected(_)), "{err}");
-    assert!(
-        start.elapsed() < Duration::from_millis(40),
-        "a rejection must return without retry backoff, took {:?}",
-        start.elapsed()
-    );
+    assert_eq!(sends.load(Ordering::SeqCst), 1, "one frame per request");
 
     drop(client);
     server.join().expect("server thread");
     std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
-fn backoff_schedule_is_deterministic_and_seed_sensitive() {
-    let a = RetryPolicy::bounded(6, Duration::from_millis(2), 42);
-    let b = RetryPolicy::bounded(6, Duration::from_millis(2), 42);
-    let c = RetryPolicy::bounded(6, Duration::from_millis(2), 43);
-    let schedule = |p: &RetryPolicy| (1..6).map(|r| p.backoff(r)).collect::<Vec<_>>();
-    assert_eq!(schedule(&a), schedule(&b), "same seed, same schedule");
-    assert_ne!(
-        schedule(&a),
-        schedule(&c),
-        "different seed, different jitter"
-    );
-    // Exponential shape: retry r waits at least base * 2^(r-1) and at
-    // most 1.5x that (the +50% jitter cap).
-    for r in 1..6u32 {
-        let floor = Duration::from_millis(2) * 2u32.pow(r - 1);
-        assert!(a.backoff(r) >= floor, "retry {r}: below the floor");
-        assert!(
-            a.backoff(r) <= floor + floor / 2,
-            "retry {r}: above the jitter cap"
-        );
-    }
 }
