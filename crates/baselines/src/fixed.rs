@@ -209,7 +209,7 @@ impl ResNetProxy {
         }
     }
 
-    /// The proxy used in the experiment binaries: wide enough to dwarf any
+    /// The proxy the `run_all` experiments train: wide enough to dwarf any
     /// searched model at the same scale (the paper's 58.2 M vs 3.9 M ratio)
     /// while staying CPU-tractable.
     pub fn paper_proxy<R: Rng + ?Sized>(in_channels: usize, classes: usize, rng: &mut R) -> Self {

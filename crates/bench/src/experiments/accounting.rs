@@ -18,10 +18,11 @@ type Setting = (&'static str, fn(&SearchConfig) -> String);
 
 /// Table I: default experimental settings — prints the paper's values
 /// (all encoded as defaults in the workspace configs) next to the proxy
-/// overrides actually used at the selected scale.
+/// overrides the search experiments actually run at the selected scale,
+/// step budget included ([`Ctx::search_config`]).
 pub fn table1(ctx: &Ctx) -> Result<Vec<Claim>, String> {
     let paper = SearchConfig::paper();
-    let scaled = SearchConfig::at_scale(ctx.scale);
+    let scaled = ctx.search_config();
     let mut t = Table::new(
         "Table I — default experimental settings (paper vs this run)",
         &["name", "paper value", &format!("{:?} value", ctx.scale)],

@@ -1,7 +1,8 @@
-//! The two experiments that train nothing, run in-process at `tiny`, seed
-//! 42: their CSV bytes are pinned (they equal what the per-experiment
-//! binaries this harness replaced wrote), and each writes exactly the files
-//! and returns exactly the claims its registry entry declares.
+//! The experiments that train nothing, run in-process at `tiny`, seed 42:
+//! table5's and fig7's CSV bytes are pinned (they equal what the
+//! per-experiment binaries this harness replaced wrote), table1 reports the
+//! step budget the searches run, and each writes exactly the files and
+//! returns exactly the claims its registry entry declares.
 
 use fedrlnas_bench::experiments::{Ctx, Verdict, EXPERIMENTS};
 use fedrlnas_core::Scale;
@@ -65,4 +66,14 @@ fn fig7_latency_at_tiny_writes_the_pinned_csv() {
     let (verdicts, csv) = run("fig7_latency");
     assert_eq!(csv, FIG7_CSV);
     assert_eq!(verdicts, [Verdict::Reproduced]);
+}
+
+/// Table I's "value used" column is the configuration the searches run
+/// (`Ctx::search_config`): at `tiny`, 5 warm-up and 12 search steps.
+#[test]
+fn table1_at_tiny_reports_the_step_budget_the_searches_run() {
+    let (verdicts, csv) = run("table1");
+    assert!(verdicts.is_empty());
+    assert!(csv.contains("\n# warm-up steps,10000,5\n"), "{csv}");
+    assert!(csv.contains("\n# searching steps,6000,12\n"), "{csv}");
 }

@@ -4,13 +4,13 @@ use fedrlnas_codec::CodecConfig;
 use fedrlnas_controller::ControllerConfig;
 use fedrlnas_darts::SupernetConfig;
 use fedrlnas_data::{AugmentConfig, DatasetSpec};
-use fedrlnas_fed::{AggregatorConfig, ShardTopology};
+use fedrlnas_fed::AggregatorConfig;
 use fedrlnas_netsim::{AssignmentStrategy, AvailabilitySpec, DeviceProfile, Environment};
 use fedrlnas_nn::SgdConfig;
 use fedrlnas_sync::{StalenessModel, StalenessStrategy};
 use serde::{Deserialize, Serialize};
 
-/// Proxy scale selector used by the experiment binaries' `--scale` flag.
+/// Proxy scale selector: the CLI's and `run_all`'s `--scale` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
     /// Smoke-test scale (seconds).
@@ -118,15 +118,6 @@ pub struct SearchConfig {
     /// Enrolled population to sample per-round cohorts from. `None` (the
     /// default) keeps the historical fixed participant set.
     pub population: Option<PopulationConfig>,
-    /// Two-tier aggregation topology: `flat` (the default) folds every
-    /// report into one accumulator; `shards:<s>` partitions the cohort
-    /// round-robin across `s` shard aggregators whose per-shard results a
-    /// root merge combines. Bit-identical for the weighted mean (sharding
-    /// is an optimization boundary there, not a semantic one); robust
-    /// rules become per-shard — see DESIGN.md §4j for the f-bound caveat.
-    /// An execution-layout knob like the engine mode, so it is NOT
-    /// checkpointed: resuming under a different topology is legal.
-    pub topology: ShardTopology,
 }
 
 impl SearchConfig {
@@ -160,7 +151,6 @@ impl SearchConfig {
             codec: CodecConfig::default(),
             environments: None,
             population: None,
-            topology: ShardTopology::flat(),
         }
     }
 
@@ -203,7 +193,6 @@ impl SearchConfig {
             codec: CodecConfig::default(),
             environments: None,
             population: None,
-            topology: ShardTopology::flat(),
         }
     }
 
@@ -233,7 +222,6 @@ impl SearchConfig {
             codec: CodecConfig::default(),
             environments: None,
             population: None,
-            topology: ShardTopology::flat(),
         }
     }
 
@@ -303,12 +291,6 @@ impl SearchConfig {
         self
     }
 
-    /// Builder-style: select the two-tier aggregation topology.
-    pub fn with_topology(mut self, topology: ShardTopology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -331,7 +313,6 @@ impl SearchConfig {
         }
         self.aggregator.validate()?;
         self.codec.validate()?;
-        self.topology.validate()?;
         if let Some(bound) = self.update_norm_bound {
             if !(bound.is_finite() && bound > 0.0) {
                 return Err(format!(

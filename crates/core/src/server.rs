@@ -804,8 +804,7 @@ impl SearchServer {
     /// into the configured aggregator and sums `R_m ∇α log p(g_m)`.
     ///
     /// The fold is streaming: the plain/clipped mean folds each arrival
-    /// immediately; the robust rules buffer and reduce at the end, under a
-    /// sharded topology per round-robin shard with a root merge (see
+    /// immediately; the robust rules buffer and reduce at the end (see
     /// `StreamingAccumulator`). Compensation runs before the fold, so
     /// robust merging composes with Eq. 13 for free.
     ///
@@ -813,8 +812,7 @@ impl SearchServer {
     /// neither yet divided by the number of arrivals.
     fn aggregate(&mut self, ctx: &RoundCtx, arrivals: Vec<BackendReport>) -> (Vec<f32>, Tensor) {
         let theta_len = self.supernet.layout().param_len();
-        let mut theta_acc =
-            StreamingAccumulator::new(&self.config.aggregator, self.config.topology, theta_len);
+        let mut theta_acc = StreamingAccumulator::new(&self.config.aggregator, theta_len);
         let mut alpha_grad = Tensor::zeros(self.controller.alpha().logits().dims());
         let mut aggregate_ns = 0u64;
         let rewards = if ctx.update_alpha {

@@ -15,9 +15,8 @@
 //! by shard size with [`average_flat`]. The search server folds each
 //! round's sparse sub-model gradients into one [`StreamingAccumulator`],
 //! whose rule — the mean, or a robust center behind an optional clip —
-//! is an [`AggregatorConfig`] and whose shard layout is a
-//! [`ShardTopology`]; [`AggregatorConfig::reduce`] is the batch form of
-//! the same rules.
+//! is an [`AggregatorConfig`]; [`AggregatorConfig::reduce`] is the batch
+//! form of the same rules.
 //!
 //! # Example
 //!
@@ -53,7 +52,7 @@ pub use comm::{
 pub use participant::{LocalReport, Participant};
 pub use robust::{
     clip_l2, l2_norm, validate_report, validate_update, AggregatorConfig, AggregatorKind,
-    ShardTopology, SparseUpdate, StreamingAccumulator, UpdateRejection,
+    SparseUpdate, StreamingAccumulator, UpdateRejection,
 };
 pub use rounds::{FedAvgConfig, FedAvgTrainer, RoundMetrics};
 pub use trainable::{

@@ -15,7 +15,7 @@
 //!   mean, and Multi-Krum, each optionally behind a per-update L2 clip.
 //!   [`AggregatorConfig::reduce`] applies a rule to a round's updates;
 //!   [`StreamingAccumulator`] is the one accumulator the server pushes
-//!   arrivals into, under a [`ShardTopology`].
+//!   arrivals into.
 //!
 //! Every update is sparse: it covers only the `(offset, len)` supernet
 //! slots its architecture mask selects, so different updates cover
@@ -394,97 +394,6 @@ pub fn clip_l2(values: &mut [f32], bound: f32) {
     }
 }
 
-/// How the cohort's updates are partitioned into shard aggregators.
-/// `shards = 1` is the flat (single-tier) topology and the default.
-///
-/// Under `s` shards a robust rule runs over each round-robin slice of the
-/// updates, and the shards' accumulators are summed in shard order: the
-/// two-tier estimator `Σ_s q_{c,s} · center_s(c)`, which keeps the total
-/// mass `q_c`. The mean (clipped or not) folds flat under every topology,
-/// since per-shard partial sums would change its f32 addition order.
-///
-/// Sharding weakens the robust rules' Byzantine tolerance: the bound holds
-/// **within each shard**, not globally. Flat `trimmed:k` tolerates `k`
-/// outliers per coordinate; under `s` shards an adversary who concentrates
-/// more than `k` colluders into one shard hijacks that shard's center —
-/// its damage bounded by the shard's mass `q_{c,s} ≈ q_c / s`, but
-/// hijacked nonetheless. The same argument applies to Krum's `f = n − m`
-/// and the median's minority bound, so shards must stay large enough that
-/// the per-shard bound still covers the plausible collusion size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardTopology {
-    /// Number of shard aggregators (≥ 1; 1 means flat).
-    pub shards: usize,
-}
-
-impl Default for ShardTopology {
-    fn default() -> Self {
-        ShardTopology::flat()
-    }
-}
-
-impl ShardTopology {
-    /// Single-tier aggregation — every update goes through one flat pass.
-    pub fn flat() -> Self {
-        ShardTopology { shards: 1 }
-    }
-
-    /// Two-tier aggregation over `shards` shard aggregators.
-    pub fn sharded(shards: usize) -> Self {
-        ShardTopology { shards }
-    }
-
-    /// `true` when aggregation is single-tier.
-    pub fn is_flat(&self) -> bool {
-        self.shards <= 1
-    }
-
-    /// Parses a `--topology` spec: `flat` or `shards:<s>`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the invalid token.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let spec = spec.trim();
-        if spec == "flat" {
-            return Ok(ShardTopology::flat());
-        }
-        if let Some(arg) = spec.strip_prefix("shards:") {
-            let shards: usize = arg
-                .parse()
-                .map_err(|e| format!("bad shard count {arg:?}: {e}"))?;
-            let t = ShardTopology { shards };
-            t.validate()?;
-            return Ok(t);
-        }
-        Err(format!(
-            "unknown topology {spec:?} (expected flat|shards:<s>)"
-        ))
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.shards == 0 {
-            return Err("topology needs at least one shard".into());
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Display for ShardTopology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_flat() {
-            write!(f, "flat")
-        } else {
-            write!(f, "shards:{}", self.shards)
-        }
-    }
-}
-
 /// The round's accumulator: push updates one at a time as replies are
 /// processed, then read the pre-scaled accumulator once.
 ///
@@ -495,9 +404,8 @@ impl fmt::Display for ShardTopology {
 /// across execution modes only have to push in a canonical order (the
 /// server pushes in report order, sorted by participant). The median,
 /// trimmed mean and Krum need every update at once: they buffer at push,
-/// and [`StreamingAccumulator::finish`] reduces the buffer — whole under
-/// the flat topology, or split round-robin by push index into the
-/// topology's shards, reduced per shard and summed in shard order.
+/// and [`StreamingAccumulator::finish`] reduces the buffer with
+/// [`AggregatorConfig::reduce`].
 pub struct StreamingAccumulator {
     mode: StreamMode,
 }
@@ -508,16 +416,15 @@ enum StreamMode {
     /// median / trimmed / krum (clipped or not): buffer, reduce at finish.
     Buffer {
         updates: Vec<SparseUpdate>,
-        shards: usize,
         theta_len: usize,
         config: AggregatorConfig,
     },
 }
 
 impl StreamingAccumulator {
-    /// Creates an accumulator for `config` under `topology` over a flat θ
-    /// of `theta_len` coordinates.
-    pub fn new(config: &AggregatorConfig, topology: ShardTopology, theta_len: usize) -> Self {
+    /// Creates an accumulator for `config` over a flat θ of `theta_len`
+    /// coordinates.
+    pub fn new(config: &AggregatorConfig, theta_len: usize) -> Self {
         let mode = match config.kind {
             AggregatorKind::Mean => StreamMode::Fold {
                 acc: vec![0.0f32; theta_len],
@@ -525,7 +432,6 @@ impl StreamingAccumulator {
             },
             _ => StreamMode::Buffer {
                 updates: Vec::new(),
-                shards: topology.shards.max(1),
                 theta_len,
                 config: *config,
             },
@@ -533,8 +439,8 @@ impl StreamingAccumulator {
         StreamingAccumulator { mode }
     }
 
-    /// Feeds one update. Push order must be canonical: it fixes both the
-    /// mean's f32 fold order and the round-robin shard assignment.
+    /// Feeds one update. Push order must be canonical: it fixes the mean's
+    /// f32 fold order and the order a buffered rule sees its updates in.
     pub fn push(&mut self, mut update: SparseUpdate) {
         match &mut self.mode {
             StreamMode::Fold { acc, clip } => {
@@ -548,34 +454,15 @@ impl StreamingAccumulator {
     }
 
     /// Returns the pre-scaled accumulator: coordinate `c` holds
-    /// `q_c · center(g[c])` flat, or `Σ_s q_{c,s} · center_s(c)` sharded.
+    /// `q_c · center(g[c])`.
     pub fn finish(self) -> Vec<f32> {
         match self.mode {
             StreamMode::Fold { acc, .. } => acc,
             StreamMode::Buffer {
                 updates,
-                shards: 1,
                 theta_len,
                 config,
             } => config.reduce(updates, theta_len),
-            StreamMode::Buffer {
-                updates,
-                shards,
-                theta_len,
-                config,
-            } => {
-                let mut slices = vec![Vec::new(); shards];
-                for (i, u) in updates.into_iter().enumerate() {
-                    slices[i % shards].push(u);
-                }
-                let mut root = vec![0.0f32; theta_len];
-                for slice in slices.into_iter().filter(|s| !s.is_empty()) {
-                    for (r, p) in root.iter_mut().zip(&config.reduce(slice, theta_len)) {
-                        *r += p;
-                    }
-                }
-                root
-            }
         }
     }
 }
@@ -685,7 +572,6 @@ mod tests {
     use super::*;
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn sparse(ranges: &[(usize, usize)], values: &[f32]) -> SparseUpdate {
         let u = SparseUpdate {
@@ -710,11 +596,10 @@ mod tests {
     /// Pushes `updates` in order through the one accumulator.
     fn accumulate(
         config: &AggregatorConfig,
-        topology: ShardTopology,
         updates: &[SparseUpdate],
         theta_len: usize,
     ) -> Vec<f32> {
-        let mut acc = StreamingAccumulator::new(config, topology, theta_len);
+        let mut acc = StreamingAccumulator::new(config, theta_len);
         for u in updates {
             acc.push(u.clone());
         }
@@ -739,20 +624,6 @@ mod tests {
                 "{what}: coordinate {i} differs ({x} vs {y})"
             );
         }
-    }
-
-    /// Fixed-seed update set with overlapping irregular coverage, the
-    /// regression workload for the sharded pins below.
-    fn seeded_updates(seed: u64, n: usize, theta_len: usize) -> Vec<SparseUpdate> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                let off = rng.gen_range(0..theta_len / 2);
-                let len = rng.gen_range(1..=theta_len - off);
-                let values: Vec<f32> = (0..len).map(|_| rng.gen_range(-4.0..4.0)).collect();
-                sparse(&[(off, len)], &values)
-            })
-            .collect()
     }
 
     /// Arbitrary two-range updates over a θ of `THETA` coordinates:
@@ -1032,7 +903,7 @@ mod tests {
         ];
         for config in all_rules() {
             let batch = config.reduce(updates.clone(), 8);
-            let streamed = accumulate(&config, ShardTopology::flat(), &updates, 8);
+            let streamed = accumulate(&config, &updates, 8);
             assert_bits_eq(&batch, &streamed, &config.to_string());
         }
     }
@@ -1040,160 +911,9 @@ mod tests {
     #[test]
     fn streaming_accumulator_with_no_updates_is_zero() {
         for config in all_rules() {
-            for topology in [ShardTopology::flat(), ShardTopology::sharded(3)] {
-                let out = StreamingAccumulator::new(&config, topology, 5).finish();
-                assert_eq!(out, vec![0.0f32; 5], "{config} {topology}");
-            }
+            let out = StreamingAccumulator::new(&config, 5).finish();
+            assert_eq!(out, vec![0.0f32; 5], "{config}");
         }
-    }
-
-    #[test]
-    fn topology_parse_display_validate_round_trip() {
-        for (spec, shards) in [("flat", 1), ("shards:4", 4), ("shards:1", 1)] {
-            let t = ShardTopology::parse(spec).unwrap();
-            assert_eq!(t.shards, shards);
-            assert!(t.validate().is_ok());
-            assert_eq!(ShardTopology::parse(&t.to_string()).unwrap(), t);
-        }
-        assert_eq!(ShardTopology::sharded(1).to_string(), "flat");
-        assert_eq!(ShardTopology::default(), ShardTopology::flat());
-        for bad in ["", "shards:0", "shards:x", "tree"] {
-            assert!(ShardTopology::parse(bad).is_err(), "{bad:?} should fail");
-        }
-        assert!(ShardTopology { shards: 0 }.validate().is_err());
-    }
-
-    #[test]
-    fn mean_is_bit_identical_to_flat_under_any_topology() {
-        let updates = seeded_updates(11, 9, 16);
-        for config in [rule("mean"), rule("clip:1.5")] {
-            let flat = accumulate(&config, ShardTopology::flat(), &updates, 16);
-            for s in [2, 3, 8, 64] {
-                let sharded = accumulate(&config, ShardTopology::sharded(s), &updates, 16);
-                assert_bits_eq(&flat, &sharded, &format!("{config} shards:{s}"));
-            }
-        }
-    }
-
-    #[test]
-    fn robust_rules_shard_and_flat_topology_is_identity() {
-        let updates = seeded_updates(12, 8, 16);
-        for spec in ["median", "trimmed:1", "krum:3", "clip:2.0+median"] {
-            let config = rule(spec);
-            // shards:1 must be the exact batch reduction, bit for bit
-            let flat = config.reduce(updates.clone(), 16);
-            let one = accumulate(&config, ShardTopology::sharded(1), &updates, 16);
-            assert_bits_eq(&flat, &one, &format!("{spec} shards:1"));
-            // multi-shard engages the two-tier path
-            let two = accumulate(&config, ShardTopology::sharded(2), &updates, 16);
-            assert_ne!(flat, two, "{spec} shards:2");
-        }
-    }
-
-    /// The two-tier definition written out by hand: round-robin slices by
-    /// push index, the rule per non-empty slice, root sum in shard order.
-    fn per_shard_reference(
-        config: &AggregatorConfig,
-        shards: usize,
-        updates: &[SparseUpdate],
-        theta_len: usize,
-    ) -> Vec<f32> {
-        let mut slices: Vec<Vec<SparseUpdate>> = vec![Vec::new(); shards];
-        for (i, u) in updates.iter().enumerate() {
-            slices[i % shards].push(u.clone());
-        }
-        let mut expected = vec![0.0f32; theta_len];
-        for slice in slices.into_iter().filter(|s| !s.is_empty()) {
-            let partial = config.reduce(slice, theta_len);
-            for (e, p) in expected.iter_mut().zip(&partial) {
-                *e += p;
-            }
-        }
-        expected
-    }
-
-    #[test]
-    fn sharded_result_matches_explicit_per_shard_reference() {
-        let updates = seeded_updates(13, 10, 16);
-        for spec in ["median", "trimmed:1", "krum:3"] {
-            let config = rule(spec);
-            let expected = per_shard_reference(&config, 3, &updates, 16);
-            let got = accumulate(&config, ShardTopology::sharded(3), &updates, 16);
-            assert_bits_eq(&expected, &got, spec);
-        }
-    }
-
-    #[test]
-    fn sharding_preserves_coverage_mass() {
-        // identical honest updates: every center equals the update, so
-        // sharded and flat agree up to f32 rounding and the total mass
-        // q_c is preserved exactly
-        let updates: Vec<SparseUpdate> = (0..9)
-            .map(|_| sparse(&[(0, 4)], &[0.25, -0.5, 1.0, 0.125]))
-            .collect();
-        for spec in ["median", "trimmed:1", "krum:9"] {
-            let got = accumulate(&rule(spec), ShardTopology::sharded(3), &updates, 4);
-            for (c, &expect) in [0.25f32, -0.5, 1.0, 0.125].iter().enumerate() {
-                assert!(
-                    (got[c] - 9.0 * expect).abs() < 1e-5,
-                    "{spec}: coordinate {c} = {} (want {})",
-                    got[c],
-                    9.0 * expect
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pinned_sharded_median_regression() {
-        // small exactly-representable values so the pins are stable:
-        // 6 updates over one coordinate, 2 shards (round-robin: shard 0
-        // gets {1, 3, 5}, shard 1 gets {2, 4, 1000}).
-        let updates: Vec<SparseUpdate> = [1.0f32, 2.0, 3.0, 4.0, 5.0, 1000.0]
-            .iter()
-            .map(|&v| sparse(&[(0, 1)], &[v]))
-            .collect();
-        let median = rule("median");
-        // shard medians: 3 and 4; root = 3·3 + 3·4 = 21
-        let got = accumulate(&median, ShardTopology::sharded(2), &updates, 1);
-        assert_eq!(got, vec![21.0]);
-        // flat median over all six = 3.5 → 6 × 3.5 = 21 here too, but a
-        // 3-shard split isolates the attacker into a hijacked shard:
-        // shards {1,4}, {2,1000}, {3,5} → medians 2.5, 501, 4 → mass-2
-        // each → 2·2.5 + 2·501 + 2·4 = 1015 (the documented caveat:
-        // per-shard f-bounds, damage bounded by shard mass)
-        let got3 = accumulate(&median, ShardTopology::sharded(3), &updates, 1);
-        assert_eq!(got3, vec![1015.0]);
-    }
-
-    #[test]
-    fn pinned_sharded_trimmed_and_krum_regressions() {
-        let updates: Vec<SparseUpdate> = [2.0f32, 4.0, 6.0, 8.0, 10.0, 12.0]
-            .iter()
-            .map(|&v| sparse(&[(0, 1)], &[v]))
-            .collect();
-        let two = ShardTopology::sharded(2);
-        // trimmed:1, 2 shards: shard 0 = {2,6,10} → trims to {6}; shard 1
-        // = {4,8,12} → trims to {8}; root = 3·6 + 3·8 = 42
-        assert_eq!(accumulate(&rule("trimmed:1"), two, &updates, 1), vec![42.0]);
-        // krum:3 with 3 per shard keeps everyone: root = plain sum = 42
-        assert_eq!(accumulate(&rule("krum:3"), two, &updates, 1), vec![42.0]);
-        // krum:2 drops each shard's worst-scoring update and rescales the
-        // survivors to the shard's full mass (3/2): shard 0 keeps {2,6},
-        // shard 1 keeps {4,8} → 1.5·8 + 1.5·12 = 30
-        assert_eq!(accumulate(&rule("krum:2"), two, &updates, 1), vec![30.0]);
-    }
-
-    #[test]
-    fn empty_shards_and_empty_input_are_fine() {
-        let median = rule("median");
-        // more shards than updates: trailing shards stay empty
-        let updates = vec![sparse(&[(0, 2)], &[1.0, 2.0])];
-        let got = accumulate(&median, ShardTopology::sharded(8), &updates, 2);
-        assert_eq!(got, vec![1.0, 2.0]);
-        // no updates at all
-        let got = accumulate(&median, ShardTopology::sharded(4), &[], 3);
-        assert_eq!(got, vec![0.0; 3]);
     }
 
     proptest! {
@@ -1210,53 +930,9 @@ mod tests {
             let updates = two_range_updates(raw);
             let config = all_rules()[rule_sel];
             let batch = config.reduce(updates.clone(), THETA);
-            let streamed = accumulate(&config, ShardTopology::flat(), &updates, THETA);
+            let streamed = accumulate(&config, &updates, THETA);
             for (x, y) in batch.iter().zip(&streamed) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-
-        /// For the mean (clipped or not) the accumulator is bit-identical
-        /// to the flat fold under every topology and any update set.
-        #[test]
-        fn sharded_mean_is_bit_identical_to_flat(
-            raw in pvec(
-                (0usize..6, 1usize..4, 0usize..3, 0usize..4, pvec(-8.0f32..8.0, 8)),
-                1..9,
-            ),
-            shards in 1usize..9,
-            clip_sel in 0usize..2,
-        ) {
-            let updates = two_range_updates(raw);
-            let config = rule(["mean", "clip:1.5"][clip_sel]);
-            let flat = config.reduce(updates.clone(), THETA);
-            let sharded = accumulate(&config, ShardTopology::sharded(shards), &updates, THETA);
-            for (x, y) in flat.iter().zip(&sharded) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-
-        /// Robust rules under sharding keep the two-tier semantics: the
-        /// result equals the explicit round-robin per-shard reference, bit
-        /// for bit, and repeated runs agree.
-        #[test]
-        fn sharded_robust_matches_reference_partition(
-            raw in pvec(pvec(-8.0f32..8.0, 4), 2..10),
-            shards in 2usize..5,
-            rule_sel in 0usize..3,
-        ) {
-            let updates: Vec<SparseUpdate> = raw
-                .iter()
-                .map(|vals| SparseUpdate { ranges: vec![(0, 4)], values: vals.clone() })
-                .collect();
-            let config = rule(["median", "trimmed:1", "krum:2"][rule_sel]);
-            let topology = ShardTopology::sharded(shards);
-            let expected = per_shard_reference(&config, shards, &updates, 4);
-            let got = accumulate(&config, topology, &updates, 4);
-            let again = accumulate(&config, topology, &updates, 4);
-            for ((x, y), z) in expected.iter().zip(&got).zip(&again) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-                prop_assert_eq!(y.to_bits(), z.to_bits());
             }
         }
     }

@@ -1,12 +1,11 @@
 //! Frozen bits of the round accumulator: every rule the `--aggregator`
-//! language names, under the flat and two sharded topologies, over a fixed
-//! set of sparse updates with uneven, overlapping coverage. The updates come
+//! language names, over a fixed set of sparse updates with uneven,
+//! overlapping coverage and over a second, two-update set. The updates come
 //! from a formula, not a random generator, so each digest depends on the
-//! rule's arithmetic order alone. A second, two-update set leaves one of
-//! `shards:3`'s shards empty. Any change to the order the accumulator folds,
-//! sorts, selects, clips or merges moves a digest.
+//! rule's arithmetic order alone. Any change to the order the accumulator
+//! folds, sorts, selects or clips moves a digest.
 
-use fedrlnas_fed::{AggregatorConfig, ShardTopology, SparseUpdate, StreamingAccumulator};
+use fedrlnas_fed::{AggregatorConfig, SparseUpdate, StreamingAccumulator};
 
 const THETA: usize = 48;
 
@@ -54,10 +53,9 @@ impl Digest {
     }
 }
 
-fn accumulate(rule: &str, topology: &str, updates: &[SparseUpdate]) -> Vec<f32> {
+fn accumulate(rule: &str, updates: &[SparseUpdate]) -> Vec<f32> {
     let config = AggregatorConfig::parse(rule).expect("valid rule");
-    let topology = ShardTopology::parse(topology).expect("valid topology");
-    let mut acc = StreamingAccumulator::new(&config, topology, THETA);
+    let mut acc = StreamingAccumulator::new(&config, THETA);
     for u in updates {
         acc.push(u.clone());
     }
@@ -73,30 +71,26 @@ const RULES: [&str; 6] = [
     "clip:3+median",
 ];
 
-const TOPOLOGIES: [&str; 3] = ["flat", "shards:2", "shards:3"];
-
-/// `DIGESTS[rule][topology]`, in the order of [`RULES`] and [`TOPOLOGIES`].
-const DIGESTS: [[u64; 3]; 6] = [
-    [0xd912dd6b5e0a503b, 0xd912dd6b5e0a503b, 0xd912dd6b5e0a503b],
-    [0x2a02e4a828804c66, 0x2a02e4a828804c66, 0x2a02e4a828804c66],
-    [0x8aa47e9c18aba5d5, 0xfd0d4ef83d1eed4c, 0xd3a51f8ce112ed14],
-    [0xdb9c18af9c368fd8, 0xdda104c99bf432e2, 0xd3a51f8ce112ed14],
-    [0x14cc9fc00ccaf213, 0x883e980bd6ccf8b3, 0x02ca6c0426cf94ef],
-    [0x759808e0ac27e96e, 0xce5226396293629e, 0x1064764070baeab7],
+/// `DIGESTS[rule]`, in the order of [`RULES`].
+const DIGESTS: [u64; 6] = [
+    0xd912dd6b5e0a503b,
+    0x2a02e4a828804c66,
+    0x8aa47e9c18aba5d5,
+    0xdb9c18af9c368fd8,
+    0x14cc9fc00ccaf213,
+    0x759808e0ac27e96e,
 ];
 
 #[test]
 fn the_accumulator_keeps_its_bits() {
     let many: Vec<SparseUpdate> = (0..11).map(update).collect();
     let two: Vec<SparseUpdate> = (11..13).map(update).collect();
-    let mut got = [[0u64; 3]; 6];
+    let mut got = [0u64; 6];
     for (r, rule) in RULES.iter().enumerate() {
-        for (t, topology) in TOPOLOGIES.iter().enumerate() {
-            let mut digest = Digest::new();
-            digest.floats(&accumulate(rule, topology, &many));
-            digest.floats(&accumulate(rule, topology, &two));
-            got[r][t] = digest.0;
-        }
+        let mut digest = Digest::new();
+        digest.floats(&accumulate(rule, &many));
+        digest.floats(&accumulate(rule, &two));
+        got[r] = digest.0;
     }
     assert_eq!(got, DIGESTS, "{got:#018x?}");
 }

@@ -8,14 +8,14 @@ use fedrlnas_codec::{CodecConfig, CodecSpec};
 use fedrlnas_core::record::Reader;
 use fedrlnas_core::{PopulationConfig, Scale, SearchConfig};
 use fedrlnas_data::{DatasetSpec, SyntheticDataset};
-use fedrlnas_fed::ShardTopology;
 use fedrlnas_netsim::{AvailabilitySpec, Environment};
 use rand::{rngs::StdRng, SeedableRng};
 
-/// Current spec encoding version: v3 without its round-engine byte (there
-/// is one engine). Like checkpoints, only the current version decodes —
-/// nothing writes the older layouts and no deployed peer holds one.
-const SPEC_VERSION: u8 = 4;
+/// Current spec encoding version: v4 without its trailing shard count
+/// (aggregation has one tier). Like checkpoints, only the current version
+/// decodes: a stored spec of an older layout is quarantined on restart,
+/// and its job must be resubmitted.
+const SPEC_VERSION: u8 = 5;
 
 /// Which synthetic dataset family the job trains on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,8 +100,6 @@ pub struct JobSpec {
     /// cohort every round under a deterministic availability model.
     /// `None` keeps the fixed historical fleet.
     pub population: Option<PopulationConfig>,
-    /// Two-tier aggregation topology.
-    pub topology: ShardTopology,
 }
 
 impl JobSpec {
@@ -117,7 +115,6 @@ impl JobSpec {
             environments: None,
             backend: BackendKind::InProcess,
             population: None,
-            topology: ShardTopology::flat(),
         }
     }
 
@@ -144,7 +141,6 @@ impl JobSpec {
         if let Some(population) = self.population {
             config = config.with_population(population);
         }
-        config = config.with_topology(self.topology);
         config.validate()?;
         config.check_dataset(&self.dataset_spec(&config))?;
         Ok(config)
@@ -231,7 +227,6 @@ impl JobSpec {
             }
             None => out.push(0),
         }
-        out.extend_from_slice(&(self.topology.shards as u32).to_le_bytes());
         out
     }
 
@@ -323,12 +318,6 @@ impl JobSpec {
             }
             other => return Err(format!("bad population marker {other}")),
         };
-        let topology = ShardTopology {
-            shards: r.u32()? as usize,
-        };
-        topology
-            .validate()
-            .map_err(|e| format!("bad shard topology: {e}"))?;
         r.finish()?;
         Ok(JobSpec {
             seed,
@@ -340,7 +329,6 @@ impl JobSpec {
             environments,
             backend,
             population,
-            topology,
         })
     }
 }
@@ -364,7 +352,6 @@ mod tests {
                 cohort: 6,
                 availability: AvailabilitySpec::default(),
             }),
-            topology: ShardTopology::sharded(2),
         }
     }
 
@@ -387,10 +374,6 @@ mod tests {
         assert!(JobSpec::decode(&long).is_err());
     }
 
-    /// Bodies end with `[shards u32]`, preceded by the population marker
-    /// when no population block is present.
-    const TAIL: usize = 4;
-
     #[test]
     fn bad_codes_are_errors() {
         let mut bytes = sample().encode();
@@ -404,16 +387,12 @@ mod tests {
             ..sample()
         };
         let mut bytes = fixed.encode();
-        let backend_at = bytes.len() - 2 - TAIL; // backend code precedes the population marker
+        let backend_at = bytes.len() - 2; // backend code precedes the population marker
         bytes[backend_at] = 7;
         assert!(JobSpec::decode(&bytes).is_err());
         let mut bytes = fixed.encode();
-        let marker_at = bytes.len() - 1 - TAIL; // population marker
+        let marker_at = bytes.len() - 1; // population marker, the last byte
         bytes[marker_at] = 9;
-        assert!(JobSpec::decode(&bytes).is_err());
-        let mut bytes = fixed.encode();
-        let shards_at = bytes.len() - TAIL; // shard count; zero is invalid
-        bytes[shards_at..].copy_from_slice(&0u32.to_le_bytes());
         assert!(JobSpec::decode(&bytes).is_err());
     }
 
@@ -440,6 +419,16 @@ mod tests {
             let err = JobSpec::decode(&other).expect_err("foreign version");
             assert!(err.contains("unsupported job spec version"), "{err}");
         }
+        // `JobSpec::tiny(7)` as v4 wrote it, ending with the shard count of
+        // the two-tier aggregation v5 dropped; every other byte is v5's
+        const V4: &str = "0407000000000000000000000000000000000000000001000000";
+        let v4: Vec<u8> = (0..V4.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V4[i..i + 2], 16).expect("hex digit pair"))
+            .collect();
+        let err = JobSpec::decode(&v4).expect_err("v4 is not the current version");
+        assert!(err.contains("unsupported job spec version 4"), "{err}");
+        assert_eq!(JobSpec::tiny(7).encode()[1..], v4[1..v4.len() - 4]);
     }
 
     #[test]
@@ -466,6 +455,5 @@ mod tests {
             config.environments.as_deref(),
             Some(&[Environment::Train, Environment::Foot][..])
         );
-        assert_eq!(config.topology, ShardTopology::sharded(2));
     }
 }

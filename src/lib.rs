@@ -38,9 +38,9 @@
 //! println!("searched architecture: {}", outcome.genotype);
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and
-//! `crates/bench/src/bin/` for the binaries regenerating every table and
-//! figure of the paper (indexed in `EXPERIMENTS.md`).
+//! See `examples/` for runnable end-to-end scenarios and the `run_all`
+//! binary of `crates/bench` for regenerating every table and figure of the
+//! paper (indexed in `EXPERIMENTS.md`).
 
 #![warn(missing_docs)]
 

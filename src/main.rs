@@ -5,7 +5,6 @@
 //!                  [--participants K] [--staleness none|slight|severe]
 //!                  [--strategy hard|use|throw|dc] [--assignment adaptive|average|random]
 //!                  [--aggregator mean|median|trimmed:<k>|krum:<m>|clip:<c>[+...]]
-//!                  [--topology flat|shards:<s>]
 //!                  [--reject-norm C] [--codec fp32|fp16|int8|topk[:<f>]|auto]
 //!                  [--population N] [--cohort K] [--availability SPEC]
 //!                  [--dataset cifar10|svhn] [--checkpoint PATH] [--curve PATH]
@@ -30,10 +29,6 @@
 //! composes with any of them (e.g. `clip:10+median`). `--reject-norm C`
 //! arms the validation gate: updates over L2 norm `C` (or malformed /
 //! non-finite ones) are rejected before aggregation and tallied.
-//! `--topology shards:<s>` splits aggregation into `s` shard aggregators
-//! merged at a root — bit-identical for the weighted mean, and the path
-//! large cohorts take; robust rules then apply their outlier bound per
-//! shard (see the design notes).
 //! `--rpc` drives all participant links from a bounded pool of event-loop
 //! threads (`--reactor-threads`, default: the `FEDRLNAS_NUM_THREADS`
 //! heuristic); the result does not depend on the pool size.
@@ -125,7 +120,6 @@ const CONFIG_FLAGS: &[FlagSpec] = &[
     ("--strategy", true),
     ("--assignment", true),
     ("--aggregator", true),
-    ("--topology", true),
     ("--reject-norm", true),
     ("--codec", true),
     ("--population", true),
@@ -253,9 +247,6 @@ fn build_config(argv: &[String]) -> Result<SearchConfig, String> {
     }
     if let Some(spec) = flag(argv, "--aggregator") {
         config = config.with_aggregator(AggregatorConfig::parse(&spec)?);
-    }
-    if let Some(spec) = flag(argv, "--topology") {
-        config = config.with_topology(fedrlnas::fed::ShardTopology::parse(&spec)?);
     }
     if let Some(c) = flag(argv, "--reject-norm") {
         let bound: f32 = c.parse().map_err(|e| format!("bad norm bound: {e}"))?;

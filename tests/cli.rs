@@ -33,6 +33,7 @@ fn bad_flag_values_are_rejected() {
         vec!["search", "--staleness", "extreme"],
         vec!["search", "--strategy", "yolo"],
         vec!["search", "--rpc", "--rpc-engine", "reactor"], // removed flag
+        vec!["search", "--topology", "shards:2"],           // removed flag
         vec!["search", "--scale", "tiny", "--particpants", "3"], // typo
         vec!["search", "--scale", "tiny", "--rpc-transport", "tcp"], // needs --rpc
         vec!["retrain"],                                    // missing --genotype
