@@ -2,27 +2,17 @@
 //!
 //! Real federated searches run for days (Table V); a production server
 //! must survive restarts. A [`Checkpoint`] captures everything Algorithm 1
-//! needs to resume **bit-identically**: besides the supernet weights θ and
-//! the architecture logits α of the v1 format, v2 adds the controller RNG
-//! state, the SGD momentum, the memory pools (the staleness mask history
-//! delay compensation replays), the in-flight pending-update queue, the
-//! per-participant loader and bandwidth state, both training curves and
-//! the communication/latency tallies; v3 extends the communication block
-//! with the validation-gate rejection tallies and records the aggregator
-//! selection + update norm bound, so a resumed run keeps counting rejects
-//! from where it left off and cannot silently continue under a different
-//! aggregation rule; v4 adds the update-compression state — the
-//! compression tallies, each participant's error-feedback residual and
-//! the codec configuration, which restore cross-checks against the server
-//! exactly like the aggregator rule; v5 adds the population-churn state —
-//! the scheduled-churn tallies, the availability-model spec, the cohort
-//! sampler's RNG cursor and the per-slot eviction streaks, so a resumed
-//! run samples the exact cohorts the uninterrupted run would have; v6
-//! drops v2's per-participant loader section (shuffle order and cursor,
-//! 8 bytes per training sample): a participant's batch is a pure function
-//! of the round and its schedule key, which a resumed server, rebuilt
-//! from the same seed, draws again, so there is nothing left to save. A
-//! search killed after round `t` and resumed from its round-`t` checkpoint
+//! needs to resume **bit-identically**: the supernet weights θ, the
+//! architecture logits α, the controller RNG state, the SGD momentum, the
+//! memory pools (the staleness mask history delay compensation replays),
+//! the in-flight pending-update queue, each participant's bandwidth state
+//! and error-feedback residual, both training curves, the communication,
+//! latency, rejection, compression and churn tallies, the aggregator rule,
+//! update norm bound and codec (restore cross-checks them against the
+//! server), and the population's availability spec, cohort-sampler cursor
+//! and eviction streaks. It holds no data-loader state: a participant's
+//! batch is a pure function of the round and its schedule key. A search
+//! killed after round `t` and resumed from its round-`t` checkpoint
 //! produces the same genotype and curves as one that never stopped.
 //!
 //! The on-disk layout is a little-endian binary body framed by a

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+pub mod args;
 mod backend;
 mod checkpoint;
 mod config;

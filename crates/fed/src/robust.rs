@@ -354,19 +354,11 @@ fn krum(updates: &[SparseUpdate], keep: usize, theta_len: usize) -> Vec<f32> {
     let kept: Vec<usize> = if keep == n {
         (0..n).collect()
     } else {
-        let norms: Vec<f64> = updates.iter().map(sparse_sq_norm).collect();
         let q = keep.saturating_sub(2).clamp(1, n - 1);
-        let mut scores: Vec<(f64, usize)> = (0..n)
-            .map(|i| {
-                let mut d: Vec<f64> = (0..n)
-                    .filter(|&j| j != i)
-                    .map(|j| {
-                        (norms[i] + norms[j] - 2.0 * sparse_dot(&updates[i], &updates[j])).max(0.0)
-                    })
-                    .collect();
-                d.sort_unstable_by(f64::total_cmp);
-                (d.iter().take(q).sum::<f64>(), i)
-            })
+        let mut scores: Vec<(f64, usize)> = krum_scores(updates, q)
+            .into_iter()
+            .enumerate()
+            .map(|(i, score)| (score, i))
             .collect();
         scores.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut kept: Vec<usize> = scores[..keep].iter().map(|&(_, i)| i).collect();
@@ -381,6 +373,33 @@ fn krum(updates: &[SparseUpdate], keep: usize, theta_len: usize) -> Vec<f32> {
         }
     }
     acc
+}
+
+/// Each update's Krum score: the sum, in ascending order, of its `q`
+/// smallest squared distances to the other updates (`1 ≤ q < n`).
+///
+/// Each pair's distance is computed once: `sparse_dot` walks the shared
+/// coordinates in ascending order whichever update comes first, so d(i, j)
+/// and d(j, i) are the same bits. Each row keeps only its `q` smallest,
+/// sorted, so memory is O(n·q) rather than an n × n matrix.
+fn krum_scores(updates: &[SparseUpdate], q: usize) -> Vec<f64> {
+    let n = updates.len();
+    let norms: Vec<f64> = updates.iter().map(sparse_sq_norm).collect();
+    let mut nearest: Vec<Vec<f64>> = (0..n).map(|_| Vec::with_capacity(q + 1)).collect();
+    for i in 0..n {
+        for j in i + 1..n {
+            let d = (norms[i] + norms[j] - 2.0 * sparse_dot(&updates[i], &updates[j])).max(0.0);
+            for r in [i, j] {
+                let row = &mut nearest[r];
+                if row.len() < q || d.total_cmp(&row[q - 1]).is_lt() {
+                    let at = row.partition_point(|x| x.total_cmp(&d).is_le());
+                    row.insert(at, d);
+                    row.truncate(q);
+                }
+            }
+        }
+    }
+    nearest.iter().map(|row| row.iter().sum::<f64>()).collect()
 }
 
 /// Scales `values` down to L2 norm `bound` when it exceeds the bound.
@@ -932,6 +951,39 @@ mod tests {
             let batch = config.reduce(updates.clone(), THETA);
             let streamed = accumulate(&config, &updates, THETA);
             for (x, y) in batch.iter().zip(&streamed) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+
+        /// Pair-once scoring equals scoring each row over all its n − 1
+        /// distances, sorted, bit for bit, for every `q`.
+        #[test]
+        fn krum_scores_match_all_pairs_scoring(
+            raw in pvec(
+                (0usize..6, 1usize..4, 0usize..3, 0usize..4, pvec(-8.0f32..8.0, 8)),
+                2..9,
+            ),
+            q in 1usize..8,
+        ) {
+            let updates = two_range_updates(raw);
+            let n = updates.len();
+            let q = q.min(n - 1);
+            let norms: Vec<f64> = updates.iter().map(sparse_sq_norm).collect();
+            let want: Vec<f64> = (0..n)
+                .map(|i| {
+                    let mut d: Vec<f64> = (0..n)
+                        .filter(|&j| j != i)
+                        .map(|j| {
+                            let dot = sparse_dot(&updates[i], &updates[j]);
+                            (norms[i] + norms[j] - 2.0 * dot).max(0.0)
+                        })
+                        .collect();
+                    d.sort_unstable_by(f64::total_cmp);
+                    d[..q].iter().sum::<f64>()
+                })
+                .collect();
+            let got = krum_scores(&updates, q);
+            for (x, y) in got.iter().zip(&want) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }

@@ -198,33 +198,7 @@ pub fn serve_tcp(
         }
 
         // Drain pending control frames; drop hung-up clients.
-        let mut alive = Vec::with_capacity(clients.len());
-        for mut client in clients.drain(..) {
-            let mut closed = false;
-            loop {
-                match client.recv_timeout(Duration::from_millis(1)) {
-                    Ok(frame) => {
-                        let reply = match decode(&frame) {
-                            Ok(msg) => handle_message(mgr, &msg),
-                            Err(e) => reply_err(0, &format!("bad frame: {e}")),
-                        };
-                        if client.send(&encode(&reply)).is_err() {
-                            closed = true;
-                            break;
-                        }
-                    }
-                    Err(TransportError::Timeout) => break,
-                    Err(_) => {
-                        closed = true;
-                        break;
-                    }
-                }
-            }
-            if !closed {
-                alive.push(client);
-            }
-        }
-        clients = alive;
+        clients.retain_mut(|client| drain(mgr, client));
 
         // One scheduling turn, then pacing.
         let ran = mgr.tick().map_err(|e| e.to_string())?;
@@ -262,31 +236,36 @@ pub fn serve_transport<T: Transport>(
         if shutdown_requested() {
             break;
         }
-        loop {
-            match client.recv_timeout(Duration::from_millis(1)) {
-                Ok(frame) => {
-                    let reply = match decode(&frame) {
-                        Ok(msg) => handle_message(mgr, &msg),
-                        Err(e) => reply_err(0, &format!("bad frame: {e}")),
-                    };
-                    if client.send(&encode(&reply)).is_err() {
-                        return finish(mgr);
-                    }
-                }
-                Err(TransportError::Timeout) => break,
-                Err(_) => return finish(mgr),
-            }
+        if !drain(mgr, client) {
+            break;
         }
         let ran = mgr.tick().map_err(|e| e.to_string())?;
         if !ran && exit_when_idle && mgr.all_settled() {
             break;
         }
     }
-    finish(mgr)
+    mgr.checkpoint_all().map_err(|e| e.to_string())
 }
 
-fn finish(mgr: &mut JobManager) -> Result<(), String> {
-    mgr.checkpoint_all().map_err(|e| e.to_string())
+/// Answers every control frame `client` has pending, one reply each.
+/// Returns whether the client is still open: `false` once a receive
+/// reports a hang-up or a reply cannot be sent.
+fn drain<T: Transport>(mgr: &mut JobManager, client: &mut T) -> bool {
+    loop {
+        match client.recv_timeout(Duration::from_millis(1)) {
+            Ok(frame) => {
+                let reply = match decode(&frame) {
+                    Ok(msg) => handle_message(mgr, &msg),
+                    Err(e) => reply_err(0, &format!("bad frame: {e}")),
+                };
+                if client.send(&encode(&reply)).is_err() {
+                    return false;
+                }
+            }
+            Err(TransportError::Timeout) => return true,
+            Err(_) => return false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -352,6 +331,25 @@ mod tests {
             reply,
             Message::JobReply { state, .. } if state == REPLY_ERROR
         ));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A submitted argument list with a flag outside the job table is
+    /// refused by name, and nothing is stored.
+    #[test]
+    fn a_flag_outside_the_job_table_is_refused_at_submit() {
+        let dir = temp_dir("foreign-flag");
+        let mut mgr = JobManager::open(&dir, JobQuotas::default(), 0).expect("open");
+        let spec = crate::spec::encode_args(&["--scale", "tiny", "--aggregator", "median"]);
+        match handle_message(&mut mgr, &Message::SubmitJob { spec }) {
+            Message::JobReply { state, detail, .. } => {
+                assert_eq!(state, REPLY_ERROR);
+                let detail = String::from_utf8(detail).expect("utf-8 detail");
+                assert!(detail.contains("unknown flag --aggregator"), "{detail}");
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        assert!(mgr.list().is_empty());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -26,10 +26,10 @@
 //! checkpoint bit-identically.
 
 use fedrlnas_core::{FederatedModelSearch, SearchOutcome};
-use fedrlnas_rpc::{install, RpcConfig, TransportKind};
+use fedrlnas_rpc::{install, RpcConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::spec::{BackendKind, JobSpec};
+use crate::spec::JobSpec;
 
 /// Where a job is in its lifecycle. The `u8` codes are the wire and store
 /// representation.
@@ -171,32 +171,21 @@ pub struct Job {
 }
 
 impl Job {
-    /// Builds a fresh job from a spec: the exact construction sequence of
-    /// a single `fedrlnas search` run (RNG from the seed, dataset from
-    /// `seed ^ 0xDA7A`, then server), so results match it bit for bit.
+    /// Builds a fresh job from a spec: [`Job::resume`] without a
+    /// checkpoint.
     ///
     /// # Errors
     ///
     /// The spec's [`build_config`](JobSpec::build_config) error.
     pub fn create(job_id: u64, spec: JobSpec, generation: u64) -> Result<Job, String> {
-        let config = spec.build_config()?;
-        let dataset = spec.build_dataset(&config);
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-        let mut search = FederatedModelSearch::with_dataset(config, dataset, &mut rng);
-        install_backend(&spec, &mut search);
-        Ok(Job {
-            job_id,
-            spec,
-            generation,
-            state: JobState::Queued,
-            search,
-            rng,
-        })
+        Job::resume(job_id, spec, generation, JobState::Queued, &[])
     }
 
-    /// Rebuilds a job from its durable record: fresh construction, then —
-    /// when a checkpoint exists — restore **before** the backend install,
-    /// so RPC worker clones see the restored participants.
+    /// Builds a job the way a single `fedrlnas search` run builds its
+    /// search (RNG from the seed, dataset from `seed ^ 0xDA7A`, then
+    /// server), so results match it bit for bit. When a checkpoint exists
+    /// it is restored **before** the backend install, so RPC worker
+    /// clones see the restored participants.
     ///
     /// # Errors
     ///
@@ -217,7 +206,12 @@ impl Job {
                 .resume_from_bytes(checkpoint, &mut rng)
                 .map_err(|e| format!("job {job_id} checkpoint: {e}"))?;
         }
-        install_backend(&spec, &mut search);
+        if spec.uses_rpc() {
+            // `fedrlnas search --rpc` with no other rpc flag: a private
+            // in-memory engine per job
+            let dataset = search.dataset().clone();
+            install(search.server_mut(), &dataset, RpcConfig::default());
+        }
         Ok(Job {
             job_id,
             spec,
@@ -292,16 +286,5 @@ impl Job {
     /// The underlying search, mutably.
     pub fn search_mut(&mut self) -> &mut FederatedModelSearch {
         &mut self.search
-    }
-}
-
-fn install_backend(spec: &JobSpec, search: &mut FederatedModelSearch) {
-    if spec.backend == BackendKind::RpcMem {
-        let dataset = search.dataset().clone();
-        let config = RpcConfig {
-            transport: TransportKind::InMemory,
-            ..RpcConfig::default()
-        };
-        install(search.server_mut(), &dataset, config);
     }
 }

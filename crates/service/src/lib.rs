@@ -12,13 +12,14 @@
 //!   torn writes, dropped fsyncs, EIO and ENOSPC; persistent write
 //!   failure degrades the store to read-only, and `scrub` CRC-verifies
 //!   and repairs every record from its newest valid generation.
-//! - [`spec`]: the deterministic job description ([`JobSpec`]) and its
-//!   wire/store encoding — seed, scale, dataset, codec, per-job network
-//!   environments, backend.
+//! - [`spec`]: the deterministic job description ([`JobSpec`]): the
+//!   argument list of a `fedrlnas search` run, limited to
+//!   [`JOB_FLAGS`], parsed by the CLI's own `fedrlnas_core::args`
+//!   grammar, and its wire/store encoding.
 //! - [`job`]: the lifecycle state machine ([`JobState`]) wrapped around a
-//!   live search; create/resume both follow the single-run construction
-//!   sequence so every job is bit-identical to `fedrlnas search` with the
-//!   same spec.
+//!   live search, built in the single run's construction sequence so
+//!   every job is bit-identical to `fedrlnas search` with the spec's
+//!   arguments.
 //! - [`manager`]: fair round-robin scheduling with per-job quotas
 //!   ([`JobQuotas`]): a rounds-per-turn fairness quantum, a kernel
 //!   thread budget, and a byte budget that auto-pauses over-quota jobs.
@@ -56,6 +57,6 @@ pub use signal::{
     install_shutdown_handler, set_scrub_requested, set_shutdown, shutdown_requested,
     take_scrub_requested,
 };
-pub use spec::{BackendKind, DatasetKind, JobSpec};
+pub use spec::{JobSpec, JOB_FLAGS};
 pub use stats::comm_stats_json;
 pub use store::{JobStore, ScrubReport, StoreError, StoredJob};

@@ -220,14 +220,14 @@ impl JobManager {
     }
 
     /// Accepts a job: persists the spec (durable before the reply), then
-    /// instantiates the search. Returns the assigned job id.
+    /// instantiates the search. Returns the assigned job id. The spec was
+    /// validated when it was built, so only the store can refuse it here.
     ///
     /// # Errors
     ///
-    /// Spec validation and store errors (including
-    /// [`StoreError::ReadOnly`] while the store is degraded).
+    /// Store errors (including [`StoreError::ReadOnly`] while the store is
+    /// degraded).
     pub fn submit(&mut self, spec: JobSpec) -> Result<u64, ServiceError> {
-        spec.build_config().map_err(ServiceError::Spec)?;
         let bytes = spec.encode();
         let created = self.store.create(&bytes, JobState::Queued.code());
         self.drain_store_tally(None);

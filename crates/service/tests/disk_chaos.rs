@@ -16,9 +16,7 @@ use std::sync::{Arc, Mutex};
 
 use fedrlnas_core::{FaultyVfs, FederatedModelSearch, IoFaultPlan, SearchOutcome, StdVfs, Vfs};
 use fedrlnas_fed::IoFaultTally;
-use fedrlnas_service::{
-    BackendKind, JobManager, JobQuotas, JobSpec, JobState, QuarantineReason, ServiceError,
-};
+use fedrlnas_service::{JobManager, JobQuotas, JobSpec, JobState, QuarantineReason, ServiceError};
 use rand::{rngs::StdRng, SeedableRng};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -37,7 +35,7 @@ fn baseline(spec: &JobSpec) -> SearchOutcome {
     let dataset = spec.build_dataset(&config);
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut search = FederatedModelSearch::with_dataset(config, dataset, &mut rng);
-    if spec.backend == BackendKind::RpcMem {
+    if spec.uses_rpc() {
         let worker_dataset = search.dataset().clone();
         fedrlnas_rpc::install(
             search.server_mut(),
@@ -532,11 +530,11 @@ fn totally_destroyed_records_become_quarantined_ghosts_not_crashes() {
 fn twenty_plus_jobs_under_chaos_resume_bit_identically_or_quarantine() {
     let specs: Vec<JobSpec> = (0..22u64)
         .map(|i| {
-            let mut spec = JobSpec::tiny(73_000 + 31 * i);
+            let mut args = JobSpec::tiny(73_000 + 31 * i).args().to_vec();
             if i % 7 == 3 {
-                spec.non_iid = true;
+                args.push("--non-iid".into());
             }
-            spec
+            JobSpec::new(args).expect("spec builds")
         })
         .collect();
     let dir = scratch("twenty");

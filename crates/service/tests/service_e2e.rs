@@ -8,9 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fedrlnas_core::{FederatedModelSearch, SearchOutcome};
 use fedrlnas_netsim::Environment;
-use fedrlnas_service::{
-    BackendKind, JobManager, JobQuotas, JobSpec, JobState, JobStore, QuarantineReason, ServiceError,
-};
+use fedrlnas_service::{JobManager, JobQuotas, JobSpec, JobState, JobStore, QuarantineReason};
 use rand::{rngs::StdRng, SeedableRng};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -30,7 +28,7 @@ fn baseline(spec: &JobSpec) -> SearchOutcome {
     let dataset = spec.build_dataset(&config);
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut search = FederatedModelSearch::with_dataset(config, dataset, &mut rng);
-    if spec.backend == BackendKind::RpcMem {
+    if spec.uses_rpc() {
         let worker_dataset = search.dataset().clone();
         fedrlnas_rpc::install(
             search.server_mut(),
@@ -69,15 +67,26 @@ fn assert_outcomes_match(got: &SearchOutcome, want: &SearchOutcome, label: &str)
     assert_eq!(got.alpha_probs, want.alpha_probs, "{label}: alpha");
 }
 
+/// `JobSpec::tiny(seed)` with `extra` flags after it.
+fn tiny_with(seed: u64, extra: &[&str]) -> JobSpec {
+    let mut args = JobSpec::tiny(seed).args().to_vec();
+    args.extend(extra.iter().map(|a| a.to_string()));
+    JobSpec::new(args).expect("spec builds")
+}
+
 /// A varied 8-job fleet: different seeds, one non-iid, one SVHN, one with
 /// an explicit environment profile, one on the in-memory RPC backend.
 fn fleet_specs() -> Vec<JobSpec> {
-    let mut specs: Vec<JobSpec> = (0..8u64).map(|i| JobSpec::tiny(1000 + 17 * i)).collect();
-    specs[2].non_iid = true;
-    specs[3].dataset = fedrlnas_service::DatasetKind::Svhn;
-    specs[5].environments = Some(vec![Environment::Car, Environment::Tram]);
-    specs[6].backend = BackendKind::RpcMem;
-    specs
+    let extra = |i: usize| match i {
+        2 => &["--non-iid"][..],
+        3 => &["--dataset", "svhn"],
+        5 => &["--environments", "car,tram"],
+        6 => &["--rpc"],
+        _ => &[],
+    };
+    (0..8)
+        .map(|i| tiny_with(1000 + 17 * i as u64, extra(i)))
+        .collect()
 }
 
 #[test]
@@ -141,12 +150,8 @@ fn killed_fleet_resumes_bit_identically_from_the_store() {
 /// isolated tallies exactly, and those tallies must differ.
 #[test]
 fn per_job_traces_drive_per_job_codec_choice() {
-    let mut foot = JobSpec::tiny(777);
-    foot.codec = fedrlnas_codec::CodecConfig::Auto;
-    foot.environments = Some(vec![Environment::Foot]);
-    let mut train = JobSpec::tiny(777);
-    train.codec = fedrlnas_codec::CodecConfig::Auto;
-    train.environments = Some(vec![Environment::Train]);
+    let foot = tiny_with(777, &["--codec", "auto", "--environments", "foot"]);
+    let train = tiny_with(777, &["--codec", "auto", "--environments", "train"]);
 
     let want_foot = baseline(&foot);
     let want_train = baseline(&train);
@@ -227,14 +232,14 @@ fn cancelled_jobs_leave_the_rotation_and_stay_terminal() {
 fn fifty_interleaved_jobs_match_their_single_run_baselines() {
     let specs: Vec<JobSpec> = (0..52u64)
         .map(|i| {
-            let mut spec = JobSpec::tiny(9000 + 13 * i);
+            let mut extra = Vec::new();
             if i % 7 == 3 {
-                spec.non_iid = true;
+                extra.push("--non-iid");
             }
             if i % 11 == 5 {
-                spec.environments = Some(vec![Environment::ALL[i as usize % 6]]);
+                extra.extend(["--environments", Environment::ALL[i as usize % 6].name()]);
             }
-            spec
+            tiny_with(9000 + 13 * i, &extra)
         })
         .collect();
 
@@ -258,30 +263,13 @@ fn fifty_interleaved_jobs_match_their_single_run_baselines() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// A spec with more participants than the dataset has training samples
-/// would leave a shard empty: `submit` refuses it before the store sees
-/// it, and a restart quarantines one that is already stored.
-#[test]
-fn more_participants_than_training_samples_is_refused_and_never_stored() {
-    let dir = scratch("too-many");
-    let spec = JobSpec {
-        participants: Some(1001),
-        ..JobSpec::tiny(1)
-    };
-    let mut mgr = JobManager::open(&dir, JobQuotas::default(), 0).expect("open");
-    match mgr.submit(spec.clone()) {
-        Err(ServiceError::Spec(e)) => assert!(e.contains("1001 participants"), "{e}"),
-        other => panic!("expected a spec error, got {other:?}"),
-    }
-    assert!(mgr.list().is_empty());
-    drop(mgr);
-    let mgr = JobManager::open(&dir, JobQuotas::default(), 0).expect("reopen");
-    assert!(mgr.list().is_empty(), "nothing was stored");
-    drop(mgr);
-    // such a spec already in the store is quarantined on restart
+/// `bytes` stored as a queued job's spec, then the store reopened by a
+/// manager: the job must come back quarantined as corrupt.
+fn assert_stored_spec_is_quarantined(tag: &str, bytes: &[u8]) {
+    let dir = scratch(tag);
     let mut store = JobStore::open(&dir).expect("store");
     let id = store
-        .create(&spec.encode(), JobState::Queued.code())
+        .create(bytes, JobState::Queued.code())
         .expect("create");
     drop(store);
     let mgr = JobManager::open(&dir, JobQuotas::default(), 0).expect("restart");
@@ -290,8 +278,45 @@ fn more_participants_than_training_samples_is_refused_and_never_stored() {
             mgr.quarantine_reason(id),
             Some(QuarantineReason::Corrupt(_))
         ),
-        "{:?}",
+        "{tag}: {:?}",
         mgr.quarantine_reason(id)
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A spec with more participants than the dataset has training samples
+/// would leave a shard empty: it is refused before any store sees it, and
+/// a restart quarantines one that is already stored.
+#[test]
+fn more_participants_than_training_samples_is_refused_and_never_stored() {
+    let args = ["--scale", "tiny", "--seed", "1", "--participants", "1001"];
+    let err = JobSpec::new(args).expect_err("an empty shard");
+    assert!(err.contains("1001 participants"), "{err}");
+    // such a spec already in the store
+    assert_eq!(v6(&args[..4]), JobSpec::tiny(1).encode());
+    assert_stored_spec_is_quarantined("too-many", &v6(&args));
+}
+
+/// The v6 encoding of `args`, whether or not the list builds.
+fn v6(args: &[&str]) -> Vec<u8> {
+    let mut bytes = vec![6u8];
+    bytes.extend_from_slice(&(args.len() as u32).to_le_bytes());
+    for arg in args {
+        bytes.extend_from_slice(&(arg.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(arg.as_bytes());
+    }
+    bytes
+}
+
+/// A job spec of the previous layout (v5, per-field codes) no longer
+/// decodes: a store that holds one quarantines the job on restart.
+#[test]
+fn a_stored_v5_spec_is_quarantined_on_restart() {
+    // `JobSpec::tiny(7).encode()` as v5 wrote it
+    const V5: &str = "05070000000000000000000000000000000000000000";
+    let v5: Vec<u8> = (0..V5.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&V5[i..i + 2], 16).expect("hex digit pair"))
+        .collect();
+    assert_stored_spec_is_quarantined("v5", &v5);
 }

@@ -77,55 +77,27 @@
 //! fedrlnas info    [--scale ...]
 //! ```
 //!
-//! Every subcommand refuses a `--flag` it does not know (and `search`
-//! refuses the RPC-only flags without `--rpc`), so a typo is an error
-//! instead of a run with the default value.
+//! Every subcommand refuses a `--flag` it does not know, and a flag whose
+//! value is missing at the end of the line (and `search` refuses the
+//! RPC-only flags without `--rpc`), so a typo is an error instead of a run
+//! with the default value. The config grammar is `fedrlnas_core::args`,
+//! which the service's job specs share.
 
+use fedrlnas::core::args::{
+    self, build_config, check_flags, dataset_for, flag, present, FlagSpec, CONFIG_FLAGS,
+};
 use fedrlnas::core::{
     retrain_centralized, retrain_federated, Checkpoint, CheckpointPolicy, FaultyVfs,
-    FederatedModelSearch, IoFaultPlan, Scale, SearchConfig, StdVfs, Vfs,
+    FederatedModelSearch, IoFaultPlan, StdVfs, Vfs,
 };
 use fedrlnas::darts::Genotype;
-use fedrlnas::data::{DatasetSpec, SyntheticDataset};
-use fedrlnas::fed::AggregatorConfig;
 use fedrlnas::rpc::{FaultPlan, RpcConfig, TransportKind};
 use fedrlnas::service::{
     comm_stats_json, install_shutdown_handler, serve_tcp, shutdown_requested, JobManager,
     JobQuotas, JobState, ServeOptions,
 };
-use fedrlnas::sync::{StalenessModel, StalenessStrategy};
 use rand::{rngs::StdRng, SeedableRng};
 use std::process::ExitCode;
-
-fn flag(argv: &[String], name: &str) -> Option<String> {
-    argv.iter()
-        .position(|a| a == name)
-        .and_then(|i| argv.get(i + 1))
-        .cloned()
-}
-
-fn present(argv: &[String], name: &str) -> bool {
-    argv.iter().any(|a| a == name)
-}
-
-/// A flag a subcommand knows: its name and whether a value follows it.
-type FlagSpec = (&'static str, bool);
-
-/// What `build_config` reads — every subcommand builds a `SearchConfig`.
-const CONFIG_FLAGS: &[FlagSpec] = &[
-    ("--scale", true),
-    ("--non-iid", false),
-    ("--participants", true),
-    ("--staleness", true),
-    ("--strategy", true),
-    ("--assignment", true),
-    ("--aggregator", true),
-    ("--reject-norm", true),
-    ("--codec", true),
-    ("--population", true),
-    ("--cohort", true),
-    ("--availability", true),
-];
 
 const SEARCH_FLAGS: &[FlagSpec] = &[
     ("--seed", true),
@@ -176,120 +148,12 @@ const RETRAIN_FLAGS: &[FlagSpec] = &[
     ("--federated", false),
 ];
 
-/// Refuses any `--flag` the subcommand's tables do not list, so a typo
-/// fails before any work starts instead of silently running the default.
-fn check_flags(argv: &[String], known: &[&[FlagSpec]]) -> Result<(), String> {
-    let mut args = argv.iter().skip(1);
-    while let Some(arg) = args.next() {
-        if !arg.starts_with("--") {
-            continue;
-        }
-        let spec = known
-            .iter()
-            .copied()
-            .flatten()
-            .find(|(name, _)| name == arg);
-        let Some((_, takes_value)) = spec else {
-            return Err(format!("unknown flag {arg}"));
-        };
-        if *takes_value {
-            args.next();
-        }
-    }
-    Ok(())
-}
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: fedrlnas <search|serve|retrain|info> [options]\n\
          run `fedrlnas info` for the active configuration; see crate docs for all flags"
     );
     ExitCode::FAILURE
-}
-
-fn build_config(argv: &[String]) -> Result<SearchConfig, String> {
-    let scale = match flag(argv, "--scale").as_deref() {
-        None => Scale::Small,
-        Some(s) => Scale::parse(s).ok_or(format!("unknown scale {s:?}"))?,
-    };
-    let mut config = SearchConfig::at_scale(scale);
-    if present(argv, "--non-iid") {
-        config = config.non_iid();
-    }
-    if let Some(k) = flag(argv, "--participants") {
-        let k: usize = k
-            .parse()
-            .map_err(|e| format!("bad participant count: {e}"))?;
-        config = config.with_participants(k);
-    }
-    let staleness = match flag(argv, "--staleness").as_deref() {
-        None | Some("none") => StalenessModel::fresh(),
-        Some("slight") => StalenessModel::slight(),
-        Some("severe") => StalenessModel::severe(),
-        Some(other) => return Err(format!("unknown staleness {other:?}")),
-    };
-    let strategy = match flag(argv, "--strategy").as_deref() {
-        None | Some("hard") => StalenessStrategy::Hard,
-        Some("use") => StalenessStrategy::Use,
-        Some("throw") => StalenessStrategy::Throw,
-        Some("dc") => StalenessStrategy::delay_compensated(),
-        Some(other) => return Err(format!("unknown strategy {other:?}")),
-    };
-    config = config.with_staleness(staleness, strategy);
-    if let Some(a) = flag(argv, "--assignment") {
-        use fedrlnas::netsim::AssignmentStrategy;
-        config.assignment = match a.as_str() {
-            "adaptive" => AssignmentStrategy::Adaptive,
-            "average" => AssignmentStrategy::AverageSize,
-            "random" => AssignmentStrategy::Random,
-            other => return Err(format!("unknown assignment {other:?}")),
-        };
-    }
-    if let Some(spec) = flag(argv, "--aggregator") {
-        config = config.with_aggregator(AggregatorConfig::parse(&spec)?);
-    }
-    if let Some(c) = flag(argv, "--reject-norm") {
-        let bound: f32 = c.parse().map_err(|e| format!("bad norm bound: {e}"))?;
-        config = config.with_update_norm_bound(bound);
-    }
-    if let Some(spec) = flag(argv, "--codec") {
-        config = config.with_codec(fedrlnas::codec::CodecConfig::parse(&spec)?);
-    }
-    if let Some(n) = flag(argv, "--population") {
-        let size: u64 = n.parse().map_err(|e| format!("bad population size: {e}"))?;
-        let cohort: usize = match flag(argv, "--cohort") {
-            Some(c) => c.parse().map_err(|e| format!("bad cohort size: {e}"))?,
-            None => config.num_participants,
-        };
-        let availability = match flag(argv, "--availability") {
-            Some(spec) => fedrlnas::netsim::AvailabilitySpec::parse(&spec)?,
-            None => fedrlnas::netsim::AvailabilitySpec::default(),
-        };
-        config = config.with_population(fedrlnas::core::PopulationConfig {
-            size,
-            cohort,
-            availability,
-        });
-    } else if flag(argv, "--cohort").is_some() || flag(argv, "--availability").is_some() {
-        return Err("--cohort/--availability require --population N".to_string());
-    }
-    config.validate()?;
-    Ok(config)
-}
-
-fn dataset_for(
-    argv: &[String],
-    config: &SearchConfig,
-    seed: u64,
-) -> Result<SyntheticDataset, String> {
-    let spec = match flag(argv, "--dataset").as_deref() {
-        None | Some("cifar10") => DatasetSpec::cifar10_like(),
-        Some("svhn") => DatasetSpec::svhn_like(),
-        Some(other) => return Err(format!("unknown dataset {other:?}")),
-    }
-    .with_image_hw(config.net.image_hw);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
-    Ok(SyntheticDataset::generate(&spec, &mut rng))
 }
 
 /// Writes the run's communication statistics when `--stats-json` asked
@@ -315,9 +179,7 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
         }
     }
     install_shutdown_handler();
-    let seed: u64 = flag(argv, "--seed")
-        .map_or(Ok(42), |s| s.parse())
-        .map_err(|e| format!("bad seed: {e}"))?;
+    let seed = args::seed(argv)?;
     let config = build_config(argv)?;
     let dataset = dataset_for(argv, &config, seed)?;
     config.check_dataset(dataset.spec())?;
@@ -584,9 +446,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
 
 fn cmd_retrain(argv: &[String]) -> Result<(), String> {
     check_flags(argv, &[CONFIG_FLAGS, RETRAIN_FLAGS])?;
-    let seed: u64 = flag(argv, "--seed")
-        .map_or(Ok(42), |s| s.parse())
-        .map_err(|e| format!("bad seed: {e}"))?;
+    let seed = args::seed(argv)?;
     let compact = flag(argv, "--genotype").ok_or("retrain requires --genotype \"<compact>\"")?;
     let genotype = Genotype::parse_compact(&compact)?;
     let mut config = build_config(argv)?;

@@ -41,6 +41,9 @@ fn bad_flag_values_are_rejected() {
         vec!["retrain", "--genotype", "x", "--checkpoint", "y"], // search-only flag
         vec!["info", "--seed", "1"],
         vec!["serve", "--store", "unused", "--scale", "tiny"],
+        vec!["info", "--scale"], // value-taking flag given last
+        vec!["search", "--scale", "tiny", "--seed"], // likewise
+        vec!["search", "--environments", "car"], // a job spec's flag only
     ] {
         let out = bin().args(&args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?} should fail");

@@ -91,11 +91,11 @@ fn kill_nine_mid_fleet_resumes_bit_identically() {
     let store = scratch("fleet");
     let specs: Vec<JobSpec> = (0..8u64)
         .map(|i| {
-            let mut spec = JobSpec::tiny(500 + 7 * i);
+            let mut args = JobSpec::tiny(500 + 7 * i).args().to_vec();
             if i == 3 {
-                spec.non_iid = true;
+                args.push("--non-iid".into());
             }
-            spec
+            JobSpec::new(args).expect("spec builds")
         })
         .collect();
 
