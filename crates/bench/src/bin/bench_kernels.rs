@@ -17,7 +17,10 @@
 //! timed call, through `gemm_bias` / `gemm` / `gemm_nt` ("after") against the
 //! scalar loop `gemm_naive` they must equal bit for bit ("before", with the
 //! bias fill and the `go` transpose it needs), at the three stages of `small`
-//! and of `tiny`. The GEMM rows are absolute throughput of the packed kernel
+//! and of `tiny`. The `max_pool` and `avg_pool` sections time a training
+//! step of the two pooling candidate operations (3x3, stride 1 and 2) at the
+//! stages of `small` against the window loops they replaced, which they
+//! equal bit for bit. The GEMM rows are absolute throughput of the packed kernel
 //! at the shapes the remaining lowered convolutions produce.
 //!
 //! Usage: `cargo run --release -p fedrlnas-bench --bin bench_kernels`
@@ -26,9 +29,11 @@
 //! `--check <floor.json>` exits non-zero if a section's smallest speedup
 //! falls below the committed floor.
 
-use fedrlnas_bench::lowering::{lowered_backward, lowered_forward, ConvShape};
+use fedrlnas_bench::lowering::{
+    avg_pool_old, lowered_backward, lowered_forward, max_pool_old, ConvShape,
+};
 use fedrlnas_bench::{flag_present, flag_value, json_number, median_ns};
-use fedrlnas_nn::{Conv2d, Layer, Mode};
+use fedrlnas_nn::{AvgPool2d, Conv2d, Layer, MaxPool2d, Mode};
 use fedrlnas_tensor::{gemm, gemm_bias, gemm_naive, gemm_nt, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -198,6 +203,58 @@ fn conv_sections(reps: usize, rng: &mut StdRng) -> Vec<Section> {
     sections
 }
 
+/// The two pooling candidate operations against the window loops they
+/// replaced ([`fedrlnas_bench::lowering`], the code the layers are tested
+/// bit-identical to), one row per (stage of `small`, stride): a training
+/// step, forward then backward, as a search runs it.
+fn pool_sections(reps: usize, rng: &mut StdRng) -> Vec<Section> {
+    let (mut max, mut avg) = (Vec::new(), Vec::new());
+    for (preset, ch, hw, batch) in STAGES.into_iter().filter(|s| s.0 == "small") {
+        for stride in [1, 2] {
+            let label = format!("3x3_s{stride}_{preset}_{ch}ch_{hw}x{hw}_b{batch}");
+            let x = Tensor::randn(&[batch, ch, hw, hw], 1.0, rng);
+            let mut layer = MaxPool2d::new(3, stride, 1);
+            let go = Tensor::randn(layer.forward(&x, Mode::Eval).dims(), 1.0, rng);
+            max.push(Row {
+                label: label.clone(),
+                before_ns: median_ns(reps, || {
+                    let (y, arg) = max_pool_old(&x, 3, stride, 1);
+                    let mut dx = vec![0.0f32; x.len()];
+                    for (g, &at) in go.as_slice().iter().zip(&arg) {
+                        dx[at] += g;
+                    }
+                    std::hint::black_box((y, dx));
+                }),
+                after_ns: median_ns(reps, || {
+                    let y = layer.forward(&x, Mode::Train);
+                    std::hint::black_box((y, layer.backward(&go)));
+                }),
+            });
+            let mut layer = AvgPool2d::new(3, stride, 1);
+            avg.push(Row {
+                label,
+                before_ns: median_ns(reps, || {
+                    std::hint::black_box(avg_pool_old(&x, Some(&go), 3, stride, 1));
+                }),
+                after_ns: median_ns(reps, || {
+                    let y = layer.forward(&x, Mode::Train);
+                    std::hint::black_box((y, layer.backward(&go)));
+                }),
+            });
+        }
+    }
+    vec![
+        Section {
+            name: "max_pool_forward_backward",
+            rows: max,
+        },
+        Section {
+            name: "avg_pool_forward_backward",
+            rows: avg,
+        },
+    ]
+}
+
 /// `(preset, channels, positions)` of every pointwise stage of the `small`
 /// and `tiny` presets; all at batch 16.
 const SMALL_GEMM_STAGES: [(&str, usize, usize); 6] = [
@@ -332,6 +389,8 @@ fn main() {
     let gemm_rows = bench_gemm_shapes(reps, &mut rng);
     eprintln!("timing depthwise and pointwise layers against the lowering (median of {reps})...");
     let mut sections = conv_sections(reps, &mut rng);
+    eprintln!("timing the pooling layers against their window loops (median of {reps})...");
+    sections.extend(pool_sections(reps, &mut rng));
     eprintln!("timing the small-problem GEMM against the scalar loop (median of {reps})...");
     sections.push(small_gemm_section(reps, &mut rng));
 
@@ -339,7 +398,7 @@ fn main() {
     writeln!(json, "{{").unwrap();
     writeln!(
         json,
-        "  \"description\": \"median ns per call; before = im2col + GEMM lowering of the same convolution (crates/bench/src/lowering.rs), after = nn::Conv2d (direct depthwise kernels, copy-free pointwise) -- the pointwise before column calls the same gemm as the layer, so those rows show the copies avoided, not the kernel; small_gemm = one batch of 16 of a pointwise step's three GEMMs, before = the scalar loop gemm_naive (plus the bias fill / go transpose it needs), after = gemm_bias / gemm / gemm_nt, which equal it bit for bit; gemm rows are absolute packed-GEMM throughput\","
+        "  \"description\": \"median ns per call; before = im2col + GEMM lowering of the same convolution (crates/bench/src/lowering.rs), after = nn::Conv2d (direct depthwise kernels, copy-free pointwise) -- the pointwise before column calls the same gemm as the layer, so those rows show the copies avoided, not the kernel; max_pool / avg_pool = one forward + backward step of nn::MaxPool2d / nn::AvgPool2d (3x3, padding 1), before = the window loops they replaced and equal bit for bit (crates/bench/src/lowering.rs); small_gemm = one batch of 16 of a pointwise step's three GEMMs, before = the scalar loop gemm_naive (plus the bias fill / go transpose it needs), after = gemm_bias / gemm / gemm_nt, which equal it bit for bit; gemm rows are absolute packed-GEMM throughput\","
     )
     .unwrap();
     writeln!(json, "  \"reps\": {reps},").unwrap();

@@ -1,13 +1,15 @@
-//! The `im2col` + GEMM lowering of a grouped convolution, written out from
-//! the tensor crate's public pieces exactly as `nn::Conv2d` ran *every*
-//! convolution before depthwise and pointwise layers got direct paths.
+//! The references the direct kernels are held to: the `im2col` + GEMM
+//! lowering of a grouped convolution, written out from the tensor crate's
+//! public pieces exactly as `nn::Conv2d` ran *every* convolution before
+//! depthwise and pointwise layers got direct paths, and the pooling layers'
+//! window loops as they were before the flat-run scans.
 //!
-//! Two users, one source: `bench_kernels` times it as the "before" of each
+//! Two users, one source: `bench_kernels` times them as the "before" of each
 //! row, and `crates/nn/tests/layer_properties.rs` includes this file by path
-//! as the reference the direct paths must equal bit for bit. It therefore
+//! as the reference the layers must equal bit for bit. It therefore
 //! depends on `fedrlnas_tensor` alone.
 
-use fedrlnas_tensor::{col2im, gemm, gemm_bias, im2col, Conv2dGeometry};
+use fedrlnas_tensor::{col2im, gemm, gemm_bias, im2col, Conv2dGeometry, Tensor};
 
 /// Hyperparameters of a grouped 2-D convolution over NCHW tensors, with the
 /// weight laid out `[out_channels, in_channels / groups * kernel * kernel]`.
@@ -131,4 +133,95 @@ pub fn lowered_backward(
         }
     }
     dx
+}
+
+/// `MaxPool2d::forward` as it was: one output at a time, every tap bounds
+/// tested, first maximum wins, NaN takes over. Returns outputs and argmax.
+pub fn max_pool_old(x: &Tensor, k: usize, stride: usize, pad: usize) -> (Vec<f32>, Vec<usize>) {
+    let d = x.dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (out_h, out_w) = (
+        (h + 2 * pad - k) / stride + 1,
+        (w + 2 * pad - k) / stride + 1,
+    );
+    let (mut out, mut arg) = (Vec::new(), Vec::new());
+    for plane_idx in 0..n * c {
+        let base = plane_idx * h * w;
+        let plane = &x.as_slice()[base..base + h * w];
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0usize);
+                for ky in 0..k {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    for kx in 0..k {
+                        let ix = (ox * stride + kx) as isize - pad as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        let idx = iy as usize * w + ix as usize;
+                        if plane[idx] > best || plane[idx].is_nan() {
+                            best = plane[idx];
+                            best_idx = base + idx;
+                        }
+                    }
+                }
+                out.push(best);
+                arg.push(best_idx);
+            }
+        }
+    }
+    (out, arg)
+}
+
+/// `AvgPool2d` as it was: per output the in-bounds taps summed in (ky, kx)
+/// order and divided by their count; backward one share per tap, outputs in
+/// (oy, ox) order.
+pub fn avg_pool_old(
+    x: &Tensor,
+    go: Option<&Tensor>,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let d = x.dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (out_h, out_w) = (
+        (h + 2 * pad - k) / stride + 1,
+        (w + 2 * pad - k) / stride + 1,
+    );
+    let range = |extent: usize, o: usize| {
+        let start = o * stride;
+        let lo = pad.saturating_sub(start);
+        let hi = (extent + pad).saturating_sub(start).min(k);
+        lo..hi.max(lo)
+    };
+    let mut out = Vec::new();
+    let mut dx = vec![0.0f32; x.len()];
+    let mut o = 0;
+    for plane_idx in 0..n * c {
+        let base = plane_idx * h * w;
+        for oy in 0..out_h {
+            let ys = range(h, oy);
+            for ox in 0..out_w {
+                let xs = range(w, ox);
+                let len = (ys.len() * xs.len()).max(1) as f32;
+                let mut sum = 0.0f32;
+                for ky in ys.clone() {
+                    for kx in xs.clone() {
+                        let at = (oy * stride + ky - pad) * w + ox * stride + kx - pad;
+                        sum += x.as_slice()[base + at];
+                        if let Some(go) = go {
+                            dx[base + at] += go.as_slice()[o] / len;
+                        }
+                    }
+                }
+                out.push(sum / len);
+                o += 1;
+            }
+        }
+    }
+    (out, dx)
 }

@@ -12,7 +12,8 @@ use fedrlnas_netsim::{AssignmentStrategy, AvailabilitySpec, Environment};
 use fedrlnas_sync::{StalenessModel, StalenessStrategy};
 use rand::{rngs::StdRng, SeedableRng};
 
-/// The value after the first `name` in `argv`, if any.
+/// The value after `name` in `argv`, if any ([`check_flags`] refuses a
+/// flag given twice).
 pub fn flag(argv: &[String], name: &str) -> Option<String> {
     argv.iter()
         .position(|a| a == name)
@@ -46,23 +47,31 @@ pub const CONFIG_FLAGS: &[FlagSpec] = &[
 ];
 
 /// Refuses (`unknown flag <name>`) any `--flag` the tables do not list,
-/// and (`<name> needs a value`) a value-taking flag that ends the list, so
-/// a typo fails before any work starts instead of silently running the
-/// default. Words that are not flags (a subcommand, a value) are skipped.
+/// (`<name> needs a value`) a value-taking flag that ends the list,
+/// (`<name> given twice`) a flag that occurs more than once, and
+/// (`unexpected argument <word>`) a word that is neither a flag nor a
+/// flag's value, so a typo fails before any work starts instead of
+/// silently running the default. `argv` holds the flags alone: a caller
+/// strips its subcommand first.
 pub fn check_flags(argv: &[String], known: &[&[FlagSpec]]) -> Result<(), String> {
     let mut args = argv.iter();
+    let mut seen: Vec<&str> = Vec::new();
     while let Some(arg) = args.next() {
         if !arg.starts_with("--") {
-            continue;
+            return Err(format!("unexpected argument {arg}"));
         }
         let spec = known
             .iter()
             .copied()
             .flatten()
             .find(|(name, _)| name == arg);
-        let Some((_, takes_value)) = spec else {
+        let Some((name, takes_value)) = spec else {
             return Err(format!("unknown flag {arg}"));
         };
+        if seen.contains(name) {
+            return Err(format!("{arg} given twice"));
+        }
+        seen.push(name);
         if *takes_value && args.next().is_none() {
             return Err(format!("{arg} needs a value"));
         }

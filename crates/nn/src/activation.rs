@@ -27,19 +27,18 @@ impl Layer for ReLU {
             return x.map(relu);
         }
         // One pass writes the output and the backward mask (whose allocation
-        // is kept from step to step).
-        let mut out = Tensor::zeros(x.dims());
+        // is kept from step to step); each output element is written once.
         self.mask.resize(x.len(), false);
-        for ((o, keep), &v) in out
-            .as_mut_slice()
+        let out: Vec<f32> = self
+            .mask
             .iter_mut()
-            .zip(self.mask.iter_mut())
             .zip(x.as_slice())
-        {
-            *o = relu(v);
-            *keep = v > 0.0;
-        }
-        out
+            .map(|(keep, &v)| {
+                *keep = v > 0.0;
+                relu(v)
+            })
+            .collect();
+        Tensor::from_vec(out, x.dims()).expect("one output per input")
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -48,18 +47,15 @@ impl Layer for ReLU {
             self.mask.len(),
             "relu backward called before forward or with wrong shape"
         );
-        let mut dx = Tensor::zeros(grad_out.dims());
         // A select per element, not a branch: about half the mask is set, in
         // no pattern a predictor could learn.
-        for ((d, &g), &keep) in dx
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_out.as_slice())
+        let dx: Vec<f32> = grad_out
+            .as_slice()
+            .iter()
             .zip(&self.mask)
-        {
-            *d = if keep { g } else { 0.0 };
-        }
-        dx
+            .map(|(&g, &keep)| if keep { g } else { 0.0 })
+            .collect();
+        Tensor::from_vec(dx, grad_out.dims()).expect("one gradient per output")
     }
 
     fn release(&mut self) {

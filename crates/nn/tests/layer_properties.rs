@@ -154,15 +154,15 @@ proptest! {
 // ReLU / MaxPool2d / AvgPool2d / BatchNorm2d had their loops restructured for
 // speed. None of that may move a single bit (every committed curve, digest
 // and checkpoint was produced by the old code), so each is compared here with
-// the old computation kept in test form: the lowering lives in
-// `crates/bench/src/lowering.rs` (also `bench_kernels`' "before"), the old
-// element-wise loops below.
+// the old computation kept in test form: the lowering and the pooling
+// layers' window loops live in `crates/bench/src/lowering.rs` (also
+// `bench_kernels`' "before"), the other old element-wise loops below.
 // ---------------------------------------------------------------------------
 
 #[path = "../../bench/src/lowering.rs"]
 mod lowering;
 
-use lowering::{lowered_backward, lowered_forward, ConvShape};
+use lowering::{avg_pool_old, lowered_backward, lowered_forward, max_pool_old, ConvShape};
 use rand::Rng;
 
 /// Bit patterns with `-0.0` mapped to `+0.0`: the one difference the direct
@@ -288,6 +288,32 @@ fn depthwise_conv_equals_im2col_gemm_lowering_bit_for_bit() {
                     assert_conv_equals_lowering(shape, (n, h, w), &mut rng);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn depthwise_conv_at_lane_edges_equals_the_lowering() {
+    // The kernels run four vectors of outputs and several channels' weight
+    // gradients in flight, on eight lanes or four: every channel count
+    // 1..=17 against batches 17..=1, maps whose padded rows are a vector
+    // short, exact or long (and outputs one narrower than a vector, one,
+    // and one wider), with zero weights and a non-finite output gradient
+    // mixed in by `assert_conv_equals_lowering`.
+    let mut rng = StdRng::seed_from_u64(24);
+    let widths = [1, 2, 3, 5, 6, 7, 8, 9, 11, 15, 17];
+    for c in 1..=17 {
+        let n = 18 - c;
+        for (kernel, stride, dilation) in [(3, 1, 1), (5, 2, 2), (3, 2, 1), (5, 1, 1), (3, 1, 2)] {
+            let (h, w) = (
+                widths[rng.gen_range(0..widths.len())],
+                widths[rng.gen_range(0..widths.len())],
+            );
+            let shape = depthwise(c, kernel, stride, dilation);
+            if h.min(w) + 2 * shape.padding < dilation * (kernel - 1) + 1 {
+                continue;
+            }
+            assert_conv_equals_lowering(shape, (n, h, w), &mut rng);
         }
     }
 }
@@ -511,47 +537,6 @@ fn relu_equals_the_loops_it_replaced_including_nan() {
     }
 }
 
-/// `MaxPool2d::forward` as it was: one output at a time, every tap bounds
-/// tested, first maximum wins, NaN takes over. Returns outputs and argmax.
-fn max_pool_old(x: &Tensor, k: usize, stride: usize, pad: usize) -> (Vec<f32>, Vec<usize>) {
-    let d = x.dims();
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let (out_h, out_w) = (
-        (h + 2 * pad - k) / stride + 1,
-        (w + 2 * pad - k) / stride + 1,
-    );
-    let (mut out, mut arg) = (Vec::new(), Vec::new());
-    for plane_idx in 0..n * c {
-        let base = plane_idx * h * w;
-        let plane = &x.as_slice()[base..base + h * w];
-        for oy in 0..out_h {
-            for ox in 0..out_w {
-                let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0usize);
-                for ky in 0..k {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..k {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        let idx = iy as usize * w + ix as usize;
-                        if plane[idx] > best || plane[idx].is_nan() {
-                            best = plane[idx];
-                            best_idx = base + idx;
-                        }
-                    }
-                }
-                out.push(best);
-                arg.push(best_idx);
-            }
-        }
-    }
-    (out, arg)
-}
-
 #[test]
 fn max_pool_equals_the_loop_it_replaced_including_nan() {
     let mut rng = StdRng::seed_from_u64(19);
@@ -587,54 +572,41 @@ fn max_pool_equals_the_loop_it_replaced_including_nan() {
     }
 }
 
-/// `AvgPool2d` as it was: per output the in-bounds taps summed in (ky, kx)
-/// order and divided by their count; backward one share per tap, outputs in
-/// (oy, ox) order.
-fn avg_pool_old(
-    x: &Tensor,
-    go: Option<&Tensor>,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> (Vec<f32>, Vec<f32>) {
-    let d = x.dims();
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let (out_h, out_w) = (
-        (h + 2 * pad - k) / stride + 1,
-        (w + 2 * pad - k) / stride + 1,
-    );
-    let range = |extent: usize, o: usize| {
-        let start = o * stride;
-        let lo = pad.saturating_sub(start);
-        let hi = (extent + pad).saturating_sub(start).min(k);
-        lo..hi.max(lo)
-    };
-    let mut out = Vec::new();
-    let mut dx = vec![0.0f32; x.len()];
-    let mut o = 0;
-    for plane_idx in 0..n * c {
-        let base = plane_idx * h * w;
-        for oy in 0..out_h {
-            let ys = range(h, oy);
-            for ox in 0..out_w {
-                let xs = range(w, ox);
-                let len = (ys.len() * xs.len()).max(1) as f32;
-                let mut sum = 0.0f32;
-                for ky in ys.clone() {
-                    for kx in xs.clone() {
-                        let at = (oy * stride + ky - pad) * w + ox * stride + kx - pad;
-                        sum += x.as_slice()[base + at];
-                        if let Some(go) = go {
-                            dx[base + at] += go.as_slice()[o] / len;
-                        }
-                    }
-                }
-                out.push(sum / len);
-                o += 1;
+#[test]
+fn pools_at_lane_edges_equal_the_loops_they_replaced() {
+    // Every plane of a batch is one flat run of four vectors in flight:
+    // channel counts 1..=17 against batches 17..=1, padded rows a vector
+    // short, exact and long (7, 8, 9 and 3, 4, 5 wide), NaN and infinities
+    // in the max pool's input.
+    let mut rng = StdRng::seed_from_u64(25);
+    for c in 1..=17 {
+        let n = 18 - c;
+        for (k, stride, pad) in [(3, 1, 1), (3, 2, 1)] {
+            let (h, w) = ([1, 2, 3, 5, 6, 7][c % 6], [5, 6, 7, 1, 2, 3][(c + n) % 6]);
+            let case = format!("{n}x{c}x{h}x{w} k{k} s{stride} p{pad}");
+            let x = awkward(&[n, c, h, w], c % 2 == 0, &mut rng);
+            let mut max = MaxPool2d::new(k, stride, pad);
+            let y = max.forward(&x, Mode::Train);
+            let (y_old, arg_old) = max_pool_old(&x, k, stride, pad);
+            assert_eq!(raw_bits(y.as_slice()), raw_bits(&y_old), "max {case}");
+            let go = awkward(y.dims(), false, &mut rng);
+            let dx = max.backward(&go);
+            let mut dx_old = vec![0.0f32; x.len()];
+            for (g, &idx) in go.as_slice().iter().zip(&arg_old) {
+                dx_old[idx] += g;
             }
+            assert_eq!(raw_bits(dx.as_slice()), raw_bits(&dx_old), "max dx {case}");
+
+            let x = Tensor::randn(&[n, c, h, w], 1.0, &mut rng);
+            let mut avg = AvgPool2d::new(k, stride, pad);
+            let y = avg.forward(&x, Mode::Train);
+            let go = Tensor::randn(y.dims(), 1.0, &mut rng);
+            let dx = avg.backward(&go);
+            let (y_old, dx_old) = avg_pool_old(&x, Some(&go), k, stride, pad);
+            assert_eq!(bits(y.as_slice()), bits(&y_old), "avg {case}");
+            assert_eq!(bits(dx.as_slice()), bits(&dx_old), "avg dx {case}");
         }
     }
-    (out, dx)
 }
 
 #[test]

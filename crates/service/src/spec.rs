@@ -269,6 +269,18 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_flag_or_a_stray_word_is_refused_on_decode() {
+        let err = JobSpec::decode(&encode_args(&[
+            "--scale", "tiny", "--seed", "1", "--seed", "2",
+        ]))
+        .expect_err("--seed twice");
+        assert!(err.contains("--seed given twice"), "{err}");
+        let err = JobSpec::decode(&encode_args(&["--scale", "tiny", "tiny"]))
+            .expect_err("a value with no flag");
+        assert!(err.contains("unexpected argument tiny"), "{err}");
+    }
+
+    #[test]
     fn invalid_availability_is_rejected_on_decode() {
         let bytes = encode_args(&[
             "--scale",

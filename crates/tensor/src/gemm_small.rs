@@ -319,11 +319,29 @@ unsafe fn run_avx2(q: Problem, transposed: bool) {
     }
 }
 
+/// Whether this CPU runs the AVX2 instantiations of the dispatched kernels
+/// — the small-problem GEMM, the depthwise convolution and the pooling
+/// windows — rather than their portable ones. Checked once per process, so
+/// every kernel makes the same choice for the whole run.
+pub fn has_avx2() -> bool {
+    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVX2.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
 /// The instantiation this CPU runs.
 fn select() -> Kernel {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if has_avx2() {
             return run_avx2;
         }
     }

@@ -172,7 +172,7 @@ fn write_stats_json(argv: &[String], search: &FederatedModelSearch) -> Result<()
 }
 
 fn cmd_search(argv: &[String]) -> Result<(), String> {
-    check_flags(argv, &[CONFIG_FLAGS, SEARCH_FLAGS, RPC_FLAGS])?;
+    check_flags(&argv[1..], &[CONFIG_FLAGS, SEARCH_FLAGS, RPC_FLAGS])?;
     if !present(argv, "--rpc") {
         if let Some((name, _)) = RPC_FLAGS.iter().find(|(name, _)| present(argv, name)) {
             return Err(format!("{name} requires --rpc"));
@@ -359,7 +359,7 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(argv: &[String]) -> Result<(), String> {
-    check_flags(argv, &[SERVE_FLAGS])?;
+    check_flags(&argv[1..], &[SERVE_FLAGS])?;
     install_shutdown_handler();
     let store = flag(argv, "--store").ok_or("serve requires --store DIR")?;
     let listen = flag(argv, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
@@ -445,7 +445,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_retrain(argv: &[String]) -> Result<(), String> {
-    check_flags(argv, &[CONFIG_FLAGS, RETRAIN_FLAGS])?;
+    check_flags(&argv[1..], &[CONFIG_FLAGS, RETRAIN_FLAGS])?;
     let seed = args::seed(argv)?;
     let compact = flag(argv, "--genotype").ok_or("retrain requires --genotype \"<compact>\"")?;
     let genotype = Genotype::parse_compact(&compact)?;
@@ -485,7 +485,7 @@ fn cmd_retrain(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(argv: &[String]) -> Result<(), String> {
-    check_flags(argv, &[CONFIG_FLAGS])?;
+    check_flags(&argv[1..], &[CONFIG_FLAGS])?;
     let config = build_config(argv)?;
     println!("{config:#?}");
     Ok(())

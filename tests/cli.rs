@@ -44,6 +44,10 @@ fn bad_flag_values_are_rejected() {
         vec!["info", "--scale"], // value-taking flag given last
         vec!["search", "--scale", "tiny", "--seed"], // likewise
         vec!["search", "--environments", "car"], // a job spec's flag only
+        vec!["info", "foo", "--scale", "tiny"], // a stray word
+        vec!["search", "--scale", "tiny", "extra"], // likewise, last
+        vec!["info", "--scale", "tiny", "--scale", "paper"], // a flag given twice
+        vec!["search", "--non-iid", "--scale", "tiny", "--non-iid"], // a switch, twice
     ] {
         let out = bin().args(&args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?} should fail");
