@@ -297,6 +297,15 @@ fn more_participants_than_training_samples_is_refused_and_never_stored() {
     assert_stored_spec_is_quarantined("too-many", &v6(&args));
 }
 
+/// A v6 spec stored before decode refused a repeated flag or a stray word
+/// (the version did not change with that check) is quarantined on restart.
+#[test]
+fn a_stored_v6_spec_with_a_repeated_flag_or_a_stray_word_is_quarantined_on_restart() {
+    let twice = ["--scale", "tiny", "--seed", "1", "--seed", "2"];
+    assert_stored_spec_is_quarantined("seed-twice", &v6(&twice));
+    assert_stored_spec_is_quarantined("stray-word", &v6(&["--scale", "tiny", "tiny"]));
+}
+
 /// The v6 encoding of `args`, whether or not the list builds.
 fn v6(args: &[&str]) -> Vec<u8> {
     let mut bytes = vec![6u8];
