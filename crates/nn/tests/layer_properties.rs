@@ -638,6 +638,42 @@ fn avg_pool_equals_the_loops_it_replaced() {
 }
 
 #[test]
+fn avg_pool_equals_the_loops_it_replaced_including_nan() {
+    // Infinities of both signs and NaN in the inputs and in the output
+    // gradients, on the shapes of the finite cases and at the lane edges.
+    let mut rng = StdRng::seed_from_u64(26);
+    let (mut nan_out, mut inf_dx) = (false, false);
+    for (k, stride, pad) in [(3, 1, 1), (3, 2, 1), (2, 2, 0), (5, 2, 2), (3, 1, 3)] {
+        for (n, c, h, w) in [
+            (2, 3, 1, 1),
+            (2, 3, 3, 3),
+            (2, 3, 7, 12),
+            (9, 9, 5, 2),
+            (1, 17, 6, 7),
+        ] {
+            if h + 2 * pad < k || w + 2 * pad < k {
+                continue;
+            }
+            let x = awkward(&[n, c, h, w], true, &mut rng);
+            let mut pool = AvgPool2d::new(k, stride, pad);
+            let y = pool.forward(&x, Mode::Train);
+            let go = awkward(y.dims(), true, &mut rng);
+            let dx = pool.backward(&go);
+            let (y_old, dx_old) = avg_pool_old(&x, Some(&go), k, stride, pad);
+            let case = format!("k{k} s{stride} p{pad} on {n}x{c}x{h}x{w}");
+            assert_eq!(bits(y.as_slice()), bits(&y_old), "forward {case}");
+            assert_eq!(bits(dx.as_slice()), bits(&dx_old), "backward {case}");
+            nan_out |= y.as_slice().iter().any(|v| v.is_nan());
+            inf_dx |= dx.as_slice().iter().any(|v| v.is_infinite());
+        }
+    }
+    assert!(
+        nan_out && inf_dx,
+        "the cases hold no NaN output or no infinite gradient"
+    );
+}
+
+#[test]
 fn batch_norm_equals_the_loops_it_replaced() {
     // Channel counts on every side of the groups of eight and of four whose
     // sums advance together; the old code summed one channel at a time.

@@ -1,40 +1,47 @@
-//! Direct depthwise convolution: one `k x k` filter per channel, no lowering.
+//! Direct window kernels: depthwise convolution (one `k x k` filter per
+//! channel, no lowering) and the pooling windows, on one machinery.
 //!
 //! Four of the eight DARTS candidate operations (Fig. 1 of the paper) spend
 //! nearly all their FLOPs in a depthwise stage. Lowered through
 //! [`im2col`](crate::im2col) that stage is a `1 x k² x positions` "GEMM" per
 //! (sample, channel) — all copy, no reuse — so it gets kernels of its own.
+//! Two more are 3x3 pooling. Average pooling is the depthwise forward at
+//! unit weights and zero bias, and its backward is the input gradient at
+//! unit weights ([`window_sum_backward`]); max pooling is the forward with a
+//! maximum in place of the sum ([`window_max`]).
 //!
-//! All three passes work on a [`Padded`] copy of a plane: the input with its
-//! zero border written out (forward, weight gradient), or the output
-//! gradient spread `stride` apart inside a zero border (input gradient). On
-//! such a plane every tap of every position is in bounds, so the loops carry
-//! no range logic. A plane may be stored in phases — sub-planes of the rows
-//! and columns `≡ p (mod phases)` — chosen so that what the loops read side
-//! by side is contiguous whatever the stride and dilation.
+//! Every pass works on a [`Padded`] copy of one channel's planes across the
+//! batch: the input inside a border — of zeros, or of `-inf` for the maximum,
+//! which no comparison lets win — (forward, maximum, weight gradient), or the
+//! output gradient spread `stride` apart inside a zero border (input
+//! gradient). On such a plane every tap of every position is in bounds, so
+//! the loops carry no range logic. A plane may be stored in phases —
+//! sub-planes of the rows and columns `≡ p (mod phases)` — chosen so that
+//! what the loops read side by side is contiguous whatever the stride and
+//! dilation.
 //!
 //! # Chains and lanes
 //!
 //! Every output element and every weight-gradient sum is one chain of
-//! dependent adds. The kernels keep several independent chains in flight at
-//! once, so no chain waits out the adder's latency alone:
+//! dependent adds (or compares). The kernels keep several independent chains
+//! in flight at once, so no chain waits out the latency alone:
 //!
-//! * **forward and input gradient** — each tap is run across the whole
-//!   padded plane as one flat run: output `(y, x)` sits at `y · row + x`, tap
-//!   `(ky, kx)` reads a fixed offset past it, so neighbouring outputs read
-//!   neighbouring elements. Up to four vectors of outputs advance together
-//!   through the taps; the positions of the run that are not outputs (the
-//!   border columns between rows) are computed and thrown away. At stride 2
-//!   the input is stored in two row and two column phases, which packs the
-//!   outputs of a row side by side with nothing between them;
+//! * **forward, maximum and input gradient** — each tap is run across the
+//!   whole padded plane as one flat run: output `(y, x)` sits at `y · row +
+//!   x`, tap `(ky, kx)` reads a fixed offset past it, so neighbouring outputs
+//!   read neighbouring elements. Up to four vectors of outputs advance
+//!   together through the taps; the positions of the run that are not
+//!   outputs (the border columns between rows) are computed and thrown away.
+//!   At stride 2 the input is stored in two row and two column phases, which
+//!   packs the outputs of a row side by side with nothing between them. The
+//!   maximum keeps, per lane, the running maximum and the number of the tap
+//!   that set it; the flat input index is derived from the output's place
+//!   and that tap afterwards;
 //! * **weight gradient** — a channel's `k²` tap sums are packed into vectors,
 //!   a kernel row's taps side by side (the input is stored in `dilation`
 //!   column phases for that), two kernel rows to an eight-lane vector at `k =
 //!   3`; and several channels' sums advance together over the batch, each
 //!   channel reading its own plane of the same sample.
-//!
-//! [`correlate_flat`] exports the forward's chains for one flat run of
-//! window places; average pooling sums its windows with it.
 //!
 //! One generic body per pass is instantiated per instruction set — eight-lane
 //! vectors under AVX2, four-lane ones portably — and the instantiation is
@@ -53,11 +60,17 @@
 //! * forward: `out = bias`, then taps in `(ky, kx)` order, a tap whose
 //!   weight is `0.0` skipped;
 //! * input gradient: `dx = 0`, then taps in `(ky, kx)` order, a tap whose
-//!   weight is `0.0` skipped;
+//!   weight is `0.0` skipped; at unit weights ([`window_sum_backward`]) in
+//!   descending order, which adds the windows that hold an input in `(oy,
+//!   ox)` order;
 //! * weight gradient: one running sum per tap per channel over
 //!   `(sample, oy, ox)` in lexicographic order, a term whose input is `0.0`
 //!   skipped, added to the gradient once after the batch;
-//! * bias gradient: per (sample, channel) the sequential sum over positions.
+//! * bias gradient: per (sample, channel) the sequential sum over positions;
+//! * maximum: `-inf`, then taps in `(ky, kx)` order, a value taking over if
+//!   it beats the running maximum or is NaN, so the first of equal maxima
+//!   wins and NaN propagates (as in PyTorch). A window nothing took over
+//!   (all `-inf`, or all border) reports input index 0.
 //!
 //! Where the lowering left a term out (a padded tap of the input gradient, a
 //! zero input of the weight gradient) these kernels may add `±0.0` instead.
@@ -71,10 +84,13 @@ use crate::conv::Conv2dGeometry;
 /// the last output, or of a tap row past the kernel's last tap.
 const OVERRUN: usize = 16;
 
-/// A zeroed store of `count` planes of `rows x cols` logical elements, each
-/// holding a smaller image at a fixed place: image element `(y, x)` is
-/// logical element `(origin + y · step, origin + x · step)`. Everything
-/// [`Padded::load`] does not write stays `0.0`.
+/// The winner of a window no tap has taken over yet.
+const UNCLAIMED: u32 = u32::MAX;
+
+/// A store of `count` planes of `rows x cols` logical elements, each holding
+/// a smaller image at a fixed place: image element `(y, x)` is logical
+/// element `(origin + y · step, origin + x · step)`. Everything
+/// [`Padded::load`] does not write holds the border value.
 ///
 /// A plane is kept in `phases = (row phases, column phases)` sub-planes:
 /// sub-plane `(pr, pc)` holds the logical elements `(r, c)` with `r ≡ pr` and
@@ -94,7 +110,8 @@ struct Padded<'a> {
 }
 
 impl<'a> Padded<'a> {
-    /// Sizes `store` for the planes plus [`OVERRUN`] and clears it.
+    /// Sizes `store` for the planes plus [`OVERRUN`] and fills it with
+    /// `border`.
     fn new(
         store: &'a mut Vec<f32>,
         count: usize,
@@ -102,14 +119,15 @@ impl<'a> Padded<'a> {
         phases: (usize, usize),
         origin: usize,
         step: usize,
+        border: f32,
     ) -> Self {
         debug_assert!(phases.1 == 1 || step == 1, "load handles one of the two");
         let seg = cols.div_ceil(phases.1);
         let sub = rows.div_ceil(phases.0) * seg;
         let plane = phases.0 * phases.1 * sub;
-        // The store may hold another geometry's planes: clear all of it.
+        // The store may hold another geometry's planes: refill all of it.
         store.clear();
-        store.resize(count * plane + OVERRUN, 0.0);
+        store.resize(count * plane + OVERRUN, border);
         Padded {
             buf: &mut store[..],
             seg,
@@ -149,6 +167,20 @@ impl<'a> Padded<'a> {
                 copy_row(&mut self.buf[at..at + w], src);
                 continue;
             }
+            if cp == 2 && step == 1 {
+                // Stride 2: image columns 0, 2, … and 1, 3, … pairwise. With
+                // the general loop below the stride-2 forward on the `small`
+                // stages' maps ran 1.5–1.9x slower.
+                let (a, b) = (base + self.at(r, origin), base + self.at(r, origin + 1));
+                for (j, pair) in src.chunks_exact(2).enumerate() {
+                    self.buf[a + j] = pair[0];
+                    self.buf[b + j] = pair[1];
+                }
+                if w % 2 == 1 {
+                    self.buf[a + w / 2] = src[w - 1];
+                }
+                continue;
+            }
             // One run per column phase: its image columns are `cp` apart and
             // its stored elements `step` apart.
             for x0 in 0..cp.min(w) {
@@ -164,7 +196,7 @@ impl<'a> Padded<'a> {
     }
 }
 
-/// The scratch of both passes, per thread and grow-only, so a steady-state
+/// The scratch of every pass, per thread and grow-only, so a steady-state
 /// call allocates nothing.
 struct Scratch {
     /// The padded input planes.
@@ -173,6 +205,8 @@ struct Scratch {
     go: Vec<f32>,
     /// Flat runs of outputs, one per plane, for rows narrower than a vector.
     run: Vec<f32>,
+    /// The winning taps of the maximum's runs.
+    wins: Vec<u32>,
     /// Where each vector of a plane's outputs is computed from and stored.
     vectors: Vec<(usize, usize)>,
     /// Where each tap reads, past the position it serves, `(ky, kx)` order.
@@ -191,6 +225,7 @@ std::thread_local! {
             x: Vec::new(),
             go: Vec::new(),
             run: Vec::new(),
+            wins: Vec::new(),
             vectors: Vec::new(),
             offsets: Vec::new(),
             taps: Vec::new(),
@@ -200,17 +235,24 @@ std::thread_local! {
     };
 }
 
-/// Rebuilds `taps` from `offsets` and one filter's weights: the non-zero
-/// taps in `(ky, kx)` order.
-fn set_taps(taps: &mut Vec<(usize, f32)>, offsets: &[usize], weight: &[f32]) {
+/// Rebuilds `taps` from `offsets` and one filter's weights (unit weights for
+/// `None`): the taps whose weight is not `0.0`, in `(ky, kx)` order or, if
+/// `descending`, in the reverse.
+fn set_taps(
+    taps: &mut Vec<(usize, f32)>,
+    offsets: &[usize],
+    weight: Option<&[f32]>,
+    descending: bool,
+) {
     taps.clear();
-    taps.extend(
-        offsets
-            .iter()
-            .zip(weight)
-            .filter(|(_, &w)| w != 0.0)
-            .map(|(&off, &w)| (off, w)),
-    );
+    let all = offsets
+        .iter()
+        .enumerate()
+        .map(|(t, &off)| (off, weight.map_or(1.0, |w| w[t])));
+    taps.extend(all.filter(|&(_, w)| w != 0.0));
+    if descending {
+        taps.reverse();
+    }
 }
 
 /// Where each `W`-lane vector of the `out_h x out_w` outputs of `count`
@@ -247,69 +289,89 @@ fn plan_vectors<const W: usize>(
     }
 }
 
-/// `dst[to + l] = init + Σ w · src[from + l + off]` over `taps` in order,
-/// for every `(from, to)` of `vectors` and lane `l < W`: four vectors in
-/// flight, then two, then one.
+/// For every `(from, to)` of `vectors` and lane `l < W`, folds
+/// `src[from + l + off]` over `taps` in order into `dst[to + l]`: `init +
+/// Σ w · src`, or with `MAX` the maximum (from `init`) and, in `wins[to +
+/// l]` unless `wins` is empty, the number in `taps` of the tap that set it
+/// ([`UNCLAIMED`] if none did). Four vectors in flight, then two, then one.
 #[inline(always)]
-fn correlate<const W: usize>(
+fn correlate<const W: usize, const MAX: bool>(
     src: &[f32],
     taps: &[(usize, f32)],
     init: f32,
     vectors: &[(usize, usize)],
     dst: &mut [f32],
+    wins: &mut [u32],
 ) {
     let max_off = taps.iter().map(|&(off, _)| off).max().unwrap_or(0);
     let (max_from, max_to) = vectors
         .iter()
         .fold((0, 0), |(f, t), &(from, to)| (f.max(from), t.max(to)));
     assert!(
-        max_from + max_off + W <= src.len() && max_to + W <= dst.len(),
+        max_from + max_off + W <= src.len()
+            && max_to + W <= dst.len()
+            && (!MAX || wins.is_empty() || max_to + W <= wins.len()),
         "depthwise: padded plane too small for the filter"
     );
     let mut quads = vectors.chunks_exact(4);
     for at in &mut quads {
         // SAFETY: the assert above bounds every read and write.
-        unsafe { correlate_block::<W, 4>(src, taps, init, at, dst) };
+        unsafe { correlate_block::<W, 4, MAX>(src, taps, init, at, dst, wins) };
     }
     let rest = quads.remainder();
     let (two, one) = rest.split_at(rest.len() / 2 * 2);
     if !two.is_empty() {
         // SAFETY: as above.
-        unsafe { correlate_block::<W, 2>(src, taps, init, two, dst) };
+        unsafe { correlate_block::<W, 2, MAX>(src, taps, init, two, dst, wins) };
     }
     if !one.is_empty() {
         // SAFETY: as above.
-        unsafe { correlate_block::<W, 1>(src, taps, init, one, dst) };
+        unsafe { correlate_block::<W, 1, MAX>(src, taps, init, one, dst, wins) };
     }
 }
 
-/// [`correlate`] for `NV` vectors: every chain stays in a register across
-/// the taps, and one tap advances all `NV · W` of them.
+/// [`correlate`] for `NV` vectors: every chain (and winner) stays in a
+/// register across the taps, and one tap advances all `NV · W` of them.
 ///
 /// # Safety
 ///
 /// `at` holds `NV` vectors, each `from + off + W <= src.len()` for every
-/// tap and `to + W <= dst.len()`.
+/// tap and `to + W <= dst.len()`, and with `MAX` `to + W <= wins.len()`
+/// unless `wins` is empty.
 #[inline(always)]
-unsafe fn correlate_block<const W: usize, const NV: usize>(
+unsafe fn correlate_block<const W: usize, const NV: usize, const MAX: bool>(
     src: &[f32],
     taps: &[(usize, f32)],
     init: f32,
     at: &[(usize, usize)],
     dst: &mut [f32],
+    wins: &mut [u32],
 ) {
     let from: [usize; NV] = std::array::from_fn(|v| at[v].0);
     let mut acc = [[init; W]; NV];
-    for &(off, w) in taps {
-        for (chains, &from) in acc.iter_mut().zip(&from) {
+    let mut win = [[UNCLAIMED; W]; NV];
+    for (t, &(off, w)) in taps.iter().enumerate() {
+        for ((chains, win), &from) in acc.iter_mut().zip(&mut win).zip(&from) {
             let vals = src.get_unchecked(from + off..from + off + W);
-            for (a, &v) in chains.iter_mut().zip(vals) {
-                *a += w * v;
+            for ((a, b), &v) in chains.iter_mut().zip(win).zip(vals) {
+                if MAX {
+                    // All ones if `v` takes over: a select on the bits, not
+                    // a branch, since which neighbour holds the maximum is
+                    // not something a predictor learns.
+                    let take = (((v > *a) | v.is_nan()) as u32).wrapping_neg();
+                    *a = f32::from_bits((v.to_bits() & take) | (a.to_bits() & !take));
+                    *b = (t as u32 & take) | (*b & !take);
+                } else {
+                    *a += w * v;
+                }
             }
         }
     }
-    for (chains, &(_, to)) in acc.iter().zip(at) {
+    for ((chains, win), &(_, to)) in acc.iter().zip(&win).zip(at) {
         dst.get_unchecked_mut(to..to + W).copy_from_slice(chains);
+        if MAX && !wins.is_empty() {
+            wins.get_unchecked_mut(to..to + W).copy_from_slice(win);
+        }
     }
 }
 
@@ -318,21 +380,21 @@ unsafe fn correlate_block<const W: usize, const NV: usize>(
 /// than a call to `memcpy` per row, with which `bench_kernels`' forward on
 /// 6x6 maps ran ~1.4x slower.
 #[inline(always)]
-fn copy_row(dst: &mut [f32], src: &[f32]) {
-    fn moves<const N: usize>(dst: &mut [f32], src: &[f32]) {
+fn copy_row<T: Copy>(dst: &mut [T], src: &[T]) {
+    fn moves<T: Copy, const N: usize>(dst: &mut [T], src: &[T]) {
         let n = dst.len();
         let mut at = 0;
         while at + N < n {
-            let v: [f32; N] = src[at..at + N].try_into().expect("N elements");
+            let v: [T; N] = src[at..at + N].try_into().expect("N elements");
             dst[at..at + N].copy_from_slice(&v);
             at += N;
         }
-        let v: [f32; N] = src[n - N..n].try_into().expect("N elements");
+        let v: [T; N] = src[n - N..n].try_into().expect("N elements");
         dst[n - N..].copy_from_slice(&v);
     }
     match dst.len() {
-        n if n >= 8 => moves::<8>(dst, src),
-        n if n >= 4 => moves::<4>(dst, src),
+        n if n >= 8 => moves::<T, 8>(dst, src),
+        n if n >= 4 => moves::<T, 4>(dst, src),
         n => {
             // at most three: element by element, which the compiler would
             // otherwise turn back into a call
@@ -346,21 +408,20 @@ fn copy_row(dst: &mut [f32], src: &[f32]) {
 }
 
 /// Copies the outputs out of a flat run whose rows are `row` apart.
-fn pick_rows(run: &[f32], row: usize, dst: &mut [f32], dst_w: usize) {
+fn pick_rows<T: Copy>(run: &[T], row: usize, dst: &mut [T], dst_w: usize) {
     for (y, d) in dst.chunks_exact_mut(dst_w).enumerate() {
         copy_row(d, &run[y * row..]);
     }
 }
 
-/// Checks the slice lengths shared by both passes and returns the number of
-/// samples.
+/// Checks the slice lengths shared by the passes (and the filter's, if it
+/// has one) and returns the number of samples.
 fn batch_size(
     what: &str,
-    x_len: usize,
-    out_len: usize,
+    (x_len, out_len): (usize, usize),
     channels: usize,
     geom: &Conv2dGeometry,
-    weight: &[f32],
+    weight: Option<&[f32]>,
 ) -> usize {
     let image = channels * geom.in_h * geom.in_w;
     assert!(channels > 0, "{what}: no channels");
@@ -375,27 +436,32 @@ fn batch_size(
         n * channels * geom.out_positions(),
         "{what}: output length does not match the input's"
     );
-    assert_eq!(
-        weight.len(),
-        channels * geom.kernel * geom.kernel,
-        "{what}: weight length"
-    );
+    if let Some(weight) = weight {
+        assert_eq!(
+            weight.len(),
+            channels * geom.kernel * geom.kernel,
+            "{what}: weight length"
+        );
+    }
     n
 }
 
-/// The arguments of [`depthwise_forward`], checked.
+/// The arguments of [`depthwise_forward`] and [`window_max`], checked.
 struct Forward<'a> {
     x: &'a [f32],
     channels: usize,
     geom: Conv2dGeometry,
-    weight: &'a [f32],
-    bias: &'a [f32],
+    /// The weights and bias of a convolution, or `None` for the maximum.
+    filter: Option<(&'a [f32], &'a [f32])>,
     out: &'a mut [f32],
+    /// Where the maximum keeps each output's winner, if the caller asks.
+    argmax: Option<&'a mut [u32]>,
 }
 
-/// The forward pass on `W`-lane vectors.
+/// The forward pass on `W`-lane vectors: a correlation with the filter, or
+/// with `MAX` the maximum.
 #[inline(always)]
-fn forward<const W: usize>(s: &mut Scratch, p: Forward<'_>) {
+fn forward<const W: usize, const MAX: bool>(s: &mut Scratch, p: Forward<'_>) {
     let geom = p.geom;
     let (in_plane, positions) = (geom.in_h * geom.in_w, geom.out_positions());
     let (k, d, stride, pad) = (geom.kernel, geom.dilation, geom.stride, geom.padding);
@@ -404,6 +470,7 @@ fn forward<const W: usize>(s: &mut Scratch, p: Forward<'_>) {
     // Output (y, x) reads logical (y · stride + ky · d, x · stride + kx · d):
     // with `stride` row and column phases that is `y · seg + x` plus where
     // logical (ky · d, kx · d) is stored.
+    let border = if MAX { f32::NEG_INFINITY } else { 0.0 };
     let mut xp = Padded::new(
         &mut s.x,
         n,
@@ -411,6 +478,7 @@ fn forward<const W: usize>(s: &mut Scratch, p: Forward<'_>) {
         (stride, stride),
         pad,
         1,
+        border,
     );
     s.offsets.clear();
     s.offsets
@@ -420,23 +488,69 @@ fn forward<const W: usize>(s: &mut Scratch, p: Forward<'_>) {
     let (row, planes) = (xp.seg, (n, xp.plane, xp.seg));
     let stride_out = p.channels * positions;
     let narrow = plan_vectors::<W>(&mut s.vectors, planes, (geom.out_h, geom.out_w), stride_out);
+    let run = narrow.map_or(0, |run| n * run);
     s.run.clear();
-    s.run.resize(narrow.map_or(0, |run| n * run), 0.0);
+    s.run.resize(run, 0.0);
+    // The maximum's winning taps, if the caller keeps them: the narrow rows'
+    // runs in scratch.
+    let keep = MAX && p.argmax.is_some();
+    s.wins.clear();
+    s.wins.resize(if keep { run } else { 0 }, UNCLAIMED);
+    let wins = p.argmax.unwrap_or_default();
     for ch in 0..p.channels {
-        set_taps(&mut s.taps, &s.offsets, &p.weight[ch * kk..][..kk]);
+        // The maximum reads every tap, its weights unused.
+        let (weight, init) = match p.filter {
+            Some((weight, bias)) => (Some(&weight[ch * kk..][..kk]), bias[ch]),
+            None => (None, f32::NEG_INFINITY),
+        };
+        set_taps(&mut s.taps, &s.offsets, weight, false);
         for i in 0..n {
             let image = &p.x[(i * p.channels + ch) * in_plane..][..in_plane];
             xp.load(i, image, (geom.in_h, geom.in_w));
         }
         let out = &mut p.out[ch * positions..];
+        let wins: &mut [u32] = if keep {
+            &mut wins[ch * positions..]
+        } else {
+            &mut []
+        };
         match narrow {
-            None => correlate::<W>(xp.buf, &s.taps, p.bias[ch], &s.vectors, out),
+            None => correlate::<W, MAX>(xp.buf, &s.taps, init, &s.vectors, out, wins),
             Some(run) => {
-                correlate::<W>(xp.buf, &s.taps, p.bias[ch], &s.vectors, &mut s.run);
-                for (i, run) in s.run.chunks_exact(run).enumerate() {
-                    let out = &mut out[i * stride_out..][..positions];
-                    pick_rows(run, row, out, geom.out_w);
+                correlate::<W, MAX>(xp.buf, &s.taps, init, &s.vectors, &mut s.run, &mut s.wins);
+                for i in 0..n {
+                    let to = i * stride_out..i * stride_out + positions;
+                    pick_rows(&s.run[i * run..], row, &mut out[to.clone()], geom.out_w);
+                    if keep {
+                        pick_rows(&s.wins[i * run..], row, &mut wins[to], geom.out_w);
+                    }
                 }
+            }
+        }
+    }
+    if keep {
+        taps_to_inputs(wins, &geom, &mut s.offsets);
+    }
+}
+
+/// Turns each output's winning tap into the flat index of the input it read:
+/// tap `(ky, kx)` of output `(oy, ox)` read input `(oy · stride + ky · d -
+/// pad, ox · stride + kx · d - pad)` of its plane, inside the image whenever
+/// it won, because the border never wins. A window no tap took over reports
+/// index 0.
+fn taps_to_inputs(wins: &mut [u32], geom: &Conv2dGeometry, offsets: &mut Vec<usize>) {
+    let (k, d, w) = (geom.kernel, geom.dilation, geom.in_w);
+    offsets.clear();
+    offsets.extend((0..k * k).map(|t| t / k * d * w + t % k * d));
+    let corner = geom.padding * (w + 1);
+    for (plane, wins) in wins.chunks_exact_mut(geom.out_positions()).enumerate() {
+        for (oy, row) in wins.chunks_exact_mut(geom.out_w).enumerate() {
+            let first = (plane * geom.in_h + oy * geom.stride) * w;
+            for (ox, win) in row.iter_mut().enumerate() {
+                *win = match *win {
+                    UNCLAIMED => 0,
+                    t => (first + ox * geom.stride + offsets[t as usize] - corner) as u32,
+                };
             }
         }
     }
@@ -466,7 +580,6 @@ struct Terms<'p> {
     /// Where output column `ox` finds its kernel row's first tap.
     starts: &'p [usize],
 }
-
 /// Advances `G` channels' tap sums over one sample's output positions in
 /// `(oy, ox)` order — `sum[ky][kx] += x · go`, a term whose `x` is `0.0` left
 /// out when `SKIP_ZERO` — and returns each channel's sequential sum of `go`
@@ -614,6 +727,7 @@ fn weight_grad_group<
         (1, d),
         pad,
         1,
+        0.0,
     );
     s.starts.clear();
     s.starts
@@ -659,6 +773,7 @@ fn weight_grad_any(s: &mut Scratch, p: &mut Backward<'_>, n: usize) {
         (1, d),
         pad,
         1,
+        0.0,
     );
     let (out_row, tap_row) = (geom.stride * xp.seg, d * xp.seg);
     s.starts.clear();
@@ -698,23 +813,51 @@ fn weight_grad_any(s: &mut Scratch, p: &mut Backward<'_>, n: usize) {
 /// The backward pass on `W`-lane vectors.
 #[inline(always)]
 fn backward<const W: usize>(s: &mut Scratch, mut p: Backward<'_>) {
-    let geom = p.geom;
-    let (in_plane, positions) = (geom.in_h * geom.in_w, geom.out_positions());
-    let (k, d) = (geom.kernel, geom.dilation);
-    let kk = k * k;
-    let n = p.x.len() / (p.channels * in_plane);
+    let n = p.x.len() / (p.channels * p.geom.in_h * p.geom.in_w);
     let go_finite = !p.grad_out.iter().fold(false, |bad, g| bad | !g.is_finite());
     // `<lanes per vector, K, lanes per kernel row, vectors per channel,
     // channels in flight>`: a 3x3 kernel's rows are four lanes wide on
     // either instruction set (two rows to an eight-lane vector cost a
     // shuffle per term, more than they save), and as many chains stay in
     // flight as the sixteen vector registers hold without spilling.
-    match (k, W) {
+    match (p.geom.kernel, W) {
         (3, _) => weight_grad::<4, 3, 4, 3, 2>(s, &mut p, n, go_finite),
         (5, 8) => weight_grad::<8, 5, 8, 5, 1>(s, &mut p, n, go_finite),
         (5, _) => weight_grad::<4, 5, 8, 10, 1>(s, &mut p, n, go_finite),
         _ => weight_grad_any(s, &mut p, n),
     }
+    let p = InputGrad {
+        grad_out: p.grad_out,
+        channels: p.channels,
+        geom: p.geom,
+        weight: Some(p.weight),
+        descending: false,
+        dx: p.dx,
+    };
+    input_grad::<W>(s, p);
+}
+
+/// The arguments of the input-gradient pass, checked.
+struct InputGrad<'a> {
+    grad_out: &'a [f32],
+    channels: usize,
+    geom: Conv2dGeometry,
+    /// `[channels, k * k]`, or `None` for unit weights.
+    weight: Option<&'a [f32]>,
+    /// Whether the taps are added in descending `(ky, kx)` order.
+    descending: bool,
+    dx: &'a mut [f32],
+}
+
+/// The input gradient on `W`-lane vectors: `dx` overwritten with the output
+/// gradient correlated with each channel's flipped filter.
+#[inline(always)]
+fn input_grad<const W: usize>(s: &mut Scratch, p: InputGrad<'_>) {
+    let geom = p.geom;
+    let (in_plane, positions) = (geom.in_h * geom.in_w, geom.out_positions());
+    let (k, d) = (geom.kernel, geom.dilation);
+    let kk = k * k;
+    let n = p.dx.len() / (p.channels * in_plane);
     // dx[y] = Σ_ky w[ky] · go[(y + padding - ky · d) / stride]: with `go`
     // spread `stride` apart from row `lead` of a zeroed plane, tap `ky` of
     // dx row `y` reads row `y + flip - ky · d`, never negative.
@@ -731,6 +874,7 @@ fn backward<const W: usize>(s: &mut Scratch, mut p: Backward<'_>) {
         (1, 1),
         lead,
         geom.stride,
+        0.0,
     );
     let (row, planes) = (gp.seg, (n, gp.plane, gp.seg));
     s.offsets.clear();
@@ -741,16 +885,17 @@ fn backward<const W: usize>(s: &mut Scratch, mut p: Backward<'_>) {
     s.run.clear();
     s.run.resize(narrow.map_or(0, |run| n * run), 0.0);
     for ch in 0..p.channels {
-        set_taps(&mut s.taps, &s.offsets, &p.weight[ch * kk..][..kk]);
+        let weight = p.weight.map(|w| &w[ch * kk..][..kk]);
+        set_taps(&mut s.taps, &s.offsets, weight, p.descending);
         for i in 0..n {
             let go = &p.grad_out[(i * p.channels + ch) * positions..][..positions];
             gp.load(i, go, (geom.out_h, geom.out_w));
         }
         let dx = &mut p.dx[ch * in_plane..];
         match narrow {
-            None => correlate::<W>(gp.buf, &s.taps, 0.0, &s.vectors, dx),
+            None => correlate::<W, false>(gp.buf, &s.taps, 0.0, &s.vectors, dx, &mut []),
             Some(run) => {
-                correlate::<W>(gp.buf, &s.taps, 0.0, &s.vectors, &mut s.run);
+                correlate::<W, false>(gp.buf, &s.taps, 0.0, &s.vectors, &mut s.run, &mut []);
                 for (i, run) in s.run.chunks_exact(run).enumerate() {
                     let dx = &mut dx[i * stride_dx..][..in_plane];
                     pick_rows(run, row, dx, geom.in_w);
@@ -760,85 +905,47 @@ fn backward<const W: usize>(s: &mut Scratch, mut p: Backward<'_>) {
     }
 }
 
-/// [`correlate_flat`] on `W`-lane vectors.
-#[inline(always)]
-fn flat<const W: usize>(s: &mut Scratch, src: &[f32], taps: &[(usize, f32)], dst: &mut [f32]) {
-    s.vectors.clear();
-    s.vectors.extend((0..dst.len()).step_by(W).map(|q| (q, q)));
-    correlate::<W>(src, taps, 0.0, &s.vectors, dst);
+/// One pass and its checked arguments.
+enum Pass<'a> {
+    Forward(Forward<'a>),
+    Backward(Backward<'a>),
+    InputGrad(InputGrad<'a>),
 }
 
-/// [`flat`] as an instantiation: `(scratch, src, taps, dst)`.
-type Flat = unsafe fn(&mut Scratch, &[f32], &[(usize, f32)], &mut [f32]);
+/// Every pass on `W`-lane vectors.
+#[inline(always)]
+fn run<const W: usize>(s: &mut Scratch, pass: Pass<'_>) {
+    match pass {
+        Pass::Forward(p) if p.filter.is_some() => forward::<W, false>(s, p),
+        Pass::Forward(p) => forward::<W, true>(s, p),
+        Pass::Backward(p) => backward::<W>(s, p),
+        Pass::InputGrad(p) => input_grad::<W>(s, p),
+    }
+}
 
 /// One instantiation of every pass.
-#[derive(Clone, Copy)]
-struct Kernels {
-    forward: unsafe fn(&mut Scratch, Forward<'_>),
-    backward: unsafe fn(&mut Scratch, Backward<'_>),
-    flat: Flat,
-}
+type Kernels = unsafe fn(&mut Scratch, Pass<'_>);
 
 /// # Safety
 ///
 /// None beyond the signature's: the pointer type is shared with [`AVX2`].
-unsafe fn forward_portable(s: &mut Scratch, p: Forward<'_>) {
-    forward::<4>(s, p)
+unsafe fn portable(s: &mut Scratch, pass: Pass<'_>) {
+    run::<4>(s, pass)
 }
 
-/// # Safety
-///
-/// As [`forward_portable`].
-unsafe fn backward_portable(s: &mut Scratch, p: Backward<'_>) {
-    backward::<4>(s, p)
-}
-
-/// # Safety
-///
-/// As [`forward_portable`].
-unsafe fn flat_portable(s: &mut Scratch, src: &[f32], taps: &[(usize, f32)], dst: &mut [f32]) {
-    flat::<4>(s, src, taps, dst)
-}
-
-const PORTABLE: Kernels = Kernels {
-    forward: forward_portable,
-    backward: backward_portable,
-    flat: flat_portable,
-};
+const PORTABLE: Kernels = portable;
 
 /// # Safety
 ///
 /// The CPU supports `avx2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn forward_avx2(s: &mut Scratch, p: Forward<'_>) {
-    forward::<8>(s, p)
-}
-
-/// # Safety
-///
-/// The CPU supports `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn backward_avx2(s: &mut Scratch, p: Backward<'_>) {
-    backward::<8>(s, p)
-}
-
-/// # Safety
-///
-/// The CPU supports `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn flat_avx2(s: &mut Scratch, src: &[f32], taps: &[(usize, f32)], dst: &mut [f32]) {
-    flat::<8>(s, src, taps, dst)
+unsafe fn avx2(s: &mut Scratch, pass: Pass<'_>) {
+    run::<8>(s, pass)
 }
 
 #[cfg(target_arch = "x86_64")]
-const AVX2: Kernels = Kernels {
-    forward: forward_avx2,
-    backward: backward_avx2,
-    flat: flat_avx2,
-};
+const AVX2: Kernels = avx2;
 
 /// The instantiation this CPU runs.
 fn kernels() -> Kernels {
@@ -849,6 +956,15 @@ fn kernels() -> Kernels {
         }
     }
     PORTABLE
+}
+
+/// Runs `pass` on `kernels` in this thread's scratch.
+fn run_on(kernels: Kernels, pass: Pass<'_>) {
+    SCRATCH.with(|s| {
+        // SAFETY: `kernels` is the portable instantiation or one whose CPU
+        // feature `kernels()` checked; the caller checked the slices.
+        unsafe { kernels(&mut s.borrow_mut(), pass) }
+    });
 }
 
 /// Depthwise forward over an NCHW batch: `out[i, c] = bias[c] + x[i, c] ⋆
@@ -867,43 +983,69 @@ pub fn depthwise_forward(
     bias: &[f32],
     out: &mut [f32],
 ) {
-    forward_on(kernels(), x, channels, geom, weight, bias, out);
-}
-
-fn forward_on(
-    kernels: Kernels,
-    x: &[f32],
-    channels: usize,
-    geom: &Conv2dGeometry,
-    weight: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    let n = batch_size(
-        "depthwise_forward",
-        x.len(),
-        out.len(),
-        channels,
-        geom,
-        weight,
-    );
-    assert_eq!(bias.len(), channels, "depthwise_forward: bias length");
-    if n == 0 {
-        return;
-    }
     let p = Forward {
         x,
         channels,
         geom: *geom,
-        weight,
-        bias,
+        filter: Some((weight, bias)),
         out,
+        argmax: None,
     };
-    SCRATCH.with(|s| {
-        // SAFETY: `kernels` is the portable instantiation or one whose CPU
-        // feature `kernels()` checked; the slices were checked above.
-        unsafe { (kernels.forward)(&mut s.borrow_mut(), p) }
-    });
+    forward_on(kernels(), p);
+}
+
+/// Max pooling over an NCHW batch: `out[i, c, oy, ox]` is the maximum of
+/// the window of output `(oy, ox)` in `x[i, c]` (`geom`'s kernel, stride,
+/// padding and dilation; the padding is never the maximum). If given,
+/// `argmax` gets the flat index into `x` of each output's maximum: the first
+/// of equal maxima in `(ky, kx)` order, a NaN over any number, and 0 for a
+/// window with none (all `-inf`, or all padding).
+///
+/// `out` and `argmax` are overwritten.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `channels` and `geom`, or if `x`
+/// has more elements than a `u32` counts.
+pub fn window_max(
+    x: &[f32],
+    channels: usize,
+    geom: &Conv2dGeometry,
+    out: &mut [f32],
+    argmax: Option<&mut [u32]>,
+) {
+    let p = Forward {
+        x,
+        channels,
+        geom: *geom,
+        filter: None,
+        out,
+        argmax,
+    };
+    forward_on(kernels(), p);
+}
+
+fn forward_on(kernels: Kernels, p: Forward<'_>) {
+    let what = match p.filter {
+        Some(_) => "depthwise_forward",
+        None => "window_max",
+    };
+    let weight = p.filter.map(|(weight, _)| weight);
+    let lens = (p.x.len(), p.out.len());
+    let n = batch_size(what, lens, p.channels, &p.geom, weight);
+    if let Some((_, bias)) = p.filter {
+        assert_eq!(bias.len(), p.channels, "{what}: bias length");
+    }
+    if let Some(argmax) = &p.argmax {
+        assert_eq!(argmax.len(), p.out.len(), "{what}: argmax length");
+    }
+    assert!(
+        p.filter.is_some() || p.x.len() <= UNCLAIMED as usize,
+        "{what}: input too large for u32 indices"
+    );
+    if n > 0 {
+        run_on(kernels, Pass::Forward(p));
+    }
 }
 
 /// Depthwise backward over an NCHW batch. Given the forward input `x` and
@@ -941,62 +1083,49 @@ pub fn depthwise_backward(
 }
 
 fn backward_on(kernels: Kernels, p: Backward<'_>) {
-    let n = batch_size(
-        "depthwise_backward",
-        p.x.len(),
-        p.grad_out.len(),
-        p.channels,
-        &p.geom,
-        p.weight,
-    );
-    assert_eq!(p.dx.len(), p.x.len(), "depthwise_backward: dx length");
-    assert_eq!(
-        p.dweight.len(),
-        p.weight.len(),
-        "depthwise_backward: dweight length"
-    );
-    assert_eq!(
-        p.dbias.len(),
-        p.channels,
-        "depthwise_backward: dbias length"
-    );
-    if n == 0 {
-        return;
+    let what = "depthwise_backward";
+    let lens = (p.x.len(), p.grad_out.len());
+    let n = batch_size(what, lens, p.channels, &p.geom, Some(p.weight));
+    assert_eq!(p.dx.len(), p.x.len(), "{what}: dx length");
+    assert_eq!(p.dweight.len(), p.weight.len(), "{what}: dweight length");
+    assert_eq!(p.dbias.len(), p.channels, "{what}: dbias length");
+    if n > 0 {
+        run_on(kernels, Pass::Backward(p));
     }
-    SCRATCH.with(|s| {
-        // SAFETY: as in `forward_on`.
-        unsafe { (kernels.backward)(&mut s.borrow_mut(), p) }
-    });
 }
 
-/// A window correlation along one flat run: `dst[q] = +0.0 + Σ w ·
-/// src[q + off]` over `taps` in order, for every `q < dst.len()`, on the
-/// chains of the depthwise forward (multiply then add, never fused). With
-/// unit weights it is a window sum bit for bit, since `1 · v` is `v`.
+/// The backward pass of a window sum over an NCHW batch (average pooling
+/// before its divide): **overwrites** `dx[i, c]` with, at each input, the
+/// sum of `grad_out[i, c]` over the windows that hold it, in `(oy, ox)`
+/// order. It is the depthwise input gradient at unit weights, its taps in
+/// descending order.
 ///
 /// # Panics
 ///
-/// Panics if `dst.len()` is not a whole number of eight-lane vectors, or if
-/// `src` ends before `dst.len()` plus the largest tap offset.
-pub fn correlate_flat(src: &[f32], taps: &[(usize, f32)], dst: &mut [f32]) {
-    flat_on(kernels(), src, taps, dst);
+/// Panics if a slice length disagrees with `channels` and `geom`.
+pub fn window_sum_backward(
+    grad_out: &[f32],
+    channels: usize,
+    geom: &Conv2dGeometry,
+    dx: &mut [f32],
+) {
+    let p = InputGrad {
+        grad_out,
+        channels,
+        geom: *geom,
+        weight: None,
+        descending: true,
+        dx,
+    };
+    input_grad_on(kernels(), p);
 }
 
-fn flat_on(kernels: Kernels, src: &[f32], taps: &[(usize, f32)], dst: &mut [f32]) {
-    let max_off = taps.iter().map(|&(off, _)| off).max().unwrap_or(0);
-    assert!(
-        dst.len().is_multiple_of(8),
-        "correlate_flat: run of {} is not whole vectors",
-        dst.len()
-    );
-    assert!(
-        dst.len() + max_off <= src.len(),
-        "correlate_flat: taps read past the source"
-    );
-    SCRATCH.with(|s| {
-        // SAFETY: as in `forward_on`.
-        unsafe { (kernels.flat)(&mut s.borrow_mut(), src, taps, dst) }
-    });
+fn input_grad_on(kernels: Kernels, p: InputGrad<'_>) {
+    let lens = (p.dx.len(), p.grad_out.len());
+    let n = batch_size("window_sum_backward", lens, p.channels, &p.geom, p.weight);
+    if n > 0 {
+        run_on(kernels, Pass::InputGrad(p));
+    }
 }
 
 #[cfg(test)]
@@ -1009,7 +1138,7 @@ mod tests {
         // 2 x 5 image at origin 3 of a 5 x 9 plane, three column phases.
         let image: Vec<f32> = (1..=10).map(|v| v as f32).collect();
         let mut store = Vec::new();
-        let mut p = Padded::new(&mut store, 1, (5, 9), (1, 3), 3, 1);
+        let mut p = Padded::new(&mut store, 1, (5, 9), (1, 3), 3, 1, 0.0);
         p.load(0, &image, (2, 5));
         assert_eq!(p.seg, 3);
         for y in 0..2 {
@@ -1021,7 +1150,7 @@ mod tests {
         // columns 3 apart are neighbours
         assert_eq!(p.at(3, 3 + 3), p.at(3, 3) + 1);
         // and with row phases too, rows 2 apart are a stored row apart
-        let mut p = Padded::new(&mut store, 2, (5, 9), (2, 2), 1, 1);
+        let mut p = Padded::new(&mut store, 2, (5, 9), (2, 2), 1, 1, 0.0);
         p.load(1, &image, (2, 5));
         for y in 0..2 {
             for x in 0..5 {
@@ -1036,7 +1165,7 @@ mod tests {
     fn padded_step_spreads_the_image() {
         let image = [1.0, 2.0, 3.0, 4.0];
         let mut store = vec![9.0; 3]; // stale contents must not survive
-        let mut p = Padded::new(&mut store, 1, (4, 4), (1, 1), 1, 2);
+        let mut p = Padded::new(&mut store, 1, (4, 4), (1, 1), 1, 2, 0.0);
         p.load(0, &image, (2, 2));
         #[rustfmt::skip]
         assert_eq!(p.buf[..16], [
@@ -1045,6 +1174,15 @@ mod tests {
             0.0, 0.0, 0.0, 0.0,
             0.0, 3.0, 0.0, 4.0,
         ]);
+        // a border of -inf fills every element the image does not, the
+        // overrun included
+        let mut p = Padded::new(&mut store, 1, (4, 4), (1, 1), 1, 2, f32::NEG_INFINITY);
+        p.load(0, &image, (2, 2));
+        assert_eq!(p.buf.len(), 16 + OVERRUN);
+        assert_eq!(
+            p.buf.iter().filter(|v| **v == f32::NEG_INFINITY).count(),
+            12 + OVERRUN
+        );
     }
 
     #[test]
@@ -1115,7 +1253,8 @@ mod tests {
     }
 
     /// Every output and gradient of one instantiation — forward, then a
-    /// backward that accumulates into non-zero gradients — by its bits, any
+    /// backward that accumulates into non-zero gradients, the maximum of
+    /// `xm` with its argmax, and the window-sum backward — by its bits, any
     /// NaN counting as one: which of two NaNs an add that meets both hands
     /// on depends on the order the compiler put its operands in (as in
     /// `gemm_small`'s test), and is outside the contract.
@@ -1123,9 +1262,12 @@ mod tests {
         kernels: Kernels,
         (n, c, g): (usize, usize, &Conv2dGeometry),
         (x, w, b, go): (&[f32], &[f32], &[f32], &[f32]),
+        xm: &[f32],
     ) -> Vec<Vec<u32>> {
-        let mut out = vec![f32::NAN; n * c * g.out_positions()];
-        forward_on(kernels, x, c, g, w, b, &mut out);
+        let positions = n * c * g.out_positions();
+        let mut out = vec![f32::NAN; positions];
+        let filter = Some((w, b));
+        forward_on(kernels, forward_args(x, c, g, filter, &mut out, None));
         let (mut dw, mut db) = (vec![0.5f32; w.len()], vec![0.25f32; c]);
         let mut dx = vec![f32::NAN; x.len()];
         let p = Backward {
@@ -1139,60 +1281,104 @@ mod tests {
             dx: &mut dx,
         };
         backward_on(kernels, p);
-        [out, dw, db, dx]
+        let (mut max, mut argmax) = (vec![f32::NAN; positions], vec![7u32; positions]);
+        forward_on(
+            kernels,
+            forward_args(xm, c, g, None, &mut max, Some(&mut argmax)),
+        );
+        // without an argmax, the same maxima
+        let mut unkept = vec![f32::NAN; positions];
+        forward_on(kernels, forward_args(xm, c, g, None, &mut unkept, None));
+        assert_eq!(canonical(&unkept), canonical(&max));
+        let mut sum_dx = vec![f32::NAN; x.len()];
+        let p = InputGrad {
+            grad_out: go,
+            channels: c,
+            geom: *g,
+            weight: None,
+            descending: true,
+            dx: &mut sum_dx,
+        };
+        input_grad_on(kernels, p);
+        let mut all: Vec<Vec<u32>> = [out, dw, db, dx, max]
             .iter()
-            .map(|v| {
-                v.iter()
-                    .map(|f| if f.is_nan() { f32::NAN } else { *f }.to_bits())
-                    .collect()
-            })
+            .map(|v| canonical(v))
+            .collect();
+        all.push(argmax);
+        all.push(canonical(&sum_dx));
+        all
+    }
+
+    fn forward_args<'a>(
+        x: &'a [f32],
+        channels: usize,
+        geom: &Conv2dGeometry,
+        filter: Option<(&'a [f32], &'a [f32])>,
+        out: &'a mut [f32],
+        argmax: Option<&'a mut [u32]>,
+    ) -> Forward<'a> {
+        Forward {
+            x,
+            channels,
+            geom: *geom,
+            filter,
+            out,
+            argmax,
+        }
+    }
+
+    /// The bits of `v`, every NaN as one.
+    fn canonical(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|f| if f.is_nan() { f32::NAN } else { *f }.to_bits())
             .collect()
     }
 
-    #[test]
-    fn every_flat_instantiation_equals_the_portable_one_bit_for_bit() {
-        // Runs of one to five vectors in flight, unit and other weights,
-        // taps in any order, infinities and NaN among the values.
-        let mut rng = StdRng::seed_from_u64(37);
-        let bits = |v: &[f32]| -> Vec<u32> {
-            v.iter()
-                .map(|f| if f.is_nan() { f32::NAN } else { *f }.to_bits())
-                .collect()
-        };
-        for case in 0..60 {
-            let len = 8 * rng.gen_range(1..=20);
-            let offsets: Vec<usize> = (0..rng.gen_range(0..=9))
-                .map(|_| rng.gen_range(0..30))
-                .collect();
-            let weights = if case % 2 == 0 {
-                vec![1.0; offsets.len()]
-            } else {
-                draws(&mut rng, offsets.len(), &[0.0])
-            };
-            let taps: Vec<(usize, f32)> = offsets.into_iter().zip(weights).collect();
-            let src = draws(&mut rng, len + 30, &[f32::INFINITY, f32::NAN, -0.0]);
-            let all = instantiations();
-            let mut want = vec![f32::NAN; len];
-            flat_on(all[0].1, &src, &taps, &mut want);
-            for (name, kernels) in &all[1..] {
-                let mut got = vec![f32::NAN; len];
-                flat_on(*kernels, &src, &taps, &mut got);
-                assert!(bits(&got) == bits(&want), "{name}: {len} {taps:?}");
+    /// The maximum with its argmax, and the window-sum backward, as loops
+    /// over each window's in-image taps in `(ky, kx)` order: the first of
+    /// equal maxima and any NaN win, a window with no winner reports 0, and
+    /// an input adds its windows' gradients in `(oy, ox)` order.
+    fn window_loops(g: &Conv2dGeometry, x: &[f32], go: &[f32]) -> Vec<Vec<u32>> {
+        let (k, s, d, pad) = (g.kernel, g.stride, g.dilation, g.padding as isize);
+        let (mut max, mut arg, mut dx) = (Vec::new(), Vec::new(), vec![0.0f32; x.len()]);
+        for plane in 0..x.len() / (g.in_h * g.in_w) {
+            for (oy, ox) in (0..g.out_h).flat_map(|oy| (0..g.out_w).map(move |ox| (oy, ox))) {
+                let (mut best, mut at) = (f32::NEG_INFINITY, 0);
+                for (ky, kx) in (0..k).flat_map(|ky| (0..k).map(move |kx| (ky, kx))) {
+                    let iy = (oy * s + ky * d) as isize - pad;
+                    let ix = (ox * s + kx * d) as isize - pad;
+                    if iy < 0 || ix < 0 || iy >= g.in_h as isize || ix >= g.in_w as isize {
+                        continue;
+                    }
+                    let i = (plane * g.in_h + iy as usize) * g.in_w + ix as usize;
+                    if x[i] > best || x[i].is_nan() {
+                        (best, at) = (x[i], i as u32);
+                    }
+                    dx[i] += go[max.len()];
+                }
+                max.push(best);
+                arg.push(at);
             }
         }
+        vec![canonical(&max), arg, canonical(&dx)]
     }
 
     #[test]
     fn every_instantiation_equals_the_portable_one_bit_for_bit() {
         // Off every lane edge: channels around the groups in flight, maps
         // whose padded rows are a vector short and a vector long, strides
-        // and dilations together, kernels wider than the map; zero weights,
-        // zero inputs against a non-finite output gradient.
+        // and dilations together, kernels wider than the map, windows all in
+        // the padding; zero weights, zero inputs against a non-finite output
+        // gradient. The maximum sees ties, infinities, NaN and (in a third
+        // of the cases, mostly `-inf` inputs) windows with no winner, and the
+        // portable instantiation's maximum and window-sum backward equal
+        // loops over the windows.
         let mut rng = StdRng::seed_from_u64(31);
         for case in 0..160 {
             let k = [1, 3, 5, 3, 5, 2][case % 6];
             let (stride, dilation) = [(1, 1), (2, 1), (1, 2), (2, 2)][case / 6 % 4];
-            let pad = dilation * (k - 1) / 2 + case % 2;
+            let all_border = if case % 7 == 0 { dilation * k } else { 0 };
+            let pad = dilation * (k - 1) / 2 + case % 2 + all_border;
             let (h, w) = (rng.gen_range(1..=13), rng.gen_range(1..=13));
             let (n, c) = (rng.gen_range(1..=5), rng.gen_range(1..=9));
             let eff = dilation * (k - 1) + 1;
@@ -1209,17 +1395,25 @@ mod tests {
                 &[0.0]
             };
             let go = draws(&mut rng, n * c * g.out_positions(), special);
+            let inf = f32::INFINITY;
+            let mut xm = draws(&mut rng, x.len(), &[0.5, 0.5, -inf, inf, f32::NAN]);
+            if case % 3 == 1 {
+                for v in xm.iter_mut().filter(|v| **v < 0.5) {
+                    *v = -inf;
+                }
+            }
             let all = instantiations();
-            let want = run_all(all[0].1, (n, c, &g), (&x, &wt, &b, &go));
+            let want = run_all(all[0].1, (n, c, &g), (&x, &wt, &b, &go), &xm);
+            let shape = format!("k{k} s{stride} d{dilation} p{pad} {n}x{c}x{h}x{w}");
+            assert!(
+                want[4..] == window_loops(&g, &xm, &go)[..],
+                "loops: {shape}"
+            );
             for (name, kernels) in &all[1..] {
-                let got = run_all(*kernels, (n, c, &g), (&x, &wt, &b, &go));
-                for (what, (got, want)) in
-                    ["out", "dw", "db", "dx"].iter().zip(got.iter().zip(&want))
-                {
-                    assert!(
-                        got == want,
-                        "{name} {what}: k{k} s{stride} d{dilation} p{pad} {n}x{c}x{h}x{w}"
-                    );
+                let got = run_all(*kernels, (n, c, &g), (&x, &wt, &b, &go), &xm);
+                let what = ["out", "dw", "db", "dx", "max", "argmax", "sum dx"];
+                for (what, (got, want)) in what.iter().zip(got.iter().zip(&want)) {
+                    assert!(got == want, "{name} {what}: {shape}");
                 }
             }
         }

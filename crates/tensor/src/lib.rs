@@ -15,8 +15,9 @@
 //!   stride, padding, dilation and groups) as GEMM,
 //! * [`depthwise_forward`]/[`depthwise_backward`] — direct kernels for the
 //!   one-filter-per-channel convolutions that gain nothing from that lowering,
-//!   and [`correlate_flat`], their window correlation along one flat run,
-//!   which the average pool sums its windows with,
+//!   and on the same machinery [`window_max`] and [`window_sum_backward`],
+//!   the max pool and the average pool's backward (its forward is the
+//!   depthwise forward at unit weights),
 //! * [`Workspace`] — a grow-only scratch arena layers reuse across steps so
 //!   the hot path performs no per-call allocations,
 //! * reductions, softmax and argmax kernels.
@@ -46,7 +47,7 @@ mod threading;
 mod workspace;
 
 pub use conv::{col2im, im2col, Conv2dGeometry};
-pub use depthwise::{correlate_flat, depthwise_backward, depthwise_forward};
+pub use depthwise::{depthwise_backward, depthwise_forward, window_max, window_sum_backward};
 pub use gemm::{gemm, gemm_bias, gemm_naive, gemm_nt};
 pub use gemm_small::has_avx2;
 pub use ops::{argmax_rows, log_softmax_rows, softmax_inplace, softmax_rows};
