@@ -9,7 +9,9 @@
 //! [`fedrlnas_bench::lowering`], the same code the layer is tested
 //! bit-identical to), forward alone and as a forward + backward training
 //! step, at the three stages of the `small` preset (8 ch 12x12, 16 ch 6x6,
-//! 32 ch 3x3, batch 16) and one `paper`-preset shape (16 ch 32x32, batch 8).
+//! 32 ch 3x3, batch 16) and one `paper`-preset shape (16 ch 32x32, batch 8);
+//! the depthwise shapes also at stride 2 on the `small` stages (`_s2` rows),
+//! as a reduction cell runs them.
 //! The pointwise "before" column calls the same `gemm` as the layer, so those
 //! rows show the copies the layer avoids, not the kernel; the `small_gemm`
 //! section isolates it: the three GEMMs of a pointwise training step (forward
@@ -173,19 +175,27 @@ fn conv_sections(reps: usize, rng: &mut StdRng) -> Vec<Section> {
     .into();
     for (preset, ch, hw, batch) in STAGES {
         let at = format!("{preset}_{ch}ch_{hw}x{hw}_b{batch}");
+        // a reduction cell runs its edges at stride 2
+        let strides: &[usize] = if preset == "small" { &[1, 2] } else { &[1] };
         for (name, kernel, dilation) in DEPTHWISE {
-            let shape = ConvShape {
-                in_channels: ch,
-                out_channels: ch,
-                kernel,
-                stride: 1,
-                padding: dilation * (kernel - 1) / 2,
-                dilation,
-                groups: ch,
-            };
-            let (fwd, train) = bench_conv(format!("{name}_{at}"), shape, (batch, hw), reps, rng);
-            sections[0].rows.push(fwd);
-            sections[1].rows.push(train);
+            for &stride in strides {
+                let shape = ConvShape {
+                    in_channels: ch,
+                    out_channels: ch,
+                    kernel,
+                    stride,
+                    padding: dilation * (kernel - 1) / 2,
+                    dilation,
+                    groups: ch,
+                };
+                let label = match stride {
+                    1 => format!("{name}_{at}"),
+                    _ => format!("{name}_s{stride}_{at}"),
+                };
+                let (fwd, train) = bench_conv(label, shape, (batch, hw), reps, rng);
+                sections[0].rows.push(fwd);
+                sections[1].rows.push(train);
+            }
         }
         let shape = ConvShape {
             in_channels: ch,
@@ -398,7 +408,7 @@ fn main() {
     writeln!(json, "{{").unwrap();
     writeln!(
         json,
-        "  \"description\": \"median ns per call; before = im2col + GEMM lowering of the same convolution (crates/bench/src/lowering.rs), after = nn::Conv2d (direct depthwise kernels, copy-free pointwise) -- the pointwise before column calls the same gemm as the layer, so those rows show the copies avoided, not the kernel; max_pool / avg_pool = one forward + backward step of nn::MaxPool2d / nn::AvgPool2d (3x3, padding 1), before = the window loops they replaced and equal bit for bit (crates/bench/src/lowering.rs); small_gemm = one batch of 16 of a pointwise step's three GEMMs, before = the scalar loop gemm_naive (plus the bias fill / go transpose it needs), after = gemm_bias / gemm / gemm_nt, which equal it bit for bit; gemm rows are absolute packed-GEMM throughput\","
+        "  \"description\": \"median ns per call; before = im2col + GEMM lowering of the same convolution (crates/bench/src/lowering.rs), after = nn::Conv2d (direct depthwise kernels, copy-free pointwise; _s2 = depthwise at stride 2) -- the pointwise before column calls the same gemm as the layer, so those rows show the copies avoided, not the kernel; max_pool / avg_pool = one forward + backward step of nn::MaxPool2d / nn::AvgPool2d (3x3, padding 1), before = the window loops they replaced and equal bit for bit (crates/bench/src/lowering.rs); small_gemm = one batch of 16 of a pointwise step's three GEMMs, before = the scalar loop gemm_naive (plus the bias fill / go transpose it needs), after = gemm_bias / gemm / gemm_nt, which equal it bit for bit; gemm rows are absolute packed-GEMM throughput\","
     )
     .unwrap();
     writeln!(json, "  \"reps\": {reps},").unwrap();

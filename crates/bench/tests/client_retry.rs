@@ -7,7 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fedrlnas_bench::client::{ClientError, ServiceClient};
-use fedrlnas_rpc::{decode, encode, ChannelTransport, Message, Transport, TransportError};
+use fedrlnas_rpc::{
+    decode, encode, ChannelTransport, Doorbell, Message, Transport, TransportError,
+};
 use fedrlnas_service::{serve_transport, JobManager, JobQuotas, JobSpec};
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -46,16 +48,12 @@ impl Transport for CountingTransport {
         self.inner.send(frame)
     }
 
-    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.inner.recv()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.inner.recv_timeout(timeout)
-    }
-
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         self.inner.poll_recv()
+    }
+
+    fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {
+        self.inner.set_waker(waker);
     }
 }
 

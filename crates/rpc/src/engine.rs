@@ -247,16 +247,12 @@ impl Transport for Box<dyn Transport> {
         (**self).send_owned(frame)
     }
 
-    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        (**self).recv()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        (**self).recv_timeout(timeout)
-    }
-
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         (**self).poll_recv()
+    }
+
+    fn next_due(&self) -> Option<Instant> {
+        (**self).next_due()
     }
 
     fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {

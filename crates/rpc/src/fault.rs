@@ -233,14 +233,15 @@ fn flip_bit(frame: &mut [u8], bit: u64) {
 ///   into a typed decode failure at the receiver.
 /// * **Duplicate** — the frame is delivered twice back to back.
 /// * **Reorder** — the frame is held until the *next* frame passes, then
-///   released (a held receive-side frame is also released when the caller's
-///   deadline expires, so reordering can never deadlock a round).
+///   released. A held receive-side frame otherwise comes out only through
+///   [`FaultyTransport::release_held`], which the round engine calls when
+///   a link's wait runs out, so reordering can never deadlock a round.
 /// * **Delay** — delivery waits an RNG-drawn duration first: the frame is
-///   held until it is due ([`FaultyTransport::next_due`]). The blocking
-///   calls then sleep the hold out; the event loops' calls
-///   ([`Transport::poll_recv`], [`FaultyTransport::send_deferred`]) leave
-///   it on a timer, so one delayed frame stalls its own link and not the
-///   thread's other links. Nothing overtakes a held frame on its link.
+///   held until it is due ([`Transport::next_due`]) and the next poll at
+///   or after that time passes it on, so one delayed frame stalls its own
+///   link and not the thread's other links. A blocking send sleeps the
+///   hold out; [`FaultyTransport::send_deferred`] leaves it on a timer.
+///   Nothing overtakes a held frame on its link.
 ///
 /// Each direction has one fault pipeline, whichever call drives it, so the
 /// draws — and the [`FaultTally`] — do not depend on whether a link was
@@ -314,38 +315,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        // bounded only by the peer: treat as a very long timeout so the
-        // drop-retry loop and held-frame release still function
-        self.recv_timeout(Duration::from_secs(86_400))
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(ready) = self.rx_queue.pop_front() {
-                return Ok(ready);
-            }
-            if let Some((due, frame)) = self.rx_delayed.take() {
-                // a blocking receive: sleep out a delay fault's hold
-                std::thread::sleep(due.saturating_duration_since(Instant::now()));
-                self.release_after(frame);
-                continue;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                // deadline expired: release a reorder-held frame rather
-                // than lose it
-                return self.rx_held.take().ok_or(TransportError::Timeout);
-            }
-            match self.inner.recv_timeout(deadline - now) {
-                Ok(frame) => self.receive(frame),
-                Err(TransportError::Timeout) => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         // readiness-driven: each available inner frame goes through the
         // receive-side fault pipeline, and the probe reports idle once the
@@ -376,6 +345,15 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         }
     }
 
+    /// When the frame a delay fault is holding (either direction) is due:
+    /// while it is set the link's wait does not expire — the frame is in
+    /// hand. An event loop arms its timer with it and polls the link then,
+    /// which sends or delivers the frame.
+    fn next_due(&self) -> Option<Instant> {
+        let dues = self.tx_delayed.iter().chain(&self.rx_delayed);
+        dues.map(|(due, _)| *due).min()
+    }
+
     fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {
         self.inner.set_waker(waker);
     }
@@ -399,8 +377,8 @@ impl<T: Transport> FaultyTransport<T> {
     /// [`Transport::send_owned`] for an event loop, and the transmit-side
     /// fault pipeline of both: a delay fault holds the frame until it is
     /// due instead of sleeping, and the next [`Transport::poll_recv`] at or
-    /// after [`FaultyTransport::next_due`] sends it (a blocking send sleeps
-    /// the hold out). Same draws from the same schedule either way.
+    /// after [`Transport::next_due`] sends it (a blocking send sleeps the
+    /// hold out). Same draws from the same schedule either way.
     pub fn send_deferred(&mut self, mut frame: Vec<u8>) -> Result<(), TransportError> {
         // a frame still being delayed leaves ahead of this one
         self.flush_tx_delayed()?;
@@ -440,7 +418,7 @@ impl<T: Transport> FaultyTransport<T> {
         }
     }
 
-    /// The receive-side fault pipeline, shared by every receive call:
+    /// The receive-side fault pipeline behind [`Transport::poll_recv`]:
     /// draws one inbound frame's fault and files the frame accordingly —
     /// delivered frames into `rx_queue` in delivery order, a reorder hold
     /// into `rx_held`, a delay fault's hold into `rx_delayed`.
@@ -499,21 +477,12 @@ impl<T: Transport> FaultyTransport<T> {
             + 2 * self.tx.plan.partitions.capacity() * std::mem::size_of::<Partition>()
     }
 
-    /// Releases a receive-side frame held back by a reorder fault — the
-    /// poll path's analogue of the deadline-expiry release in
-    /// [`Transport::recv_timeout`], called by the round engine when a
-    /// link's wait runs out so a held frame is never lost.
+    /// Releases a receive-side frame held back by a reorder fault: the one
+    /// way out for a held frame whose successor never comes. The round
+    /// engine calls it when a link's wait runs out, so a held frame is
+    /// never lost.
     pub fn release_held(&mut self) -> Option<Vec<u8>> {
         self.rx_held.take()
-    }
-
-    /// When the frame a delay fault is holding (either direction) is due:
-    /// while it is set the link's wait does not expire — the frame is in
-    /// hand. An event loop arms its timer with it and polls the link then,
-    /// which sends or delivers the frame.
-    pub fn next_due(&self) -> Option<Instant> {
-        let dues = self.tx_delayed.iter().chain(&self.rx_delayed);
-        dues.map(|(due, _)| *due).min()
     }
 }
 
@@ -681,17 +650,21 @@ mod tests {
         assert_eq!(b.recv().unwrap(), f2);
         assert_eq!(b.recv().unwrap(), f1);
 
-        // rx side: a held frame is released when the deadline expires
+        // rx side: a held frame outlasts an expiring receive, and
+        // release_held hands it over
         let (c, mut d) = ChannelTransport::pair();
         let mut rx_faulty = FaultyTransport::new(c, 0, &plan);
         d.send(&f1).unwrap();
-        let got = rx_faulty.recv_timeout(Duration::from_millis(50)).unwrap();
-        assert_eq!(got, f1, "held frame must surface at the deadline");
+        assert!(matches!(
+            rx_faulty.recv_timeout(Duration::from_millis(20)),
+            Err(TransportError::Timeout)
+        ));
+        assert_eq!(rx_faulty.release_held(), Some(f1), "held frame lost");
     }
 
-    /// A delay fault on the event loops' calls holds the frame — the link
-    /// reports idle and names the due time — where the blocking calls
-    /// sleep; the draws, and so the tally, are the same.
+    /// A delay fault holds the frame — the link reports idle and names
+    /// the due time — and a blocking receive waits until then, where a
+    /// blocking send sleeps; the draws, and so the tally, are the same.
     #[test]
     fn delay_is_held_on_the_poll_path_and_slept_on_the_blocking_path() {
         let plan = FaultPlan {
@@ -741,12 +714,16 @@ mod tests {
         assert!(due >= start + rx_delay);
         std::thread::sleep(due.saturating_duration_since(Instant::now()));
         assert_eq!(held.poll_recv().unwrap().unwrap(), f1);
-        // the second frame drew its own delay; the blocking path sleeps
-        // what is left of it
+        // the second frame drew its own delay; a blocking receive waits
+        // out what is left of it, and no longer
         assert!(matches!(held.poll_recv(), Ok(None)));
         let due = held.next_due().expect("the second frame is held");
-        assert_eq!(held.recv_timeout(Duration::ZERO).unwrap(), f2);
+        assert_eq!(held.recv_timeout(Duration::from_secs(10)).unwrap(), f2);
         assert!(Instant::now() >= due);
+        assert!(
+            Instant::now() < due + Duration::from_secs(5),
+            "woke too late"
+        );
         assert_eq!(held.take_tally().frames_delayed, 2);
 
         // blocking send: slept
@@ -761,9 +738,9 @@ mod tests {
 
     /// One receive-side pipeline: for random plans, the same inbound
     /// frames read by blocking (`recv_timeout`) and by polling
-    /// (`poll_recv`, waiting out `next_due` and releasing a reorder-held
-    /// frame at the end, as the round engine does) come out in the same
-    /// order, with the same tally.
+    /// (`poll_recv`, waiting out `next_due`) come out in the same order,
+    /// with the same tally. Both release a reorder-held frame at the end,
+    /// as the round engine does.
     #[test]
     fn blocking_and_polling_receives_deliver_alike() {
         let mut rng = StdRng::seed_from_u64(2027);
@@ -789,6 +766,7 @@ mod tests {
                     while let Ok(frame) = link.recv_timeout(Duration::from_millis(5)) {
                         got.push(frame);
                     }
+                    got.extend(link.release_held());
                 } else {
                     loop {
                         if let Some(frame) = link.poll_recv().unwrap() {
@@ -833,7 +811,7 @@ mod tests {
                 faulty.send(&encode(&Message::Ack { round })).unwrap();
             }
             let mut seen: Vec<u64> = Vec::new();
-            while let Some(frame) = b.try_recv().unwrap() {
+            while let Some(frame) = b.poll_recv().unwrap() {
                 let Ok(Message::Ack { round }) = decode(&frame) else {
                     continue; // corrupted in flight
                 };

@@ -10,10 +10,11 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use crate::waiter::Waiter;
 use crate::wire::{frame_len, HEADER_LEN};
 
 /// Transport failure, deliberately coarse: the round engine only needs to
@@ -43,6 +44,12 @@ impl std::error::Error for TransportError {}
 /// A bidirectional, frame-oriented byte pipe. Implementations deliver
 /// whole encoded frames in order; framing is the wire module's job, so a
 /// stream transport must reassemble exact frames before handing them up.
+///
+/// An implementation receives in one place, [`Transport::poll_recv`], and
+/// announces its frames and its peer's hang-up through
+/// [`Transport::set_waker`] or [`Transport::raw_fd`]: the blocking
+/// receives are written once over those. They register their own
+/// doorbell in place of the link's and clear it before they return.
 pub trait Transport: Send {
     /// Sends one encoded frame.
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
@@ -56,19 +63,30 @@ pub trait Transport: Send {
 
     /// Receives the next frame, blocking until one arrives or the peer
     /// closes.
-    fn recv(&mut self) -> Result<Vec<u8>, TransportError>;
+    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+        wait_for_frame(self, None)
+    }
 
     /// Receives the next frame, waiting at most `timeout`. On
     /// [`TransportError::Timeout`] any partially received bytes are kept
     /// so a later call resumes mid-frame.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError>;
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
+        wait_for_frame(self, Some(Instant::now() + timeout))
+    }
 
     /// Readiness probe: returns a complete frame if one is already
     /// available, `Ok(None)` if the link is idle, without ever blocking.
-    /// The round engine drives every link through this method from a
-    /// bounded poll loop; partially received bytes are kept across calls
-    /// exactly as for [`Transport::recv_timeout`].
+    /// Partially received bytes are kept across calls. The event loops
+    /// read every link through this method alone.
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError>;
+
+    /// When this link next has something to do that no peer announces —
+    /// a frame it holds back until then (see
+    /// [`FaultyTransport`](crate::FaultyTransport)); `None` if nothing.
+    /// Whoever waits on the link wakes by then and polls it.
+    fn next_due(&self) -> Option<Instant> {
+        None
+    }
 
     /// Registers who is told when a frame for this endpoint arrives or its
     /// peer hangs up: from now on either rings `token` on the doorbell
@@ -83,6 +101,37 @@ pub trait Transport: Send {
     fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
         None
     }
+}
+
+/// The blocking receives: poll `link`, and while it is idle wait in a
+/// one-link [`Waiter`] until it announces something, its
+/// [`Transport::next_due`] passes or `deadline` does (`None`: never).
+fn wait_for_frame<T: Transport + ?Sized>(
+    link: &mut T,
+    deadline: Option<Instant>,
+) -> Result<Vec<u8>, TransportError> {
+    if let Some(frame) = link.poll_recv()? {
+        return Ok(frame);
+    }
+    // a frame that came before the waiter registered rang nothing, so
+    // the loop polls before it first waits
+    let mut waiter = Waiter::over(link);
+    let mut ready = Vec::new();
+    let received = loop {
+        match link.poll_recv() {
+            Ok(Some(frame)) => break Ok(frame),
+            Ok(None) if deadline.is_some_and(|d| d <= Instant::now()) => {
+                break Err(TransportError::Timeout)
+            }
+            Ok(None) => {}
+            Err(e) => break Err(e),
+        }
+        let until = link.next_due().into_iter().chain(deadline).min();
+        waiter.wait(until, 1, &mut ready);
+        ready.clear();
+    };
+    link.set_waker(None);
+    received
 }
 
 /// Where in-memory links announce their frames: each rings the token its
@@ -228,35 +277,16 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.rx.recv().map_err(|_| TransportError::Closed)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
-        }
-    }
-
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        self.try_recv()
-    }
-
-    fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {
-        *self.waker.lock().unwrap_or_else(PoisonError::into_inner) = waker;
-    }
-}
-
-impl ChannelTransport {
-    /// Non-blocking poll used by worker loops between rounds.
-    pub fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         match self.rx.try_recv() {
             Ok(frame) => Ok(Some(frame)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(TransportError::Closed),
         }
+    }
+
+    fn set_waker(&mut self, waker: Option<(Arc<Doorbell>, usize)>) {
+        *self.waker.lock().unwrap_or_else(PoisonError::into_inner) = waker;
     }
 }
 
@@ -276,9 +306,9 @@ pub struct TcpTransport {
     /// That frame's total length, once its header is in.
     need: Option<usize>,
     /// The mode the socket was last put in. [`Transport::poll_recv`]
-    /// leaves it nonblocking and so does [`Transport::send`] unless the
-    /// socket buffer fills up; the blocking receives switch it back. An
-    /// event loop, which only polls and sends, never flips it.
+    /// leaves it nonblocking, and so does [`Transport::send`] unless the
+    /// socket buffer fills up, when it blocks for room until the next
+    /// poll.
     nonblocking: bool,
 }
 
@@ -334,41 +364,6 @@ impl TcpTransport {
             .truncate(have + read.as_ref().map_or(0, |n| *n));
         read
     }
-
-    /// Reads until `self.pending` holds one complete frame, or the
-    /// deadline passes, or the peer closes. `None` timeout blocks forever.
-    fn fill_frame(&mut self, timeout: Option<Duration>) -> Result<Vec<u8>, TransportError> {
-        self.set_nonblocking(false)?;
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            // complete frame already assembled?
-            if let Some(frame) = self.take_assembled()? {
-                return Ok(frame);
-            }
-            let remaining = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(TransportError::Timeout);
-                    }
-                    Some(d - now)
-                }
-                None => None,
-            };
-            self.stream
-                .set_read_timeout(remaining)
-                .map_err(TransportError::Io)?;
-            match self.read_more() {
-                Ok(0) => return Err(TransportError::Closed),
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Err(TransportError::Timeout);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Io(e)),
-            }
-        }
-    }
 }
 
 impl Transport for TcpTransport {
@@ -393,18 +388,6 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.fill_frame(None)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.fill_frame(Some(timeout))
-    }
-
-    // A zero `recv_timeout` cannot serve as a readiness probe here: the
-    // deadline check fires before any read, and the std library rejects a
-    // zero socket read-timeout outright — so the poll path puts the
-    // socket into nonblocking mode instead.
     fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         self.set_nonblocking(true)?;
         loop {
@@ -464,6 +447,57 @@ mod tests {
         ));
         drop(b);
         assert!(matches!(a.recv(), Err(TransportError::Closed)));
+    }
+
+    /// A connected pair of each transport: in-memory, then loopback TCP.
+    fn pairs() -> Vec<(Box<dyn Transport>, Box<dyn Transport>)> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let near = listener.accept().unwrap().0;
+        let (a, b) = ChannelTransport::pair();
+        vec![
+            (Box::new(a), Box::new(b)),
+            (
+                Box::new(TcpTransport::new(near).unwrap()),
+                Box::new(TcpTransport::new(far).unwrap()),
+            ),
+        ]
+    }
+
+    /// A long timed receive ends when a frame sent from another thread
+    /// while it waits arrives, not at its deadline.
+    #[test]
+    fn timed_receive_returns_a_frame_when_it_arrives() {
+        for (mut near, mut far) in pairs() {
+            let frame = encode(&Message::Ack { round: 6 });
+            let sent = frame.clone();
+            let sender = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                far.send(&sent).unwrap();
+                far // kept open until the receive is done
+            });
+            let start = Instant::now();
+            assert_eq!(near.recv_timeout(Duration::from_secs(10)).unwrap(), frame);
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "woke at the deadline"
+            );
+            drop(sender.join().unwrap());
+        }
+    }
+
+    /// A receive with no deadline ends with `Closed` when the peer hangs
+    /// up while it waits.
+    #[test]
+    fn blocking_receive_returns_closed_once_the_peer_drops() {
+        for (mut near, far) in pairs() {
+            let hang_up = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                drop(far);
+            });
+            assert!(matches!(near.recv(), Err(TransportError::Closed)));
+            hang_up.join().unwrap();
+        }
     }
 
     #[test]

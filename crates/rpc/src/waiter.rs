@@ -60,6 +60,22 @@ impl Waiter {
         Waiter { body, wakeups }
     }
 
+    /// A waiter over `link` alone, registered under token 0: on its
+    /// descriptor if it has one (the nap where there are none), else on
+    /// its doorbell.
+    pub(crate) fn over<T: Transport + ?Sized>(link: &mut T) -> Waiter {
+        #[cfg(unix)]
+        let kind = match link.raw_fd() {
+            Some(_) => TransportKind::Tcp,
+            None => TransportKind::InMemory,
+        };
+        #[cfg(not(unix))]
+        let kind = TransportKind::Tcp;
+        let mut waiter = Waiter::new(kind, Arc::default());
+        waiter.register(0, link);
+        waiter
+    }
+
     /// A handle other threads can interrupt this waiter's sleep with.
     pub(crate) fn waker(&mut self) -> Waker {
         match &mut self.body {
@@ -71,7 +87,7 @@ impl Waiter {
     /// Starts watching `link` under `token`; tokens are handed out in
     /// order, `0, 1, 2, …`. A frame that arrived before this call is not
     /// reported: poll the link once afterwards.
-    pub(crate) fn register(&mut self, token: usize, link: &mut dyn Transport) {
+    pub(crate) fn register<T: Transport + ?Sized>(&mut self, token: usize, link: &mut T) {
         match &mut self.body {
             Body::Bell(bell) => link.set_waker(Some((bell.clone(), token))),
             Body::Poll(set) => set.register(token, link),
@@ -206,7 +222,7 @@ mod sys {
             PollWaker(tx)
         }
 
-        pub(super) fn register(&mut self, token: usize, link: &mut dyn Transport) {
+        pub(super) fn register<T: Transport + ?Sized>(&mut self, token: usize, link: &mut T) {
             assert_eq!(token + 1, self.fds.len(), "tokens are handed out in order");
             self.fds.push(PollFd {
                 fd: link.raw_fd().expect("a TCP link is one socket"),
@@ -304,7 +320,7 @@ mod sys {
             PollWaker
         }
 
-        pub(super) fn register(&mut self, token: usize, _link: &mut dyn Transport) {
+        pub(super) fn register<T: Transport + ?Sized>(&mut self, token: usize, _link: &mut T) {
             assert_eq!(token, self.watched.len(), "tokens are handed out in order");
             self.watched.push(true);
         }

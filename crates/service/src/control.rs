@@ -12,7 +12,7 @@ use std::io::ErrorKind;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::time::Duration;
 
-use fedrlnas_rpc::{decode, encode, Message, TcpTransport, Transport, TransportError};
+use fedrlnas_rpc::{decode, encode, Message, TcpTransport, Transport};
 
 use crate::manager::JobManager;
 use crate::signal::{shutdown_requested, take_scrub_requested};
@@ -123,6 +123,10 @@ fn reply_err(job_id: u64, detail: &str) -> Message {
     }
 }
 
+/// How long a serve loop naps after a scheduling turn that ran nothing,
+/// so an idle service does not spin against its clients.
+const IDLE_NAP: Duration = Duration::from_millis(2);
+
 /// Options for [`serve_tcp`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -201,18 +205,14 @@ pub fn serve_tcp(
         clients.retain_mut(|client| drain(mgr, client));
 
         // One scheduling turn, then pacing.
-        let ran = mgr.tick().map_err(|e| e.to_string())?;
+        let ran = turn(mgr)?;
         if ran && !options.round_delay.is_zero() {
             std::thread::sleep(options.round_delay);
         }
-        if !ran {
-            // Settled, not terminal: a quarantined tenant must not keep
-            // the whole service alive forever.
-            if options.exit_when_idle && mgr.all_settled() && clients.is_empty() {
-                break;
-            }
-            // Nothing runnable: don't spin against the accept loop.
-            std::thread::sleep(Duration::from_millis(2));
+        // Settled, not terminal: a quarantined tenant must not keep the
+        // whole service alive forever.
+        if !ran && options.exit_when_idle && mgr.all_settled() && clients.is_empty() {
+            break;
         }
     }
 
@@ -239,21 +239,30 @@ pub fn serve_transport<T: Transport>(
         if !drain(mgr, client) {
             break;
         }
-        let ran = mgr.tick().map_err(|e| e.to_string())?;
-        if !ran && exit_when_idle && mgr.all_settled() {
+        if !turn(mgr)? && exit_when_idle && mgr.all_settled() {
             break;
         }
     }
     mgr.checkpoint_all().map_err(|e| e.to_string())
 }
 
-/// Answers every control frame `client` has pending, one reply each.
-/// Returns whether the client is still open: `false` once a receive
-/// reports a hang-up or a reply cannot be sent.
+/// One scheduling turn of either serve loop; a turn that ran nothing
+/// naps [`IDLE_NAP`]. Returns whether a round ran.
+fn turn(mgr: &mut JobManager) -> Result<bool, String> {
+    let ran = mgr.tick().map_err(|e| e.to_string())?;
+    if !ran {
+        std::thread::sleep(IDLE_NAP);
+    }
+    Ok(ran)
+}
+
+/// Answers every control frame `client` has pending, one reply each,
+/// without waiting for more. Returns whether the client is still open:
+/// `false` once a receive reports a hang-up or a reply cannot be sent.
 fn drain<T: Transport>(mgr: &mut JobManager, client: &mut T) -> bool {
     loop {
-        match client.recv_timeout(Duration::from_millis(1)) {
-            Ok(frame) => {
+        match client.poll_recv() {
+            Ok(Some(frame)) => {
                 let reply = match decode(&frame) {
                     Ok(msg) => handle_message(mgr, &msg),
                     Err(e) => reply_err(0, &format!("bad frame: {e}")),
@@ -262,7 +271,7 @@ fn drain<T: Transport>(mgr: &mut JobManager, client: &mut T) -> bool {
                     return false;
                 }
             }
-            Err(TransportError::Timeout) => return true,
+            Ok(None) => return true,
             Err(_) => return false,
         }
     }
@@ -273,6 +282,7 @@ mod tests {
     use super::*;
     use crate::job::JobState;
     use crate::manager::JobQuotas;
+    use fedrlnas_rpc::{ChannelTransport, TransportError};
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -331,6 +341,61 @@ mod tests {
             reply,
             Message::JobReply { state, .. } if state == REPLY_ERROR
         ));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Counts how a serve loop reads its client: polls, and blocking
+    /// receives.
+    struct Counted {
+        inner: ChannelTransport,
+        polls: usize,
+        waits: usize,
+    }
+
+    impl Transport for Counted {
+        fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+            self.inner.send(frame)
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+            self.waits += 1;
+            self.inner.recv()
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
+            self.waits += 1;
+            self.inner.recv_timeout(timeout)
+        }
+
+        fn poll_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+            self.polls += 1;
+            self.inner.poll_recv()
+        }
+    }
+
+    /// Draining an idle client costs a scheduling turn one poll and no
+    /// wait; a pending request is answered in the same turn, and a
+    /// hung-up client is let go.
+    #[test]
+    fn an_idle_client_costs_a_turn_no_wait() {
+        let dir = temp_dir("idle-client");
+        let mut mgr = JobManager::open(&dir, JobQuotas::default(), 0).expect("open");
+        let (near, mut far) = ChannelTransport::pair();
+        let mut client = Counted {
+            inner: near,
+            polls: 0,
+            waits: 0,
+        };
+        assert!(drain(&mut mgr, &mut client));
+        assert_eq!((client.polls, client.waits), (1, 0));
+        far.send(&encode(&Message::ListJobs)).expect("send");
+        assert!(drain(&mut mgr, &mut client));
+        assert_eq!((client.polls, client.waits), (3, 0));
+        let reply = far.poll_recv().expect("open").expect("answered");
+        assert!(matches!(decode(&reply), Ok(Message::JobList { .. })));
+        drop(far);
+        assert!(!drain(&mut mgr, &mut client));
+        assert_eq!(client.waits, 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
