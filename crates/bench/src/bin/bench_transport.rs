@@ -82,6 +82,7 @@ fn payloads(rng: &mut StdRng) -> Vec<Payload> {
                 weights,
                 buffers,
                 alpha: alpha.clone(),
+                codec: None,
             };
             let frame_bytes = encode(&download).len();
             Payload {
@@ -108,8 +109,8 @@ fn round_trip_ns(reps: usize, server: &mut dyn Transport, frame: &[u8]) -> u64 {
     })
 }
 
-/// The legacy (protocol v1) gradient-sized upload reply.
-fn legacy_reply(grad_len: usize) -> Vec<u8> {
+/// The gradient-sized upload reply of an uncompressed (fp32) round.
+fn fp32_reply(grad_len: usize) -> Vec<u8> {
     encode(&Message::UploadUpdate {
         round: 0,
         participant: 0,
@@ -314,12 +315,12 @@ fn main() {
             std::hint::black_box(decode(&frame).expect("decode"));
         });
 
-        let (mut mem_server, mem_join) = spawn_echo_channel(legacy_reply(p.grad_len));
+        let (mut mem_server, mem_join) = spawn_echo_channel(fp32_reply(p.grad_len));
         let mem_round_ns = round_trip_ns(reps, &mut mem_server, &frame);
         drop(mem_server);
         mem_join.join().expect("channel echo worker");
 
-        let (mut tcp_server, tcp_join) = spawn_echo_tcp(legacy_reply(p.grad_len));
+        let (mut tcp_server, tcp_join) = spawn_echo_tcp(fp32_reply(p.grad_len));
         let tcp_round_ns = round_trip_ns(reps, &mut tcp_server, &frame);
         drop(tcp_server);
         tcp_join.join().expect("tcp echo worker");
@@ -384,26 +385,10 @@ fn main() {
         });
         // a coded request/reply round: supernet-sized coded download out,
         // codec-encoded gradient upload back
-        let download = match &payloads[0].download {
-            Message::DownloadSubmodel {
-                round,
-                seed_base,
-                mask,
-                weights,
-                buffers,
-                alpha,
-            } => Message::DownloadSubmodelCoded {
-                round: *round,
-                seed_base: *seed_base,
-                mask: mask.clone(),
-                weights: weights.clone(),
-                buffers: buffers.clone(),
-                alpha: alpha.clone(),
-                codec_tag: spec.tag(),
-                codec_param: spec.param(),
-            },
-            _ => unreachable!("payloads are downloads"),
-        };
+        let mut download = payloads[0].download.clone();
+        if let Message::DownloadSubmodel { codec, .. } = &mut download {
+            *codec = Some((spec.tag(), spec.param()));
+        }
         let frame = encode(&download);
         let reply = encode(&Message::UploadUpdateCoded {
             round: 0,

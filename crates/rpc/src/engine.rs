@@ -85,9 +85,7 @@ use crate::fault::{mix, FaultPlan, FaultyTransport};
 use crate::protocol::{on_evicted_frame, quorum_target, FrameStep, Idle, LinkRound, WorkerRound};
 use crate::transport::{send_delay, Doorbell, Transport, TransportError};
 use crate::waiter::Waiter;
-use crate::wire::{
-    coded_download_frame_len, download_frame_len, encode, encode_download_ranges_into, Message,
-};
+use crate::wire::{download_frame_len, encode, encode_download_ranges_into, Message};
 
 /// How many rounds of sent-mask / delivery history to keep for late-reply
 /// attribution; anything older than this is unattributable and dropped
@@ -595,7 +593,7 @@ impl RpcBackend {
 pub(crate) fn stage_download(p: usize, s: &Staged<'_>) -> Vec<u8> {
     let req = s.req;
     let mask = &req.masks[p];
-    // fp32 stays byte-identical to the pre-codec protocol; otherwise the
+    // fp32 names no codec (the reply is a plain upload); otherwise the
     // codec is resolved per participant from this round's sampled link
     // speed
     let codec = (!req.codec.is_fp32()).then(|| {
@@ -916,11 +914,7 @@ impl RpcBackend {
         let book_start = Instant::now();
         let req = &ctx.req;
         let k = req.masks.len();
-        let frame_len = if req.codec.is_fp32() {
-            download_frame_len
-        } else {
-            coded_download_frame_len
-        };
+        let coded = !req.codec.is_fp32();
         let record = self.history.open(req.round, req.masks);
         let mut distinct = HashSet::with_capacity(k);
         for (p, mask) in req.masks.iter().enumerate() {
@@ -929,7 +923,8 @@ impl RpcBackend {
             }
             let weights = req.layout.submodel_param_count(mask);
             let buffers = req.layout.submodel_buffer_count(mask);
-            let bytes = frame_len(mask.num_edges(), weights, buffers, req.alpha_logits.len());
+            let alpha = req.alpha_logits.len();
+            let bytes = download_frame_len(mask.num_edges(), weights, buffers, alpha, coded);
             ctx.out.download_frame_bytes[p] = bytes as u64;
             record.book(p, weights);
             distinct.insert(mask);
@@ -1140,11 +1135,6 @@ mod tests {
         let config = RpcConfig::default();
         for codec in [CodecConfig::default(), CodecConfig::Auto] {
             let req = RoundRequest { codec, ..req };
-            let frame_len = if codec.is_fp32() {
-                download_frame_len
-            } else {
-                coded_download_frame_len
-            };
             let frame_bytes: Vec<u64> = masks
                 .iter()
                 .map(|m| {
@@ -1152,7 +1142,7 @@ mod tests {
                         req.layout.submodel_param_count(m),
                         req.layout.submodel_buffer_count(m),
                     );
-                    frame_len(m.num_edges(), w, b, alpha.len()) as u64
+                    download_frame_len(m.num_edges(), w, b, alpha.len(), !codec.is_fp32()) as u64
                 })
                 .collect();
             let staged = Staged {

@@ -38,19 +38,19 @@
 //! derive the same RNG streams, train the same shipped weights, and
 //! reports aggregate in the same order.
 //!
-//! Protocol v2 adds adaptive update compression: when the server's
+//! Every frame is protocol version 2 ([`VERSION`]); a frame of any other
+//! version is refused. Uploads may be compressed: when the server's
 //! [`RoundRequest::codec`](fedrlnas_core::RoundRequest::codec) is a
 //! non-`fp32` [`CodecConfig`](fedrlnas_codec::CodecConfig) (the search
-//! config's, its only source), downloads become
-//! [`Message::DownloadSubmodelCoded`]
-//! frames instructing each worker which codec to apply (resolved per
+//! config's, its only source), each [`Message::DownloadSubmodel`] names in
+//! its `codec` field which codec the worker applies (resolved per
 //! participant from the round's sampled bandwidth), and uploads return as
 //! opaque codec byte runs that the engine decodes — against the length it
 //! shipped, never the sender's claim — *before* the validation gate.
 //! Workers keep per-participant error-feedback residuals so sparsified
 //! mass is carried forward rather than lost; the engine exposes them to
-//! the checkpointing layer via `collect_residuals`. Legacy v1 frames stay
-//! byte-identical, and a pure-`fp32` run emits only v1 frames.
+//! the checkpointing layer via `collect_residuals`. A pure-`fp32` run
+//! names no codec and uploads plain [`Message::UploadUpdate`]s.
 
 #![warn(missing_docs)]
 
@@ -71,8 +71,8 @@ pub use engine::{
 pub use fault::{FaultInjector, FaultPlan, FaultyTransport, FrameFault, Partition};
 pub use transport::{ChannelTransport, Doorbell, TcpTransport, Transport, TransportError};
 pub use wire::{
-    coded_download_frame_len, coded_upload_frame_len, crc32, decode, decode_download,
-    download_frame_len, encode, encode_download_into, encode_download_ranges_into, encode_into,
-    encode_upload_coded_into, frame_len, upload_frame_len, DownloadRef, F32Run, Message, WireError,
-    FRAME_OVERHEAD, HEADER_LEN, MAGIC, MIN_VERSION, TRAILER_LEN, VERSION,
+    coded_upload_frame_len, crc32, decode, decode_download, download_frame_len, encode,
+    encode_download_into, encode_download_ranges_into, encode_into, encode_upload_coded_into,
+    frame_len, upload_frame_len, DownloadRef, F32Run, Message, WireError, FRAME_OVERHEAD,
+    HEADER_LEN, MAGIC, TRAILER_LEN, VERSION,
 };

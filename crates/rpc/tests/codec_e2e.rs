@@ -35,7 +35,7 @@ fn assert_same_trajectory(a: &SearchOutcome, b: &SearchOutcome) {
 
 /// An explicit `--codec fp32` run must be byte-identical to a run that
 /// never heard of the codec subsystem: same trajectory, same measured
-/// traffic, no compression tally, only protocol-v1 frames.
+/// traffic, no compression tally, and no download that names a codec.
 #[test]
 fn fp32_codec_run_is_byte_identical_to_default() {
     let base = run_search(SearchConfig::tiny(), Some(rpc(TransportKind::InMemory)));

@@ -241,6 +241,7 @@ fn legacy_size_accounting_matches_wire_length_exactly() {
             weights: weights.clone(),
             buffers: buffers.clone(),
             alpha: alpha_logits.clone(),
+            codec: None,
         });
         assert_eq!(
             legacy_bytes,
@@ -250,7 +251,13 @@ fn legacy_size_accounting_matches_wire_length_exactly() {
         let edges = mask.num_edges();
         assert_eq!(
             frame.len(),
-            download_frame_len(edges, weights.len(), buffers.len(), alpha_logits.len())
+            download_frame_len(
+                edges,
+                weights.len(),
+                buffers.len(),
+                alpha_logits.len(),
+                false
+            )
         );
         // exact decomposition: frame = legacy estimate + protocol overhead
         let overhead =

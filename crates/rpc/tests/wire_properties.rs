@@ -4,8 +4,8 @@
 
 use fedrlnas_darts::{ArchMask, NUM_OPS};
 use fedrlnas_rpc::wire::{
-    coded_download_frame_len, coded_upload_frame_len, crc32, decode, decode_download,
-    download_frame_len, encode, upload_frame_len, Message, WireError, FRAME_OVERHEAD, HEADER_LEN,
+    coded_upload_frame_len, crc32, decode, decode_download, download_frame_len, encode,
+    upload_frame_len, Message, WireError, FRAME_OVERHEAD, HEADER_LEN, VERSION,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -36,7 +36,7 @@ fn codec_fields() -> impl Strategy<Value = (u8, f32)> {
     })
 }
 
-/// Every protocol-v2 control-plane message (wire types 7–15), with
+/// Every control-plane message (wire types 7–15), with
 /// arbitrary ids, state codes, and payload bodies.
 fn control_strategy() -> impl Strategy<Value = Message> {
     (
@@ -79,6 +79,7 @@ fn assert_download_reader_agrees(frame: &[u8]) {
                 weights,
                 buffers,
                 alpha,
+                codec: None,
             }),
         ) => {
             assert_eq!((d.round, d.seed_base, &d.mask), (round, seed_base, &mask));
@@ -98,15 +99,14 @@ fn assert_download_reader_agrees(frame: &[u8]) {
         }
         (
             Ok(Some(d)),
-            Ok(Message::DownloadSubmodelCoded {
+            Ok(Message::DownloadSubmodel {
                 round,
                 seed_base,
                 mask,
                 weights,
                 buffers,
                 alpha,
-                codec_tag,
-                codec_param,
+                codec: Some((codec_tag, codec_param)),
             }),
         ) => {
             assert_eq!((d.round, d.seed_base, &d.mask), (round, seed_base, &mask));
@@ -117,10 +117,7 @@ fn assert_download_reader_agrees(frame: &[u8]) {
             assert_eq!(bits(&d.alpha), bits(&alpha));
         }
         (Ok(None), owned) => assert!(
-            !matches!(
-                owned,
-                Ok(Message::DownloadSubmodel { .. } | Message::DownloadSubmodelCoded { .. })
-            ),
+            !matches!(owned, Ok(Message::DownloadSubmodel { .. })),
             "the reader passed on a download"
         ),
         (borrowed, owned) => panic!("reader {borrowed:?} but decode {owned:?}"),
@@ -145,14 +142,9 @@ proptest! {
         pos in 0usize..10_000,
         bit in 0u8..8,
     ) {
-        let msg = if coded == 0 {
-            Message::DownloadSubmodel { round: 9, seed_base: 4, mask, weights, buffers, alpha }
-        } else {
-            Message::DownloadSubmodelCoded {
-                round: 9, seed_base: 4, mask, weights, buffers, alpha,
-                codec_tag: codec.0, codec_param: codec.1,
-            }
-        };
+        let codec = (coded == 1).then_some(codec);
+        let msg =
+            Message::DownloadSubmodel { round: 9, seed_base: 4, mask, weights, buffers, alpha, codec };
         let frame = encode(&msg);
         assert_download_reader_agrees(&frame);
         prop_assert!(decode_download(&frame).expect("sound frame").is_some());
@@ -184,11 +176,12 @@ proptest! {
             weights: weights.clone(),
             buffers: buffers.clone(),
             alpha: alpha.clone(),
+            codec: None,
         };
         let frame = encode(&msg);
         prop_assert_eq!(
             frame.len(),
-            download_frame_len(edges, weights.len(), buffers.len(), alpha.len())
+            download_frame_len(edges, weights.len(), buffers.len(), alpha.len(), false)
         );
         prop_assert_eq!(decode(&frame).expect("round trip"), msg);
     }
@@ -231,18 +224,17 @@ proptest! {
         codec in codec_fields(),
     ) {
         let edges = mask.num_edges();
-        let msg = Message::DownloadSubmodelCoded {
+        let msg = Message::DownloadSubmodel {
             round, seed_base, mask,
             weights: weights.clone(),
             buffers: buffers.clone(),
             alpha: alpha.clone(),
-            codec_tag: codec.0,
-            codec_param: codec.1,
+            codec: Some(codec),
         };
         let frame = encode(&msg);
         prop_assert_eq!(
             frame.len(),
-            coded_download_frame_len(edges, weights.len(), buffers.len(), alpha.len())
+            download_frame_len(edges, weights.len(), buffers.len(), alpha.len(), true)
         );
         prop_assert_eq!(decode(&frame).expect("round trip"), msg);
     }
@@ -378,7 +370,7 @@ proptest! {
     ) {
         let frame = encode(&Message::DownloadSubmodel {
             round: 1, seed_base: 2, mask,
-            weights, buffers: vec![], alpha: vec![0.0; 8],
+            weights, buffers: vec![], alpha: vec![0.0; 8], codec: None,
         });
         let cut = cut % frame.len();
         match decode(&frame[..cut]) {
@@ -463,7 +455,7 @@ fn huge_declared_payload_does_not_allocate() {
     // truncated, not attempt the allocation
     let mut frame = Vec::new();
     frame.extend_from_slice(b"FRLN");
-    frame.push(1); // version
+    frame.push(VERSION);
     frame.push(2); // upload
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
     frame.extend_from_slice(&[0u8; 16]);

@@ -26,9 +26,10 @@
 //! All integers are little-endian; both CRCs cover every preceding byte of
 //! the file. Every mutation goes through a [`Vfs`]: files are written to a
 //! `.tmp` sibling, fsynced, renamed into place, and the parent directory
-//! is fsynced so the rename itself survives power loss. Reads bypass the
-//! seam on purpose — recovery must observe the real disk, and the fault
-//! injector keeps its schedule write-side.
+//! is fsynced so the rename itself survives power loss. Reads go through
+//! the same [`Vfs`]; the fault injector hands them to the real disk
+//! untouched, so recovery observes what is really there and the fault
+//! schedule stays write-side.
 //!
 //! # Commit protocol and recovery
 //!
@@ -248,7 +249,7 @@ impl JobStore {
     }
 
     fn refresh_inner(&mut self) -> Result<(), StoreError> {
-        let manifest = read_manifest(&self.dir.join(MANIFEST_NAME));
+        let manifest = read_manifest(self.vfs.as_mut(), &self.dir.join(MANIFEST_NAME));
         let scanned = scan_segments(self.vfs.as_mut(), &self.dir)?;
 
         // Sweep orphaned temp files: residue of interrupted (or crash-
@@ -391,13 +392,16 @@ impl JobStore {
                 actual: current.generation,
             });
         }
-        let mut job = current.clone();
-        job.generation = expected_gen + 1;
-        job.state = state;
-        job.flags = flags;
-        if let Some(ckpt) = checkpoint {
-            job.checkpoint = ckpt.to_vec();
-        }
+        // Built field by field: the old checkpoint is copied only when it
+        // is kept, never to be overwritten.
+        let job = StoredJob {
+            job_id,
+            generation: expected_gen + 1,
+            state,
+            flags,
+            spec: current.spec.clone(),
+            checkpoint: checkpoint.map_or_else(|| current.checkpoint.clone(), <[u8]>::to_vec),
+        };
         self.write_segment(&job)?;
         let generation = job.generation;
         self.jobs.insert(job_id, job);
@@ -501,7 +505,7 @@ impl JobStore {
             if !name.ends_with(".seg") {
                 continue;
             }
-            let keep = match read_segment(&path) {
+            let keep = match read_segment(self.vfs.as_mut(), &path) {
                 Some(seg) => self
                     .jobs
                     .get(&seg.job_id)
@@ -628,7 +632,7 @@ impl JobStore {
     /// the segments staying authoritative. Wedging on it would turn one
     /// lying write into a permanently conflicted handle.
     fn check_fence(&mut self) -> Result<(), StoreError> {
-        match load_manifest(&self.dir.join(MANIFEST_NAME)) {
+        match load_manifest(self.vfs.as_mut(), &self.dir.join(MANIFEST_NAME)) {
             DiskManifest::Valid(m) if m.generation != self.manifest_generation => {
                 Err(StoreError::ManifestConflict {
                     cached: self.manifest_generation,
@@ -690,7 +694,7 @@ impl JobStore {
                 // half-landed write as a phantom concurrent writer. The
                 // operation still reports failure: durability was not
                 // achieved.
-                if let DiskManifest::Valid(m) = load_manifest(&path) {
+                if let DiskManifest::Valid(m) = load_manifest(self.vfs.as_mut(), &path) {
                     if m.generation == next_generation {
                         self.manifest_generation = next_generation;
                     }
@@ -721,8 +725,8 @@ enum DiskManifest {
     Valid(Manifest),
 }
 
-fn load_manifest(path: &Path) -> DiskManifest {
-    let Ok(bytes) = std::fs::read(path) else {
+fn load_manifest(vfs: &mut dyn Vfs, path: &Path) -> DiskManifest {
+    let Ok(bytes) = vfs.read(path) else {
         return DiskManifest::Missing;
     };
     match parse_manifest(&bytes) {
@@ -733,8 +737,8 @@ fn load_manifest(path: &Path) -> DiskManifest {
 
 /// Reads and validates the manifest; any malformation reads as "no
 /// manifest" — it is an index the recovery scan can rebuild.
-fn read_manifest(path: &Path) -> Option<Manifest> {
-    match load_manifest(path) {
+fn read_manifest(vfs: &mut dyn Vfs, path: &Path) -> Option<Manifest> {
+    match load_manifest(vfs, path) {
         DiskManifest::Valid(m) => Some(m),
         _ => None,
     }
@@ -760,8 +764,8 @@ fn parse_manifest(bytes: &[u8]) -> Option<Manifest> {
 }
 
 /// Reads and validates one segment file; `None` for any malformation.
-fn read_segment(path: &Path) -> Option<StoredJob> {
-    let bytes = std::fs::read(path).ok()?;
+fn read_segment(vfs: &mut dyn Vfs, path: &Path) -> Option<StoredJob> {
+    let bytes = vfs.read(path).ok()?;
     open_record(&bytes, SEGMENT_MAGIC, |r| {
         Ok(StoredJob {
             flags: r.u8()?,
@@ -806,7 +810,7 @@ fn scan_segments(vfs: &mut dyn Vfs, dir: &Path) -> Result<BTreeMap<u64, StoredJo
         if !is_seg {
             continue;
         }
-        if let Some(seg) = read_segment(&path) {
+        if let Some(seg) = read_segment(vfs, &path) {
             match best.get(&seg.job_id) {
                 Some(cur) if cur.generation >= seg.generation => {}
                 _ => {
@@ -859,6 +863,64 @@ mod tests {
         assert_eq!(job.state, 1);
         assert_eq!(job.spec, b"spec-bytes");
         assert_eq!(job.checkpoint, b"ckpt-v1");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// The production filesystem, counting the reads that reach it.
+    #[derive(Debug)]
+    struct CountingVfs(StdVfs, std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Vfs for CountingVfs {
+        fn read(&mut self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.read(path)
+        }
+        fn write_file(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.write_file(path, bytes)
+        }
+        fn fsync(&mut self, path: &Path) -> std::io::Result<()> {
+            self.0.fsync(path)
+        }
+        fn fsync_dir(&mut self, dir: &Path) -> std::io::Result<()> {
+            self.0.fsync_dir(dir)
+        }
+        fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.0.rename(from, to)
+        }
+        fn remove(&mut self, path: &Path) -> std::io::Result<()> {
+            self.0.remove(path)
+        }
+        fn read_dir(&mut self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+            self.0.read_dir(dir)
+        }
+        fn create_dir_all(&mut self, dir: &Path) -> std::io::Result<()> {
+            self.0.create_dir_all(dir)
+        }
+    }
+
+    /// Every file the store reads — the manifest and the segments at open,
+    /// the manifest at each commit's fence check, the segments again at
+    /// scrub — is read through its `Vfs`, so a wrapped filesystem sees
+    /// reads as well as writes.
+    #[test]
+    fn every_read_goes_through_the_vfs() {
+        let dir = temp_store_dir("vfs-reads");
+        let id = {
+            let mut plain = JobStore::open(&dir).expect("open");
+            plain.create(b"spec", 0).expect("create")
+        };
+        let reads = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let count = || reads.load(std::sync::atomic::Ordering::Relaxed);
+        let vfs = CountingVfs(StdVfs, std::sync::Arc::clone(&reads));
+        let mut store = JobStore::open_with(&dir, Box::new(vfs)).expect("open");
+        // the manifest and the one segment
+        assert_eq!(count(), 2, "open");
+        store.update(id, 1, 1, b"ckpt").expect("update");
+        // the fence check reads the manifest
+        assert_eq!(count(), 3, "update");
+        store.scrub().expect("scrub");
+        // the fence check, then both segments on disk
+        assert_eq!(count(), 6, "scrub");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
