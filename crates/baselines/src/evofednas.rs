@@ -7,8 +7,6 @@
 use fedrlnas_core::{CurveRecorder, StepMetric};
 use fedrlnas_darts::{DerivedModel, Genotype, GenotypeEdge, OpKind, SupernetConfig};
 use fedrlnas_data::{dirichlet_partition, iid_partition, SyntheticDataset};
-#[allow(unused_imports)]
-use fedrlnas_fed::TrainableModel as _;
 use fedrlnas_fed::{evaluate_model, CommStats};
 use fedrlnas_nn::{CrossEntropy, Mode, Sgd, SgdConfig};
 use rand::Rng;
@@ -115,13 +113,6 @@ impl EvoFedNas {
     /// Best-fitness-per-generation curve.
     pub fn curve(&self) -> &CurveRecorder {
         &self.curve
-    }
-
-    /// Parameter count of a model realized from this space (for the
-    /// size columns of Tables II–V).
-    pub fn model_param_count<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let mut m = DerivedModel::new(self.population[0].clone(), self.net.clone(), rng);
-        m.param_count()
     }
 
     /// Fitness: train the candidate briefly on one participant's shard and

@@ -27,8 +27,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of values sharing one quantization scale in the [`CodecSpec::Int8`]
 /// encoding. Small enough that one outlier only coarsens its own chunk.
 pub const INT8_CHUNK: usize = 256;
@@ -135,7 +133,7 @@ impl CodecId {
 
 /// A fully-specified encoding choice — what actually gets applied to one
 /// upload. [`CodecConfig`] decides *which* spec a participant uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CodecSpec {
     /// Identity: raw little-endian f32, byte-identical to the legacy wire.
     Fp32,
@@ -267,7 +265,7 @@ impl CodecSpec {
 }
 
 /// How the runtime chooses a codec for each participant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CodecConfig {
     /// Every participant uses the same spec every round.
     Fixed(CodecSpec),

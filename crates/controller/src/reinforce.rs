@@ -4,10 +4,9 @@ use crate::alpha::Alpha;
 use fedrlnas_darts::{ArchMask, SupernetConfig};
 use fedrlnas_tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of the controller update (Table I's α block).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Learning rate for α.
     pub lr: f32,

@@ -8,10 +8,9 @@ use fedrlnas_fed::AggregatorConfig;
 use fedrlnas_netsim::{AssignmentStrategy, AvailabilitySpec, DeviceProfile, Environment};
 use fedrlnas_nn::SgdConfig;
 use fedrlnas_sync::{StalenessModel, StalenessStrategy};
-use serde::{Deserialize, Serialize};
 
 /// Proxy scale selector: the CLI's and `run_all`'s `--scale` flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Smoke-test scale (seconds).
     Tiny,
@@ -41,7 +40,7 @@ impl Scale {
 /// so a search configured with a population behaves exactly like a
 /// `K`-participant search whose per-round participation is governed by the
 /// deterministic availability model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationConfig {
     /// Number of enrolled clients.
     pub size: u64,
@@ -56,7 +55,7 @@ pub struct PopulationConfig {
 /// Field defaults mirror Table I; the proxy presets scale down the network
 /// and step counts while keeping every ratio that drives the paper's
 /// comparisons (see DESIGN.md).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Supernet structure.
     pub net: SupernetConfig,

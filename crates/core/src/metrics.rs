@@ -2,11 +2,10 @@
 //! models" metric of §VI-A with its 50-step moving average (the orange
 //! lines of Figs. 3–6, 8 and 12).
 
-use serde::{Deserialize, Serialize};
 use std::io::Write;
 
 /// One recorded search/training step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepMetric {
     /// Step (round) index.
     pub step: usize,
@@ -20,7 +19,7 @@ pub struct StepMetric {
 
 /// An append-only curve of per-step metrics with the paper's moving
 /// average.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CurveRecorder {
     steps: Vec<StepMetric>,
 }

@@ -182,10 +182,10 @@ impl FederatedModelSearch {
         self.is_complete()
     }
 
-    /// Runs P1+P2 like [`FederatedModelSearch::run`], but resumable: rounds
-    /// already completed (after [`FederatedModelSearch::try_resume`]) are
-    /// skipped, and with a [`CheckpointPolicy`] the state is snapshotted
-    /// atomically every `every` rounds plus once on completion. A process
+    /// Runs P1+P2 like [`FederatedModelSearch::run`] (rounds already
+    /// completed after [`FederatedModelSearch::try_resume`] are skipped),
+    /// and with a [`CheckpointPolicy`] snapshots the state atomically
+    /// every `every` rounds plus once on completion. A process
     /// killed between snapshots loses at most `every - 1` rounds of work
     /// and resumes bit-identically from the last snapshot.
     ///
@@ -225,8 +225,7 @@ impl FederatedModelSearch {
                 }
                 return Ok(None);
             }
-            let update_alpha = self.server.rounds_completed() >= self.config.warmup_steps;
-            self.server.run_round(&self.dataset, update_alpha, rng);
+            self.step_round(rng);
             if let Some(p) = policy {
                 let done = self.server.rounds_completed();
                 if (p.every > 0 && done.is_multiple_of(p.every)) || done == total {
@@ -253,21 +252,11 @@ impl FederatedModelSearch {
     }
 
     /// Runs warm-up (P1) and search (P2) to completion and returns the
-    /// outcome.
+    /// outcome. Rounds already completed (after
+    /// [`FederatedModelSearch::try_resume`]) are not run again.
     pub fn run<R: Rng + ?Sized>(&mut self, rng: &mut R) -> SearchOutcome {
-        self.server
-            .run_warmup(&self.dataset, self.config.warmup_steps, rng);
-        self.server
-            .run_search(&self.dataset, self.config.search_steps, rng);
-        SearchOutcome {
-            genotype: self.server.derive_genotype(),
-            warmup_curve: self.server.warmup_curve().clone(),
-            search_curve: self.server.search_curve().clone(),
-            comm: *self.server.comm(),
-            latency: self.server.latency().clone(),
-            sim_hours: self.server.sim_hours(),
-            alpha_probs: self.server.controller().alpha().probs(),
-        }
+        while !self.step_round(rng) {}
+        self.outcome()
     }
 
     /// P3+P4, centralized: retrains `genotype` from scratch on the same
@@ -349,6 +338,41 @@ mod tests {
         assert_eq!(straight.warmup_curve, stepped.warmup_curve);
         assert_eq!(straight.search_curve, stepped.search_curve);
         assert_eq!(straight.comm, stepped.comm);
+    }
+
+    #[test]
+    fn run_after_a_mid_warmup_resume_finishes_the_same_search() {
+        let mut rng_ref = StdRng::seed_from_u64(5);
+        let mut reference = FederatedModelSearch::new(SearchConfig::tiny(), &mut rng_ref);
+        let want = reference.run(&mut rng_ref);
+        // two of the five warm-up rounds, then a snapshot
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut first = FederatedModelSearch::new(SearchConfig::tiny(), &mut rng);
+        first.step_round(&mut rng);
+        first.step_round(&mut rng);
+        let bytes = first.checkpoint_bytes(&rng);
+        // a fresh process resumes and runs the rest
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut resumed = FederatedModelSearch::new(SearchConfig::tiny(), &mut rng);
+        resumed
+            .resume_from_bytes(&bytes, &mut rng)
+            .expect("valid snapshot");
+        let got = resumed.run(&mut rng);
+        assert_eq!(resumed.rounds_completed(), resumed.total_rounds());
+        assert_eq!(got.genotype, want.genotype);
+        assert_eq!(got.warmup_curve, want.warmup_curve);
+        assert_eq!(got.search_curve, want.search_curve);
+        assert_eq!(got.latency, want.latency);
+        assert_eq!(got.alpha_probs, want.alpha_probs);
+        // the one difference is the resume the tally records
+        assert_eq!(got.comm.resumes, 1);
+        assert_eq!(
+            CommStats {
+                resumes: 0,
+                ..got.comm
+            },
+            want.comm
+        );
     }
 
     #[test]

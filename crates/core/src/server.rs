@@ -379,19 +379,6 @@ impl SearchServer {
         self.round
     }
 
-    /// Restores controller state from a checkpoint: flat α logits and the
-    /// reward baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the logits length does not match this configuration.
-    pub fn restore_controller_state(&mut self, alpha: &[f32], baseline: f32) {
-        let logits = Tensor::from_vec(alpha.to_vec(), &[alpha.len()]).expect("flat logits");
-        let edges = self.config.net.topology().num_edges();
-        *self.controller.alpha_mut() = Alpha::from_logits(logits, edges);
-        self.controller.set_baseline(baseline);
-    }
-
     /// Runs `steps` warm-up rounds (P1): sub-models are sampled from the
     /// (frozen, still uniform) policy and only θ is trained.
     pub fn run_warmup<R: Rng + ?Sized>(

@@ -4,11 +4,10 @@
 use crate::ops::ReluConvBn;
 use fedrlnas_nn::{Layer as _, Mode};
 use fedrlnas_tensor::{ShapeError, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// The two cell types of the DARTS space (§IV-A): normal cells preserve
 /// spatial extent; reduction cells halve it and double the channel count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// Stride-1 cell.
     Normal,
@@ -41,7 +40,7 @@ impl CellKind {
 /// assert_eq!(t.num_edges(), 14);
 /// assert_eq!(t.edge_endpoints(13), (4, 5)); // last edge: node 5 <- node 4
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellTopology {
     nodes: usize,
 }

@@ -7,12 +7,11 @@
 
 use crate::cell::{CellKind, CellTopology};
 use crate::ops::{OpKind, NUM_OPS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One retained edge of a derived cell: the source node (0/1 are cell
 /// inputs, `2 + i` are intermediate nodes) and the operation on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GenotypeEdge {
     /// Source node index.
     pub src: usize,
@@ -22,7 +21,7 @@ pub struct GenotypeEdge {
 
 /// A derived architecture: two retained edges per intermediate node, for
 /// both cell kinds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Genotype {
     /// Retained edges per node of the normal cell.
     pub normal: Vec<[GenotypeEdge; 2]>,

@@ -16,13 +16,12 @@
 use fedrlnas_nn::{AvgPool2d, BatchNorm2d, Conv2d, Layer, MaxPool2d, Mode, Param, ReLU};
 use fedrlnas_tensor::{Conv2dGeometry, Tensor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of candidate operations per edge (`N` in the paper).
 pub const NUM_OPS: usize = 8;
 
 /// The candidate operation set of the DARTS search space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// No connection (outputs zeros).
     Zero,

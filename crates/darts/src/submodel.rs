@@ -11,14 +11,13 @@ use crate::model::Model;
 use crate::ops::{OpKind, NUM_OPS};
 use crate::supernet::SupernetConfig;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A sampled architecture: one operation index per edge, per cell kind.
 ///
 /// This is the binary mask `g` of Eq. (5) in index form: `ops(kind)[e]`
 /// is the index into [`OpKind::ALL`] of the operation selected on edge `e`
 /// of cells of that kind.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArchMask {
     ops: [Vec<usize>; 2],
 }

@@ -18,10 +18,9 @@ use crate::submodel::{ArchMask, SubModel};
 use fedrlnas_nn::{Layer, Mode, Param};
 use fedrlnas_tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Structural hyperparameters of the supernet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupernetConfig {
     /// Input image channels (3 for the RGB datasets).
     pub input_channels: usize,

@@ -5,10 +5,9 @@
 //! shrink proportionally with the image extent.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Augmentation hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AugmentConfig {
     /// Zero-padding for random crop ("random clip" in Table I).
     pub crop_padding: usize,

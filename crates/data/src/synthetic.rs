@@ -2,10 +2,9 @@
 
 use fedrlnas_tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Specification of a synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Human-readable name used in reports ("cifar10-like", …).
     pub name: String,

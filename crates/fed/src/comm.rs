@@ -1,12 +1,11 @@
 //! Communication accounting.
 
 use crate::robust::UpdateRejection;
-use serde::{Deserialize, Serialize};
 
 /// Per-round tally of injected or observed transport faults and the
 /// recovery machinery they triggered. Kept separate from the byte counters
 /// so round backends can hand a compact delta back to the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultTally {
     /// Frames silently discarded in flight (including partition windows).
     pub frames_dropped: u64,
@@ -53,7 +52,7 @@ impl FaultTally {
 /// Per-round tally of participant updates refused by the validation gate
 /// in front of aggregation, split by cause, plus the workers the engine
 /// flagged as Byzantine when eviction followed repeated rejections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RejectTally {
     /// Updates whose flat length did not match their architecture.
     pub rejected_shape: u64,
@@ -113,7 +112,7 @@ impl RejectTally {
 /// the flap → eviction → re-admission traffic the scheduled churn caused.
 /// All zero when no enrolled population is configured, so legacy runs keep
 /// their rendering and equality untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChurnTally {
     /// Clients sampled into a round cohort.
     pub sampled: u64,
@@ -158,7 +157,7 @@ impl ChurnTally {
 /// traffic, so — like [`RoundTimings`] — this tally is **excluded** from
 /// `CommStats` equality and from checkpoints: a job that survived disk
 /// chaos still compares bit-identical to its fault-free baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoFaultTally {
     /// Writes that landed only a prefix of their payload (caught later by
     /// segment/checkpoint CRC framing).
@@ -222,7 +221,7 @@ pub const CODEC_NAMES: [&str; NUM_CODECS] = ["fp32", "fp16", "int8", "topk"];
 /// the encoder, how many came out on the wire, and how many upload frames
 /// each codec produced. Indexed by the codec's wire tag so this crate does
 /// not depend on the codec crate itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompressionTally {
     /// Raw (decoded) tensor bytes entering the encoder.
     pub raw_bytes: u64,
@@ -281,7 +280,7 @@ impl CompressionTally {
 /// wall-clock measurements, so they are **excluded** from `CommStats`
 /// equality, serialization and checkpoints — two runs with identical
 /// traffic and different speeds still compare equal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundTimings {
     /// Booking the downloads, then encoding and first-sending each frame
     /// (per-link thread time, summed over links).
@@ -324,7 +323,7 @@ impl RoundTimings {
 /// 0.27 MB average) — and, since the fault-injection layer landed, an
 /// explicit account of what went wrong on the wire and how often the
 /// runtime had to recover.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CommStats {
     /// Bytes sent from server to participants (model downloads).
     pub bytes_down: u64,

@@ -28,11 +28,10 @@
 //! caller's `1/m` scaling is unchanged — and the whole pipeline reduces to
 //! the mean when the center *is* the mean.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which robust center the aggregate step uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregatorKind {
     /// Arithmetic mean — Algorithm 1's rule (default).
     Mean,
@@ -57,7 +56,7 @@ pub enum AggregatorKind {
 /// Full aggregator selection: a center plus an optional per-update L2
 /// clipping pre-step. `Copy` so it travels in search configs, job specs
 /// and checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregatorConfig {
     /// The robust center.
     pub kind: AggregatorKind,

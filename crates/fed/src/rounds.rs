@@ -10,10 +10,9 @@ use fedrlnas_data::{dirichlet_partition, iid_partition, AugmentConfig, Synthetic
 use fedrlnas_netsim::Environment;
 use fedrlnas_nn::SgdConfig;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// FedAvg hyperparameters (the P3/FL column of Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedAvgConfig {
     /// Local SGD steps per participant per round.
     pub local_steps: usize,
@@ -46,7 +45,7 @@ impl Default for FedAvgConfig {
 }
 
 /// Aggregate metrics of one FedAvg round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundMetrics {
     /// Round index (0-based).
     pub round: usize,

@@ -10,10 +10,9 @@
 
 use fedrlnas_codec::{CodecConfig, CodecSpec, DEFAULT_TOPK_FRAC};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the server pairs sub-models with participants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AssignmentStrategy {
     /// Sort models by size, participants by bandwidth; pair rank-to-rank
     /// (the paper's method).

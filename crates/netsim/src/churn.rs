@@ -24,7 +24,6 @@
 use std::fmt;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::trace::Environment;
 
@@ -71,7 +70,7 @@ fn unit(h: u64) -> f64 {
 /// The spec travels through `SearchConfig`, the job spec and checkpoint
 /// v5, and parses from the CLI's `--availability` string, e.g.
 /// `base=0.7,amp=0.2,period=24,dropout=96x4,churn=0.02,flap=0.1,seed=7`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilitySpec {
     /// Seed of every availability hash stream (independent of the search
     /// seed, so the same fleet can be replayed under different searches).

@@ -8,15 +8,13 @@
 //! effective device throughput, plus fixed per-round overhead
 //! (synchronization, (de)serialization, kernel launches).
 
-use serde::{Deserialize, Serialize};
-
 /// Effective compute throughput of a device class.
 ///
 /// `effective_macs_per_sec` is deliberately far below peak FLOPs — small
 /// convolutions at research batch sizes reach a few percent of peak — and
 /// is calibrated so the *ratios* between devices match the paper's
 /// reported times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceProfile {
     /// Display name.
     pub name: &'static str,
@@ -64,7 +62,7 @@ impl DeviceProfile {
 }
 
 /// A search campaign whose simulated duration Table V reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchWorkload {
     /// Forward MACs per sample of the (sub-)model a participant trains.
     pub macs_per_sample: u64,

@@ -1,12 +1,11 @@
 //! Stochastic 4G/LTE bandwidth traces per mobility environment.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Mobility environment of a participant, mirroring the six settings of
 /// the van der Hooft et al. 4G/LTE measurement campaign the paper samples
 /// its transmission conditions from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Environment {
     /// Pedestrian: strong, stable links.
     Foot,

@@ -44,7 +44,7 @@ pub use layer::{Layer, Mode, Param};
 pub use linear::Linear;
 pub use loss::{CrossEntropy, LossOutput};
 pub use norm::BatchNorm2d;
-pub use optim::{clip_global_norm, Adam, Sgd, SgdConfig};
+pub use optim::{Adam, Sgd, SgdConfig};
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 
 /// Numerically checks a layer's input gradient against finite differences.

@@ -49,11 +49,6 @@ impl BatchNorm2d {
     pub fn channels(&self) -> usize {
         self.channels
     }
-
-    /// Running mean / variance (used by tests and state serialization).
-    pub fn running_stats(&self) -> (&[f32], &[f32]) {
-        (&self.running_mean, &self.running_var)
-    }
 }
 
 /// `(first, width)` blocks covering channels `0..c` for a reduction that

@@ -1,5 +1,5 @@
-//! Optimizers: SGD with momentum/weight-decay and Adam, plus global
-//! gradient-norm clipping.
+//! Optimizers: SGD with momentum, weight decay and global gradient-norm
+//! clipping, and Adam.
 //!
 //! Table I of the paper fixes the training hyperparameters this module
 //! implements: SGD with momentum 0.9, weight decay 3e-4 and gradient clip 5
@@ -8,10 +8,9 @@
 
 use crate::layer::Param;
 use fedrlnas_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for [`Sgd`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Learning rate η.
     pub lr: f32,
@@ -103,56 +102,11 @@ impl Sgd {
         Ok(())
     }
 
-    /// Applies one update step to `params` using their accumulated
-    /// gradients, then leaves the gradients untouched (callers zero them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter list's shapes change between calls.
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        // global norm clip across all parameters
-        if self.config.clip.is_finite() {
-            let grads: Vec<&mut Tensor> = params.iter_mut().map(|p| &mut p.grad).collect();
-            clip_global_norm(grads, self.config.clip);
-        }
-        if self.velocity.len() != params.len() {
-            assert!(
-                self.velocity.is_empty(),
-                "sgd: parameter list changed length between steps"
-            );
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.dims()))
-                .collect();
-        }
-        for (i, p) in params.iter_mut().enumerate() {
-            assert_eq!(
-                self.velocity[i].dims(),
-                p.value.dims(),
-                "sgd: parameter shape changed between steps"
-            );
-            let wd = self.config.weight_decay;
-            let lr = self.config.lr;
-            let mom = self.config.momentum;
-            let v = &mut self.velocity[i];
-            for ((vj, gj), wj) in v
-                .as_mut_slice()
-                .iter_mut()
-                .zip(p.grad.as_slice().iter())
-                .zip(p.value.as_mut_slice().iter_mut())
-            {
-                let g = gj + wd * *wj;
-                *vj = mom * *vj + g;
-                *wj -= lr * *vj;
-            }
-        }
-    }
-}
-
-impl Sgd {
-    /// Visitor-based variant of [`Sgd::step`] for networks that expose
-    /// parameters through a `visit_params`-style callback (the supernet,
-    /// sub-models and derived models all do).
+    /// Applies one update step to the parameters `visit` yields, using
+    /// their accumulated gradients scaled to the global norm clip, and
+    /// leaves the gradients untouched (callers zero them). The supernet,
+    /// sub-models and derived models all expose their parameters through
+    /// such a `visit_params`-style callback.
     ///
     /// `visit` must traverse the same parameters in the same order on every
     /// invocation; it is called twice per step (norm pass, update pass).
@@ -255,28 +209,14 @@ impl Adam {
     }
 }
 
-/// Clips the *global* L2 norm of a set of gradients to `max_norm`, exactly
-/// as `torch.nn.utils.clip_grad_norm_` does; returns the scale applied.
-pub fn clip_global_norm(grads: Vec<&mut Tensor>, max_norm: f32) -> f32 {
-    let total: f32 = grads
-        .iter()
-        .map(|g| g.as_slice().iter().map(|v| v * v).sum::<f32>())
-        .sum::<f32>()
-        .sqrt();
-    if total > max_norm && total > 0.0 {
-        let s = max_norm / total;
-        for g in grads {
-            g.scale(s);
-        }
-        s
-    } else {
-        1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One step over `params` in order.
+    fn step(sgd: &mut Sgd, params: &mut [&mut Param]) {
+        sgd.step_visitor(|f| params.iter_mut().for_each(|p| f(p)));
+    }
 
     #[test]
     fn sgd_plain_step() {
@@ -288,7 +228,7 @@ mod tests {
             weight_decay: 0.0,
             clip: f32::INFINITY,
         });
-        sgd.step(&mut [&mut p]);
+        step(&mut sgd, &mut [&mut p]);
         assert!((p.value.as_slice()[0] - 0.95).abs() < 1e-6);
     }
 
@@ -302,8 +242,8 @@ mod tests {
             clip: f32::INFINITY,
         });
         p.grad = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-        sgd.step(&mut [&mut p]); // v=1, w=-1
-        sgd.step(&mut [&mut p]); // v=1.9, w=-2.9
+        step(&mut sgd, &mut [&mut p]); // v=1, w=-1
+        step(&mut sgd, &mut [&mut p]); // v=1.9, w=-2.9
         assert!((p.value.as_slice()[0] + 2.9).abs() < 1e-5);
     }
 
@@ -316,7 +256,7 @@ mod tests {
             weight_decay: 0.1,
             clip: f32::INFINITY,
         });
-        sgd.step(&mut [&mut p]); // g = 0 + 0.1*10 = 1, w = 10 - 0.1 = 9.9
+        step(&mut sgd, &mut [&mut p]); // g = 0 + 0.1*10 = 1, w = 10 - 0.1 = 9.9
         assert!((p.value.as_slice()[0] - 9.9).abs() < 1e-5);
     }
 
@@ -332,10 +272,13 @@ mod tests {
             weight_decay: 0.0,
             clip: 5.0,
         });
-        sgd.step(&mut [&mut a, &mut b]);
-        // clipped to norm 5: grads become (3, 4)
+        step(&mut sgd, &mut [&mut a, &mut b]);
+        // clipped to norm 5: the step is (3, 4)
         assert!((a.value.as_slice()[0] + 3.0).abs() < 1e-5);
         assert!((b.value.as_slice()[0] + 4.0).abs() < 1e-5);
+        // the gradients themselves are left as they were
+        assert_eq!(a.grad.as_slice(), &[30.0]);
+        assert_eq!(b.grad.as_slice(), &[40.0]);
     }
 
     #[test]
@@ -350,7 +293,7 @@ mod tests {
         let mut sgd = Sgd::new(cfg);
         assert!(sgd.velocity_flat().is_empty(), "no velocity before a step");
         p.grad = Tensor::from_vec(vec![0.3, -0.1], &[2]).unwrap();
-        sgd.step(&mut [&mut p]);
+        step(&mut sgd, &mut [&mut p]);
         let flat = sgd.velocity_flat();
         let weights = p.value.as_slice().to_vec();
         // resumed optimizer continues bit-identically
@@ -361,8 +304,8 @@ mod tests {
         let mut q = Param::new(Tensor::from_vec(weights, &[2]).unwrap());
         q.grad = Tensor::from_vec(vec![0.2, 0.4], &[2]).unwrap();
         p.grad = Tensor::from_vec(vec![0.2, 0.4], &[2]).unwrap();
-        sgd.step(&mut [&mut p]);
-        resumed.step(&mut [&mut q]);
+        step(&mut sgd, &mut [&mut p]);
+        step(&mut resumed, &mut [&mut q]);
         assert_eq!(p.value.as_slice(), q.value.as_slice());
         // mismatched totals are a typed error, not a panic
         assert!(Sgd::new(cfg)
@@ -392,9 +335,17 @@ mod tests {
 
     #[test]
     fn clip_noop_below_threshold() {
-        let mut g = Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap();
-        let s = clip_global_norm(vec![&mut g], 10.0);
-        assert_eq!(s, 1.0);
-        assert_eq!(g.as_slice(), &[1.0, 1.0]);
+        // norm √2 under a clip of 10: the full gradient is applied
+        let mut p = Param::new(Tensor::zeros(&[2]));
+        p.grad = Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap();
+        let mut sgd = Sgd::new(SgdConfig {
+            lr: 1.0,
+            momentum: 0.0,
+            weight_decay: 0.0,
+            clip: 10.0,
+        });
+        step(&mut sgd, &mut [&mut p]);
+        assert_eq!(p.value.as_slice(), &[-1.0, -1.0]);
+        assert_eq!(p.grad.as_slice(), &[1.0, 1.0]);
     }
 }

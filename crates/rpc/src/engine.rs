@@ -536,11 +536,6 @@ impl RpcBackend {
         }
     }
 
-    /// Number of workers whose link is up (evicted ones included).
-    pub fn live_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.alive).count()
-    }
-
     /// Number of currently evicted workers.
     pub fn evicted_workers(&self) -> usize {
         self.workers.iter().filter(|w| w.alive && w.evicted).count()

@@ -173,7 +173,7 @@ impl JobManager {
             cursor: 0,
         };
         for (job_id, state_code, generation) in mgr.store.list() {
-            let record = mgr.store.get(job_id).expect("listed job exists").clone();
+            let record = mgr.store.get(job_id).expect("listed job exists");
             let built = JobSpec::decode(&record.spec).and_then(|spec| {
                 let state = JobState::from_code(state_code)
                     .ok_or_else(|| format!("bad stored state {state_code}"))?;

@@ -563,19 +563,21 @@ impl JobStore {
             }
         }
         let on_disk = scan_segments(self.vfs.as_mut(), &self.dir)?;
-        let ids: Vec<u64> = self.jobs.keys().copied().collect();
-        for id in ids {
-            report.segments_checked += 1;
-            let mem = self.jobs.get(&id).expect("listed job exists").clone();
-            let intact = on_disk.get(&id).is_some_and(|disk| *disk == mem);
-            if !intact {
-                // The newest committed copy rotted or vanished after it
-                // was adopted: rewrite it verbatim from the newest valid
-                // generation (the in-memory record recovery validated).
-                self.write_segment(&mem)?;
-                report.repaired.push(id);
-                self.io.scrub_repaired = self.io.scrub_repaired.saturating_add(1);
-            }
+        report.segments_checked = self.jobs.len();
+        let damaged: Vec<u64> = self
+            .jobs
+            .iter()
+            .filter(|(id, mem)| on_disk.get(id) != Some(mem))
+            .map(|(id, _)| *id)
+            .collect();
+        for id in damaged {
+            // The newest committed copy rotted or vanished after it was
+            // adopted: rewrite it verbatim from the newest valid
+            // generation (the in-memory record recovery validated).
+            let mem = self.jobs[&id].clone();
+            self.write_segment(&mem)?;
+            report.repaired.push(id);
+            self.io.scrub_repaired = self.io.scrub_repaired.saturating_add(1);
         }
         report.lost = self.lost.clone();
         // Re-commit the manifest: doubles as the degraded-mode probe.

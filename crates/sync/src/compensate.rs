@@ -1,10 +1,8 @@
 //! Delay-compensation arithmetic (Eq. 13 and Eq. 15) and the strategy
 //! selector compared in Fig. 8 and Tables II–III.
 
-use serde::{Deserialize, Serialize};
-
 /// How the server treats a stale update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StalenessStrategy {
     /// Hard synchronization: wait for everyone; nothing is ever stale.
     Hard,

@@ -1,7 +1,6 @@
 //! Staleness processes: how late each participant's update arrives.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one participant's transmission in one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,7 +39,7 @@ impl StalenessDraw {
 /// `delay_probs[τ]` is the probability the update is `τ` rounds late; the
 /// remaining mass is the probability it exceeds the threshold and is
 /// dropped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StalenessModel {
     delay_probs: Vec<f64>,
 }

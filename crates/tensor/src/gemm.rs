@@ -1,4 +1,4 @@
-//! Packed, register-tiled, optionally multithreaded single-precision GEMM.
+//! Packed, register-tiled single-precision GEMM.
 //!
 //! The convolution layers lower to matrix multiplication via
 //! [`im2col`](crate::im2col), so this kernel dominates training time. The
@@ -10,12 +10,13 @@
 //!   microkernel never branches on tile shape);
 //! * an [`MR`]`x`[`NR`] register-tiled microkernel accumulates over the
 //!   packed panels with a fully unrolled inner loop the optimizer
-//!   auto-vectorizes;
-//! * row panels are distributed across scoped threads
-//!   (`crossbeam::thread::scope`) when the global thread knob
-//!   ([`crate::num_threads`], env `FEDRLNAS_NUM_THREADS`) allows and the
-//!   problem is big enough to amortize spawning. Each thread packs and
-//!   writes a disjoint slice of `c`, so no synchronization is needed.
+//!   auto-vectorizes.
+//!
+//! It runs on the calling thread: the largest convolution GEMM of any
+//! preset (`--scale paper`, forward and backward of the supernet and of a
+//! sub-model) is 2²¹ multiply-adds, far below what pays for spawning
+//! threads, and a search already trains its participants on
+//! [`crate::num_threads`] threads.
 //!
 //! Small problems skip packing entirely and run the register-blocked kernel
 //! of [`crate::gemm_small`], which is bit-identical to the scalar loop
@@ -23,7 +24,6 @@
 //! `BENCH_kernels.json`.
 
 use crate::gemm_small::{gemm_small, Rhs};
-use crate::threading::num_threads;
 
 /// Microkernel tile height (rows of `c` per register tile). Packed row
 /// panels are always MR tall; narrower ISAs process the tile in row halves
@@ -37,17 +37,6 @@ const KC: usize = 256;
 /// Problems with `m*n*k` at or below this run the unpacked kernel; packing
 /// traffic (`m*k + k*n` extra writes+reads) isn't amortized below it.
 pub(crate) const SMALL: usize = 16 * 1024;
-/// Minimum per-thread row panels before the threaded path engages.
-const MIN_PANELS_PER_THREAD: usize = 4;
-/// Minimum total work (`m*n*k`) before threads are considered at all.
-/// Spawning and joining two scoped threads costs 70-170 us where this was
-/// measured (2 virtual cores) — what one thread multiplies-and-adds 2^22 to
-/// 2^23 times in — and they are spawned once per depth block. At 2^18 that
-/// put the threaded rows of `BENCH_kernels.json` at 15-30 GFLOP/s beside 66 on
-/// one thread; at 2^23 two threads still lost when spawned only once
-/// (204 -> 246 us), so nothing below 2^24 threads.
-const PARALLEL_WORK_FLOOR: usize = 1 << 24;
-
 /// Computes `c += a * b` for row-major matrices where `a` is `m x k`,
 /// `b` is `k x n` and `c` is `m x n`.
 ///
@@ -173,7 +162,7 @@ fn pack_b(b: Rhs<'_>, k0: usize, kc: usize, n: usize, k: usize, out: &mut Vec<f3
     let b = match b {
         Rhs::Plain(b) => b,
         // `b[p, j]` lies at `bt[j, p]`: the row-panel packing of `a`, NR tall
-        Rhs::Transposed(bt) => return pack_rows::<NR>(bt, 0, n, k0, kc, k, out),
+        Rhs::Transposed(bt) => return pack_rows::<NR>(bt, n, k0, kc, k, out),
     };
     let n_panels = n.div_ceil(NR);
     ensure_len(out, n_panels * kc * NR);
@@ -191,13 +180,12 @@ fn pack_b(b: Rhs<'_>, k0: usize, kc: usize, n: usize, k: usize, out: &mut Vec<f3
     }
 }
 
-/// Packs rows `r0..r0+rows` of the row-major `a` (row length `k`, depth
+/// Packs the first `rows` rows of the row-major `a` (row length `k`, depth
 /// `k0..k0+kc`) into W-tall row panels:
-/// `out[panel][p][0..W] = a[(r0+panel*W+i) * k + k0+p]`, zero-padded past
+/// `out[panel][p][0..W] = a[(panel*W+i) * k + k0+p]`, zero-padded past
 /// `rows`. Every lane of the used prefix is written.
 fn pack_rows<const W: usize>(
     a: &[f32],
-    r0: usize,
     rows: usize,
     k0: usize,
     kc: usize,
@@ -207,8 +195,8 @@ fn pack_rows<const W: usize>(
     let m_panels = rows.div_ceil(W);
     ensure_len(out, m_panels * kc * W);
     for panel in 0..m_panels {
-        let i0 = r0 + panel * W;
-        let height = W.min(r0 + rows - i0);
+        let i0 = panel * W;
+        let height = W.min(rows - i0);
         let dst_base = panel * kc * W;
         if height < W {
             out[dst_base..dst_base + kc * W].fill(0.0);
@@ -393,16 +381,16 @@ fn microkernel() -> Microkernel {
     *KERNEL.get_or_init(select_microkernel)
 }
 
-/// Writes one microtile back into `c_rows` (a slice starting at the row
-/// panel's first row). `first_block` selects the epilogue: on the first depth
-/// block a fused-bias kernel overwrites `c` with `acc + bias`, later blocks
-/// (and plain accumulate-GEMM) add into it.
+/// Writes one microtile back into `c` at rows `row..row + height`. The
+/// bias selects the epilogue: on the first depth block a fused-bias kernel
+/// overwrites `c` with `acc + bias`, later blocks (and plain
+/// accumulate-GEMM) add into it.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn store_tile(
-    c_rows: &mut [f32],
+    c: &mut [f32],
     n: usize,
-    local_row: usize,
+    row: usize,
     height: usize,
     j0: usize,
     width: usize,
@@ -410,7 +398,7 @@ fn store_tile(
     bias_row0: Option<&[f32]>,
 ) {
     for i in 0..height {
-        let dst = &mut c_rows[(local_row + i) * n + j0..(local_row + i) * n + j0 + width];
+        let dst = &mut c[(row + i) * n + j0..(row + i) * n + j0 + width];
         match bias_row0 {
             Some(bias) => {
                 let bv = bias[i];
@@ -427,15 +415,12 @@ fn store_tile(
     }
 }
 
-/// Computes all row panels in `rows` (relative to `c_rows`' first row) for
-/// one packed depth block.
+/// Computes every row panel of `c` for one packed depth block.
 #[allow(clippy::too_many_arguments)]
 fn compute_rows(
     a: &[f32],
     b_packed: &[f32],
-    c_rows: &mut [f32],
-    r0: usize,
-    rows: usize,
+    c: &mut [f32],
     m: usize,
     n: usize,
     k: usize,
@@ -444,23 +429,22 @@ fn compute_rows(
     bias: Option<&[f32]>,
     a_buf: &mut Vec<f32>,
 ) {
-    debug_assert!(r0 + rows <= m);
     let kernel = microkernel();
-    pack_rows::<MR>(a, r0, rows, k0, kc, k, a_buf);
-    let m_panels = rows.div_ceil(MR);
+    pack_rows::<MR>(a, m, k0, kc, k, a_buf);
+    let m_panels = m.div_ceil(MR);
     let n_panels = n.div_ceil(NR);
     for ip in 0..m_panels {
         let row = ip * MR;
-        let height = MR.min(rows - row);
+        let height = MR.min(m - row);
         let a_panel = &a_buf[ip * kc * MR..(ip + 1) * kc * MR];
-        let tile_bias = bias.map(|bs| &bs[r0 + row..r0 + row + height]);
+        let tile_bias = bias.map(|bs| &bs[row..row + height]);
         for jp in 0..n_panels {
             let j0 = jp * NR;
             let width = NR.min(n - j0);
             let b_panel = &b_packed[jp * kc * NR..(jp + 1) * kc * NR];
             let mut acc = [[0.0f32; NR]; MR];
             kernel(kc, a_panel, b_panel, &mut acc);
-            store_tile(c_rows, n, row, height, j0, width, &acc, tile_bias);
+            store_tile(c, n, row, height, j0, width, &acc, tile_bias);
         }
     }
 }
@@ -481,66 +465,16 @@ fn gemm_packed(
     bias: Option<&[f32]>,
     c: &mut [f32],
 ) {
-    let total_panels = m.div_ceil(MR);
-    let mut threads = if m * n * k >= PARALLEL_WORK_FLOOR {
-        num_threads().min(total_panels.div_ceil(MIN_PANELS_PER_THREAD))
-    } else {
-        1
-    };
-    threads = threads.max(1);
-
     PACK_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
         let (a_buf, b_buf) = &mut *scratch;
         let mut k0 = 0;
-        let mut first_block = true;
         while k0 < k {
             let kc = KC.min(k - k0);
             pack_b(b, k0, kc, n, k, b_buf);
-            let block_bias = if first_block { bias } else { None };
-            if threads == 1 {
-                compute_rows(a, b_buf, c, 0, m, m, n, k, k0, kc, block_bias, a_buf);
-            } else {
-                // Contiguous MR-aligned row ranges, one per thread; each
-                // thread gets a disjoint &mut slice of c, so workers never
-                // share mutable state.
-                let panels_per_thread = total_panels.div_ceil(threads);
-                let rows_per_thread = panels_per_thread * MR;
-                let b_packed: &[f32] = b_buf;
-                crossbeam::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    let mut rest = &mut c[..m * n];
-                    let mut r0 = 0;
-                    while r0 < m {
-                        let rows = rows_per_thread.min(m - r0);
-                        let (chunk, tail) = rest.split_at_mut(rows * n);
-                        rest = tail;
-                        handles.push(scope.spawn(move |_| {
-                            let mut a_local = Vec::new();
-                            compute_rows(
-                                a,
-                                b_packed,
-                                chunk,
-                                r0,
-                                rows,
-                                m,
-                                n,
-                                k,
-                                k0,
-                                kc,
-                                block_bias,
-                                &mut a_local,
-                            );
-                        }));
-                        r0 += rows;
-                    }
-                    for h in handles {
-                        h.join().expect("gemm worker panicked");
-                    }
-                })
-                .expect("gemm thread scope");
-            }
-            first_block = false;
+            // the bias rides on the first depth block's writeback only
+            let block_bias = if k0 == 0 { bias } else { None };
+            compute_rows(a, b_buf, c, m, n, k, k0, kc, block_bias, a_buf);
             k0 += kc;
         }
     });
@@ -669,38 +603,6 @@ mod tests {
                 assert!((x - y).abs() < 1e-3, "mismatch {x} vs {y} at ({m},{n},{k})");
             }
         }
-    }
-
-    #[test]
-    fn threaded_matches_single_threaded() {
-        // At the work floor, with edge tiles on both sides and two depth
-        // blocks (k > KC), so the bias is added by the first block only.
-        let (m, n, k) = (261, 253, 260);
-        assert!(m * n * k >= PARALLEL_WORK_FLOOR);
-        let (a, b) = random_mats(m, n, k, 3);
-        let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.25 - 3.0).collect();
-        let mut want = reference(m, n, k, &a, &b);
-        for (row, bv) in want.chunks_exact_mut(n).zip(&bias) {
-            row.iter_mut().for_each(|v| *v += bv);
-        }
-        let saved = crate::num_threads();
-        let mut single = Vec::new();
-        for threads in [1, 2, 3, 5] {
-            crate::set_num_threads(threads);
-            let mut c = vec![f32::NAN; m * n];
-            gemm_packed(m, n, k, &a, Rhs::Plain(&b), Some(&bias), &mut c);
-            for (x, y) in c.iter().zip(want.iter()) {
-                assert!((x - y).abs() < 1e-3, "threads={threads}: {x} vs {y}");
-            }
-            // every element is one thread's, in ascending k: the same bits
-            // at any thread count
-            if threads == 1 {
-                single = c;
-            } else {
-                assert_eq!(c, single, "threads={threads}");
-            }
-        }
-        crate::set_num_threads(saved);
     }
 
     #[test]

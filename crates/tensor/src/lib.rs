@@ -7,10 +7,8 @@
 //!
 //! * [`Tensor`] — an owned, row-major, dense `f32` tensor with shape
 //!   arithmetic and element-wise operations,
-//! * [`gemm`]/[`gemm_bias`] — a packed, register-tiled, optionally
-//!   multithreaded single-precision matrix multiply used by the convolution
-//!   and linear layers (thread count via [`set_num_threads`] or
-//!   `FEDRLNAS_NUM_THREADS`),
+//! * [`gemm`]/[`gemm_bias`] — a packed, register-tiled single-precision
+//!   matrix multiply used by the convolution and linear layers,
 //! * [`im2col`]/[`col2im`] — the lowering used to express convolutions (with
 //!   stride, padding, dilation and groups) as GEMM,
 //! * [`depthwise_forward`]/[`depthwise_backward`] — direct kernels for the

@@ -129,11 +129,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-index.
     ///
     /// # Panics
@@ -187,15 +182,6 @@ impl Tensor {
     /// Returns a [`ShapeError`] on shape mismatch.
     pub fn sub_assign(&mut self, other: &Tensor) -> Result<(), ShapeError> {
         self.zip_assign(other, "sub", |a, b| a - b)
-    }
-
-    /// Element-wise in-place Hadamard product: `self *= other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] on shape mismatch.
-    pub fn mul_assign(&mut self, other: &Tensor) -> Result<(), ShapeError> {
-        self.zip_assign(other, "mul", |a, b| a * b)
     }
 
     /// In-place `self += scale * other` (axpy).

@@ -4,22 +4,12 @@
 //! process may keep busy; every layer that spawns compute threads consults it
 //! rather than carrying a setting of its own:
 //!
-//! * the packed GEMM splits its row panels over up to `num_threads()` scoped
-//!   threads once a problem is large enough to pay for spawning them;
 //! * the search server's in-process round trains its participants on
 //!   `num_threads().clamp(1, participating slots)` scoped workers that take
 //!   participants off a shared queue (never one thread per participant);
 //! * the RPC worker fleet's pool (`rpc::reactor::pool_size`) follows the same
 //!   rule unless `--reactor-threads` names a size.
 //!
-//! The layers nest without dividing the budget between them: a participant
-//! worker's own packed GEMMs may still spawn `num_threads()` threads each, so
-//! a round whose convolutions reach the threaded GEMM can run up to
-//! `num_threads()²` threads for the length of a GEMM. That takes `m·n·k` of
-//! 2²⁴ or more: no per-sample convolution of the `tiny` and `small` presets
-//! comes near it (their rounds run exactly `num_threads()` compute threads),
-//! and the largest of `--scale paper` (64 channels, 3x3, on 8x8: 2.4 M) is
-//! still under it; wider nets or `Tensor::matmul` on large operands reach it.
 //! Nothing in the workspace lowers the knob while participants run; outside
 //! tests and benches the only caller of [`set_num_threads`] is the job
 //! manager of `fedrlnas serve`, which applies its `--thread-budget`.

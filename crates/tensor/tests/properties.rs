@@ -157,31 +157,19 @@ proptest! {
 }
 
 proptest! {
-    // each case is two GEMMs of 17 M multiply-adds and the triple loop
+    // each case is one GEMM of 17 M multiply-adds and the triple loop
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn threaded_gemm_matches_triple_loop(
-        threads in 1usize..6, seed in 0u64..100,
-    ) {
-        use fedrlnas_tensor::{num_threads, set_num_threads};
+    fn large_packed_gemm_matches_triple_loop(seed in 0u64..100) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        // Big enough to clear the parallel work floor (m*n*k >= 2^24) with
-        // several row panels per worker, edge tiles and two depth blocks.
+        // Several row panels, edge tiles on both sides and two depth blocks.
         let (m, n, k) = (200, 168, 512);
         let mut rng = StdRng::seed_from_u64(seed);
         let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let saved = num_threads();
-        set_num_threads(threads);
         let mut c = vec![0.0f32; m * n];
         gemm(m, n, k, &a, &b, &mut c);
-        set_num_threads(1);
-        let mut single = vec![0.0f32; m * n];
-        gemm(m, n, k, &a, &b, &mut single);
-        set_num_threads(saved);
-        // every element is one thread's, in ascending k
-        prop_assert!(c == single, "threads={}: not the bits of one thread", threads);
         for i in 0..m {
             for j in 0..n {
                 let mut want = 0.0f32;
@@ -189,8 +177,8 @@ proptest! {
                     want += a[i * k + p] * b[p * n + j];
                 }
                 prop_assert!(
-                    (single[i * n + j] - want).abs() < 1e-3,
-                    "({}, {}): {} vs {}", i, j, single[i * n + j], want
+                    (c[i * n + j] - want).abs() < 1e-3,
+                    "({}, {}): {} vs {}", i, j, c[i * n + j], want
                 );
             }
         }

@@ -134,39 +134,49 @@ fn weight_average_of_identical_models_is_identity() {
 }
 
 #[test]
-fn optimizer_step_visitor_equals_slice_step() {
-    // the visitor-based SGD used by the runtime must match the plain one
+fn optimizer_step_matches_hand_computed_update() {
+    // the runtime's SGD step against Table I's update rule worked in f64:
+    // g' = g·min(1, clip/‖g‖₂) + wd·w, v = mom·v + g', w -= lr·v
     use fedrlnas::nn::Param;
     use fedrlnas::tensor::Tensor;
-    let mk = || {
-        let mut p1 = Param::new(Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap());
-        let mut p2 = Param::new(Tensor::from_vec(vec![0.5], &[1]).unwrap());
-        p1.grad = Tensor::from_vec(vec![0.3, -0.1], &[2]).unwrap();
-        p2.grad = Tensor::from_vec(vec![-0.7], &[1]).unwrap();
-        (p1, p2)
-    };
+    let (lr, mom, wd, clip) = (0.1f64, 0.9f64, 0.01f64, 0.5f64);
     let cfg = SgdConfig {
-        lr: 0.1,
-        momentum: 0.9,
-        weight_decay: 0.01,
-        clip: 0.5,
+        lr: lr as f32,
+        momentum: mom as f32,
+        weight_decay: wd as f32,
+        clip: clip as f32,
     };
-    let (mut a1, mut a2) = mk();
-    let mut sgd_a = Sgd::new(cfg);
-    sgd_a.step(&mut [&mut a1, &mut a2]);
-    let (mut b1, mut b2) = mk();
-    let mut sgd_b = Sgd::new(cfg);
-    sgd_b.step_visitor(|f| {
-        f(&mut b1);
-        f(&mut b2);
-    });
-    for (x, y) in a1
-        .value
-        .as_slice()
-        .iter()
-        .chain(a2.value.as_slice())
-        .zip(b1.value.as_slice().iter().chain(b2.value.as_slice()))
-    {
-        assert!((x - y).abs() < 1e-6, "{x} vs {y}");
+    let grads = [0.3f64, -0.1, -0.7];
+    let mut p1 = Param::new(Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap());
+    let mut p2 = Param::new(Tensor::from_vec(vec![0.5], &[1]).unwrap());
+    p1.grad = Tensor::from_vec(vec![0.3, -0.1], &[2]).unwrap();
+    p2.grad = Tensor::from_vec(vec![-0.7], &[1]).unwrap();
+    let mut sgd = Sgd::new(cfg);
+    let mut w = [1.0f64, -2.0, 0.5];
+    let mut v = [0.0f64; 3];
+    // ‖g‖₂ = √0.59 ≈ 0.768 > 0.5, so every step is clipped
+    let scale = clip / grads.iter().map(|g| g * g).sum::<f64>().sqrt();
+    for step in 0..2 {
+        sgd.step_visitor(|f| {
+            f(&mut p1);
+            f(&mut p2);
+        });
+        for i in 0..3 {
+            v[i] = mom * v[i] + grads[i] * scale + wd * w[i];
+            w[i] -= lr * v[i];
+        }
+        let got: Vec<f32> = p1
+            .value
+            .as_slice()
+            .iter()
+            .chain(p2.value.as_slice())
+            .copied()
+            .collect();
+        for (i, (x, y)) in got.iter().zip(&w).enumerate() {
+            assert!(
+                (f64::from(*x) - y).abs() < 1e-6,
+                "step {step}, weight {i}: {x} vs {y}"
+            );
+        }
     }
 }
